@@ -9,8 +9,9 @@ and impulse sums.  The pieces:
 - :mod:`.schedule` -- impulse times, crossing roots, and separation checks;
 - :mod:`.piecewise` -- grids with two-sided breakpoint nodes, piecewise
   functions, and the weighted norms;
-- :mod:`.quadrature` -- trapezoid rules on those grids, including nested
-  and cube forms;
+- :mod:`.quadrature` -- trapezoid rules on those grids: cumulative
+  integrals to every node, integrals to arbitrary upper limits (one
+  integrand row shared or one per limit), and cube integrals;
 - :mod:`.operator` -- the fixed-point operator and its three components;
 - :mod:`.solvers` -- global and segment-marching iteration, plus
   resolution studies;
@@ -72,7 +73,6 @@ from .problem_io import (
     write_report,
     write_solution_csv,
 )
-from .quadrature import QuadratureConfig, integrate, integrate_double
 from .schedule import (
     ImpulseSchedule,
     SeparationReport,
@@ -110,7 +110,6 @@ __all__ = [
     "NoContractiveWeight",
     "PiecewiseFn",
     "ProblemFileError",
-    "QuadratureConfig",
     "SeparationReport",
     "SeriesProblem",
     "SolutionTriple",
@@ -131,8 +130,6 @@ __all__ = [
     "eval_kernel",
     "find_mu",
     "find_mu_vanishing",
-    "integrate",
-    "integrate_double",
     "is_contractive_criterion",
     "is_contractive_eigen",
     "jump_at",

@@ -523,8 +523,9 @@ def estimate_lipschitz(
     hi_b = dict(pts)
     lo_b[wrt] = xm
     hi_b[wrt] = xp
-    fm = np.asarray(expr.evaluate(lo_b), dtype=float)
-    fp = np.asarray(expr.evaluate(hi_b), dtype=float)
+    # a kernel free of some variables evaluates to a smaller (or 0-d) array
+    fm = np.broadcast_to(np.asarray(expr.evaluate(lo_b), dtype=float), x.shape)
+    fp = np.broadcast_to(np.asarray(expr.evaluate(hi_b), dtype=float), x.shape)
     slopes = np.abs(fp[keep] - fm[keep]) / gap[keep]
     if slopes.size == 0:
         raise ValueError("no usable sample pairs inside the box")

@@ -45,7 +45,7 @@ from .piecewise import (
     norm_discrete,
     norm_mixed,
 )
-from .quadrature import row_integrate_to, integrate_to, triangle_inner_nodes
+from .quadrature import integrate_to, node_cumulative
 from .schedule import MERGE_TOL, ImpulseSchedule
 from .contraction import LipschitzSet
 
@@ -189,12 +189,6 @@ def default_init(problem: HybridProblem) -> SolutionTriple:
 # Core evaluation
 
 
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) with j < i, flattened."""
-    ii, jj = np.tril_indices(n, k=-1)
-    return ii, jj
-
-
 def _sc_eval(
     problem: HybridProblem,
     triple: SolutionTriple,
@@ -238,36 +232,18 @@ def _sc_eval(
     ).astype(float, copy=True)
 
     if not problem.f1.is_zero:
-        if problem.f1.references("t"):
-            rows = problem.f1.evaluate(
-                {"t": te[:, None], "s": times[None, :], "x": xi[None, :]}
-            )
-            rows = np.broadcast_to(rows, (E, times.size))
-            out += row_integrate_to(grid, rows, te)
-        else:
-            w = problem.f1.evaluate({"s": times, "x": xi})
-            w = np.broadcast_to(np.asarray(w, dtype=float), times.shape)
-            out += integrate_to(grid, w, te)
+        w = problem.f1.evaluate({"t": te[:, None], "s": times[None, :], "x": xi[None, :]})
+        out += integrate_to(grid, w, te)
 
     if not problem.f2.is_zero:
-        if problem.f2.references("t"):
-            inner = np.empty((E, times.size))
-            for r in range(E):
-                F = problem.f2.evaluate(
-                    {
-                        "t": te[r],
-                        "s": times[:, None],
-                        "s1": times[None, :],
-                        "x": xi[:, None],
-                        "x1": xi[None, :],
-                    }
-                )
-                F = np.broadcast_to(F, (times.size, times.size))
-                inner[r] = triangle_inner_nodes(grid, F)
-            out += row_integrate_to(grid, inner, te)
-        else:
+        # outer integrand: the inner integral up to s, one row per
+        # evaluation time when the kernel references t, else one shared row
+        rows = te if problem.f2.references("t") else te[:1]
+        inner = np.empty((rows.size, times.size))
+        for r, t in enumerate(rows):
             F = problem.f2.evaluate(
                 {
+                    "t": t,
                     "s": times[:, None],
                     "s1": times[None, :],
                     "x": xi[:, None],
@@ -275,7 +251,8 @@ def _sc_eval(
                 }
             )
             F = np.broadcast_to(F, (times.size, times.size))
-            out += integrate_to(grid, triangle_inner_nodes(grid, F), te)
+            inner[r] = np.diagonal(node_cumulative(grid, F))
+        out += integrate_to(grid, inner, te)
 
     if tau.size and not problem.G1.is_zero:
         vals = problem.G1.evaluate(
@@ -286,7 +263,7 @@ def _sc_eval(
         out += np.sum(vals * mask, axis=1)
 
     if tau.size >= 2 and not problem.G2.is_zero:
-        ii, jj = _pair_indices(tau.size)
+        ii, jj = np.tril_indices(tau.size, k=-1)
         vals = problem.G2.evaluate(
             {
                 "t": te[:, None],
@@ -302,6 +279,7 @@ def _sc_eval(
 
     if n_sigma and tau.size and not problem.g.is_zero:
         beta_rows = triple.beta_rows()
+        acc = np.zeros((E, times.size))
         for i in range(n_sigma):
             sig_s = problem.sigma_grid[i]
             for j in range(tau.size):
@@ -316,10 +294,9 @@ def _sc_eval(
                         "eta": eta[j],
                     }
                 )
-                rows = np.broadcast_to(rows, (E, times.size)).astype(float, copy=True)
                 mask = (sig_s[None, :] < m[:, None]) & (tau[j] < m[:, None])
-                rows *= mask
-                out += row_integrate_to(grid, rows, te)
+                acc += rows * mask
+        out += integrate_to(grid, acc, te)
 
     if n_sigma and tau.size and not problem.G3.is_zero:
         for i in range(n_sigma):

@@ -1,118 +1,27 @@
-"""Composite trapezoid quadrature that respects breakpoints.
+"""Composite trapezoid quadrature on a :class:`~.piecewise.Grid`.
 
-Two layers:
+Integrands are node-value arrays whose last axis matches grid.times.
+Duplicated breakpoint nodes carry the two one-sided values and belong to
+different segments, so no panel straddles a jump and discontinuities cost
+nothing.  Three functions:
 
-* a public, callable-based API (:func:`integrate`, :func:`integrate_double`)
-  configured by :class:`QuadratureConfig`, used for standalone integrals;
-* array-based helpers over a shared :class:`~.piecewise.Grid`
-  (:func:`node_cumulative`, :func:`integrate_to`, ...) used by the operator
-  evaluation, where integrands are already sampled on the grid nodes.
+* :func:`node_cumulative` -- the integral from 0 to every grid node;
+* :func:`integrate_to` -- the integral from 0 to arbitrary upper limits,
+  with one integrand row shared by all limits or one row per limit; an
+  upper limit inside a segment ends a partial panel exactly there, with the
+  integrand linearly interpolated;
+* :func:`cube_diagonal` -- the integral over the cube [0, t]^n at every
+  node, by nested cumulative passes.
 
-Segments never straddle a breakpoint, so jump discontinuities cost nothing:
-each segment's trapezoid uses the one-sided limit values at its ends.  An
-upper limit falling inside a segment creates a partial panel ending exactly
-there, with the integrand linearly interpolated.
+A double integral over the triangle 0 <= s1 <= s <= t takes the diagonal of
+:func:`node_cumulative` of the (s, s1) node matrix as its outer integrand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
-
 import numpy as np
 
-from .piecewise import Grid, PiecewiseFn
-
-Integrand = Union[PiecewiseFn, Callable]
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    nodes_per_segment: int = 256
-    breakpoints: tuple[float, ...] = ()
-    rule: str = "trapezoid"
-
-    def __post_init__(self):
-        if self.rule != "trapezoid":
-            raise ValueError(f"unsupported rule {self.rule!r}")
-        if self.nodes_per_segment < 2:
-            raise ValueError("nodes_per_segment must be at least 2")
-        pts = tuple(float(b) for b in self.breakpoints)
-        if sorted(pts) != list(pts) or len(set(pts)) != len(pts):
-            raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", pts)
-
-
-def _sample(fn: Integrand, nodes: np.ndarray, left_end: bool) -> np.ndarray:
-    """Evaluate an integrand on segment nodes, honouring one-sided limits."""
-    if isinstance(fn, PiecewiseFn):
-        vals = fn.eval_right(nodes).copy()
-        if left_end:
-            vals[-1] = fn.eval_left(nodes[-1])
-        return np.atleast_1d(vals)
-    try:
-        vals = np.asarray(fn(nodes), dtype=float)
-        if vals.shape != nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(fn(t)) for t in nodes], dtype=float)
-    return vals
-
-
-def integrate(fn: Integrand, upper: float, config: QuadratureConfig) -> float:
-    """Trapezoid value of the integral of ``fn`` from 0 to ``upper``.
-
-    The domain is split at every configured breakpoint below ``upper``; each
-    piece gets ``nodes_per_segment`` panels.  ``fn`` may be a callable
-    (vectorised or scalar) or a :class:`PiecewiseFn`, whose one-sided values
-    are used at piece boundaries.
-    """
-    upper = float(upper)
-    if upper < -1e-12:
-        raise ValueError(f"upper limit must be >= 0, got {upper}")
-    if upper <= 0:
-        return 0.0
-    cuts = [0.0] + [b for b in config.breakpoints if 0.0 < b < upper] + [upper]
-    total = 0.0
-    m = config.nodes_per_segment
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        nodes = np.linspace(a, b, m + 1)
-        vals = _sample(fn, nodes, left_end=True)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"non-finite integrand value on [{a}, {b}]")
-        total += float(np.trapezoid(vals, nodes))
-    return total
-
-
-def integrate_double(fn: Callable, upper: float, config: QuadratureConfig) -> float:
-    """Iterated trapezoid of ``fn(s, s1)`` over the triangle 0<=s1<=s<=upper.
-
-    Outer trapezoid in ``s`` over the split segments; for each outer node the
-    inner integral from 0 to ``s`` is computed with :func:`integrate`.
-    """
-    upper = float(upper)
-    if upper < -1e-12:
-        raise ValueError(f"upper limit must be >= 0, got {upper}")
-    if upper <= 0:
-        return 0.0
-    cuts = [0.0] + [b for b in config.breakpoints if 0.0 < b < upper] + [upper]
-    m = config.nodes_per_segment
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        nodes = np.linspace(a, b, m + 1)
-        inner = np.array(
-            [integrate(lambda s1, s=s: fn(s, s1), s, config) for s in nodes]
-        )
-        if not np.all(np.isfinite(inner)):
-            raise ValueError(f"non-finite inner integral on [{a}, {b}]")
-        total += float(np.trapezoid(inner, nodes))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Grid-array internals.  Integrands are node-value arrays whose last axis
-# matches grid.times; duplicated breakpoint nodes carry the two one-sided
-# values and belong to different segments, so no panel straddles a jump.
+from .piecewise import Grid
 
 
 def node_cumulative(grid: Grid, w: np.ndarray) -> np.ndarray:
@@ -138,53 +47,31 @@ def node_cumulative(grid: Grid, w: np.ndarray) -> np.ndarray:
 
 
 def integrate_to(grid: Grid, w: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Integral of a shared node integrand ``w`` from 0 to each ``upper``.
+    """Integral of the node integrand ``w`` from 0 to each ``upper``.
 
-    Partial panels end exactly at the upper limit with the integrand
-    linearly interpolated between the surrounding nodes.
+    ``w`` is either one row shared by every upper limit (shape ``(N,)``,
+    ``(1, N)`` or a scalar; cumulated once) or one row per upper limit
+    (shape ``(E, N)``, or ``(E, 1)`` for rows constant in s), where N is
+    grid.size and E is the number of upper limits.
     """
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
     w = np.asarray(w, dtype=float)
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    cum = node_cumulative(grid, w)
+    rows = w.reshape(1, 1) if w.ndim == 0 else w.reshape(-1, w.shape[-1])
+    if w.ndim > 2 or rows.shape[0] not in (1, upper.size) or rows.shape[1] not in (1, grid.size):
+        raise ValueError(
+            f"integrand shape {w.shape} is neither one row nor one row per "
+            f"upper limit over {grid.size} nodes ({upper.size} limits)"
+        )
+    rows = np.broadcast_to(rows, (rows.shape[0], grid.size))
+    cum = node_cumulative(grid, rows)
     seg, j, frac = grid.locate(upper, side="left")
     base = seg * (grid.panels + 1) + j
     step = (np.diff(grid.partition) / grid.panels)[seg]
-    w0 = w[base]
-    w1 = w[base + 1]
+    r = np.arange(upper.size) if rows.shape[0] == upper.size else 0
+    w0 = rows[r, base]
+    w1 = rows[r, base + 1]
     wu = w0 + frac * (w1 - w0)
-    return cum[base] + 0.5 * (w0 + wu) * frac * step
-
-
-def row_integrate_to(grid: Grid, w_rows: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Like :func:`integrate_to` with one integrand row per upper limit."""
-    w_rows = np.asarray(w_rows, dtype=float)
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    if w_rows.shape != (upper.size, grid.size):
-        raise ValueError(f"expected shape {(upper.size, grid.size)}, got {w_rows.shape}")
-    cum = node_cumulative(grid, w_rows)
-    seg, j, frac = grid.locate(upper, side="left")
-    base = seg * (grid.panels + 1) + j
-    step = (np.diff(grid.partition) / grid.panels)[seg]
-    rows = np.arange(upper.size)
-    w0 = w_rows[rows, base]
-    w1 = w_rows[rows, base + 1]
-    wu = w0 + frac * (w1 - w0)
-    return cum[rows, base] + 0.5 * (w0 + wu) * frac * step
-
-
-def triangle_inner_nodes(grid: Grid, F: np.ndarray) -> np.ndarray:
-    """Inner integrals of a two-variable node integrand over the triangle.
-
-    ``F[i, k]`` holds the integrand at (s = times[i], s1 = times[k]).
-    Returns ``inner[i] = integral of F[i, :] from 0 to times[i]``, the outer
-    integrand of the double integral at every node.
-    """
-    F = np.asarray(F, dtype=float)
-    if F.shape != (grid.size, grid.size):
-        raise ValueError(f"expected shape {(grid.size, grid.size)}, got {F.shape}")
-    cum = node_cumulative(grid, F)
-    idx = np.arange(grid.size)
-    return cum[idx, idx]
+    return cum[r, base] + 0.5 * (w0 + wu) * frac * step
 
 
 def cube_diagonal(grid: Grid, F: np.ndarray, order: int) -> np.ndarray:

@@ -29,13 +29,7 @@ import numpy as np
 
 from .expressions import KernelExpr, parse_kernel, zero_kernel
 from .piecewise import Grid, PiecewiseFn, norm_continuous, uniform_grid
-from .quadrature import (
-    cube_diagonal,
-    integrate_to,
-    node_cumulative,
-    row_integrate_to,
-    triangle_inner_nodes,
-)
+from .quadrature import cube_diagonal, integrate_to, node_cumulative
 from .solvers import SolveReport
 
 MAX_ORDER = 3
@@ -236,8 +230,8 @@ def nested_equals_cube(
     scale = max(1.0, float(np.max(np.abs(F))))
     if np.max(np.abs(F - F.T)) > 1e-9 * scale:
         raise ValueError("kernel is not symmetric under (s1, x1) <-> (s2, x2)")
-    inner_rows = row_integrate_to(grid, F, np.full(times.size, t))
+    inner_rows = integrate_to(grid, F, np.full(times.size, t))
     cube = float(integrate_to(grid, inner_rows, t)[0])
-    triangle = triangle_inner_nodes(grid, F.T)
+    triangle = np.diagonal(node_cumulative(grid, F.T))
     nested = float(integrate_to(grid, triangle, t)[0])
     return cube / 2.0, nested

@@ -26,10 +26,12 @@ import numpy as np
 
 from .contraction import NoContractiveWeight, find_mu
 from .operator import (
+    EPS,
     HybridProblem,
     SolutionTriple,
     _node_membership_times,
     _sc_eval,
+    apply_mixed,
     apply_operator,
     component_deltas,
     default_init,
@@ -140,7 +142,7 @@ def segment_solve(
         end = float(grid.partition[l + 1])
         # moving-trace entries consumed while solving this segment
         consumed = [
-            np.flatnonzero(sigma_grid[p] <= end + 1e-12)
+            np.flatnonzero(sigma_grid[p] <= end + EPS)
             for p in range(problem.n_sigma)
         ]
         for _ in range(kmax):
@@ -166,7 +168,7 @@ def segment_solve(
                     if not idx.size:
                         continue
                     u = sigma_grid[p][idx]
-                    new_vals = _sc_eval(problem, triple, u, u - 1e-10)
+                    new_vals = _sc_eval(problem, triple, u, u - EPS)
                     d_beta = max(
                         d_beta, float(np.max(np.abs(new_vals - beta_rows[p][idx])))
                     )
@@ -179,12 +181,9 @@ def segment_solve(
             report.converged = False
             report.notes += (f"segment {l} hit the sweep limit",)
     # now that every segment is solved, fill the unconsumed trace entries
-    if problem.n_sigma:
-        triple = assemble()
-        for p in range(problem.n_sigma):
-            u = sigma_grid[p]
-            beta_rows[p] = _sc_eval(problem, triple, u, u - 1e-10)
     final = assemble()
+    if problem.n_sigma:
+        final = SolutionTriple(final.xi, final.eta, apply_mixed(problem, final))
     report.final_residual = residual(problem, final)
     return final, report
 

@@ -241,6 +241,16 @@ class TestAnalyze:
         code, _, err = _run(capsys, "analyze", files["crowded"], "--require-h7")
         assert code == 2 and "separation requirement failed" in err
 
+    def test_estimate_with_constant_kernel(self, capsys, monkeypatch):
+        # G1 is the constant 0.2 there, which evaluates to a 0-d array
+        monkeypatch.setenv("HV_SEED", "0")
+        path = Path(__file__).resolve().parents[1] / "problems" / "fixed_impulses.yaml"
+        code, out, _ = _run(capsys, "analyze", str(path), "--estimate")
+        assert code == 0
+        report = yaml.safe_load(out)
+        assert report["lipschitz_source"].startswith("estimated")
+        assert report["contraction"]["constants"]["LG1"] == 0.0
+
     def test_report_file_matches_stdout(self, capsys, tmp_path, files):
         report_path = tmp_path / "analysis.yaml"
         _, out, _ = _run(

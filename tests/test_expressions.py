@@ -17,6 +17,7 @@ from hybrid_volterra.expressions import (
     symmetrize_second_order,
     zero_kernel,
 )
+from hybrid_volterra.operator import ARITIES
 from hybrid_volterra.piecewise import uniform_grid
 from hybrid_volterra.quadrature import node_cumulative
 
@@ -213,6 +214,12 @@ class TestEstimateLipschitz:
         k = parse_kernel("x*x", ("x",))
         v = estimate_lipschitz(k, "x", {"x": (0.0, 2.0)}, samples=2048)
         assert 3.99 <= v <= 4.0 + 1e-9
+
+    def test_constant_kernel_has_zero_slope(self):
+        # a constant evaluates to a 0-d array, not one value per sample
+        k = parse_kernel("0.2", ARITIES["G1"])
+        box = {"t": (0.0, 2.0), "tau": (0.0, 2.0), "eta": (-2.0, 2.0)}
+        assert estimate_lipschitz(k, "eta", box) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(

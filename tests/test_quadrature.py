@@ -1,4 +1,4 @@
-"""Quadrature: breakpoint-aware trapezoid rules, single and double."""
+"""Quadrature: breakpoint-aware trapezoid rules over the grid nodes."""
 
 import math
 
@@ -7,111 +7,100 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybrid_volterra.piecewise import PiecewiseFn, uniform_grid
-from hybrid_volterra.quadrature import (
-    QuadratureConfig,
-    cube_diagonal,
-    integrate,
-    integrate_double,
-    integrate_to,
-    node_cumulative,
-    row_integrate_to,
-    triangle_inner_nodes,
-)
+from hybrid_volterra.piecewise import uniform_grid
+from hybrid_volterra.quadrature import cube_diagonal, integrate_to, node_cumulative
 
-CFG = QuadratureConfig(nodes_per_segment=256)
+GRID = uniform_grid(1.0, panels=256)
+
+
+def _integral(grid, w, upper):
+    return float(integrate_to(grid, w, upper)[0])
+
+
+def _triangle(grid, F, upper):
+    """Iterated integral over 0 <= s1 <= s <= upper of F[s, s1]."""
+    return _integral(grid, np.diagonal(node_cumulative(grid, F)), upper)
 
 
 class TestIntegrate:
+    """Single integrals of node data from 0 to an upper limit."""
+
     def test_linear_exact(self):
-        assert integrate(lambda s: s, 1.0, CFG) == pytest.approx(0.5, abs=1e-14)
+        assert _integral(GRID, GRID.times, 1.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_exponential(self):
-        v = integrate(np.exp, 1.0, CFG)
+        v = _integral(GRID, np.exp(GRID.times), 1.0)
         assert abs(v - (math.e - 1.0)) < 1e-5
 
     def test_step_with_split(self):
-        cfg = QuadratureConfig(nodes_per_segment=64, breakpoints=(1.0,))
         grid = uniform_grid(2.0, panels=64, interior=[1.0])
-        vals = np.where(np.arange(grid.size) < grid.panels + 1, 1.0, 3.0)
-        step = PiecewiseFn(grid, vals)
-        assert integrate(step, 2.0, cfg) == pytest.approx(4.0, abs=1e-12)
+        step = np.where(np.arange(grid.size) < grid.panels + 1, 1.0, 3.0)
+        out = integrate_to(grid, step, np.array([1.0, 1.5, 2.0]))
+        # the limit at the breakpoint itself takes the left segment
+        assert np.allclose(out, [1.0, 2.5, 4.0], atol=1e-12)
 
     def test_zero_upper(self):
-        assert integrate(lambda s: s, 0.0, CFG) == 0.0
+        assert _integral(GRID, GRID.times, 0.0) == 0.0
 
     def test_negative_upper_rejected(self):
         with pytest.raises(ValueError):
-            integrate(lambda s: s, -0.5, CFG)
-
-    def test_non_finite_integrand(self):
-        with pytest.raises(ValueError):
-            integrate(lambda s: np.where(s > 0.5, np.inf, 1.0), 1.0, CFG)
-
-    def test_scalar_only_callable(self):
-        v = integrate(lambda s: float(s) ** 2, 1.0, CFG)
-        assert abs(v - 1.0 / 3.0) < 1e-5
+            integrate_to(GRID, GRID.times, -0.5)
 
     def test_partial_upper_inside_segment(self):
-        v = integrate(lambda s: np.ones_like(s), 0.3333, CFG)
+        v = _integral(GRID, np.ones(GRID.size), 0.3333)
         assert v == pytest.approx(0.3333, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.floats(-3, 3, allow_nan=False),
         st.floats(-3, 3, allow_nan=False),
-        st.floats(0.1, 2.0, allow_nan=False),
+        st.floats(0.1, 1.0, allow_nan=False),
     )
     def test_linearity(self, a, b, upper):
-        f = lambda s: np.sin(s)
-        g = lambda s: s**2
-        combined = integrate(lambda s: a * f(s) + b * g(s), upper, CFG)
-        parts = a * integrate(f, upper, CFG) + b * integrate(g, upper, CFG)
+        f = np.sin(GRID.times)
+        g = GRID.times**2
+        combined = _integral(GRID, a * f + b * g, upper)
+        parts = a * _integral(GRID, f, upper) + b * _integral(GRID, g, upper)
         assert combined == pytest.approx(parts, rel=1e-10, abs=1e-10)
 
     def test_refinement_is_second_order(self):
         exact = math.e - 1.0
         errs = []
         for m in (64, 128, 256):
-            cfg = QuadratureConfig(nodes_per_segment=m)
-            errs.append(abs(integrate(np.exp, 1.0, cfg) - exact))
+            grid = uniform_grid(1.0, panels=m)
+            errs.append(abs(_integral(grid, np.exp(grid.times), 1.0) - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
 
     def test_split_consistency_for_continuous_integrand(self):
         """An extra breakpoint must not change the value on smooth data."""
         # piecewise-linear integrand: the trapezoid is exact on it, so the
-        # two configurations agree to rounding despite different node sets
-        f = lambda s: 2.0 * s + 1.0
-        plain = integrate(f, 2.0, QuadratureConfig(nodes_per_segment=128))
-        split = integrate(
-            f, 2.0, QuadratureConfig(nodes_per_segment=128, breakpoints=(0.7,))
-        )
-        assert abs(plain - split) < 1e-12
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rule="simpson")
-        with pytest.raises(ValueError):
-            QuadratureConfig(nodes_per_segment=1)
-        with pytest.raises(ValueError):
-            QuadratureConfig(breakpoints=(1.0, 0.5))
+        # two grids agree to rounding despite different node sets
+        plain = uniform_grid(2.0, panels=128)
+        split = uniform_grid(2.0, panels=128, interior=[0.7])
+        uppers = np.array([0.5, 0.7, 1.3, 2.0])
+        a = integrate_to(plain, 2.0 * plain.times + 1.0, uppers)
+        b = integrate_to(split, 2.0 * split.times + 1.0, uppers)
+        assert np.max(np.abs(a - b)) < 1e-12
 
 
 class TestIntegrateDouble:
+    """Triangle integrals: the diagonal of node_cumulative, integrated on."""
+
     def test_unit_triangle(self):
-        v = integrate_double(lambda s, s1: np.ones_like(s1), 1.0, CFG)
-        assert v == pytest.approx(0.5, abs=1e-12)
+        F = np.ones((GRID.size, GRID.size))
+        assert _triangle(GRID, F, 1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero(self):
-        assert integrate_double(lambda s, s1: 0.0 * s1, 1.0, CFG) == 0.0
+        assert _triangle(GRID, np.zeros((GRID.size, GRID.size)), 1.0) == 0.0
 
     def test_product_kernel(self):
-        v = integrate_double(lambda s, s1: s * s1, 1.0, CFG)
-        assert abs(v - 0.125) < 1e-5
+        t = GRID.times
+        assert abs(_triangle(GRID, t[:, None] * t[None, :], 1.0) - 0.125) < 1e-5
 
     def test_zero_upper(self):
-        assert integrate_double(lambda s, s1: s + s1, 0.0, CFG) == 0.0
+        t = GRID.times
+        assert _triangle(GRID, t[:, None] + t[None, :], 0.0) == 0.0
 
 
 class TestGridHelpers:
@@ -147,23 +136,48 @@ class TestGridHelpers:
         # integrand is linear, so even the partial panel is exact
         assert out[0] == pytest.approx(0.55**2 / 2.0, abs=1e-14)
 
-    def test_row_integrate_to(self):
+    def test_integrate_to_one_row_per_limit(self):
         grid = uniform_grid(1.0, panels=8)
         uppers = np.array([0.25, 0.5, 1.0])
         rows = np.vstack([np.ones(grid.size) * (i + 1) for i in range(3)])
-        out = row_integrate_to(grid, rows, uppers)
+        out = integrate_to(grid, rows, uppers)
         assert np.allclose(out, uppers * np.array([1.0, 2.0, 3.0]), atol=1e-14)
 
-    def test_row_integrate_to_shape_check(self):
-        grid = uniform_grid(1.0, panels=8)
-        with pytest.raises(ValueError):
-            row_integrate_to(grid, np.ones((2, grid.size)), np.array([0.5]))
+    @pytest.mark.parametrize(
+        "shared, tiled",
+        [
+            (lambda t: np.cos(t), lambda t, e: np.tile(np.cos(t), (e, 1))),
+            (lambda t: np.cos(t)[None, :], lambda t, e: np.tile(np.cos(t), (e, 1))),
+            (lambda t: 0.7, lambda t, e: np.full((e, t.size), 0.7)),
+        ],
+        ids=["flat", "one-row", "scalar"],
+    )
+    def test_integrate_to_shared_row_equals_tiled(self, shared, tiled):
+        grid = uniform_grid(2.0, panels=8, interior=[0.6])
+        uppers = np.array([0.0, 0.3, 0.6, 1.45, 2.0])
+        t = grid.times
+        a = integrate_to(grid, shared(t), uppers)
+        b = integrate_to(grid, tiled(t, uppers.size), uppers)
+        np.testing.assert_array_equal(a, b)
 
-    def test_triangle_inner_nodes(self):
+    def test_integrate_to_rows_constant_in_s(self):
+        grid = uniform_grid(1.0, panels=8)
+        uppers = np.array([0.25, 0.5, 1.0])
+        col = np.array([[1.0], [2.0], [3.0]])
+        out = integrate_to(grid, col, uppers)
+        assert np.allclose(out, uppers * col[:, 0], atol=1e-14)
+
+    def test_integrate_to_wrong_row_count(self):
+        grid = uniform_grid(1.0, panels=8)  # 9 nodes
+        for shape in [(2, 9), (4, 9), (3, 5), (3, 9, 1)]:
+            with pytest.raises(ValueError):
+                integrate_to(grid, np.ones(shape), np.array([0.2, 0.5, 0.9]))
+
+    def test_triangle_inner_integrals_on_diagonal(self):
         grid = uniform_grid(1.0, panels=64)
         t = grid.times
         F = np.broadcast_to(t[:, None] * t[None, :], (t.size, t.size))
-        inner = triangle_inner_nodes(grid, F)
+        inner = np.diagonal(node_cumulative(grid, F))
         # inner[i] = int_0^{t_i} t_i * u du = t_i^3 / 2
         assert np.allclose(inner, t**3 / 2.0, atol=1e-14)
 
