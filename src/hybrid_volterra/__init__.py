@@ -9,9 +9,10 @@ and impulse sums.  The pieces:
 - :mod:`.schedule` -- impulse times, crossing roots, and separation checks;
 - :mod:`.piecewise` -- grids with two-sided breakpoint nodes, piecewise
   functions, and the weighted norms;
-- :mod:`.quadrature` -- trapezoid rules on those grids: cumulative
-  integrals to every node, integrals to arbitrary upper limits (one
-  integrand row shared or one per limit), and cube integrals;
+- :mod:`.quadrature` -- trapezoid rules on those grids as weight rows:
+  row e integrates node values from 0 to the upper limit e, so an
+  integral is a weighted row sum (one integrand row shared or one per
+  limit); plus cumulative integrals to every node and cube integrals;
 - :mod:`.operator` -- the fixed-point operator and its three components;
 - :mod:`.solvers` -- global and segment-marching iteration, plus
   resolution studies;

@@ -10,7 +10,8 @@ Subcommands::
     hv check-matrix A11 .. A33     verdicts for an explicit 3x3 matrix
 
 Exit codes: 0 success, 1 invalid input, 2 separation requirement failed,
-3 iteration did not converge.  Output is deterministic for fixed inputs;
+3 iteration did not converge, 4 iteration stopped on a kernel domain error
+or a non-finite update.  Output is deterministic for fixed inputs;
 ``HV_SEED`` seeds the Lipschitz estimator behind ``analyze --estimate``.
 """
 
@@ -245,7 +246,8 @@ def solve(problem_file, method, out, report_path, mu, tol, kmax, require_separat
         "tolerance": float(tol),
         "notes": list(rep.notes),
         "separation": sep,
-        "jumps": _jump_rows(problem, triple),
+        # jump_at would meet the same failure on the last iterate
+        "jumps": [] if rep.failed else _jump_rows(problem, triple),
         "conventions": _conventions(problem),
     }
     if problem.lipschitz is not None:
@@ -275,6 +277,8 @@ def solve(problem_file, method, out, report_path, mu, tol, kmax, require_separat
         click.echo(f"wrote solution: {out}")
     if report_path:
         click.echo(f"wrote report: {report_path}")
+    if rep.failed:
+        _fail(f"iteration stopped after {rep.iterations} sweeps: {rep.notes[-1]}", 4)
     if not rep.converged:
         _fail(f"did not converge within {kmax} iterations", 3)
 

@@ -27,12 +27,15 @@ earlier or later (:func:`jump_at`).
 
 Quadrature nodes coincide with grid nodes, so xi and beta_i enter the
 integrands by their stored node values; only x0, sigma_i and the t argument
-see off-node times.
+see off-node times.  Every integral is a weighted row sum under the
+trapezoid weight rows of the evaluation times.  The inner f2 integrals and
+the g node rows do not depend on t unless the kernel references it, so
+:func:`apply_operator` builds them once per triple (one N x N f2 pass) and
+the three components share them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +48,7 @@ from .piecewise import (
     norm_discrete,
     norm_mixed,
 )
-from .quadrature import integrate_to, node_cumulative
+from .quadrature import apply_weights, weight_rows
 from .schedule import MERGE_TOL, ImpulseSchedule
 from .contraction import LipschitzSet
 
@@ -189,6 +192,88 @@ def default_init(problem: HybridProblem) -> SolutionTriple:
 # Core evaluation
 
 
+@dataclass(frozen=True)
+class _MemoryRows:
+    """Node rows of the memory terms that do not depend on the evaluation time.
+
+    ``f2_inner[k]`` is the inner integral over s1 in [0, s_k] of f2 at the
+    node s = s_k when f2 does not reference t; ``g_rows[i][j]`` is g at the
+    nodes for the pair (sigma_i, tau_j) when g does not reference t.  Either
+    is None when its term is absent or references t.  One triple's rows
+    serve every evaluation of it, whatever the evaluation and membership
+    times.
+    """
+
+    f2_inner: np.ndarray | None
+    g_rows: list | None
+
+
+def _g_active(problem: HybridProblem) -> bool:
+    return bool(problem.n_sigma and problem.tau.size and not problem.g.is_zero)
+
+
+def _f2_inner(
+    problem: HybridProblem, xi: np.ndarray, t, node_weights: np.ndarray
+) -> np.ndarray:
+    """Inner triangle integrals of f2 at time ``t``, one per node s."""
+    times = problem.grid.times
+    F = problem.f2.evaluate(
+        {
+            "t": t,
+            "s": times[:, None],
+            "s1": times[None, :],
+            "x": xi[:, None],
+            "x1": xi[None, :],
+        }
+    )
+    return apply_weights(node_weights, np.broadcast_to(F, (times.size, times.size)))
+
+
+def _g_rows(problem: HybridProblem, triple: SolutionTriple, t) -> list:
+    """g at the nodes for every (sigma_i, tau_j) pair, with ``t`` bound."""
+    times = problem.grid.times
+    beta_rows = triple.beta_rows()
+    return [
+        [
+            problem.g.evaluate(
+                {
+                    "t": t,
+                    "s": times[None, :],
+                    "sig": problem.sigma_grid[i][None, :],
+                    "tau": tau_j,
+                    "x": triple.xi.values[None, :],
+                    "beta": beta_rows[i][None, :],
+                    "eta": eta_j,
+                }
+            )
+            for tau_j, eta_j in zip(problem.tau, triple.eta)
+        ]
+        for i in range(problem.n_sigma)
+    ]
+
+
+def _memory_rows(
+    problem: HybridProblem,
+    triple: SolutionTriple,
+    same_xi: _MemoryRows | None = None,
+) -> _MemoryRows:
+    """The t-independent f2 and g node rows of ``triple``.
+
+    The f2 rows cost one N x N kernel pass; ``same_xi``, rows of a triple
+    with the same continuous part, lends its f2 rows instead.
+    """
+    f2_inner = None if same_xi is None else same_xi.f2_inner
+    if f2_inner is None and not problem.f2.is_zero and not problem.f2.references("t"):
+        grid = problem.grid
+        f2_inner = _f2_inner(
+            problem, triple.xi.values, 0.0, weight_rows(grid, grid.times)
+        )
+    g_rows = None
+    if _g_active(problem) and not problem.g.references("t"):
+        g_rows = _g_rows(problem, triple, 0.0)
+    return _MemoryRows(f2_inner, g_rows)
+
+
 def _sc_eval(
     problem: HybridProblem,
     triple: SolutionTriple,
@@ -196,6 +281,7 @@ def _sc_eval(
     memb_times: np.ndarray,
     sigma_at_eval: np.ndarray | None = None,
     beta_at_eval: np.ndarray | None = None,
+    memory: _MemoryRows | None = None,
 ) -> np.ndarray:
     """The operator formula at ``eval_times`` with memberships ``memb_times``.
 
@@ -203,7 +289,11 @@ def _sc_eval(
     evaluated at the evaluation times (shape (n_sigma, E)); they exist so
     node-aligned callers can supply the stored one-sided values instead of
     interpolating.  When omitted they are computed here, with beta read by
-    its left-limit convention.
+    its left-limit convention.  ``memory`` is :func:`_memory_rows` of
+    ``triple``, computed here when omitted.
+
+    Every integral is a weighted row reduction under the weight rows of the
+    evaluation times, built once per call.
     """
     grid = problem.grid
     te = np.asarray(eval_times, dtype=float)
@@ -214,6 +304,9 @@ def _sc_eval(
     eta = triple.eta
     tau = problem.tau
     n_sigma = problem.n_sigma
+    g_active = _g_active(problem)
+    if memory is None:
+        memory = _memory_rows(problem, triple)
 
     if n_sigma and sigma_at_eval is None:
         sigma_at_eval = np.vstack(
@@ -231,28 +324,23 @@ def _sc_eval(
         np.asarray(problem.x0.evaluate({"t": te}), dtype=float), te.shape
     ).astype(float, copy=True)
 
+    has_integrals = not problem.f1.is_zero or not problem.f2.is_zero or g_active
+    W = weight_rows(grid, te) if has_integrals else None
+
     if not problem.f1.is_zero:
         w = problem.f1.evaluate({"t": te[:, None], "s": times[None, :], "x": xi[None, :]})
-        out += integrate_to(grid, w, te)
+        out += apply_weights(W, w)
 
     if not problem.f2.is_zero:
-        # outer integrand: the inner integral up to s, one row per
-        # evaluation time when the kernel references t, else one shared row
-        rows = te if problem.f2.references("t") else te[:1]
-        inner = np.empty((rows.size, times.size))
-        for r, t in enumerate(rows):
-            F = problem.f2.evaluate(
-                {
-                    "t": t,
-                    "s": times[:, None],
-                    "s1": times[None, :],
-                    "x": xi[:, None],
-                    "x1": xi[None, :],
-                }
-            )
-            F = np.broadcast_to(F, (times.size, times.size))
-            inner[r] = np.diagonal(node_cumulative(grid, F))
-        out += integrate_to(grid, inner, te)
+        # outer integrand: the inner integral up to s, one shared row unless
+        # the kernel references t, then one row per evaluation time
+        inner = memory.f2_inner
+        if inner is None:
+            node_weights = W if np.array_equal(te, times) else weight_rows(grid, times)
+            inner = np.empty((E, times.size))
+            for r, t in enumerate(te):
+                inner[r] = _f2_inner(problem, xi, t, node_weights)
+        out += apply_weights(W, inner)
 
     if tau.size and not problem.G1.is_zero:
         vals = problem.G1.evaluate(
@@ -277,26 +365,15 @@ def _sc_eval(
         mask = tau[ii][None, :] < m[:, None]
         out += np.sum(vals * mask, axis=1)
 
-    if n_sigma and tau.size and not problem.g.is_zero:
-        beta_rows = triple.beta_rows()
-        acc = np.zeros((E, times.size))
+    if g_active:
+        rows = memory.g_rows
+        if rows is None:
+            rows = _g_rows(problem, triple, te[:, None])
         for i in range(n_sigma):
-            sig_s = problem.sigma_grid[i]
+            # weights of the nodes s with sigma_i(s) inside the membership
+            masked = np.where(problem.sigma_grid[i][None, :] < m[:, None], W, 0.0)
             for j in range(tau.size):
-                rows = problem.g.evaluate(
-                    {
-                        "t": te[:, None],
-                        "s": times[None, :],
-                        "sig": sig_s[None, :],
-                        "tau": tau[j],
-                        "x": xi[None, :],
-                        "beta": beta_rows[i][None, :],
-                        "eta": eta[j],
-                    }
-                )
-                mask = (sig_s[None, :] < m[:, None]) & (tau[j] < m[:, None])
-                acc += rows * mask
-        out += integrate_to(grid, acc, te)
+                out += apply_weights(masked, rows[i][j]) * (tau[j] < m)
 
     if n_sigma and tau.size and not problem.G3.is_zero:
         for i in range(n_sigma):
@@ -327,7 +404,9 @@ def _node_membership_times(grid: Grid) -> np.ndarray:
     return m
 
 
-def apply_continuous(problem: HybridProblem, triple: SolutionTriple) -> PiecewiseFn:
+def apply_continuous(
+    problem: HybridProblem, triple: SolutionTriple, memory: _MemoryRows | None = None
+) -> PiecewiseFn:
     """New continuous part, one-sided values at duplicated breakpoint nodes."""
     grid = problem.grid
     vals = _sc_eval(
@@ -337,34 +416,46 @@ def apply_continuous(problem: HybridProblem, triple: SolutionTriple) -> Piecewis
         _node_membership_times(grid),
         sigma_at_eval=problem.sigma_grid if problem.n_sigma else None,
         beta_at_eval=triple.beta_rows() if problem.n_sigma else None,
+        memory=memory,
     )
     return PiecewiseFn(grid, vals)
 
 
-def apply_discrete(problem: HybridProblem, triple: SolutionTriple) -> np.ndarray:
+def apply_discrete(
+    problem: HybridProblem, triple: SolutionTriple, memory: _MemoryRows | None = None
+) -> np.ndarray:
     """New fixed-impulse values: the formula at tau_l with left memberships."""
     if not problem.n_tau:
         return np.zeros(0)
-    return _sc_eval(problem, triple, problem.tau, problem.tau - EPS)
+    return _sc_eval(problem, triple, problem.tau, problem.tau - EPS, memory=memory)
 
 
-def apply_mixed(problem: HybridProblem, triple: SolutionTriple) -> tuple[PiecewiseFn, ...]:
+def apply_mixed(
+    problem: HybridProblem, triple: SolutionTriple, memory: _MemoryRows | None = None
+) -> tuple[PiecewiseFn, ...]:
     """New moving traces: component p is the formula at sigma_p(t)."""
-    grid = problem.grid
+    if not problem.n_sigma:
+        return ()
+    if memory is None:
+        memory = _memory_rows(problem, triple)
     out = []
-    for p in range(problem.n_sigma):
-        u = problem.sigma_grid[p]
-        vals = _sc_eval(problem, triple, u, u - EPS)
-        out.append(PiecewiseFn(grid, vals))
+    for u in problem.sigma_grid:
+        vals = _sc_eval(problem, triple, u, u - EPS, memory=memory)
+        out.append(PiecewiseFn(problem.grid, vals))
     return tuple(out)
 
 
 def apply_operator(problem: HybridProblem, triple: SolutionTriple) -> SolutionTriple:
-    """One full sweep of all three components (simultaneous update)."""
+    """One full sweep of all three components (simultaneous update).
+
+    The t-independent memory rows of ``triple`` are built once and shared by
+    the three components.
+    """
+    memory = _memory_rows(problem, triple)
     return SolutionTriple(
-        apply_continuous(problem, triple),
-        apply_discrete(problem, triple),
-        apply_mixed(problem, triple),
+        apply_continuous(problem, triple, memory),
+        apply_discrete(problem, triple, memory),
+        apply_mixed(problem, triple, memory),
     )
 
 
@@ -380,8 +471,9 @@ def jump_at(problem: HybridProblem, triple: SolutionTriple, alpha: float) -> flo
     if not any(abs(alpha - b) <= MERGE_TOL for b in np.atleast_1d(bps)):
         raise ValueError(f"{alpha} is not a breakpoint of this problem")
     t = np.array([float(alpha)])
-    right = _sc_eval(problem, triple, t, t + EPS)
-    left = _sc_eval(problem, triple, t, t - EPS)
+    memory = _memory_rows(problem, triple)
+    right = _sc_eval(problem, triple, t, t + EPS, memory=memory)
+    left = _sc_eval(problem, triple, t, t - EPS, memory=memory)
     return float(right[0] - left[0])
 
 

@@ -22,6 +22,10 @@ from .expressions import KernelExpr, parse_kernel
 _TIME_TOL = 1e-10
 
 
+class NonFiniteValues(ValueError):
+    """Node values that are not all finite (an iteration blew up)."""
+
+
 @dataclass(frozen=True)
 class Grid:
     """Shared sample grid: a partition of [0, T] and per-segment nodes."""
@@ -100,7 +104,7 @@ class PiecewiseFn:
         if values.shape != (grid.size,):
             raise ValueError(f"expected {grid.size} node values, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
-            raise ValueError("node values must be finite")
+            raise NonFiniteValues("node values must be finite")
         self.grid = grid
         self.values = values
 

@@ -14,7 +14,10 @@ Two routes to the same discrete fixed point:
   well posed.
 
 Both return the solution triple plus a :class:`SolveReport` with per-sweep
-component deltas (useful for checking contraction-rate predictions).
+component deltas (useful for checking contraction-rate predictions).  A
+kernel domain error or a non-finite update stops either solver: it returns
+the last finite iterate, unconverged, with ``failed`` set and a note saying
+which failure it was.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contraction import NoContractiveWeight, find_mu
+from .expressions import EvaluationError
 from .operator import (
     EPS,
     HybridProblem,
     SolutionTriple,
+    _memory_rows,
     _node_membership_times,
     _sc_eval,
     apply_mixed,
@@ -37,7 +42,7 @@ from .operator import (
     default_init,
     residual,
 )
-from .piecewise import PiecewiseFn
+from .piecewise import NonFiniteValues, PiecewiseFn
 
 
 @dataclass
@@ -51,6 +56,7 @@ class SolveReport:
     deltas: list[tuple[float, float, float]] = field(default_factory=list)
     final_residual: float = math.nan
     notes: tuple[str, ...] = ()
+    failed: bool = False  # stopped on a kernel error or a non-finite update
 
     @property
     def max_deltas(self) -> list[float]:
@@ -69,6 +75,27 @@ def _default_mu(problem: HybridProblem) -> tuple[float, tuple[str, ...]]:
     return 1.0, ()
 
 
+# what stops a solver early, keeping its last finite iterate
+_NUMERICAL_FAILURES = (EvaluationError, NonFiniteValues)
+
+
+def _require_finite(*arrays) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise NonFiniteValues("non-finite update")
+
+
+def _stop(report: SolveReport, exc: Exception) -> None:
+    """Record a numerical failure in the sweep after the last completed one."""
+    sweep = report.iterations + 1
+    if isinstance(exc, NonFiniteValues):
+        note = f"diverged: non-finite update in sweep {sweep}"
+    else:
+        note = f"kernel error in sweep {sweep}: {exc}"
+    report.converged = False
+    report.failed = True
+    report.notes += (note,)
+
+
 def picard_solve(
     problem: HybridProblem,
     init: SolutionTriple | None = None,
@@ -78,7 +105,8 @@ def picard_solve(
 ) -> tuple[SolutionTriple, SolveReport]:
     """Global successive approximation from ``init`` (default: forcing term).
 
-    Stops when all three weighted component deltas fall to ``tol``.
+    Stops when all three weighted component deltas fall to ``tol``, or on
+    a numerical failure.
     """
     notes: tuple[str, ...] = ()
     if mu is None:
@@ -86,18 +114,21 @@ def picard_solve(
     cur = default_init(problem) if init is None else init
     report = SolveReport("picard", 0, float(mu), False, notes=notes)
     for _ in range(kmax):
-        new = apply_operator(problem, cur)
-        d = component_deltas(new, cur, problem, mu)
+        try:
+            new = apply_operator(problem, cur)
+            d = component_deltas(new, cur, problem, mu)
+            _require_finite(new.eta, d)
+        except _NUMERICAL_FAILURES as exc:
+            _stop(report, exc)
+            break
         report.deltas.append(d)
         report.iterations += 1
         cur = new
-        if not all(map(math.isfinite, d)):
-            report.notes += ("diverged: non-finite update",)
-            break
         if max(d) <= tol:
             report.converged = True
             break
-    report.final_residual = residual(problem, cur)
+    if not report.failed:
+        report.final_residual = residual(problem, cur)
     return cur, report
 
 
@@ -137,49 +168,61 @@ def segment_solve(
             tuple(PiecewiseFn(grid, row.copy()) for row in beta_rows),
         )
 
-    for l in range(grid.num_segments):
-        sl = grid.segment_slice(l)
-        end = float(grid.partition[l + 1])
-        # moving-trace entries consumed while solving this segment
-        consumed = [
-            np.flatnonzero(sigma_grid[p] <= end + EPS)
-            for p in range(problem.n_sigma)
-        ]
-        for _ in range(kmax):
-            triple = assemble()
-            vals = _sc_eval(
-                problem,
-                triple,
-                grid.times[sl],
-                memb[sl],
-                sigma_at_eval=sigma_grid[:, sl] if problem.n_sigma else None,
-                beta_at_eval=beta_rows[:, sl] if problem.n_sigma else None,
-            )
-            d_xi = float(np.max(np.abs(vals - xi[sl]))) if vals.size else 0.0
-            xi[sl] = vals
-            new_eta = _compose_eta(problem, PiecewiseFn(grid, xi))
-            d_eta = float(np.max(np.abs(new_eta - eta))) if eta.size else 0.0
-            eta[:] = new_eta
-            d_beta = 0.0
-            if problem.n_sigma:
+    memory = None  # memory rows of a triple with the current xi, if any
+    try:
+        for l in range(grid.num_segments):
+            sl = grid.segment_slice(l)
+            end = float(grid.partition[l + 1])
+            # moving-trace entries consumed while solving this segment
+            consumed = [
+                np.flatnonzero(sigma_grid[p] <= end + EPS)
+                for p in range(problem.n_sigma)
+            ]
+            for _ in range(kmax):
                 triple = assemble()
-                for p in range(problem.n_sigma):
-                    idx = consumed[p]
-                    if not idx.size:
-                        continue
-                    u = sigma_grid[p][idx]
-                    new_vals = _sc_eval(problem, triple, u, u - EPS)
-                    d_beta = max(
-                        d_beta, float(np.max(np.abs(new_vals - beta_rows[p][idx])))
-                    )
-                    beta_rows[p][idx] = new_vals
-            report.iterations += 1
-            report.deltas.append((d_xi, d_eta, d_beta))
-            if max(d_xi, d_eta, d_beta) <= tol:
-                break
-        else:
-            report.converged = False
-            report.notes += (f"segment {l} hit the sweep limit",)
+                memory = _memory_rows(problem, triple, same_xi=memory)
+                vals = _sc_eval(
+                    problem,
+                    triple,
+                    grid.times[sl],
+                    memb[sl],
+                    sigma_at_eval=sigma_grid[:, sl] if problem.n_sigma else None,
+                    beta_at_eval=beta_rows[:, sl] if problem.n_sigma else None,
+                    memory=memory,
+                )
+                _require_finite(vals)
+                d_xi = float(np.max(np.abs(vals - xi[sl]))) if vals.size else 0.0
+                xi[sl] = vals
+                memory = None
+                new_eta = _compose_eta(problem, PiecewiseFn(grid, xi))
+                d_eta = float(np.max(np.abs(new_eta - eta))) if eta.size else 0.0
+                eta[:] = new_eta
+                d_beta = 0.0
+                if problem.n_sigma:
+                    triple = assemble()
+                    # the next sweep starts from this xi and reuses its f2 rows
+                    memory = _memory_rows(problem, triple)
+                    for p in range(problem.n_sigma):
+                        idx = consumed[p]
+                        if not idx.size:
+                            continue
+                        u = sigma_grid[p][idx]
+                        new_vals = _sc_eval(problem, triple, u, u - EPS, memory=memory)
+                        _require_finite(new_vals)
+                        d_beta = max(
+                            d_beta, float(np.max(np.abs(new_vals - beta_rows[p][idx])))
+                        )
+                        beta_rows[p][idx] = new_vals
+                report.iterations += 1
+                report.deltas.append((d_xi, d_eta, d_beta))
+                if max(d_xi, d_eta, d_beta) <= tol:
+                    break
+            else:
+                report.converged = False
+                report.notes += (f"segment {l} hit the sweep limit",)
+    except _NUMERICAL_FAILURES as exc:
+        _stop(report, exc)
+        return assemble(), report
     # now that every segment is solved, fill the unconsumed trace entries
     final = assemble()
     if problem.n_sigma:

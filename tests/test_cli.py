@@ -51,6 +51,18 @@ x0: "0"
 sigma: ["0.5*t"]
 """
 
+BLOW_UP_FILE = """\
+horizon: 3
+x0: "1"
+f1: "exp(x)"
+"""
+
+DOMAIN_ERROR_FILE = """\
+horizon: 1
+x0: "0"
+f1: "1/x"
+"""
+
 HALF = ["0.5", "0", "0", "0", "0.5", "0", "0", "0", "0.5"]
 
 
@@ -68,6 +80,7 @@ def files(tmp_path):
     for name, text in [
         ("exp", EXP_FILE), ("step", STEP_FILE), ("crowded", CROWDED_FILE),
         ("series", SERIES_FILE), ("moving", MOVING_FILE),
+        ("blow_up", BLOW_UP_FILE), ("domain_error", DOMAIN_ERROR_FILE),
     ]:
         path = tmp_path / f"{name}.yaml"
         path.write_text(text)
@@ -151,6 +164,38 @@ class TestSolve:
         )
         assert code == 3 and "did not converge" in err
         assert yaml.safe_load(report_path.read_text())["converged"] is False
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_blow_up_exits_4_after_writing(self, capsys, tmp_path, files, method):
+        report_path = tmp_path / "report.yaml"
+        csv_path = tmp_path / "x.csv"
+        code, out, err = _run(
+            capsys, "solve", files["blow_up"], "--method", method,
+            "--report", str(report_path), "--out", str(csv_path),
+        )
+        assert code == 4 and "Traceback" not in err
+        assert "diverged: non-finite update" in err
+        report = yaml.safe_load(report_path.read_text())
+        assert report["converged"] is False
+        assert any(n.startswith("diverged: non-finite update") for n in report["notes"])
+        # the last finite iterate is written
+        _, left, right = read_solution_csv(csv_path)
+        assert left.size and all(map(math.isfinite, [*left, *right]))
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_kernel_domain_error_exits_4_after_writing(
+        self, capsys, tmp_path, files, method
+    ):
+        report_path = tmp_path / "report.yaml"
+        code, _, err = _run(
+            capsys, "solve", files["domain_error"], "--method", method,
+            "--report", str(report_path),
+        )
+        assert code == 4 and "division by zero" in err
+        report = yaml.safe_load(report_path.read_text())
+        assert report["converged"] is False
+        assert report["iterations"] == 0
+        assert report["notes"] == ["kernel error in sweep 1: division by zero"]
 
     def test_separation_gate(self, capsys, files):
         code, _, _ = _run(capsys, "solve", files["crowded"])

@@ -16,7 +16,8 @@ from conftest import (
     step_problem,
 )
 from hybrid_volterra.contraction import contraction_bounds, find_mu, spectral_radius
-from hybrid_volterra.operator import jump_at
+from hybrid_volterra.expressions import KernelExpr
+from hybrid_volterra.operator import default_init, jump_at
 from hybrid_volterra.solvers import (
     ConvergenceReport,
     SolveReport,
@@ -207,3 +208,50 @@ class TestSolveReport:
     def test_convergence_report_rows_are_dicts(self):
         rep = ConvergenceReport((16, 32), (1e-2, 2.5e-3), (4.0,))
         assert rep.rows()[1]["ratio"] == 4.0
+
+
+class TestSharedF2Triangle:
+    """The t-independent f2 triangle is built once per operator application.
+
+    Counted by wrapping ``KernelExpr.evaluate`` and keeping the f2 calls whose
+    bindings broadcast over the N x N node grid.
+    """
+
+    @staticmethod
+    def _count_f2_passes(monkeypatch, problem):
+        n = problem.grid.size
+        passes = []
+        evaluate = KernelExpr.evaluate
+
+        def counting(self, bindings):
+            shape = np.broadcast(*(np.asarray(v) for v in bindings.values())).shape
+            if self is problem.f2 and shape == (n, n):
+                passes.append(shape)
+            return evaluate(self, bindings)
+
+        monkeypatch.setattr(KernelExpr, "evaluate", counting)
+        return passes
+
+    def test_picard_one_pass_per_apply_operator(self, monkeypatch):
+        problem = mixed_problem(panels=32)
+        passes = self._count_f2_passes(monkeypatch, problem)
+        _, rep = picard_solve(problem, tol=1e-12, kmax=300)
+        assert rep.converged
+        # one per sweep plus one for the final residual
+        assert len(passes) == rep.iterations + 1
+
+    def test_segment_one_pass_per_sweep(self, monkeypatch):
+        problem = mixed_problem(panels=32)
+        passes = self._count_f2_passes(monkeypatch, problem)
+        _, rep = segment_solve(problem, tol=1e-12, kmax=300)
+        assert rep.converged
+        # the first sweep's, one per trace refresh (which the next sweep
+        # reuses), then the final trace fill and the residual
+        assert len(passes) == rep.iterations + 3
+
+    def test_jump_at_one_pass(self, monkeypatch):
+        problem = mixed_problem(panels=32)
+        passes = self._count_f2_passes(monkeypatch, problem)
+        triple = default_init(problem)
+        jump_at(problem, triple, float(problem.schedule.breakpoints[0]))
+        assert len(passes) == 1
