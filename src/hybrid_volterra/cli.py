@@ -10,9 +10,10 @@ Subcommands::
     hv check-matrix A11 .. A33     verdicts for an explicit 3x3 matrix
 
 Exit codes: 0 success, 1 invalid input, 2 separation requirement failed,
-3 iteration did not converge, 4 iteration stopped on a kernel domain error
-or a non-finite update.  Output is deterministic for fixed inputs;
-``HV_SEED`` seeds the Lipschitz estimator behind ``analyze --estimate``.
+3 iteration did not converge, 4 ``solve`` or ``series-solve`` stopped on a
+kernel domain error or a non-finite update.  Output is deterministic for
+fixed inputs; ``HV_SEED`` seeds the Lipschitz estimator behind
+``analyze --estimate``.
 """
 
 from __future__ import annotations
@@ -168,14 +169,18 @@ def _estimated_constants(problem: HybridProblem, bound: float, seed: int) -> Lip
 
 
 def _jump_rows(problem: HybridProblem, triple) -> list[dict]:
+    alphas = [
+        float(a)
+        for a in np.atleast_1d(problem.schedule.breakpoints)
+        if 0.0 < a < problem.grid.horizon
+    ]
+    if not alphas:
+        return []
     rows = []
-    for alpha in np.atleast_1d(problem.schedule.breakpoints):
-        alpha = float(alpha)
-        if not 0.0 < alpha < problem.grid.horizon:
-            continue
+    for alpha, predicted in zip(alphas, jump_at(problem, triple, np.array(alphas))):
+        predicted = float(predicted)
         left = float(triple.xi.eval_left(alpha))
         right = float(triple.xi.eval_right(alpha))
-        predicted = float(jump_at(problem, triple, alpha))
         rows.append(
             {
                 "t": alpha,
@@ -259,6 +264,8 @@ def solve(problem_file, method, out, report_path, mu, tol, kmax, require_separat
             problem.n_sigma,
             report["mu"],
         )
+    # no iterate to write when the forcing term itself fails
+    out = out if triple is not None else None
     if out:
         write_solution_csv(out, triple.xi)
         report["solution_csv"] = str(out)
@@ -389,6 +396,8 @@ def series_solve_cmd(problem_file, out, report_path, mu, tol, kmax):
         report["contraction_coefficient"] = series_contraction_coefficient(
             problem.lipschitz, problem.horizon, rep.mu
         )
+    # no iterate to write when the forcing term itself fails
+    out = out if y is not None else None
     if out:
         write_solution_csv(out, y)
         report["solution_csv"] = str(out)
@@ -404,6 +413,8 @@ def series_solve_cmd(problem_file, out, report_path, mu, tol, kmax):
         click.echo(f"wrote solution: {out}")
     if report_path:
         click.echo(f"wrote report: {report_path}")
+    if rep.failed:
+        _fail(f"iteration stopped after {rep.iterations} sweeps: {rep.notes[-1]}", 4)
     if not rep.converged:
         _fail(f"did not converge within {kmax} iterations", 3)
 

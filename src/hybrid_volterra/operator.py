@@ -28,10 +28,13 @@ earlier or later (:func:`jump_at`).
 Quadrature nodes coincide with grid nodes, so xi and beta_i enter the
 integrands by their stored node values; only x0, sigma_i and the t argument
 see off-node times.  Every integral is a weighted row sum under the
-trapezoid weight rows of the evaluation times.  The inner f2 integrals and
-the g node rows do not depend on t unless the kernel references it, so
-:func:`apply_operator` builds them once per triple (one N x N f2 pass) and
-the three components share them.
+trapezoid weight rows of the evaluation times.  One thing is precomputed:
+the inner f2 integral at every node, a function of xi alone unless f2
+references t.  It costs one N x N kernel pass, so :func:`_f2_rows` builds
+it once per continuous part and every evaluation of that part takes it as
+an argument; all other node rows (the g rows included, O(N) each) are built
+inside each evaluation.  Picard, the segment march and :func:`jump_at`
+reach the formula through the same two membership helpers.
 """
 
 from __future__ import annotations
@@ -192,86 +195,25 @@ def default_init(problem: HybridProblem) -> SolutionTriple:
 # Core evaluation
 
 
-@dataclass(frozen=True)
-class _MemoryRows:
-    """Node rows of the memory terms that do not depend on the evaluation time.
+def _f2_rows(problem: HybridProblem, xi: np.ndarray) -> np.ndarray | None:
+    """Inner f2 integrals of the continuous part ``xi``, one per node.
 
-    ``f2_inner[k]`` is the inner integral over s1 in [0, s_k] of f2 at the
-    node s = s_k when f2 does not reference t; ``g_rows[i][j]`` is g at the
-    nodes for the pair (sigma_i, tau_j) when g does not reference t.  Either
-    is None when its term is absent or references t.  One triple's rows
-    serve every evaluation of it, whatever the evaluation and membership
-    times.
+    Entry k integrates f2 over s1 in [0, s_k] at the node s = s_k; it costs
+    one N x N kernel pass and depends on ``xi`` alone.  None when f2 is zero
+    or references t, since then the inner integrals depend on the
+    evaluation time and :func:`_sc_eval` builds them per time.
     """
-
-    f2_inner: np.ndarray | None
-    g_rows: list | None
-
-
-def _g_active(problem: HybridProblem) -> bool:
-    return bool(problem.n_sigma and problem.tau.size and not problem.g.is_zero)
-
-
-def _f2_inner(
-    problem: HybridProblem, xi: np.ndarray, t, node_weights: np.ndarray
-) -> np.ndarray:
-    """Inner triangle integrals of f2 at time ``t``, one per node s."""
+    f2 = problem.f2
+    if f2.is_zero or f2.references("t"):
+        return None
     times = problem.grid.times
-    F = problem.f2.evaluate(
-        {
-            "t": t,
-            "s": times[:, None],
-            "s1": times[None, :],
-            "x": xi[:, None],
-            "x1": xi[None, :],
-        }
+    F = f2.evaluate(
+        {"t": 0.0, "s": times[:, None], "s1": times[None, :],
+         "x": xi[:, None], "x1": xi[None, :]}
     )
-    return apply_weights(node_weights, np.broadcast_to(F, (times.size, times.size)))
-
-
-def _g_rows(problem: HybridProblem, triple: SolutionTriple, t) -> list:
-    """g at the nodes for every (sigma_i, tau_j) pair, with ``t`` bound."""
-    times = problem.grid.times
-    beta_rows = triple.beta_rows()
-    return [
-        [
-            problem.g.evaluate(
-                {
-                    "t": t,
-                    "s": times[None, :],
-                    "sig": problem.sigma_grid[i][None, :],
-                    "tau": tau_j,
-                    "x": triple.xi.values[None, :],
-                    "beta": beta_rows[i][None, :],
-                    "eta": eta_j,
-                }
-            )
-            for tau_j, eta_j in zip(problem.tau, triple.eta)
-        ]
-        for i in range(problem.n_sigma)
-    ]
-
-
-def _memory_rows(
-    problem: HybridProblem,
-    triple: SolutionTriple,
-    same_xi: _MemoryRows | None = None,
-) -> _MemoryRows:
-    """The t-independent f2 and g node rows of ``triple``.
-
-    The f2 rows cost one N x N kernel pass; ``same_xi``, rows of a triple
-    with the same continuous part, lends its f2 rows instead.
-    """
-    f2_inner = None if same_xi is None else same_xi.f2_inner
-    if f2_inner is None and not problem.f2.is_zero and not problem.f2.references("t"):
-        grid = problem.grid
-        f2_inner = _f2_inner(
-            problem, triple.xi.values, 0.0, weight_rows(grid, grid.times)
-        )
-    g_rows = None
-    if _g_active(problem) and not problem.g.references("t"):
-        g_rows = _g_rows(problem, triple, 0.0)
-    return _MemoryRows(f2_inner, g_rows)
+    return apply_weights(
+        weight_rows(problem.grid, times), np.broadcast_to(F, (times.size, times.size))
+    )
 
 
 def _sc_eval(
@@ -279,18 +221,18 @@ def _sc_eval(
     triple: SolutionTriple,
     eval_times: np.ndarray,
     memb_times: np.ndarray,
+    f2_rows: np.ndarray | None,
     sigma_at_eval: np.ndarray | None = None,
     beta_at_eval: np.ndarray | None = None,
-    memory: _MemoryRows | None = None,
 ) -> np.ndarray:
     """The operator formula at ``eval_times`` with memberships ``memb_times``.
 
+    ``f2_rows`` is :func:`_f2_rows` of the continuous part of ``triple``.
     ``sigma_at_eval`` / ``beta_at_eval`` carry sigma_i and beta_i already
     evaluated at the evaluation times (shape (n_sigma, E)); they exist so
     node-aligned callers can supply the stored one-sided values instead of
     interpolating.  When omitted they are computed here, with beta read by
-    its left-limit convention.  ``memory`` is :func:`_memory_rows` of
-    ``triple``, computed here when omitted.
+    its left-limit convention.
 
     Every integral is a weighted row reduction under the weight rows of the
     evaluation times, built once per call.
@@ -304,9 +246,7 @@ def _sc_eval(
     eta = triple.eta
     tau = problem.tau
     n_sigma = problem.n_sigma
-    g_active = _g_active(problem)
-    if memory is None:
-        memory = _memory_rows(problem, triple)
+    g_active = bool(n_sigma and tau.size and not problem.g.is_zero)
 
     if n_sigma and sigma_at_eval is None:
         sigma_at_eval = np.vstack(
@@ -334,12 +274,18 @@ def _sc_eval(
     if not problem.f2.is_zero:
         # outer integrand: the inner integral up to s, one shared row unless
         # the kernel references t, then one row per evaluation time
-        inner = memory.f2_inner
+        inner = f2_rows
         if inner is None:
             node_weights = W if np.array_equal(te, times) else weight_rows(grid, times)
             inner = np.empty((E, times.size))
             for r, t in enumerate(te):
-                inner[r] = _f2_inner(problem, xi, t, node_weights)
+                F = problem.f2.evaluate(
+                    {"t": t, "s": times[:, None], "s1": times[None, :],
+                     "x": xi[:, None], "x1": xi[None, :]}
+                )
+                inner[r] = apply_weights(
+                    node_weights, np.broadcast_to(F, (times.size, times.size))
+                )
         out += apply_weights(W, inner)
 
     if tau.size and not problem.G1.is_zero:
@@ -366,14 +312,25 @@ def _sc_eval(
         out += np.sum(vals * mask, axis=1)
 
     if g_active:
-        rows = memory.g_rows
-        if rows is None:
-            rows = _g_rows(problem, triple, te[:, None])
+        # node rows of g for each (sigma_i, tau_j) pair: one shared row when
+        # g does not reference t, else one row per evaluation time
+        beta_rows = triple.beta_rows()
         for i in range(n_sigma):
             # weights of the nodes s with sigma_i(s) inside the membership
             masked = np.where(problem.sigma_grid[i][None, :] < m[:, None], W, 0.0)
-            for j in range(tau.size):
-                out += apply_weights(masked, rows[i][j]) * (tau[j] < m)
+            for tau_j, eta_j in zip(tau, eta):
+                row = problem.g.evaluate(
+                    {
+                        "t": te[:, None],
+                        "s": times[None, :],
+                        "sig": problem.sigma_grid[i][None, :],
+                        "tau": tau_j,
+                        "x": xi[None, :],
+                        "beta": beta_rows[i][None, :],
+                        "eta": eta_j,
+                    }
+                )
+                out += apply_weights(masked, row) * (tau_j < m)
 
     if n_sigma and tau.size and not problem.G3.is_zero:
         for i in range(n_sigma):
@@ -395,86 +352,92 @@ def _sc_eval(
     return out
 
 
-def _node_membership_times(grid: Grid) -> np.ndarray:
-    """t - eps everywhere except the first node of each segment (t + eps)."""
-    m = grid.times - EPS
-    w = grid.panels + 1
-    first = np.arange(grid.num_segments) * w
-    m[first] = grid.times[first] + EPS
-    return m
+# ---------------------------------------------------------------------------
+# Membership conventions
 
 
-def apply_continuous(
-    problem: HybridProblem, triple: SolutionTriple, memory: _MemoryRows | None = None
-) -> PiecewiseFn:
-    """New continuous part, one-sided values at duplicated breakpoint nodes."""
+def _continuous_at(
+    problem: HybridProblem, triple: SolutionTriple, nodes, f2_rows: np.ndarray | None
+) -> np.ndarray:
+    """The continuous component at the grid nodes ``nodes`` (index or slice).
+
+    Memberships are one tick left of each node, except at the first node
+    of every segment, one tick right: the two stored values at a duplicated
+    breakpoint node are the one-sided limits.  sigma and beta are read at
+    their stored node values.
+    """
     grid = problem.grid
-    vals = _sc_eval(
+    memb = grid.times - EPS
+    first = np.arange(grid.num_segments) * (grid.panels + 1)
+    memb[first] = grid.times[first] + EPS
+    node_values = problem.n_sigma > 0
+    return _sc_eval(
         problem,
         triple,
-        grid.times,
-        _node_membership_times(grid),
-        sigma_at_eval=problem.sigma_grid if problem.n_sigma else None,
-        beta_at_eval=triple.beta_rows() if problem.n_sigma else None,
-        memory=memory,
+        grid.times[nodes],
+        memb[nodes],
+        f2_rows,
+        sigma_at_eval=problem.sigma_grid[:, nodes] if node_values else None,
+        beta_at_eval=triple.beta_rows()[:, nodes] if node_values else None,
     )
-    return PiecewiseFn(grid, vals)
 
 
-def apply_discrete(
-    problem: HybridProblem, triple: SolutionTriple, memory: _MemoryRows | None = None
+def _trace_at(
+    problem: HybridProblem, triple: SolutionTriple, p: int, nodes, f2_rows
 ) -> np.ndarray:
-    """New fixed-impulse values: the formula at tau_l with left memberships."""
-    if not problem.n_tau:
-        return np.zeros(0)
-    return _sc_eval(problem, triple, problem.tau, problem.tau - EPS, memory=memory)
+    """Moving trace p at the grid nodes ``nodes``: the formula at sigma_p(t).
 
-
-def apply_mixed(
-    problem: HybridProblem, triple: SolutionTriple, memory: _MemoryRows | None = None
-) -> tuple[PiecewiseFn, ...]:
-    """New moving traces: component p is the formula at sigma_p(t)."""
-    if not problem.n_sigma:
-        return ()
-    if memory is None:
-        memory = _memory_rows(problem, triple)
-    out = []
-    for u in problem.sigma_grid:
-        vals = _sc_eval(problem, triple, u, u - EPS, memory=memory)
-        out.append(PiecewiseFn(problem.grid, vals))
-    return tuple(out)
+    Memberships are one tick left of sigma_p(t), the left limit there.
+    """
+    u = problem.sigma_grid[p][nodes]
+    return _sc_eval(problem, triple, u, u - EPS, f2_rows)
 
 
 def apply_operator(problem: HybridProblem, triple: SolutionTriple) -> SolutionTriple:
     """One full sweep of all three components (simultaneous update).
 
-    The t-independent memory rows of ``triple`` are built once and shared by
-    the three components.
+    The continuous part at every node with one-sided values at duplicated
+    breakpoint nodes; each fixed-impulse value as the formula at tau_l with
+    left memberships; each moving trace as the formula at sigma_p(t).  The
+    three share one f2 inner row.
     """
-    memory = _memory_rows(problem, triple)
+    grid = problem.grid
+    f2_rows = _f2_rows(problem, triple.xi.values)
+    eta = (
+        _sc_eval(problem, triple, problem.tau, problem.tau - EPS, f2_rows)
+        if problem.n_tau
+        else np.zeros(0)
+    )
     return SolutionTriple(
-        apply_continuous(problem, triple, memory),
-        apply_discrete(problem, triple, memory),
-        apply_mixed(problem, triple, memory),
+        PiecewiseFn(grid, _continuous_at(problem, triple, slice(None), f2_rows)),
+        eta,
+        tuple(
+            PiecewiseFn(grid, _trace_at(problem, triple, p, slice(None), f2_rows))
+            for p in range(problem.n_sigma)
+        ),
     )
 
 
-def jump_at(problem: HybridProblem, triple: SolutionTriple, alpha: float) -> float:
+def jump_at(problem: HybridProblem, triple: SolutionTriple, alpha):
     """Predicted jump of the continuous part at breakpoint ``alpha``.
 
     Computed as the difference of the operator formula at alpha with
     memberships one tick right and one tick left; no displayed jump formula
     is involved, so it stays valid when the running integral itself jumps
-    (for instance under a constant moving-time function).
+    (for instance under a constant moving-time function).  ``alpha`` is one
+    breakpoint (a float is returned) or an array of them (an array of the
+    same shape is returned); the f2 inner row is built once for all.
     """
-    bps = problem.schedule.breakpoints
-    if not any(abs(alpha - b) <= MERGE_TOL for b in np.atleast_1d(bps)):
-        raise ValueError(f"{alpha} is not a breakpoint of this problem")
-    t = np.array([float(alpha)])
-    memory = _memory_rows(problem, triple)
-    right = _sc_eval(problem, triple, t, t + EPS, memory=memory)
-    left = _sc_eval(problem, triple, t, t - EPS, memory=memory)
-    return float(right[0] - left[0])
+    alpha = np.asarray(alpha, dtype=float)
+    t = alpha.reshape(-1)
+    bps = np.atleast_1d(problem.schedule.breakpoints)
+    off = ~np.any(np.abs(t[:, None] - bps[None, :]) <= MERGE_TOL, axis=1)
+    if off.any():
+        raise ValueError(f"{t[off][0]} is not a breakpoint of this problem")
+    f2_rows = _f2_rows(problem, triple.xi.values)
+    right = _sc_eval(problem, triple, t, t + EPS, f2_rows)
+    jumps = right - _sc_eval(problem, triple, t, t - EPS, f2_rows)
+    return float(jumps[0]) if alpha.ndim == 0 else jumps.reshape(alpha.shape)
 
 
 # ---------------------------------------------------------------------------

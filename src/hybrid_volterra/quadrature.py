@@ -18,7 +18,7 @@ functions:
   row shared by every limit or one row per limit;
 * :func:`integrate_to` -- the two together;
 * :func:`node_cumulative` -- the integral from 0 to every grid node, by a
-  cumulative sum;
+  cumulative sum, for :func:`cube_diagonal`;
 * :func:`cube_diagonal` -- the integral over the cube [0, t]^n at every
   node, by nested cumulative passes.
 

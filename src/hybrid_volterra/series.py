@@ -29,8 +29,8 @@ import numpy as np
 
 from .expressions import KernelExpr, parse_kernel, zero_kernel
 from .piecewise import Grid, PiecewiseFn, norm_continuous, uniform_grid
-from .quadrature import cube_diagonal, integrate_to, node_cumulative
-from .solvers import SolveReport
+from .quadrature import apply_weights, cube_diagonal, integrate_to, weight_rows
+from .solvers import _NUMERICAL_FAILURES, SolveReport, _require_finite, _stop
 
 MAX_ORDER = 3
 
@@ -171,26 +171,39 @@ def series_solve(
     mu: float | None = None,
     tol: float = 1e-10,
     kmax: int = 200,
-) -> tuple[PiecewiseFn, SolveReport]:
-    """Successive approximation from the forcing term."""
+) -> tuple[PiecewiseFn | None, SolveReport]:
+    """Successive approximation from the forcing term.
+
+    A kernel domain error or a non-finite update stops it as it stops
+    :func:`~hybrid_volterra.solvers.picard_solve`: the last finite iterate
+    is returned with ``failed`` set, or None when the forcing term itself
+    fails to evaluate.
+    """
     if mu is None:
         mu = _default_series_mu(problem)
-    cur = PiecewiseFn.from_expression(problem.grid, problem.y0)
     report = SolveReport("series", 0, float(mu), False)
+    try:
+        cur = PiecewiseFn.from_expression(problem.grid, problem.y0)
+    except _NUMERICAL_FAILURES as exc:
+        _stop(report, exc, "the forcing term y0")
+        return None, report
     for _ in range(kmax):
-        new = apply_series_operator(problem, cur)
-        d = norm_continuous(new - cur, mu)
+        try:
+            new = apply_series_operator(problem, cur)
+            d = norm_continuous(new - cur, mu)
+            _require_finite(d)
+        except _NUMERICAL_FAILURES as exc:
+            _stop(report, exc)
+            break
         report.deltas.append((d, 0.0, 0.0))
         report.iterations += 1
         cur = new
-        if not math.isfinite(d):
-            report.notes += ("diverged: non-finite update",)
-            break
         if d <= tol:
             report.converged = True
             break
-    final = apply_series_operator(problem, cur)
-    report.final_residual = float(np.max(np.abs(final.values - cur.values)))
+    if not report.failed:
+        final = apply_series_operator(problem, cur)
+        report.final_residual = float(np.max(np.abs(final.values - cur.values)))
     return cur, report
 
 
@@ -232,6 +245,6 @@ def nested_equals_cube(
         raise ValueError("kernel is not symmetric under (s1, x1) <-> (s2, x2)")
     inner_rows = integrate_to(grid, F, np.full(times.size, t))
     cube = float(integrate_to(grid, inner_rows, t)[0])
-    triangle = np.diagonal(node_cumulative(grid, F.T))
+    triangle = apply_weights(weight_rows(grid, times), F.T)
     nested = float(integrate_to(grid, triangle, t)[0])
     return cube / 2.0, nested

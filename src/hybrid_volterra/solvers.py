@@ -33,10 +33,9 @@ from .operator import (
     EPS,
     HybridProblem,
     SolutionTriple,
-    _memory_rows,
-    _node_membership_times,
-    _sc_eval,
-    apply_mixed,
+    _continuous_at,
+    _f2_rows,
+    _trace_at,
     apply_operator,
     component_deltas,
     default_init,
@@ -84,16 +83,27 @@ def _require_finite(*arrays) -> None:
         raise NonFiniteValues("non-finite update")
 
 
-def _stop(report: SolveReport, exc: Exception) -> None:
-    """Record a numerical failure in the sweep after the last completed one."""
-    sweep = report.iterations + 1
+def _stop(report: SolveReport, exc: Exception, where: str | None = None) -> None:
+    """Record a numerical failure, by default in the sweep after the last one."""
+    where = f"sweep {report.iterations + 1}" if where is None else where
     if isinstance(exc, NonFiniteValues):
-        note = f"diverged: non-finite update in sweep {sweep}"
+        note = f"diverged: non-finite update in {where}"
     else:
-        note = f"kernel error in sweep {sweep}: {exc}"
+        note = f"kernel error in {where}: {exc}"
     report.converged = False
     report.failed = True
     report.notes += (note,)
+
+
+def _start(problem: HybridProblem, init, report: SolveReport) -> SolutionTriple | None:
+    """The first iterate: ``init``, else the forcing term; None if that fails."""
+    if init is not None:
+        return init
+    try:
+        return default_init(problem)
+    except _NUMERICAL_FAILURES as exc:
+        _stop(report, exc, "the forcing term x0")
+        return None
 
 
 def picard_solve(
@@ -102,17 +112,20 @@ def picard_solve(
     mu: float | None = None,
     tol: float = 1e-10,
     kmax: int = 200,
-) -> tuple[SolutionTriple, SolveReport]:
+) -> tuple[SolutionTriple | None, SolveReport]:
     """Global successive approximation from ``init`` (default: forcing term).
 
     Stops when all three weighted component deltas fall to ``tol``, or on
-    a numerical failure.
+    a numerical failure.  The returned triple is None only when the forcing
+    term itself fails to evaluate.
     """
     notes: tuple[str, ...] = ()
     if mu is None:
         mu, notes = _default_mu(problem)
-    cur = default_init(problem) if init is None else init
     report = SolveReport("picard", 0, float(mu), False, notes=notes)
+    cur = _start(problem, init, report)
+    if cur is None:
+        return None, report
     for _ in range(kmax):
         try:
             new = apply_operator(problem, cur)
@@ -144,7 +157,7 @@ def segment_solve(
     init: SolutionTriple | None = None,
     tol: float = 1e-10,
     kmax: int = 200,
-) -> tuple[SolutionTriple, SolveReport]:
+) -> tuple[SolutionTriple | None, SolveReport]:
     """March the partition left to right with an inner sweep per segment.
 
     The first node of a segment carries the right limit at its breakpoint
@@ -153,13 +166,14 @@ def segment_solve(
     each segment is short, so no damping is needed for a sound stop rule.
     """
     grid = problem.grid
-    cur = default_init(problem) if init is None else init
+    report = SolveReport("segment", 0, 0.0, True)
+    cur = _start(problem, init, report)
+    if cur is None:
+        return None, report
     xi = cur.xi.values.copy()
     eta = cur.eta.copy()
     beta_rows = cur.beta_rows().copy()
-    memb = _node_membership_times(grid)
     sigma_grid = problem.sigma_grid
-    report = SolveReport("segment", 0, 0.0, True)
 
     def assemble() -> SolutionTriple:
         return SolutionTriple(
@@ -168,8 +182,8 @@ def segment_solve(
             tuple(PiecewiseFn(grid, row.copy()) for row in beta_rows),
         )
 
-    memory = None  # memory rows of a triple with the current xi, if any
     try:
+        f2_rows = _f2_rows(problem, xi)
         for l in range(grid.num_segments):
             sl = grid.segment_slice(l)
             end = float(grid.partition[l + 1])
@@ -179,35 +193,22 @@ def segment_solve(
                 for p in range(problem.n_sigma)
             ]
             for _ in range(kmax):
-                triple = assemble()
-                memory = _memory_rows(problem, triple, same_xi=memory)
-                vals = _sc_eval(
-                    problem,
-                    triple,
-                    grid.times[sl],
-                    memb[sl],
-                    sigma_at_eval=sigma_grid[:, sl] if problem.n_sigma else None,
-                    beta_at_eval=beta_rows[:, sl] if problem.n_sigma else None,
-                    memory=memory,
-                )
+                vals = _continuous_at(problem, assemble(), sl, f2_rows)
                 _require_finite(vals)
                 d_xi = float(np.max(np.abs(vals - xi[sl]))) if vals.size else 0.0
                 xi[sl] = vals
-                memory = None
+                # the trace refresh, the next sweep and the final fill use it
+                f2_rows = _f2_rows(problem, xi)
                 new_eta = _compose_eta(problem, PiecewiseFn(grid, xi))
                 d_eta = float(np.max(np.abs(new_eta - eta))) if eta.size else 0.0
                 eta[:] = new_eta
                 d_beta = 0.0
                 if problem.n_sigma:
                     triple = assemble()
-                    # the next sweep starts from this xi and reuses its f2 rows
-                    memory = _memory_rows(problem, triple)
-                    for p in range(problem.n_sigma):
-                        idx = consumed[p]
+                    for p, idx in enumerate(consumed):
                         if not idx.size:
                             continue
-                        u = sigma_grid[p][idx]
-                        new_vals = _sc_eval(problem, triple, u, u - EPS, memory=memory)
+                        new_vals = _trace_at(problem, triple, p, idx, f2_rows)
                         _require_finite(new_vals)
                         d_beta = max(
                             d_beta, float(np.max(np.abs(new_vals - beta_rows[p][idx])))
@@ -220,13 +221,19 @@ def segment_solve(
             else:
                 report.converged = False
                 report.notes += (f"segment {l} hit the sweep limit",)
+        if problem.n_sigma:
+            # now that every segment is solved, fill the unconsumed trace entries
+            solved = assemble()
+            filled = [
+                _trace_at(problem, solved, p, slice(None), f2_rows)
+                for p in range(problem.n_sigma)
+            ]
+            _require_finite(*filled)
+            beta_rows[:] = filled
     except _NUMERICAL_FAILURES as exc:
         _stop(report, exc)
         return assemble(), report
-    # now that every segment is solved, fill the unconsumed trace entries
     final = assemble()
-    if problem.n_sigma:
-        final = SolutionTriple(final.xi, final.eta, apply_mixed(problem, final))
     report.final_residual = residual(problem, final)
     return final, report
 

@@ -63,6 +63,19 @@ x0: "0"
 f1: "1/x"
 """
 
+FORCING_ERROR_FILE = """\
+horizon: 1
+x0: "1/t"
+f1: "x"
+"""
+
+SERIES_BLOW_UP_FILE = """\
+kind: series
+horizon: 2
+y0: "1"
+kernels: ["exp(x1)"]
+"""
+
 HALF = ["0.5", "0", "0", "0", "0.5", "0", "0", "0", "0.5"]
 
 
@@ -81,6 +94,7 @@ def files(tmp_path):
         ("exp", EXP_FILE), ("step", STEP_FILE), ("crowded", CROWDED_FILE),
         ("series", SERIES_FILE), ("moving", MOVING_FILE),
         ("blow_up", BLOW_UP_FILE), ("domain_error", DOMAIN_ERROR_FILE),
+        ("forcing_error", FORCING_ERROR_FILE), ("series_blow_up", SERIES_BLOW_UP_FILE),
     ]:
         path = tmp_path / f"{name}.yaml"
         path.write_text(text)
@@ -196,6 +210,26 @@ class TestSolve:
         assert report["converged"] is False
         assert report["iterations"] == 0
         assert report["notes"] == ["kernel error in sweep 1: division by zero"]
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_forcing_error_exits_4_with_report_only(
+        self, capsys, tmp_path, files, method
+    ):
+        report_path = tmp_path / "report.yaml"
+        csv_path = tmp_path / "x.csv"
+        code, out, err = _run(
+            capsys, "solve", files["forcing_error"], "--method", method,
+            "--report", str(report_path), "--out", str(csv_path),
+        )
+        note = "kernel error in the forcing term x0: division by zero"
+        assert code == 4 and "Traceback" not in err and note in err
+        report = yaml.safe_load(report_path.read_text())
+        assert report["iterations"] == 0
+        assert report["converged"] is False
+        assert report["notes"] == [note]
+        assert report["jumps"] == [] and "solution_csv" not in report
+        # there is no iterate, so no CSV
+        assert not csv_path.exists() and "wrote solution" not in out
 
     def test_separation_gate(self, capsys, files):
         code, _, _ = _run(capsys, "solve", files["crowded"])
@@ -330,6 +364,25 @@ class TestSeriesSolve:
     def test_nonconvergence_exits_3(self, capsys, files):
         code, _, _ = _run(capsys, "series-solve", files["series"], "--kmax", "1")
         assert code == 3
+
+    def test_blow_up_exits_4_after_writing(self, capsys, tmp_path, files):
+        report_path = tmp_path / "report.yaml"
+        csv_path = tmp_path / "y.csv"
+        code, _, err = _run(
+            capsys, "series-solve", files["series_blow_up"],
+            "--report", str(report_path), "--out", str(csv_path),
+        )
+        assert code == 4 and "Traceback" not in err
+        assert "diverged: non-finite update" in err
+        report = yaml.safe_load(report_path.read_text())
+        assert report["converged"] is False and report["iterations"] >= 1
+        assert report["notes"] == [
+            f"diverged: non-finite update in sweep {report['iterations'] + 1}"
+        ]
+        assert report["solution_csv"] == str(csv_path)
+        # the last finite iterate is written
+        _, left, right = read_solution_csv(csv_path)
+        assert left.size and all(map(math.isfinite, [*left, *right]))
 
 
 class TestConvergenceReport:

@@ -9,9 +9,6 @@ from hybrid_volterra.expressions import parse_kernel
 from hybrid_volterra.operator import (
     HybridProblem,
     SolutionTriple,
-    apply_continuous,
-    apply_discrete,
-    apply_mixed,
     apply_operator,
     component_deltas,
     default_init,
@@ -43,17 +40,17 @@ class TestDefaultInit:
 class TestApplyContinuous:
     def test_zero_kernels_reproduce_forcing(self):
         p = make_problem(1.0, x0="sin(t)")
-        out = apply_continuous(p, default_init(p))
+        out = apply_operator(p, default_init(p)).xi
         assert np.allclose(out.values, np.sin(p.grid.times), atol=1e-15)
 
     def test_single_integral_of_constant_state(self):
         p = make_problem(1.0, x0="1", f1="x")
-        out = apply_continuous(p, default_init(p))
+        out = apply_operator(p, default_init(p)).xi
         assert np.allclose(out.values, 1.0 + p.grid.times, atol=1e-14)
 
     def test_fixed_impulse_step(self):
         p = make_problem(2.0, tau=(1.0,), h=0.5, x0="0", G1="1")
-        out = apply_continuous(p, default_init(p))
+        out = apply_operator(p, default_init(p)).xi
         assert out.eval(0.5) == 0.0
         assert out.eval(1.0) == 0.0  # value at the impulse = left limit
         assert out.eval_right(1.0) == 1.0
@@ -62,13 +59,13 @@ class TestApplyContinuous:
     def test_double_integral_term(self):
         # f2 = 1 over the triangle gives t^2/2
         p = make_problem(1.0, x0="0", f2="1")
-        out = apply_continuous(p, default_init(p))
+        out = apply_operator(p, default_init(p)).xi
         assert np.allclose(out.values, p.grid.times**2 / 2.0, atol=1e-12)
 
     def test_pairwise_impulse_sum_counts_strict_pairs(self):
         # G2 = 1: term at t counts pairs j < i among tau_i < t
         p = make_problem(2.0, tau=(0.5, 1.0, 1.5), h=0.4, x0="0", G2="1")
-        out = apply_continuous(p, default_init(p))
+        out = apply_operator(p, default_init(p)).xi
         assert out.eval(0.75) == 0.0  # one impulse, no pair
         assert out.eval(1.25) == 1.0  # two impulses, one pair
         assert out.eval(1.9) == 3.0  # three impulses, three pairs
@@ -77,34 +74,34 @@ class TestApplyContinuous:
 class TestApplyDiscrete:
     def test_zero_kernels(self):
         p = make_problem(1.0, tau=(0.25, 0.75), h=0.2, x0="t")
-        eta = apply_discrete(p, default_init(p))
+        eta = apply_operator(p, default_init(p)).eta
         assert np.allclose(eta, [0.25, 0.75])
 
     def test_integral_up_to_tau(self):
         p = make_problem(2.0, tau=(1.0,), h=0.5, x0="1", f1="x")
-        eta = apply_discrete(p, default_init(p))
+        eta = apply_operator(p, default_init(p)).eta
         assert eta[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_strict_index_sum(self):
         p = make_problem(2.0, tau=(0.5, 1.0), h=0.4, x0="0", G1="1")
-        eta = apply_discrete(p, default_init(p))
+        eta = apply_operator(p, default_init(p)).eta
         assert eta.tolist() == [0.0, 1.0]
 
 
 class TestApplyMixed:
     def test_zero_kernels_compose_forcing(self):
         p = make_problem(1.0, sigma=("0.5*t",), h=0.1, x0="t")
-        beta = apply_mixed(p, default_init(p))
+        beta = apply_operator(p, default_init(p)).beta
         assert np.allclose(beta[0].values, 0.5 * p.grid.times, atol=1e-15)
 
     def test_integral_term_at_moving_time(self):
         p = make_problem(1.0, sigma=("0.5*t",), h=0.1, x0="1", f1="x")
-        beta = apply_mixed(p, default_init(p))
+        beta = apply_operator(p, default_init(p)).beta
         assert np.allclose(beta[0].values, 1.0 + 0.5 * p.grid.times, atol=1e-13)
 
     def test_no_moving_impulses_empty(self):
         p = make_problem(1.0, x0="1")
-        assert apply_mixed(p, default_init(p)) == ()
+        assert apply_operator(p, default_init(p)).beta == ()
 
 
 class TestJumpAt:
@@ -126,6 +123,23 @@ class TestJumpAt:
         p = make_problem(2.0, tau=(1.0,), h=0.5, x0="0", G1="1")
         with pytest.raises(ValueError):
             jump_at(p, default_init(p), 0.7)
+
+    def test_array_matches_scalar_calls(self):
+        p = mixed_problem(panels=32)
+        triple = random_triple(p, np.random.default_rng(3))
+        bps = np.asarray(p.schedule.breakpoints, dtype=float)
+        jumps = jump_at(p, triple, bps)
+        assert isinstance(jumps, np.ndarray) and jumps.shape == bps.shape
+        scalar = [jump_at(p, triple, float(a)) for a in bps]
+        assert all(isinstance(j, float) for j in scalar)
+        assert np.max(np.abs(jumps - scalar)) <= 1e-15
+        assert np.any(jumps != 0.0)
+
+    def test_array_with_a_non_breakpoint_rejected(self):
+        p = mixed_problem(panels=32)
+        bps = np.asarray(p.schedule.breakpoints, dtype=float)
+        with pytest.raises(ValueError, match="not a breakpoint"):
+            jump_at(p, default_init(p), np.append(bps, 0.7))
 
 
 class TestResidual:

@@ -169,6 +169,22 @@ class TestSeriesSolve:
         _, report = series_solve(_exp_series(), kmax=1)
         assert not report.converged
 
+    def test_blow_up_keeps_last_finite_iterate(self):
+        p = SeriesProblem.build(horizon=2.0, y0="1", kernels=("exp(x1)",))
+        y, report = series_solve(p)
+        assert report.failed and not report.converged
+        assert report.notes == (
+            f"diverged: non-finite update in sweep {report.iterations + 1}",
+        )
+        assert report.iterations == len(report.deltas) >= 1
+        assert np.all(np.isfinite(y.values))
+
+    def test_forcing_error_returns_no_iterate(self):
+        p = SeriesProblem.build(horizon=1.0, y0="1/t", kernels=("x1",))
+        y, report = series_solve(p)
+        assert y is None and report.failed and report.iterations == 0
+        assert report.notes == ("kernel error in the forcing term y0: division by zero",)
+
     def test_default_mu_targets_half_coefficient(self):
         _, report = series_solve(_exp_series())
         coeff = series_contraction_coefficient((1.0,), 1.0, report.mu)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import (
     cosh_problem,
@@ -15,9 +16,11 @@ from conftest import (
     random_triple,
     step_problem,
 )
+from hybrid_volterra import cli
 from hybrid_volterra.contraction import contraction_bounds, find_mu, spectral_radius
 from hybrid_volterra.expressions import KernelExpr
 from hybrid_volterra.operator import default_init, jump_at
+from hybrid_volterra.problem_io import LoadedProblem, SolverSettings
 from hybrid_volterra.solvers import (
     ConvergenceReport,
     SolveReport,
@@ -199,6 +202,16 @@ class TestConvergenceTable:
         assert np.array_equal(q.schedule.partition, p.schedule.partition)
 
 
+class TestForcingFailure:
+    @pytest.mark.parametrize("solve", [picard_solve, segment_solve])
+    def test_no_iterate_and_a_note(self, solve):
+        p = make_problem(1.0, x0="1/t", f1="x")
+        triple, rep = solve(p)
+        assert triple is None
+        assert rep.failed and not rep.converged and rep.iterations == 0
+        assert rep.notes[-1] == "kernel error in the forcing term x0: division by zero"
+
+
 class TestSolveReport:
     def test_max_deltas(self):
         rep = SolveReport("picard", 2, 1.0, True,
@@ -245,9 +258,10 @@ class TestSharedF2Triangle:
         passes = self._count_f2_passes(monkeypatch, problem)
         _, rep = segment_solve(problem, tol=1e-12, kmax=300)
         assert rep.converged
-        # the first sweep's, one per trace refresh (which the next sweep
-        # reuses), then the final trace fill and the residual
-        assert len(passes) == rep.iterations + 3
+        # the first sweep's, one after each continuous update (which the
+        # trace refresh, the next sweep and the final trace fill reuse),
+        # then the residual
+        assert len(passes) == rep.iterations + 2
 
     def test_jump_at_one_pass(self, monkeypatch):
         problem = mixed_problem(panels=32)
@@ -255,3 +269,27 @@ class TestSharedF2Triangle:
         triple = default_init(problem)
         jump_at(problem, triple, float(problem.schedule.breakpoints[0]))
         assert len(passes) == 1
+
+    def test_jump_at_one_pass_for_all_breakpoints(self, monkeypatch):
+        problem = mixed_problem(panels=32)
+        passes = self._count_f2_passes(monkeypatch, problem)
+        jump_at(problem, default_init(problem), problem.schedule.breakpoints)
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_hv_solve_passes(self, monkeypatch, tmp_path, method):
+        """A full ``hv solve``: the solver's passes plus one for every jump row."""
+        problem = mixed_problem(panels=32)
+        passes = self._count_f2_passes(monkeypatch, problem)
+        loaded = LoadedProblem("hybrid", problem, SolverSettings(tol=1e-12, kmax=300))
+        monkeypatch.setattr(cli, "_load", lambda path, want: loaded)
+        report_path = tmp_path / "report.yaml"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["solve", "mixed.yaml", "--method", method,
+                      "--report", str(report_path)])
+        assert excinfo.value.code == 0
+        report = yaml.safe_load(report_path.read_text())
+        assert len(report["jumps"]) >= 2
+        sweeps = report["iterations"]
+        solver_passes = sweeps + 1 if method == "picard" else sweeps + 2
+        assert len(passes) == solver_passes + 1
