@@ -43,7 +43,6 @@ from .expressions import (
     ExpressionError,
     KernelExpr,
     estimate_lipschitz,
-    eval_kernel,
     parse_kernel,
     symmetrize_second_order,
     zero_kernel,
@@ -128,7 +127,6 @@ __all__ = [
     "cubic_roots",
     "default_init",
     "estimate_lipschitz",
-    "eval_kernel",
     "find_mu",
     "find_mu_vanishing",
     "is_contractive_criterion",

@@ -9,15 +9,18 @@ Subcommands::
     hv roots PROBLEM               crossing times of the moving impulses
     hv check-matrix A11 .. A33     verdicts for an explicit 3x3 matrix
 
-Exit codes: 0 success, 1 invalid input, 2 separation requirement failed,
-3 iteration did not converge, 4 ``solve`` or ``series-solve`` stopped on a
-kernel domain error or a non-finite update.  Output is deterministic for
-fixed inputs; ``HV_SEED`` seeds the Lipschitz estimator behind
+Exit codes: 0 success, 1 invalid input (including a ``--mu`` that is not
+positive and finite, a ``--tol`` that is not positive or a ``--kmax`` below
+1), 2 separation requirement failed, 3 iteration did not converge, 4 a
+kernel domain error or a non-finite value in ``solve``, ``series-solve``,
+``convergence-report`` or ``analyze --estimate``.  Output is deterministic
+for fixed inputs; ``HV_SEED`` seeds the Lipschitz estimator behind
 ``analyze --estimate``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -35,11 +38,12 @@ from .contraction import (
     is_contractive_eigen,
     spectral_radius,
 )
-from .expressions import estimate_lipschitz
+from .expressions import EvaluationError, estimate_lipschitz
 from .operator import HybridProblem, jump_at
 from .problem_io import (
     LoadedProblem,
     ProblemFileError,
+    SolverSettings,
     dump_report,
     load_problem_file,
     write_report,
@@ -47,7 +51,7 @@ from .problem_io import (
 )
 from .schedule import check_separation
 from .series import series_contraction_coefficient, series_solve
-from .solvers import convergence_table, picard_solve, segment_solve
+from .solvers import UnconvergedRun, convergence_table, picard_solve, segment_solve
 
 _TIME_ARGS = frozenset(("t", "s", "s1", "tau", "taui", "tauj", "sig"))
 
@@ -89,6 +93,58 @@ def _seed() -> int:
         return int(raw)
     except ValueError:
         _fail(f"HV_SEED must be an integer, got {raw!r}", 1)
+
+
+def _iteration_settings(settings: SolverSettings, mu, tol, kmax) -> SolverSettings:
+    """``settings`` overridden by --mu/--tol/--kmax; exit 1 on an invalid value."""
+    resolved = SolverSettings(
+        mu=settings.mu if mu is None else mu,
+        tol=settings.tol if tol is None else tol,
+        kmax=settings.kmax if kmax is None else kmax,
+    )
+    if resolved.mu is not None and not 0 < resolved.mu < math.inf:
+        _fail(f"--mu must be positive and finite, got {resolved.mu!r}", 1)
+    if not resolved.tol > 0:
+        _fail(f"--tol must be positive, got {resolved.tol!r}", 1)
+    if resolved.kmax < 1:
+        _fail(f"--kmax must be at least 1, got {resolved.kmax}", 1)
+    return resolved
+
+
+def _exit_unfinished(rep, kmax: int, where: str = "") -> None:
+    """Exit 4 after a numerical failure, or 3 when the sweep limit was hit."""
+    if rep.failed:
+        _fail(f"iteration stopped after {rep.iterations} sweeps{where}: {rep.notes[-1]}", 4)
+    if not rep.converged:
+        _fail(f"did not converge within {kmax} iterations{where}", 3)
+
+
+def _finish_run(rep, kmax: int, solution, report: dict, out, report_path, headline: str):
+    """Write the CSV and the report of a run, echo its summary, set its exit code.
+
+    ``solution`` is the function the CSV holds, None when the forcing term
+    itself failed; the mu line is echoed unless ``report["mu"]`` is None.
+    """
+    out = out if solution is not None else None
+    if out:
+        write_solution_csv(out, solution)
+        report["solution_csv"] = str(out)
+    if report_path:
+        write_report(report_path, report)
+
+    click.echo(headline)
+    click.echo(f"iterations: {rep.iterations}")
+    if report["mu"] is not None:
+        click.echo(f"mu: {rep.mu!r}")
+    click.echo(f"converged: {str(rep.converged).lower()}")
+    click.echo(f"final residual: {rep.final_residual:.6e}")
+    for note in rep.notes:
+        click.echo(f"note: {note}")
+    if out:
+        click.echo(f"wrote solution: {out}")
+    if report_path:
+        click.echo(f"wrote report: {report_path}")
+    _exit_unfinished(rep, kmax)
 
 
 def _separation_block(problem: HybridProblem) -> dict:
@@ -162,9 +218,12 @@ def _estimated_constants(problem: HybridProblem, bound: float, seed: int) -> Lip
             arg: (0.0, horizon) if arg in _TIME_ARGS else (-bound, bound)
             for arg in expr.arity
         }
-        values[name] = estimate_lipschitz(
-            expr, wrt, box, samples=512, seed=seed, safety=1.1
-        )
+        try:
+            values[name] = estimate_lipschitz(
+                expr, wrt, box, samples=512, seed=seed, safety=1.1
+            )
+        except EvaluationError as exc:
+            _fail(f"cannot estimate {name} ({attr}) on the state box: {exc}", 4)
     return LipschitzSet(**values)
 
 
@@ -179,7 +238,7 @@ def _jump_rows(problem: HybridProblem, triple) -> list[dict]:
     rows = []
     for alpha, predicted in zip(alphas, jump_at(problem, triple, np.array(alphas))):
         predicted = float(predicted)
-        left = float(triple.xi.eval_left(alpha))
+        left = float(triple.xi.eval(alpha))
         right = float(triple.xi.eval_right(alpha))
         rows.append(
             {
@@ -225,21 +284,18 @@ def solve(problem_file, method, out, report_path, mu, tol, kmax, require_separat
     """Solve the integral equation in PROBLEM_FILE."""
     loaded = _load(problem_file, "hybrid")
     problem = loaded.problem
-    settings = loaded.settings
-    tol = settings.tol if tol is None else tol
-    kmax = settings.kmax if kmax is None else kmax
-    if kmax < 1 or tol <= 0:
-        _fail("tol must be positive and kmax at least 1", 1)
+    settings = _iteration_settings(loaded.settings, mu, tol, kmax)
 
     sep = _separation_block(problem)
     if require_separation and not sep["ok"]:
         _fail(f"separation requirement failed: {sep['detail']}", 2)
 
     if method == "picard":
-        mu = settings.mu if mu is None else mu
-        triple, rep = picard_solve(problem, mu=mu, tol=tol, kmax=kmax)
+        triple, rep = picard_solve(
+            problem, mu=settings.mu, tol=settings.tol, kmax=settings.kmax
+        )
     else:
-        triple, rep = segment_solve(problem, tol=tol, kmax=kmax)
+        triple, rep = segment_solve(problem, tol=settings.tol, kmax=settings.kmax)
 
     report = {
         "problem": str(problem_file),
@@ -248,7 +304,7 @@ def solve(problem_file, method, out, report_path, mu, tol, kmax, require_separat
         "iterations": rep.iterations,
         "converged": bool(rep.converged),
         "final_residual": float(rep.final_residual),
-        "tolerance": float(tol),
+        "tolerance": float(settings.tol),
         "notes": list(rep.notes),
         "separation": sep,
         # jump_at would meet the same failure on the last iterate
@@ -265,29 +321,8 @@ def solve(problem_file, method, out, report_path, mu, tol, kmax, require_separat
             report["mu"],
         )
     # no iterate to write when the forcing term itself fails
-    out = out if triple is not None else None
-    if out:
-        write_solution_csv(out, triple.xi)
-        report["solution_csv"] = str(out)
-    if report_path:
-        write_report(report_path, report)
-
-    click.echo(f"method: {rep.method}")
-    click.echo(f"iterations: {rep.iterations}")
-    if method == "picard":
-        click.echo(f"mu: {rep.mu!r}")
-    click.echo(f"converged: {str(rep.converged).lower()}")
-    click.echo(f"final residual: {rep.final_residual:.6e}")
-    for note in rep.notes:
-        click.echo(f"note: {note}")
-    if out:
-        click.echo(f"wrote solution: {out}")
-    if report_path:
-        click.echo(f"wrote report: {report_path}")
-    if rep.failed:
-        _fail(f"iteration stopped after {rep.iterations} sweeps: {rep.notes[-1]}", 4)
-    if not rep.converged:
-        _fail(f"did not converge within {kmax} iterations", 3)
+    xi = None if triple is None else triple.xi
+    _finish_run(rep, settings.kmax, xi, report, out, report_path, f"method: {rep.method}")
 
 
 @cli.command()
@@ -311,6 +346,7 @@ def analyze(problem_file, mu, estimate, state_bound, report_path, require_separa
     loaded = _load(problem_file, "hybrid")
     problem = loaded.problem
     schedule = problem.schedule
+    mu = _iteration_settings(SolverSettings(), mu, None, None).mu
 
     report = {
         "problem": str(problem_file),
@@ -373,14 +409,9 @@ def series_solve_cmd(problem_file, out, report_path, mu, tol, kmax):
     """Solve the cube-integral series problem in PROBLEM_FILE."""
     loaded = _load(problem_file, "series")
     problem = loaded.problem
-    settings = loaded.settings
-    tol = settings.tol if tol is None else tol
-    kmax = settings.kmax if kmax is None else kmax
-    mu = settings.mu if mu is None else mu
-    if kmax < 1 or tol <= 0:
-        _fail("tol must be positive and kmax at least 1", 1)
+    settings = _iteration_settings(loaded.settings, mu, tol, kmax)
 
-    y, rep = series_solve(problem, mu=mu, tol=tol, kmax=kmax)
+    y, rep = series_solve(problem, mu=settings.mu, tol=settings.tol, kmax=settings.kmax)
     report = {
         "problem": str(problem_file),
         "method": rep.method,
@@ -389,34 +420,14 @@ def series_solve_cmd(problem_file, out, report_path, mu, tol, kmax):
         "iterations": rep.iterations,
         "converged": bool(rep.converged),
         "final_residual": float(rep.final_residual),
-        "tolerance": float(tol),
+        "tolerance": float(settings.tol),
         "notes": list(rep.notes),
     }
     if problem.lipschitz is not None:
         report["contraction_coefficient"] = series_contraction_coefficient(
             problem.lipschitz, problem.horizon, rep.mu
         )
-    # no iterate to write when the forcing term itself fails
-    out = out if y is not None else None
-    if out:
-        write_solution_csv(out, y)
-        report["solution_csv"] = str(out)
-    if report_path:
-        write_report(report_path, report)
-
-    click.echo(f"order: {problem.order}")
-    click.echo(f"iterations: {rep.iterations}")
-    click.echo(f"mu: {rep.mu!r}")
-    click.echo(f"converged: {str(rep.converged).lower()}")
-    click.echo(f"final residual: {rep.final_residual:.6e}")
-    if out:
-        click.echo(f"wrote solution: {out}")
-    if report_path:
-        click.echo(f"wrote report: {report_path}")
-    if rep.failed:
-        _fail(f"iteration stopped after {rep.iterations} sweeps: {rep.notes[-1]}", 4)
-    if not rep.converged:
-        _fail(f"did not converge within {kmax} iterations", 3)
+    _finish_run(rep, settings.kmax, y, report, out, report_path, f"order: {problem.order}")
 
 
 @cli.command("convergence-report")
@@ -431,18 +442,19 @@ def series_solve_cmd(problem_file, out, report_path, mu, tol, kmax):
 def convergence_report(problem_file, resolutions, method, tol, kmax, report_path):
     """Errors against a Richardson reference across doubling resolutions."""
     loaded = _load(problem_file, "hybrid")
+    settings = _iteration_settings(SolverSettings(), None, tol, kmax)
     try:
         res = tuple(int(part) for part in resolutions.split(","))
     except ValueError:
         _fail(f"--resolutions must be comma-separated integers, got {resolutions!r}", 1)
     try:
         table = convergence_table(
-            loaded.problem, res, method=method, tol=tol, kmax=kmax
+            loaded.problem, res, method=method, tol=settings.tol, kmax=settings.kmax
         )
     except ValueError as exc:
         _fail(str(exc), 1)
-    except RuntimeError as exc:
-        _fail(str(exc), 3)
+    except UnconvergedRun as exc:
+        _exit_unfinished(exc.report, settings.kmax, f" at {exc.panels} panels")
 
     click.echo(f"{'panels':>8}  {'sup_error':>14}  {'ratio':>8}")
     for i, (r, err) in enumerate(zip(table.resolutions, table.errors)):

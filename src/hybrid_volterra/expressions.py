@@ -443,10 +443,6 @@ def zero_kernel(arity: Sequence[str]) -> KernelExpr:
     return parse_kernel("0", arity)
 
 
-def eval_kernel(expr: KernelExpr, bindings: Mapping[str, Number]) -> Number:
-    return expr.evaluate(bindings)
-
-
 def symmetrize_second_order(expr: KernelExpr) -> KernelExpr:
     """Average a second-order kernel with its argument-swapped mirror.
 
@@ -526,7 +522,8 @@ def estimate_lipschitz(
     # a kernel free of some variables evaluates to a smaller (or 0-d) array
     fm = np.broadcast_to(np.asarray(expr.evaluate(lo_b), dtype=float), x.shape)
     fp = np.broadcast_to(np.asarray(expr.evaluate(hi_b), dtype=float), x.shape)
-    slopes = np.abs(fp[keep] - fm[keep]) / gap[keep]
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite: raised below
+        slopes = np.abs(fp[keep] - fm[keep]) / gap[keep]
     if slopes.size == 0:
         raise ValueError("no usable sample pairs inside the box")
     best = float(np.max(slopes))

@@ -13,7 +13,7 @@ the first node of the segment starting there share the same time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,16 +109,6 @@ class PiecewiseFn:
         self.values = values
 
     @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable) -> "PiecewiseFn":
-        try:
-            vals = np.asarray(fn(grid.times), dtype=float)
-            if vals.shape != grid.times.shape:
-                raise TypeError
-        except TypeError:
-            vals = np.array([float(fn(t)) for t in grid.times])
-        return cls(grid, vals)
-
-    @classmethod
     def from_expression(cls, grid: Grid, expr, var: str = "t") -> "PiecewiseFn":
         if isinstance(expr, str):
             expr = parse_kernel(expr, (var,))
@@ -144,17 +134,6 @@ class PiecewiseFn:
         """Right limit at ``t`` (equals eval away from breakpoints)."""
         out = self._eval(t, "right")
         return float(out[0]) if np.ndim(t) == 0 else out
-
-    def jump_table(self) -> list[tuple[float, float]]:
-        """(breakpoint, right limit - left limit) for interior breakpoints."""
-        out = []
-        w = self.grid.panels + 1
-        for l in range(1, self.grid.num_segments):
-            alpha = float(self.grid.partition[l])
-            left = self.values[l * w - 1]
-            right = self.values[l * w]
-            out.append((alpha, float(right - left)))
-        return out
 
     def __sub__(self, other: "PiecewiseFn") -> "PiecewiseFn":
         if other.grid is not self.grid and not np.array_equal(

@@ -30,7 +30,7 @@ import numpy as np
 from .expressions import KernelExpr, parse_kernel, zero_kernel
 from .piecewise import Grid, PiecewiseFn, norm_continuous, uniform_grid
 from .quadrature import apply_weights, cube_diagonal, integrate_to, weight_rows
-from .solvers import _NUMERICAL_FAILURES, SolveReport, _require_finite, _stop
+from .solvers import _NUMERICAL_FAILURES, SolveReport, _iterate, _stop
 
 MAX_ORDER = 3
 
@@ -187,20 +187,12 @@ def series_solve(
     except _NUMERICAL_FAILURES as exc:
         _stop(report, exc, "the forcing term y0")
         return None, report
-    for _ in range(kmax):
-        try:
-            new = apply_series_operator(problem, cur)
-            d = norm_continuous(new - cur, mu)
-            _require_finite(d)
-        except _NUMERICAL_FAILURES as exc:
-            _stop(report, exc)
-            break
-        report.deltas.append((d, 0.0, 0.0))
-        report.iterations += 1
-        cur = new
-        if d <= tol:
-            report.converged = True
-            break
+
+    def sweep(cur: PiecewiseFn):
+        new = apply_series_operator(problem, cur)
+        return new, (norm_continuous(new - cur, mu), 0.0, 0.0)
+
+    cur, report.converged = _iterate(report, cur, sweep, tol, kmax)
     if not report.failed:
         final = apply_series_operator(problem, cur)
         report.final_residual = float(np.max(np.abs(final.values - cur.values)))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -106,6 +107,28 @@ def _start(problem: HybridProblem, init, report: SolveReport) -> SolutionTriple 
         return None
 
 
+def _iterate(report: SolveReport, cur, sweep, tol: float, kmax: int):
+    """Iterate ``cur, deltas = sweep(cur)`` until every delta is at most ``tol``.
+
+    Records each sweep in ``report``; a numerical failure ends the loop
+    through :func:`_stop`.  Returns the last finite iterate and whether it
+    met ``tol`` within ``kmax`` sweeps.
+    """
+    for _ in range(kmax):
+        try:
+            new, deltas = sweep(cur)
+            _require_finite(deltas)
+        except _NUMERICAL_FAILURES as exc:
+            _stop(report, exc)
+            return cur, False
+        report.deltas.append(deltas)
+        report.iterations += 1
+        cur = new
+        if max(deltas) <= tol:
+            return cur, True
+    return cur, False
+
+
 def picard_solve(
     problem: HybridProblem,
     init: SolutionTriple | None = None,
@@ -126,30 +149,52 @@ def picard_solve(
     cur = _start(problem, init, report)
     if cur is None:
         return None, report
-    for _ in range(kmax):
-        try:
-            new = apply_operator(problem, cur)
-            d = component_deltas(new, cur, problem, mu)
-            _require_finite(new.eta, d)
-        except _NUMERICAL_FAILURES as exc:
-            _stop(report, exc)
-            break
-        report.deltas.append(d)
-        report.iterations += 1
-        cur = new
-        if max(d) <= tol:
-            report.converged = True
-            break
+
+    def sweep(cur: SolutionTriple):
+        new = apply_operator(problem, cur)
+        _require_finite(new.eta)
+        return new, component_deltas(new, cur, problem, mu)
+
+    cur, report.converged = _iterate(report, cur, sweep, tol, kmax)
     if not report.failed:
         report.final_residual = residual(problem, cur)
     return cur, report
 
 
-def _compose_eta(problem: HybridProblem, xi: PiecewiseFn) -> np.ndarray:
-    """Left limits of the continuous part at the fixed impulse times."""
-    if not problem.n_tau:
-        return np.zeros(0)
-    return np.asarray(xi.eval(problem.tau), dtype=float)
+def _sup(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a), initial=0.0))
+
+
+def _segment_sweep(problem: HybridProblem, nodes: slice, consumed, state):
+    """One inner sweep of the march over the segment ``nodes``.
+
+    ``state`` is the current triple with the f2 inner row of its continuous
+    part, or None for a row still to be built.  The continuous part is
+    updated on ``nodes``, then eta and the ``consumed`` moving-trace entries
+    are refreshed from it.
+    """
+    old, f2_rows = state
+    if f2_rows is None:
+        f2_rows = _f2_rows(problem, old.xi.values)
+    grid = problem.grid
+    xi = old.xi.values.copy()
+    xi[nodes] = _continuous_at(problem, old, nodes, f2_rows)
+    xi = PiecewiseFn(grid, xi)
+    eta = xi.eval(problem.tau)  # left limits at the fixed impulse times
+    old_beta = old.beta_rows()
+    beta = old_beta.copy()
+    f2_rows = None
+    if problem.n_sigma:
+        # the trace refresh, the next sweep and the final fill use this row;
+        # without moving impulses only the next sweep would, so it waits
+        f2_rows = _f2_rows(problem, xi.values)
+        refreshed = SolutionTriple(xi, eta, old.beta)
+        for p, idx in enumerate(consumed):
+            if idx.size:
+                beta[p, idx] = _trace_at(problem, refreshed, p, idx, f2_rows)
+    new = SolutionTriple(xi, eta, tuple(PiecewiseFn(grid, row) for row in beta))
+    deltas = (_sup(xi.values - old.xi.values), _sup(eta - old.eta), _sup(beta - old_beta))
+    return (new, f2_rows), deltas
 
 
 def segment_solve(
@@ -170,70 +215,33 @@ def segment_solve(
     cur = _start(problem, init, report)
     if cur is None:
         return None, report
-    xi = cur.xi.values.copy()
-    eta = cur.eta.copy()
-    beta_rows = cur.beta_rows().copy()
-    sigma_grid = problem.sigma_grid
-
-    def assemble() -> SolutionTriple:
-        return SolutionTriple(
-            PiecewiseFn(grid, xi.copy()),
-            eta.copy(),
-            tuple(PiecewiseFn(grid, row.copy()) for row in beta_rows),
-        )
-
-    try:
-        f2_rows = _f2_rows(problem, xi)
-        for l in range(grid.num_segments):
-            sl = grid.segment_slice(l)
-            end = float(grid.partition[l + 1])
-            # moving-trace entries consumed while solving this segment
-            consumed = [
-                np.flatnonzero(sigma_grid[p] <= end + EPS)
+    state = (cur, None)
+    for l in range(grid.num_segments):
+        end = float(grid.partition[l + 1])
+        # moving-trace entries consumed while solving this segment
+        consumed = [
+            np.flatnonzero(problem.sigma_grid[p] <= end + EPS)
+            for p in range(problem.n_sigma)
+        ]
+        sweep = partial(_segment_sweep, problem, grid.segment_slice(l), consumed)
+        state, done = _iterate(report, state, sweep, tol, kmax)
+        if report.failed:
+            return state[0], report
+        if not done:
+            report.converged = False
+            report.notes += (f"segment {l} hit the sweep limit",)
+    final, f2_rows = state
+    if problem.n_sigma:
+        # now that every segment is solved, fill the unconsumed trace entries
+        try:
+            beta = tuple(
+                PiecewiseFn(grid, _trace_at(problem, final, p, slice(None), f2_rows))
                 for p in range(problem.n_sigma)
-            ]
-            for _ in range(kmax):
-                vals = _continuous_at(problem, assemble(), sl, f2_rows)
-                _require_finite(vals)
-                d_xi = float(np.max(np.abs(vals - xi[sl]))) if vals.size else 0.0
-                xi[sl] = vals
-                # the trace refresh, the next sweep and the final fill use it
-                f2_rows = _f2_rows(problem, xi)
-                new_eta = _compose_eta(problem, PiecewiseFn(grid, xi))
-                d_eta = float(np.max(np.abs(new_eta - eta))) if eta.size else 0.0
-                eta[:] = new_eta
-                d_beta = 0.0
-                if problem.n_sigma:
-                    triple = assemble()
-                    for p, idx in enumerate(consumed):
-                        if not idx.size:
-                            continue
-                        new_vals = _trace_at(problem, triple, p, idx, f2_rows)
-                        _require_finite(new_vals)
-                        d_beta = max(
-                            d_beta, float(np.max(np.abs(new_vals - beta_rows[p][idx])))
-                        )
-                        beta_rows[p][idx] = new_vals
-                report.iterations += 1
-                report.deltas.append((d_xi, d_eta, d_beta))
-                if max(d_xi, d_eta, d_beta) <= tol:
-                    break
-            else:
-                report.converged = False
-                report.notes += (f"segment {l} hit the sweep limit",)
-        if problem.n_sigma:
-            # now that every segment is solved, fill the unconsumed trace entries
-            solved = assemble()
-            filled = [
-                _trace_at(problem, solved, p, slice(None), f2_rows)
-                for p in range(problem.n_sigma)
-            ]
-            _require_finite(*filled)
-            beta_rows[:] = filled
-    except _NUMERICAL_FAILURES as exc:
-        _stop(report, exc)
-        return assemble(), report
-    final = assemble()
+            )
+        except _NUMERICAL_FAILURES as exc:
+            _stop(report, exc)
+            return final, report
+        final = SolutionTriple(final.xi, final.eta, beta)
     report.final_residual = residual(problem, final)
     return final, report
 
@@ -258,6 +266,15 @@ class ConvergenceReport:
                 row["ratio"] = self.ratios[i - 1]
             out.append(row)
         return out
+
+
+class UnconvergedRun(RuntimeError):
+    """A run of the resolution study that ended unconverged; ``report`` says why."""
+
+    def __init__(self, panels: int, report: SolveReport):
+        super().__init__(f"solver did not converge at {panels} panels")
+        self.panels = panels
+        self.report = report
 
 
 def at_resolution(problem: HybridProblem, panels: int) -> HybridProblem:
@@ -288,7 +305,8 @@ def convergence_table(
     The reference is the Richardson extrapolant (4 x_fine - x_half) / 3 of
     the two finest runs; errors are suprema over the coarsest grid's nodes,
     which are exact nodes of every finer grid because resolutions double.
-    A second-order scheme shows ratios near 4.
+    A second-order scheme shows ratios near 4.  A run that does not converge
+    raises :class:`UnconvergedRun`.
     """
     res = tuple(int(r) for r in resolutions)
     if len(res) < 2:
@@ -306,7 +324,7 @@ def convergence_table(
         else:
             raise ValueError(f"unknown method {method!r}")
         if not rep.converged:
-            raise RuntimeError(f"solver did not converge at {panels} panels")
+            raise UnconvergedRun(panels, rep)
         return triple.xi.values
 
     base = res[0]

@@ -76,6 +76,12 @@ y0: "1"
 kernels: ["exp(x1)"]
 """
 
+LOG_FILE = """\
+horizon: 1
+x0: "1"
+f1: "log(x)"
+"""
+
 HALF = ["0.5", "0", "0", "0", "0.5", "0", "0", "0", "0.5"]
 
 
@@ -95,6 +101,7 @@ def files(tmp_path):
         ("series", SERIES_FILE), ("moving", MOVING_FILE),
         ("blow_up", BLOW_UP_FILE), ("domain_error", DOMAIN_ERROR_FILE),
         ("forcing_error", FORCING_ERROR_FILE), ("series_blow_up", SERIES_BLOW_UP_FILE),
+        ("log", LOG_FILE),
     ]:
         path = tmp_path / f"{name}.yaml"
         path.write_text(text)
@@ -243,6 +250,18 @@ class TestSolve:
         code, _, _ = _run(capsys, "solve", files["exp"], "--tol", "-1")
         assert code == 1
 
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--mu", "-1"), ("--mu", "0"), ("--mu", "inf"), ("--mu", "nan"),
+         ("--tol", "0"), ("--kmax", "0")],
+    )
+    def test_bad_iteration_flag_exits_1(self, capsys, files, method, flag, value):
+        code, _, err = _run(
+            capsys, "solve", files["exp"], "--method", method, flag, value
+        )
+        assert code == 1 and err.startswith(f"error: {flag} ")
+
     def test_usage_errors_exit_1(self, capsys, files):
         assert _run(capsys)[0] == 1
         assert _run(capsys, "solve", files["exp"], "--bad-flag")[0] == 1
@@ -268,6 +287,11 @@ class TestAnalyze:
         assert code == 0
         block = yaml.safe_load(out)["contraction"]
         assert block["mu"] == 5.0 and "mu_star" not in block
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_bad_mu_exits_1(self, capsys, files, value):
+        code, _, err = _run(capsys, "analyze", files["exp"], "--mu", value)
+        assert code == 1 and err.startswith("error: --mu ")
 
     def test_schedule_fields(self, capsys, files):
         code, out, _ = _run(capsys, "analyze", files["moving"])
@@ -315,6 +339,20 @@ class TestAnalyze:
             capsys, "analyze", files["exp"], "--estimate", "--state-bound", "-2"
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "name, flags, why",
+        [
+            # log(x) is undefined on half of the state box
+            ("log", (), "log of a non-positive value"),
+            # exp(x) overflows on it
+            ("blow_up", ("--state-bound", "1000"), "non-finite difference quotient"),
+        ],
+    )
+    def test_estimate_domain_error_exits_4(self, capsys, files, name, flags, why):
+        code, out, err = _run(capsys, "analyze", files[name], "--estimate", *flags)
+        assert code == 4 and "Traceback" not in err and out == ""
+        assert err.startswith("error: cannot estimate L1 (f1)") and why in err
 
     def test_require_h7_alias(self, capsys, files):
         code, _, err = _run(capsys, "analyze", files["crowded"], "--require-h7")
@@ -365,10 +403,17 @@ class TestSeriesSolve:
         code, _, _ = _run(capsys, "series-solve", files["series"], "--kmax", "1")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--mu", "-1"), ("--mu", "0"), ("--tol", "-1"), ("--kmax", "0")]
+    )
+    def test_bad_iteration_flag_exits_1(self, capsys, files, flag, value):
+        code, _, err = _run(capsys, "series-solve", files["series"], flag, value)
+        assert code == 1 and err.startswith(f"error: {flag} ")
+
     def test_blow_up_exits_4_after_writing(self, capsys, tmp_path, files):
         report_path = tmp_path / "report.yaml"
         csv_path = tmp_path / "y.csv"
-        code, _, err = _run(
+        code, out, err = _run(
             capsys, "series-solve", files["series_blow_up"],
             "--report", str(report_path), "--out", str(csv_path),
         )
@@ -379,6 +424,7 @@ class TestSeriesSolve:
         assert report["notes"] == [
             f"diverged: non-finite update in sweep {report['iterations'] + 1}"
         ]
+        assert f"note: {report['notes'][0]}" in out
         assert report["solution_csv"] == str(csv_path)
         # the last finite iterate is written
         _, left, right = read_solution_csv(csv_path)
@@ -421,6 +467,27 @@ class TestConvergenceReport:
             capsys, "convergence-report", files["exp"], "--resolutions", "a,b"
         )
         assert code == 1 and "comma-separated" in err
+
+    @pytest.mark.parametrize("flag, value", [("--kmax", "0"), ("--tol", "-1")])
+    def test_bad_iteration_flag_exits_1(self, capsys, files, flag, value):
+        code, _, err = _run(capsys, "convergence-report", files["exp"], flag, value)
+        assert code == 1 and err.startswith(f"error: {flag} ")
+
+    def test_numerical_failure_exits_4(self, capsys, files):
+        code, out, err = _run(
+            capsys, "convergence-report", files["domain_error"], "--resolutions", "16,32"
+        )
+        assert code == 4 and "Traceback" not in err and out == ""
+        assert err == (
+            "error: iteration stopped after 0 sweeps at 16 panels: "
+            "kernel error in sweep 1: division by zero\n"
+        )
+        # hitting the sweep limit stays exit 3
+        code, _, err = _run(
+            capsys, "convergence-report", files["exp"], "--resolutions", "16,32",
+            "--kmax", "1",
+        )
+        assert code == 3 and "did not converge within 1 iterations at 16 panels" in err
 
     def test_report_file_rows(self, capsys, tmp_path, files):
         report_path = tmp_path / "table.yaml"

@@ -1,7 +1,5 @@
 """Piecewise representation: one-sided limits, interpolation, weighted norms."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,15 +71,6 @@ class TestEval:
         f = _step_1_then_2()
         out = f.eval(np.array([0.5, 1.0, 1.5]))
         assert out.tolist() == [1.0, 1.0, 2.0]
-
-    def test_jump_table(self):
-        f = _step_1_then_2()
-        assert f.jump_table() == [(1.0, 1.0)]
-
-    def test_from_callable_scalar_fallback(self):
-        grid = uniform_grid(1.0, panels=4)
-        f = PiecewiseFn.from_callable(grid, lambda t: math.sin(float(t)))
-        assert f.eval(0.5) == pytest.approx(math.sin(0.5), abs=1e-3)
 
     def test_non_finite_rejected(self):
         grid = uniform_grid(1.0, panels=4)

@@ -116,7 +116,7 @@ class TestSegment:
     def test_unit_jump_from_fixed_impulse(self):
         triple, report = segment_solve(step_problem())
         assert report.converged
-        assert triple.xi.jump_table() == [(1.0, 1.0)]
+        assert triple.xi.eval_right(1.0) - triple.xi.eval(1.0) == 1.0
 
     def test_matches_picard_with_moving_impulse(self):
         p = moving_problem()
@@ -138,21 +138,19 @@ class TestSegment:
         p = g2_problem()
         triple, report = segment_solve(p)
         assert report.converged
-        realized = dict(triple.xi.jump_table())
         for alpha in p.schedule.breakpoints:
-            predicted = jump_at(p, triple, float(alpha))
-            assert realized[float(alpha)] == pytest.approx(predicted, abs=1e-8)
+            a = float(alpha)
+            realized = triple.xi.eval_right(a) - triple.xi.eval(a)
+            assert realized == pytest.approx(jump_at(p, triple, a), abs=1e-8)
 
 
 class TestJumpConsistencyMixed:
     def test_every_breakpoint(self, mixed_solved):
         problem, triple, _ = mixed_solved
-        realized = dict(triple.xi.jump_table())
         for alpha in problem.schedule.breakpoints:
             a = float(alpha)
-            assert realized[a] == pytest.approx(
-                jump_at(problem, triple, a), abs=1e-8
-            )
+            realized = triple.xi.eval_right(a) - triple.xi.eval(a)
+            assert realized == pytest.approx(jump_at(problem, triple, a), abs=1e-8)
 
 
 class TestConvergenceTable:
@@ -262,6 +260,18 @@ class TestSharedF2Triangle:
         # trace refresh, the next sweep and the final trace fill reuse),
         # then the residual
         assert len(passes) == rep.iterations + 2
+
+    def test_segment_without_moving_impulses(self, monkeypatch):
+        # no trace refresh or final fill: the row built after the last
+        # update would feed nothing, so each sweep builds its own
+        problem = make_problem(2.0, tau=(1.0,), h=0.5, panels=32,
+                               x0="1", f2="0.5*x1", G1="1")
+        assert problem.n_sigma == 0 and problem.grid.num_segments == 2
+        passes = self._count_f2_passes(monkeypatch, problem)
+        _, rep = segment_solve(problem, tol=1e-12, kmax=300)
+        assert rep.converged
+        # one per sweep plus one for the residual
+        assert len(passes) == rep.iterations + 1
 
     def test_jump_at_one_pass(self, monkeypatch):
         problem = mixed_problem(panels=32)
