@@ -5,15 +5,19 @@ state-independent moving times, through single and double integral memory
 and impulse sums.  The pieces:
 
 - :mod:`.expressions` -- a small kernel language with sampling-based
-  Lipschitz estimation;
+  Lipschitz estimation, and the split of a kernel into a sum of products
+  of factors in disjoint variable groups;
 - :mod:`.schedule` -- impulse times, crossing roots, and separation checks;
 - :mod:`.piecewise` -- grids with two-sided breakpoint nodes, piecewise
   functions, and the weighted norms;
-- :mod:`.quadrature` -- trapezoid rules on those grids as weight rows:
-  row e integrates node values from 0 to the upper limit e, so an
-  integral is a weighted row sum (one integrand row shared or one per
-  limit); plus cumulative integrals to every node and cube integrals;
+- :mod:`.quadrature` -- trapezoid rules on those grids: an integrand row
+  shared by every upper limit is integrated by prefix sums in O(N + E),
+  one row per limit by weight rows in O(E N); plus cumulative integrals
+  to every node and cube integrals;
 - :mod:`.operator` -- the fixed-point operator and its three components;
+  a sweep costs O(N) for t-free kernels whose f2 splits into products of
+  a factor in (s, x) and one in (s1, x1), O(N^2) for any other t-free f2
+  and O(N^3) when f2 references t;
 - :mod:`.solvers` -- global and segment-marching iteration, plus
   resolution studies;
 - :mod:`.contraction` -- bound matrices, the cubic-root criterion, and

@@ -24,7 +24,7 @@ finite operands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as _cartesian
 from typing import Mapping, Sequence, Union
 
@@ -393,17 +393,88 @@ def _rename(node, mapping: Mapping[str, str]):
     return _Call(node.func, tuple(_rename(a, mapping) for a in node.args))
 
 
+# an expansion past this many terms is left unfactored
+_MAX_TERMS = 8
+
+
+def _times(a, b):
+    """Product of two factors of one group; None stands for 1."""
+    if a is None:
+        return b
+    return a if b is None else _BinOp("*", a, b)
+
+
+def _negated(term: list) -> list:
+    i = next(k for k, f in enumerate(term) if f is not None)
+    return term[:i] + [_Neg(term[i])] + term[i + 1:]
+
+
+def _divided(term: list, g: int, divisor) -> list:
+    factor_g = _Num(1.0) if term[g] is None else term[g]
+    return term[:g] + [_BinOp("/", factor_g, divisor)] + term[g + 1:]
+
+
+def _group_of(node, groups: tuple[frozenset, ...]) -> int | None:
+    """The first group holding every free variable of ``node``, if any."""
+    free = _free_vars(node)
+    return next((g for g, names in enumerate(groups) if free <= names), None)
+
+
+def _separate(node, groups: tuple[frozenset, ...]) -> list[list] | None:
+    """``node`` as a sum of terms, each a list of one factor per group.
+
+    A factor of None is 1; a subtree whose free variables lie in one group
+    (the first, for a constant) is a single factor.  None when ``node`` is
+    not such a sum or it would exceed ``_MAX_TERMS`` terms.
+    """
+    home = _group_of(node, groups)
+    if home is not None:
+        term = [None] * len(groups)
+        term[home] = node
+        return [term]
+    if isinstance(node, _Neg):
+        terms = _separate(node.child, groups)
+        return None if terms is None else [_negated(t) for t in terms]
+    if not isinstance(node, _BinOp) or node.op == "^":
+        return None
+    if node.op == "/":
+        # divide each term's factor in the divisor's group
+        g = _group_of(node.right, groups)
+        left = None if g is None else _separate(node.left, groups)
+        if left is None:
+            return None
+        return [_divided(t, g, node.right) for t in left]
+    left = _separate(node.left, groups)
+    right = None if left is None else _separate(node.right, groups)
+    if right is None:
+        return None
+    if node.op == "+":
+        terms = left + right
+    elif node.op == "-":
+        terms = left + [_negated(t) for t in right]
+    else:
+        terms = [[_times(a, b) for a, b in zip(p, q)] for p in left for q in right]
+    return terms if len(terms) <= _MAX_TERMS else None
+
+
 # ---------------------------------------------------------------------------
 # Public surface
 
 
 @dataclass(frozen=True)
 class KernelExpr:
-    """A parsed kernel: canonical source, declared arity, and its AST."""
+    """A parsed kernel: canonical source, declared arity, and its AST.
+
+    The free variables are collected once, when the kernel is built.
+    """
 
     source: str
     arity: tuple[str, ...]
     root: object
+    free: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "free", _free_vars(self.root))
 
     def evaluate(self, bindings: Mapping[str, Number]) -> Number:
         """Evaluate with scalar or broadcastable array bindings."""
@@ -413,10 +484,10 @@ class KernelExpr:
         return _eval_node(self.root, bindings)
 
     def free_variables(self) -> frozenset:
-        return _free_vars(self.root)
+        return self.free
 
     def references(self, name: str) -> bool:
-        return name in _free_vars(self.root)
+        return name in self.free
 
     def to_source(self) -> str:
         return _print_node(self.root)
@@ -441,6 +512,32 @@ def parse_kernel(source: str, arity: Sequence[str]) -> KernelExpr:
 
 def zero_kernel(arity: Sequence[str]) -> KernelExpr:
     return parse_kernel("0", arity)
+
+
+def factor(expr: KernelExpr, groups) -> list[tuple[KernelExpr, ...]] | None:
+    """Split ``expr`` into a sum of products of one factor per variable group.
+
+    ``groups`` is a sequence of disjoint name collections.  Returns one
+    tuple per term, its k-th entry a kernel (over ``expr.arity``) whose free
+    variables lie in ``groups[k]``, so that ``expr`` is the sum over terms
+    of the product of their entries; a constant rides in the first entry.
+    The split distributes ``*`` over ``+`` and ``-``, passes unary minus
+    and keeps division by an expression of one group; every subtree of one
+    group is a single factor.  None when ``expr`` is not such a sum (a
+    variable outside every group, a power or a function of several groups,
+    a divisor of several groups) or the expansion passes a fixed number of
+    terms.  Every factor is a subtree of ``expr``, evaluated over the same
+    values, so a factored kernel raises :class:`EvaluationError` where
+    ``expr`` does.
+    """
+    terms = _separate(expr.root, tuple(frozenset(g) for g in groups))
+    if terms is None:
+        return None
+    one = _Num(1.0)
+    return [
+        tuple(KernelExpr(_print_node(f or one), expr.arity, f or one) for f in term)
+        for term in terms
+    ]
 
 
 def symmetrize_second_order(expr: KernelExpr) -> KernelExpr:

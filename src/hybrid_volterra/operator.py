@@ -27,14 +27,24 @@ earlier or later (:func:`jump_at`).
 
 Quadrature nodes coincide with grid nodes, so xi and beta_i enter the
 integrands by their stored node values; only x0, sigma_i and the t argument
-see off-node times.  Every integral is a weighted row sum under the
-trapezoid weight rows of the evaluation times.  One thing is precomputed:
-the inner f2 integral at every node, a function of xi alone unless f2
-references t.  It costs one N x N kernel pass, so :func:`_f2_rows` builds
-it once per continuous part and every evaluation of that part takes it as
-an argument; all other node rows (the g rows included, O(N) each) are built
-inside each evaluation.  Picard, the segment march and :func:`jump_at`
-reach the formula through the same two membership helpers.
+see off-node times.  A kernel that does not reference t gives one node row
+shared by every evaluation time, integrated by prefix sums in O(N + E)
+(:func:`~.quadrature.integrate_to`); the g rows are cut where sigma_i
+reaches the membership time, a prefix of the nodes when sigma_i is
+nondecreasing on the grid (checked once per problem) and a dense mask
+otherwise.  A kernel that references t gives one row per time and takes
+O(E N) weight rows.
+
+One thing is precomputed: the inner f2 integral at every node, a function
+of xi alone unless f2 references t.  :func:`_f2_rows` builds it once per
+continuous part and every evaluation of that part takes it as an argument.
+When f2 splits into a sum of products a_r(s, x) b_r(s1, x1)
+(:func:`~.expressions.factor`, once per problem) it is
+sum_r a_r(s) * cumulative integral of b_r(s1), O(N) per term; otherwise it
+costs one N x N kernel pass.  A sweep is therefore O(N) for t-free
+separable kernels, O(N^2) for a non-separable f2 and O(N^3) when f2
+references t.  Picard, the segment march and :func:`jump_at` reach the
+formula through the same two membership helpers.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import KernelExpr, parse_kernel, zero_kernel
+from .expressions import KernelExpr, factor, parse_kernel, zero_kernel
 from .piecewise import (
     Grid,
     PiecewiseFn,
@@ -51,7 +61,7 @@ from .piecewise import (
     norm_discrete,
     norm_mixed,
 )
-from .quadrature import apply_weights, weight_rows
+from .quadrature import apply_weights, integrate_to, node_cumulative, weight_rows
 from .schedule import MERGE_TOL, ImpulseSchedule
 from .contraction import LipschitzSet
 
@@ -66,6 +76,9 @@ ARITIES: dict[str, tuple[str, ...]] = {
     "G3": ("t", "sig", "tau", "beta", "eta"),
     "g": ("t", "s", "sig", "tau", "x", "beta", "eta"),
 }
+
+# the variables of the outer and of the inner integral of f2
+F2_GROUPS = (("s", "x"), ("s1", "x1"))
 
 
 def _coerce(name: str, value) -> KernelExpr:
@@ -85,7 +98,13 @@ def _coerce(name: str, value) -> KernelExpr:
 
 @dataclass(frozen=True)
 class HybridProblem:
-    """A full problem instance: kernels, impulse schedule, sample grid."""
+    """A full problem instance: kernels, impulse schedule, sample grid.
+
+    Derived once, when the problem is built: ``tau``; ``sigma_grid``, each
+    moving time at the grid nodes; ``sigma_nondecreasing``, per moving time
+    whether those values never decrease; ``f2_terms``, a t-free f2 split
+    over :data:`F2_GROUPS` by :func:`~.expressions.factor`, else None.
+    """
 
     x0: KernelExpr
     f1: KernelExpr
@@ -106,9 +125,15 @@ class HybridProblem:
         if not np.array_equal(self.grid.partition, self.schedule.partition):
             raise ValueError("grid partition must match the schedule partition")
         object.__setattr__(self, "tau", np.asarray(self.schedule.tau, dtype=float))
+        sigma_grid = self.schedule.sigma_values(self.grid.times)
+        object.__setattr__(self, "sigma_grid", sigma_grid)
+        # per moving impulse: sigma_i(s) < m holds on a prefix of the nodes
         object.__setattr__(
-            self, "sigma_grid", self.schedule.sigma_values(self.grid.times)
+            self, "sigma_nondecreasing", np.all(np.diff(sigma_grid, axis=1) >= 0, axis=1)
         )
+        f2 = self.f2
+        split = not f2.is_zero and not f2.references("t")
+        object.__setattr__(self, "f2_terms", factor(f2, F2_GROUPS) if split else None)
 
     @classmethod
     def build(
@@ -198,22 +223,31 @@ def default_init(problem: HybridProblem) -> SolutionTriple:
 def _f2_rows(problem: HybridProblem, xi: np.ndarray) -> np.ndarray | None:
     """Inner f2 integrals of the continuous part ``xi``, one per node.
 
-    Entry k integrates f2 over s1 in [0, s_k] at the node s = s_k; it costs
-    one N x N kernel pass and depends on ``xi`` alone.  None when f2 is zero
+    Entry k integrates f2 over s1 in [0, s_k] at the node s = s_k and
+    depends on ``xi`` alone.  A factored f2 (``problem.f2_terms``) costs
+    O(N) per term, any other one N x N kernel pass.  None when f2 is zero
     or references t, since then the inner integrals depend on the
     evaluation time and :func:`_sc_eval` builds them per time.
     """
     f2 = problem.f2
     if f2.is_zero or f2.references("t"):
         return None
-    times = problem.grid.times
+    grid = problem.grid
+    times = grid.times
+    if problem.f2_terms is not None:
+        # each factor references one group, so one binding serves both
+        nodes = {"s": times, "x": xi, "s1": times, "x1": xi}
+        factors = [(a.evaluate(nodes), b.evaluate(nodes)) for a, b in problem.f2_terms]
+        rows = np.zeros(times.size)
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite: caught by the solver
+            for a, b in factors:
+                rows += a * node_cumulative(grid, np.broadcast_to(b, times.shape))
+        return rows
     F = f2.evaluate(
         {"t": 0.0, "s": times[:, None], "s1": times[None, :],
          "x": xi[:, None], "x1": xi[None, :]}
     )
-    return apply_weights(
-        weight_rows(problem.grid, times), np.broadcast_to(F, (times.size, times.size))
-    )
+    return apply_weights(weight_rows(grid, times), F)
 
 
 def _sc_eval(
@@ -234,8 +268,8 @@ def _sc_eval(
     interpolating.  When omitted they are computed here, with beta read by
     its left-limit convention.
 
-    Every integral is a weighted row reduction under the weight rows of the
-    evaluation times, built once per call.
+    Shared integrand rows are integrated by prefix sums; the weight rows
+    of the evaluation times are built only when f2 references t.
     """
     grid = problem.grid
     te = np.asarray(eval_times, dtype=float)
@@ -264,28 +298,24 @@ def _sc_eval(
         np.asarray(problem.x0.evaluate({"t": te}), dtype=float), te.shape
     ).astype(float, copy=True)
 
-    has_integrals = not problem.f1.is_zero or not problem.f2.is_zero or g_active
-    W = weight_rows(grid, te) if has_integrals else None
-
     if not problem.f1.is_zero:
         w = problem.f1.evaluate({"t": te[:, None], "s": times[None, :], "x": xi[None, :]})
-        out += apply_weights(W, w)
+        out += integrate_to(grid, w, te)
 
-    if not problem.f2.is_zero:
-        # outer integrand: the inner integral up to s, one shared row unless
-        # the kernel references t, then one row per evaluation time
-        inner = f2_rows
-        if inner is None:
-            node_weights = W if np.array_equal(te, times) else weight_rows(grid, times)
-            inner = np.empty((E, times.size))
-            for r, t in enumerate(te):
-                F = problem.f2.evaluate(
-                    {"t": t, "s": times[:, None], "s1": times[None, :],
-                     "x": xi[:, None], "x1": xi[None, :]}
-                )
-                inner[r] = apply_weights(
-                    node_weights, np.broadcast_to(F, (times.size, times.size))
-                )
+    if f2_rows is not None:
+        # outer integrand: the inner integral up to s, one shared row
+        out += integrate_to(grid, f2_rows, te)
+    elif not problem.f2.is_zero:
+        # f2 references t: one row of inner integrals per evaluation time
+        W = weight_rows(grid, te)
+        node_weights = W if np.array_equal(te, times) else weight_rows(grid, times)
+        inner = np.empty((E, times.size))
+        for r, t in enumerate(te):
+            F = problem.f2.evaluate(
+                {"t": t, "s": times[:, None], "s1": times[None, :],
+                 "x": xi[:, None], "x1": xi[None, :]}
+            )
+            inner[r] = apply_weights(node_weights, F)
         out += apply_weights(W, inner)
 
     if tau.size and not problem.G1.is_zero:
@@ -313,24 +343,32 @@ def _sc_eval(
 
     if g_active:
         # node rows of g for each (sigma_i, tau_j) pair: one shared row when
-        # g does not reference t, else one row per evaluation time
+        # g does not reference t, else one row per evaluation time; only the
+        # nodes s with sigma_i(s) inside the membership count
         beta_rows = triple.beta_rows()
         for i in range(n_sigma):
-            # weights of the nodes s with sigma_i(s) inside the membership
-            masked = np.where(problem.sigma_grid[i][None, :] < m[:, None], W, 0.0)
+            sig = problem.sigma_grid[i]
+            keep = gate = None
+            if problem.sigma_nondecreasing[i]:
+                # the nodes before the first with sigma_i(s) >= m
+                keep = np.searchsorted(sig, m)
+            else:
+                gate = sig[None, :] < m[:, None]
             for tau_j, eta_j in zip(tau, eta):
                 row = problem.g.evaluate(
                     {
                         "t": te[:, None],
                         "s": times[None, :],
-                        "sig": problem.sigma_grid[i][None, :],
+                        "sig": sig[None, :],
                         "tau": tau_j,
                         "x": xi[None, :],
                         "beta": beta_rows[i][None, :],
                         "eta": eta_j,
                     }
                 )
-                out += apply_weights(masked, row) * (tau_j < m)
+                if gate is not None:
+                    row = np.where(gate, row, 0.0)
+                out += integrate_to(grid, row, te, keep) * (tau_j < m)
 
     if n_sigma and tau.size and not problem.G3.is_zero:
         for i in range(n_sigma):

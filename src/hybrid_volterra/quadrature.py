@@ -6,25 +6,28 @@ different segments, so no panel straddles a jump and discontinuities cost
 nothing.
 
 An integral from 0 to an upper limit u is a fixed linear functional of the
-node values, a weight row.  It is the grid's vector of full-segment
-trapezoid weights (half a step at both ends of a segment, a whole step
-inside) cut after the last node at or below u, plus the partial panel that
-ends exactly at u, with the integrand linearly interpolated there.  The
-functions:
+node values.  It is the grid's vector of full-segment trapezoid weights
+(half a step at both ends of a segment, a whole step inside) summed over
+the nodes before the last node at or below u, plus that node's and the
+next node's weights in the panels up to u, with the integrand linearly
+interpolated on the partial panel.  The functions:
 
+* :func:`integrate_to` -- the one entry point.  A row shared by every
+  limit takes a prefix sum of the weighted row, read at each limit's node:
+  O(N + E) for E limits.  One row per limit takes weight rows: O(E N);
 * :func:`weight_rows` -- the (E, N) weight rows of E upper limits, built
   from that O(N) vector with no cumulative pass;
-* :func:`apply_weights` -- the weighted row reduction, with one integrand
-  row shared by every limit or one row per limit;
-* :func:`integrate_to` -- the two together;
+* :func:`apply_weights` -- the row sums of one integrand row per weight
+  row;
 * :func:`node_cumulative` -- the integral from 0 to every grid node, by a
-  cumulative sum, for :func:`cube_diagonal`;
+  cumulative sum;
 * :func:`cube_diagonal` -- the integral over the cube [0, t]^n at every
   node, by nested cumulative passes.
 
 A double integral over the triangle 0 <= s1 <= s <= t of F[s, s1] takes as
 its outer integrand the inner integrals
-``apply_weights(weight_rows(grid, grid.times), F)``, one per row s.
+``apply_weights(weight_rows(grid, grid.times), F)``, one per row s; for
+``F = a(s) b(s1)`` they are ``a * node_cumulative(grid, b)``.
 """
 
 from __future__ import annotations
@@ -34,44 +37,79 @@ import numpy as np
 from .piecewise import Grid
 
 
+def _limits(grid: Grid, upper: np.ndarray):
+    """Trapezoid weights of the grid, and where each upper limit cuts them.
+
+    Returns ``(full, base, lo, hi)``: the integral to ``upper[e]`` is
+    ``full`` summed over the nodes before ``base[e]``, plus ``lo[e]`` times
+    the integrand at ``base[e]`` and ``hi[e]`` times it at ``base[e] + 1``.
+    A limit at a breakpoint ends in the segment to its left.
+    """
+    m = grid.panels
+    step = np.diff(grid.partition) / m
+    full = np.repeat(step, m + 1).reshape(grid.num_segments, m + 1)
+    full[:, [0, -1]] *= 0.5
+    full = full.reshape(-1)
+    seg, j, frac = grid.locate(upper, side="left")
+    base = seg * (m + 1) + j
+    h = step[seg]
+    # the node at base carries a whole panel (half one at a segment start)
+    # in ``full``; keep half a panel for the trapezoid up to that node, then
+    # add the partial panel [t_base, upper] split between base and base + 1
+    lo = full[base] + (-0.5 * h + 0.5 * frac * h * (2.0 - frac))
+    hi = 0.5 * frac * frac * h
+    return full, base, lo, hi
+
+
 def weight_rows(grid: Grid, upper: np.ndarray) -> np.ndarray:
     """Trapezoid weights, shape (E, N): row e integrates from 0 to ``upper[e]``.
 
     A limit at a breakpoint ends in the segment to its left.
     """
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    m = grid.panels
-    step = np.diff(grid.partition) / m
-    full = np.repeat(step, m + 1).reshape(grid.num_segments, m + 1)
-    full[:, [0, -1]] *= 0.5
-    seg, j, frac = grid.locate(upper, side="left")
-    base = seg * (m + 1) + j
-    # row e keeps ``full`` up to node base_e: the window of N entries of
-    # [1] * N + [0] * N that holds base_e + 1 ones, gathered as a copy
+    full, base, lo, hi = _limits(grid, upper)
+    # row e keeps ``full`` before node base_e: the window of N entries of
+    # [1] * N + [0] * N that holds base_e ones, gathered as a copy
     N = grid.size
     ones_then_zeros = np.repeat([1.0, 0.0], N)
     item = ones_then_zeros.itemsize
-    windows = np.ndarray((N, N), buffer=ones_then_zeros, strides=(item, item))
-    W = windows[N - 1 - base]
-    W *= full.reshape(-1)
-    # the node at base carries a whole panel (half one at a segment start)
-    # in ``full``; keep half a panel for the trapezoid up to that node, then
-    # add the partial panel [t_base, upper] split between base and base + 1
+    windows = np.ndarray((N + 1, N), buffer=ones_then_zeros, strides=(item, item))
+    W = windows[N - base]
+    W *= full
     r = np.arange(upper.size)
-    h = step[seg]
-    W[r, base] += -0.5 * h + 0.5 * frac * h * (2.0 - frac)
-    W[r, base + 1] += 0.5 * frac * frac * h
+    W[r, base] = lo
+    W[r, base + 1] = hi
     return W
 
 
 def apply_weights(W: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted row sums of the integrand ``w`` under the weight rows ``W``.
+    """Row sums of the weight rows ``W`` times the integrand rows ``w``.
 
-    ``w`` is either one row shared by every weight row (shape ``(N,)``,
-    ``(1, N)`` or a scalar) or one row per weight row (shape ``(E, N)``, or
-    ``(E, 1)`` for rows constant in s), where (E, N) is ``W.shape``.
+    ``w`` holds one row per weight row: shape ``W.shape``, or (E, 1) for
+    rows constant in s.
     """
-    E, N = W.shape
+    return np.einsum("ij,ij->i", W, np.broadcast_to(w, W.shape))
+
+
+def integrate_to(
+    grid: Grid, w: np.ndarray, upper: np.ndarray, keep: np.ndarray | None = None
+) -> np.ndarray:
+    """Integral of the node integrand ``w`` from 0 to each ``upper``.
+
+    ``w`` is either one row shared by every upper limit (shape ``(N,)``,
+    ``(1, N)`` or a scalar) or one row per upper limit (shape ``(E, N)``, or
+    ``(E, 1)`` for rows constant in s), where N is grid.size and E is the
+    number of upper limits.  With ``keep`` (E node counts), the integrand
+    of limit e is cut to its first ``keep[e]`` nodes and is zero from there
+    on.
+
+    A shared row is integrated from the exclusive prefix sums of its
+    weighted nodes, O(N + E); rows per limit by :func:`weight_rows`,
+    O(E N).  Non-finite node values give non-finite integrals, as in any
+    weighted sum, and raise no floating-point warning.
+    """
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    E, N = upper.size, grid.size
     w = np.asarray(w, dtype=float)
     rows = w.reshape(1, 1) if w.ndim == 0 else w.reshape(-1, w.shape[-1])
     if w.ndim > 2 or rows.shape[0] not in (1, E) or rows.shape[1] not in (1, N):
@@ -79,21 +117,23 @@ def apply_weights(W: np.ndarray, w: np.ndarray) -> np.ndarray:
             f"integrand shape {w.shape} is neither one row nor one row per "
             f"upper limit over {N} nodes ({E} limits)"
         )
-    if rows.shape[0] == 1:
-        # a contiguous shared row sums bit for bit like the tiled rows
-        return np.einsum("ij,j->i", W, np.ascontiguousarray(np.broadcast_to(rows[0], N)))
-    return np.einsum("ij,ij->i", W, np.broadcast_to(rows, (E, N)))
-
-
-def integrate_to(grid: Grid, w: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Integral of the node integrand ``w`` from 0 to each ``upper``.
-
-    ``w`` is either one row shared by every upper limit (shape ``(N,)``,
-    ``(1, N)`` or a scalar) or one row per upper limit (shape ``(E, N)``, or
-    ``(E, 1)`` for rows constant in s), where N is grid.size and E is the
-    number of upper limits.
-    """
-    return apply_weights(weight_rows(grid, upper), w)
+    if rows.shape[0] != 1:
+        if keep is not None:
+            rows = np.where(np.arange(N) < np.asarray(keep)[:, None], rows, 0.0)
+        return apply_weights(weight_rows(grid, upper), rows)
+    row = np.broadcast_to(rows[0], N)
+    full, base, lo, hi = _limits(grid, upper)
+    with np.errstate(invalid="ignore", over="ignore"):
+        prefix = np.concatenate([[0.0], np.cumsum(full * row)])
+        at_base, after = lo * row[base], hi * row[base + 1]
+        if keep is None:
+            return prefix[base] + at_base + after
+        keep = np.asarray(keep)
+        return (
+            prefix[np.minimum(keep, base)]
+            + np.where(base < keep, at_base, 0.0)
+            + np.where(base + 1 < keep, after, 0.0)
+        )
 
 
 def node_cumulative(grid: Grid, w: np.ndarray) -> np.ndarray:

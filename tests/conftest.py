@@ -68,12 +68,13 @@ MIXED_LIP = LipschitzSet(
 )
 
 
-def mixed_problem(panels=128):
+def mixed_problem(panels=128, f2="0.05*x*x1/(1 + s1^2)"):
     """Every term active at once: fixed and moving impulses, double memory.
 
     The declared constants bound the kernel slopes on |state| <= 1, which
     covers both the converged solution and the random probes the contraction
-    tests feed in.
+    tests feed in, and any ``f2`` whose slopes in x and x1 stay below 0.05
+    there.
     """
     return make_problem(
         2.0,
@@ -83,7 +84,7 @@ def mixed_problem(panels=128):
         panels=panels,
         x0="0.2 + 0.1*t",
         f1="0.2*sin(x) + 0.05*s",
-        f2="0.05*x*x1/(1 + s1^2)",
+        f2=f2,
         G1="0.1*eta + 0.02",
         G2="0.03*etai*etaj",
         G3="0.04*beta + 0.01*eta",

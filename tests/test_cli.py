@@ -63,6 +63,20 @@ x0: "0"
 f1: "1/x"
 """
 
+# f2 splits into x * (1/x1), and 1/x1 fails at the first node
+F2_DOMAIN_ERROR_FILE = """\
+horizon: 1
+x0: "t"
+f2: "x/x1"
+"""
+
+# f2 splits into exp(x) * exp(x1), and the iteration overflows
+F2_BLOW_UP_FILE = """\
+horizon: 3
+x0: "1"
+f2: "exp(x)*exp(x1)"
+"""
+
 FORCING_ERROR_FILE = """\
 horizon: 1
 x0: "1/t"
@@ -100,6 +114,7 @@ def files(tmp_path):
         ("exp", EXP_FILE), ("step", STEP_FILE), ("crowded", CROWDED_FILE),
         ("series", SERIES_FILE), ("moving", MOVING_FILE),
         ("blow_up", BLOW_UP_FILE), ("domain_error", DOMAIN_ERROR_FILE),
+        ("f2_blow_up", F2_BLOW_UP_FILE), ("f2_domain_error", F2_DOMAIN_ERROR_FILE),
         ("forcing_error", FORCING_ERROR_FILE), ("series_blow_up", SERIES_BLOW_UP_FILE),
         ("log", LOG_FILE),
     ]:
@@ -217,6 +232,30 @@ class TestSolve:
         assert report["converged"] is False
         assert report["iterations"] == 0
         assert report["notes"] == ["kernel error in sweep 1: division by zero"]
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_factored_f2_domain_error_exits_4(self, capsys, tmp_path, files, method):
+        report_path = tmp_path / "report.yaml"
+        code, _, err = _run(
+            capsys, "solve", files["f2_domain_error"], "--method", method,
+            "--report", str(report_path),
+        )
+        assert code == 4 and "Traceback" not in err
+        report = yaml.safe_load(report_path.read_text())
+        assert report["iterations"] == 0
+        assert report["notes"] == ["kernel error in sweep 1: division by zero"]
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_factored_f2_blow_up_exits_4(self, capsys, tmp_path, files, method):
+        csv_path = tmp_path / "x.csv"
+        code, _, err = _run(
+            capsys, "solve", files["f2_blow_up"], "--method", method,
+            "--out", str(csv_path),
+        )
+        assert code == 4 and "Traceback" not in err
+        assert "diverged: non-finite update" in err
+        _, left, right = read_solution_csv(csv_path)
+        assert left.size and all(map(math.isfinite, [*left, *right]))
 
     @pytest.mark.parametrize("method", ["picard", "segment"])
     def test_forcing_error_exits_4_with_report_only(

@@ -12,6 +12,7 @@ from hybrid_volterra.expressions import (
     ExpressionError,
     KernelExpr,
     estimate_lipschitz,
+    factor,
     parse_kernel,
     symmetrize_second_order,
     zero_kernel,
@@ -261,3 +262,69 @@ class TestEstimateLipschitz:
         k = parse_kernel("x", ("x",))
         with pytest.raises(ValueError):
             estimate_lipschitz(k, "x", {"x": (0.0, 1.0)}, samples=1)
+
+
+class TestFactor:
+    """Sums of products of one factor per variable group, split from the AST."""
+
+    ARITY = ("t", "s", "s1", "x", "x1")
+    GROUPS = (("s", "x"), ("s1", "x1"))
+
+    def _split(self, source):
+        return factor(parse_kernel(source, self.ARITY), self.GROUPS)
+
+    @pytest.mark.parametrize(
+        "source, n_terms",
+        [
+            ("0.05*x*x1/(1 + s1^2)", 1),
+            ("x1", 1),
+            ("x - x1", 2),
+            ("x*x1 + sin(s)*exp(x1)", 2),
+            ("-(x + 2)*(s1 - x1)/(1 + s^2) + 3", 2),
+            ("-(x + x1)*(s1 - 2*s)", 4),
+            ("(x + x1)*(s + s1)*(x - x1)", 8),
+        ],
+    )
+    def test_splits_and_evaluates_alike(self, source, n_terms):
+        terms = self._split(source)
+        assert terms is not None and len(terms) == n_terms
+        for a, b in terms:
+            assert a.free <= {"s", "x"} and b.free <= {"s1", "x1"}
+        rng = np.random.default_rng(0)
+        nodes = {v: rng.uniform(-1.0, 1.0, size=(7, 1)) for v in ("s", "x")}
+        nodes.update({v: rng.uniform(-1.0, 1.0, size=(1, 5)) for v in ("s1", "x1")})
+        whole = parse_kernel(source, self.ARITY).evaluate(nodes)
+        parts = sum(a.evaluate(nodes) * b.evaluate(nodes) for a, b in terms)
+        np.testing.assert_allclose(parts, whole, rtol=1e-14, atol=1e-14)
+
+    def test_mixed_memory_kernel_split(self):
+        [(a, b)] = self._split("0.05*x*x1/(1 + s1^2)")
+        assert (a.to_source(), b.to_source()) == ("0.05 * x", "x1 / (1 + s1^2)")
+        assert a.arity == b.arity == self.ARITY
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "exp(x*x1)",
+            "1/(1 + (s - s1)^2)",
+            "x/(x + x1)",
+            "t*x1",
+            # 16 terms, past the bound
+            "(x + x1)*(x + x1)*(x + x1)*(x + x1)",
+        ],
+    )
+    def test_not_separable(self, source):
+        assert self._split(source) is None
+
+    def test_factor_fails_where_the_kernel_fails(self):
+        [(a, b)] = self._split("x/x1")
+        nodes = {"s": 0.0, "s1": 0.0, "x": np.array([1.0, 2.0]), "x1": np.array([0.0, 1.0])}
+        with pytest.raises(EvaluationError, match="division by zero"):
+            parse_kernel("x/x1", self.ARITY).evaluate(nodes)
+        with pytest.raises(EvaluationError, match="division by zero"):
+            b.evaluate(nodes)
+
+    def test_free_variables_collected_once(self):
+        k = parse_kernel("x*sin(t)", ("t", "s", "x"))
+        assert k.free == frozenset({"t", "x"})
+        assert k.free_variables() is k.free

@@ -7,8 +7,10 @@ from conftest import exp_problem, make_problem, mixed_problem, random_triple
 from hybrid_volterra.contraction import contraction_bounds, find_mu
 from hybrid_volterra.expressions import parse_kernel
 from hybrid_volterra.operator import (
+    EPS,
     HybridProblem,
     SolutionTriple,
+    _sc_eval,
     apply_operator,
     component_deltas,
     default_init,
@@ -16,6 +18,7 @@ from hybrid_volterra.operator import (
     residual,
 )
 from hybrid_volterra.piecewise import PiecewiseFn
+from hybrid_volterra.quadrature import apply_weights, weight_rows
 from hybrid_volterra.schedule import ImpulseSchedule
 
 
@@ -233,3 +236,36 @@ class TestComponentDeltas:
                 component_deltas(apply_operator(p, v1), apply_operator(p, v2), p, mu)
             )
             assert np.all(dout <= A @ din + 1e-3)
+
+
+class TestGTermMask:
+    """The g term against its dense form: the weights of the nodes s with
+    sigma_i(s) below the membership time, zeroed elsewhere."""
+
+    @pytest.mark.parametrize(
+        "sigma, monotone",
+        [("0.5 + 0.55*t", True), ("0.9 + 0.3*sin(4*t)", False)],
+        ids=["nondecreasing", "non-monotone"],
+    )
+    @pytest.mark.parametrize("g", ["0.02*x + 0.01*beta*eta + 0.1*s",
+                                   "0.02*x*t + 0.01*beta*eta"],
+                             ids=["shared", "per-time"])
+    def test_matches_dense_mask(self, sigma, monotone, g):
+        p = make_problem(2.0, tau=(0.3, 1.1), sigma=(sigma,), h=0.05,
+                         panels=16, x0="0", g=g)
+        assert p.sigma_nondecreasing.tolist() == [monotone]
+        rng = np.random.default_rng(7)
+        triple = random_triple(p, rng)
+        times = p.grid.times
+        te = np.concatenate([times, rng.uniform(0.0, 2.0, 20)])
+        for m in (te - EPS, te + EPS):
+            got = _sc_eval(p, triple, te, m, None)
+            sig = p.sigma_grid[0]
+            masked = np.where(sig[None, :] < m[:, None], weight_rows(p.grid, te), 0.0)
+            ref = np.zeros(te.size)
+            for tau_j, eta_j in zip(p.tau, triple.eta):
+                row = p.g.evaluate({"t": te[:, None], "s": times, "sig": sig, "tau": tau_j,
+                                    "x": triple.xi.values, "beta": triple.beta[0].values,
+                                    "eta": eta_j})
+                ref += apply_weights(masked, np.broadcast_to(row, masked.shape)) * (tau_j < m)
+            assert np.max(np.abs(got - ref)) <= 1e-14

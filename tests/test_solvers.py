@@ -16,11 +16,12 @@ from conftest import (
     random_triple,
     step_problem,
 )
-from hybrid_volterra import cli
+from hybrid_volterra import cli, operator, quadrature
 from hybrid_volterra.contraction import contraction_bounds, find_mu, spectral_radius
 from hybrid_volterra.expressions import KernelExpr
 from hybrid_volterra.operator import default_init, jump_at
 from hybrid_volterra.problem_io import LoadedProblem, SolverSettings
+from hybrid_volterra.quadrature import weight_rows
 from hybrid_volterra.solvers import (
     ConvergenceReport,
     SolveReport,
@@ -221,8 +222,14 @@ class TestSolveReport:
         assert rep.rows()[1]["ratio"] == 4.0
 
 
+# f2 of the mixed problem with a memory that does not split into products
+# of a function of (s, x) and one of (s1, x1)
+NON_SEPARABLE_F2 = "0.05*x*x1/(1 + (s - s1)^2)"
+
+
 class TestSharedF2Triangle:
-    """The t-independent f2 triangle is built once per operator application.
+    """A t-independent, non-separable f2 triangle is built once per operator
+    application.
 
     Counted by wrapping ``KernelExpr.evaluate`` and keeping the f2 calls whose
     bindings broadcast over the N x N node grid.
@@ -244,7 +251,7 @@ class TestSharedF2Triangle:
         return passes
 
     def test_picard_one_pass_per_apply_operator(self, monkeypatch):
-        problem = mixed_problem(panels=32)
+        problem = mixed_problem(panels=32, f2=NON_SEPARABLE_F2)
         passes = self._count_f2_passes(monkeypatch, problem)
         _, rep = picard_solve(problem, tol=1e-12, kmax=300)
         assert rep.converged
@@ -252,7 +259,7 @@ class TestSharedF2Triangle:
         assert len(passes) == rep.iterations + 1
 
     def test_segment_one_pass_per_sweep(self, monkeypatch):
-        problem = mixed_problem(panels=32)
+        problem = mixed_problem(panels=32, f2=NON_SEPARABLE_F2)
         passes = self._count_f2_passes(monkeypatch, problem)
         _, rep = segment_solve(problem, tol=1e-12, kmax=300)
         assert rep.converged
@@ -265,7 +272,7 @@ class TestSharedF2Triangle:
         # no trace refresh or final fill: the row built after the last
         # update would feed nothing, so each sweep builds its own
         problem = make_problem(2.0, tau=(1.0,), h=0.5, panels=32,
-                               x0="1", f2="0.5*x1", G1="1")
+                               x0="1", f2="0.5*x1/(1 + (s - s1)^2)", G1="1")
         assert problem.n_sigma == 0 and problem.grid.num_segments == 2
         passes = self._count_f2_passes(monkeypatch, problem)
         _, rep = segment_solve(problem, tol=1e-12, kmax=300)
@@ -274,14 +281,14 @@ class TestSharedF2Triangle:
         assert len(passes) == rep.iterations + 1
 
     def test_jump_at_one_pass(self, monkeypatch):
-        problem = mixed_problem(panels=32)
+        problem = mixed_problem(panels=32, f2=NON_SEPARABLE_F2)
         passes = self._count_f2_passes(monkeypatch, problem)
         triple = default_init(problem)
         jump_at(problem, triple, float(problem.schedule.breakpoints[0]))
         assert len(passes) == 1
 
     def test_jump_at_one_pass_for_all_breakpoints(self, monkeypatch):
-        problem = mixed_problem(panels=32)
+        problem = mixed_problem(panels=32, f2=NON_SEPARABLE_F2)
         passes = self._count_f2_passes(monkeypatch, problem)
         jump_at(problem, default_init(problem), problem.schedule.breakpoints)
         assert len(passes) == 1
@@ -289,7 +296,7 @@ class TestSharedF2Triangle:
     @pytest.mark.parametrize("method", ["picard", "segment"])
     def test_hv_solve_passes(self, monkeypatch, tmp_path, method):
         """A full ``hv solve``: the solver's passes plus one for every jump row."""
-        problem = mixed_problem(panels=32)
+        problem = mixed_problem(panels=32, f2=NON_SEPARABLE_F2)
         passes = self._count_f2_passes(monkeypatch, problem)
         loaded = LoadedProblem("hybrid", problem, SolverSettings(tol=1e-12, kmax=300))
         monkeypatch.setattr(cli, "_load", lambda path, want: loaded)
@@ -303,3 +310,120 @@ class TestSharedF2Triangle:
         sweeps = report["iterations"]
         solver_passes = sweeps + 1 if method == "picard" else sweeps + 2
         assert len(passes) == solver_passes + 1
+
+
+class TestSeparableF2:
+    """A t-free f2 that splits into products takes O(N) inner rows, and
+    t-free kernels take prefix sums: no N x N array is built."""
+
+    @staticmethod
+    def _count_square_evaluations(monkeypatch, problem):
+        n = problem.grid.size
+        squares = []
+        evaluate = KernelExpr.evaluate
+
+        def counting(self, bindings):
+            out = evaluate(self, bindings)
+            if np.shape(out) == (n, n):
+                squares.append(self.source)
+            return out
+
+        monkeypatch.setattr(KernelExpr, "evaluate", counting)
+        return squares
+
+    @staticmethod
+    def _count_weight_rows(monkeypatch):
+        calls = []
+
+        def counting(grid, upper):
+            calls.append(np.size(upper))
+            return weight_rows(grid, upper)
+
+        monkeypatch.setattr(quadrature, "weight_rows", counting)
+        monkeypatch.setattr(operator, "weight_rows", counting)
+        return calls
+
+    def test_mixed_problem_f2_is_factored(self):
+        problem = mixed_problem(panels=32)
+        assert [(a.source, b.source) for a, b in problem.f2_terms] == [
+            ("0.05 * x", "x1 / (1 + s1^2)")
+        ]
+        assert mixed_problem(panels=32, f2=NON_SEPARABLE_F2).f2_terms is None
+
+    @pytest.mark.parametrize("solve", [picard_solve, segment_solve])
+    def test_no_square_kernel_pass(self, monkeypatch, solve):
+        problem = mixed_problem(panels=32)
+        squares = self._count_square_evaluations(monkeypatch, problem)
+        _, rep = solve(problem, tol=1e-12, kmax=300)
+        assert rep.converged and rep.iterations > 0
+        jump_at(problem, default_init(problem), problem.schedule.breakpoints)
+        assert squares == []
+
+    def test_picard_builds_no_weight_rows(self, monkeypatch):
+        problem = mixed_problem(panels=64)
+        calls = self._count_weight_rows(monkeypatch)
+        _, rep = picard_solve(problem, tol=1e-12, kmax=300)
+        assert rep.converged
+        assert calls == []
+
+    def test_t_dependent_kernels_still_build_weight_rows(self, monkeypatch):
+        problem = make_problem(1.0, tau=(0.5,), h=0.4, panels=16, x0="1",
+                               f1="0.4*t*x", f2="0.3*t*x1", G1="0.3")
+        assert problem.f2_terms is None
+        calls = self._count_weight_rows(monkeypatch)
+        _, rep = picard_solve(problem, tol=1e-12, kmax=300)
+        assert rep.converged
+        # per operator application (each sweep and the final residual): the
+        # continuous part's f1 rows and f2 outer rows, reused as f2 inner
+        # rows at the nodes; the fixed-impulse value's f2 outer and inner
+        # rows (its single f1 row is shared)
+        assert len(calls) == 4 * (rep.iterations + 1)
+
+
+def nonmonotone_sigma_problem():
+    """A moving time that rises and falls: sigma(s) < m is no node prefix."""
+    return make_problem(2.0, tau=(0.3,), sigma=("0.9 + 0.3*sin(4*t)",), h=0.05,
+                        panels=64, x0="1", f1="0.1*x",
+                        g="0.02*x + 0.01*beta*eta", G3="0.01*beta")
+
+
+class TestNonMonotoneSigma:
+    """The g term keeps its dense mask where sigma is not monotone.
+
+    The references are this problem's solutions under the dense mask that
+    every g term took before the prefix form, at tol 1e-10: (sweeps, xi at
+    NODES, eta, beta at NODES).
+    """
+
+    NODES = [0, 32, 64, 96, 128, 160, 194]
+    REFERENCE = {
+        "picard": (8, (1.0, 1.0151130648945281, 1.0304545345195624, 1.0576449868970341,
+                       1.0864653228940218, 1.2068859712914917, 1.3082615760132157),
+                   1.0304545345195624,
+                   (1.1089270301356993, 1.1432227787715472, 1.1692650797905955,
+                    1.1576085826360223, 1.0997942160309992, 1.0719542360426995,
+                    1.1756812681548012)),
+        "segment": (21, (1.0, 1.0151130648945281, 1.0304545345195582, 1.0576449868970341,
+                         1.0864653228940138, 1.2068859712917381, 1.3082615760206155),
+                    1.0304545345195582,
+                    (1.1089270301357015, 1.1432227787715628, 1.1692650797906445,
+                     1.157608582636053, 1.0997942160310001, 1.0719542360426997,
+                     1.1756812681548623)),
+    }
+
+    def test_sigma_is_flagged_non_monotone(self):
+        problem = nonmonotone_sigma_problem()
+        assert problem.grid.size == 195
+        assert problem.sigma_nondecreasing.tolist() == [False]
+        assert mixed_problem(panels=32).sigma_nondecreasing.tolist() == [True]
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_solution_matches_dense_mask_reference(self, method):
+        problem = nonmonotone_sigma_problem()
+        solve = picard_solve if method == "picard" else segment_solve
+        triple, rep = solve(problem, tol=1e-10)
+        sweeps, xi, eta, beta = self.REFERENCE[method]
+        assert rep.converged and rep.iterations == sweeps
+        assert np.max(np.abs(triple.xi.values[self.NODES] - xi)) <= 1e-12
+        assert abs(triple.eta[0] - eta) <= 1e-12
+        assert np.max(np.abs(triple.beta[0].values[self.NODES] - beta)) <= 1e-12

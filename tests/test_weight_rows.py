@@ -110,3 +110,51 @@ def test_weight_rows_are_trapezoid_weights():
     for e, u in enumerate(upper):
         beyond = np.flatnonzero(GRID.times > u + 1e-12)
         assert np.all(W[e, beyond[1:]] == 0.0)
+
+
+def _all_uppers(grid, rng):
+    """``_uppers`` plus both duplicated nodes of every breakpoint."""
+    w = grid.panels + 1
+    dup = [i for l in range(1, grid.num_segments) for i in (l * w - 1, l * w)]
+    return np.concatenate([_uppers(grid, rng), grid.times[dup]])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_row_prefix_matches_weight_rows(seed):
+    rng = np.random.default_rng(10 + seed)
+    upper = _all_uppers(GRID, rng)
+    row = rng.normal(size=GRID.size)
+    got = integrate_to(GRID, row, upper)
+    ref = apply_weights(weight_rows(GRID, upper), np.tile(row, (upper.size, 1)))
+    assert np.max(np.abs(got - ref)) <= TOL
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-limit"])
+def test_kept_nodes_match_dense_mask(shared):
+    """``keep`` cuts the integrand as the dense mask of node indices does."""
+    rng = np.random.default_rng(20)
+    upper = _all_uppers(GRID, rng)
+    base = GRID.locate(upper, side="left")
+    base = base[0] * (GRID.panels + 1) + base[1]
+    # around the limit's own nodes, and far on either side
+    keep = np.concatenate([np.maximum(base - 1, 0), base, base + 1, base + 2,
+                           [0, GRID.size]])
+    upper = np.concatenate([upper] * 4 + [upper[:2]])
+    rows = rng.normal(size=(1 if shared else upper.size, GRID.size))
+    got = integrate_to(GRID, rows[0] if shared else rows, upper, keep)
+    kept = np.arange(GRID.size)[None, :] < keep[:, None]
+    ref = apply_weights(np.where(kept, weight_rows(GRID, upper), 0.0),
+                        np.broadcast_to(rows, kept.shape))
+    assert np.max(np.abs(got - ref)) <= TOL
+
+
+def test_shared_row_non_finite_values_raise_no_warning():
+    """An overflowed integrand gives a non-finite integral, silently."""
+    row = np.ones(GRID.size)
+    row[5] = np.inf
+    row[30] = -np.inf
+    upper = GRID.times[[0, 3, 6, 38]]
+    got = integrate_to(GRID, row, upper)
+    assert np.isfinite(got[:2]).all() and not np.isfinite(got[2:]).any()
+    kept = integrate_to(GRID, row, upper, np.array([0, 4, 5, 5]))
+    assert np.isfinite(kept).all()
