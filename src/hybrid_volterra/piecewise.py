@@ -8,6 +8,12 @@ limit is stored separately.  A :class:`Grid` fixes the partition
 ``m`` panels (``m + 1`` nodes), so both one-sided values at an interior
 breakpoint are represented: the last node of the segment ending there and
 the first node of the segment starting there share the same time.
+
+Where a batch of times falls on the grid (segment, node offset, fraction
+of a panel) is computed once per grid and time set: :meth:`Grid.locate`
+and the quadrature cuts built on it are kept in a small per-grid memo
+keyed by the times' values, so every interpolation and integral at the
+same times within a solve reuses one answer.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ import numpy as np
 from .expressions import KernelExpr, parse_kernel
 
 _TIME_TOL = 1e-10
+# entries of a grid's memo of located time sets; a solve uses a few dozen
+# at most (the segment march 16), so a full memo is cleared, not evicted
+_MEMO_SIZE = 64
+_SIDES = ("left", "right")
 
 
 class NonFiniteValues(ValueError):
@@ -28,11 +38,18 @@ class NonFiniteValues(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Shared sample grid: a partition of [0, T] and per-segment nodes."""
+    """Shared sample grid: a partition of [0, T] and per-segment nodes.
+
+    ``weights`` holds the composite trapezoid weight of every node over its
+    whole segment: half a step at both ends of a segment, a whole step
+    inside.
+    """
 
     partition: np.ndarray
     panels: int
     times: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    _memo: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         part = np.asarray(self.partition, dtype=float)
@@ -50,6 +67,12 @@ class Grid:
             [part[l] + unit * (part[l + 1] - part[l]) for l in range(part.size - 1)]
         )
         object.__setattr__(self, "times", times)
+        step = np.diff(part) / self.panels
+        weights = np.repeat(step, self.panels + 1).reshape(part.size - 1, self.panels + 1)
+        weights[:, [0, -1]] *= 0.5
+        weights = weights.reshape(-1)
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def horizon(self) -> float:
@@ -69,17 +92,25 @@ class Grid:
 
     def segment_of(self, t: np.ndarray, side: str = "left") -> np.ndarray:
         """Segment index containing each time; breakpoints resolve by ``side``."""
+        _check_side(side)
         t = np.asarray(t, dtype=float)
         if np.any(t < -_TIME_TOL) or np.any(t > self.horizon + _TIME_TOL):
             bad = t[(t < -_TIME_TOL) | (t > self.horizon + _TIME_TOL)]
             raise ValueError(f"time {float(np.ravel(bad)[0])} outside [0, {self.horizon}]")
-        mode = "left" if side == "left" else "right"
-        idx = np.searchsorted(self.partition[1:-1], t, side=mode)
+        idx = np.searchsorted(self.partition[1:-1], t, side=side)
         return np.clip(idx, 0, self.num_segments - 1)
 
     def locate(self, t, side: str = "left"):
-        """Map times to (segment, node offset, fraction) for interpolation."""
+        """Map times to (segment, node offset, fraction) for interpolation.
+
+        The arrays are read-only and shared by every call with the same
+        times and ``side``.
+        """
+        _check_side(side)
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        return self.memoized(side, t, lambda: self._locate(t, side))
+
+    def _locate(self, t: np.ndarray, side: str):
         seg = self.segment_of(t, side)
         a = self.partition[seg]
         b = self.partition[seg + 1]
@@ -87,6 +118,29 @@ class Grid:
         j = np.minimum(theta.astype(int), self.panels - 1)
         frac = theta - j
         return seg, j, frac
+
+    def memoized(self, kind: str, t: np.ndarray, build):
+        """The arrays ``build()`` returns, kept per ``kind`` and values of ``t``.
+
+        The key is the shape and bytes of the float array ``t``, so a
+        caller that later changes its array gets no stale answer.  The
+        arrays are made read-only; a full memo is cleared.
+        """
+        key = (kind, t.shape, t.tobytes())
+        found = self._memo.get(key)
+        if found is None:
+            found = build()
+            for a in found:
+                a.setflags(write=False)
+            if len(self._memo) >= _MEMO_SIZE:
+                self._memo.clear()
+            self._memo[key] = found
+        return found
+
+
+def _check_side(side: str) -> None:
+    if side not in _SIDES:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def uniform_grid(horizon: float, panels: int = 256, interior: Sequence[float] = ()) -> Grid:

@@ -45,6 +45,14 @@ from .schedule import ImpulseSchedule
 from .series import SeriesProblem
 
 
+# libyaml's C loader and dumper when PyYAML was built with it: the same
+# documents and bytes as the pure-Python classes, several times faster
+if yaml.__with_libyaml__:
+    _Loader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    _Loader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
+
+
 class ProblemFileError(ValueError):
     """A problem file that cannot be parsed or fails validation."""
 
@@ -223,7 +231,7 @@ def load_problem_file(path) -> LoadedProblem:
     except OSError as exc:
         raise ProblemFileError(f"{path}: {exc.strerror or exc}") from None
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ProblemFileError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(doc, dict):
@@ -295,7 +303,9 @@ def to_builtin(obj):
 
 
 def dump_report(data: dict) -> str:
-    return yaml.safe_dump(to_builtin(data), sort_keys=False, default_flow_style=False)
+    return yaml.dump(
+        to_builtin(data), Dumper=_Dumper, sort_keys=False, default_flow_style=False
+    )
 
 
 def write_report(path, data: dict) -> None:

@@ -7,10 +7,13 @@ nothing.
 
 An integral from 0 to an upper limit u is a fixed linear functional of the
 node values.  It is the grid's vector of full-segment trapezoid weights
-(half a step at both ends of a segment, a whole step inside) summed over
-the nodes before the last node at or below u, plus that node's and the
-next node's weights in the panels up to u, with the integrand linearly
-interpolated on the partial panel.  The functions:
+(``Grid.weights``: half a step at both ends of a segment, a whole step
+inside) summed over the nodes before the last node at or below u, plus
+that node's and the next node's weights in the panels up to u, with the
+integrand linearly interpolated on the partial panel.  That cut of a set
+of limits is computed once per grid and limit set, in the grid's memo
+(:meth:`~.piecewise.Grid.memoized`), and reused by every later integral
+to the same limits.  The functions:
 
 * :func:`integrate_to` -- the one entry point.  A row shared by every
   limit takes a prefix sum of the weighted row, read at each limit's node:
@@ -38,27 +41,29 @@ from .piecewise import Grid
 
 
 def _limits(grid: Grid, upper: np.ndarray):
-    """Trapezoid weights of the grid, and where each upper limit cuts them.
+    """Where each upper limit cuts the grid's trapezoid weights.
 
-    Returns ``(full, base, lo, hi)``: the integral to ``upper[e]`` is
-    ``full`` summed over the nodes before ``base[e]``, plus ``lo[e]`` times
-    the integrand at ``base[e]`` and ``hi[e]`` times it at ``base[e] + 1``.
-    A limit at a breakpoint ends in the segment to its left.
+    Returns read-only ``(base, lo, hi)``, shared by every call with the
+    same limits: the integral to ``upper[e]`` is ``grid.weights`` summed
+    over the nodes before ``base[e]``, plus ``lo[e]`` times the integrand
+    at ``base[e]`` and ``hi[e]`` times it at ``base[e] + 1``.  A limit at a
+    breakpoint ends in the segment to its left.
     """
+    return grid.memoized("limits", upper, lambda: _cut(grid, upper))
+
+
+def _cut(grid: Grid, upper: np.ndarray):
     m = grid.panels
-    step = np.diff(grid.partition) / m
-    full = np.repeat(step, m + 1).reshape(grid.num_segments, m + 1)
-    full[:, [0, -1]] *= 0.5
-    full = full.reshape(-1)
+    full = grid.weights
     seg, j, frac = grid.locate(upper, side="left")
     base = seg * (m + 1) + j
-    h = step[seg]
+    h = (np.diff(grid.partition) / m)[seg]
     # the node at base carries a whole panel (half one at a segment start)
     # in ``full``; keep half a panel for the trapezoid up to that node, then
     # add the partial panel [t_base, upper] split between base and base + 1
     lo = full[base] + (-0.5 * h + 0.5 * frac * h * (2.0 - frac))
     hi = 0.5 * frac * frac * h
-    return full, base, lo, hi
+    return base, lo, hi
 
 
 def weight_rows(grid: Grid, upper: np.ndarray) -> np.ndarray:
@@ -67,15 +72,15 @@ def weight_rows(grid: Grid, upper: np.ndarray) -> np.ndarray:
     A limit at a breakpoint ends in the segment to its left.
     """
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    full, base, lo, hi = _limits(grid, upper)
-    # row e keeps ``full`` before node base_e: the window of N entries of
-    # [1] * N + [0] * N that holds base_e ones, gathered as a copy
+    base, lo, hi = _limits(grid, upper)
+    # row e keeps the grid's weights before node base_e: the window of N
+    # entries of [1] * N + [0] * N that holds base_e ones, gathered as a copy
     N = grid.size
     ones_then_zeros = np.repeat([1.0, 0.0], N)
     item = ones_then_zeros.itemsize
     windows = np.ndarray((N + 1, N), buffer=ones_then_zeros, strides=(item, item))
     W = windows[N - base]
-    W *= full
+    W *= grid.weights
     r = np.arange(upper.size)
     W[r, base] = lo
     W[r, base + 1] = hi
@@ -122,9 +127,9 @@ def integrate_to(
             rows = np.where(np.arange(N) < np.asarray(keep)[:, None], rows, 0.0)
         return apply_weights(weight_rows(grid, upper), rows)
     row = np.broadcast_to(rows[0], N)
-    full, base, lo, hi = _limits(grid, upper)
+    base, lo, hi = _limits(grid, upper)
     with np.errstate(invalid="ignore", over="ignore"):
-        prefix = np.concatenate([[0.0], np.cumsum(full * row)])
+        prefix = np.concatenate([[0.0], np.cumsum(grid.weights * row)])
         at_base, after = lo * row[base], hi * row[base + 1]
         if keep is None:
             return prefix[base] + at_base + after

@@ -1,0 +1,141 @@
+"""The per-grid memo of located time sets.
+
+``Grid.locate`` and the quadrature cuts (``quadrature._limits``) are
+computed once per grid and time set.  The memo must be invisible: cached
+arrays cannot be written, keys are the times' values so a caller that
+changes its array gets a fresh answer, the memo stays within its bound, and
+a grid that has answered many calls gives the same bits as a fresh one.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import mixed_problem
+from hybrid_volterra import piecewise
+from hybrid_volterra.piecewise import Grid, PiecewiseFn, uniform_grid
+from hybrid_volterra.quadrature import _limits, integrate_to, weight_rows
+from hybrid_volterra.solvers import picard_solve, segment_solve
+
+
+def _grid():
+    return uniform_grid(2.0, panels=12, interior=[0.35, 1.2])
+
+
+def _fresh(grid):
+    return Grid(grid.partition, grid.panels)
+
+
+def _uppers(grid, rng):
+    """Random times plus 0, the horizon, every breakpoint and both of its nodes."""
+    ends = np.arange(1, grid.num_segments) * (grid.panels + 1)
+    return np.concatenate(
+        [
+            rng.uniform(0.0, grid.horizon, 10),
+            [0.0, grid.horizon],
+            grid.partition[1:-1],
+            grid.times[ends - 1],  # the last node of the segment on the left
+            grid.times[ends],  # the first node of the segment on the right
+        ]
+    )
+
+
+def test_cached_arrays_are_read_only():
+    grid = _grid()
+    upper = np.array([0.1, 0.35, 1.9])
+    for arrays in (grid.locate(upper), grid.locate(upper, side="right"),
+                   _limits(grid, upper)):
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+    assert not grid.weights.flags.writeable
+
+
+def test_changing_the_callers_array_changes_the_answer():
+    grid = _grid()
+    rng = np.random.default_rng(0)
+    row = rng.normal(size=grid.size)
+    fn = PiecewiseFn(grid, row)
+    upper = np.array([0.1, 0.35, 1.9])
+    integrate_to(grid, row, upper)
+    fn.eval(upper)
+    upper[:] = [0.2, 1.2, 2.0]
+    fresh = _fresh(grid)
+    assert np.array_equal(integrate_to(grid, row, upper),
+                          integrate_to(fresh, row, upper))
+    assert np.array_equal(fn.eval(upper), PiecewiseFn(fresh, row).eval(upper))
+
+
+def test_memo_stays_within_its_bound():
+    grid = _grid()
+    fn = PiecewiseFn(grid, np.arange(grid.size, dtype=float))
+    for k in range(1000):
+        fn.eval(np.array([k / 1000.0, 1.5]))
+        assert len(grid._memo) <= piecewise._MEMO_SIZE
+    assert grid._memo
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reused_grid_matches_fresh_grid_bit_for_bit(seed):
+    grid = _grid()
+    rng = np.random.default_rng(seed)
+    upper = _uppers(grid, rng)
+    row = rng.normal(size=grid.size)
+    rows = rng.normal(size=(upper.size, grid.size))
+    keep = rng.integers(0, grid.size + 1, upper.size)
+    fn = PiecewiseFn(grid, row)
+
+    def results(g):
+        f = PiecewiseFn(g, row)
+        return [
+            integrate_to(g, row, upper),
+            integrate_to(g, row, upper, keep),
+            integrate_to(g, rows, upper),
+            integrate_to(g, rows, upper, keep),
+            weight_rows(g, upper),
+            f.eval(upper),
+            f.eval_right(upper),
+        ]
+
+    # fill the memo with these times and others, then ask again
+    first = results(grid)
+    for k in range(5):
+        integrate_to(grid, row, upper[: k + 1])
+        fn.eval(upper[k:])
+    again = results(grid)
+    expected = results(_fresh(grid))
+    for a, b, c in zip(first, again, expected):
+        assert a.tobytes() == c.tobytes()
+        assert b.tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("solve,limit", [(picard_solve, 3), (segment_solve, 8)],
+                         ids=["picard", "segment"])
+def test_each_time_set_is_located_once(monkeypatch, solve, limit):
+    """The segment searches of a solve do not grow with its sweep count."""
+    calls = []
+    segment_of = Grid.segment_of
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return segment_of(self, *args, **kwargs)
+
+    monkeypatch.setattr(Grid, "segment_of", counted)
+    counts = []
+    for tol in (1e-6, 1e-12):
+        calls.clear()
+        _, report = solve(mixed_problem(128), tol=tol)
+        assert report.converged
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= limit
+
+
+@pytest.mark.parametrize("side", ["lft", "Left", "", None])
+def test_unknown_side_is_rejected(side):
+    grid = _grid()
+    t = np.array([0.35])
+    with pytest.raises(ValueError, match="side"):
+        grid.locate(t, side=side)
+    with pytest.raises(ValueError, match="side"):
+        grid.segment_of(t, side=side)
+    assert not grid._memo

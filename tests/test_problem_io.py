@@ -1,12 +1,14 @@
 """Problem files, CSV solution tables, and report dumps."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from conftest import step_problem
+from hybrid_volterra import cli, problem_io
 from hybrid_volterra.problem_io import (
     ProblemFileError,
     dump_report,
@@ -44,6 +46,16 @@ horizon: 0.5
 y0: "1"
 kernels: ["x1", "x1*x2"]
 lipschitz: [1.0, 2.5]
+"""
+
+
+ROOT = Path(__file__).resolve().parents[1]
+PROBLEM_FILES = sorted((ROOT / "problems").glob("*.yaml"))
+
+BLOW_UP_FILE = """\
+horizon: 3
+x0: "1"
+f1: "exp(x)"
 """
 
 
@@ -273,3 +285,53 @@ class TestReports:
         assert yaml.safe_load(path.read_text()) == {
             "converged": True, "iterations": 4,
         }
+
+
+def _pure_dump(data):
+    """The report text of PyYAML's pure-Python dumper."""
+    return yaml.dump(to_builtin(data), Dumper=yaml.SafeDumper,
+                     sort_keys=False, default_flow_style=False)
+
+
+def _reports(monkeypatch, tmp_path, *argv):
+    """The report mappings one ``hv`` command hands to ``write_report``."""
+    seen = []
+    monkeypatch.setattr(cli, "write_report", lambda path, data: seen.append(data))
+    with pytest.raises(SystemExit):
+        cli.main([*argv, "--report", str(tmp_path / "report.yaml")])
+    assert seen
+    return seen
+
+
+class TestLibyaml:
+    """The C loader and dumper, when present, match the pure-Python ones."""
+
+    @pytest.mark.parametrize("path", PROBLEM_FILES, ids=lambda p: p.stem)
+    def test_problem_files_load_equal(self, path):
+        text = path.read_text()
+        assert yaml.load(text, Loader=problem_io._Loader) == yaml.safe_load(text)
+
+    @pytest.mark.parametrize("path", PROBLEM_FILES, ids=lambda p: p.stem)
+    def test_solve_reports_dump_identical(self, monkeypatch, tmp_path, path):
+        command = "series-solve" if path.stem.startswith("series") else "solve"
+        for data in _reports(monkeypatch, tmp_path, command, str(path)):
+            assert dump_report(data) == _pure_dump(data)
+
+    def test_failure_report_dumps_identical(self, monkeypatch, tmp_path):
+        path = tmp_path / "blow_up.yaml"
+        path.write_text(BLOW_UP_FILE)
+        (data,) = _reports(monkeypatch, tmp_path, "solve", str(path))
+        assert any(n.startswith("diverged: non-finite update") for n in data["notes"])
+        assert dump_report(data) == _pure_dump(data)
+
+    def test_long_notes_dump_identical(self):
+        data = {
+            "notes": [
+                "a note that is longer than eighty characters, so the dumper "
+                "folds it: it holds a colon, 'quotes' and \"double quotes\"",
+                "x" * 120,
+                "word " * 30,
+            ]
+        }
+        assert max(map(len, data["notes"])) > 80
+        assert dump_report(data) == _pure_dump(data)
