@@ -15,9 +15,10 @@ and impulse sums.  The pieces:
   one row per limit by weight rows in O(E N); plus cumulative integrals
   to every node and cube integrals;
 - :mod:`.operator` -- the fixed-point operator and its three components;
-  a sweep costs O(N) for t-free kernels whose f2 splits into products of
-  a factor in (s, x) and one in (s1, x1), O(N^2) for any other t-free f2
-  and O(N^3) when f2 references t;
+  each memory kernel is split into time factors times node rows, so a
+  sweep costs O(N) for every kernel that splits, O(N^2) for a t-free f2
+  that does not, O(E N) for an f1 or g that references t and does not,
+  and O(N^3) only for such an f2;
 - :mod:`.solvers` -- global and segment-marching iteration, plus
   resolution studies;
 - :mod:`.contraction` -- bound matrices, the cubic-root criterion, and

@@ -27,24 +27,26 @@ earlier or later (:func:`jump_at`).
 
 Quadrature nodes coincide with grid nodes, so xi and beta_i enter the
 integrands by their stored node values; only x0, sigma_i and the t argument
-see off-node times.  A kernel that does not reference t gives one node row
-shared by every evaluation time, integrated by prefix sums in O(N + E)
-(:func:`~.quadrature.integrate_to`); the g rows are cut where sigma_i
-reaches the membership time, a prefix of the nodes when sigma_i is
-nondecreasing on the grid (checked once per problem) and a dense mask
-otherwise.  A kernel that references t gives one row per time and takes
-O(E N) weight rows.
+see off-node times.  When the problem is built, each of f1, f2 and g is
+split into a sum of time factors c_r(t) times factors free of t
+(:func:`~.expressions.factor`; a t-free kernel is its own single term), so
+its integral to t is sum_r c_r(t) times the integral of a node row shared
+by every evaluation time: prefix sums, O(1) per time once built.  The g
+rows are cut where sigma_i reaches the membership time, a prefix of the
+nodes when sigma_i is nondecreasing on the grid (checked once per problem)
+and a dense mask otherwise.  A kernel that references t and does not split
+gives one row per time and takes O(E N) weight rows.
 
-One thing is precomputed: the inner f2 integral at every node, a function
-of xi alone unless f2 references t.  :func:`_f2_rows` builds it once per
-continuous part and every evaluation of that part takes it as an argument.
-When f2 splits into a sum of products a_r(s, x) b_r(s1, x1)
-(:func:`~.expressions.factor`, once per problem) it is
-sum_r a_r(s) * cumulative integral of b_r(s1), O(N) per term; otherwise it
-costs one N x N kernel pass.  A sweep is therefore O(N) for t-free
-separable kernels, O(N^2) for a non-separable f2 and O(N^3) when f2
-references t.  Picard, the segment march and :func:`jump_at` reach the
-formula through the same two membership helpers.
+One thing is precomputed per continuous part xi: :func:`_memory`, the f1
+rows a_r(s, xi(s)) and the f2 rows of inner integrals, with their prefix
+sums.  When f2 splits into a sum of products c_r(t) a_r(s, x) b_r(s1, x1)
+its row is a_r(s) * cumulative integral of b_r(s1), O(N) per term; a t-free
+f2 that does not split costs one N x N kernel pass.  Every evaluation of
+that part takes the memory as an argument.  A sweep is therefore O(N) when
+every memory kernel splits, O(N^2) for a t-free f2 that does not, O(E N)
+for an f1 or g that references t and does not, and O(N^3) only for such
+an f2.  Picard, the segment march and :func:`jump_at` reach the formula
+through the same two membership helpers.
 """
 
 from __future__ import annotations
@@ -61,7 +63,14 @@ from .piecewise import (
     norm_discrete,
     norm_mixed,
 )
-from .quadrature import apply_weights, integrate_to, node_cumulative, weight_rows
+from .quadrature import (
+    apply_weights,
+    integrate_to,
+    node_cumulative,
+    read_prefix,
+    row_prefix,
+    weight_rows,
+)
 from .schedule import MERGE_TOL, ImpulseSchedule
 from .contraction import LipschitzSet
 
@@ -77,8 +86,11 @@ ARITIES: dict[str, tuple[str, ...]] = {
     "g": ("t", "s", "sig", "tau", "x", "beta", "eta"),
 }
 
-# the variables of the outer and of the inner integral of f2
+# the variables, besides t, of each memory kernel's integrand: f2's outer
+# and inner integral are separate groups
+F1_GROUPS = (("s", "x"),)
 F2_GROUPS = (("s", "x"), ("s1", "x1"))
+G_GROUPS = (("s", "sig", "tau", "x", "beta", "eta"),)
 
 
 def _coerce(name: str, value) -> KernelExpr:
@@ -96,14 +108,41 @@ def _coerce(name: str, value) -> KernelExpr:
     raise TypeError(f"kernel {name} must be a string or KernelExpr")
 
 
+def _time_split(kernel: KernelExpr, groups) -> list[tuple] | None:
+    """``kernel`` as terms ``(c, a_1, ...)`` with sum of c(t) * a_1 * ... equal to it.
+
+    A kernel that references t is factored over ``("t",)`` and ``groups``
+    (:func:`~.expressions.factor`); c may then be the constant 1.  A t-free
+    kernel has c None and is factored over ``groups`` alone, a single group
+    keeping it whole, so a bare constant stays in its node row.  [] for the
+    zero kernel, None when the kernel does not split.
+    """
+    if kernel.is_zero:
+        return []
+    if kernel.references("t"):
+        return factor(kernel, (("t",),) + groups)
+    if len(groups) == 1:
+        return [(None, kernel)]
+    terms = factor(kernel, groups)
+    return None if terms is None else [(None,) + term for term in terms]
+
+
 @dataclass(frozen=True)
 class HybridProblem:
     """A full problem instance: kernels, impulse schedule, sample grid.
 
     Derived once, when the problem is built: ``tau``; ``sigma_grid``, each
     moving time at the grid nodes; ``sigma_nondecreasing``, per moving time
-    whether those values never decrease; ``f2_terms``, a t-free f2 split
-    over :data:`F2_GROUPS` by :func:`~.expressions.factor`, else None.
+    whether those values never decrease; ``f1_terms``, ``f2_terms`` and
+    ``g_terms``, each memory kernel split into time factors c(t) times
+    factors over :data:`F1_GROUPS`, :data:`F2_GROUPS` or :data:`G_GROUPS`
+    (:func:`_time_split`; None when it does not split).
+
+    The split sets the cost of a sweep in N, the number of grid nodes: O(N)
+    when every memory kernel splits; O(N^2) for an f2 that does not
+    reference t and does not split (one N x N kernel pass); O(E N) for E
+    evaluation times when f1 or g references t and does not split; O(N^3)
+    only for an f2 that references t and does not split.
     """
 
     x0: KernelExpr
@@ -131,9 +170,9 @@ class HybridProblem:
         object.__setattr__(
             self, "sigma_nondecreasing", np.all(np.diff(sigma_grid, axis=1) >= 0, axis=1)
         )
-        f2 = self.f2
-        split = not f2.is_zero and not f2.references("t")
-        object.__setattr__(self, "f2_terms", factor(f2, F2_GROUPS) if split else None)
+        object.__setattr__(self, "f1_terms", _time_split(self.f1, F1_GROUPS))
+        object.__setattr__(self, "f2_terms", _time_split(self.f2, F2_GROUPS))
+        object.__setattr__(self, "g_terms", _time_split(self.g, G_GROUPS))
 
     @classmethod
     def build(
@@ -186,9 +225,7 @@ class SolutionTriple:
         object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
         object.__setattr__(self, "beta", tuple(self.beta))
         for b in self.beta:
-            if b.grid is not self.xi.grid and not np.array_equal(
-                b.grid.times, self.xi.grid.times
-            ):
+            if b.grid != self.xi.grid:
                 raise ValueError("beta traces must live on the same grid as xi")
 
     def beta_rows(self) -> np.ndarray:
@@ -220,34 +257,46 @@ def default_init(problem: HybridProblem) -> SolutionTriple:
 # Core evaluation
 
 
-def _f2_rows(problem: HybridProblem, xi: np.ndarray) -> np.ndarray | None:
-    """Inner f2 integrals of the continuous part ``xi``, one per node.
+def _memory(problem: HybridProblem, xi: np.ndarray) -> list[tuple]:
+    """The f1 and f2 integrands of the continuous part ``xi`` as node rows.
 
-    Entry k integrates f2 over s1 in [0, s_k] at the node s = s_k and
-    depends on ``xi`` alone.  A factored f2 (``problem.f2_terms``) costs
-    O(N) per term, any other one N x N kernel pass.  None when f2 is zero
-    or references t, since then the inner integrals depend on the
-    evaluation time and :func:`_sc_eval` builds them per time.
+    One ``(c, row, prefix)`` per time factor c of ``problem.f1_terms`` and
+    ``problem.f2_terms`` (the t-free terms of a kernel summed into one row
+    with c None): the f1 integral to time t is c(t) times the integral of
+    ``row`` to t, and so is the f2 double integral, whose row holds the
+    inner integrals a_r(s) * (integral of b_r to s).  ``prefix`` is the
+    row's :func:`~.quadrature.row_prefix`, so every evaluation time costs
+    O(1) per entry.  A t-free f2 that does not split gives its row of inner
+    integrals by one N x N kernel pass.  Built once per continuous part and
+    passed to every evaluation of it; a kernel that references t and does
+    not split is left to :func:`_sc_eval`.
     """
-    f2 = problem.f2
-    if f2.is_zero or f2.references("t"):
-        return None
     grid = problem.grid
     times = grid.times
-    if problem.f2_terms is not None:
-        # each factor references one group, so one binding serves both
-        nodes = {"s": times, "x": xi, "s1": times, "x1": xi}
-        factors = [(a.evaluate(nodes), b.evaluate(nodes)) for a, b in problem.f2_terms]
-        rows = np.zeros(times.size)
+    # each factor references one group, so one binding serves them all
+    nodes = {"s": times, "x": xi, "s1": times, "x1": xi}
+    rows = []
+    for c, a in problem.f1_terms or ():
+        rows.append((c, np.broadcast_to(a.evaluate(nodes), times.shape)))
+    f2 = problem.f2
+    if problem.f2_terms:
+        factors = [(c, a.evaluate(nodes), b.evaluate(nodes)) for c, a, b in problem.f2_terms]
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite: caught by the solver
-            for a, b in factors:
-                rows += a * node_cumulative(grid, np.broadcast_to(b, times.shape))
-        return rows
-    F = f2.evaluate(
-        {"t": 0.0, "s": times[:, None], "s1": times[None, :],
-         "x": xi[:, None], "x1": xi[None, :]}
-    )
-    return apply_weights(weight_rows(grid, times), F)
+            inner = [
+                (c, a * node_cumulative(grid, np.broadcast_to(b, times.shape)))
+                for c, a, b in factors
+            ]
+            if f2.references("t"):
+                rows += inner
+            else:
+                rows.append((None, sum(row for _, row in inner)))
+    elif problem.f2_terms is None and not f2.references("t"):
+        F = f2.evaluate(
+            {"t": 0.0, "s": times[:, None], "s1": times[None, :],
+             "x": xi[:, None], "x1": xi[None, :]}
+        )
+        rows.append((None, apply_weights(weight_rows(grid, times), F)))
+    return [(c, row, row_prefix(grid, row)) for c, row in rows]
 
 
 def _sc_eval(
@@ -255,13 +304,13 @@ def _sc_eval(
     triple: SolutionTriple,
     eval_times: np.ndarray,
     memb_times: np.ndarray,
-    f2_rows: np.ndarray | None,
+    memory: list[tuple],
     sigma_at_eval: np.ndarray | None = None,
     beta_at_eval: np.ndarray | None = None,
 ) -> np.ndarray:
     """The operator formula at ``eval_times`` with memberships ``memb_times``.
 
-    ``f2_rows`` is :func:`_f2_rows` of the continuous part of ``triple``.
+    ``memory`` is :func:`_memory` of the continuous part of ``triple``.
     ``sigma_at_eval`` / ``beta_at_eval`` carry sigma_i and beta_i already
     evaluated at the evaluation times (shape (n_sigma, E)); they exist so
     node-aligned callers can supply the stored one-sided values instead of
@@ -269,7 +318,8 @@ def _sc_eval(
     its left-limit convention.
 
     Shared integrand rows are integrated by prefix sums; the weight rows
-    of the evaluation times are built only when f2 references t.
+    of the evaluation times are built only for a kernel that references t
+    and does not split.
     """
     grid = problem.grid
     te = np.asarray(eval_times, dtype=float)
@@ -298,15 +348,22 @@ def _sc_eval(
         np.asarray(problem.x0.evaluate({"t": te}), dtype=float), te.shape
     ).astype(float, copy=True)
 
-    if not problem.f1.is_zero:
+    for c, row, prefix in memory:
+        part = read_prefix(grid, prefix, row, te)
+        if c is not None:
+            c_at = c.evaluate({"t": te})
+            with np.errstate(invalid="ignore", over="ignore"):
+                part = c_at * part
+        out += part
+
+    if problem.f1_terms is None:
+        # f1 references t and does not split: one row per evaluation time
         w = problem.f1.evaluate({"t": te[:, None], "s": times[None, :], "x": xi[None, :]})
         out += integrate_to(grid, w, te)
 
-    if f2_rows is not None:
-        # outer integrand: the inner integral up to s, one shared row
-        out += integrate_to(grid, f2_rows, te)
-    elif not problem.f2.is_zero:
-        # f2 references t: one row of inner integrals per evaluation time
+    if problem.f2_terms is None and problem.f2.references("t"):
+        # f2 references t and does not split: one row of inner integrals
+        # per evaluation time
         W = weight_rows(grid, te)
         node_weights = W if np.array_equal(te, times) else weight_rows(grid, times)
         inner = np.empty((E, times.size))
@@ -342,9 +399,12 @@ def _sc_eval(
         out += np.sum(vals * mask, axis=1)
 
     if g_active:
-        # node rows of g for each (sigma_i, tau_j) pair: one shared row when
-        # g does not reference t, else one row per evaluation time; only the
-        # nodes s with sigma_i(s) inside the membership count
+        # node rows of g's factors for each (sigma_i, tau_j) pair, shared by
+        # every evaluation time and scaled by their time factors; one row
+        # per evaluation time when g references t and does not split; only
+        # the nodes s with sigma_i(s) inside the membership count
+        terms = problem.g_terms if problem.g_terms is not None else [(None, problem.g)]
+        c_at = [None if c is None else c.evaluate({"t": te}) for c, _ in terms]
         beta_rows = triple.beta_rows()
         for i in range(n_sigma):
             sig = problem.sigma_grid[i]
@@ -355,20 +415,17 @@ def _sc_eval(
             else:
                 gate = sig[None, :] < m[:, None]
             for tau_j, eta_j in zip(tau, eta):
-                row = problem.g.evaluate(
-                    {
-                        "t": te[:, None],
-                        "s": times[None, :],
-                        "sig": sig[None, :],
-                        "tau": tau_j,
-                        "x": xi[None, :],
-                        "beta": beta_rows[i][None, :],
-                        "eta": eta_j,
-                    }
-                )
-                if gate is not None:
-                    row = np.where(gate, row, 0.0)
-                out += integrate_to(grid, row, te, keep) * (tau_j < m)
+                nodes = {"t": te[:, None], "s": times, "sig": sig, "tau": tau_j,
+                         "x": xi, "beta": beta_rows[i], "eta": eta_j}
+                for (_, a), c in zip(terms, c_at):
+                    row = a.evaluate(nodes)
+                    if gate is not None:
+                        row = np.where(gate, row, 0.0)
+                    part = integrate_to(grid, row, te, keep)
+                    if c is not None:
+                        with np.errstate(invalid="ignore", over="ignore"):
+                            part = c * part
+                    out += part * (tau_j < m)
 
     if n_sigma and tau.size and not problem.G3.is_zero:
         for i in range(n_sigma):
@@ -395,7 +452,7 @@ def _sc_eval(
 
 
 def _continuous_at(
-    problem: HybridProblem, triple: SolutionTriple, nodes, f2_rows: np.ndarray | None
+    problem: HybridProblem, triple: SolutionTriple, nodes, memory: list[tuple]
 ) -> np.ndarray:
     """The continuous component at the grid nodes ``nodes`` (index or slice).
 
@@ -414,21 +471,21 @@ def _continuous_at(
         triple,
         grid.times[nodes],
         memb[nodes],
-        f2_rows,
+        memory,
         sigma_at_eval=problem.sigma_grid[:, nodes] if node_values else None,
         beta_at_eval=triple.beta_rows()[:, nodes] if node_values else None,
     )
 
 
 def _trace_at(
-    problem: HybridProblem, triple: SolutionTriple, p: int, nodes, f2_rows
+    problem: HybridProblem, triple: SolutionTriple, p: int, nodes, memory
 ) -> np.ndarray:
     """Moving trace p at the grid nodes ``nodes``: the formula at sigma_p(t).
 
     Memberships are one tick left of sigma_p(t), the left limit there.
     """
     u = problem.sigma_grid[p][nodes]
-    return _sc_eval(problem, triple, u, u - EPS, f2_rows)
+    return _sc_eval(problem, triple, u, u - EPS, memory)
 
 
 def apply_operator(problem: HybridProblem, triple: SolutionTriple) -> SolutionTriple:
@@ -437,20 +494,20 @@ def apply_operator(problem: HybridProblem, triple: SolutionTriple) -> SolutionTr
     The continuous part at every node with one-sided values at duplicated
     breakpoint nodes; each fixed-impulse value as the formula at tau_l with
     left memberships; each moving trace as the formula at sigma_p(t).  The
-    three share one f2 inner row.
+    three share one memory of the continuous part.
     """
     grid = problem.grid
-    f2_rows = _f2_rows(problem, triple.xi.values)
+    memory = _memory(problem, triple.xi.values)
     eta = (
-        _sc_eval(problem, triple, problem.tau, problem.tau - EPS, f2_rows)
+        _sc_eval(problem, triple, problem.tau, problem.tau - EPS, memory)
         if problem.n_tau
         else np.zeros(0)
     )
     return SolutionTriple(
-        PiecewiseFn(grid, _continuous_at(problem, triple, slice(None), f2_rows)),
+        PiecewiseFn(grid, _continuous_at(problem, triple, slice(None), memory)),
         eta,
         tuple(
-            PiecewiseFn(grid, _trace_at(problem, triple, p, slice(None), f2_rows))
+            PiecewiseFn(grid, _trace_at(problem, triple, p, slice(None), memory))
             for p in range(problem.n_sigma)
         ),
     )
@@ -464,7 +521,8 @@ def jump_at(problem: HybridProblem, triple: SolutionTriple, alpha):
     is involved, so it stays valid when the running integral itself jumps
     (for instance under a constant moving-time function).  ``alpha`` is one
     breakpoint (a float is returned) or an array of them (an array of the
-    same shape is returned); the f2 inner row is built once for all.
+    same shape is returned); the memory of the continuous part is built once
+    for all.
     """
     alpha = np.asarray(alpha, dtype=float)
     t = alpha.reshape(-1)
@@ -472,9 +530,9 @@ def jump_at(problem: HybridProblem, triple: SolutionTriple, alpha):
     off = ~np.any(np.abs(t[:, None] - bps[None, :]) <= MERGE_TOL, axis=1)
     if off.any():
         raise ValueError(f"{t[off][0]} is not a breakpoint of this problem")
-    f2_rows = _f2_rows(problem, triple.xi.values)
-    right = _sc_eval(problem, triple, t, t + EPS, f2_rows)
-    jumps = right - _sc_eval(problem, triple, t, t - EPS, f2_rows)
+    memory = _memory(problem, triple.xi.values)
+    right = _sc_eval(problem, triple, t, t + EPS, memory)
+    jumps = right - _sc_eval(problem, triple, t, t - EPS, memory)
     return float(jumps[0]) if alpha.ndim == 0 else jumps.reshape(alpha.shape)
 
 

@@ -36,13 +36,14 @@ class NonFiniteValues(ValueError):
     """Node values that are not all finite (an iteration blew up)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Shared sample grid: a partition of [0, T] and per-segment nodes.
 
     ``weights`` holds the composite trapezoid weight of every node over its
     whole segment: half a step at both ends of a segment, a whole step
-    inside.
+    inside.  Two grids are equal when their partitions and panel counts
+    are; everything else, the memo included, follows from those.
     """
 
     partition: np.ndarray
@@ -73,6 +74,18 @@ class Grid:
         weights = weights.reshape(-1)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Grid):
+            return NotImplemented
+        return self.panels == other.panels and np.array_equal(
+            self.partition, other.partition
+        )
+
+    def __hash__(self):
+        return hash((self.panels, tuple(self.partition.tolist())))
 
     @property
     def horizon(self) -> float:
@@ -190,9 +203,7 @@ class PiecewiseFn:
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def __sub__(self, other: "PiecewiseFn") -> "PiecewiseFn":
-        if other.grid is not self.grid and not np.array_equal(
-            other.grid.times, self.grid.times
-        ):
+        if other.grid != self.grid:
             raise ValueError("grids differ")
         return PiecewiseFn(self.grid, self.values - other.values)
 

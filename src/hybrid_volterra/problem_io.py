@@ -248,29 +248,33 @@ def solution_rows(xi: PiecewiseFn) -> list[tuple[float, float, float]]:
     """(t, left value, right value) per distinct grid time, in order.
 
     Interior breakpoints occupy two consecutive grid nodes carrying the
-    one-sided values; they collapse to a single row here.
+    one-sided values; they collapse to a single row here.  Two consecutive
+    nodes whose times agree to 1e-12 (relative beyond 1) are one row, taken
+    greedily from the left: of three such nodes the first two pair and the
+    third stands alone.
     """
     times = xi.grid.times
     values = xi.values
-    rows = []
-    i = 0
-    while i < times.size:
-        t = float(times[i])
-        if i + 1 < times.size and times[i + 1] - times[i] <= 1e-12 * max(1.0, abs(t)):
-            rows.append((t, float(values[i]), float(values[i + 1])))
-            i += 2
-        else:
-            rows.append((t, float(values[i]), float(values[i])))
-            i += 1
-    return rows
+    close = np.diff(times) <= 1e-12 * np.maximum(1.0, np.abs(times[:-1]))
+    # a pair starts at an odd offset into a run of close neighbours
+    idx = np.arange(close.size)
+    last_apart = np.maximum.accumulate(np.where(close, -1, idx))
+    starts = np.append(close & ((idx - last_apart) % 2 == 1), False)
+    rows = np.flatnonzero(~np.insert(starts[:-1], 0, False))
+    columns = (times[rows], values[rows], values[rows + starts[rows]])
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def write_solution_csv(path, xi: PiecewiseFn) -> None:
+    """:func:`solution_rows` under the header ``t,x_left,x_right``.
+
+    Each value is written as its ``repr``, rows end in CRLF: the bytes of
+    the standard library's ``csv.writer``, which :func:`read_solution_csv`
+    reads back exactly.
+    """
+    lines = [f"{t!r},{left!r},{right!r}\r\n" for t, left, right in solution_rows(xi)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x_left", "x_right"])
-        for t, left, right in solution_rows(xi):
-            writer.writerow([repr(t), repr(left), repr(right)])
+        fh.write("".join(["t,x_left,x_right\r\n", *lines]))
 
 
 def read_solution_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,8 +16,10 @@ of limits is computed once per grid and limit set, in the grid's memo
 to the same limits.  The functions:
 
 * :func:`integrate_to` -- the one entry point.  A row shared by every
-  limit takes a prefix sum of the weighted row, read at each limit's node:
-  O(N + E) for E limits.  One row per limit takes weight rows: O(E N);
+  limit takes a prefix sum of the weighted row (:func:`row_prefix`), read
+  at each limit's node (:func:`read_prefix`): O(N + E) for E limits, and
+  O(E) once the prefix is built.  One row per limit takes weight rows:
+  O(E N);
 * :func:`weight_rows` -- the (E, N) weight rows of E upper limits, built
   from that O(N) vector with no cumulative pass;
 * :func:`apply_weights` -- the row sums of one integrand row per weight
@@ -127,9 +129,34 @@ def integrate_to(
             rows = np.where(np.arange(N) < np.asarray(keep)[:, None], rows, 0.0)
         return apply_weights(weight_rows(grid, upper), rows)
     row = np.broadcast_to(rows[0], N)
+    return read_prefix(grid, row_prefix(grid, row), row, upper, keep)
+
+
+def row_prefix(grid: Grid, row: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums of the trapezoid-weighted node row ``row``.
+
+    N + 1 entries: entry k sums the weighted nodes before node k.  Built
+    once per row, it serves every later :func:`read_prefix` of that row.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.concatenate([[0.0], np.cumsum(grid.weights * row)])
+
+
+def read_prefix(
+    grid: Grid,
+    prefix: np.ndarray,
+    row: np.ndarray,
+    upper: np.ndarray,
+    keep: np.ndarray | None = None,
+) -> np.ndarray:
+    """Integral of the shared node row ``row`` from 0 to each ``upper``.
+
+    ``prefix`` is :func:`row_prefix` of ``row``; ``keep`` cuts the
+    integrand as in :func:`integrate_to`.  O(E) for E upper limits.
+    """
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
     base, lo, hi = _limits(grid, upper)
     with np.errstate(invalid="ignore", over="ignore"):
-        prefix = np.concatenate([[0.0], np.cumsum(grid.weights * row)])
         at_base, after = lo * row[base], hi * row[base + 1]
         if keep is None:
             return prefix[base] + at_base + after

@@ -103,9 +103,14 @@ def build_breakpoints(
     return np.asarray(merged), partition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImpulseSchedule:
-    """Fixed times, moving-time functions, separation scale, breakpoints."""
+    """Fixed times, moving-time functions, separation scale, breakpoints.
+
+    Two schedules are equal when their horizons, fixed times, moving-time
+    functions and separation scales are; the roots, breakpoints and
+    partition are derived from those.
+    """
 
     horizon: float
     tau: np.ndarray
@@ -148,6 +153,19 @@ class ImpulseSchedule:
         roots = tuple(solve_sigma_roots(s, horizon, root_grid, root_tol) for s in sig)
         bps, partition = build_breakpoints(tau_arr, roots, horizon)
         return cls(float(horizon), tau_arr, sig, float(h), roots, bps, partition)
+
+    def __eq__(self, other):
+        if not isinstance(other, ImpulseSchedule):
+            return NotImplemented
+        return (
+            self.horizon == other.horizon
+            and np.array_equal(self.tau, other.tau)
+            and self.sigma == other.sigma
+            and self.h == other.h
+        )
+
+    def __hash__(self):
+        return hash((self.horizon, tuple(self.tau.tolist()), self.sigma, self.h))
 
     @property
     def n_tau(self) -> int:

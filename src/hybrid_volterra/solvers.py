@@ -35,7 +35,7 @@ from .operator import (
     HybridProblem,
     SolutionTriple,
     _continuous_at,
-    _f2_rows,
+    _memory,
     _trace_at,
     apply_operator,
     component_deltas,
@@ -168,33 +168,34 @@ def _sup(a: np.ndarray) -> float:
 def _segment_sweep(problem: HybridProblem, nodes: slice, consumed, state):
     """One inner sweep of the march over the segment ``nodes``.
 
-    ``state`` is the current triple with the f2 inner row of its continuous
-    part, or None for a row still to be built.  The continuous part is
-    updated on ``nodes``, then eta and the ``consumed`` moving-trace entries
-    are refreshed from it.
+    ``state`` is the current triple with the memory of its continuous part
+    (:func:`~.operator._memory`), or None for a memory still to be built.
+    The continuous part is updated on ``nodes``, then eta and the
+    ``consumed`` moving-trace entries are refreshed from it.
     """
-    old, f2_rows = state
-    if f2_rows is None:
-        f2_rows = _f2_rows(problem, old.xi.values)
+    old, memory = state
+    if memory is None:
+        memory = _memory(problem, old.xi.values)
     grid = problem.grid
     xi = old.xi.values.copy()
-    xi[nodes] = _continuous_at(problem, old, nodes, f2_rows)
+    xi[nodes] = _continuous_at(problem, old, nodes, memory)
     xi = PiecewiseFn(grid, xi)
     eta = xi.eval(problem.tau)  # left limits at the fixed impulse times
     old_beta = old.beta_rows()
     beta = old_beta.copy()
-    f2_rows = None
+    memory = None
     if problem.n_sigma:
-        # the trace refresh, the next sweep and the final fill use this row;
-        # without moving impulses only the next sweep would, so it waits
-        f2_rows = _f2_rows(problem, xi.values)
+        # the trace refresh, the next sweep and the final fill use this
+        # memory; without moving impulses only the next sweep would, so it
+        # waits
+        memory = _memory(problem, xi.values)
         refreshed = SolutionTriple(xi, eta, old.beta)
         for p, idx in enumerate(consumed):
             if idx.size:
-                beta[p, idx] = _trace_at(problem, refreshed, p, idx, f2_rows)
+                beta[p, idx] = _trace_at(problem, refreshed, p, idx, memory)
     new = SolutionTriple(xi, eta, tuple(PiecewiseFn(grid, row) for row in beta))
     deltas = (_sup(xi.values - old.xi.values), _sup(eta - old.eta), _sup(beta - old_beta))
-    return (new, f2_rows), deltas
+    return (new, memory), deltas
 
 
 def segment_solve(
@@ -230,12 +231,12 @@ def segment_solve(
         if not done:
             report.converged = False
             report.notes += (f"segment {l} hit the sweep limit",)
-    final, f2_rows = state
+    final, memory = state
     if problem.n_sigma:
         # now that every segment is solved, fill the unconsumed trace entries
         try:
             beta = tuple(
-                PiecewiseFn(grid, _trace_at(problem, final, p, slice(None), f2_rows))
+                PiecewiseFn(grid, _trace_at(problem, final, p, slice(None), memory))
                 for p in range(problem.n_sigma)
             )
         except _NUMERICAL_FAILURES as exc:

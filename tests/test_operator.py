@@ -247,19 +247,25 @@ class TestGTermMask:
         [("0.5 + 0.55*t", True), ("0.9 + 0.3*sin(4*t)", False)],
         ids=["nondecreasing", "non-monotone"],
     )
-    @pytest.mark.parametrize("g", ["0.02*x + 0.01*beta*eta + 0.1*s",
-                                   "0.02*x*t + 0.01*beta*eta"],
-                             ids=["shared", "per-time"])
-    def test_matches_dense_mask(self, sigma, monotone, g):
+    @pytest.mark.parametrize(
+        "g, n_terms",
+        [("0.02*x + 0.01*beta*eta + 0.1*s", 1),
+         ("0.02*x*t + 0.01*beta*eta", 2),
+         ("0.02*x*exp(-t*s) + 0.01*beta*eta", None)],
+        ids=["shared", "factored", "per-time"],
+    )
+    def test_matches_dense_mask(self, sigma, monotone, g, n_terms):
         p = make_problem(2.0, tau=(0.3, 1.1), sigma=(sigma,), h=0.05,
                          panels=16, x0="0", g=g)
         assert p.sigma_nondecreasing.tolist() == [monotone]
+        # one t-free row, two time factors, or rows per evaluation time
+        assert (None if p.g_terms is None else len(p.g_terms)) == n_terms
         rng = np.random.default_rng(7)
         triple = random_triple(p, rng)
         times = p.grid.times
         te = np.concatenate([times, rng.uniform(0.0, 2.0, 20)])
         for m in (te - EPS, te + EPS):
-            got = _sc_eval(p, triple, te, m, None)
+            got = _sc_eval(p, triple, te, m, [])
             sig = p.sigma_grid[0]
             masked = np.where(sig[None, :] < m[:, None], weight_rows(p.grid, te), 0.0)
             ref = np.zeros(te.size)

@@ -48,6 +48,23 @@ class TestGrid:
         with pytest.raises(ValueError):
             grid.segment_of(np.array([1.5]))
 
+    def test_value_equality(self):
+        a, b = uniform_grid(1.0, 4), uniform_grid(1.0, 4)
+        a.locate(np.array([0.3]))  # a filled memo does not count
+        assert a == b and not (a != b)
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != uniform_grid(1.0, 8)
+        assert a != uniform_grid(1.0, 4, interior=[0.5])
+        assert a != "grid"
+
+    def test_difference_across_equal_grids(self):
+        f = PiecewiseFn.from_expression(uniform_grid(1.0, 4), "t")
+        g = PiecewiseFn.from_expression(uniform_grid(1.0, 4), "2*t")
+        assert np.array_equal((g - f).values, f.values)
+        with pytest.raises(ValueError, match="grids differ"):
+            g - PiecewiseFn.from_expression(uniform_grid(1.0, 8), "t")
+
 
 class TestEval:
     def test_step_left_and_right(self):

@@ -1,7 +1,10 @@
 """Problem files, CSV solution tables, and report dumps."""
 
+import csv
+import io
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from hybrid_volterra.problem_io import (
     write_report,
     write_solution_csv,
 )
+from hybrid_volterra.series import series_solve
 from hybrid_volterra.solvers import picard_solve
 
 EXP_FILE = """\
@@ -83,6 +87,12 @@ class TestLoadHybrid:
         )
         assert report.converged
         assert triple.xi.eval(1.0) == pytest.approx(math.e, abs=1e-4)
+
+    def test_two_loads_compare_equal(self):
+        path = Path(__file__).resolve().parent.parent / "problems" / "mixed_impulses.yaml"
+        a, b = load_problem_file(path).problem, load_problem_file(path).problem
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a.grid == b.grid and a.schedule == b.schedule
 
     def test_defaults(self, tmp_path):
         loaded = _load(tmp_path, "horizon: 2.0\n")
@@ -203,6 +213,34 @@ class TestLoadErrors:
             _load(tmp_path, "kind: integral\nhorizon: 1.0\n")
 
 
+PROBLEM_FILES = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.yaml"))
+
+
+def _loop_rows(xi):
+    """The node-by-node pairing the vectorised rows replaced."""
+    times, values = xi.grid.times, xi.values
+    rows, i = [], 0
+    while i < times.size:
+        t = float(times[i])
+        if i + 1 < times.size and times[i + 1] - times[i] <= 1e-12 * max(1.0, abs(t)):
+            rows.append((t, float(values[i]), float(values[i + 1])))
+            i += 2
+        else:
+            rows.append((t, float(values[i]), float(values[i])))
+            i += 1
+    return rows
+
+
+def _csv_writer_bytes(xi) -> bytes:
+    """The solution table as the standard library's csv.writer writes it."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["t", "x_left", "x_right"])
+    for t, left, right in _loop_rows(xi):
+        writer.writerow([repr(t), repr(left), repr(right)])
+    return buf.getvalue().encode()
+
+
 @pytest.fixture(scope="module")
 def step_solution():
     triple, report = picard_solve(step_problem())
@@ -236,6 +274,30 @@ class TestSolutionTable:
         assert np.array_equal(t, [r[0] for r in rows])
         assert np.array_equal(left, [r[1] for r in rows])
         assert np.array_equal(right, [r[2] for r in rows])
+
+    def test_greedy_pairing_of_close_nodes(self):
+        # three nodes at one time: the first two pair, the third stands alone
+        times = np.array([0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 1.5])
+        xi = SimpleNamespace(grid=SimpleNamespace(times=times),
+                             values=np.arange(times.size, dtype=float))
+        assert solution_rows(xi) == _loop_rows(xi)
+        assert solution_rows(xi) == [
+            (0.0, 0.0, 0.0), (0.5, 1.0, 2.0), (0.5, 3.0, 3.0),
+            (1.0, 4.0, 5.0), (1.5, 6.0, 6.0),
+        ]
+
+    @pytest.mark.parametrize("path", PROBLEM_FILES, ids=lambda p: p.stem)
+    def test_csv_bytes_match_csv_writer(self, tmp_path, path):
+        loaded = load_problem_file(path)
+        solve = series_solve if loaded.kind == "series" else picard_solve
+        solution, report = solve(loaded.problem, tol=loaded.settings.tol,
+                                 kmax=loaded.settings.kmax)
+        xi = solution if loaded.kind == "series" else solution.xi
+        out = tmp_path / "solution.csv"
+        write_solution_csv(out, xi)
+        assert out.read_bytes() == _csv_writer_bytes(xi)
+        t, left, right = read_solution_csv(out)
+        assert list(zip(t.tolist(), left.tolist(), right.tolist())) == solution_rows(xi)
 
     def test_csv_header(self, tmp_path, step_solution):
         path = tmp_path / "solution.csv"

@@ -149,6 +149,19 @@ class TestImpulseSchedule:
         assert np.allclose(vals[1] - vals[0], 0.1)
 
 
+    def test_value_equality(self):
+        def build(**kw):
+            args = dict(tau=(1.0,), sigma=("0.5*t",), h=0.2) | kw
+            return ImpulseSchedule.build(2.0, **args)
+
+        a, b = build(), build()
+        assert a == b and hash(a) == hash(b)
+        assert a != build(tau=(1.5,))
+        assert a != build(sigma=("0.4*t",))
+        assert a != build(h=0.3)
+        assert a != ImpulseSchedule.build(3.0, tau=(1.0,), sigma=("0.5*t",), h=0.2)
+
+
 class TestCheckSeparation:
     def test_tau_gap_pass(self):
         sched = ImpulseSchedule.build(2.0, tau=(0.5, 1.0), h=0.4)

@@ -345,8 +345,9 @@ class TestSeparableF2:
 
     def test_mixed_problem_f2_is_factored(self):
         problem = mixed_problem(panels=32)
-        assert [(a.source, b.source) for a, b in problem.f2_terms] == [
-            ("0.05 * x", "x1 / (1 + s1^2)")
+        # t-free: no time factor
+        assert [(c, a.source, b.source) for c, a, b in problem.f2_terms] == [
+            (None, "0.05 * x", "x1 / (1 + s1^2)")
         ]
         assert mixed_problem(panels=32, f2=NON_SEPARABLE_F2).f2_terms is None
 
@@ -367,9 +368,10 @@ class TestSeparableF2:
         assert calls == []
 
     def test_t_dependent_kernels_still_build_weight_rows(self, monkeypatch):
+        # t enters through exp(-t*s): no split into time factors
         problem = make_problem(1.0, tau=(0.5,), h=0.4, panels=16, x0="1",
-                               f1="0.4*t*x", f2="0.3*t*x1", G1="0.3")
-        assert problem.f2_terms is None
+                               f1="0.4*x*exp(-t*s)", f2="0.3*x1*exp(-t*s1)", G1="0.3")
+        assert problem.f1_terms is None and problem.f2_terms is None
         calls = self._count_weight_rows(monkeypatch)
         _, rep = picard_solve(problem, tol=1e-12, kmax=300)
         assert rep.converged
