@@ -41,14 +41,6 @@ def per_time(problem):
     return forced
 
 
-def perfbench_tdep(panels=64):
-    """The shape of the benchmark's time-dependent problem: f1 and f2 in t."""
-    return make_problem(
-        1.0, tau=(0.46,), h=0.4, panels=panels, G1="0.3",
-        x0="exp(t) - 0.4*t*(exp(t) - 1)", f1="0.4*t*x", f2="0.3*t*x1",
-    )
-
-
 class TestSplit:
     def test_tdep_terms(self):
         p = tdep_problem()
@@ -68,11 +60,6 @@ class TestSplit:
             (None, "2 * x", "x1")
         ]
         assert p.g_terms == []
-
-    def test_unsplit_t_kernels(self):
-        p = make_problem(1.0, panels=8, x0="1", f1="x*exp(-t*s)",
-                         f2="x1*exp(-t*s1)")
-        assert p.f1_terms is None and p.f2_terms is None
 
 
 class TestAgainstPerTime:
@@ -166,8 +153,8 @@ MEMORY_ARITIES = {ARITIES[name] for name in ("f1", "f2", "g")}
 @pytest.mark.parametrize(
     "build",
     [lambda p=p: load_problem_file(p).problem for p in HYBRID_FILES]
-    + [tdep_problem, perfbench_tdep],
-    ids=[p.stem for p in HYBRID_FILES] + ["tdep", "perfbench-tdep"],
+    + [tdep_problem],
+    ids=[p.stem for p in HYBRID_FILES] + ["tdep"],
 )
 def test_cost_class_of_one_application(monkeypatch, build):
     """One sweep makes no N x N kernel evaluation and, for kernels that
