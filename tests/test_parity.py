@@ -4,7 +4,8 @@
 ``beta`` of :func:`picard_solve` and :func:`segment_solve` on each
 ``problems/*.yaml`` (at the resolution the file declares), the same for one
 small problem whose ``f1``, ``f2`` and ``g`` reference ``t``, and the
-:func:`series_solve` solution of ``problems/series_quadratic.yaml``.  A
+:func:`series_solve` solutions of ``problems/series_quadratic.yaml`` and of
+one small series problem whose order-2 kernel references ``t``.  A
 refactor that keeps the same discrete fixed point reproduces them to
 rounding.  Regenerate (only when the discretisation is meant to change) with
 
@@ -21,7 +22,7 @@ import pytest
 from hybrid_volterra.operator import HybridProblem
 from hybrid_volterra.problem_io import load_problem_file
 from hybrid_volterra.schedule import ImpulseSchedule
-from hybrid_volterra.series import series_solve
+from hybrid_volterra.series import SeriesProblem, series_solve
 from hybrid_volterra.solvers import picard_solve, segment_solve
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +47,13 @@ def tdep_problem() -> HybridProblem:
     )
 
 
+def tdep_series_problem() -> SeriesProblem:
+    """An order-2 series kernel that references t."""
+    return SeriesProblem.build(
+        horizon=0.5, y0="1", kernels=("x1", "t*x1*x2"), panels=32
+    )
+
+
 def _cases():
     """(name, kind, problem, tol, kmax) for every reference solve."""
     for path in sorted((ROOT / "problems").glob("*.yaml")):
@@ -53,6 +61,7 @@ def _cases():
         s = loaded.settings
         yield path.stem, loaded.kind, loaded.problem, s.tol, s.kmax
     yield "tdep", "hybrid", tdep_problem(), 1e-12, 200
+    yield "tdep", "series", tdep_series_problem(), 1e-12, 200
 
 
 def _thin(values) -> list[float]:
