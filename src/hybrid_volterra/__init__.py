@@ -23,7 +23,9 @@ and impulse sums.  The pieces:
   resolution studies;
 - :mod:`.contraction` -- bound matrices, the cubic-root criterion, and
   weight search;
-- :mod:`.series` -- the symmetric-kernel series form over the cube;
+- :mod:`.series` -- the symmetric-kernel series form over the cube; a
+  kernel that splits into one factor per state slot costs O(n N) per
+  sweep at order n, one that does not a size-N^n array;
 - :mod:`.problem_io` / :mod:`.cli` -- problem files, CSV output, reports,
   and the ``hv`` command.
 """

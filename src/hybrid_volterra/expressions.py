@@ -540,6 +540,25 @@ def factor(expr: KernelExpr, groups) -> list[tuple[KernelExpr, ...]] | None:
     ]
 
 
+def time_split(kernel: KernelExpr, groups) -> list[tuple] | None:
+    """``kernel`` as terms ``(c, a_1, ...)`` with sum of c(t) * a_1 * ... equal to it.
+
+    A kernel that references t is factored over ``("t",)`` and ``groups``
+    (:func:`factor`); c may then be the constant 1.  A t-free kernel has c
+    None and is factored over ``groups`` alone, a single group keeping it
+    whole, so a bare constant stays in its factor.  [] for the zero
+    kernel, None when the kernel does not split.
+    """
+    if kernel.is_zero:
+        return []
+    if kernel.references("t"):
+        return factor(kernel, (("t",),) + tuple(groups))
+    if len(groups) == 1:
+        return [(None, kernel)]
+    terms = factor(kernel, groups)
+    return None if terms is None else [(None,) + term for term in terms]
+
+
 def symmetrize_second_order(expr: KernelExpr) -> KernelExpr:
     """Average a second-order kernel with its argument-swapped mirror.
 

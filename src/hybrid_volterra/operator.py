@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import KernelExpr, factor, parse_kernel, zero_kernel
+from .expressions import KernelExpr, parse_kernel, time_split, zero_kernel
 from .piecewise import (
     Grid,
     PiecewiseFn,
@@ -108,25 +108,6 @@ def _coerce(name: str, value) -> KernelExpr:
     raise TypeError(f"kernel {name} must be a string or KernelExpr")
 
 
-def _time_split(kernel: KernelExpr, groups) -> list[tuple] | None:
-    """``kernel`` as terms ``(c, a_1, ...)`` with sum of c(t) * a_1 * ... equal to it.
-
-    A kernel that references t is factored over ``("t",)`` and ``groups``
-    (:func:`~.expressions.factor`); c may then be the constant 1.  A t-free
-    kernel has c None and is factored over ``groups`` alone, a single group
-    keeping it whole, so a bare constant stays in its node row.  [] for the
-    zero kernel, None when the kernel does not split.
-    """
-    if kernel.is_zero:
-        return []
-    if kernel.references("t"):
-        return factor(kernel, (("t",),) + groups)
-    if len(groups) == 1:
-        return [(None, kernel)]
-    terms = factor(kernel, groups)
-    return None if terms is None else [(None,) + term for term in terms]
-
-
 @dataclass(frozen=True)
 class HybridProblem:
     """A full problem instance: kernels, impulse schedule, sample grid.
@@ -136,7 +117,7 @@ class HybridProblem:
     whether those values never decrease; ``f1_terms``, ``f2_terms`` and
     ``g_terms``, each memory kernel split into time factors c(t) times
     factors over :data:`F1_GROUPS`, :data:`F2_GROUPS` or :data:`G_GROUPS`
-    (:func:`_time_split`; None when it does not split).
+    (:func:`~.expressions.time_split`; None when it does not split).
 
     The split sets the cost of a sweep in N, the number of grid nodes: O(N)
     when every memory kernel splits; O(N^2) for an f2 that does not
@@ -170,9 +151,9 @@ class HybridProblem:
         object.__setattr__(
             self, "sigma_nondecreasing", np.all(np.diff(sigma_grid, axis=1) >= 0, axis=1)
         )
-        object.__setattr__(self, "f1_terms", _time_split(self.f1, F1_GROUPS))
-        object.__setattr__(self, "f2_terms", _time_split(self.f2, F2_GROUPS))
-        object.__setattr__(self, "g_terms", _time_split(self.g, G_GROUPS))
+        object.__setattr__(self, "f1_terms", time_split(self.f1, F1_GROUPS))
+        object.__setattr__(self, "f2_terms", time_split(self.f2, F2_GROUPS))
+        object.__setattr__(self, "g_terms", time_split(self.g, G_GROUPS))
 
     @classmethod
     def build(

@@ -21,7 +21,9 @@ impulses the keys are::
 A series problem sets ``kind: series`` and replaces the kernel keys with
 ``y0`` and ``kernels`` (one expression per order, order n in arguments
 ``t, s1..sn, x1..xn``); ``lipschitz`` becomes a list with one constant per
-order, and ``allow_high_order: true`` lifts the order cap.
+order, and ``allow_high_order: true`` lifts the order cap: an order above
+three whose kernel does not split into one factor per ``(s_i, x_i)`` slot
+integrates over a size-nodes^n array, and is refused without it.
 
 Solutions are written as CSV with header ``t,x_left,x_right``, one row per
 distinct grid time; away from breakpoints the two value columns coincide.

@@ -16,8 +16,16 @@ Successive approximation contracts in the weighted sup norm once
 where L_n is a Lipschitz constant of f_n in each state slot
 (:func:`series_contraction_coefficient`).
 
-Order n costs a size-G^n array per sweep, so orders above three are
-refused unless explicitly allowed.
+When the problem is built, each order-n kernel is split over the groups
+(t), (s1, x1), ..., (sn, xn) into a sum of terms c_r(t) * prod_i
+b_{r,i}(s_i, x_i) (:func:`~.expressions.time_split`, the degenerate-kernel
+reduction).  The cube integral of such a term is c_r(t) times the product
+of the cumulative integrals of its factors, so a sweep costs O(n N) in the
+number N of grid nodes, whether or not the kernel references t.  A t-free
+kernel that does not split costs a size-N^n array per sweep
+(:func:`~.quadrature.cube_diagonal`), and one that references t and does
+not split one such array per node, N^(n+1); orders above three are
+refused for such kernels unless explicitly allowed.
 """
 
 from __future__ import annotations
@@ -27,11 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import KernelExpr, parse_kernel, zero_kernel
+from .expressions import KernelExpr, parse_kernel, time_split, zero_kernel
 from .piecewise import Grid, PiecewiseFn, norm_continuous, uniform_grid
-from .quadrature import apply_weights, cube_diagonal, integrate_to, weight_rows
+from .quadrature import (
+    apply_weights,
+    cube_diagonal,
+    integrate_to,
+    node_cumulative,
+    weight_rows,
+)
 from .solvers import _NUMERICAL_FAILURES, SolveReport, _iterate, _stop
 
+# the highest order whose kernel may build a size-N^n array unasked
 MAX_ORDER = 3
 
 
@@ -42,9 +57,20 @@ def series_arity(n: int) -> tuple[str, ...]:
     )
 
 
+def series_groups(n: int) -> tuple[tuple[str, str], ...]:
+    """The state slots of the order-n kernel: (s1, x1), ..., (sn, xn)."""
+    return tuple((f"s{i}", f"x{i}") for i in range(1, n + 1))
+
+
 @dataclass(frozen=True)
 class SeriesProblem:
-    """Forcing term, one kernel per order, and the sample grid."""
+    """Forcing term, one kernel per order, and the sample grid.
+
+    Derived once, when the problem is built: ``kernel_terms``, per order n
+    the kernel split into time factors c(t) times one factor per state
+    slot, over :func:`series_groups` (:func:`~.expressions.time_split`;
+    None when it does not split).
+    """
 
     y0: KernelExpr
     kernels: tuple[KernelExpr, ...]
@@ -64,6 +90,14 @@ class SeriesProblem:
                 raise ValueError("need one Lipschitz constant per kernel order")
             if any(not (L >= 0) for L in self.lipschitz):
                 raise ValueError("Lipschitz constants must be nonnegative")
+        object.__setattr__(
+            self,
+            "kernel_terms",
+            tuple(
+                time_split(k, series_groups(n))
+                for n, k in enumerate(self.kernels, start=1)
+            ),
+        )
 
     @classmethod
     def build(
@@ -76,7 +110,11 @@ class SeriesProblem:
         lipschitz=None,
         allow_high_order: bool = False,
     ) -> "SeriesProblem":
-        """Assemble from kernel sources; order = position in ``kernels``."""
+        """Assemble from kernel sources; order = position in ``kernels``.
+
+        An order above :data:`MAX_ORDER` whose kernel does not split is
+        refused unless ``allow_high_order`` is set.
+        """
         ks = []
         for n, src in enumerate(kernels, start=1):
             arity = series_arity(n)
@@ -86,15 +124,22 @@ class SeriesProblem:
                 ks.append(parse_kernel(src, arity))
             else:
                 ks.append(src)
-        if len(ks) > MAX_ORDER and not allow_high_order:
-            raise ValueError(
-                f"order {len(ks)} builds arrays of size nodes^{len(ks)}; "
-                "pass allow_high_order=True to proceed anyway"
-            )
         grid = uniform_grid(float(horizon), panels)
         y0k = parse_kernel(y0, ("t",)) if isinstance(y0, str) else y0
         lip = None if lipschitz is None else tuple(float(L) for L in lipschitz)
-        return cls(y0k, tuple(ks), grid, lip)
+        problem = cls(y0k, tuple(ks), grid, lip)
+        # only a kernel that does not split builds a size-N^n array
+        unsplit = [
+            n for n, terms in enumerate(problem.kernel_terms, start=1)
+            if terms is None and n > MAX_ORDER
+        ]
+        if unsplit and not allow_high_order:
+            n = unsplit[-1]
+            raise ValueError(
+                f"order {n} builds arrays of size nodes^{n}; "
+                "pass allow_high_order=True to proceed anyway"
+            )
+        return problem
 
     @property
     def order(self) -> int:
@@ -117,28 +162,61 @@ def _cube_bindings(times: np.ndarray, values: np.ndarray, n: int) -> dict:
 
 
 def apply_series_operator(problem: SeriesProblem, y: PiecewiseFn) -> PiecewiseFn:
-    """One sweep: forcing term plus all cube integrals of the current y."""
+    """One sweep: forcing term plus all cube integrals of the current y.
+
+    A kernel that splits adds, per term, c(t) times the product of the
+    cumulative integrals of its slot factors: O(n N).  One that does not
+    takes the size-N^n cube, once, or once per node when it references t.
+    """
     grid = problem.grid
     times = grid.times
     out = np.broadcast_to(
         np.asarray(problem.y0.evaluate({"t": times}), dtype=float), times.shape
     ).astype(float, copy=True)
-    for n, kernel in enumerate(problem.kernels, start=1):
-        if kernel.is_zero:
+    for n, (kernel, terms) in enumerate(
+        zip(problem.kernels, problem.kernel_terms), start=1
+    ):
+        weight = 1.0 / math.factorial(n)
+        if terms is not None:
+            out += weight * _split_cube(grid, terms, y.values, n)
             continue
-        factor = 1.0 / math.factorial(n)
         bindings = _cube_bindings(times, y.values, n)
         full = (times.size,) * n
         if not kernel.references("t"):
             F = np.broadcast_to(kernel.evaluate(bindings), full)
-            out += factor * cube_diagonal(grid, F, n)
+            out += weight * cube_diagonal(grid, F, n)
         else:
             for r in range(times.size):
                 F = np.broadcast_to(
                     kernel.evaluate({"t": times[r], **bindings}), full
                 )
-                out[r] += factor * cube_diagonal(grid, F, n)[r]
+                out[r] += weight * cube_diagonal(grid, F, n)[r]
     return PiecewiseFn(grid, out)
+
+
+def _split_cube(grid: Grid, terms, values: np.ndarray, n: int) -> np.ndarray:
+    """Cube integral at every node of a kernel split into ``terms``.
+
+    Each term ``(c, b_1, ..., b_n)`` integrates over [0, t]^n to c(t) times
+    the product over i of the cumulative integral of b_i(s_i, y(s_i)).
+    Non-finite node values give non-finite integrals and raise no
+    floating-point warning.
+    """
+    times = grid.times
+    # every factor references one group, so one binding serves them all
+    nodes = {"t": times}
+    for i in range(1, n + 1):
+        nodes[f"s{i}"] = times
+        nodes[f"x{i}"] = values
+    total = np.zeros(times.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, *slots in terms:
+            term = 1.0 if c is None else c.evaluate(nodes)
+            for b in slots:
+                row = np.broadcast_to(np.asarray(b.evaluate(nodes), float), times.shape)
+                term = term * node_cumulative(grid, row)
+            total += term
+    return total
 
 
 def series_contraction_coefficient(

@@ -90,6 +90,17 @@ y0: "1"
 kernels: ["exp(x1)"]
 """
 
+# the order-2 kernel splits into x1 * (x2/(s2 - 0.25)), and the second
+# factor fails at the node at 0.25; raised to the power 1 it does not split
+# and takes the cube path
+SERIES_DOMAIN_ERROR_FILE = """\
+kind: series
+horizon: 1
+y0: "1"
+kernels: [null, "{kernel}"]
+quadrature: {{nodes_per_segment: 8}}
+"""
+
 LOG_FILE = """\
 horizon: 1
 x0: "1"
@@ -448,6 +459,20 @@ class TestSeriesSolve:
     def test_bad_iteration_flag_exits_1(self, capsys, files, flag, value):
         code, _, err = _run(capsys, "series-solve", files["series"], flag, value)
         assert code == 1 and err.startswith(f"error: {flag} ")
+
+    @pytest.mark.parametrize(
+        "kernel", ["x1*x2/(s2 - 0.25)", "(x1*x2/(s2 - 0.25))^1"], ids=["split", "cube"]
+    )
+    def test_kernel_error_exits_4_after_writing(self, capsys, tmp_path, kernel):
+        path = tmp_path / "p.yaml"
+        path.write_text(SERIES_DOMAIN_ERROR_FILE.format(kernel=kernel))
+        report_path = tmp_path / "report.yaml"
+        code, out, err = _run(capsys, "series-solve", str(path), "--report", str(report_path))
+        assert code == 4 and "Traceback" not in err
+        report = yaml.safe_load(report_path.read_text())
+        assert report["converged"] is False and report["iterations"] == 0
+        assert report["notes"] == ["kernel error in sweep 1: division by zero"]
+        assert "note: kernel error in sweep 1: division by zero" in out
 
     def test_blow_up_exits_4_after_writing(self, capsys, tmp_path, files):
         report_path = tmp_path / "report.yaml"
