@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as _cartesian
 from typing import Mapping, Sequence, Union
 
@@ -294,8 +295,7 @@ def _eval_node(node, bindings: Mapping[str, Number]):
         args = [_eval_node(a, bindings) for a in node.args]
         f = node.func
         if f == "exp":
-            with np.errstate(over="ignore"):
-                return np.exp(args[0])
+            return np.exp(args[0])
         if f == "log":
             if np.any(np.asarray(args[0]) <= 0):
                 raise EvaluationError("log of a non-positive value")
@@ -367,6 +367,19 @@ def _print_node(node) -> str:
     left = _wrap(node.left, _PREC_ATOM)
     right = _wrap(node.right, _PREC_UNARY)
     return f"{left}^{right}"
+
+
+def _plain_arithmetic(node) -> bool:
+    if isinstance(node, (_Num, _Var)):
+        return True
+    if isinstance(node, _Neg):
+        return _plain_arithmetic(node.child)
+    return (
+        isinstance(node, _BinOp)
+        and node.op in "+-*/"
+        and _plain_arithmetic(node.left)
+        and _plain_arithmetic(node.right)
+    )
 
 
 def _free_vars(node) -> frozenset:
@@ -476,12 +489,34 @@ class KernelExpr:
     def __post_init__(self):
         object.__setattr__(self, "free", _free_vars(self.root))
 
+    @cached_property
+    def plain(self) -> bool:
+        """Only numbers, variables, negation and + - * /: with Python
+        numbers bound, evaluation is Python float arithmetic, which never
+        raises a floating-point warning."""
+        return _plain_arithmetic(self.root)
+
     def evaluate(self, bindings: Mapping[str, Number]) -> Number:
-        """Evaluate with scalar or broadcastable array bindings."""
-        return _eval_node(self.root, bindings)
+        """Evaluate with scalar or broadcastable array bindings.
+
+        Overflow and invalid operations give inf and nan without a
+        floating-point warning: a non-finite value is the caller's to
+        report (a solver stops with ``diverged``).  Domain errors raise
+        :class:`EvaluationError`.
+        """
+        if isinstance(self.root, (_Num, _Var)):
+            return _eval_node(self.root, bindings)  # no arithmetic to warn
+        if self.plain:
+            for name in self.free:
+                if type(bindings.get(name)) not in (float, int):
+                    break
+            else:  # Python numbers only: nothing can warn
+                return _eval_node(self.root, bindings)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _eval_node(self.root, bindings)
 
     def __call__(self, **bindings: Number) -> Number:
-        return _eval_node(self.root, bindings)
+        return self.evaluate(bindings)
 
     def free_variables(self) -> frozenset:
         return self.free

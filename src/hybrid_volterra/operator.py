@@ -33,25 +33,32 @@ split into a sum of time factors c_r(t) times factors free of t
 its integral to t is sum_r c_r(t) times the integral of a node row shared
 by every evaluation time: prefix sums, O(1) per time once built.  The g
 rows are cut where sigma_i reaches the membership time, a prefix of the
-nodes when sigma_i is nondecreasing on the grid (checked once per problem)
-and a dense mask otherwise.  A kernel that references t and does not split
-gives one row per time and takes O(E N) weight rows.
+nodes when sigma_i is nondecreasing on the grid (checked once per problem).
 
-One thing is precomputed per continuous part xi: :func:`_memory`, the f1
-rows a_r(s, xi(s)) and the f2 rows of inner integrals, with their prefix
-sums.  When f2 splits into a sum of products c_r(t) a_r(s, x) b_r(s1, x1)
-its row is a_r(s) * cumulative integral of b_r(s1), O(N) per term; a t-free
-f2 that does not split costs one N x N kernel pass.  Every evaluation of
-that part takes the memory as an argument.  A sweep is therefore O(N) when
-every memory kernel splits, O(N^2) for a t-free f2 that does not, O(E N)
-for an f1 or g that references t and does not, and O(N^3) only for such
-an f2.  Picard, the segment march and :func:`jump_at` reach the formula
-through the same two membership helpers.
+One thing is built per iterate: :func:`_memory`, a table of node rows
+with one row-wise prefix sum.  Its rows are each f1 term a_r(s, xi(s)),
+each f2 row of inner integrals a_r(s) * (integral of b_r to s) (O(N) per
+term when f2 splits into products c_r(t) a_r(s, x) b_r(s1, x1); one N x N
+kernel pass for a t-free f2 that does not split), and one g row per moving
+impulse i with a nondecreasing sigma_i, fixed impulse j and term, each
+with its time factor, its cut and its tau_j.  The t-free G1 and G2 terms
+are one cumulative vector over the fixed impulses.  The f1 and f2 rows
+depend on xi alone and carry over to the table of a later iterate with
+the same xi.  An evaluation reads the whole table once per batch of
+times; what it leaves out is evaluated per batch: a memory kernel that
+references t and does not split (O(E N) weight rows for f1 and g, O(N^3)
+for f2), the g rows of a sigma_i that is not monotone (a dense mask), G1
+and G2 when they reference t, and G3.  :func:`apply_operator` makes one
+evaluation per sweep, of the nodes, the fixed-impulse times and every
+moving trace at once; the segment march and :func:`jump_at` reach the same
+formula through the same table and membership helpers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,10 +121,14 @@ class HybridProblem:
 
     Derived once, when the problem is built: ``tau``; ``sigma_grid``, each
     moving time at the grid nodes; ``sigma_nondecreasing``, per moving time
-    whether those values never decrease; ``f1_terms``, ``f2_terms`` and
-    ``g_terms``, each memory kernel split into time factors c(t) times
-    factors over :data:`F1_GROUPS`, :data:`F2_GROUPS` or :data:`G_GROUPS`
-    (:func:`~.expressions.time_split`; None when it does not split).
+    whether those values never decrease; ``tau_pairs``, the index arrays
+    (i, j), j < i, of the fixed-impulse pairs G2 sums over; ``f1_terms``,
+    ``f2_terms`` and ``g_terms``, each memory kernel split into time
+    factors c(t) times factors over :data:`F1_GROUPS`, :data:`F2_GROUPS`
+    or :data:`G_GROUPS` (:func:`~.expressions.time_split`; None when it
+    does not split).  Which of them become rows of an iterate's memory
+    table is read from the terms each time a table is built.  On first
+    use: :attr:`sweep_batch`, the times of one sweep.
 
     The split sets the cost of a sweep in N, the number of grid nodes: O(N)
     when every memory kernel splits; O(N^2) for an f2 that does not
@@ -151,6 +162,10 @@ class HybridProblem:
         object.__setattr__(
             self, "sigma_nondecreasing", np.all(np.diff(sigma_grid, axis=1) >= 0, axis=1)
         )
+        # the pairs (i, j), j < i, of fixed impulses that G2 sums over, as
+        # np.tril_indices(n_tau, k=-1) gives them
+        pairs = np.nonzero(np.tri(self.tau.size, k=-1, dtype=bool))
+        object.__setattr__(self, "tau_pairs", pairs)
         object.__setattr__(self, "f1_terms", time_split(self.f1, F1_GROUPS))
         object.__setattr__(self, "f2_terms", time_split(self.f2, F2_GROUPS))
         object.__setattr__(self, "g_terms", time_split(self.g, G_GROUPS))
@@ -184,6 +199,26 @@ class HybridProblem:
             grid=grid,
             lipschitz=lipschitz,
         )
+
+    @cached_property
+    def sweep_batch(self) -> tuple[np.ndarray, np.ndarray]:
+        """The evaluation and membership times of one sweep (read-only).
+
+        The grid nodes, one tick left of each node except at the first node
+        of every segment, one tick right: the two stored values at a
+        duplicated breakpoint node are the one-sided limits.  Then the
+        fixed impulse times and each trace's moving times, one tick left.
+        """
+        times = self.grid.times
+        node_memb = times - EPS
+        first = np.arange(self.grid.num_segments) * (self.grid.panels + 1)
+        node_memb[first] = times[first] + EPS
+        moving = self.sigma_grid.reshape(-1)
+        batch = (np.concatenate([times, self.tau, moving]),
+                 np.concatenate([node_memb, self.tau - EPS, moving - EPS]))
+        for a in batch:
+            a.setflags(write=False)
+        return batch
 
     @property
     def n_tau(self) -> int:
@@ -238,19 +273,43 @@ def default_init(problem: HybridProblem) -> SolutionTriple:
 # Core evaluation
 
 
-def _memory(problem: HybridProblem, xi: np.ndarray) -> list[tuple]:
+class _Memory(NamedTuple):
+    """The memory of one iterate: one table of node rows and one prefix sum.
+
+    Row r of ``rows`` (R, N) is integrated to every evaluation time t by
+    one read of ``prefix``, :func:`~.quadrature.row_prefix` of the whole
+    table.  The f1 and f2 rows come first, and their integrals enter the
+    operator as they are or times a time factor c(t): ``factors`` holds
+    each factor with the indices of its rows.  Then come the g rows:
+    ``moving`` holds ``(i, start, stop)`` when rows ``start:stop`` belong to
+    moving impulse i, whose integrand is cut to the nodes s with sigma_i(s)
+    below the membership time, and ``tau[k]`` is the fixed impulse of the
+    k-th g row, which counts when ``tau[k] < m``.
+    ``impulses`` is the exclusive prefix over the fixed impulses of the
+    t-free G1 and G2 values (:func:`_impulse_prefix`), or None.
+    """
+
+    xi: np.ndarray  # the continuous part the f1 and f2 rows were built from
+    xi_rows: tuple  # (c, row) of each f1 and f2 row, as :func:`_xi_rows`
+    rows: np.ndarray
+    prefix: np.ndarray
+    factors: tuple
+    moving: tuple
+    tau: np.ndarray
+    impulses: np.ndarray | None
+
+
+def _xi_rows(problem: HybridProblem, xi: np.ndarray) -> list[tuple]:
     """The f1 and f2 integrands of the continuous part ``xi`` as node rows.
 
-    One ``(c, row, prefix)`` per time factor c of ``problem.f1_terms`` and
+    One ``(c, row)`` per time factor c of ``problem.f1_terms`` and
     ``problem.f2_terms`` (the t-free terms of a kernel summed into one row
     with c None): the f1 integral to time t is c(t) times the integral of
     ``row`` to t, and so is the f2 double integral, whose row holds the
-    inner integrals a_r(s) * (integral of b_r to s).  ``prefix`` is the
-    row's :func:`~.quadrature.row_prefix`, so every evaluation time costs
-    O(1) per entry.  A t-free f2 that does not split gives its row of inner
-    integrals by one N x N kernel pass.  Built once per continuous part and
-    passed to every evaluation of it; a kernel that references t and does
-    not split is left to :func:`_sc_eval`.
+    inner integrals a_r(s) * (integral of b_r to s).  A t-free f2 that does
+    not split gives its row of inner integrals by one N x N kernel pass; a
+    kernel that references t and does not split is left to
+    :func:`_sc_eval`.
     """
     grid = problem.grid
     times = grid.times
@@ -258,26 +317,132 @@ def _memory(problem: HybridProblem, xi: np.ndarray) -> list[tuple]:
     nodes = {"s": times, "x": xi, "s1": times, "x1": xi}
     rows = []
     for c, a in problem.f1_terms or ():
-        rows.append((c, np.broadcast_to(a.evaluate(nodes), times.shape)))
+        rows.append((c, a.evaluate(nodes)))
     f2 = problem.f2
     if problem.f2_terms:
         factors = [(c, a.evaluate(nodes), b.evaluate(nodes)) for c, a, b in problem.f2_terms]
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite: caught by the solver
             inner = [
-                (c, a * node_cumulative(grid, np.broadcast_to(b, times.shape)))
+                (c, a * node_cumulative(grid, b if np.shape(b) == times.shape
+                                        else np.full(times.shape, b)))
                 for c, a, b in factors
             ]
             if f2.references("t"):
                 rows += inner
             else:
-                rows.append((None, sum(row for _, row in inner)))
+                rows.append((None, sum((row for _, row in inner[1:]), inner[0][1])))
     elif problem.f2_terms is None and not f2.references("t"):
         F = f2.evaluate(
             {"t": 0.0, "s": times[:, None], "s1": times[None, :],
              "x": xi[:, None], "x1": xi[None, :]}
         )
         rows.append((None, apply_weights(weight_rows(grid, times), F)))
-    return [(c, row, row_prefix(grid, row)) for c, row in rows]
+    return rows
+
+
+def _impulse_prefix(problem: HybridProblem, eta: np.ndarray) -> np.ndarray | None:
+    """Exclusive prefix over tau of the t-free G1 and G2 terms, or None.
+
+    Entry k sums G1(tau_i, eta_i) and G2(tau_i, tau_j, eta_i, eta_j), j < i,
+    over the impulses i < k: the terms of every time whose membership
+    admits the first k fixed impulses.
+    """
+    tau = problem.tau
+    G1, G2 = problem.G1, problem.G2
+    with_g1 = tau.size and not G1.is_zero and not G1.references("t")
+    with_g2 = tau.size >= 2 and not G2.is_zero and not G2.references("t")
+    if not (with_g1 or with_g2):
+        return None
+    per_impulse = np.zeros(tau.size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if with_g1:
+            per_impulse += G1.evaluate({"tau": tau, "eta": eta})
+        if with_g2:
+            ii, jj = problem.tau_pairs
+            vals = G2.evaluate(
+                {"taui": tau[ii], "tauj": tau[jj], "etai": eta[ii], "etaj": eta[jj]}
+            )
+            per_impulse += np.bincount(
+                ii, weights=np.broadcast_to(vals, ii.shape), minlength=tau.size
+            )
+        return np.concatenate([[0.0], np.cumsum(per_impulse)])
+
+
+def _memory(
+    problem: HybridProblem, triple: SolutionTriple, previous: _Memory | None = None
+) -> _Memory:
+    """The memory table of ``triple``, read by every evaluation of it.
+
+    Its rows are the f1 and f2 rows of :func:`_xi_rows`, then one g row per
+    moving impulse i whose sigma_i is nondecreasing on the grid, fixed
+    impulse j and term (c, a) of ``problem.g_terms``: a(s, sigma_i(s),
+    tau_j, xi(s), beta_i(s), eta_j) at the nodes, cut where sigma_i reaches
+    the membership time.  Which rows exist is read from ``f1_terms``,
+    ``f2_terms`` and ``g_terms`` here; the kernels and moving impulses left
+    out are evaluated by :func:`_sc_eval`.  The f1 and f2 rows are taken
+    from ``previous`` when it was built from the same xi array, so a
+    continuous part pays for them once.
+    """
+    xi = triple.xi.values
+    if previous is not None and previous.xi is xi:
+        xi_rows = previous.xi_rows
+    else:
+        xi_rows = tuple(_xi_rows(problem, xi))
+    entries = list(xi_rows)
+    tau, moving = [], []
+    if problem.g_terms and problem.n_tau:
+        times = problem.grid.times
+        beta = triple.beta_rows()
+        for i in np.flatnonzero(problem.sigma_nondecreasing):
+            start = len(entries)
+            for tau_j, eta_j in zip(problem.tau, triple.eta):
+                nodes = {"s": times, "sig": problem.sigma_grid[i], "tau": tau_j,
+                         "x": xi, "beta": beta[i], "eta": eta_j}
+                entries += [(c, a.evaluate(nodes)) for c, a in problem.g_terms]
+                tau += [tau_j] * len(problem.g_terms)
+            moving.append((i, start, len(entries)))
+    rows = np.empty((len(entries), problem.grid.size))
+    factors = {}
+    for r, (c, row) in enumerate(entries):
+        rows[r] = row
+        if c is not None:
+            factors.setdefault(id(c), (c, []))[1].append(r)
+    return _Memory(
+        xi=xi,
+        xi_rows=xi_rows,
+        rows=rows,
+        prefix=row_prefix(problem.grid, rows),
+        factors=tuple(factors.values()),
+        moving=tuple(moving),
+        tau=np.array(tau),
+        impulses=_impulse_prefix(problem, triple.eta),
+    )
+
+
+def _read_rows(
+    problem: HybridProblem, memory: _Memory, te: np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """Every row of the table ``memory`` at the evaluation times ``te``, summed."""
+    R, E = memory.rows.shape[0], te.size
+    keep = None
+    if memory.moving:
+        keep = np.full((R, E), problem.grid.size)
+        for i, start, stop in memory.moving:
+            # the nodes before the first with sigma_i(s) >= m
+            keep[start:stop] = np.searchsorted(problem.sigma_grid[i], m)
+    if R == 1 and keep is None and not memory.factors:
+        # one row with nothing to scale or cut, read as a row
+        return read_prefix(problem.grid, memory.prefix[0], memory.rows[0], te)
+    parts = read_prefix(problem.grid, memory.prefix, memory.rows, te, keep)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if memory.factors:
+            scale = np.ones((R, E))
+            for c, rows in memory.factors:
+                scale[rows] = c.evaluate({"t": te})
+            parts = scale * parts
+        if keep is not None:
+            parts[len(memory.xi_rows):] *= memory.tau[:, None] < m
+        return np.add.reduce(parts, axis=0)
 
 
 def _sc_eval(
@@ -285,22 +450,23 @@ def _sc_eval(
     triple: SolutionTriple,
     eval_times: np.ndarray,
     memb_times: np.ndarray,
-    memory: list[tuple],
+    memory: _Memory,
     sigma_at_eval: np.ndarray | None = None,
     beta_at_eval: np.ndarray | None = None,
 ) -> np.ndarray:
     """The operator formula at ``eval_times`` with memberships ``memb_times``.
 
-    ``memory`` is :func:`_memory` of the continuous part of ``triple``.
-    ``sigma_at_eval`` / ``beta_at_eval`` carry sigma_i and beta_i already
-    evaluated at the evaluation times (shape (n_sigma, E)); they exist so
-    node-aligned callers can supply the stored one-sided values instead of
-    interpolating.  When omitted they are computed here, with beta read by
-    its left-limit convention.
+    ``memory`` is :func:`_memory` of ``triple``, read once for the whole
+    batch.  ``sigma_at_eval`` / ``beta_at_eval`` carry sigma_i and beta_i
+    already evaluated at the evaluation times (shape (n_sigma, E)); they
+    exist so node-aligned callers can supply the stored one-sided values
+    instead of interpolating.  When omitted they are computed here, with
+    beta read by its left-limit convention.
 
-    Shared integrand rows are integrated by prefix sums; the weight rows
-    of the evaluation times are built only for a kernel that references t
-    and does not split.
+    What the table leaves out is evaluated here, for this batch: a memory
+    kernel that references t and does not split (weight rows of the
+    evaluation times), g rows of a moving impulse whose sigma_i is not
+    monotone (a dense mask), G1 and G2 when they reference t, and G3.
     """
     grid = problem.grid
     te = np.asarray(eval_times, dtype=float)
@@ -311,31 +477,14 @@ def _sc_eval(
     eta = triple.eta
     tau = problem.tau
     n_sigma = problem.n_sigma
-    g_active = bool(n_sigma and tau.size and not problem.g.is_zero)
 
-    if n_sigma and sigma_at_eval is None:
-        sigma_at_eval = np.vstack(
-            [
-                np.broadcast_to(
-                    np.asarray(s.evaluate({"t": te}), dtype=float), te.shape
-                )
-                for s in problem.schedule.sigma
-            ]
-        )
-    if n_sigma and beta_at_eval is None:
-        beta_at_eval = np.vstack([b.eval(te) for b in triple.beta])
-
-    out = np.broadcast_to(
-        np.asarray(problem.x0.evaluate({"t": te}), dtype=float), te.shape
-    ).astype(float, copy=True)
-
-    for c, row, prefix in memory:
-        part = read_prefix(grid, prefix, row, te)
-        if c is not None:
-            c_at = c.evaluate({"t": te})
-            with np.errstate(invalid="ignore", over="ignore"):
-                part = c_at * part
-        out += part
+    out = np.empty(E)
+    out[:] = problem.x0.evaluate({"t": te})
+    if len(memory.rows):
+        out += _read_rows(problem, memory, te, m)
+    if memory.impulses is not None:
+        # the t-free G1 and G2 terms of the fixed impulses below m
+        out += memory.impulses[np.searchsorted(tau, m)]
 
     if problem.f1_terms is None:
         # f1 references t and does not split: one row per evaluation time
@@ -356,7 +505,7 @@ def _sc_eval(
             inner[r] = apply_weights(node_weights, F)
         out += apply_weights(W, inner)
 
-    if tau.size and not problem.G1.is_zero:
+    if tau.size and not problem.G1.is_zero and problem.G1.references("t"):
         vals = problem.G1.evaluate(
             {"t": te[:, None], "tau": tau[None, :], "eta": eta[None, :]}
         )
@@ -364,8 +513,8 @@ def _sc_eval(
         mask = tau[None, :] < m[:, None]
         out += np.sum(vals * mask, axis=1)
 
-    if tau.size >= 2 and not problem.G2.is_zero:
-        ii, jj = np.tril_indices(tau.size, k=-1)
+    if tau.size >= 2 and not problem.G2.is_zero and problem.G2.references("t"):
+        ii, jj = problem.tau_pairs
         vals = problem.G2.evaluate(
             {
                 "t": te[:, None],
@@ -379,15 +528,18 @@ def _sc_eval(
         mask = tau[ii][None, :] < m[:, None]
         out += np.sum(vals * mask, axis=1)
 
-    if g_active:
-        # node rows of g's factors for each (sigma_i, tau_j) pair, shared by
-        # every evaluation time and scaled by their time factors; one row
-        # per evaluation time when g references t and does not split; only
-        # the nodes s with sigma_i(s) inside the membership count
-        terms = problem.g_terms if problem.g_terms is not None else [(None, problem.g)]
+    # g rows the table does not hold: every moving impulse when g references
+    # t and does not split (rows per evaluation time), else those whose
+    # sigma_i is not monotone (a dense mask of the nodes with sigma_i(s) < m)
+    split = problem.g_terms is not None
+    unsplit = [
+        i for i in range(n_sigma) if not (split and problem.sigma_nondecreasing[i])
+    ]
+    if unsplit and tau.size and not problem.g.is_zero:
+        terms = problem.g_terms if split else [(None, problem.g)]
         c_at = [None if c is None else c.evaluate({"t": te}) for c, _ in terms]
         beta_rows = triple.beta_rows()
-        for i in range(n_sigma):
+        for i in unsplit:
             sig = problem.sigma_grid[i]
             keep = gate = None
             if problem.sigma_nondecreasing[i]:
@@ -409,6 +561,8 @@ def _sc_eval(
                     out += part * (tau_j < m)
 
     if n_sigma and tau.size and not problem.G3.is_zero:
+        if sigma_at_eval is None:
+            sigma_at_eval, beta_at_eval = _moving_at(problem, triple, te)
         for i in range(n_sigma):
             vals = problem.G3.evaluate(
                 {
@@ -428,30 +582,39 @@ def _sc_eval(
     return out
 
 
+def _moving_at(problem: HybridProblem, triple: SolutionTriple, te: np.ndarray):
+    """sigma_i and beta_i at the times ``te``, each of shape (n_sigma, E).
+
+    beta is read by its left-limit convention.
+    """
+    sigma = np.vstack(
+        [
+            np.broadcast_to(np.asarray(s.evaluate({"t": te}), dtype=float), te.shape)
+            for s in problem.schedule.sigma
+        ]
+    )
+    return sigma, np.vstack([b.eval(te) for b in triple.beta])
+
+
 # ---------------------------------------------------------------------------
 # Membership conventions
 
 
 def _continuous_at(
-    problem: HybridProblem, triple: SolutionTriple, nodes, memory: list[tuple]
+    problem: HybridProblem, triple: SolutionTriple, nodes, memory: _Memory
 ) -> np.ndarray:
     """The continuous component at the grid nodes ``nodes`` (index or slice).
 
-    Memberships are one tick left of each node, except at the first node
-    of every segment, one tick right: the two stored values at a duplicated
-    breakpoint node are the one-sided limits.  sigma and beta are read at
-    their stored node values.
+    Memberships are the nodes' in ``problem.sweep_batch``; sigma and beta
+    are read at their stored node values.
     """
     grid = problem.grid
-    memb = grid.times - EPS
-    first = np.arange(grid.num_segments) * (grid.panels + 1)
-    memb[first] = grid.times[first] + EPS
     node_values = problem.n_sigma > 0
     return _sc_eval(
         problem,
         triple,
         grid.times[nodes],
-        memb[nodes],
+        problem.sweep_batch[1][:grid.size][nodes],
         memory,
         sigma_at_eval=problem.sigma_grid[:, nodes] if node_values else None,
         beta_at_eval=triple.beta_rows()[:, nodes] if node_values else None,
@@ -459,7 +622,7 @@ def _continuous_at(
 
 
 def _trace_at(
-    problem: HybridProblem, triple: SolutionTriple, p: int, nodes, memory
+    problem: HybridProblem, triple: SolutionTriple, p: int, nodes, memory: _Memory
 ) -> np.ndarray:
     """Moving trace p at the grid nodes ``nodes``: the formula at sigma_p(t).
 
@@ -473,24 +636,27 @@ def apply_operator(problem: HybridProblem, triple: SolutionTriple) -> SolutionTr
     """One full sweep of all three components (simultaneous update).
 
     The continuous part at every node with one-sided values at duplicated
-    breakpoint nodes; each fixed-impulse value as the formula at tau_l with
-    left memberships; each moving trace as the formula at sigma_p(t).  The
-    three share one memory of the continuous part.
+    breakpoint nodes (as :func:`_continuous_at`); each fixed-impulse value
+    as the formula at tau_l with left memberships; each moving trace as the
+    formula at sigma_p(t) with left memberships (as :func:`_trace_at`).
+    All three are one evaluation of one batch of times,
+    ``problem.sweep_batch``, against one memory table of the triple.
     """
     grid = problem.grid
-    memory = _memory(problem, triple.xi.values)
-    eta = (
-        _sc_eval(problem, triple, problem.tau, problem.tau - EPS, memory)
-        if problem.n_tau
-        else np.zeros(0)
-    )
+    N, n_tau, n_sigma = grid.size, problem.n_tau, problem.n_sigma
+    te, m = problem.sweep_batch
+    sigma_at = beta_at = None
+    if n_sigma:
+        # located with the batch's quadrature limits; the continuous block
+        # reads sigma and beta at their node values
+        sigma_at, beta_at = _moving_at(problem, triple, te)
+        sigma_at[:, :N] = problem.sigma_grid
+        beta_at[:, :N] = triple.beta_rows()
+    out = _sc_eval(problem, triple, te, m, _memory(problem, triple), sigma_at, beta_at)
     return SolutionTriple(
-        PiecewiseFn(grid, _continuous_at(problem, triple, slice(None), memory)),
-        eta,
-        tuple(
-            PiecewiseFn(grid, _trace_at(problem, triple, p, slice(None), memory))
-            for p in range(problem.n_sigma)
-        ),
+        PiecewiseFn(grid, out[:N]),
+        out[N:N + n_tau],
+        tuple(PiecewiseFn(grid, row) for row in out[N + n_tau:].reshape(n_sigma, N)),
     )
 
 
@@ -502,8 +668,8 @@ def jump_at(problem: HybridProblem, triple: SolutionTriple, alpha):
     is involved, so it stays valid when the running integral itself jumps
     (for instance under a constant moving-time function).  ``alpha`` is one
     breakpoint (a float is returned) or an array of them (an array of the
-    same shape is returned); the memory of the continuous part is built once
-    for all.
+    same shape is returned); both sides of every breakpoint are one
+    evaluation against one memory table.
     """
     alpha = np.asarray(alpha, dtype=float)
     t = alpha.reshape(-1)
@@ -511,9 +677,9 @@ def jump_at(problem: HybridProblem, triple: SolutionTriple, alpha):
     off = ~np.any(np.abs(t[:, None] - bps[None, :]) <= MERGE_TOL, axis=1)
     if off.any():
         raise ValueError(f"{t[off][0]} is not a breakpoint of this problem")
-    memory = _memory(problem, triple.xi.values)
-    right = _sc_eval(problem, triple, t, t + EPS, memory)
-    jumps = right - _sc_eval(problem, triple, t, t - EPS, memory)
+    both = _sc_eval(problem, triple, np.concatenate([t, t]),
+                    np.concatenate([t + EPS, t - EPS]), _memory(problem, triple))
+    jumps = both[:t.size] - both[t.size:]
     return float(jumps[0]) if alpha.ndim == 0 else jumps.reshape(alpha.shape)
 
 

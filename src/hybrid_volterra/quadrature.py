@@ -20,6 +20,9 @@ to the same limits.  The functions:
   at each limit's node (:func:`read_prefix`): O(N + E) for E limits, and
   O(E) once the prefix is built.  One row per limit takes weight rows:
   O(E N);
+* :func:`row_prefix` and :func:`read_prefix` -- the prefix sums of one
+  row or of a table of R rows at once, ``(R, N)``, read at every limit as
+  ``(R, E)``, each row with its own cut;
 * :func:`weight_rows` -- the (E, N) weight rows of E upper limits, built
   from that O(N) vector with no cumulative pass;
 * :func:`apply_weights` -- the row sums of one integrand row per weight
@@ -132,37 +135,47 @@ def integrate_to(
     return read_prefix(grid, row_prefix(grid, row), row, upper, keep)
 
 
-def row_prefix(grid: Grid, row: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sums of the trapezoid-weighted node row ``row``.
+def row_prefix(grid: Grid, rows: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums of the trapezoid-weighted node rows ``rows``.
 
-    N + 1 entries: entry k sums the weighted nodes before node k.  Built
-    once per row, it serves every later :func:`read_prefix` of that row.
+    ``rows`` is one row (N,) or a table of rows (R, N); the prefix has
+    N + 1 entries per row: entry k sums the weighted nodes before node k.
+    Built once per table, it serves every later :func:`read_prefix` of it.
     """
+    prefix = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 1,))
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.concatenate([[0.0], np.cumsum(grid.weights * row)])
+        np.cumsum(grid.weights * rows, axis=-1, out=prefix[..., 1:])
+    return prefix
 
 
 def read_prefix(
     grid: Grid,
     prefix: np.ndarray,
-    row: np.ndarray,
+    rows: np.ndarray,
     upper: np.ndarray,
     keep: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Integral of the shared node row ``row`` from 0 to each ``upper``.
+    """Integral of each node row of ``rows`` from 0 to each ``upper``.
 
-    ``prefix`` is :func:`row_prefix` of ``row``; ``keep`` cuts the
-    integrand as in :func:`integrate_to`.  O(E) for E upper limits.
+    ``rows`` is one row (N,) or a table (R, N) and ``prefix`` is its
+    :func:`row_prefix`; the result has shape (E,) or (R, E) for E upper
+    limits, O(R E).  ``keep`` cuts the integrand of row r at limit e to its
+    first ``keep[r, e]`` nodes, as in :func:`integrate_to`; an (E,)
+    ``keep`` cuts every row alike and a count of N or more keeps the whole
+    row.
     """
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     base, lo, hi = _limits(grid, upper)
     with np.errstate(invalid="ignore", over="ignore"):
-        at_base, after = lo * row[base], hi * row[base + 1]
+        at_base = lo * rows.take(base, axis=-1)
+        after = hi * rows.take(base + 1, axis=-1)
         if keep is None:
-            return prefix[base] + at_base + after
-        keep = np.asarray(keep)
+            return prefix.take(base, axis=-1) + at_base + after
+        # each row's prefix entries start at a multiple of N + 1 of the flat prefix
+        width = prefix.shape[-1]
+        start = np.arange(0, prefix.size, width).reshape(prefix.shape[:-1] + (1,))
         return (
-            prefix[np.minimum(keep, base)]
+            prefix.take(np.minimum(keep, base) + start)
             + np.where(base < keep, at_base, 0.0)
             + np.where(base + 1 < keep, after, 0.0)
         )

@@ -168,14 +168,17 @@ def _sup(a: np.ndarray) -> float:
 def _segment_sweep(problem: HybridProblem, nodes: slice, consumed, state):
     """One inner sweep of the march over the segment ``nodes``.
 
-    ``state`` is the current triple with the memory of its continuous part
-    (:func:`~.operator._memory`), or None for a memory still to be built.
-    The continuous part is updated on ``nodes``, then eta and the
-    ``consumed`` moving-trace entries are refreshed from it.
+    ``state`` is the current triple with the memory table
+    (:func:`~.operator._memory`) of its continuous part, or None for a
+    table still to be built.  The continuous part is updated on ``nodes``,
+    then eta and the ``consumed`` moving-trace entries are refreshed from
+    it.  Each step reads a table of the triple it evaluates: the state's
+    table is rebuilt for the traces the previous sweep refreshed, taking
+    over its f1 and f2 rows, and a new continuous part gets a table of its
+    own.
     """
     old, memory = state
-    if memory is None:
-        memory = _memory(problem, old.xi.values)
+    memory = _memory(problem, old, memory)
     grid = problem.grid
     xi = old.xi.values.copy()
     xi[nodes] = _continuous_at(problem, old, nodes, memory)
@@ -185,11 +188,11 @@ def _segment_sweep(problem: HybridProblem, nodes: slice, consumed, state):
     beta = old_beta.copy()
     memory = None
     if problem.n_sigma:
-        # the trace refresh, the next sweep and the final fill use this
-        # memory; without moving impulses only the next sweep would, so it
-        # waits
-        memory = _memory(problem, xi.values)
+        # the trace refresh reads this table, and the next sweep and the
+        # final fill take over its f1 and f2 rows; without moving impulses
+        # only the next sweep would, so it waits
         refreshed = SolutionTriple(xi, eta, old.beta)
+        memory = _memory(problem, refreshed)
         for p, idx in enumerate(consumed):
             if idx.size:
                 beta[p, idx] = _trace_at(problem, refreshed, p, idx, memory)
@@ -235,6 +238,7 @@ def segment_solve(
     if problem.n_sigma:
         # now that every segment is solved, fill the unconsumed trace entries
         try:
+            memory = _memory(problem, final, memory)
             beta = tuple(
                 PiecewiseFn(grid, _trace_at(problem, final, p, slice(None), memory))
                 for p in range(problem.n_sigma)

@@ -31,6 +31,14 @@ class TestParseAndEval:
         k = parse_kernel("exp(0)*x", ("x",))
         assert k(x=3.0) == 3.0
 
+    @pytest.mark.parametrize("source", ["t*t - t*t", "exp(t)*exp(t) - exp(t)*exp(t)"])
+    @pytest.mark.parametrize("t", [1e308, np.float64(1e308), np.array([1.0, 1e308])],
+                             ids=["float", "numpy-scalar", "array"])
+    def test_overflow_gives_nan_without_warning(self, source, t):
+        # the suite turns a RuntimeWarning into an error
+        out = parse_kernel(source, ("t",)).evaluate({"t": t})
+        assert np.isnan(np.ravel(out)[-1])
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(ExpressionError) as err:
             parse_kernel("t + * s", ("t", "s"))

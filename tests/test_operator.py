@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import exp_problem, make_problem, mixed_problem, random_triple
+from test_parity import multi_impulse_problem
+from hybrid_volterra import operator
 from hybrid_volterra.contraction import contraction_bounds, find_mu
-from hybrid_volterra.expressions import parse_kernel
+from hybrid_volterra.expressions import KernelExpr, parse_kernel
 from hybrid_volterra.operator import (
     EPS,
     HybridProblem,
     SolutionTriple,
+    _memory,
     _sc_eval,
     apply_operator,
     component_deltas,
@@ -20,6 +23,7 @@ from hybrid_volterra.operator import (
 from hybrid_volterra.piecewise import PiecewiseFn
 from hybrid_volterra.quadrature import apply_weights, weight_rows
 from hybrid_volterra.schedule import ImpulseSchedule
+from hybrid_volterra.solvers import picard_solve
 
 
 class TestDefaultInit:
@@ -238,9 +242,81 @@ class TestComponentDeltas:
             assert np.all(dout <= A @ din + 1e-3)
 
 
+class TestOneEvaluationPerSweep:
+    """apply_operator evaluates every component in one batch, and jump_at
+    both sides of every breakpoint in one; the g rows of a triple are
+    built once, by its memory table."""
+
+    @staticmethod
+    def _count(monkeypatch, problem):
+        calls = {"sc_eval": 0, "g_rows": 0}
+        sc_eval = operator._sc_eval
+        evaluate = KernelExpr.evaluate
+        g_factors = {id(a) for _, a in problem.g_terms}
+
+        def counting_sc_eval(*args, **kwargs):
+            calls["sc_eval"] += 1
+            return sc_eval(*args, **kwargs)
+
+        def counting_evaluate(self, bindings):
+            calls["g_rows"] += id(self) in g_factors
+            return evaluate(self, bindings)
+
+        monkeypatch.setattr(operator, "_sc_eval", counting_sc_eval)
+        monkeypatch.setattr(KernelExpr, "evaluate", counting_evaluate)
+        return calls
+
+    @pytest.mark.parametrize("build", [mixed_problem, multi_impulse_problem],
+                             ids=["mixed", "multi-impulse"])
+    def test_one_evaluation_per_application(self, monkeypatch, build):
+        problem = build()
+        assert problem.sigma_nondecreasing.all()
+        triple = random_triple(problem, np.random.default_rng(5))
+        calls = self._count(monkeypatch, problem)
+        apply_operator(problem, triple)
+        per_iterate = problem.n_sigma * problem.n_tau * len(problem.g_terms)
+        assert calls == {"sc_eval": 1, "g_rows": per_iterate}
+        calls.update(sc_eval=0, g_rows=0)
+        jump_at(problem, triple, problem.schedule.breakpoints)
+        assert calls == {"sc_eval": 1, "g_rows": per_iterate}
+
+    def test_g_rows_once_per_iterate_in_picard(self, monkeypatch):
+        problem = multi_impulse_problem()
+        calls = self._count(monkeypatch, problem)
+        _, rep = picard_solve(problem, tol=1e-12)
+        assert rep.converged
+        # each sweep and the final residual
+        applications = rep.iterations + 1
+        per_iterate = problem.n_sigma * problem.n_tau * len(problem.g_terms)
+        assert per_iterate == 2 * 3 * 2
+        assert calls == {"sc_eval": applications, "g_rows": applications * per_iterate}
+
+
 class TestGTermMask:
     """The g term against its dense form: the weights of the nodes s with
     sigma_i(s) below the membership time, zeroed elsewhere."""
+
+    @staticmethod
+    def _dense_g(p, triple, te, m):
+        times = p.grid.times
+        ref = np.zeros(te.size)
+        for i, sig in enumerate(p.sigma_grid):
+            masked = np.where(sig[None, :] < m[:, None], weight_rows(p.grid, te), 0.0)
+            for tau_j, eta_j in zip(p.tau, triple.eta):
+                row = p.g.evaluate({"t": te[:, None], "s": times, "sig": sig, "tau": tau_j,
+                                    "x": triple.xi.values, "beta": triple.beta[i].values,
+                                    "eta": eta_j})
+                ref += apply_weights(masked, np.broadcast_to(row, masked.shape)) * (tau_j < m)
+        return ref
+
+    def _check(self, p, seed=7):
+        rng = np.random.default_rng(seed)
+        triple = random_triple(p, rng)
+        te = np.concatenate([p.grid.times, rng.uniform(0.0, p.schedule.horizon, 20)])
+        for m in (te - EPS, te + EPS):
+            got = _sc_eval(p, triple, te, m, _memory(p, triple))
+            ref = self._dense_g(p, triple, te, m)
+            assert np.max(np.abs(got - ref)) <= 1e-14
 
     @pytest.mark.parametrize(
         "sigma, monotone",
@@ -260,18 +336,16 @@ class TestGTermMask:
         assert p.sigma_nondecreasing.tolist() == [monotone]
         # one t-free row, two time factors, or rows per evaluation time
         assert (None if p.g_terms is None else len(p.g_terms)) == n_terms
-        rng = np.random.default_rng(7)
-        triple = random_triple(p, rng)
-        times = p.grid.times
-        te = np.concatenate([times, rng.uniform(0.0, 2.0, 20)])
-        for m in (te - EPS, te + EPS):
-            got = _sc_eval(p, triple, te, m, [])
-            sig = p.sigma_grid[0]
-            masked = np.where(sig[None, :] < m[:, None], weight_rows(p.grid, te), 0.0)
-            ref = np.zeros(te.size)
-            for tau_j, eta_j in zip(p.tau, triple.eta):
-                row = p.g.evaluate({"t": te[:, None], "s": times, "sig": sig, "tau": tau_j,
-                                    "x": triple.xi.values, "beta": triple.beta[0].values,
-                                    "eta": eta_j})
-                ref += apply_weights(masked, np.broadcast_to(row, masked.shape)) * (tau_j < m)
-            assert np.max(np.abs(got - ref)) <= 1e-14
+        self._check(p)
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [("0.5 + 0.55*t", "0.2 + 0.6*t"), ("0.5 + 0.55*t", "0.9 + 0.3*sin(4*t)")],
+        ids=["both-nondecreasing", "one-non-monotone"],
+    )
+    def test_two_moving_three_fixed_impulses(self, sigma):
+        # table rows are indexed by moving impulse, fixed impulse and term
+        p = make_problem(2.0, tau=(0.3, 0.9, 1.6), sigma=sigma, h=0.05,
+                         panels=16, x0="0", g="0.05*t*x + 0.02*beta*eta + 0.1*s*tau")
+        assert len(p.g_terms) == 3 and p.n_sigma == 2 and p.n_tau == 3
+        self._check(p, seed=11)

@@ -1,8 +1,8 @@
 """One operator application must not drift: compare with stored images.
 
 ``tests/data/operator_parity.json`` holds, for each hybrid ``problems/*.yaml``
-(at the resolution the file declares) and for the t-dependent problem of
-``test_parity.py``, the image of one :func:`apply_operator` on
+(at the resolution the file declares) and for the t-dependent and the
+multi-impulse problems of ``test_parity.py``, the image of one :func:`apply_operator` on
 :func:`default_init` (``xi`` at every 4th node, all of ``eta`` and ``beta`` at
 every 4th node) and :func:`jump_at` on the same triple at every breakpoint.
 For the series file it holds one :func:`apply_series_operator` on the
@@ -11,6 +11,9 @@ directly, without an iteration that could damp a difference.  Regenerate
 (only when the discretisation is meant to change) with
 
     PYTHONPATH=src python3 tests/test_operator_parity.py
+
+or add or renew one case's entry, leaving every other entry as stored, with
+``--only NAME``.
 """
 
 import json
@@ -24,7 +27,7 @@ from hybrid_volterra.operator import apply_operator, default_init, jump_at
 from hybrid_volterra.piecewise import PiecewiseFn
 from hybrid_volterra.problem_io import load_problem_file
 from hybrid_volterra.series import apply_series_operator
-from test_parity import tdep_problem
+from test_parity import multi_impulse_problem, regenerate, tdep_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).resolve().parent / "data" / "operator_parity.json"
@@ -39,6 +42,7 @@ def _cases():
         loaded = load_problem_file(path)
         yield path.stem, loaded.kind, loaded.problem
     yield "tdep", "hybrid", tdep_problem()
+    yield "multi_impulse", "hybrid", multi_impulse_problem()
 
 
 def _thin(values) -> list[float]:
@@ -62,8 +66,13 @@ def image(kind, problem) -> dict:
     }
 
 
-def image_all() -> dict:
-    return {name: image(kind, problem) for name, kind, problem in _cases()}
+def image_all(only: str | None = None) -> dict:
+    """Every stored image, or the one of the case named ``only``."""
+    return {
+        name: image(kind, problem)
+        for name, kind, problem in _cases()
+        if only is None or name == only
+    }
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +98,4 @@ def test_image_matches_reference(images, key):
 
 
 if __name__ == "__main__":
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(image_all(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE}")
+    regenerate(FIXTURE, STORED, image_all)

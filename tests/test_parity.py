@@ -3,15 +3,20 @@
 ``tests/data/parity.json`` holds, at every 4th grid node, the ``xi``/``eta``/
 ``beta`` of :func:`picard_solve` and :func:`segment_solve` on each
 ``problems/*.yaml`` (at the resolution the file declares), the same for one
-small problem whose ``f1``, ``f2`` and ``g`` reference ``t``, and the
-:func:`series_solve` solutions of ``problems/series_quadratic.yaml`` and of
-one small series problem whose order-2 kernel references ``t``.  A
-refactor that keeps the same discrete fixed point reproduces them to
-rounding.  Regenerate (only when the discretisation is meant to change) with
+small problem whose ``f1``, ``f2`` and ``g`` reference ``t`` and one with
+two moving and three fixed impulses, and the :func:`series_solve`
+solutions of ``problems/series_quadratic.yaml`` and of one small series
+problem whose order-2 kernel references ``t``.  A refactor that keeps the
+same discrete fixed point reproduces them to rounding.  Regenerate (only
+when the discretisation is meant to change) with
 
     PYTHONPATH=src python3 tests/test_parity.py
+
+or add or renew the entries of one case, leaving every other entry as
+stored, with ``--only NAME`` (for example ``--only multi_impulse``).
 """
 
+import argparse
 import json
 import math
 from pathlib import Path
@@ -54,6 +59,26 @@ def tdep_series_problem() -> SeriesProblem:
     )
 
 
+def multi_impulse_problem() -> HybridProblem:
+    """Two moving and three fixed impulses: a g that splits with a time
+    factor and a G1 that references t, with the mixed problem's other
+    kernels."""
+    schedule = ImpulseSchedule.build(
+        2.0, tau=(0.3, 0.9, 1.6), sigma=("0.5 + 0.55*t", "0.2 + 0.6*t"), h=0.1
+    )
+    return HybridProblem.build(
+        schedule=schedule,
+        panels=16,
+        x0="0.2 + 0.1*t",
+        f1="0.2*sin(x) + 0.05*s",
+        f2="0.05*x*x1/(1 + s1^2)",
+        G1="0.1*eta*exp(-t) + 0.02",
+        G2="0.03*etai*etaj",
+        G3="0.04*beta + 0.01*eta",
+        g="0.05*t*x + 0.02*beta*eta",
+    )
+
+
 def _cases():
     """(name, kind, problem, tol, kmax) for every reference solve."""
     for path in sorted((ROOT / "problems").glob("*.yaml")):
@@ -62,15 +87,19 @@ def _cases():
         yield path.stem, loaded.kind, loaded.problem, s.tol, s.kmax
     yield "tdep", "hybrid", tdep_problem(), 1e-12, 200
     yield "tdep", "series", tdep_series_problem(), 1e-12, 200
+    yield "multi_impulse", "hybrid", multi_impulse_problem(), 1e-12, 200
 
 
 def _thin(values) -> list[float]:
     return [float(v) for v in np.asarray(values)[::STRIDE]]
 
 
-def solve_all() -> dict:
+def solve_all(only: str | None = None) -> dict:
+    """Every reference solve, or those of the case named ``only``."""
     out = {}
     for name, kind, problem, tol, kmax in _cases():
+        if only is not None and name != only:
+            continue
         if kind == "series":
             y, _ = series_solve(problem, tol=tol, kmax=kmax)
             out[f"{name}/series"] = {"xi": _thin(y.values)}
@@ -107,7 +136,25 @@ def test_solution_matches_reference(solved, key):
             assert math.isfinite(diff) and diff <= TOL, f"{field}: sup diff {diff:.3e}"
 
 
+def regenerate(fixture: Path, stored: dict, compute, argv=None) -> None:
+    """Write ``compute(only)`` to ``fixture``; with ``--only NAME`` keep every
+    stored entry of another case as it is (entries are keyed ``NAME`` or
+    ``NAME/...``)."""
+    parser = argparse.ArgumentParser(description=f"regenerate {fixture.name}")
+    parser.add_argument("--only", metavar="NAME",
+                        help="write just the entries of the case NAME")
+    only = parser.parse_args(argv).only
+    entries = {}
+    if only is not None:
+        entries = {k: v for k, v in stored.items() if k.split("/")[0] != only}
+    fresh = compute(only)
+    if not fresh:
+        parser.error(f"no case is named {only!r}")
+    entries.update(fresh)
+    fixture.parent.mkdir(exist_ok=True)
+    fixture.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {fixture}" + ("" if only is None else f" ({', '.join(sorted(fresh))})"))
+
+
 if __name__ == "__main__":
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(solve_all(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE}")
+    regenerate(FIXTURE, STORED, solve_all)

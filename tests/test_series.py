@@ -180,6 +180,17 @@ class TestSeriesSolve:
         assert report.iterations == len(report.deltas) >= 1
         assert np.all(np.isfinite(y.values))
 
+    def test_blow_up_through_an_unsplit_kernel_raises_no_warning(self):
+        # the order-2 kernel does not split, so it takes the cube path; the
+        # suite turns a RuntimeWarning into an error
+        p = SeriesProblem.build(horizon=3.0, y0="1",
+                                kernels=("exp(x1)", "(exp(x1)*exp(x2))^1"), panels=64)
+        assert p.kernel_terms[1] is None
+        y, report = series_solve(p)
+        assert report.failed and not report.converged
+        assert report.notes == ("diverged: non-finite update in sweep 3",)
+        assert np.all(np.isfinite(y.values))
+
     def test_forcing_error_returns_no_iterate(self):
         p = SeriesProblem.build(horizon=1.0, y0="1/t", kernels=("x1",))
         y, report = series_solve(p)

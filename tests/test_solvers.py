@@ -375,11 +375,11 @@ class TestSeparableF2:
         calls = self._count_weight_rows(monkeypatch)
         _, rep = picard_solve(problem, tol=1e-12, kmax=300)
         assert rep.converged
-        # per operator application (each sweep and the final residual): the
-        # continuous part's f1 rows and f2 outer rows, reused as f2 inner
-        # rows at the nodes; the fixed-impulse value's f2 outer and inner
-        # rows (its single f1 row is shared)
-        assert len(calls) == 4 * (rep.iterations + 1)
+        # per operator application (each sweep and the final residual), one
+        # batch of the nodes and the fixed-impulse time: its f1 rows, its f2
+        # outer rows and the f2 inner rows at the nodes
+        n = problem.grid.size
+        assert calls == [n + 1, n + 1, n] * (rep.iterations + 1)
 
 
 def nonmonotone_sigma_problem():
