@@ -43,20 +43,25 @@ kernel pass for a t-free f2 that does not split), and one g row per moving
 impulse i with a nondecreasing sigma_i, fixed impulse j and term, each
 with its time factor, its cut and its tau_j.  The t-free G1 and G2 terms
 are one cumulative vector over the fixed impulses.  The f1 and f2 rows
-depend on xi alone and carry over to the table of a later iterate with
-the same xi.  An evaluation reads the whole table once per batch of
-times; what it leaves out is evaluated per batch: a memory kernel that
-references t and does not split (O(E N) weight rows for f1 and g, O(N^3)
-for f2), the g rows of a sigma_i that is not monotone (a dense mask), G1
-and G2 when they reference t, and G3.  :func:`apply_operator` makes one
-evaluation per sweep, of the nodes, the fixed-impulse times and every
-moving trace at once; the segment march and :func:`jump_at` reach the same
-formula through the same table and membership helpers.
+depend on xi alone and the G1 and G2 vector on eta alone; each carries
+over to the table of a later iterate with the same array, and a table
+whose arrays are all the same is reused whole.  An evaluation reads the
+whole table once per batch of times; what it leaves out is evaluated per
+batch: a memory kernel that references t and does not split (O(E N)
+weight rows for f1 and g, O(N^3) for f2), the g rows of a sigma_i that is
+not monotone (a dense mask), G1 and G2 when they reference t, and G3.
+What a batch needs that no iterate changes (x0 and sigma_i at its times,
+the time factors, the g rows' cuts and the membership masks) is built once
+per problem and batch (:meth:`HybridProblem.batch`).
+:func:`apply_operator` makes one evaluation per sweep, of the nodes, the
+fixed-impulse times and every moving trace at once; the segment march and
+:func:`jump_at` reach the same formula through the same table, batches and
+membership helpers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -82,6 +87,9 @@ from .schedule import MERGE_TOL, ImpulseSchedule
 from .contraction import LipschitzSet
 
 EPS = MERGE_TOL
+# evaluation batches a problem keeps (:meth:`HybridProblem.batch`); the
+# segment march uses about two per segment, so a full memo is cleared
+_BATCH_MEMO_SIZE = 64
 
 ARITIES: dict[str, tuple[str, ...]] = {
     "x0": ("t",),
@@ -98,6 +106,30 @@ ARITIES: dict[str, tuple[str, ...]] = {
 F1_GROUPS = (("s", "x"),)
 F2_GROUPS = (("s", "x"), ("s1", "x1"))
 G_GROUPS = (("s", "sig", "tau", "x", "beta", "eta"),)
+
+
+def _read_only(a) -> np.ndarray:
+    a = np.asarray(a)
+    a.setflags(write=False)
+    return a
+
+
+class _lazy:
+    """An array attribute built on first use, then kept read-only in the
+    instance's ``__dict__``, whose entry shadows this descriptor.  Unlike
+    ``functools.cached_property`` on Python 3.11 it takes no lock, which
+    cost about 3 us per first use and showed on small problems."""
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = _read_only(self.build(instance))
+        return value
 
 
 def _coerce(name: str, value) -> KernelExpr:
@@ -128,7 +160,9 @@ class HybridProblem:
     or :data:`G_GROUPS` (:func:`~.expressions.time_split`; None when it
     does not split).  Which of them become rows of an iterate's memory
     table is read from the terms each time a table is built.  On first
-    use: :attr:`sweep_batch`, the times of one sweep.
+    use: :attr:`sweep_batch`, the times of one sweep, and per batch of
+    evaluation and membership times the parts no iterate changes
+    (:meth:`batch`).
 
     The split sets the cost of a sweep in N, the number of grid nodes: O(N)
     when every memory kernel splits; O(N^2) for an f2 that does not
@@ -147,6 +181,7 @@ class HybridProblem:
     schedule: ImpulseSchedule
     grid: Grid
     lipschitz: LipschitzSet | None = None
+    _batches: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ARITIES:
@@ -220,6 +255,27 @@ class HybridProblem:
             a.setflags(write=False)
         return batch
 
+    def batch(self, te: np.ndarray, m: np.ndarray) -> "_Batch":
+        """The parts of evaluating at ``te`` with memberships ``m`` that no
+        iterate changes (:class:`_Batch`).
+
+        Kept per values of the two arrays, so a solve builds them once per
+        batch it evaluates, whatever its sweep count.  The memo is the
+        problem's, not the grid's: two problems can share one grid.  The
+        read-only :attr:`sweep_batch` is found by identity, without hashing
+        its 2N + n_tau values.
+        """
+        if te is self.sweep_batch[0] and m is self.sweep_batch[1]:
+            key = "sweep"
+        else:
+            key = (te.shape, te.tobytes(), m.tobytes())
+        found = self._batches.get(key)
+        if found is None:
+            if len(self._batches) >= _BATCH_MEMO_SIZE:
+                self._batches.clear()
+            found = self._batches[key] = _Batch(self, te, m)
+        return found
+
     @property
     def n_tau(self) -> int:
         return self.schedule.n_tau
@@ -245,9 +301,16 @@ class SolutionTriple:
                 raise ValueError("beta traces must live on the same grid as xi")
 
     def beta_rows(self) -> np.ndarray:
-        g = self.xi.grid
+        """The traces stacked one row per moving impulse, (n_sigma, N).
+
+        Built once per triple and read-only: a caller that writes copies it.
+        """
+        return self._beta_rows
+
+    @_lazy
+    def _beta_rows(self) -> np.ndarray:
         if not self.beta:
-            return np.zeros((0, g.size))
+            return np.zeros((0, self.xi.grid.size))
         return np.vstack([b.values for b in self.beta])
 
 
@@ -273,6 +336,64 @@ def default_init(problem: HybridProblem) -> SolutionTriple:
 # Core evaluation
 
 
+class _Batch:
+    """The parts of one evaluation batch that no iterate changes.
+
+    ``te`` and ``m`` are the evaluation and membership times, copied.  Each
+    part is built on first use and read-only: ``x0`` at ``te``; ``sigma``,
+    each moving time at ``te`` (n_sigma, E); ``cut``, per moving impulse
+    the number of nodes before the first with sigma_i(s) >= m (n_sigma, E),
+    the prefix its g rows keep (0 where sigma_i is not nondecreasing);
+    ``tau_below``, tau_j < m (E, n_tau); ``impulse_count``, the number of
+    fixed impulses below m; ``g3_gate``, sigma_i(te) < m and tau_j < m
+    (n_sigma, n_tau, E); and by :meth:`factor` each time factor at ``te``.
+    A part whose kernel fails to evaluate is not kept, and fails again.
+    """
+
+    def __init__(self, problem: "HybridProblem", te: np.ndarray, m: np.ndarray):
+        self.problem = problem
+        self.te = _read_only(np.array(te, dtype=float))
+        self.m = _read_only(np.array(m, dtype=float))
+        self._factors: dict[int, np.ndarray] = {}
+
+    @_lazy
+    def x0(self) -> np.ndarray:
+        x0 = np.empty(self.te.shape)
+        x0[:] = self.problem.x0.evaluate({"t": self.te})
+        return x0
+
+    @_lazy
+    def sigma(self) -> np.ndarray:
+        return self.problem.schedule.sigma_values(self.te)
+
+    @_lazy
+    def cut(self) -> np.ndarray:
+        problem = self.problem
+        cut = np.zeros((problem.n_sigma, self.m.size), dtype=np.intp)
+        for i in np.flatnonzero(problem.sigma_nondecreasing):
+            cut[i] = np.searchsorted(problem.sigma_grid[i], self.m)
+        return cut
+
+    @_lazy
+    def tau_below(self) -> np.ndarray:
+        return self.problem.tau[None, :] < self.m[:, None]
+
+    @_lazy
+    def impulse_count(self) -> np.ndarray:
+        return np.searchsorted(self.problem.tau, self.m)
+
+    @_lazy
+    def g3_gate(self) -> np.ndarray:
+        return (self.sigma[:, None, :] < self.m) & self.tau_below.T[None, :, :]
+
+    def factor(self, c: KernelExpr) -> np.ndarray:
+        """The time factor ``c`` (one of the problem's terms) at ``te``."""
+        found = self._factors.get(id(c))
+        if found is None:
+            found = self._factors[id(c)] = _read_only(c.evaluate({"t": self.te}))
+        return found
+
+
 class _Memory(NamedTuple):
     """The memory of one iterate: one table of node rows and one prefix sum.
 
@@ -290,6 +411,8 @@ class _Memory(NamedTuple):
     """
 
     xi: np.ndarray  # the continuous part the f1 and f2 rows were built from
+    eta: np.ndarray  # the fixed-impulse values ``impulses`` was built from
+    beta: tuple  # the node values of each trace the g rows were built from
     xi_rows: tuple  # (c, row) of each f1 and f2 row, as :func:`_xi_rows`
     rows: np.ndarray
     prefix: np.ndarray
@@ -379,23 +502,31 @@ def _memory(
     tau_j, xi(s), beta_i(s), eta_j) at the nodes, cut where sigma_i reaches
     the membership time.  Which rows exist is read from ``f1_terms``,
     ``f2_terms`` and ``g_terms`` here; the kernels and moving impulses left
-    out are evaluated by :func:`_sc_eval`.  The f1 and f2 rows are taken
-    from ``previous`` when it was built from the same xi array, so a
-    continuous part pays for them once.
+    out are evaluated by :func:`_sc_eval`.
+
+    ``previous`` is the table of an earlier triple.  It is returned as it
+    is when it was built from the same xi and eta arrays and its g rows,
+    if it has any, from the same trace arrays.  Else its f1 and f2 rows
+    are taken over when xi is the same array, and its G1 and G2 prefix
+    when eta is, so each part is paid for once per array.
     """
-    xi = triple.xi.values
-    if previous is not None and previous.xi is xi:
-        xi_rows = previous.xi_rows
-    else:
-        xi_rows = tuple(_xi_rows(problem, xi))
+    xi, eta = triple.xi.values, triple.eta
+    beta = tuple([b.values for b in triple.beta])
+    same_xi = same_eta = False
+    if previous is not None:
+        same_xi, same_eta = previous.xi is xi, previous.eta is eta
+        if same_xi and same_eta and (
+            not previous.moving or all(a is b for a, b in zip(previous.beta, beta))
+        ):
+            return previous
+    xi_rows = previous.xi_rows if same_xi else tuple(_xi_rows(problem, xi))
     entries = list(xi_rows)
     tau, moving = [], []
     if problem.g_terms and problem.n_tau:
         times = problem.grid.times
-        beta = triple.beta_rows()
         for i in np.flatnonzero(problem.sigma_nondecreasing):
             start = len(entries)
-            for tau_j, eta_j in zip(problem.tau, triple.eta):
+            for tau_j, eta_j in zip(problem.tau, eta):
                 nodes = {"s": times, "sig": problem.sigma_grid[i], "tau": tau_j,
                          "x": xi, "beta": beta[i], "eta": eta_j}
                 entries += [(c, a.evaluate(nodes)) for c, a in problem.g_terms]
@@ -409,27 +540,27 @@ def _memory(
             factors.setdefault(id(c), (c, []))[1].append(r)
     return _Memory(
         xi=xi,
+        eta=eta,
+        beta=beta,
         xi_rows=xi_rows,
         rows=rows,
         prefix=row_prefix(problem.grid, rows),
         factors=tuple(factors.values()),
         moving=tuple(moving),
         tau=np.array(tau),
-        impulses=_impulse_prefix(problem, triple.eta),
+        impulses=previous.impulses if same_eta else _impulse_prefix(problem, eta),
     )
 
 
-def _read_rows(
-    problem: HybridProblem, memory: _Memory, te: np.ndarray, m: np.ndarray
-) -> np.ndarray:
-    """Every row of the table ``memory`` at the evaluation times ``te``, summed."""
+def _read_rows(problem: HybridProblem, memory: _Memory, batch: _Batch) -> np.ndarray:
+    """Every row of the table ``memory`` at the times of ``batch``, summed."""
+    te, m = batch.te, batch.m
     R, E = memory.rows.shape[0], te.size
     keep = None
     if memory.moving:
         keep = np.full((R, E), problem.grid.size)
         for i, start, stop in memory.moving:
-            # the nodes before the first with sigma_i(s) >= m
-            keep[start:stop] = np.searchsorted(problem.sigma_grid[i], m)
+            keep[start:stop] = batch.cut[i]
     if R == 1 and keep is None and not memory.factors:
         # one row with nothing to scale or cut, read as a row
         return read_prefix(problem.grid, memory.prefix[0], memory.rows[0], te)
@@ -438,7 +569,7 @@ def _read_rows(
         if memory.factors:
             scale = np.ones((R, E))
             for c, rows in memory.factors:
-                scale[rows] = c.evaluate({"t": te})
+                scale[rows] = batch.factor(c)
             parts = scale * parts
         if keep is not None:
             parts[len(memory.xi_rows):] *= memory.tau[:, None] < m
@@ -451,17 +582,16 @@ def _sc_eval(
     eval_times: np.ndarray,
     memb_times: np.ndarray,
     memory: _Memory,
-    sigma_at_eval: np.ndarray | None = None,
     beta_at_eval: np.ndarray | None = None,
 ) -> np.ndarray:
     """The operator formula at ``eval_times`` with memberships ``memb_times``.
 
     ``memory`` is :func:`_memory` of ``triple``, read once for the whole
-    batch.  ``sigma_at_eval`` / ``beta_at_eval`` carry sigma_i and beta_i
-    already evaluated at the evaluation times (shape (n_sigma, E)); they
-    exist so node-aligned callers can supply the stored one-sided values
-    instead of interpolating.  When omitted they are computed here, with
-    beta read by its left-limit convention.
+    batch; what no iterate changes comes from ``problem.batch``.
+    ``beta_at_eval`` carries each beta_i already evaluated at the
+    evaluation times (shape (n_sigma, E)), so node-aligned callers can
+    supply the stored one-sided values instead of interpolating.  When
+    omitted it is computed here, by beta's left-limit convention.
 
     What the table leaves out is evaluated here, for this batch: a memory
     kernel that references t and does not split (weight rows of the
@@ -469,8 +599,9 @@ def _sc_eval(
     monotone (a dense mask), G1 and G2 when they reference t, and G3.
     """
     grid = problem.grid
-    te = np.asarray(eval_times, dtype=float)
-    m = np.asarray(memb_times, dtype=float)
+    batch = problem.batch(np.asarray(eval_times, dtype=float),
+                          np.asarray(memb_times, dtype=float))
+    te, m = batch.te, batch.m
     E = te.size
     times = grid.times
     xi = triple.xi.values
@@ -479,12 +610,12 @@ def _sc_eval(
     n_sigma = problem.n_sigma
 
     out = np.empty(E)
-    out[:] = problem.x0.evaluate({"t": te})
+    out[:] = batch.x0
     if len(memory.rows):
-        out += _read_rows(problem, memory, te, m)
+        out += _read_rows(problem, memory, batch)
     if memory.impulses is not None:
         # the t-free G1 and G2 terms of the fixed impulses below m
-        out += memory.impulses[np.searchsorted(tau, m)]
+        out += memory.impulses[batch.impulse_count]
 
     if problem.f1_terms is None:
         # f1 references t and does not split: one row per evaluation time
@@ -510,8 +641,7 @@ def _sc_eval(
             {"t": te[:, None], "tau": tau[None, :], "eta": eta[None, :]}
         )
         vals = np.broadcast_to(vals, (E, tau.size))
-        mask = tau[None, :] < m[:, None]
-        out += np.sum(vals * mask, axis=1)
+        out += np.sum(vals * batch.tau_below, axis=1)
 
     if tau.size >= 2 and not problem.G2.is_zero and problem.G2.references("t"):
         ii, jj = problem.tau_pairs
@@ -525,8 +655,7 @@ def _sc_eval(
             }
         )
         vals = np.broadcast_to(vals, (E, ii.size))
-        mask = tau[ii][None, :] < m[:, None]
-        out += np.sum(vals * mask, axis=1)
+        out += np.sum(vals * batch.tau_below[:, ii], axis=1)
 
     # g rows the table does not hold: every moving impulse when g references
     # t and does not split (rows per evaluation time), else those whose
@@ -537,17 +666,16 @@ def _sc_eval(
     ]
     if unsplit and tau.size and not problem.g.is_zero:
         terms = problem.g_terms if split else [(None, problem.g)]
-        c_at = [None if c is None else c.evaluate({"t": te}) for c, _ in terms]
+        c_at = [None if c is None else batch.factor(c) for c, _ in terms]
         beta_rows = triple.beta_rows()
         for i in unsplit:
             sig = problem.sigma_grid[i]
             keep = gate = None
             if problem.sigma_nondecreasing[i]:
-                # the nodes before the first with sigma_i(s) >= m
-                keep = np.searchsorted(sig, m)
+                keep = batch.cut[i]
             else:
                 gate = sig[None, :] < m[:, None]
-            for tau_j, eta_j in zip(tau, eta):
+            for j, (tau_j, eta_j) in enumerate(zip(tau, eta)):
                 nodes = {"t": te[:, None], "s": times, "sig": sig, "tau": tau_j,
                          "x": xi, "beta": beta_rows[i], "eta": eta_j}
                 for (_, a), c in zip(terms, c_at):
@@ -558,42 +686,30 @@ def _sc_eval(
                     if c is not None:
                         with np.errstate(invalid="ignore", over="ignore"):
                             part = c * part
-                    out += part * (tau_j < m)
+                    out += part * batch.tau_below[:, j]
 
     if n_sigma and tau.size and not problem.G3.is_zero:
-        if sigma_at_eval is None:
-            sigma_at_eval, beta_at_eval = _moving_at(problem, triple, te)
+        if beta_at_eval is None:
+            beta_at_eval = _beta_at(triple, te)
         for i in range(n_sigma):
             vals = problem.G3.evaluate(
                 {
                     "t": te,
-                    "sig": sigma_at_eval[i],
+                    "sig": batch.sigma[i],
                     "tau": tau[:, None],
                     "beta": beta_at_eval[i],
                     "eta": eta[:, None],
                 }
             )
             vals = np.broadcast_to(vals, (tau.size, E))
-            mask = (sigma_at_eval[i][None, :] < m[None, :]) & (
-                tau[:, None] < m[None, :]
-            )
-            out += np.sum(vals * mask, axis=0)
+            out += np.sum(vals * batch.g3_gate[i], axis=0)
 
     return out
 
 
-def _moving_at(problem: HybridProblem, triple: SolutionTriple, te: np.ndarray):
-    """sigma_i and beta_i at the times ``te``, each of shape (n_sigma, E).
-
-    beta is read by its left-limit convention.
-    """
-    sigma = np.vstack(
-        [
-            np.broadcast_to(np.asarray(s.evaluate({"t": te}), dtype=float), te.shape)
-            for s in problem.schedule.sigma
-        ]
-    )
-    return sigma, np.vstack([b.eval(te) for b in triple.beta])
+def _beta_at(triple: SolutionTriple, te: np.ndarray) -> np.ndarray:
+    """Each beta_i at the times ``te``, (n_sigma, E), by its left-limit convention."""
+    return np.vstack([b.eval(te) for b in triple.beta])
 
 
 # ---------------------------------------------------------------------------
@@ -605,19 +721,17 @@ def _continuous_at(
 ) -> np.ndarray:
     """The continuous component at the grid nodes ``nodes`` (index or slice).
 
-    Memberships are the nodes' in ``problem.sweep_batch``; sigma and beta
-    are read at their stored node values.
+    Memberships are the nodes' in ``problem.sweep_batch``; beta is read at
+    its stored node values.
     """
     grid = problem.grid
-    node_values = problem.n_sigma > 0
     return _sc_eval(
         problem,
         triple,
         grid.times[nodes],
         problem.sweep_batch[1][:grid.size][nodes],
         memory,
-        sigma_at_eval=problem.sigma_grid[:, nodes] if node_values else None,
-        beta_at_eval=triple.beta_rows()[:, nodes] if node_values else None,
+        beta_at_eval=triple.beta_rows()[:, nodes] if problem.n_sigma else None,
     )
 
 
@@ -645,14 +759,13 @@ def apply_operator(problem: HybridProblem, triple: SolutionTriple) -> SolutionTr
     grid = problem.grid
     N, n_tau, n_sigma = grid.size, problem.n_tau, problem.n_sigma
     te, m = problem.sweep_batch
-    sigma_at = beta_at = None
+    beta_at = None
     if n_sigma:
         # located with the batch's quadrature limits; the continuous block
-        # reads sigma and beta at their node values
-        sigma_at, beta_at = _moving_at(problem, triple, te)
-        sigma_at[:, :N] = problem.sigma_grid
+        # reads beta at its node values
+        beta_at = _beta_at(triple, te)
         beta_at[:, :N] = triple.beta_rows()
-    out = _sc_eval(problem, triple, te, m, _memory(problem, triple), sigma_at, beta_at)
+    out = _sc_eval(problem, triple, te, m, _memory(problem, triple), beta_at)
     return SolutionTriple(
         PiecewiseFn(grid, out[:N]),
         out[N:N + n_tau],

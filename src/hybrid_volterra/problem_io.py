@@ -246,6 +246,19 @@ def load_problem_file(path) -> LoadedProblem:
     raise ProblemFileError(f"kind: expected 'hybrid' or 'series', got {kind!r}")
 
 
+def _row_nodes(xi: PiecewiseFn) -> tuple[np.ndarray, np.ndarray]:
+    """The left node of each row of :func:`solution_rows`, and whether the
+    row pairs it with the next node (a breakpoint) for its right value."""
+    times = xi.grid.times
+    close = np.diff(times) <= 1e-12 * np.maximum(1.0, np.abs(times[:-1]))
+    # a pair starts at an odd offset into a run of close neighbours
+    idx = np.arange(close.size)
+    last_apart = np.maximum.accumulate(np.where(close, -1, idx))
+    starts = np.append(close & ((idx - last_apart) % 2 == 1), False)
+    rows = np.flatnonzero(~np.insert(starts[:-1], 0, False))
+    return rows, starts[rows]
+
+
 def solution_rows(xi: PiecewiseFn) -> list[tuple[float, float, float]]:
     """(t, left value, right value) per distinct grid time, in order.
 
@@ -255,15 +268,9 @@ def solution_rows(xi: PiecewiseFn) -> list[tuple[float, float, float]]:
     greedily from the left: of three such nodes the first two pair and the
     third stands alone.
     """
-    times = xi.grid.times
+    rows, paired = _row_nodes(xi)
     values = xi.values
-    close = np.diff(times) <= 1e-12 * np.maximum(1.0, np.abs(times[:-1]))
-    # a pair starts at an odd offset into a run of close neighbours
-    idx = np.arange(close.size)
-    last_apart = np.maximum.accumulate(np.where(close, -1, idx))
-    starts = np.append(close & ((idx - last_apart) % 2 == 1), False)
-    rows = np.flatnonzero(~np.insert(starts[:-1], 0, False))
-    columns = (times[rows], values[rows], values[rows + starts[rows]])
+    columns = (xi.grid.times[rows], values[rows], values[rows + paired])
     return list(zip(*(c.tolist() for c in columns)))
 
 
@@ -272,9 +279,17 @@ def write_solution_csv(path, xi: PiecewiseFn) -> None:
 
     Each value is written as its ``repr``, rows end in CRLF: the bytes of
     the standard library's ``csv.writer``, which :func:`read_solution_csv`
-    reads back exactly.
+    reads back exactly.  A row that is not a breakpoint writes its one
+    value's text twice, so each value is formatted once.
     """
-    lines = [f"{t!r},{left!r},{right!r}\r\n" for t, left, right in solution_rows(xi)]
+    rows, paired = _row_nodes(xi)
+    values = xi.values
+    t = map(repr, xi.grid.times[rows].tolist())
+    left = [repr(v) for v in values[rows].tolist()]
+    right = left.copy()
+    for k in np.flatnonzero(paired).tolist():
+        right[k] = repr(float(values[rows[k] + 1]))
+    lines = [f"{a},{b},{c}\r\n" for a, b, c in zip(t, left, right)]
     with open(path, "w", newline="") as fh:
         fh.write("".join(["t,x_left,x_right\r\n", *lines]))
 

@@ -7,11 +7,13 @@ Two routes to the same discrete fixed point:
   progress is measured in the exponentially weighted norms at weight mu.
 * :func:`segment_solve` - marches segment by segment through the partition.
   Within a segment only the continuous nodes of that segment iterate; the
-  impulse values eta and the consumed prefix of each moving trace beta are
-  refreshed from the current continuous part after every sweep.  Because
-  every membership test looks strictly into the past, values from segments
-  not yet solved are masked out of every sum and integral, so the march is
-  well posed.
+  impulse values eta, and the moving-trace entries beta_p(t) that the
+  segment consumes first (sigma_p(t) in the segment, past the end of the
+  one before), are refreshed from the current continuous part after every
+  sweep.  An entry consumed by an earlier segment reads only solved
+  segments, so it is not recomputed.  Because every membership test looks
+  strictly into the past, values from segments not yet solved are masked
+  out of every sum and integral, so the march is well posed.
 
 Both return the solution triple plus a :class:`SolveReport` with per-sweep
 component deltas (useful for checking contraction-rate predictions).  A
@@ -165,17 +167,34 @@ def _sup(a: np.ndarray) -> float:
     return float(np.max(np.abs(a), initial=0.0))
 
 
-def _segment_sweep(problem: HybridProblem, nodes: slice, consumed, state):
+def _refresh_traces(
+    problem: HybridProblem, triple: SolutionTriple, entries, memory
+) -> SolutionTriple:
+    """``triple`` with the trace ``entries`` recomputed from it.
+
+    ``entries`` holds one array of node indices per moving impulse, and
+    ``memory`` is the table of ``triple``.
+    """
+    beta = triple.beta_rows().copy()
+    for p, idx in enumerate(entries):
+        if idx.size:
+            beta[p, idx] = _trace_at(problem, triple, p, idx, memory)
+    traces = tuple(PiecewiseFn(problem.grid, row) for row in beta)
+    return SolutionTriple(triple.xi, triple.eta, traces)
+
+
+def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, state):
     """One inner sweep of the march over the segment ``nodes``.
 
-    ``state`` is the current triple with the memory table
-    (:func:`~.operator._memory`) of its continuous part, or None for a
-    table still to be built.  The continuous part is updated on ``nodes``,
-    then eta and the ``consumed`` moving-trace entries are refreshed from
-    it.  Each step reads a table of the triple it evaluates: the state's
-    table is rebuilt for the traces the previous sweep refreshed, taking
-    over its f1 and f2 rows, and a new continuous part gets a table of its
-    own.
+    ``state`` is the current triple with a memory table
+    (:func:`~.operator._memory`) to build its own from, or None.  The
+    continuous part is updated on ``nodes``, then eta and the ``fresh``
+    moving-trace entries, those the segment consumes first, are refreshed
+    from it.  Each step reads a table of the triple it evaluates.  A sweep
+    with no fresh entry keeps the old traces and leaves the table of its
+    continuous part to the next sweep; one with fresh entries builds that
+    table for their refresh and hands it on, so that the next sweep
+    rebuilds only its g rows, for the new traces.
     """
     old, memory = state
     memory = _memory(problem, old, memory)
@@ -184,21 +203,13 @@ def _segment_sweep(problem: HybridProblem, nodes: slice, consumed, state):
     xi[nodes] = _continuous_at(problem, old, nodes, memory)
     xi = PiecewiseFn(grid, xi)
     eta = xi.eval(problem.tau)  # left limits at the fixed impulse times
-    old_beta = old.beta_rows()
-    beta = old_beta.copy()
-    memory = None
-    if problem.n_sigma:
-        # the trace refresh reads this table, and the next sweep and the
-        # final fill take over its f1 and f2 rows; without moving impulses
-        # only the next sweep would, so it waits
-        refreshed = SolutionTriple(xi, eta, old.beta)
-        memory = _memory(problem, refreshed)
-        for p, idx in enumerate(consumed):
-            if idx.size:
-                beta[p, idx] = _trace_at(problem, refreshed, p, idx, memory)
-    new = SolutionTriple(xi, eta, tuple(PiecewiseFn(grid, row) for row in beta))
-    deltas = (_sup(xi.values - old.xi.values), _sup(eta - old.eta), _sup(beta - old_beta))
-    return (new, memory), deltas
+    refreshed = SolutionTriple(xi, eta, old.beta)
+    deltas = (_sup(xi.values - old.xi.values), _sup(eta - old.eta))
+    if not any(idx.size for idx in fresh):
+        return (refreshed, None), deltas + (0.0,)
+    memory = _memory(problem, refreshed)
+    new = _refresh_traces(problem, refreshed, fresh, memory)
+    return (new, memory), deltas + (_sup(new.beta_rows() - old.beta_rows()),)
 
 
 def segment_solve(
@@ -211,7 +222,10 @@ def segment_solve(
 
     The first node of a segment carries the right limit at its breakpoint
     and is fully determined by earlier segments, so it is computed once;
-    the remaining nodes iterate.  Deltas are plain suprema (no weight):
+    the remaining nodes iterate.  Segment l refreshes the moving-trace
+    entries it consumes first, those with sigma_p in (end_{l-1}, end_l]
+    (closed below for the first segment): an entry consumed earlier reads
+    only segments already solved.  Deltas are plain suprema (no weight):
     each segment is short, so no damping is needed for a sound stop rule.
     """
     grid = problem.grid
@@ -220,14 +234,13 @@ def segment_solve(
     if cur is None:
         return None, report
     state = (cur, None)
+    consumed = np.zeros(problem.sigma_grid.shape, dtype=bool)
     for l in range(grid.num_segments):
         end = float(grid.partition[l + 1])
-        # moving-trace entries consumed while solving this segment
-        consumed = [
-            np.flatnonzero(problem.sigma_grid[p] <= end + EPS)
-            for p in range(problem.n_sigma)
-        ]
-        sweep = partial(_segment_sweep, problem, grid.segment_slice(l), consumed)
+        now = problem.sigma_grid <= end + EPS
+        fresh = [np.flatnonzero(row) for row in now & ~consumed]
+        consumed = now
+        sweep = partial(_segment_sweep, problem, grid.segment_slice(l), fresh)
         state, done = _iterate(report, state, sweep, tol, kmax)
         if report.failed:
             return state[0], report
@@ -235,18 +248,16 @@ def segment_solve(
             report.converged = False
             report.notes += (f"segment {l} hit the sweep limit",)
     final, memory = state
-    if problem.n_sigma:
-        # now that every segment is solved, fill the unconsumed trace entries
+    unfilled = [np.flatnonzero(~row) for row in consumed]
+    if any(idx.size for idx in unfilled):
+        # now that every segment is solved, fill only the entries no
+        # segment consumed: sigma_p(t) past the end of the partition
         try:
             memory = _memory(problem, final, memory)
-            beta = tuple(
-                PiecewiseFn(grid, _trace_at(problem, final, p, slice(None), memory))
-                for p in range(problem.n_sigma)
-            )
+            final = _refresh_traces(problem, final, unfilled, memory)
         except _NUMERICAL_FAILURES as exc:
             _stop(report, exc)
             return final, report
-        final = SolutionTriple(final.xi, final.eta, beta)
     report.final_residual = residual(problem, final)
     return final, report
 

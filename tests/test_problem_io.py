@@ -287,6 +287,19 @@ class TestSolutionTable:
             (1.0, 4.0, 5.0), (1.5, 6.0, 6.0),
         ]
 
+    def test_csv_bytes_match_csv_writer_on_edge_values(self, tmp_path):
+        # breakpoints, three close nodes, and -0.0 on either side of a
+        # breakpoint and alone: each value must keep its own text
+        times = np.array([0.0, 0.25, 0.5, 0.5, 0.5, 1.0, 1.0 + 1e-13, 1.5, 1.5, 2.0])
+        values = np.array([-0.0, 0.1, 0.0, -0.0, 2.5, -0.0, 0.0, 1 / 3, 1 / 3, -1e-300])
+        xi = SimpleNamespace(grid=SimpleNamespace(times=times), values=values)
+        out = tmp_path / "solution.csv"
+        write_solution_csv(out, xi)
+        assert out.read_bytes() == _csv_writer_bytes(xi)
+        lines = out.read_text().splitlines()
+        assert lines[1:4] == ["0.0,-0.0,-0.0", "0.25,0.1,0.1", "0.5,0.0,-0.0"]
+        assert lines[5] == "1.0,-0.0,0.0"
+
     @pytest.mark.parametrize("path", PROBLEM_FILES, ids=lambda p: p.stem)
     def test_csv_bytes_match_csv_writer(self, tmp_path, path):
         loaded = load_problem_file(path)

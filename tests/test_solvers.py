@@ -16,7 +16,7 @@ from conftest import (
     random_triple,
     step_problem,
 )
-from hybrid_volterra import cli, operator, quadrature
+from hybrid_volterra import cli, operator, quadrature, solvers
 from hybrid_volterra.contraction import contraction_bounds, find_mu, spectral_radius
 from hybrid_volterra.expressions import KernelExpr
 from hybrid_volterra.operator import default_init, jump_at
@@ -263,10 +263,11 @@ class TestSharedF2Triangle:
         passes = self._count_f2_passes(monkeypatch, problem)
         _, rep = segment_solve(problem, tol=1e-12, kmax=300)
         assert rep.converged
-        # the first sweep's, one after each continuous update (which the
-        # trace refresh, the next sweep and the final trace fill reuse),
-        # then the residual
-        assert len(passes) == rep.iterations + 2
+        # one per continuous part, shared by its trace refresh and the next
+        # sweep: the first sweep's and one after each update but the last,
+        # whose segment refreshes no trace; then the residual
+        assert problem.sigma_grid.max() < problem.grid.partition[-2]
+        assert len(passes) == rep.iterations + 1
 
     def test_segment_without_moving_impulses(self, monkeypatch):
         # no trace refresh or final fill: the row built after the last
@@ -307,8 +308,8 @@ class TestSharedF2Triangle:
         assert excinfo.value.code == 0
         report = yaml.safe_load(report_path.read_text())
         assert len(report["jumps"]) >= 2
-        sweeps = report["iterations"]
-        solver_passes = sweeps + 1 if method == "picard" else sweeps + 2
+        # each solver: one per continuous part it evaluates, and the residual
+        solver_passes = report["iterations"] + 1
         assert len(passes) == solver_passes + 1
 
 
@@ -429,3 +430,111 @@ class TestNonMonotoneSigma:
         assert np.max(np.abs(triple.xi.values[self.NODES] - xi)) <= 1e-12
         assert abs(triple.eta[0] - eta) <= 1e-12
         assert np.max(np.abs(triple.beta[0].values[self.NODES] - beta)) <= 1e-12
+
+
+def _consumed_by_segment(problem):
+    """Per segment, the (p, k) trace entries whose sigma_p(t_k) lies in it:
+    in (end_{l-1}, end_l], closed below for the first segment."""
+    sigma = problem.sigma_grid
+    ends = problem.grid.partition[1:] + operator.EPS
+    below = np.concatenate([[-np.inf], ends[:-1]])
+    return [set(zip(*np.nonzero((sigma > lo) & (sigma <= hi)))) for lo, hi in zip(below, ends)]
+
+
+class TestMarchWork:
+    """Each sweep of the march builds a table of each continuous part once
+    and refreshes only the trace entries its segment consumes first.
+
+    Recorded per sweep: its segment, the memory tables it builds (one row
+    prefix each) and the trace entries it evaluates; work outside every
+    sweep (a final fill, the residual) is recorded apart.
+    """
+
+    @staticmethod
+    def _record(monkeypatch):
+        outside = {"segment": None, "builds": 0, "entries": []}
+        log = {"sweeps": [], "outside": outside}
+        current = [outside]
+        sweep, trace_at = solvers._segment_sweep, solvers._trace_at
+        row_prefix = operator.row_prefix
+
+        def recording_sweep(problem, nodes, fresh, state):
+            current[0] = {"segment": nodes.start // (problem.grid.panels + 1),
+                          "builds": 0, "entries": []}
+            log["sweeps"].append(current[0])
+            try:
+                return sweep(problem, nodes, fresh, state)
+            finally:
+                current[0] = outside
+
+        def counting_prefix(*args):
+            current[0]["builds"] += 1
+            return row_prefix(*args)
+
+        def recording_trace_at(problem, triple, p, nodes, memory):
+            entries = np.arange(problem.grid.size)[nodes]
+            current[0]["entries"] += [(p, int(k)) for k in entries]
+            return trace_at(problem, triple, p, nodes, memory)
+
+        monkeypatch.setattr(solvers, "_segment_sweep", recording_sweep)
+        monkeypatch.setattr(solvers, "_trace_at", recording_trace_at)
+        monkeypatch.setattr(operator, "row_prefix", counting_prefix)
+        return log
+
+    def _check_entries(self, problem, log):
+        """Every sweep of segment l evaluates exactly the entries l consumes
+        first, each once; the segments and the final fill share none and
+        cover every entry."""
+        consumed = _consumed_by_segment(problem)
+        for rec in log["sweeps"]:
+            assert len(rec["entries"]) == len(set(rec["entries"]))
+            assert set(rec["entries"]) == consumed[rec["segment"]]
+        filled = set(log["outside"]["entries"])
+        assert len(filled) == len(log["outside"]["entries"])
+        every = [filled] + consumed
+        assert sum(len(s) for s in every) == problem.sigma_grid.size
+        assert set().union(*every) == set(np.ndindex(problem.sigma_grid.shape))
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_mixed_problem(self, monkeypatch, tol):
+        problem = mixed_problem(panels=32)
+        log = self._record(monkeypatch)
+        _, rep = segment_solve(problem, tol=tol, kmax=300)
+        assert rep.converged and len(log["sweeps"]) == rep.iterations
+        consumed = _consumed_by_segment(problem)
+        # sigma = 0.5 + 0.55 t runs from 0.5 to 1.6: segments 1 and 2 consume
+        # every entry, segments 0 and 3 none
+        assert [len(c) > 0 for c in consumed] == [False, True, True, False]
+        for rec in log["sweeps"]:
+            assert rec["builds"] == (2 if consumed[rec["segment"]] else 1)
+        self._check_entries(problem, log)
+        # no final fill; the residual builds one table
+        assert log["outside"] == {"segment": None, "builds": 1, "entries": []}
+
+    @pytest.mark.parametrize(
+        "sigma, horizon, panels, first",
+        [("0.5*t", 1.0, 16, 0), ("0.25 + 0.25*t", 2.0, 12, 1)],
+        ids=["sigma-from-zero", "sigma-on-tau-at-a-node"],
+    )
+    def test_refresh_edges(self, monkeypatch, sigma, horizon, panels, first):
+        problem = make_problem(horizon, tau=(0.5,), sigma=(sigma,), h=0.2, panels=panels,
+                               x0="1", f1="0.3*x", G1="0.4*eta", G3="0.5*beta",
+                               g="0.2*beta*eta")
+        consumed = _consumed_by_segment(problem)
+        if first == 0:
+            # sigma(0) = 0: the first segment takes it, closed below
+            assert problem.sigma_grid[0, 0] == 0.0 and (0, 0) in consumed[0]
+        else:
+            # sigma = tau = 0.5, the end of segment 1, at the node t = 1
+            k = int(np.argmin(np.abs(problem.grid.times - 1.0)))
+            assert abs(problem.grid.times[k] - 1.0) < 1e-12
+            assert problem.grid.partition[2] == 0.5
+            assert abs(problem.sigma_grid[0, k] - 0.5) < 1e-12 and (0, k) in consumed[1]
+        log = self._record(monkeypatch)
+        seg, rep_s = segment_solve(problem, tol=1e-12, kmax=300)
+        self._check_entries(problem, log)
+        pic, rep_p = picard_solve(problem, tol=1e-12, kmax=300)
+        assert rep_s.converged and rep_p.converged
+        for a, b in [(pic.xi.values, seg.xi.values), (pic.eta, seg.eta),
+                     (pic.beta_rows(), seg.beta_rows())]:
+            assert np.max(np.abs(a - b)) <= 1e-6
