@@ -57,6 +57,21 @@ per problem and batch (:meth:`HybridProblem.batch`).
 fixed-impulse times and every moving trace at once; the segment march and
 :func:`jump_at` reach the same formula through the same table, batches and
 membership helpers.
+
+A table covers a window of columns with a history of what lies before it
+(:class:`_History`): each row's prefix there as an offset, taken as the
+first term of the running sum, so the window's prefix has the bits of the
+whole row's.  Picard, :func:`jump_at` and the residual take the whole grid
+with zero offsets.  Strict memberships let the segment march freeze the
+history once per segment (:func:`_freeze`): before the segment's own
+nodes, and before the first trace entry of each g row that the segment
+still refreshes, nothing changes while it iterates.  Its inner sweeps then
+evaluate kernels, take cumulative sums and read prefixes only over the
+segment's window (:func:`_window`), and take the G1 and G2 prefix of the
+solved impulses from the history: O(n_l + fresh columns) per sweep for
+the n_l nodes of segment l and the trace entries it refreshes, plus a
+fixed cost, where every memory kernel splits.  A t-free f2 that does not
+split still costs one N x N pass per continuous part.
 """
 
 from __future__ import annotations
@@ -76,7 +91,9 @@ from .piecewise import (
     norm_mixed,
 )
 from .quadrature import (
+    _limits,
     apply_weights,
+    cut,
     integrate_to,
     node_cumulative,
     read_prefix,
@@ -87,6 +104,8 @@ from .schedule import MERGE_TOL, ImpulseSchedule
 from .contraction import LipschitzSet
 
 EPS = MERGE_TOL
+_NONE = np.zeros(0, dtype=np.intp)
+_NONE.setflags(write=False)
 # evaluation batches a problem keeps (:meth:`HybridProblem.batch`); the
 # segment march uses about two per segment, so a full memo is cleared
 _BATCH_MEMO_SIZE = 64
@@ -112,6 +131,15 @@ def _read_only(a) -> np.ndarray:
     a = np.asarray(a)
     a.setflags(write=False)
     return a
+
+
+def _fixed(a) -> np.ndarray:
+    """``a`` as a float array that no caller can change: ``a`` itself when it
+    is read-only and owns its data, else a read-only copy."""
+    fixed = isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata
+    if fixed and not a.flags.writeable:
+        return a
+    return _read_only(np.array(a, dtype=float))
 
 
 class _lazy:
@@ -152,14 +180,17 @@ class HybridProblem:
     """A full problem instance: kernels, impulse schedule, sample grid.
 
     Derived once, when the problem is built: ``tau``; ``sigma_grid``, each
-    moving time at the grid nodes; ``sigma_nondecreasing``, per moving time
-    whether those values never decrease; ``tau_pairs``, the index arrays
-    (i, j), j < i, of the fixed-impulse pairs G2 sums over; ``f1_terms``,
-    ``f2_terms`` and ``g_terms``, each memory kernel split into time
-    factors c(t) times factors over :data:`F1_GROUPS`, :data:`F2_GROUPS`
-    or :data:`G_GROUPS` (:func:`~.expressions.time_split`; None when it
-    does not split).  Which of them become rows of an iterate's memory
-    table is read from the terms each time a table is built.  On first
+    moving time at the grid nodes, which must lie in [0, T] up to EPS;
+    ``sigma_nondecreasing``, per moving time whether those values never
+    decrease; ``tau_pairs``, the index arrays (i, j), j < i, of the
+    fixed-impulse pairs G2 sums over; ``f1_terms``, ``f2_terms`` and
+    ``g_terms``, each memory kernel split into time factors c(t) times
+    factors over :data:`F1_GROUPS`, :data:`F2_GROUPS` or :data:`G_GROUPS`
+    (:func:`~.expressions.time_split`; None when it does not split).  Which
+    of them become rows of an iterate's memory table is read from the
+    terms each time a table is built (:attr:`g_row_impulses`); and
+    ``whole_grid``, the history of a table over the whole grid, with
+    nothing frozen (:class:`_History`).  On first
     use: :attr:`sweep_batch`, the times of one sweep, and per batch of
     evaluation and membership times the parts no iterate changes
     (:meth:`batch`).
@@ -168,7 +199,12 @@ class HybridProblem:
     when every memory kernel splits; O(N^2) for an f2 that does not
     reference t and does not split (one N x N kernel pass); O(E N) for E
     evaluation times when f1 or g references t and does not split; O(N^3)
-    only for an f2 that references t and does not split.
+    only for an f2 that references t and does not split.  An inner sweep of
+    the segment march builds its table only over the columns its segment
+    can change and reads, from a history of the solved segments frozen
+    once per segment (:class:`_History`): O(n_l + fresh columns) for the
+    n_l nodes of segment l and the trace entries it refreshes, plus a fixed
+    cost per sweep, where every memory kernel splits.
     """
 
     x0: KernelExpr
@@ -192,11 +228,16 @@ class HybridProblem:
             raise ValueError("grid partition must match the schedule partition")
         object.__setattr__(self, "tau", np.asarray(self.schedule.tau, dtype=float))
         sigma_grid = self.schedule.sigma_values(self.grid.times)
+        # the schedule checks sigma on its own sample; a node between two
+        # sample points can still leave the horizon
+        if sigma_grid.size and (
+            sigma_grid.min() < -EPS or sigma_grid.max() > self.schedule.horizon + EPS
+        ):
+            raise ValueError("sigma values must stay within [0, horizon]")
         object.__setattr__(self, "sigma_grid", sigma_grid)
         # per moving impulse: sigma_i(s) < m holds on a prefix of the nodes
-        object.__setattr__(
-            self, "sigma_nondecreasing", np.all(np.diff(sigma_grid, axis=1) >= 0, axis=1)
-        )
+        nondecreasing = np.all(np.diff(sigma_grid, axis=1) >= 0, axis=1)
+        object.__setattr__(self, "sigma_nondecreasing", nondecreasing)
         # the pairs (i, j), j < i, of fixed impulses that G2 sums over, as
         # np.tril_indices(n_tau, k=-1) gives them
         pairs = np.nonzero(np.tri(self.tau.size, k=-1, dtype=bool))
@@ -204,6 +245,8 @@ class HybridProblem:
         object.__setattr__(self, "f1_terms", time_split(self.f1, F1_GROUPS))
         object.__setattr__(self, "f2_terms", time_split(self.f2, F2_GROUPS))
         object.__setattr__(self, "g_terms", time_split(self.g, G_GROUPS))
+        # the history of a table over the whole grid: nothing frozen
+        object.__setattr__(self, "whole_grid", _History(0, 0, self.grid.size, self.tau.size))
 
     @classmethod
     def build(
@@ -277,6 +320,15 @@ class HybridProblem:
         return found
 
     @property
+    def g_row_impulses(self) -> np.ndarray:
+        """The moving impulses whose g terms are rows of an iterate's memory
+        table: those with a nondecreasing sigma_i, when g splits and there
+        are fixed impulses."""
+        if not (self.g_terms and self.tau.size):
+            return _NONE
+        return np.flatnonzero(self.sigma_nondecreasing)
+
+    @property
     def n_tau(self) -> int:
         return self.schedule.n_tau
 
@@ -339,22 +391,26 @@ def default_init(problem: HybridProblem) -> SolutionTriple:
 class _Batch:
     """The parts of one evaluation batch that no iterate changes.
 
-    ``te`` and ``m`` are the evaluation and membership times, copied.  Each
+    ``te`` and ``m`` are the evaluation and membership times, copied unless
+    read-only already (:func:`_fixed`).  Each
     part is built on first use and read-only: ``x0`` at ``te``; ``sigma``,
     each moving time at ``te`` (n_sigma, E); ``cut``, per moving impulse
     the number of nodes before the first with sigma_i(s) >= m (n_sigma, E),
     the prefix its g rows keep (0 where sigma_i is not nondecreasing);
     ``tau_below``, tau_j < m (E, n_tau); ``impulse_count``, the number of
     fixed impulses below m; ``g3_gate``, sigma_i(te) < m and tau_j < m
-    (n_sigma, n_tau, E); and by :meth:`factor` each time factor at ``te``.
-    A part whose kernel fails to evaluate is not kept, and fails again.
+    (n_sigma, n_tau, E); by :meth:`g_reads`, how the g rows of a memory
+    table (:func:`_memory`) are read at ``te`` and which of them count; and
+    by :meth:`factor` each time factor at ``te``.  A part whose kernel
+    fails to evaluate is not kept, and fails again.
     """
 
     def __init__(self, problem: "HybridProblem", te: np.ndarray, m: np.ndarray):
         self.problem = problem
-        self.te = _read_only(np.array(te, dtype=float))
-        self.m = _read_only(np.array(m, dtype=float))
+        self.te = _fixed(te)
+        self.m = _fixed(m)
         self._factors: dict[int, np.ndarray] = {}
+        self._g_reads: dict[tuple, tuple] = {}
 
     @_lazy
     def x0(self) -> np.ndarray:
@@ -386,6 +442,28 @@ class _Batch:
     def g3_gate(self) -> np.ndarray:
         return (self.sigma[:, None, :] < self.m) & self.tau_below.T[None, :, :]
 
+    def g_reads(self, admitted: int, shape: tuple, first: int) -> tuple:
+        """How the g rows of a table are read at ``te``: their
+        :class:`~.quadrature.Cut`, each row cut where its sigma_i reaches m,
+        and whether each row's fixed impulse lies below m, (R_g, E).
+
+        The table holds the g rows of the first ``admitted`` fixed impulses,
+        and their prefix has ``shape`` and starts at column ``first``.
+        """
+        key = (admitted, shape, first)
+        found = self._g_reads.get(key)
+        if found is None:
+            problem = self.problem
+            terms = len(problem.g_terms)
+            keep = np.repeat(self.cut[problem.g_row_impulses], admitted * terms, axis=0)
+            tau = np.repeat(problem.tau[:admitted], terms)
+            below = np.tile(tau[:, None] < self.m, (problem.g_row_impulses.size, 1))
+            reads = cut(problem.grid, self.te, keep, shape, first)
+            for a in (*reads, below):
+                a.setflags(write=False)
+            found = self._g_reads[key] = (reads, below)
+        return found
+
     def factor(self, c: KernelExpr) -> np.ndarray:
         """The time factor ``c`` (one of the problem's terms) at ``te``."""
         found = self._factors.get(id(c))
@@ -394,18 +472,50 @@ class _Batch:
         return found
 
 
+class _History(NamedTuple):
+    """What the tables of one march segment take from the segments before it.
+
+    A table spans the grid columns ``lo`` to ``hi``.  Its rows are rebuilt
+    from the iterate only from column ``live`` on, a segment start: before
+    it every row reads solved segments alone (the continuous part before
+    the segment, the trace entries consumed before it, the fixed-impulse
+    values its memberships admit).  ``frozen`` holds the rows from ``lo``
+    to ``live``, (R, live - lo), and ``prefix`` each row's exclusive prefix
+    at ``lo``, (R,).  ``cumulative`` holds, per f2 term, the integral of
+    its inner factor b_r from 0 to node ``live``.  ``impulses`` is the
+    t-free G1 and G2 prefix over the fixed impulses (:func:`_impulse_prefix`)
+    of the segment's first iterate, or None to build it from each
+    iterate's eta.  ``admitted`` is the number of fixed impulses that the
+    membership times of the tables' readers admit: the tables hold no g
+    row of the others, which no reader counts.  The whole grid is
+    ``_History(0, 0, N, n_tau)`` (``HybridProblem.whole_grid``): nothing
+    frozen and zero offsets.
+    """
+
+    lo: int
+    live: int
+    hi: int
+    admitted: int
+    prefix: np.ndarray | float = 0.0
+    frozen: np.ndarray | None = None
+    cumulative: tuple = ()
+    impulses: np.ndarray | None = None
+
+
 class _Memory(NamedTuple):
     """The memory of one iterate: one table of node rows and one prefix sum.
 
-    Row r of ``rows`` (R, N) is integrated to every evaluation time t by
-    one read of ``prefix``, :func:`~.quadrature.row_prefix` of the whole
-    table.  The f1 and f2 rows come first, and their integrals enter the
-    operator as they are or times a time factor c(t): ``factors`` holds
-    each factor with the indices of its rows.  Then come the g rows:
-    ``moving`` holds ``(i, start, stop)`` when rows ``start:stop`` belong to
-    moving impulse i, whose integrand is cut to the nodes s with sigma_i(s)
-    below the membership time, and ``tau[k]`` is the fixed impulse of the
-    k-th g row, which counts when ``tau[k] < m``.
+    Row r of ``rows`` (R, hi - lo) holds the columns ``lo`` to ``hi`` of
+    ``history`` and is integrated to every evaluation time t by one read
+    of ``prefix``, :func:`~.quadrature.row_prefix` of the whole table from
+    the history's offsets.  The f1 and f2 rows come first, and their
+    integrals enter the operator as they are or times a time factor c(t):
+    ``factors`` holds each factor with the indices of its rows.  Then come
+    the g rows, in the order of ``problem.g_row_impulses``, the fixed
+    impulses and ``problem.g_terms``: ``moving`` holds ``(i, start, stop)``
+    when rows ``start:stop`` belong to moving impulse i, whose integrand is
+    cut to the nodes s with sigma_i(s) below the membership time, and a row
+    of fixed impulse j counts when ``tau_j < m`` (:class:`_Batch`).
     ``impulses`` is the exclusive prefix over the fixed impulses of the
     t-free G1 and G2 values (:func:`_impulse_prefix`), or None.
     """
@@ -414,53 +524,72 @@ class _Memory(NamedTuple):
     eta: np.ndarray  # the fixed-impulse values ``impulses`` was built from
     beta: tuple  # the node values of each trace the g rows were built from
     xi_rows: tuple  # (c, row) of each f1 and f2 row, as :func:`_xi_rows`
+    cumulative: tuple  # each f2 term's inner integral, as :func:`_xi_rows`
+    f2_inner: np.ndarray | None  # the N x N pass of an f2, as :func:`_xi_rows`
     rows: np.ndarray
     prefix: np.ndarray
     factors: tuple
     moving: tuple
-    tau: np.ndarray
     impulses: np.ndarray | None
+    history: _History
 
 
-def _xi_rows(problem: HybridProblem, xi: np.ndarray) -> list[tuple]:
+def _xi_rows(
+    problem: HybridProblem,
+    xi: np.ndarray,
+    history: _History,
+    f2_inner: np.ndarray | None = None,
+):
     """The f1 and f2 integrands of the continuous part ``xi`` as node rows.
 
-    One ``(c, row)`` per time factor c of ``problem.f1_terms`` and
+    The rows cover the columns ``history.live`` to ``history.hi``.  One
+    ``(c, row)`` per time factor c of ``problem.f1_terms`` and
     ``problem.f2_terms`` (the t-free terms of a kernel summed into one row
     with c None): the f1 integral to time t is c(t) times the integral of
     ``row`` to t, and so is the f2 double integral, whose row holds the
-    inner integrals a_r(s) * (integral of b_r to s).  A t-free f2 that does
-    not split gives its row of inner integrals by one N x N kernel pass; a
-    kernel that references t and does not split is left to
-    :func:`_sc_eval`.
+    inner integrals a_r(s) * (integral of b_r to s).  Those inner
+    integrals of b_r are returned too, one array per term, begun from
+    ``history.cumulative``.  A t-free f2 that does not split gives its row
+    of inner integrals by one N x N kernel pass over the whole grid, unless
+    ``f2_inner`` is that row of the same ``xi``; the whole row is returned
+    last, else None.  A kernel that references t and does not split is
+    left to :func:`_sc_eval`.
     """
     grid = problem.grid
-    times = grid.times
+    cols = slice(history.live, history.hi)
+    times, x = grid.times[cols], xi[cols]
     # each factor references one group, so one binding serves them all
-    nodes = {"s": times, "x": xi, "s1": times, "x1": xi}
+    nodes = {"s": times, "x": x, "s1": times, "x1": x}
     rows = []
     for c, a in problem.f1_terms or ():
         rows.append((c, a.evaluate(nodes)))
+    cumulative = []
     f2 = problem.f2
     if problem.f2_terms:
         factors = [(c, a.evaluate(nodes), b.evaluate(nodes)) for c, a, b in problem.f2_terms]
+        w = grid.panels + 1
+        segments = slice(history.live // w, history.hi // w)
+        starts = history.cumulative or [0.0] * len(factors)
+        inner, cumulative = [], []
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite: caught by the solver
-            inner = [
-                (c, a * node_cumulative(grid, b if np.shape(b) == times.shape
-                                        else np.full(times.shape, b)))
-                for c, a, b in factors
-            ]
+            for (c, a, b), start in zip(factors, starts):
+                if np.shape(b) != times.shape:
+                    b = np.full(times.shape, b)
+                cumulative.append(node_cumulative(grid, b, segments, start))
+                inner.append((c, a * cumulative[-1]))
             if f2.references("t"):
                 rows += inner
             else:
                 rows.append((None, sum((row for _, row in inner[1:]), inner[0][1])))
     elif problem.f2_terms is None and not f2.references("t"):
-        F = f2.evaluate(
-            {"t": 0.0, "s": times[:, None], "s1": times[None, :],
-             "x": xi[:, None], "x1": xi[None, :]}
-        )
-        rows.append((None, apply_weights(weight_rows(grid, times), F)))
-    return rows
+        if f2_inner is None:
+            F = f2.evaluate(
+                {"t": 0.0, "s": grid.times[:, None], "s1": grid.times[None, :],
+                 "x": xi[:, None], "x1": xi[None, :]}
+            )
+            f2_inner = apply_weights(weight_rows(grid, grid.times), F)
+        rows.append((None, f2_inner[cols]))
+    return rows, tuple(cumulative), f2_inner
 
 
 def _impulse_prefix(problem: HybridProblem, eta: np.ndarray) -> np.ndarray | None:
@@ -492,88 +621,197 @@ def _impulse_prefix(problem: HybridProblem, eta: np.ndarray) -> np.ndarray | Non
 
 
 def _memory(
-    problem: HybridProblem, triple: SolutionTriple, previous: _Memory | None = None
+    problem: HybridProblem,
+    triple: SolutionTriple,
+    previous: _Memory | None = None,
+    history: _History | None = None,
 ) -> _Memory:
     """The memory table of ``triple``, read by every evaluation of it.
 
     Its rows are the f1 and f2 rows of :func:`_xi_rows`, then one g row per
-    moving impulse i whose sigma_i is nondecreasing on the grid, fixed
-    impulse j and term (c, a) of ``problem.g_terms``: a(s, sigma_i(s),
-    tau_j, xi(s), beta_i(s), eta_j) at the nodes, cut where sigma_i reaches
-    the membership time.  Which rows exist is read from ``f1_terms``,
+    moving impulse i of ``problem.g_row_impulses``, fixed impulse j and
+    term (c, a) of ``problem.g_terms``: a(s, sigma_i(s), tau_j, xi(s),
+    beta_i(s), eta_j) at the nodes, cut where sigma_i reaches the
+    membership time.  Which rows exist is read from ``f1_terms``,
     ``f2_terms`` and ``g_terms`` here; the kernels and moving impulses left
-    out are evaluated by :func:`_sc_eval`.
+    out are evaluated by :func:`_sc_eval`.  The rows cover the columns of
+    ``history`` (:class:`_History`; by default ``previous``'s, else the
+    whole grid): they are evaluated from its live column on and copied
+    from it before, and their prefix starts from its offsets.
 
-    ``previous`` is the table of an earlier triple.  It is returned as it
-    is when it was built from the same xi and eta arrays and its g rows,
-    if it has any, from the same trace arrays.  Else its f1 and f2 rows
-    are taken over when xi is the same array, and its G1 and G2 prefix
-    when eta is, so each part is paid for once per array.
+    ``previous`` is the table of an earlier triple.  When it has the same
+    history it is returned as it is if it was built from the same xi and
+    eta arrays and its g rows, if it has any, from the same trace arrays.
+    Else its f1 and f2 rows are taken over when xi is the same array, and
+    its G1 and G2 prefix when eta is, so each part is paid for once per
+    array.  Over another history only its N x N f2 pass is taken over,
+    when xi is the same array.
     """
     xi, eta = triple.xi.values, triple.eta
     beta = tuple([b.values for b in triple.beta])
-    same_xi = same_eta = False
+    if history is None:
+        history = problem.whole_grid if previous is None else previous.history
+    same_xi = same_history = same_eta = False
     if previous is not None:
-        same_xi, same_eta = previous.xi is xi, previous.eta is eta
+        same_xi = previous.xi is xi
+        same_history = previous.history is history
+        same_eta = same_history and previous.eta is eta
         if same_xi and same_eta and (
             not previous.moving or all(a is b for a, b in zip(previous.beta, beta))
         ):
             return previous
-    xi_rows = previous.xi_rows if same_xi else tuple(_xi_rows(problem, xi))
+    if same_xi and same_history:
+        xi_rows, cumulative, f2_inner = previous.xi_rows, previous.cumulative, previous.f2_inner
+    else:
+        xi_rows, cumulative, f2_inner = _xi_rows(
+            problem, xi, history, previous.f2_inner if same_xi else None
+        )
+        xi_rows = tuple(xi_rows)
     entries = list(xi_rows)
-    tau, moving = [], []
-    if problem.g_terms and problem.n_tau:
-        times = problem.grid.times
-        for i in np.flatnonzero(problem.sigma_nondecreasing):
-            start = len(entries)
-            for tau_j, eta_j in zip(problem.tau, eta):
-                nodes = {"s": times, "sig": problem.sigma_grid[i], "tau": tau_j,
-                         "x": xi, "beta": beta[i], "eta": eta_j}
-                entries += [(c, a.evaluate(nodes)) for c, a in problem.g_terms]
-                tau += [tau_j] * len(problem.g_terms)
-            moving.append((i, start, len(entries)))
-    rows = np.empty((len(entries), problem.grid.size))
+    lo, live, hi = history.lo, history.live, history.hi
+    moving = []
+    for i in problem.g_row_impulses:
+        cols = slice(live, hi)
+        times, x = problem.grid.times[cols], xi[cols]
+        start = len(entries)
+        sig, b = problem.sigma_grid[i][cols], beta[i][cols]
+        for tau_j, eta_j in zip(problem.tau[:history.admitted], eta):
+            nodes = {"s": times, "sig": sig, "tau": tau_j, "x": x, "beta": b, "eta": eta_j}
+            entries += [(c, a.evaluate(nodes)) for c, a in problem.g_terms]
+        moving.append((i, start, len(entries)))
+    rows = np.empty((len(entries), hi - lo))
+    if live > lo:
+        rows[:, :live - lo] = history.frozen
+    evaluated = rows[:, live - lo:] if live > lo else rows
     factors = {}
     for r, (c, row) in enumerate(entries):
-        rows[r] = row
+        evaluated[r] = row
         if c is not None:
             factors.setdefault(id(c), (c, []))[1].append(r)
+    impulses = history.impulses
+    if impulses is None:
+        impulses = previous.impulses if same_eta else _impulse_prefix(problem, eta)
     return _Memory(
         xi=xi,
         eta=eta,
         beta=beta,
         xi_rows=xi_rows,
+        cumulative=cumulative,
+        f2_inner=f2_inner,
         rows=rows,
-        prefix=row_prefix(problem.grid, rows),
+        prefix=row_prefix(problem.grid, rows, lo, history.prefix),
         factors=tuple(factors.values()),
         moving=tuple(moving),
-        tau=np.array(tau),
-        impulses=previous.impulses if same_eta else _impulse_prefix(problem, eta),
+        impulses=impulses,
+        history=history,
     )
 
 
 def _read_rows(problem: HybridProblem, memory: _Memory, batch: _Batch) -> np.ndarray:
     """Every row of the table ``memory`` at the times of ``batch``, summed."""
-    te, m = batch.te, batch.m
+    grid, te = problem.grid, batch.te
     R, E = memory.rows.shape[0], te.size
-    keep = None
-    if memory.moving:
-        keep = np.full((R, E), problem.grid.size)
-        for i, start, stop in memory.moving:
-            keep[start:stop] = batch.cut[i]
-    if R == 1 and keep is None and not memory.factors:
+    n_xi = len(memory.xi_rows)
+    first = memory.history.lo
+    if R == n_xi == 1 and not memory.factors:
         # one row with nothing to scale or cut, read as a row
-        return read_prefix(problem.grid, memory.prefix[0], memory.rows[0], te)
-    parts = read_prefix(problem.grid, memory.prefix, memory.rows, te, keep)
+        return read_prefix(grid, memory.prefix[0], memory.rows[0], te, first=first)
+    parts = read_prefix(grid, memory.prefix[:n_xi], memory.rows[:n_xi], te, first=first)
+    if R > n_xi:
+        # the g rows, each cut where its sigma_i reaches the membership time
+        g_prefix = memory.prefix[n_xi:]
+        reads, below = batch.g_reads(memory.history.admitted, g_prefix.shape, first)
+        g_parts = read_prefix(grid, g_prefix, memory.rows[n_xi:], te, reads, first)
+        parts = np.concatenate([parts, g_parts])
     with np.errstate(invalid="ignore", over="ignore"):
         if memory.factors:
             scale = np.ones((R, E))
             for c, rows in memory.factors:
                 scale[rows] = batch.factor(c)
             parts = scale * parts
-        if keep is not None:
-            parts[len(memory.xi_rows):] *= memory.tau[:, None] < m
+        if R > n_xi:
+            parts[n_xi:] *= below
         return np.add.reduce(parts, axis=0)
+
+
+def _window(problem: HybridProblem, nodes: slice, fresh, solved) -> _History | None:
+    """The columns of the tables of a march segment, as a history with
+    nothing frozen yet (:func:`_freeze` fills it in), or None when the
+    segment has none to freeze.
+
+    The segment updates the continuous part on ``nodes``; ``fresh`` holds
+    the trace entries it refreshes, one array of node indices per moving
+    impulse, and ``solved`` (n_sigma, N) marks the entries that earlier
+    segments consumed.  Table rows can change from ``live`` on: at the
+    segment's nodes, and for the g rows of impulse i at every node whose
+    trace entry is not yet consumed (a suffix, sigma_i being
+    nondecreasing).  ``lo`` and ``hi`` bound every column that the
+    evaluations of the segment read, at its nodes and its fresh entries:
+    the node at or below each time and the next, and for a g row its
+    prefix up to the cut.  ``live`` and ``hi`` are segment boundaries, so
+    the f2 inner integrals run over whole segments; a table without rows
+    takes the whole grid, read nowhere.  ``admitted`` counts the fixed
+    impulses below the last of their membership times.  A fixed
+    impulse merged into a breakpoint just before it lies inside the
+    segment: when the segment admits one, its value eta_j still changes, so
+    nothing is frozen.
+    """
+    grid = problem.grid
+    w = grid.panels + 1
+    node_m = problem.sweep_batch[1][:grid.size][nodes]
+    traces = [problem.sigma_grid[p][idx] for p, idx in enumerate(fresh) if idx.size]
+    # the last membership time: the last node's, or a trace time's, one tick left
+    last = max([node_m[-1]] + [u.max() - EPS for u in traces])
+    admitted = int(np.searchsorted(problem.tau, last))
+    if np.any(problem.tau[:admitted] > grid.times[nodes.start]):
+        return None
+    impulses = problem.g_row_impulses
+    if not (problem.f1_terms or problem.f2_terms or problem.f2_terms is None or impulses.size):
+        return _History(0, 0, grid.size, admitted)
+    batches = [problem.batch(grid.times[nodes], node_m)]
+    batches += [problem.batch(u, u - EPS) for u in traces]
+    live = min([nodes.start] + [int(np.count_nonzero(solved[i])) for i in impulses])
+    live -= live % w
+    lo, hi = live, nodes.stop
+    for batch in batches:
+        base = _limits(grid, batch.te)[0]
+        cuts = [int(np.minimum(batch.cut[i], base).min()) for i in impulses]
+        lo = min([lo, int(base.min())] + cuts)
+        hi = max(hi, int(base.max()) + 2)
+    return _History(lo, live, min(hi + (-hi) % w, grid.size), admitted)
+
+
+def _freeze(
+    problem: HybridProblem,
+    triple: SolutionTriple,
+    window: _History | None,
+    previous: _Memory | None = None,
+) -> tuple[_History, _Memory]:
+    """The history of a march segment whose first iterate is ``triple``,
+    and the table of ``triple``.
+
+    ``window`` holds the segment's columns (:func:`_window`), and
+    ``previous`` is a table to build from, as in :func:`_memory`.  The
+    table spans the columns 0 to ``window.hi`` with nothing frozen, so the
+    segment's first sweep reads it as any other; the history takes from it
+    each row's prefix at ``window.lo`` and its values up to
+    ``window.live``, each f2 term's inner integral at ``window.live`` and
+    the G1 and G2 prefix.  Without a window the history is the whole grid,
+    with nothing frozen.
+    """
+    if window is None:
+        table = _memory(problem, triple, previous, problem.whole_grid)
+        return table.history, table
+    lo, live, hi, admitted = window[:4]
+    table = _memory(problem, triple, previous, _History(0, 0, hi, admitted))
+    history = _History(
+        lo, live, hi, admitted,
+        prefix=table.prefix[:, lo].copy(),
+        frozen=table.rows[:, lo:live].copy(),
+        cumulative=tuple(B[live] for B in table.cumulative),
+        impulses=table.impulses,
+    )
+    return history, table
 
 
 def _sc_eval(

@@ -12,8 +12,9 @@ the first node of the segment starting there share the same time.
 Where a batch of times falls on the grid (segment, node offset, fraction
 of a panel) is computed once per grid and time set: :meth:`Grid.locate`
 and the quadrature cuts built on it are kept in a small per-grid memo
-keyed by the times' values, so every interpolation and integral at the
-same times within a solve reuses one answer.
+keyed by the times' values (or, for a read-only array that owns its data,
+by identity), so every interpolation and integral at the same times within
+a solve reuses one answer.
 """
 
 from __future__ import annotations
@@ -136,19 +137,33 @@ class Grid:
         """The arrays ``build()`` returns, kept per ``kind`` and values of ``t``.
 
         The key is the shape and bytes of the float array ``t``, so a
-        caller that later changes its array gets no stale answer.  The
-        arrays are made read-only; a full memo is cleared.
+        caller that later changes its array gets no stale answer.  A
+        read-only ``t`` that owns its data, such as the times of an
+        evaluation batch, is also kept by identity and found again without
+        hashing its bytes; its entry keeps it alive, so its id is not reused
+        while the entry lasts.  The arrays are made read-only; a full memo
+        is cleared.
         """
+        flags = t.flags
+        fixed = not flags.writeable and flags.owndata
+        if fixed:
+            entry = self._memo.get((kind, id(t)))
+            if entry is not None and entry[0] is t:
+                return entry[1]
         key = (kind, t.shape, t.tobytes())
-        found = self._memo.get(key)
-        if found is None:
+        entry = self._memo.get(key)
+        if entry is None:
             found = build()
             for a in found:
                 a.setflags(write=False)
-            if len(self._memo) >= _MEMO_SIZE:
-                self._memo.clear()
-            self._memo[key] = found
-        return found
+            entry = (None, found)
+        # a miss adds up to two entries: the values' and the identity's
+        if len(self._memo) >= _MEMO_SIZE - 1:
+            self._memo.clear()
+        self._memo[key] = entry
+        if fixed:
+            self._memo[kind, id(t)] = (t, entry[1])
+        return entry[1]
 
 
 def _check_side(side: str) -> None:

@@ -22,7 +22,9 @@ to the same limits.  The functions:
   O(E N);
 * :func:`row_prefix` and :func:`read_prefix` -- the prefix sums of one
   row or of a table of R rows at once, ``(R, N)``, read at every limit as
-  ``(R, E)``, each row with its own cut;
+  ``(R, E)``, each row with its own cut (worked out once for many tables
+  by :func:`cut`).  A table may start at a later column, with each row's
+  sum before it as the first term of its running sum;
 * :func:`weight_rows` -- the (E, N) weight rows of E upper limits, built
   from that O(N) vector with no cumulative pass;
 * :func:`apply_weights` -- the row sums of one integrand row per weight
@@ -39,6 +41,8 @@ its outer integrand the inner integrals
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,16 +139,52 @@ def integrate_to(
     return read_prefix(grid, row_prefix(grid, row), row, upper, keep)
 
 
-def row_prefix(grid: Grid, rows: np.ndarray) -> np.ndarray:
+class Cut(NamedTuple):
+    """How :func:`read_prefix` reads a table of rows cut to their first
+    ``keep`` nodes, at a set of upper limits (:func:`cut`).
+
+    ``index`` holds, per row and limit, the flat index into the table's
+    prefix of the row's prefix before node min(keep, base), where base is
+    the node at or below the limit; ``at_base`` and ``after`` say whether
+    the nodes base and base + 1 lie in the cut.
+    """
+
+    index: np.ndarray
+    at_base: np.ndarray
+    after: np.ndarray
+
+
+def cut(grid: Grid, upper: np.ndarray, keep: np.ndarray, shape: tuple, first: int = 0) -> Cut:
+    """The :class:`Cut` of a prefix table of ``shape`` begun at column
+    ``first``, for rows cut to their first ``keep`` nodes at the limits
+    ``upper``: what :func:`read_prefix` works out from ``keep``, for a
+    caller that reads the same cut of many tables."""
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    base = _limits(grid, upper)[0]
+    # each row's prefix entries start at a multiple of its width in the flat prefix
+    start = np.arange(0, int(np.prod(shape)), shape[-1]).reshape(shape[:-1] + (1,))
+    return Cut(np.minimum(keep, base) - first + start, base < keep, base + 1 < keep)
+
+
+def row_prefix(
+    grid: Grid, rows: np.ndarray, first: int = 0, start: np.ndarray | float = 0.0
+) -> np.ndarray:
     """Exclusive prefix sums of the trapezoid-weighted node rows ``rows``.
 
-    ``rows`` is one row (N,) or a table of rows (R, N); the prefix has
-    N + 1 entries per row: entry k sums the weighted nodes before node k.
-    Built once per table, it serves every later :func:`read_prefix` of it.
+    ``rows`` is one row (W,) or a table of rows (R, W) over the grid
+    columns ``first`` to ``first + W``; the prefix has W + 1 entries per
+    row: entry k sums the weighted nodes before column ``first + k``.
+    ``start`` is each row's sum over the columns before ``first``, zero by
+    default; it enters the running sum first, so a prefix begun at a later
+    column matches the one over the whole row bit for bit.  Built once per
+    table, it serves every later :func:`read_prefix` of it.
     """
-    prefix = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 1,))
+    width = rows.shape[-1]
+    prefix = np.empty(rows.shape[:-1] + (width + 1,))
+    prefix[..., 0] = start
     with np.errstate(invalid="ignore", over="ignore"):
-        np.cumsum(grid.weights * rows, axis=-1, out=prefix[..., 1:])
+        np.multiply(grid.weights[first:first + width], rows, out=prefix[..., 1:])
+        np.cumsum(prefix, axis=-1, out=prefix)
     return prefix
 
 
@@ -154,51 +194,68 @@ def read_prefix(
     rows: np.ndarray,
     upper: np.ndarray,
     keep: np.ndarray | None = None,
+    first: int = 0,
 ) -> np.ndarray:
     """Integral of each node row of ``rows`` from 0 to each ``upper``.
 
-    ``rows`` is one row (N,) or a table (R, N) and ``prefix`` is its
-    :func:`row_prefix`; the result has shape (E,) or (R, E) for E upper
-    limits, O(R E).  ``keep`` cuts the integrand of row r at limit e to its
-    first ``keep[r, e]`` nodes, as in :func:`integrate_to`; an (E,)
-    ``keep`` cuts every row alike and a count of N or more keeps the whole
-    row.
+    ``rows`` is one row or a table of rows over the grid columns from
+    ``first`` on, and ``prefix`` is its :func:`row_prefix` begun at the
+    same column; the result has shape (E,) or (R, E) for E upper limits,
+    O(R E).  Every column a limit reads (the node at or below it and the
+    next) must lie in ``rows``.  ``keep`` cuts the integrand of row r at
+    limit e to its first ``keep[r, e]`` grid nodes, as in
+    :func:`integrate_to`; an (E,) ``keep`` cuts every row alike and a count
+    of N or more keeps the whole row.  ``keep`` may also be given as its
+    :class:`Cut` for this prefix and these limits.
     """
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     base, lo, hi = _limits(grid, upper)
+    at = base - first if first else base
+    if keep is not None and not isinstance(keep, Cut):
+        keep = cut(grid, upper, keep, prefix.shape, first)
     with np.errstate(invalid="ignore", over="ignore"):
-        at_base = lo * rows.take(base, axis=-1)
-        after = hi * rows.take(base + 1, axis=-1)
+        at_base = lo * rows.take(at, axis=-1)
+        after = hi * rows.take(at + 1, axis=-1)
         if keep is None:
-            return prefix.take(base, axis=-1) + at_base + after
-        # each row's prefix entries start at a multiple of N + 1 of the flat prefix
-        width = prefix.shape[-1]
-        start = np.arange(0, prefix.size, width).reshape(prefix.shape[:-1] + (1,))
+            return prefix.take(at, axis=-1) + at_base + after
         return (
-            prefix.take(np.minimum(keep, base) + start)
-            + np.where(base < keep, at_base, 0.0)
-            + np.where(base + 1 < keep, after, 0.0)
+            prefix.take(keep.index)
+            + np.where(keep.at_base, at_base, 0.0)
+            + np.where(keep.after, after, 0.0)
         )
 
 
-def node_cumulative(grid: Grid, w: np.ndarray) -> np.ndarray:
-    """Cumulative integral from 0 to every grid node, along the last axis."""
+def node_cumulative(
+    grid: Grid, w: np.ndarray, segments: slice = slice(None), start=0.0
+) -> np.ndarray:
+    """Cumulative integral from 0 to every grid node, along the last axis.
+
+    ``w`` holds the integrand on the nodes of ``segments``, whole segments
+    of the grid (all of them by default), and ``start`` is the integral up
+    to the first of them, zero by default.  It is added before the segment
+    totals, so the integrals of a later run of segments match those of the
+    whole grid bit for bit.
+    """
     w = np.asarray(w, dtype=float)
-    if w.shape[-1] != grid.size:
-        raise ValueError(f"integrand last axis {w.shape[-1]} != grid size {grid.size}")
     m = grid.panels
-    nseg = grid.num_segments
-    step = np.diff(grid.partition) / m  # node spacing per segment
+    step = (np.diff(grid.partition) / m)[segments]  # node spacing per segment
+    nseg = step.size
+    if w.shape[-1] != nseg * (m + 1):
+        raise ValueError(
+            f"integrand last axis {w.shape[-1]} != {nseg * (m + 1)} nodes of "
+            f"{nseg} segments"
+        )
     shaped = w.reshape(w.shape[:-1] + (nseg, m + 1))
     panel = 0.5 * (shaped[..., :-1] + shaped[..., 1:]) * step[:, None]
     within = np.concatenate(
         [np.zeros(panel.shape[:-1] + (1,)), np.cumsum(panel, axis=-1)], axis=-1
     )
     seg_totals = within[..., -1]
-    offsets = np.concatenate(
-        [np.zeros(seg_totals.shape[:-1] + (1,)), np.cumsum(seg_totals, axis=-1)[..., :-1]],
-        axis=-1,
-    )
+    # the integral to each segment's first node: a running sum from start
+    ahead = np.empty(seg_totals.shape)
+    ahead[..., 0] = start
+    ahead[..., 1:] = seg_totals[..., :-1]
+    offsets = np.cumsum(ahead, axis=-1)
     out = within + offsets[..., None]
     return out.reshape(w.shape)
 

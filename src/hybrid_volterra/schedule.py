@@ -7,9 +7,10 @@ at the fixed times and at the roots of ``t = sigma_i(t)``, so the breakpoint
 set is the sorted union of ``tau`` and all roots.
 
 Roots are located by a sign-change scan of ``sigma_i(t) - t`` on a uniform
-grid followed by bisection; a tangential root is found only when a scan
-point lands within the root tolerance.  Monotonicity of ``sigma_i`` is not
-assumed.
+grid, then every bracket of one ``sigma_i`` is narrowed at once by
+k-section, one array evaluation per step; a tangential root is found only
+when a scan point lands within the root tolerance.  Monotonicity of
+``sigma_i`` is not assumed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .expressions import KernelExpr, parse_kernel
 MERGE_TOL = 1e-10
 ROOT_TOL = 1e-12
 ROOT_GRID = 4096
+# the parts each refinement step cuts a bracket into: one array evaluation
+# narrows every bracket _SECTIONS-fold
+_SECTIONS = 1024
 
 
 def solve_sigma_roots(
@@ -35,9 +39,9 @@ def solve_sigma_roots(
     """Roots of ``t = sigma(t)`` on [0, horizon], sorted and deduplicated.
 
     Every returned root r satisfies |sigma(r) - r| <= tol (verified after
-    refinement).  Roots crossing between scan points are bisected; roots
-    that only touch the diagonal are reported when a scan point hits them
-    within tol.
+    refinement).  Roots crossing between scan points are refined together,
+    every bracket at once (:func:`_refine`); roots that only touch the
+    diagonal are reported when a scan point hits them within tol.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -48,27 +52,14 @@ def solve_sigma_roots(
     if not np.all(np.isfinite(d)):
         raise ValueError("sigma is not finite on [0, horizon]")
 
-    roots: list[float] = []
     # scan points sitting on the diagonal (covers tangential roots)
-    for t in ts[np.abs(d) <= tol]:
-        roots.append(float(t))
-    # sign changes: bisect
+    roots = ts[np.abs(d) <= tol].tolist()
     sign = np.sign(d)
-    for k in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        lo, hi = float(ts[k]), float(ts[k + 1])
-        flo = float(d[k])
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fmid = float(sigma.evaluate({"t": mid})) - mid
-            if fmid == 0.0 or (hi - lo) < max(tol * 1e-3, 1e-15):
-                break
-            if (flo < 0) == (fmid < 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        r = 0.5 * (lo + hi)
-        if abs(float(sigma.evaluate({"t": r})) - r) <= tol:
-            roots.append(r)
+    k = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    if k.size:
+        r = _refine(sigma, ts[k], ts[k + 1], d[k] < 0, max(tol * 1e-3, 1e-15))
+        d_r = np.asarray(sigma.evaluate({"t": r}), dtype=float) - r
+        roots += r[np.abs(d_r) <= tol].tolist()
 
     roots.sort()
     merged: list[float] = []
@@ -76,6 +67,38 @@ def solve_sigma_roots(
         if not merged or r - merged[-1] > MERGE_TOL:
             merged.append(r)
     return np.asarray(merged)
+
+
+def _refine(
+    sigma: KernelExpr, lo: np.ndarray, hi: np.ndarray, lo_negative: np.ndarray, width: float
+) -> np.ndarray:
+    """A root of sigma(t) - t in each bracket [lo, hi] where it changes sign.
+
+    ``lo_negative`` marks the brackets where it is negative at ``lo``.  Each
+    step cuts every bracket still ``width`` or wider into :data:`_SECTIONS`
+    equal parts, evaluates all their ends in one array evaluation, and
+    keeps the first part whose upper end lies past the sign change.  The
+    root is the midpoint of the last bracket: narrower than ``width``, or
+    no longer shrinking (a few ulps wide).
+    """
+    lo, hi = lo.copy(), hi.copy()
+    frac = np.linspace(0.0, 1.0, _SECTIONS + 1)
+    live = np.flatnonzero(hi - lo >= width)
+    while live.size:
+        a, b = lo[live], hi[live]
+        t = a[:, None] + (b - a)[:, None] * frac
+        t[:, -1] = b
+        f = np.asarray(sigma.evaluate({"t": t}), dtype=float) - t
+        past = (f < 0) != lo_negative[live, None]
+        # lo lies before the sign change and hi past it, whatever an
+        # evaluation at them in another array gives within rounding
+        past[:, 0], past[:, -1] = False, True
+        j = past.argmax(axis=1)
+        row = np.arange(live.size)
+        lo[live], hi[live] = t[row, j - 1], t[row, j]
+        narrowed = hi[live] - lo[live]
+        live = live[(narrowed >= width) & (narrowed < b - a)]
+    return 0.5 * (lo + hi)
 
 
 def build_breakpoints(

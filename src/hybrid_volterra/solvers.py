@@ -13,7 +13,13 @@ Two routes to the same discrete fixed point:
   sweep.  An entry consumed by an earlier segment reads only solved
   segments, so it is not recomputed.  Because every membership test looks
   strictly into the past, values from segments not yet solved are masked
-  out of every sum and integral, so the march is well posed.
+  out of every sum and integral, so the march is well posed.  For the
+  same reason the solved history is frozen once per segment: each inner
+  sweep rebuilds its memory table only over the columns its segment can
+  change and reads, and takes the prefix of the rest as an offset.  A
+  sweep of segment l costs O(n_l + fresh columns), for its n_l nodes and
+  the trace entries it refreshes, plus a fixed cost per sweep, where every
+  memory kernel splits.
 
 Both return the solution triple plus a :class:`SolveReport` with per-sweep
 component deltas (useful for checking contraction-rate predictions).  A
@@ -37,8 +43,10 @@ from .operator import (
     HybridProblem,
     SolutionTriple,
     _continuous_at,
+    _freeze,
     _memory,
     _trace_at,
+    _window,
     apply_operator,
     component_deltas,
     default_init,
@@ -183,21 +191,28 @@ def _refresh_traces(
     return SolutionTriple(triple.xi, triple.eta, traces)
 
 
-def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, state):
+def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, state):
     """One inner sweep of the march over the segment ``nodes``.
 
-    ``state`` is the current triple with a memory table
-    (:func:`~.operator._memory`) to build its own from, or None.  The
-    continuous part is updated on ``nodes``, then eta and the ``fresh``
-    moving-trace entries, those the segment consumes first, are refreshed
-    from it.  Each step reads a table of the triple it evaluates.  A sweep
-    with no fresh entry keeps the old traces and leaves the table of its
-    continuous part to the next sweep; one with fresh entries builds that
-    table for their refresh and hands it on, so that the next sweep
-    rebuilds only its g rows, for the new traces.
+    ``state`` is the current triple, a memory table
+    (:func:`~.operator._memory`) to build its own from or None, and the
+    segment's history of the solved segments, None before its first sweep.
+    That sweep freezes the history (:func:`~.operator._freeze`) from a
+    table of its triple; every later table of the segment covers only the
+    columns of ``window`` (:func:`~.operator._window`) and takes the rest
+    from the history.  The continuous part is updated on ``nodes``, then
+    eta and the ``fresh`` moving-trace entries, those the segment consumes
+    first, are refreshed from it.  Each step reads a table of the triple
+    it evaluates.  A sweep with no fresh entry keeps the old traces and
+    leaves the table of its continuous part to the next sweep; one with
+    fresh entries builds that table for their refresh and hands it on, so
+    that the next sweep rebuilds only its g rows, for the new traces.
     """
-    old, memory = state
-    memory = _memory(problem, old, memory)
+    old, memory, history = state
+    if history is None:
+        history, memory = _freeze(problem, old, window, memory)
+    else:
+        memory = _memory(problem, old, memory, history)
     grid = problem.grid
     xi = old.xi.values.copy()
     xi[nodes] = _continuous_at(problem, old, nodes, memory)
@@ -206,10 +221,10 @@ def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, state):
     refreshed = SolutionTriple(xi, eta, old.beta)
     deltas = (_sup(xi.values - old.xi.values), _sup(eta - old.eta))
     if not any(idx.size for idx in fresh):
-        return (refreshed, None), deltas + (0.0,)
-    memory = _memory(problem, refreshed)
+        return (refreshed, None, history), deltas + (0.0,)
+    memory = _memory(problem, refreshed, history=history)
     new = _refresh_traces(problem, refreshed, fresh, memory)
-    return (new, memory), deltas + (_sup(new.beta_rows() - old.beta_rows()),)
+    return (new, memory, history), deltas + (_sup(new.beta_rows() - old.beta_rows()),)
 
 
 def segment_solve(
@@ -221,45 +236,37 @@ def segment_solve(
     """March the partition left to right with an inner sweep per segment.
 
     The first node of a segment carries the right limit at its breakpoint
-    and is fully determined by earlier segments, so it is computed once;
-    the remaining nodes iterate.  Segment l refreshes the moving-trace
-    entries it consumes first, those with sigma_p in (end_{l-1}, end_l]
-    (closed below for the first segment): an entry consumed earlier reads
-    only segments already solved.  Deltas are plain suprema (no weight):
-    each segment is short, so no damping is needed for a sound stop rule.
+    and is fully determined by earlier segments.  Segment l refreshes the
+    moving-trace entries it consumes first, those with sigma_p in
+    (end_{l-1}, end_l] (closed below for the first segment): an entry
+    consumed earlier reads only segments already solved.  Every sigma_p
+    lies in [0, T] at the nodes, so the last segment leaves no entry
+    unconsumed.  Deltas are plain suprema (no weight): each segment is
+    short, so no damping is needed for a sound stop rule.
     """
     grid = problem.grid
     report = SolveReport("segment", 0, 0.0, True)
     cur = _start(problem, init, report)
     if cur is None:
         return None, report
-    state = (cur, None)
+    memory = None
     consumed = np.zeros(problem.sigma_grid.shape, dtype=bool)
     for l in range(grid.num_segments):
+        nodes = grid.segment_slice(l)
         end = float(grid.partition[l + 1])
         now = problem.sigma_grid <= end + EPS
         fresh = [np.flatnonzero(row) for row in now & ~consumed]
+        window = _window(problem, nodes, fresh, consumed)
         consumed = now
-        sweep = partial(_segment_sweep, problem, grid.segment_slice(l), fresh)
-        state, done = _iterate(report, state, sweep, tol, kmax)
+        sweep = partial(_segment_sweep, problem, nodes, fresh, window)
+        (cur, memory, _), done = _iterate(report, (cur, memory, None), sweep, tol, kmax)
         if report.failed:
-            return state[0], report
+            return cur, report
         if not done:
             report.converged = False
             report.notes += (f"segment {l} hit the sweep limit",)
-    final, memory = state
-    unfilled = [np.flatnonzero(~row) for row in consumed]
-    if any(idx.size for idx in unfilled):
-        # now that every segment is solved, fill only the entries no
-        # segment consumed: sigma_p(t) past the end of the partition
-        try:
-            memory = _memory(problem, final, memory)
-            final = _refresh_traces(problem, final, unfilled, memory)
-        except _NUMERICAL_FAILURES as exc:
-            _stop(report, exc)
-            return final, report
-    report.final_residual = residual(problem, final)
-    return final, report
+    report.final_residual = residual(problem, cur)
+    return cur, report
 
 
 # ---------------------------------------------------------------------------

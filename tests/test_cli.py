@@ -107,6 +107,17 @@ x0: "1"
 f1: "log(x)"
 """
 
+# sigma is 0.5 at every sample point of the schedule but 1.1 at the grid
+# node t = 1/3 (partition [0, 0.5, 1], three panels per segment)
+SIGMA_BUMP_FILE = """\
+horizon: 1.0
+x0: "1"
+G3: "0.1*beta"
+tau: [0.75]
+sigma: ["0.5 + 0.6*exp(-((t - 1/3)*100000)^2)"]
+quadrature: {nodes_per_segment: 3}
+"""
+
 HALF = ["0.5", "0", "0", "0", "0.5", "0", "0", "0", "0.5"]
 
 
@@ -194,6 +205,15 @@ class TestSolve:
         code, _, err = _run(capsys, "solve", str(path))
         assert code == 1
         assert err.startswith("error:") and "position" in err
+
+    def test_sigma_above_horizon_at_a_node_exits_1(self, capsys, tmp_path):
+        # a bump of width 1e-5 at the node t = 1/3, which neither the
+        # schedule's 1025 sample points nor its root scan come near
+        path = tmp_path / "bump.yaml"
+        path.write_text(SIGMA_BUMP_FILE)
+        code, out, err = _run(capsys, "solve", str(path), "--method", "segment")
+        assert code == 1 and out == ""
+        assert err == "error: sigma values must stay within [0, horizon]\n"
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = _run(capsys, "solve", str(tmp_path / "nope.yaml"))

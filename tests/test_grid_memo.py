@@ -2,9 +2,10 @@
 
 ``Grid.locate`` and the quadrature cuts (``quadrature._limits``) are
 computed once per grid and time set.  The memo must be invisible: cached
-arrays cannot be written, keys are the times' values so a caller that
-changes its array gets a fresh answer, the memo stays within its bound, and
-a grid that has answered many calls gives the same bits as a fresh one.
+arrays cannot be written, keys are the times' values (or the identity of a
+read-only array that owns its data) so a caller that changes its array gets
+a fresh answer, the memo stays within its bound, and a grid that has
+answered many calls gives the same bits as a fresh one.
 """
 
 import numpy as np
@@ -63,6 +64,52 @@ def test_changing_the_callers_array_changes_the_answer():
     fresh = _fresh(grid)
     assert np.array_equal(integrate_to(grid, row, upper),
                           integrate_to(fresh, row, upper))
+    assert np.array_equal(fn.eval(upper), PiecewiseFn(fresh, row).eval(upper))
+
+
+def _count_searches(monkeypatch):
+    calls = []
+    segment_of = Grid.segment_of
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return segment_of(self, *args, **kwargs)
+
+    monkeypatch.setattr(Grid, "segment_of", counted)
+    return calls
+
+
+def test_read_only_array_found_by_identity(monkeypatch):
+    grid = _grid()
+    upper = np.array([0.1, 0.35, 1.9])
+    upper.setflags(write=False)
+    calls = _count_searches(monkeypatch)
+    first = _limits(grid, upper)
+    assert _limits(grid, upper) is first and len(calls) == 1
+    assert any(key[1] == id(upper) for key in grid._memo)
+    # an equal array, read-only or not, finds the same entry by its values
+    twin = upper.copy()
+    assert _limits(grid, twin) is first
+    twin.setflags(write=False)
+    assert _limits(grid, twin) is first and len(calls) == 1
+
+
+@pytest.mark.parametrize("read_only_view", [False, True])
+def test_array_changed_in_place_gets_no_stale_answer(read_only_view):
+    """A writeable array, or a read-only view of one, is keyed by its values."""
+    grid = _grid()
+    rng = np.random.default_rng(3)
+    row = rng.normal(size=grid.size)
+    base = np.array([0.1, 0.35, 1.9])
+    upper = base[:] if read_only_view else base
+    if read_only_view:
+        upper.setflags(write=False)
+    fn = PiecewiseFn(grid, row)
+    integrate_to(grid, row, upper)
+    fn.eval(upper)
+    base[:] = [0.2, 1.2, 2.0]
+    fresh = _fresh(grid)
+    assert np.array_equal(integrate_to(grid, row, upper), integrate_to(fresh, row, upper))
     assert np.array_equal(fn.eval(upper), PiecewiseFn(fresh, row).eval(upper))
 
 

@@ -196,6 +196,22 @@ class TestValidation:
                 grid=grid,
             )
 
+    @pytest.mark.parametrize("panels, ok", [(3, False), (4, True)])
+    def test_sigma_checked_at_every_node(self, panels, ok):
+        # sigma peaks at 1.1 only within about 3e-5 of t = 1/3, between the
+        # schedule's sample points; it is a grid node with three panels
+        # per segment of [0, 0.5] and not with four
+        sched = ImpulseSchedule.build(
+            1.0, tau=(0.75,), sigma=("0.5 + 0.6*exp(-((t - 1/3)*100000)^2)",), h=0.1
+        )
+        assert sched.partition.tolist() == [0.0, 0.5, 0.75, 1.0]
+        if ok:
+            p = HybridProblem.build(schedule=sched, panels=panels, x0="1")
+            assert p.sigma_grid.max() <= 1.0
+        else:
+            with pytest.raises(ValueError, match=r"sigma values must stay within \[0, horizon\]"):
+                HybridProblem.build(schedule=sched, panels=panels, x0="1")
+
     def test_beta_grid_must_match(self):
         p = make_problem(1.0, sigma=("0.5*t",), h=0.1, x0="0")
         other = make_problem(2.0, x0="0")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybrid_volterra.expressions import parse_kernel
+from hybrid_volterra.expressions import KernelExpr, parse_kernel
 from hybrid_volterra.schedule import (
     ROOT_TOL,
     ImpulseSchedule,
@@ -66,6 +66,79 @@ class TestSolveSigmaRoots:
         roots = solve_sigma_roots(_sigma(f"{a!r}*t + {b!r}"), 1.0)
         assert roots.size == 1
         assert abs(roots[0] - r) < 1e-9
+
+
+def _scalar_bisection_roots(sigma, horizon, grid=4096, tol=ROOT_TOL):
+    """The roots by scalar bisection, one evaluation per step: the
+    reference the batched refinement must stay within 1e-15 of."""
+    ts = np.linspace(0.0, horizon, grid + 1)
+    d = np.asarray(sigma.evaluate({"t": ts}), dtype=float) - ts
+    roots = [float(t) for t in ts[np.abs(d) <= tol]]
+    sign = np.sign(d)
+    for k in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        lo, hi, flo = float(ts[k]), float(ts[k + 1]), float(d[k])
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fmid = float(sigma.evaluate({"t": mid})) - mid
+            if fmid == 0.0 or (hi - lo) < max(tol * 1e-3, 1e-15):
+                break
+            if (flo < 0) == (fmid < 0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        r = 0.5 * (lo + hi)
+        if abs(float(sigma.evaluate({"t": r})) - r) <= tol:
+            roots.append(r)
+    roots.sort()
+    merged = []
+    for r in roots:
+        if not merged or r - merged[-1] > 1e-10:
+            merged.append(r)
+    return np.asarray(merged)
+
+
+# sigmas of this file and of problems/*.yaml, with a horizon each; then
+# many roots, and a root at 9.2, where an ulp is wider than the final
+# bracket, so scalar bisection runs all of its 200 steps
+BATCHED_CASES = [
+    ("0.5*t", 1.0), ("t^2", 1.5), ("0.3*cos(4*t) + 0.4", 2.0), ("0.5 + 0.55*t", 2.0),
+    ("t - 0.3*sin(5*t)", 8.0), ("0.5*t + 0.25*sin(3*t)^2", 4.0), ("0.5*t + 4.6", 10.0),
+]
+
+
+class TestBatchedRefinement:
+    @pytest.mark.parametrize("src, horizon", BATCHED_CASES)
+    def test_matches_scalar_bisection(self, src, horizon):
+        sig = _sigma(src)
+        roots = solve_sigma_roots(sig, horizon)
+        reference = _scalar_bisection_roots(sig, horizon)
+        assert roots.shape == reference.shape
+        assert np.max(np.abs(roots - reference), initial=0.0) <= 1e-15
+
+    def test_ill_conditioned_crossing(self):
+        # the slope of sigma(t) - t is -0.054, so its computed sign flips back
+        # and forth over some 18 ulps around the root; any point there is a
+        # root to rounding, and the two methods may settle on different ones
+        sig = _sigma("0.9459132652394593*t + 0.044529021172731754")
+        (root,) = solve_sigma_roots(sig, 1.0)
+        (reference,) = _scalar_bisection_roots(sig, 1.0)
+        assert abs(root - reference) <= 32 * np.spacing(reference)
+        assert abs(float(sig(t=root)) - root) <= 4 * np.spacing(root)
+
+    @pytest.mark.parametrize("src, horizon", BATCHED_CASES)
+    def test_few_evaluations_after_the_scan(self, monkeypatch, src, horizon):
+        sig = _sigma(src)
+        calls = []
+        evaluate = KernelExpr.evaluate
+
+        def counting(self, bindings):
+            calls.append(np.shape(bindings["t"]))
+            return evaluate(self, bindings)
+
+        monkeypatch.setattr(KernelExpr, "evaluate", counting)
+        roots = solve_sigma_roots(sig, horizon)
+        assert roots.size >= 1
+        assert calls[0] == (4097,) and len(calls) - 1 <= 8
 
 
 class TestBuildBreakpoints:

@@ -442,34 +442,41 @@ def _consumed_by_segment(problem):
 
 
 class TestMarchWork:
-    """Each sweep of the march builds a table of each continuous part once
-    and refreshes only the trace entries its segment consumes first.
+    """Each sweep of the march builds a table of each continuous part once,
+    over its segment's window of columns, and refreshes only the trace
+    entries its segment consumes first; the first sweep of a segment
+    freezes the solved history once.
 
     Recorded per sweep: its segment, the memory tables it builds (one row
-    prefix each) and the trace entries it evaluates; work outside every
-    sweep (a final fill, the residual) is recorded apart.
+    prefix each, with its first column and width), whether it froze the
+    history, and the trace entries it evaluates; work outside every sweep
+    (the residual) is recorded apart.
     """
 
     @staticmethod
     def _record(monkeypatch):
-        outside = {"segment": None, "builds": 0, "entries": []}
+        outside = {"segment": None, "tables": [], "freezes": 0, "entries": []}
         log = {"sweeps": [], "outside": outside}
         current = [outside]
-        sweep, trace_at = solvers._segment_sweep, solvers._trace_at
+        sweep, trace_at, freeze = solvers._segment_sweep, solvers._trace_at, solvers._freeze
         row_prefix = operator.row_prefix
 
-        def recording_sweep(problem, nodes, fresh, state):
+        def recording_sweep(problem, nodes, fresh, window, state):
             current[0] = {"segment": nodes.start // (problem.grid.panels + 1),
-                          "builds": 0, "entries": []}
+                          "window": window, "tables": [], "freezes": 0, "entries": []}
             log["sweeps"].append(current[0])
             try:
-                return sweep(problem, nodes, fresh, state)
+                return sweep(problem, nodes, fresh, window, state)
             finally:
                 current[0] = outside
 
-        def counting_prefix(*args):
-            current[0]["builds"] += 1
-            return row_prefix(*args)
+        def counting_prefix(grid, rows, first=0, start=0.0):
+            current[0]["tables"].append((first, rows.shape[-1]))
+            return row_prefix(grid, rows, first, start)
+
+        def counting_freeze(*args):
+            current[0]["freezes"] += 1
+            return freeze(*args)
 
         def recording_trace_at(problem, triple, p, nodes, memory):
             entries = np.arange(problem.grid.size)[nodes]
@@ -478,22 +485,35 @@ class TestMarchWork:
 
         monkeypatch.setattr(solvers, "_segment_sweep", recording_sweep)
         monkeypatch.setattr(solvers, "_trace_at", recording_trace_at)
+        monkeypatch.setattr(solvers, "_freeze", counting_freeze)
         monkeypatch.setattr(operator, "row_prefix", counting_prefix)
         return log
 
     def _check_entries(self, problem, log):
         """Every sweep of segment l evaluates exactly the entries l consumes
-        first, each once; the segments and the final fill share none and
-        cover every entry."""
+        first, each once; the segments share none and cover every entry."""
         consumed = _consumed_by_segment(problem)
         for rec in log["sweeps"]:
             assert len(rec["entries"]) == len(set(rec["entries"]))
             assert set(rec["entries"]) == consumed[rec["segment"]]
-        filled = set(log["outside"]["entries"])
-        assert len(filled) == len(log["outside"]["entries"])
-        every = [filled] + consumed
-        assert sum(len(s) for s in every) == problem.sigma_grid.size
-        assert set().union(*every) == set(np.ndindex(problem.sigma_grid.shape))
+        assert log["outside"]["entries"] == []
+        assert sum(len(s) for s in consumed) == problem.sigma_grid.size
+        assert set().union(*consumed) == set(np.ndindex(problem.sigma_grid.shape))
+
+    def _check_history(self, problem, log):
+        """The first sweep of each segment freezes the history from one table
+        that starts at column 0; every other table spans only the window."""
+        first_sweeps = {}
+        for rec in log["sweeps"]:
+            first = rec["segment"] not in first_sweeps
+            first_sweeps.setdefault(rec["segment"], rec)
+            assert rec["freezes"] == (1 if first else 0)
+            lo, hi = rec["window"].lo, rec["window"].hi
+            tables = rec["tables"][1:] if first else rec["tables"]
+            if first:
+                assert rec["tables"][0] == (0, hi)
+            assert all(table == (lo, hi - lo) for table in tables)
+        assert sorted(first_sweeps) == list(range(problem.grid.num_segments))
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
     def test_mixed_problem(self, monkeypatch, tol):
@@ -506,10 +526,70 @@ class TestMarchWork:
         # every entry, segments 0 and 3 none
         assert [len(c) > 0 for c in consumed] == [False, True, True, False]
         for rec in log["sweeps"]:
-            assert rec["builds"] == (2 if consumed[rec["segment"]] else 1)
+            assert len(rec["tables"]) == (2 if consumed[rec["segment"]] else 1)
         self._check_entries(problem, log)
-        # no final fill; the residual builds one table
-        assert log["outside"] == {"segment": None, "builds": 1, "entries": []}
+        self._check_history(problem, log)
+        # 33 nodes per segment.  Segment 1 rebuilds its g rows from column 0,
+        # whose trace entry it consumes; segments 2 and 3 start two columns
+        # early, where the integral to their first node reads; none spans N
+        assert problem.grid.size == 132
+        windows = {rec["segment"]: rec["window"][:3] for rec in log["sweeps"]}
+        assert windows == {0: (0, 0, 33), 1: (0, 0, 66), 2: (64, 66, 99), 3: (97, 99, 132)}
+        # the fixed impulses tau = 0.4 and 1.75 that each segment admits
+        assert {rec["segment"]: rec["window"].admitted for rec in log["sweeps"]} == {
+            0: 0, 1: 1, 2: 1, 3: 2}
+        # the residual builds one table of the whole grid
+        assert log["outside"]["tables"] == [(0, problem.grid.size)]
+        assert log["outside"]["freezes"] == 0 and log["outside"]["entries"] == []
+
+    @pytest.mark.parametrize("case", ["mixed", "impulse-after-root", "trace-past-a-breakpoint"])
+    def test_window_reads_match_whole_grid(self, monkeypatch, case):
+        """Each evaluation through a segment's table gives the bits that a
+        table of the whole grid gives for the same triple.
+
+        In the second case the fixed impulse at 1 + 5e-11 merges into the
+        root t = 1 of sigma, so the segment from t = 1 admits it while its
+        value still changes there, and that segment freezes nothing.  In the
+        third, sigma lies 5e-11 above the breakpoint 0.5 at the node t = 1:
+        segment 1 consumes that entry, whose time falls in segment 2, so
+        its window reaches into segment 2.
+        """
+        if case == "mixed":
+            problem = mixed_problem(panels=32)
+        elif case == "impulse-after-root":
+            problem = make_problem(2.0, tau=(1.0 + 5e-11,), sigma=("0.5 + 0.5*t",), h=0.2,
+                                   panels=16, x0="1", f1="0.3*x", G1="0.4*eta + 0.1",
+                                   G3="0.5*beta", g="0.2*beta*eta + 0.1*x")
+            assert problem.grid.partition.tolist() == [0.0, 1.0, 2.0] and problem.tau[0] > 1.0
+        else:
+            problem = make_problem(2.0, tau=(0.5,), sigma=("0.25 + 0.25*t + 5e-11",), h=0.2,
+                                   panels=12, x0="1", f1="0.3*x", f2="0.1*x*x1",
+                                   G1="0.4*eta", G3="0.5*beta", g="0.2*beta*eta + 0.1*x")
+            k = 2 * (problem.grid.panels + 1) + 4  # the node t = 1
+            assert problem.grid.partition[2] == 0.5 and problem.grid.times[k] == 1.0
+            assert 0.5 < problem.sigma_grid[0, k] <= 0.5 + operator.EPS
+        checked = []
+        continuous_at, trace_at = solvers._continuous_at, solvers._trace_at
+
+        def checked_continuous(problem, triple, nodes, memory):
+            got = continuous_at(problem, triple, nodes, memory)
+            whole = continuous_at(problem, triple, nodes, operator._memory(problem, triple))
+            checked.append(memory.history.lo)
+            assert got.tobytes() == whole.tobytes()
+            return got
+
+        def checked_trace(problem, triple, p, nodes, memory):
+            got = trace_at(problem, triple, p, nodes, memory)
+            whole = trace_at(problem, triple, p, nodes, operator._memory(problem, triple))
+            assert got.tobytes() == whole.tobytes()
+            return got
+
+        monkeypatch.setattr(solvers, "_continuous_at", checked_continuous)
+        monkeypatch.setattr(solvers, "_trace_at", checked_trace)
+        _, rep = segment_solve(problem, tol=1e-12, kmax=300)
+        assert rep.converged and len(checked) == rep.iterations
+        if case == "mixed":
+            assert max(checked) > 0  # some read a window with a frozen offset
 
     @pytest.mark.parametrize(
         "sigma, horizon, panels, first",
@@ -533,6 +613,7 @@ class TestMarchWork:
         log = self._record(monkeypatch)
         seg, rep_s = segment_solve(problem, tol=1e-12, kmax=300)
         self._check_entries(problem, log)
+        self._check_history(problem, log)
         pic, rep_p = picard_solve(problem, tol=1e-12, kmax=300)
         assert rep_s.converged and rep_p.converged
         for a, b in [(pic.xi.values, seg.xi.values), (pic.eta, seg.eta),
