@@ -10,10 +10,10 @@ and impulse sums.  The pieces:
 - :mod:`.schedule` -- impulse times, crossing roots, and separation checks;
 - :mod:`.piecewise` -- grids with two-sided breakpoint nodes, piecewise
   functions, and the weighted norms;
-- :mod:`.quadrature` -- trapezoid rules on those grids: an integrand row
-  shared by every upper limit is integrated by prefix sums in O(N + E),
-  one row per limit by weight rows in O(E N); plus cumulative integrals
-  to every node and cube integrals;
+- :mod:`.quadrature` -- trapezoid rules on those grids by one running
+  sum, the prefix of a row or table of rows: read at E upper limits in
+  O(N + E), at every node for cumulative integrals, and nested for cube
+  integrals; weight rows, O(E N), only for one row per limit;
 - :mod:`.operator` -- the fixed-point operator and its three components;
   each memory kernel is split into time factors times node rows, so a
   sweep costs O(N) for every kernel that splits, O(N^2) for a t-free f2

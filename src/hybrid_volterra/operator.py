@@ -482,8 +482,8 @@ class _History(NamedTuple):
     values its memberships admit).  ``frozen`` holds the rows from ``lo``
     to ``live``, (R, live - lo), and ``prefix`` each row's exclusive prefix
     at ``lo``, (R,).  ``cumulative`` holds, per f2 term, the integral of
-    its inner factor b_r from 0 to node ``live``.  ``impulses`` is the
-    t-free G1 and G2 prefix over the fixed impulses (:func:`_impulse_prefix`)
+    its inner factor b_r from 0 to node ``live``, (K,).  ``impulses`` is
+    the t-free G1 and G2 prefix over the fixed impulses (:func:`_impulse_prefix`)
     of the segment's first iterate, or None to build it from each
     iterate's eta.  ``admitted`` is the number of fixed impulses that the
     membership times of the tables' readers admit: the tables hold no g
@@ -498,7 +498,7 @@ class _History(NamedTuple):
     admitted: int
     prefix: np.ndarray | float = 0.0
     frozen: np.ndarray | None = None
-    cumulative: tuple = ()
+    cumulative: np.ndarray | float = 0.0
     impulses: np.ndarray | None = None
 
 
@@ -524,7 +524,7 @@ class _Memory(NamedTuple):
     eta: np.ndarray  # the fixed-impulse values ``impulses`` was built from
     beta: tuple  # the node values of each trace the g rows were built from
     xi_rows: tuple  # (c, row) of each f1 and f2 row, as :func:`_xi_rows`
-    cumulative: tuple  # each f2 term's inner integral, as :func:`_xi_rows`
+    cumulative: np.ndarray | None  # the f2 inner integrals, as :func:`_xi_rows`
     f2_inner: np.ndarray | None  # the N x N pass of an f2, as :func:`_xi_rows`
     rows: np.ndarray
     prefix: np.ndarray
@@ -548,12 +548,13 @@ def _xi_rows(
     with c None): the f1 integral to time t is c(t) times the integral of
     ``row`` to t, and so is the f2 double integral, whose row holds the
     inner integrals a_r(s) * (integral of b_r to s).  Those inner
-    integrals of b_r are returned too, one array per term, begun from
-    ``history.cumulative``.  A t-free f2 that does not split gives its row
-    of inner integrals by one N x N kernel pass over the whole grid, unless
-    ``f2_inner`` is that row of the same ``xi``; the whole row is returned
-    last, else None.  A kernel that references t and does not split is
-    left to :func:`_sc_eval`.
+    integrals are returned too, (K, W) for K terms, by one
+    :func:`~.quadrature.node_cumulative` of the stacked b_r begun from
+    ``history.cumulative``, else None.  A t-free f2 that does not split
+    gives its row of inner integrals by one N x N kernel pass over the
+    whole grid, unless ``f2_inner`` is that row of the same ``xi``; the
+    whole row is returned last, else None.  A kernel that references t
+    and does not split is left to :func:`_sc_eval`.
     """
     grid = problem.grid
     cols = slice(history.live, history.hi)
@@ -563,20 +564,16 @@ def _xi_rows(
     rows = []
     for c, a in problem.f1_terms or ():
         rows.append((c, a.evaluate(nodes)))
-    cumulative = []
+    cumulative = None
     f2 = problem.f2
     if problem.f2_terms:
-        factors = [(c, a.evaluate(nodes), b.evaluate(nodes)) for c, a, b in problem.f2_terms]
-        w = grid.panels + 1
-        segments = slice(history.live // w, history.hi // w)
-        starts = history.cumulative or [0.0] * len(factors)
-        inner, cumulative = [], []
+        outer, B = [], np.empty((len(problem.f2_terms), times.size))
+        for r, (c, a, b) in enumerate(problem.f2_terms):
+            outer.append((c, a.evaluate(nodes)))
+            B[r] = b.evaluate(nodes)
+        cumulative = node_cumulative(grid, B, history.live, history.cumulative)
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite: caught by the solver
-            for (c, a, b), start in zip(factors, starts):
-                if np.shape(b) != times.shape:
-                    b = np.full(times.shape, b)
-                cumulative.append(node_cumulative(grid, b, segments, start))
-                inner.append((c, a * cumulative[-1]))
+            inner = [(c, a * cum) for (c, a), cum in zip(outer, cumulative)]
             if f2.references("t"):
                 rows += inner
             else:
@@ -587,9 +584,9 @@ def _xi_rows(
                 {"t": 0.0, "s": grid.times[:, None], "s1": grid.times[None, :],
                  "x": xi[:, None], "x1": xi[None, :]}
             )
-            f2_inner = apply_weights(weight_rows(grid, grid.times), F)
+            f2_inner = integrate_to(grid, F, grid.times)
         rows.append((None, f2_inner[cols]))
-    return rows, tuple(cumulative), f2_inner
+    return rows, cumulative, f2_inner
 
 
 def _impulse_prefix(problem: HybridProblem, eta: np.ndarray) -> np.ndarray | None:
@@ -734,10 +731,9 @@ def _read_rows(problem: HybridProblem, memory: _Memory, batch: _Batch) -> np.nda
         return np.add.reduce(parts, axis=0)
 
 
-def _window(problem: HybridProblem, nodes: slice, fresh, solved) -> _History | None:
+def _window(problem: HybridProblem, nodes: slice, fresh, solved) -> _History:
     """The columns of the tables of a march segment, as a history with
-    nothing frozen yet (:func:`_freeze` fills it in), or None when the
-    segment has none to freeze.
+    nothing frozen yet (:func:`_freeze` fills it in).
 
     The segment updates the continuous part on ``nodes``; ``fresh`` holds
     the trace entries it refreshes, one array of node indices per moving
@@ -751,10 +747,7 @@ def _window(problem: HybridProblem, nodes: slice, fresh, solved) -> _History | N
     prefix up to the cut.  ``live`` and ``hi`` are segment boundaries, so
     the f2 inner integrals run over whole segments; a table without rows
     takes the whole grid, read nowhere.  ``admitted`` counts the fixed
-    impulses below the last of their membership times.  A fixed
-    impulse merged into a breakpoint just before it lies inside the
-    segment: when the segment admits one, its value eta_j still changes, so
-    nothing is frozen.
+    impulses below the last of their membership times.
     """
     grid = problem.grid
     w = grid.panels + 1
@@ -763,8 +756,6 @@ def _window(problem: HybridProblem, nodes: slice, fresh, solved) -> _History | N
     # the last membership time: the last node's, or a trace time's, one tick left
     last = max([node_m[-1]] + [u.max() - EPS for u in traces])
     admitted = int(np.searchsorted(problem.tau, last))
-    if np.any(problem.tau[:admitted] > grid.times[nodes.start]):
-        return None
     impulses = problem.g_row_impulses
     if not (problem.f1_terms or problem.f2_terms or problem.f2_terms is None or impulses.size):
         return _History(0, 0, grid.size, admitted)
@@ -784,7 +775,7 @@ def _window(problem: HybridProblem, nodes: slice, fresh, solved) -> _History | N
 def _freeze(
     problem: HybridProblem,
     triple: SolutionTriple,
-    window: _History | None,
+    window: _History,
     previous: _Memory | None = None,
 ) -> tuple[_History, _Memory]:
     """The history of a march segment whose first iterate is ``triple``,
@@ -796,19 +787,15 @@ def _freeze(
     segment's first sweep reads it as any other; the history takes from it
     each row's prefix at ``window.lo`` and its values up to
     ``window.live``, each f2 term's inner integral at ``window.live`` and
-    the G1 and G2 prefix.  Without a window the history is the whole grid,
-    with nothing frozen.
+    the G1 and G2 prefix.
     """
-    if window is None:
-        table = _memory(problem, triple, previous, problem.whole_grid)
-        return table.history, table
     lo, live, hi, admitted = window[:4]
     table = _memory(problem, triple, previous, _History(0, 0, hi, admitted))
     history = _History(
         lo, live, hi, admitted,
         prefix=table.prefix[:, lo].copy(),
         frozen=table.rows[:, lo:live].copy(),
-        cumulative=tuple(B[live] for B in table.cumulative),
+        cumulative=0.0 if table.cumulative is None else table.cumulative[:, live],
         impulses=table.impulses,
     )
     return history, table

@@ -20,24 +20,23 @@ to the same limits.  The functions:
   at each limit's node (:func:`read_prefix`): O(N + E) for E limits, and
   O(E) once the prefix is built.  One row per limit takes weight rows:
   O(E N);
-* :func:`row_prefix` and :func:`read_prefix` -- the prefix sums of one
-  row or of a table of R rows at once, ``(R, N)``, read at every limit as
-  ``(R, E)``, each row with its own cut (worked out once for many tables
-  by :func:`cut`).  A table may start at a later column, with each row's
-  sum before it as the first term of its running sum;
-* :func:`weight_rows` -- the (E, N) weight rows of E upper limits, built
-  from that O(N) vector with no cumulative pass;
-* :func:`apply_weights` -- the row sums of one integrand row per weight
-  row;
-* :func:`node_cumulative` -- the integral from 0 to every grid node, by a
-  cumulative sum;
+* :func:`row_prefix` and :func:`read_prefix` -- the one running sum: the
+  prefix sums of one row or of a table of R rows at once, ``(R, N)``,
+  read at every limit as ``(R, E)``, each row with its own cut (worked
+  out once for many tables by :func:`cut`).  A table may start at a later
+  column, with each row's sum before it as the first term of its sum;
+* :func:`node_cumulative` -- the integral from 0 to every grid node: that
+  running sum at the node plus half a step of the node's value;
 * :func:`cube_diagonal` -- the integral over the cube [0, t]^n at every
-  node, by nested cumulative passes.
+  node, by nested :func:`node_cumulative` passes;
+* :func:`weight_rows` and :func:`apply_weights` -- for rows per limit
+  only: the (E, N) weight rows of E upper limits, and the row sums of
+  each integrand row times its weight row.
 
 A double integral over the triangle 0 <= s1 <= s <= t of F[s, s1] takes as
-its outer integrand the inner integrals
-``apply_weights(weight_rows(grid, grid.times), F)``, one per row s; for
-``F = a(s) b(s1)`` they are ``a * node_cumulative(grid, b)``.
+its outer integrand the inner integrals ``integrate_to(grid, F, grid.times)``,
+one row per limit s; for ``F = a(s) b(s1)`` they are
+``a * node_cumulative(grid, b)``.
 """
 
 from __future__ import annotations
@@ -226,38 +225,35 @@ def read_prefix(
 
 
 def node_cumulative(
-    grid: Grid, w: np.ndarray, segments: slice = slice(None), start=0.0
+    grid: Grid, w: np.ndarray, first: int = 0, start: np.ndarray | float = 0.0
 ) -> np.ndarray:
     """Cumulative integral from 0 to every grid node, along the last axis.
 
-    ``w`` holds the integrand on the nodes of ``segments``, whole segments
-    of the grid (all of them by default), and ``start`` is the integral up
-    to the first of them, zero by default.  It is added before the segment
-    totals, so the integrals of a later run of segments match those of the
-    whole grid bit for bit.
+    ``w`` is one row (W,) or a table of rows (R, W) over the grid columns
+    ``first`` to ``first + W``: whole segments, from the start of one (0 by
+    default).  ``start`` is each row's integral up to column ``first``, as
+    in :func:`row_prefix`.  The integral to a node is the row's exclusive
+    prefix there plus half a step of the node's value, none at a segment's
+    first node: a run begun at a later segment matches the whole grid bit
+    for bit, and the two nodes of a breakpoint carry the same integral.
     """
     w = np.asarray(w, dtype=float)
-    m = grid.panels
-    step = (np.diff(grid.partition) / m)[segments]  # node spacing per segment
-    nseg = step.size
-    if w.shape[-1] != nseg * (m + 1):
-        raise ValueError(
-            f"integrand last axis {w.shape[-1]} != {nseg * (m + 1)} nodes of "
-            f"{nseg} segments"
-        )
-    shaped = w.reshape(w.shape[:-1] + (nseg, m + 1))
-    panel = 0.5 * (shaped[..., :-1] + shaped[..., 1:]) * step[:, None]
-    within = np.concatenate(
-        [np.zeros(panel.shape[:-1] + (1,)), np.cumsum(panel, axis=-1)], axis=-1
-    )
-    seg_totals = within[..., -1]
-    # the integral to each segment's first node: a running sum from start
-    ahead = np.empty(seg_totals.shape)
-    ahead[..., 0] = start
-    ahead[..., 1:] = seg_totals[..., :-1]
-    offsets = np.cumsum(ahead, axis=-1)
-    out = within + offsets[..., None]
-    return out.reshape(w.shape)
+    nodes = grid.panels + 1
+    width = w.shape[-1]
+    if first % nodes or width % nodes or first + width > grid.size:
+        raise ValueError(f"columns {first} to {first + width} are not whole segments")
+    tail = grid.memoized("half steps", grid.partition, lambda: _half_steps(grid))[0]
+    prefix = row_prefix(grid, w, first, start)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return prefix[..., :-1] + tail[first:first + width] * w
+
+
+def _half_steps(grid: Grid):
+    """Half a step at every node, 0 at each segment's first node."""
+    nodes = grid.panels + 1
+    tail = np.repeat(0.5 * (np.diff(grid.partition) / grid.panels), nodes)
+    tail[::nodes] = 0.0
+    return (tail,)
 
 
 def cube_diagonal(grid: Grid, F: np.ndarray, order: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Impulse schedules: fixed times, moving-time functions, and breakpoints.
 
 A schedule collects the fixed impulse times ``tau`` (strictly increasing in
-(0, T)), the moving-time functions ``sigma_i`` (expressions in ``t`` mapping
-[0, T] into [0, T]), and the separation scale ``h``.  The solution can jump
-at the fixed times and at the roots of ``t = sigma_i(t)``, so the breakpoint
-set is the sorted union of ``tau`` and all roots.
+(0, T), each a breakpoint), the moving-time functions ``sigma_i``
+(expressions in ``t`` mapping [0, T] into [0, T]), and the separation scale
+``h``.  The solution can jump at the fixed times and at the roots of
+``t = sigma_i(t)``, so the breakpoint set is the sorted union of ``tau`` and
+all roots.
 
 Roots are located by a sign-change scan of ``sigma_i(t) - t`` on a uniform
 grid, then every bracket of one ``sigma_i`` is narrowed at once by
@@ -110,17 +111,23 @@ def build_breakpoints(
     """Merge fixed times and moving-time roots into (breakpoints, partition).
 
     ``breakpoints`` is the sorted, deduplicated union; ``partition`` clips it
-    to (0, T) and appends the endpoints 0 and T.  Points closer than ``tol``
-    merge.
+    to (0, T) and appends the endpoints 0 and T.  A point within ``tol``
+    after a breakpoint merges into it; a fixed time that merges with a root
+    becomes the breakpoint, so every fixed time (at least ``tol`` apart, as
+    :meth:`ImpulseSchedule.build` checks) is a breakpoint.
     """
-    pool = [float(t) for t in tau]
+    pool = [(float(t), True) for t in tau]
     for r in roots:
-        pool.extend(float(x) for x in np.atleast_1d(r))
+        pool.extend((float(x), False) for x in np.atleast_1d(r))
     pool.sort()
     merged: list[float] = []
-    for p in pool:
+    pinned = False  # the last breakpoint is a fixed time
+    for p, fixed in pool:
         if not merged or p - merged[-1] > tol:
             merged.append(p)
+            pinned = fixed
+        elif fixed and not pinned:
+            merged[-1], pinned = p, True
     interior = [p for p in merged if tol < p < horizon - tol]
     partition = np.asarray([0.0] + interior + [float(horizon)])
     return np.asarray(merged), partition
@@ -156,10 +163,11 @@ class ImpulseSchedule:
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         tau_arr = np.asarray([float(t) for t in tau], dtype=float)
-        if tau_arr.size and (np.any(tau_arr <= 0) or np.any(tau_arr >= horizon)):
-            raise ValueError("fixed impulse times must lie strictly inside (0, horizon)")
-        if tau_arr.size > 1 and not np.all(np.diff(tau_arr) > 0):
-            raise ValueError("fixed impulse times must be strictly increasing")
+        # each fixed time is a breakpoint of its own (build_breakpoints)
+        if tau_arr.size and (np.any(tau_arr <= MERGE_TOL) or np.any(tau_arr >= horizon)):
+            raise ValueError(f"fixed impulse times must lie strictly inside ({MERGE_TOL:g}, horizon)")
+        if tau_arr.size > 1 and not np.all(np.diff(tau_arr) > MERGE_TOL):
+            raise ValueError(f"fixed impulse times must increase by more than {MERGE_TOL:g}")
         sig = tuple(
             parse_kernel(s, ("t",)) if isinstance(s, str) else s for s in sigma
         )

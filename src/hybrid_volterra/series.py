@@ -37,13 +37,7 @@ import numpy as np
 
 from .expressions import KernelExpr, parse_kernel, time_split, zero_kernel
 from .piecewise import Grid, PiecewiseFn, norm_continuous, uniform_grid
-from .quadrature import (
-    apply_weights,
-    cube_diagonal,
-    integrate_to,
-    node_cumulative,
-    weight_rows,
-)
+from .quadrature import cube_diagonal, integrate_to, node_cumulative
 from .solvers import _NUMERICAL_FAILURES, SolveReport, _iterate, _stop
 
 # the highest order whose kernel may build a size-N^n array unasked
@@ -165,20 +159,22 @@ def apply_series_operator(problem: SeriesProblem, y: PiecewiseFn) -> PiecewiseFn
     """One sweep: forcing term plus all cube integrals of the current y.
 
     A kernel that splits adds, per term, c(t) times the product of the
-    cumulative integrals of its slot factors: O(n N).  One that does not
-    takes the size-N^n cube, once, or once per node when it references t.
+    cumulative integrals of its slot factors: O(n N), and one cumulative
+    pass for every such kernel at once.  One that does not takes the
+    size-N^n cube, once, or once per node when it references t.
     """
     grid = problem.grid
     times = grid.times
     out = np.broadcast_to(
         np.asarray(problem.y0.evaluate({"t": times}), dtype=float), times.shape
     ).astype(float, copy=True)
+    split = _split_cube(grid, problem.kernel_terms, y.values)
     for n, (kernel, terms) in enumerate(
         zip(problem.kernels, problem.kernel_terms), start=1
     ):
         weight = 1.0 / math.factorial(n)
         if terms is not None:
-            out += weight * _split_cube(grid, terms, y.values, n)
+            out += weight * split[n - 1]
             continue
         bindings = _cube_bindings(times, y.values, n)
         full = (times.size,) * n
@@ -194,29 +190,39 @@ def apply_series_operator(problem: SeriesProblem, y: PiecewiseFn) -> PiecewiseFn
     return PiecewiseFn(grid, out)
 
 
-def _split_cube(grid: Grid, terms, values: np.ndarray, n: int) -> np.ndarray:
-    """Cube integral at every node of a kernel split into ``terms``.
+def _split_cube(grid: Grid, kernel_terms, values: np.ndarray) -> list:
+    """Cube integral at every node of each order's kernel that splits.
 
-    Each term ``(c, b_1, ..., b_n)`` integrates over [0, t]^n to c(t) times
-    the product over i of the cumulative integral of b_i(s_i, y(s_i)).
-    Non-finite node values give non-finite integrals and raise no
-    floating-point warning.
+    ``kernel_terms`` holds, per order, the kernel's terms, or None when it
+    does not split and its entry of the result is None.  Each term
+    ``(c, b_1, ..., b_n)`` integrates over [0, t]^n to c(t) times the
+    product over i of the cumulative integral of b_i(s_i, y(s_i)), and
+    every slot factor of every order takes one
+    :func:`~.quadrature.node_cumulative` of their stacked rows.  Non-finite
+    node values give non-finite integrals and raise no floating-point
+    warning.
     """
     times = grid.times
     # every factor references one group, so one binding serves them all
     nodes = {"t": times}
-    for i in range(1, n + 1):
+    for i in range(1, len(kernel_terms) + 1):
         nodes[f"s{i}"] = times
         nodes[f"x{i}"] = values
-    total = np.zeros(times.shape)
+    slots = [b for terms in kernel_terms for _, *bs in terms or () for b in bs]
+    table = np.empty((len(slots), times.size))
+    for row, b in zip(table, slots):
+        row[:] = b.evaluate(nodes)
+    cumulative = iter(node_cumulative(grid, table) if slots else ())
+    totals = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for c, *slots in terms:
-            term = 1.0 if c is None else c.evaluate(nodes)
-            for b in slots:
-                row = np.broadcast_to(np.asarray(b.evaluate(nodes), float), times.shape)
-                term = term * node_cumulative(grid, row)
-            total += term
-    return total
+        for terms in kernel_terms:
+            totals.append(None if terms is None else np.zeros(times.shape))
+            for c, *bs in terms or ():
+                term = 1.0 if c is None else c.evaluate(nodes)
+                for _ in bs:
+                    term = term * next(cumulative)
+                totals[-1] += term
+    return totals
 
 
 def series_contraction_coefficient(
@@ -315,6 +321,6 @@ def nested_equals_cube(
         raise ValueError("kernel is not symmetric under (s1, x1) <-> (s2, x2)")
     inner_rows = integrate_to(grid, F, np.full(times.size, t))
     cube = float(integrate_to(grid, inner_rows, t)[0])
-    triangle = apply_weights(weight_rows(grid, times), F.T)
+    triangle = integrate_to(grid, F.T, times)
     nested = float(integrate_to(grid, triangle, t)[0])
     return cube / 2.0, nested

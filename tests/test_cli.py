@@ -215,6 +215,18 @@ class TestSolve:
         assert code == 1 and out == ""
         assert err == "error: sigma values must stay within [0, horizon]\n"
 
+    @pytest.mark.parametrize("tau", ["[0.7, 0.70000000005]", "[5.0e-11, 0.7]"],
+                             ids=["near-each-other", "near-zero"])
+    def test_tau_within_merge_tolerance_exits_1(self, capsys, tmp_path, tau):
+        path = tmp_path / "tau.yaml"
+        path.write_text(
+            f"horizon: 1\ntau: {tau}\nx0: '1'\nf1: '0.3*x'\n"
+            "G1: '0.4*eta + 0.1'\nG2: '0.1*etai*etaj'\nquadrature: {nodes_per_segment: 16}\n"
+        )
+        code, out, err = _run(capsys, "solve", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "fixed impulse times" in err
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = _run(capsys, "solve", str(tmp_path / "nope.yaml"))
         assert code == 1 and "error:" in err

@@ -310,6 +310,28 @@ class TestOneEvaluationPerSweep:
         assert calls == {"sc_eval": applications, "g_rows": applications * per_iterate}
 
 
+class TestOneCumulativePerTable:
+    """The inner integrals of every split f2 term take one cumulative pass."""
+
+    @pytest.mark.parametrize("f2", ["0.05*x*x1 + 0.02*s*x1^2",
+                                    "0.05*exp(-t)*x*x1 + 0.02*t*s*x1^2"],
+                             ids=["t-free", "t-factored"])
+    def test_one_call_per_memory_table(self, monkeypatch, f2):
+        problem = mixed_problem(panels=16, f2=f2)
+        assert len(problem.f2_terms) == 2
+        triple = random_triple(problem, np.random.default_rng(7))
+        calls = []
+        cumulative = operator.node_cumulative
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cumulative(*args, **kwargs)
+
+        monkeypatch.setattr(operator, "node_cumulative", counting)
+        _memory(problem, triple)
+        assert len(calls) == 1
+
+
 class TestReuse:
     """A table takes over from an earlier one only what the same arrays
     would rebuild, and a problem keeps the iterate-free part of each batch."""

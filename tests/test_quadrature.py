@@ -123,6 +123,36 @@ class TestGridHelpers:
         with pytest.raises(ValueError):
             node_cumulative(grid, np.ones(3))
 
+    def test_node_cumulative_from_a_later_segment_is_bit_identical(self):
+        grid = uniform_grid(2.0, panels=8, interior=[0.3, 0.9, 1.4])
+        nodes = grid.panels + 1
+        rows = np.vstack([np.cos(3.0 * grid.times), np.exp(grid.times) - grid.times ** 2])
+        whole = node_cumulative(grid, rows)
+        np.testing.assert_array_equal(node_cumulative(grid, rows[0]), whole[0])
+        for first in range(nodes, grid.size, nodes):
+            for stop in range(first + nodes, grid.size + 1, nodes):
+                part = node_cumulative(grid, rows[:, first:stop], first, whole[:, first])
+                assert part.tobytes() == whole[:, first:stop].tobytes()
+                row = node_cumulative(grid, rows[0, first:stop], first, whole[0, first])
+                assert row.tobytes() == whole[0, first:stop].tobytes()
+
+    def test_node_cumulative_breakpoint_nodes_carry_one_integral(self):
+        grid = uniform_grid(2.0, panels=8, interior=[0.3, 0.9, 1.4])
+        nodes = grid.panels + 1
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(3, grid.size))  # a jump at every breakpoint
+        cum = node_cumulative(grid, rows)
+        ends = np.arange(nodes, grid.size, nodes)
+        np.testing.assert_array_equal(cum[:, ends - 1], cum[:, ends])
+        assert np.all(cum[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("first, width", [(0, 8), (1, 9), (9, 27), (3, 6)],
+                             ids=["part-segment", "off-start", "past-the-end", "both"])
+    def test_node_cumulative_needs_whole_segments(self, first, width):
+        grid = uniform_grid(2.0, panels=8, interior=[0.9])  # 18 nodes
+        with pytest.raises(ValueError, match="whole segments"):
+            node_cumulative(grid, np.ones((2, width)), first)
+
     def test_integrate_to_matches_cumulative_at_nodes(self):
         grid = uniform_grid(1.0, panels=32)
         w = np.cos(grid.times)

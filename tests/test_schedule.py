@@ -160,6 +160,13 @@ class TestBuildBreakpoints:
         bps, _ = build_breakpoints([0.5], [np.array([0.5 + 5e-11])], 1.0)
         assert len(bps) == 1
 
+    @pytest.mark.parametrize("tau, root", [(1.0 + 5e-11, 1.0), (1.0, 1.0 + 5e-11)],
+                             ids=["tau-after-root", "tau-before-root"])
+    def test_fixed_time_is_the_merged_breakpoint(self, tau, root):
+        bps, part = build_breakpoints([tau], [np.array([root])], 2.0)
+        assert bps.tolist() == [tau]
+        assert part.tolist() == [0.0, tau, 2.0]
+
     def test_endpoint_values_kept_out_of_partition_interior(self):
         bps, part = build_breakpoints([], [np.array([0.0, 1.0])], 1.0)
         assert bps.tolist() == [0.0, 1.0]
@@ -202,6 +209,13 @@ class TestImpulseSchedule:
     def test_tau_must_increase(self):
         with pytest.raises(ValueError):
             ImpulseSchedule.build(1.0, tau=(0.5, 0.5))
+
+    @pytest.mark.parametrize("tau", [(0.7, 0.7 + 5e-11), (5e-11, 0.7)],
+                             ids=["near-each-other", "near-zero"])
+    def test_tau_within_merge_tolerance_rejected(self, tau):
+        # such a time could not be a breakpoint of its own
+        with pytest.raises(ValueError, match="fixed impulse times"):
+            ImpulseSchedule.build(1.0, tau=tau, h=0.1)
 
     def test_sigma_range_checked(self):
         with pytest.raises(ValueError):

@@ -167,3 +167,25 @@ def test_order_five_separable_solve():
     times = [0.1, 0.25, 0.5]
     got = np.array([y.eval(t) for t in times])
     assert np.max(np.abs(got - _rk4_reference(times, 0.5, 5))) <= 1e-4
+
+
+def test_one_cumulative_pass_per_sweep(monkeypatch):
+    """The slot factors of every term and order share one cumulative pass."""
+    kernels = ("0.1*x1 + 0.05*t*s1*x1^2", "0.02*x1*x2 + 0.01*exp(-t)*s1*s2*x1*x2")
+    problem = SeriesProblem.build(horizon=1.0, y0="1", kernels=kernels, panels=16)
+    assert [len(terms) for terms in problem.kernel_terms] == [2, 2]
+    cube = SeriesProblem.build(horizon=1.0, y0="1", kernels=[f"({k})^1" for k in kernels],
+                               panels=16)
+    y = PiecewiseFn.from_expression(problem.grid, "1 + 0.5*sin(3*t)")
+    expected = apply_series_operator(cube, y).values
+    calls = []
+    cumulative = series.node_cumulative
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cumulative(*args, **kwargs)
+
+    monkeypatch.setattr(series, "node_cumulative", counting)
+    got = apply_series_operator(problem, y).values
+    assert len(calls) == 1
+    assert np.max(np.abs(got - expected)) <= 1e-13

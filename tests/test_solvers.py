@@ -547,10 +547,8 @@ class TestMarchWork:
         """Each evaluation through a segment's table gives the bits that a
         table of the whole grid gives for the same triple.
 
-        In the second case the fixed impulse at 1 + 5e-11 merges into the
-        root t = 1 of sigma, so the segment from t = 1 admits it while its
-        value still changes there, and that segment freezes nothing.  In the
-        third, sigma lies 5e-11 above the breakpoint 0.5 at the node t = 1:
+        In the second case the root t = 1 of sigma merges into the fixed
+        impulse at 1 + 5e-11, which stays a breakpoint.  In the third, sigma lies 5e-11 above the breakpoint 0.5 at the node t = 1:
         segment 1 consumes that entry, whose time falls in segment 2, so
         its window reaches into segment 2.
         """
@@ -560,7 +558,7 @@ class TestMarchWork:
             problem = make_problem(2.0, tau=(1.0 + 5e-11,), sigma=("0.5 + 0.5*t",), h=0.2,
                                    panels=16, x0="1", f1="0.3*x", G1="0.4*eta + 0.1",
                                    G3="0.5*beta", g="0.2*beta*eta + 0.1*x")
-            assert problem.grid.partition.tolist() == [0.0, 1.0, 2.0] and problem.tau[0] > 1.0
+            assert problem.grid.partition.tolist() == [0.0, 1.0 + 5e-11, 2.0]
         else:
             problem = make_problem(2.0, tau=(0.5,), sigma=("0.25 + 0.25*t + 5e-11",), h=0.2,
                                    panels=12, x0="1", f1="0.3*x", f2="0.1*x*x1",
@@ -619,3 +617,18 @@ class TestMarchWork:
         for a, b in [(pic.xi.values, seg.xi.values), (pic.eta, seg.eta),
                      (pic.beta_rows(), seg.beta_rows())]:
             assert np.max(np.abs(a - b)) <= 1e-6
+
+    def test_impulse_just_after_a_root_agrees_with_picard(self):
+        """A fixed impulse within the merge tolerance after a root of sigma
+        is the breakpoint, so the segment after it never admits an impulse
+        whose value it is still computing."""
+        problem = make_problem(2.0, tau=(1.0 + 5e-11,), sigma=("0.5 + 0.5*t",), h=0.2,
+                               panels=16, x0="1", f1="0.3*x", G1="0.4*eta + 0.1",
+                               G3="0.5*beta", g="0.2*beta*eta + 0.1*x")
+        assert problem.grid.partition.tolist() == [0.0, 1.0 + 5e-11, 2.0]
+        seg, rep_s = segment_solve(problem, tol=1e-12, kmax=300)
+        pic, rep_p = picard_solve(problem, tol=1e-12, kmax=300)
+        assert rep_s.converged and rep_p.converged
+        for a, b in [(pic.xi.values, seg.xi.values), (pic.eta, seg.eta),
+                     (pic.beta_rows(), seg.beta_rows())]:
+            assert np.max(np.abs(a - b)) <= 1e-9
