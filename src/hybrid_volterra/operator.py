@@ -42,21 +42,19 @@ term when f2 splits into products c_r(t) a_r(s, x) b_r(s1, x1); one N x N
 kernel pass for a t-free f2 that does not split), and one g row per moving
 impulse i with a nondecreasing sigma_i, fixed impulse j and term, each
 with its time factor, its cut and its tau_j.  The t-free G1 and G2 terms
-are one cumulative vector over the fixed impulses.  The f1 and f2 rows
-depend on xi alone and the G1 and G2 vector on eta alone; each carries
-over to the table of a later iterate with the same array, and a table
-whose arrays are all the same is reused whole.  An evaluation reads the
-whole table once per batch of times; what it leaves out is evaluated per
-batch: a memory kernel that references t and does not split (O(E N)
+are one cumulative vector over the fixed impulses.  An evaluation reads
+the whole table once per batch of times; what it leaves out is evaluated
+per batch: a memory kernel that references t and does not split (O(E N)
 weight rows for f1 and g, O(N^3) for f2), the g rows of a sigma_i that is
 not monotone (a dense mask), G1 and G2 when they reference t, and G3.
 What a batch needs that no iterate changes (x0 and sigma_i at its times,
 the time factors, the g rows' cuts and the membership masks) is built once
 per problem and batch (:meth:`HybridProblem.batch`).
 :func:`apply_operator` makes one evaluation per sweep, of the nodes, the
-fixed-impulse times and every moving trace at once; the segment march and
-:func:`jump_at` reach the same formula through the same table, batches and
-membership helpers.
+fixed-impulse times and every moving trace at once; a sweep of the segment
+march makes one of its segment's nodes and the trace entries it refreshes,
+and :func:`jump_at` one of both sides of its breakpoints, all through the
+same table, batches and membership helpers.
 
 A table covers a window of columns with a history of what lies before it
 (:class:`_History`): each row's prefix there as an offset, taken as the
@@ -71,7 +69,7 @@ segment's window (:func:`_window`), and take the G1 and G2 prefix of the
 solved impulses from the history: O(n_l + fresh columns) per sweep for
 the n_l nodes of segment l and the trace entries it refreshes, plus a
 fixed cost, where every memory kernel splits.  A t-free f2 that does not
-split still costs one N x N pass per continuous part.
+split still costs one N x N pass per table.
 """
 
 from __future__ import annotations
@@ -106,8 +104,9 @@ from .contraction import LipschitzSet
 EPS = MERGE_TOL
 _NONE = np.zeros(0, dtype=np.intp)
 _NONE.setflags(write=False)
-# evaluation batches a problem keeps (:meth:`HybridProblem.batch`); the
-# segment march uses about two per segment, so a full memo is cleared
+# entries of the evaluation batches a problem keeps (:meth:`HybridProblem.batch`),
+# up to two per batch; a sweep uses one batch and the segment march one per
+# segment, so a full memo is cleared
 _BATCH_MEMO_SIZE = 64
 
 ARITIES: dict[str, tuple[str, ...]] = {
@@ -133,11 +132,15 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
+def _owned_read_only(a) -> bool:
+    """Whether no caller can change the array ``a``: read-only, owning its data."""
+    return not a.flags.writeable and a.flags.owndata
+
+
 def _fixed(a) -> np.ndarray:
     """``a`` as a float array that no caller can change: ``a`` itself when it
     is read-only and owns its data, else a read-only copy."""
-    fixed = isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata
-    if fixed and not a.flags.writeable:
+    if isinstance(a, np.ndarray) and a.dtype == float and _owned_read_only(a):
         return a
     return _read_only(np.array(a, dtype=float))
 
@@ -304,19 +307,27 @@ class HybridProblem:
 
         Kept per values of the two arrays, so a solve builds them once per
         batch it evaluates, whatever its sweep count.  The memo is the
-        problem's, not the grid's: two problems can share one grid.  The
-        read-only :attr:`sweep_batch` is found by identity, without hashing
-        its 2N + n_tau values.
+        problem's, not the grid's: two problems can share one grid.  Two
+        read-only arrays that own their data, such as :attr:`sweep_batch`
+        and the batch of a march segment (:func:`_window`), are also kept by
+        identity and found again without hashing their values; the entry
+        keeps them alive, so their ids are not reused while it lasts.
         """
-        if te is self.sweep_batch[0] and m is self.sweep_batch[1]:
-            key = "sweep"
-        else:
-            key = (te.shape, te.tobytes(), m.tobytes())
+        fixed = _owned_read_only(te) and _owned_read_only(m)
+        if fixed:
+            entry = self._batches.get((id(te), id(m)))
+            if entry is not None and entry[0] is te and entry[1] is m:
+                return entry[2]
+        key = (te.shape, te.tobytes(), m.tobytes())
         found = self._batches.get(key)
         if found is None:
-            if len(self._batches) >= _BATCH_MEMO_SIZE:
-                self._batches.clear()
-            found = self._batches[key] = _Batch(self, te, m)
+            found = _Batch(self, te, m)
+        # a miss adds up to two entries: the values' and the identity's
+        if len(self._batches) >= _BATCH_MEMO_SIZE - 1:
+            self._batches.clear()
+        self._batches[key] = found
+        if fixed:
+            self._batches[id(te), id(m)] = (te, m, found)
         return found
 
     @property
@@ -512,34 +523,23 @@ class _Memory(NamedTuple):
     integrals enter the operator as they are or times a time factor c(t):
     ``factors`` holds each factor with the indices of its rows.  Then come
     the g rows, in the order of ``problem.g_row_impulses``, the fixed
-    impulses and ``problem.g_terms``: ``moving`` holds ``(i, start, stop)``
-    when rows ``start:stop`` belong to moving impulse i, whose integrand is
+    impulses and ``problem.g_terms``: the integrand of moving impulse i is
     cut to the nodes s with sigma_i(s) below the membership time, and a row
     of fixed impulse j counts when ``tau_j < m`` (:class:`_Batch`).
     ``impulses`` is the exclusive prefix over the fixed impulses of the
     t-free G1 and G2 values (:func:`_impulse_prefix`), or None.
     """
 
-    xi: np.ndarray  # the continuous part the f1 and f2 rows were built from
-    eta: np.ndarray  # the fixed-impulse values ``impulses`` was built from
-    beta: tuple  # the node values of each trace the g rows were built from
-    xi_rows: tuple  # (c, row) of each f1 and f2 row, as :func:`_xi_rows`
+    n_xi: int  # the number of f1 and f2 rows, as :func:`_xi_rows`
     cumulative: np.ndarray | None  # the f2 inner integrals, as :func:`_xi_rows`
-    f2_inner: np.ndarray | None  # the N x N pass of an f2, as :func:`_xi_rows`
     rows: np.ndarray
     prefix: np.ndarray
     factors: tuple
-    moving: tuple
     impulses: np.ndarray | None
     history: _History
 
 
-def _xi_rows(
-    problem: HybridProblem,
-    xi: np.ndarray,
-    history: _History,
-    f2_inner: np.ndarray | None = None,
-):
+def _xi_rows(problem: HybridProblem, xi: np.ndarray, history: _History):
     """The f1 and f2 integrands of the continuous part ``xi`` as node rows.
 
     The rows cover the columns ``history.live`` to ``history.hi``.  One
@@ -552,9 +552,8 @@ def _xi_rows(
     :func:`~.quadrature.node_cumulative` of the stacked b_r begun from
     ``history.cumulative``, else None.  A t-free f2 that does not split
     gives its row of inner integrals by one N x N kernel pass over the
-    whole grid, unless ``f2_inner`` is that row of the same ``xi``; the
-    whole row is returned last, else None.  A kernel that references t
-    and does not split is left to :func:`_sc_eval`.
+    whole grid.  A kernel that references t and does not split is left to
+    :func:`_sc_eval`.
     """
     grid = problem.grid
     cols = slice(history.live, history.hi)
@@ -579,14 +578,12 @@ def _xi_rows(
             else:
                 rows.append((None, sum((row for _, row in inner[1:]), inner[0][1])))
     elif problem.f2_terms is None and not f2.references("t"):
-        if f2_inner is None:
-            F = f2.evaluate(
-                {"t": 0.0, "s": grid.times[:, None], "s1": grid.times[None, :],
-                 "x": xi[:, None], "x1": xi[None, :]}
-            )
-            f2_inner = integrate_to(grid, F, grid.times)
-        rows.append((None, f2_inner[cols]))
-    return rows, cumulative, f2_inner
+        F = f2.evaluate(
+            {"t": 0.0, "s": grid.times[:, None], "s1": grid.times[None, :],
+             "x": xi[:, None], "x1": xi[None, :]}
+        )
+        rows.append((None, integrate_to(grid, F, grid.times)[cols]))
+    return rows, cumulative
 
 
 def _impulse_prefix(problem: HybridProblem, eta: np.ndarray) -> np.ndarray | None:
@@ -618,10 +615,7 @@ def _impulse_prefix(problem: HybridProblem, eta: np.ndarray) -> np.ndarray | Non
 
 
 def _memory(
-    problem: HybridProblem,
-    triple: SolutionTriple,
-    previous: _Memory | None = None,
-    history: _History | None = None,
+    problem: HybridProblem, triple: SolutionTriple, history: _History | None = None
 ) -> _Memory:
     """The memory table of ``triple``, read by every evaluation of it.
 
@@ -632,50 +626,23 @@ def _memory(
     membership time.  Which rows exist is read from ``f1_terms``,
     ``f2_terms`` and ``g_terms`` here; the kernels and moving impulses left
     out are evaluated by :func:`_sc_eval`.  The rows cover the columns of
-    ``history`` (:class:`_History`; by default ``previous``'s, else the
-    whole grid): they are evaluated from its live column on and copied
-    from it before, and their prefix starts from its offsets.
-
-    ``previous`` is the table of an earlier triple.  When it has the same
-    history it is returned as it is if it was built from the same xi and
-    eta arrays and its g rows, if it has any, from the same trace arrays.
-    Else its f1 and f2 rows are taken over when xi is the same array, and
-    its G1 and G2 prefix when eta is, so each part is paid for once per
-    array.  Over another history only its N x N f2 pass is taken over,
-    when xi is the same array.
+    ``history`` (:class:`_History`; by default the whole grid): they are
+    evaluated from its live column on and copied from it before, and their
+    prefix starts from its offsets.
     """
     xi, eta = triple.xi.values, triple.eta
-    beta = tuple([b.values for b in triple.beta])
     if history is None:
-        history = problem.whole_grid if previous is None else previous.history
-    same_xi = same_history = same_eta = False
-    if previous is not None:
-        same_xi = previous.xi is xi
-        same_history = previous.history is history
-        same_eta = same_history and previous.eta is eta
-        if same_xi and same_eta and (
-            not previous.moving or all(a is b for a, b in zip(previous.beta, beta))
-        ):
-            return previous
-    if same_xi and same_history:
-        xi_rows, cumulative, f2_inner = previous.xi_rows, previous.cumulative, previous.f2_inner
-    else:
-        xi_rows, cumulative, f2_inner = _xi_rows(
-            problem, xi, history, previous.f2_inner if same_xi else None
-        )
-        xi_rows = tuple(xi_rows)
-    entries = list(xi_rows)
+        history = problem.whole_grid
+    entries, cumulative = _xi_rows(problem, xi, history)
+    n_xi = len(entries)
     lo, live, hi = history.lo, history.live, history.hi
-    moving = []
     for i in problem.g_row_impulses:
         cols = slice(live, hi)
         times, x = problem.grid.times[cols], xi[cols]
-        start = len(entries)
-        sig, b = problem.sigma_grid[i][cols], beta[i][cols]
+        sig, b = problem.sigma_grid[i][cols], triple.beta[i].values[cols]
         for tau_j, eta_j in zip(problem.tau[:history.admitted], eta):
             nodes = {"s": times, "sig": sig, "tau": tau_j, "x": x, "beta": b, "eta": eta_j}
             entries += [(c, a.evaluate(nodes)) for c, a in problem.g_terms]
-        moving.append((i, start, len(entries)))
     rows = np.empty((len(entries), hi - lo))
     if live > lo:
         rows[:, :live - lo] = history.frozen
@@ -687,18 +654,13 @@ def _memory(
             factors.setdefault(id(c), (c, []))[1].append(r)
     impulses = history.impulses
     if impulses is None:
-        impulses = previous.impulses if same_eta else _impulse_prefix(problem, eta)
+        impulses = _impulse_prefix(problem, eta)
     return _Memory(
-        xi=xi,
-        eta=eta,
-        beta=beta,
-        xi_rows=xi_rows,
+        n_xi=n_xi,
         cumulative=cumulative,
-        f2_inner=f2_inner,
         rows=rows,
         prefix=row_prefix(problem.grid, rows, lo, history.prefix),
         factors=tuple(factors.values()),
-        moving=tuple(moving),
         impulses=impulses,
         history=history,
     )
@@ -708,7 +670,7 @@ def _read_rows(problem: HybridProblem, memory: _Memory, batch: _Batch) -> np.nda
     """Every row of the table ``memory`` at the times of ``batch``, summed."""
     grid, te = problem.grid, batch.te
     R, E = memory.rows.shape[0], te.size
-    n_xi = len(memory.xi_rows)
+    n_xi = memory.n_xi
     first = memory.history.lo
     if R == n_xi == 1 and not memory.factors:
         # one row with nothing to scale or cut, read as a row
@@ -731,66 +693,62 @@ def _read_rows(problem: HybridProblem, memory: _Memory, batch: _Batch) -> np.nda
         return np.add.reduce(parts, axis=0)
 
 
-def _window(problem: HybridProblem, nodes: slice, fresh, solved) -> _History:
+def _window(
+    problem: HybridProblem, nodes: slice, fresh: tuple, solved: np.ndarray
+) -> tuple[_History, tuple[np.ndarray, np.ndarray]]:
     """The columns of the tables of a march segment, as a history with
-    nothing frozen yet (:func:`_freeze` fills it in).
+    nothing frozen yet (:func:`_freeze` fills it in), and the evaluation and
+    membership times of each of its sweeps, read-only.
 
     The segment updates the continuous part on ``nodes``; ``fresh`` holds
-    the trace entries it refreshes, one array of node indices per moving
-    impulse, and ``solved`` (n_sigma, N) marks the entries that earlier
-    segments consumed.  Table rows can change from ``live`` on: at the
-    segment's nodes, and for the g rows of impulse i at every node whose
-    trace entry is not yet consumed (a suffix, sigma_i being
-    nondecreasing).  ``lo`` and ``hi`` bound every column that the
-    evaluations of the segment read, at its nodes and its fresh entries:
-    the node at or below each time and the next, and for a g row its
-    prefix up to the cut.  ``live`` and ``hi`` are segment boundaries, so
-    the f2 inner integrals run over whole segments; a table without rows
-    takes the whole grid, read nowhere.  ``admitted`` counts the fixed
-    impulses below the last of their membership times.
+    the trace entries it refreshes as index arrays (moving impulse, node)
+    in row-major order, and ``solved`` (n_sigma, N) marks the entries that
+    earlier segments consumed.  The times are the segment's nodes, with
+    their memberships in ``problem.sweep_batch``, then each fresh entry's
+    moving time sigma_p(t), one tick left.  Table rows can change from
+    ``live`` on: at the segment's nodes, and for the g rows of impulse i at
+    every node whose trace entry is not yet consumed (a suffix, sigma_i
+    being nondecreasing).  ``lo`` and ``hi`` bound every column that the
+    evaluations of the segment read: the node at or below each time and
+    the next, and for a g row its prefix up to the cut.  ``live`` and
+    ``hi`` are segment boundaries, so the f2 inner integrals run over
+    whole segments; a table without rows takes the whole grid, read
+    nowhere.  ``admitted`` counts the fixed impulses below the last
+    membership time.
     """
     grid = problem.grid
     w = grid.panels + 1
-    node_m = problem.sweep_batch[1][:grid.size][nodes]
-    traces = [problem.sigma_grid[p][idx] for p, idx in enumerate(fresh) if idx.size]
-    # the last membership time: the last node's, or a trace time's, one tick left
-    last = max([node_m[-1]] + [u.max() - EPS for u in traces])
-    admitted = int(np.searchsorted(problem.tau, last))
+    u = problem.sigma_grid[fresh]
+    te = _read_only(np.concatenate([grid.times[nodes], u]))
+    m = _read_only(np.concatenate([problem.sweep_batch[1][:grid.size][nodes], u - EPS]))
+    admitted = int(np.searchsorted(problem.tau, m.max()))
     impulses = problem.g_row_impulses
     if not (problem.f1_terms or problem.f2_terms or problem.f2_terms is None or impulses.size):
-        return _History(0, 0, grid.size, admitted)
-    batches = [problem.batch(grid.times[nodes], node_m)]
-    batches += [problem.batch(u, u - EPS) for u in traces]
+        return _History(0, 0, grid.size, admitted), (te, m)
     live = min([nodes.start] + [int(np.count_nonzero(solved[i])) for i in impulses])
     live -= live % w
-    lo, hi = live, nodes.stop
-    for batch in batches:
-        base = _limits(grid, batch.te)[0]
-        cuts = [int(np.minimum(batch.cut[i], base).min()) for i in impulses]
-        lo = min([lo, int(base.min())] + cuts)
-        hi = max(hi, int(base.max()) + 2)
-    return _History(lo, live, min(hi + (-hi) % w, grid.size), admitted)
+    base = _limits(grid, te)[0]
+    cut = problem.batch(te, m).cut
+    lo = min([live, int(base.min())] + [int(np.minimum(cut[i], base).min()) for i in impulses])
+    hi = max(nodes.stop, int(base.max()) + 2)
+    return _History(lo, live, min(hi + (-hi) % w, grid.size), admitted), (te, m)
 
 
 def _freeze(
-    problem: HybridProblem,
-    triple: SolutionTriple,
-    window: _History,
-    previous: _Memory | None = None,
+    problem: HybridProblem, triple: SolutionTriple, window: _History
 ) -> tuple[_History, _Memory]:
     """The history of a march segment whose first iterate is ``triple``,
     and the table of ``triple``.
 
-    ``window`` holds the segment's columns (:func:`_window`), and
-    ``previous`` is a table to build from, as in :func:`_memory`.  The
-    table spans the columns 0 to ``window.hi`` with nothing frozen, so the
+    ``window`` holds the segment's columns (:func:`_window`).  The table
+    spans the columns 0 to ``window.hi`` with nothing frozen, so the
     segment's first sweep reads it as any other; the history takes from it
     each row's prefix at ``window.lo`` and its values up to
     ``window.live``, each f2 term's inner integral at ``window.live`` and
     the G1 and G2 prefix.
     """
     lo, live, hi, admitted = window[:4]
-    table = _memory(problem, triple, previous, _History(0, 0, hi, admitted))
+    table = _memory(problem, triple, _History(0, 0, hi, admitted))
     history = _History(
         lo, live, hi, admitted,
         prefix=table.prefix[:, lo].copy(),
@@ -932,64 +890,36 @@ def _sc_eval(
     return out
 
 
-def _beta_at(triple: SolutionTriple, te: np.ndarray) -> np.ndarray:
-    """Each beta_i at the times ``te``, (n_sigma, E), by its left-limit convention."""
-    return np.vstack([b.eval(te) for b in triple.beta])
+def _beta_at(triple: SolutionTriple, te: np.ndarray, nodes: slice | None = None) -> np.ndarray:
+    """Each beta_i at the times ``te``, (n_sigma, E), by its left-limit
+    convention.  When the first times are the grid nodes ``nodes``, beta is
+    read there at its stored node values: at a duplicated breakpoint node
+    the interpolant would give the left limit for both."""
+    at = np.vstack([b.eval(te) for b in triple.beta])
+    if nodes is not None:
+        rows = triple.beta_rows()[:, nodes]
+        at[:, :rows.shape[1]] = rows
+    return at
 
 
 # ---------------------------------------------------------------------------
 # Membership conventions
 
 
-def _continuous_at(
-    problem: HybridProblem, triple: SolutionTriple, nodes, memory: _Memory
-) -> np.ndarray:
-    """The continuous component at the grid nodes ``nodes`` (index or slice).
-
-    Memberships are the nodes' in ``problem.sweep_batch``; beta is read at
-    its stored node values.
-    """
-    grid = problem.grid
-    return _sc_eval(
-        problem,
-        triple,
-        grid.times[nodes],
-        problem.sweep_batch[1][:grid.size][nodes],
-        memory,
-        beta_at_eval=triple.beta_rows()[:, nodes] if problem.n_sigma else None,
-    )
-
-
-def _trace_at(
-    problem: HybridProblem, triple: SolutionTriple, p: int, nodes, memory: _Memory
-) -> np.ndarray:
-    """Moving trace p at the grid nodes ``nodes``: the formula at sigma_p(t).
-
-    Memberships are one tick left of sigma_p(t), the left limit there.
-    """
-    u = problem.sigma_grid[p][nodes]
-    return _sc_eval(problem, triple, u, u - EPS, memory)
-
-
 def apply_operator(problem: HybridProblem, triple: SolutionTriple) -> SolutionTriple:
     """One full sweep of all three components (simultaneous update).
 
     The continuous part at every node with one-sided values at duplicated
-    breakpoint nodes (as :func:`_continuous_at`); each fixed-impulse value
-    as the formula at tau_l with left memberships; each moving trace as the
-    formula at sigma_p(t) with left memberships (as :func:`_trace_at`).
-    All three are one evaluation of one batch of times,
-    ``problem.sweep_batch``, against one memory table of the triple.
+    breakpoint nodes, read with beta at its stored node values; each
+    fixed-impulse value as the formula at tau_l with left memberships; each
+    moving trace as the formula at sigma_p(t) with left memberships.  All
+    three are one evaluation of one batch of times, ``problem.sweep_batch``,
+    against one memory table of the triple.
     """
     grid = problem.grid
     N, n_tau, n_sigma = grid.size, problem.n_tau, problem.n_sigma
     te, m = problem.sweep_batch
-    beta_at = None
-    if n_sigma:
-        # located with the batch's quadrature limits; the continuous block
-        # reads beta at its node values
-        beta_at = _beta_at(triple, te)
-        beta_at[:, :N] = triple.beta_rows()
+    beta_at = _beta_at(triple, te, slice(None)) if n_sigma else None
     out = _sc_eval(problem, triple, te, m, _memory(problem, triple), beta_at)
     return SolutionTriple(
         PiecewiseFn(grid, out[:N]),

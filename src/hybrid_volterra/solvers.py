@@ -6,12 +6,14 @@ Two routes to the same discrete fixed point:
   components are re-evaluated over the whole horizon each sweep, and
   progress is measured in the exponentially weighted norms at weight mu.
 * :func:`segment_solve` - marches segment by segment through the partition.
-  Within a segment only the continuous nodes of that segment iterate; the
-  impulse values eta, and the moving-trace entries beta_p(t) that the
-  segment consumes first (sigma_p(t) in the segment, past the end of the
-  one before), are refreshed from the current continuous part after every
-  sweep.  An entry consumed by an earlier segment reads only solved
-  segments, so it is not recomputed.  Because every membership test looks
+  Within a segment only the continuous nodes of that segment iterate,
+  together with the moving-trace entries beta_p(t) that the segment
+  consumes first (sigma_p(t) in the segment, past the end of the one
+  before): each sweep evaluates both from its starting iterate, in one
+  batch against one memory table, as a picard sweep does, and then takes
+  the impulse values eta from the new continuous part.  An entry consumed
+  by an earlier segment reads only solved segments, so it is not
+  recomputed.  Because every membership test looks
   strictly into the past, values from segments not yet solved are masked
   out of every sum and integral, so the march is well posed.  For the
   same reason the solved history is frozen once per segment: each inner
@@ -42,10 +44,10 @@ from .operator import (
     EPS,
     HybridProblem,
     SolutionTriple,
-    _continuous_at,
+    _beta_at,
     _freeze,
     _memory,
-    _trace_at,
+    _sc_eval,
     _window,
     apply_operator,
     component_deltas,
@@ -175,56 +177,41 @@ def _sup(a: np.ndarray) -> float:
     return float(np.max(np.abs(a), initial=0.0))
 
 
-def _refresh_traces(
-    problem: HybridProblem, triple: SolutionTriple, entries, memory
-) -> SolutionTriple:
-    """``triple`` with the trace ``entries`` recomputed from it.
-
-    ``entries`` holds one array of node indices per moving impulse, and
-    ``memory`` is the table of ``triple``.
-    """
-    beta = triple.beta_rows().copy()
-    for p, idx in enumerate(entries):
-        if idx.size:
-            beta[p, idx] = _trace_at(problem, triple, p, idx, memory)
-    traces = tuple(PiecewiseFn(problem.grid, row) for row in beta)
-    return SolutionTriple(triple.xi, triple.eta, traces)
-
-
-def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, state):
+def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, times, state):
     """One inner sweep of the march over the segment ``nodes``.
 
-    ``state`` is the current triple, a memory table
-    (:func:`~.operator._memory`) to build its own from or None, and the
-    segment's history of the solved segments, None before its first sweep.
-    That sweep freezes the history (:func:`~.operator._freeze`) from a
-    table of its triple; every later table of the segment covers only the
-    columns of ``window`` (:func:`~.operator._window`) and takes the rest
-    from the history.  The continuous part is updated on ``nodes``, then
-    eta and the ``fresh`` moving-trace entries, those the segment consumes
-    first, are refreshed from it.  Each step reads a table of the triple
-    it evaluates.  A sweep with no fresh entry keeps the old traces and
-    leaves the table of its continuous part to the next sweep; one with
-    fresh entries builds that table for their refresh and hands it on, so
-    that the next sweep rebuilds only its g rows, for the new traces.
+    ``state`` is the current triple and the segment's history of the solved
+    segments, None before its first sweep.  That sweep freezes the history
+    (:func:`~.operator._freeze`) from a table of its triple; every later
+    table of the segment covers only the columns of ``window``
+    (:func:`~.operator._window`) and takes the rest from the history.  One
+    evaluation of the batch ``times`` against the table of the starting
+    iterate gives the continuous part on ``nodes`` and then the ``fresh``
+    moving-trace entries, those the segment consumes first (index arrays
+    of moving impulse and node).  eta is the new continuous part's left
+    limit at each fixed impulse time.
     """
-    old, memory, history = state
+    old, history = state
     if history is None:
-        history, memory = _freeze(problem, old, window, memory)
+        history, memory = _freeze(problem, old, window)
     else:
-        memory = _memory(problem, old, memory, history)
+        memory = _memory(problem, old, history)
     grid = problem.grid
+    n = nodes.stop - nodes.start
+    beta_at = _beta_at(old, times[0], nodes) if problem.n_sigma else None
+    out = _sc_eval(problem, old, *times, memory, beta_at)
     xi = old.xi.values.copy()
-    xi[nodes] = _continuous_at(problem, old, nodes, memory)
+    xi[nodes] = out[:n]
     xi = PiecewiseFn(grid, xi)
     eta = xi.eval(problem.tau)  # left limits at the fixed impulse times
-    refreshed = SolutionTriple(xi, eta, old.beta)
-    deltas = (_sup(xi.values - old.xi.values), _sup(eta - old.eta))
-    if not any(idx.size for idx in fresh):
-        return (refreshed, None, history), deltas + (0.0,)
-    memory = _memory(problem, refreshed, history=history)
-    new = _refresh_traces(problem, refreshed, fresh, memory)
-    return (new, memory, history), deltas + (_sup(new.beta_rows() - old.beta_rows()),)
+    beta, d_beta = old.beta, 0.0
+    if out.size > n:
+        rows = old.beta_rows().copy()
+        rows[fresh] = out[n:]
+        beta = tuple(PiecewiseFn(grid, row) for row in rows)
+        d_beta = _sup(out[n:] - old.beta_rows()[fresh])
+    deltas = (_sup(xi.values - old.xi.values), _sup(eta - old.eta), d_beta)
+    return (SolutionTriple(xi, eta, beta), history), deltas
 
 
 def segment_solve(
@@ -238,7 +225,8 @@ def segment_solve(
     The first node of a segment carries the right limit at its breakpoint
     and is fully determined by earlier segments.  Segment l refreshes the
     moving-trace entries it consumes first, those with sigma_p in
-    (end_{l-1}, end_l] (closed below for the first segment): an entry
+    (end_{l-1}, end_l] (closed below for the first segment), in each sweep
+    from the sweep's starting iterate, as it updates its nodes: an entry
     consumed earlier reads only segments already solved.  Every sigma_p
     lies in [0, T] at the nodes, so the last segment leaves no entry
     unconsumed.  Deltas are plain suprema (no weight): each segment is
@@ -249,17 +237,16 @@ def segment_solve(
     cur = _start(problem, init, report)
     if cur is None:
         return None, report
-    memory = None
     consumed = np.zeros(problem.sigma_grid.shape, dtype=bool)
     for l in range(grid.num_segments):
         nodes = grid.segment_slice(l)
         end = float(grid.partition[l + 1])
         now = problem.sigma_grid <= end + EPS
-        fresh = [np.flatnonzero(row) for row in now & ~consumed]
-        window = _window(problem, nodes, fresh, consumed)
+        fresh = np.nonzero(now & ~consumed)
+        window, times = _window(problem, nodes, fresh, consumed)
         consumed = now
-        sweep = partial(_segment_sweep, problem, nodes, fresh, window)
-        (cur, memory, _), done = _iterate(report, (cur, memory, None), sweep, tol, kmax)
+        sweep = partial(_segment_sweep, problem, nodes, fresh, window, times)
+        (cur, _), done = _iterate(report, (cur, None), sweep, tol, kmax)
         if report.failed:
             return cur, report
         if not done:

@@ -333,41 +333,8 @@ class TestOneCumulativePerTable:
 
 
 class TestReuse:
-    """A table takes over from an earlier one only what the same arrays
-    would rebuild, and a problem keeps the iterate-free part of each batch."""
-
-    def test_table_of_the_same_arrays_is_returned(self):
-        p = mixed_problem(panels=16)
-        triple = random_triple(p, np.random.default_rng(2))
-        table = _memory(p, triple)
-        same = SolutionTriple(triple.xi, triple.eta, triple.beta)
-        assert _memory(p, same, table) is table
-
-    def test_new_traces_rebuild_only_the_g_rows(self):
-        p = mixed_problem(panels=16)
-        rng = np.random.default_rng(2)
-        triple, other = random_triple(p, rng), random_triple(p, rng)
-        table = _memory(p, triple)
-        moved = SolutionTriple(triple.xi, triple.eta, other.beta)
-        rebuilt = _memory(p, moved, table)
-        assert rebuilt is not table
-        assert rebuilt.xi_rows is table.xi_rows and rebuilt.impulses is table.impulses
-        fresh = _memory(p, moved)
-        assert np.array_equal(rebuilt.rows, fresh.rows)
-        assert np.array_equal(rebuilt.prefix, fresh.prefix)
-        # a new eta rebuilds the G1 and G2 prefix too
-        renewed = _memory(p, SolutionTriple(triple.xi, other.eta, triple.beta), table)
-        assert renewed.xi_rows is table.xi_rows
-        assert np.array_equal(renewed.impulses, _memory(p, other).impulses)
-
-    def test_table_without_g_rows_keeps_over_new_traces(self):
-        p = make_problem(1.0, tau=(0.5,), sigma=("0.5*t",), h=0.2, panels=16,
-                         x0="1", f1="0.3*x", G1="0.4*eta", G3="0.5*beta")
-        rng = np.random.default_rng(4)
-        triple, other = random_triple(p, rng), random_triple(p, rng)
-        table = _memory(p, triple)
-        assert not table.moving
-        assert _memory(p, SolutionTriple(triple.xi, triple.eta, other.beta), table) is table
+    """A triple stacks its traces once, and a problem keeps the iterate-free
+    part of each batch."""
 
     def test_beta_rows_built_once_and_read_only(self):
         triple = random_triple(mixed_problem(panels=16), np.random.default_rng(1))
@@ -388,6 +355,8 @@ class TestReuse:
         assert batch.te[0] == 0.1 and p.batch(te, m) is not batch
         sweep = p.batch(*p.sweep_batch)
         assert p.batch(*p.sweep_batch) is sweep
+        # read-only arrays that own their data are kept by identity too
+        assert (id(p.sweep_batch[0]), id(p.sweep_batch[1])) in p._batches
         assert np.array_equal(sweep.sigma[:, :p.grid.size], p.sigma_grid)
         for a in (sweep.te, sweep.m, sweep.x0, sweep.sigma, sweep.cut,
                   sweep.tau_below, sweep.impulse_count, sweep.g3_gate):

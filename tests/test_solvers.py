@@ -1,6 +1,7 @@
 """Solvers: global iteration, segment marching, and the resolution study."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +17,12 @@ from conftest import (
     random_triple,
     step_problem,
 )
+from test_parity import multi_impulse_problem
 from hybrid_volterra import cli, operator, quadrature, solvers
 from hybrid_volterra.contraction import contraction_bounds, find_mu, spectral_radius
 from hybrid_volterra.expressions import KernelExpr
 from hybrid_volterra.operator import default_init, jump_at
-from hybrid_volterra.problem_io import LoadedProblem, SolverSettings
+from hybrid_volterra.problem_io import LoadedProblem, SolverSettings, load_problem_file
 from hybrid_volterra.quadrature import weight_rows
 from hybrid_volterra.solvers import (
     ConvergenceReport,
@@ -30,6 +32,35 @@ from hybrid_volterra.solvers import (
     picard_solve,
     segment_solve,
 )
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+# sweeps to converge on each hybrid problems/*.yaml file at the tol it declares
+SWEEPS = {
+    "double_memory": {"picard": 7, "segment": 7},
+    "exponential": {"picard": 14, "segment": 14},
+    "fixed_impulses": {"picard": 4, "segment": 7},
+    "mixed_impulses": {"picard": 10, "segment": 33},
+}
+
+
+class TestSweepCounts:
+    """A change to a solver's update order or stop rule shows first in its
+    sweep count on the shipped problems."""
+
+    def test_every_hybrid_problem_is_counted(self):
+        hybrid = {path.stem for path in PROBLEMS.glob("*.yaml")
+                  if load_problem_file(path).kind == "hybrid"}
+        assert hybrid == set(SWEEPS)
+
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_sweeps_at_the_declared_tol(self, name, method):
+        loaded = load_problem_file(PROBLEMS / f"{name}.yaml")
+        solve = picard_solve if method == "picard" else segment_solve
+        _, rep = solve(loaded.problem, tol=loaded.settings.tol, kmax=loaded.settings.kmax)
+        assert rep.converged and rep.iterations == SWEEPS[name][method]
 
 
 class TestPicard:
@@ -263,15 +294,13 @@ class TestSharedF2Triangle:
         passes = self._count_f2_passes(monkeypatch, problem)
         _, rep = segment_solve(problem, tol=1e-12, kmax=300)
         assert rep.converged
-        # one per continuous part, shared by its trace refresh and the next
-        # sweep: the first sweep's and one after each update but the last,
-        # whose segment refreshes no trace; then the residual
-        assert problem.sigma_grid.max() < problem.grid.partition[-2]
+        # one per sweep, for the table of its starting iterate, whose one
+        # evaluation updates the nodes and the trace entries together; then
+        # the residual
         assert len(passes) == rep.iterations + 1
 
     def test_segment_without_moving_impulses(self, monkeypatch):
-        # no trace refresh or final fill: the row built after the last
-        # update would feed nothing, so each sweep builds its own
+        # no trace entries: the same one table per sweep
         problem = make_problem(2.0, tau=(1.0,), h=0.5, panels=32,
                                x0="1", f2="0.5*x1/(1 + (s - s1)^2)", G1="1")
         assert problem.n_sigma == 0 and problem.grid.num_segments == 2
@@ -308,7 +337,7 @@ class TestSharedF2Triangle:
         assert excinfo.value.code == 0
         report = yaml.safe_load(report_path.read_text())
         assert len(report["jumps"]) >= 2
-        # each solver: one per continuous part it evaluates, and the residual
+        # each solver: one per sweep, and the residual
         solver_passes = report["iterations"] + 1
         assert len(passes) == solver_passes + 1
 
@@ -442,31 +471,31 @@ def _consumed_by_segment(problem):
 
 
 class TestMarchWork:
-    """Each sweep of the march builds a table of each continuous part once,
-    over its segment's window of columns, and refreshes only the trace
-    entries its segment consumes first; the first sweep of a segment
-    freezes the solved history once.
+    """Each sweep of the march builds one table, of its starting iterate,
+    over its segment's window of columns, and makes one evaluation: the
+    segment's nodes and then the trace entries the segment consumes first.
+    The first sweep of a segment freezes the solved history once.
 
     Recorded per sweep: its segment, the memory tables it builds (one row
     prefix each, with its first column and width), whether it froze the
-    history, and the trace entries it evaluates; work outside every sweep
-    (the residual) is recorded apart.
+    history, and each evaluation it makes, with its arguments and result;
+    work outside every sweep (the residual) is recorded apart.
     """
 
     @staticmethod
     def _record(monkeypatch):
-        outside = {"segment": None, "tables": [], "freezes": 0, "entries": []}
+        outside = {"segment": None, "tables": [], "freezes": 0, "evals": []}
         log = {"sweeps": [], "outside": outside}
         current = [outside]
-        sweep, trace_at, freeze = solvers._segment_sweep, solvers._trace_at, solvers._freeze
+        sweep, sc_eval, freeze = solvers._segment_sweep, solvers._sc_eval, solvers._freeze
         row_prefix = operator.row_prefix
 
-        def recording_sweep(problem, nodes, fresh, window, state):
+        def recording_sweep(problem, nodes, fresh, window, times, state):
             current[0] = {"segment": nodes.start // (problem.grid.panels + 1),
-                          "window": window, "tables": [], "freezes": 0, "entries": []}
+                          "window": window, "tables": [], "freezes": 0, "evals": []}
             log["sweeps"].append(current[0])
             try:
-                return sweep(problem, nodes, fresh, window, state)
+                return sweep(problem, nodes, fresh, window, times, state)
             finally:
                 current[0] = outside
 
@@ -478,41 +507,48 @@ class TestMarchWork:
             current[0]["freezes"] += 1
             return freeze(*args)
 
-        def recording_trace_at(problem, triple, p, nodes, memory):
-            entries = np.arange(problem.grid.size)[nodes]
-            current[0]["entries"] += [(p, int(k)) for k in entries]
-            return trace_at(problem, triple, p, nodes, memory)
+        def recording_eval(*args):
+            out = sc_eval(*args)
+            current[0]["evals"].append((args, out))
+            return out
 
         monkeypatch.setattr(solvers, "_segment_sweep", recording_sweep)
-        monkeypatch.setattr(solvers, "_trace_at", recording_trace_at)
+        monkeypatch.setattr(solvers, "_sc_eval", recording_eval)
+        monkeypatch.setattr(operator, "_sc_eval", recording_eval)
         monkeypatch.setattr(solvers, "_freeze", counting_freeze)
         monkeypatch.setattr(operator, "row_prefix", counting_prefix)
         return log
 
-    def _check_entries(self, problem, log):
-        """Every sweep of segment l evaluates exactly the entries l consumes
-        first, each once; the segments share none and cover every entry."""
+    def _check_batches(self, problem, log):
+        """Every sweep of segment l makes one evaluation: the segment's nodes
+        with their sweep memberships, then the entries l consumes first, each
+        once, by moving impulse and node, one tick left of their moving
+        times.  The segments share no entry and cover every one."""
+        grid = problem.grid
+        node_m = problem.sweep_batch[1][:grid.size]
         consumed = _consumed_by_segment(problem)
         for rec in log["sweeps"]:
-            assert len(rec["entries"]) == len(set(rec["entries"]))
-            assert set(rec["entries"]) == consumed[rec["segment"]]
-        assert log["outside"]["entries"] == []
+            assert len(rec["evals"]) == 1
+            (_, _, te, m, _, _), _ = rec["evals"][0]
+            nodes = grid.segment_slice(rec["segment"])
+            entries = tuple(np.array(sorted(consumed[rec["segment"]]), dtype=int).T)
+            u = problem.sigma_grid[entries] if entries else np.zeros(0)
+            assert te.tolist() == grid.times[nodes].tolist() + u.tolist()
+            assert m.tolist() == node_m[nodes].tolist() + (u - operator.EPS).tolist()
         assert sum(len(s) for s in consumed) == problem.sigma_grid.size
         assert set().union(*consumed) == set(np.ndindex(problem.sigma_grid.shape))
 
     def _check_history(self, problem, log):
-        """The first sweep of each segment freezes the history from one table
-        that starts at column 0; every other table spans only the window."""
+        """Every sweep builds one table.  The first sweep of each segment
+        freezes the history from a table that starts at column 0; every
+        other table spans only the window."""
         first_sweeps = {}
         for rec in log["sweeps"]:
             first = rec["segment"] not in first_sweeps
             first_sweeps.setdefault(rec["segment"], rec)
             assert rec["freezes"] == (1 if first else 0)
             lo, hi = rec["window"].lo, rec["window"].hi
-            tables = rec["tables"][1:] if first else rec["tables"]
-            if first:
-                assert rec["tables"][0] == (0, hi)
-            assert all(table == (lo, hi - lo) for table in tables)
+            assert rec["tables"] == [(0, hi) if first else (lo, hi - lo)]
         assert sorted(first_sweeps) == list(range(problem.grid.num_segments))
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
@@ -525,9 +561,7 @@ class TestMarchWork:
         # sigma = 0.5 + 0.55 t runs from 0.5 to 1.6: segments 1 and 2 consume
         # every entry, segments 0 and 3 none
         assert [len(c) > 0 for c in consumed] == [False, True, True, False]
-        for rec in log["sweeps"]:
-            assert len(rec["tables"]) == (2 if consumed[rec["segment"]] else 1)
-        self._check_entries(problem, log)
+        self._check_batches(problem, log)
         self._check_history(problem, log)
         # 33 nodes per segment.  Segment 1 rebuilds its g rows from column 0,
         # whose trace entry it consumes; segments 2 and 3 start two columns
@@ -538,19 +572,26 @@ class TestMarchWork:
         # the fixed impulses tau = 0.4 and 1.75 that each segment admits
         assert {rec["segment"]: rec["window"].admitted for rec in log["sweeps"]} == {
             0: 0, 1: 1, 2: 1, 3: 2}
-        # the residual builds one table of the whole grid
-        assert log["outside"]["tables"] == [(0, problem.grid.size)]
-        assert log["outside"]["freezes"] == 0 and log["outside"]["entries"] == []
+        # the residual builds one table of the whole grid and evaluates the
+        # times of a picard sweep
+        outside = log["outside"]
+        assert outside["tables"] == [(0, problem.grid.size)] and outside["freezes"] == 0
+        assert [args[2] for args, _ in outside["evals"]] == [problem.sweep_batch[0]]
 
-    @pytest.mark.parametrize("case", ["mixed", "impulse-after-root", "trace-past-a-breakpoint"])
+    @pytest.mark.parametrize(
+        "case", ["mixed", "impulse-after-root", "trace-past-a-breakpoint", "multi-impulse"])
     def test_window_reads_match_whole_grid(self, monkeypatch, case):
-        """Each evaluation through a segment's table gives the bits that a
-        table of the whole grid gives for the same triple.
+        """The one evaluation of each sweep, through its segment's table,
+        gives the bits that an evaluation against a table of the whole grid
+        gives for the same triple.
 
         In the second case the root t = 1 of sigma merges into the fixed
-        impulse at 1 + 5e-11, which stays a breakpoint.  In the third, sigma lies 5e-11 above the breakpoint 0.5 at the node t = 1:
-        segment 1 consumes that entry, whose time falls in segment 2, so
-        its window reaches into segment 2.
+        impulse at 1 + 5e-11, which stays a breakpoint.  In the third, sigma
+        lies 5e-11 above the breakpoint 0.5 at the node t = 1: segment 1
+        consumes that entry, whose time falls in segment 2, so its window
+        reaches into segment 2.  The fourth has two moving and three fixed
+        impulses, and each sweep still builds one table and makes one
+        evaluation.
         """
         if case == "mixed":
             problem = mixed_problem(panels=32)
@@ -559,35 +600,29 @@ class TestMarchWork:
                                    panels=16, x0="1", f1="0.3*x", G1="0.4*eta + 0.1",
                                    G3="0.5*beta", g="0.2*beta*eta + 0.1*x")
             assert problem.grid.partition.tolist() == [0.0, 1.0 + 5e-11, 2.0]
-        else:
+        elif case == "trace-past-a-breakpoint":
             problem = make_problem(2.0, tau=(0.5,), sigma=("0.25 + 0.25*t + 5e-11",), h=0.2,
                                    panels=12, x0="1", f1="0.3*x", f2="0.1*x*x1",
                                    G1="0.4*eta", G3="0.5*beta", g="0.2*beta*eta + 0.1*x")
             k = 2 * (problem.grid.panels + 1) + 4  # the node t = 1
             assert problem.grid.partition[2] == 0.5 and problem.grid.times[k] == 1.0
             assert 0.5 < problem.sigma_grid[0, k] <= 0.5 + operator.EPS
-        checked = []
-        continuous_at, trace_at = solvers._continuous_at, solvers._trace_at
-
-        def checked_continuous(problem, triple, nodes, memory):
-            got = continuous_at(problem, triple, nodes, memory)
-            whole = continuous_at(problem, triple, nodes, operator._memory(problem, triple))
-            checked.append(memory.history.lo)
-            assert got.tobytes() == whole.tobytes()
-            return got
-
-        def checked_trace(problem, triple, p, nodes, memory):
-            got = trace_at(problem, triple, p, nodes, memory)
-            whole = trace_at(problem, triple, p, nodes, operator._memory(problem, triple))
-            assert got.tobytes() == whole.tobytes()
-            return got
-
-        monkeypatch.setattr(solvers, "_continuous_at", checked_continuous)
-        monkeypatch.setattr(solvers, "_trace_at", checked_trace)
+        else:
+            problem = multi_impulse_problem()
+            assert problem.n_sigma == 2 and problem.n_tau == 3
+        sc_eval, memory = operator._sc_eval, operator._memory
+        log = self._record(monkeypatch)
         _, rep = segment_solve(problem, tol=1e-12, kmax=300)
-        assert rep.converged and len(checked) == rep.iterations
+        assert rep.converged and len(log["sweeps"]) == rep.iterations
+        self._check_batches(problem, log)
+        self._check_history(problem, log)
+        for rec in log["sweeps"]:
+            (_, triple, te, m, _, beta_at), got = rec["evals"][0]
+            whole = sc_eval(problem, triple, te, m, memory(problem, triple), beta_at)
+            assert got.tobytes() == whole.tobytes()
         if case == "mixed":
-            assert max(checked) > 0  # some read a window with a frozen offset
+            # some read a window with a frozen offset
+            assert max(rec["window"].lo for rec in log["sweeps"]) > 0
 
     @pytest.mark.parametrize(
         "sigma, horizon, panels, first",
@@ -610,7 +645,7 @@ class TestMarchWork:
             assert abs(problem.sigma_grid[0, k] - 0.5) < 1e-12 and (0, k) in consumed[1]
         log = self._record(monkeypatch)
         seg, rep_s = segment_solve(problem, tol=1e-12, kmax=300)
-        self._check_entries(problem, log)
+        self._check_batches(problem, log)
         self._check_history(problem, log)
         pic, rep_p = picard_solve(problem, tol=1e-12, kmax=300)
         assert rep_s.converged and rep_p.converged
