@@ -43,13 +43,10 @@ kernel pass for a t-free f2 that does not split), and one g row per moving
 impulse i with a nondecreasing sigma_i, fixed impulse j and term, each
 with its time factor, its cut and its tau_j.  The t-free G1 and G2 terms
 are one cumulative vector over the fixed impulses.  An evaluation reads
-the whole table once per batch of times; what it leaves out is evaluated
-per batch: a memory kernel that references t and does not split (O(E N)
-weight rows for f1 and g, O(N^3) for f2), the g rows of a sigma_i that is
-not monotone (a dense mask), G1 and G2 when they reference t, and G3.
-What a batch needs that no iterate changes (x0 and sigma_i at its times,
-the time factors, the g rows' cuts and the membership masks) is built once
-per problem and batch (:meth:`HybridProblem.batch`).
+the whole table once per batch of times; each term it leaves out is one
+evaluator of the batch, chosen when the problem is built
+(:attr:`HybridProblem.batch_terms`).  What a batch needs that no iterate
+changes is built once per problem and batch (:class:`_Batch`).
 :func:`apply_operator` makes one evaluation per sweep, of the nodes, the
 fixed-impulse times and every moving trace at once; a sweep of the segment
 march makes one of its segment's nodes and the trace entries it refreshes,
@@ -189,25 +186,18 @@ class HybridProblem:
     fixed-impulse pairs G2 sums over; ``f1_terms``, ``f2_terms`` and
     ``g_terms``, each memory kernel split into time factors c(t) times
     factors over :data:`F1_GROUPS`, :data:`F2_GROUPS` or :data:`G_GROUPS`
-    (:func:`~.expressions.time_split`; None when it does not split).  Which
-    of them become rows of an iterate's memory table is read from the
-    terms each time a table is built (:attr:`g_row_impulses`); and
+    (:func:`~.expressions.time_split`; None when it does not split); and
     ``whole_grid``, the history of a table over the whole grid, with
-    nothing frozen (:class:`_History`).  On first
-    use: :attr:`sweep_batch`, the times of one sweep, and per batch of
+    nothing frozen (:class:`_History`).  On first use, from those: the
+    path of each term, :attr:`g_row_impulses` and :attr:`batch_terms`;
+    :attr:`sweep_batch`, the times of one sweep; and per batch of
     evaluation and membership times the parts no iterate changes
     (:meth:`batch`).
 
-    The split sets the cost of a sweep in N, the number of grid nodes: O(N)
-    when every memory kernel splits; O(N^2) for an f2 that does not
-    reference t and does not split (one N x N kernel pass); O(E N) for E
-    evaluation times when f1 or g references t and does not split; O(N^3)
-    only for an f2 that references t and does not split.  An inner sweep of
-    the segment march builds its table only over the columns its segment
-    can change and reads, from a history of the solved segments frozen
-    once per segment (:class:`_History`): O(n_l + fresh columns) for the
-    n_l nodes of segment l and the trace entries it refreshes, plus a fixed
-    cost per sweep, where every memory kernel splits.
+    The paths set the cost of a sweep in N, the number of grid nodes: O(N)
+    when every memory kernel splits, O(N^2) for an f2 that does not
+    reference t and does not split (one N x N kernel pass), and the cost
+    of each of :attr:`batch_terms` beyond.
     """
 
     x0: KernelExpr
@@ -330,14 +320,39 @@ class HybridProblem:
             self._batches[id(te), id(m)] = (te, m, found)
         return found
 
-    @property
+    @_lazy
     def g_row_impulses(self) -> np.ndarray:
         """The moving impulses whose g terms are rows of an iterate's memory
         table: those with a nondecreasing sigma_i, when g splits and there
-        are fixed impulses."""
+        are fixed impulses.  :func:`_g_per_batch` evaluates the others."""
         if not (self.g_terms and self.tau.size):
             return _NONE
         return np.flatnonzero(self.sigma_nondecreasing)
+
+    @cached_property
+    def batch_terms(self) -> tuple:
+        """The evaluators of the terms that no memory table holds, in the
+        order :func:`_sc_eval` runs them; ``term(problem, batch, triple,
+        beta_at, out)`` adds its term at the times of ``batch`` into ``out``.
+
+        * :func:`_f1_per_time`: an f1 that references t and does not split,
+          one row per evaluation time, O(E N) for E times;
+        * :func:`_f2_per_time`: such an f2, one N x N pass per time, O(E N^2);
+        * :func:`_G1_per_time`, :func:`_G2_per_time`: G1, G2 that reference t;
+        * :func:`_g_per_batch`: the g terms of the moving impulses not in
+          :attr:`g_row_impulses`, O(E N) per impulse pair and term;
+        * :func:`_G3`: G3, when there are fixed and moving impulses.
+        """
+        n_tau, n_sigma = self.tau.size, self.n_sigma
+        return tuple(term for term, used in (
+            (_f1_per_time, self.f1_terms is None),
+            (_f2_per_time, self.f2_terms is None and self.f2.references("t")),
+            (_G1_per_time, n_tau and self.G1.references("t")),
+            (_G2_per_time, n_tau >= 2 and self.G2.references("t")),
+            (_g_per_batch, n_tau and not self.g.is_zero
+             and self.g_row_impulses.size < n_sigma),
+            (_G3, n_sigma and n_tau and not self.G3.is_zero),
+        ) if used)
 
     @property
     def n_tau(self) -> int:
@@ -403,9 +418,9 @@ class _Batch:
     """The parts of one evaluation batch that no iterate changes.
 
     ``te`` and ``m`` are the evaluation and membership times, copied unless
-    read-only already (:func:`_fixed`).  Each
-    part is built on first use and read-only: ``x0`` at ``te``; ``sigma``,
-    each moving time at ``te`` (n_sigma, E); ``cut``, per moving impulse
+    read-only already (:func:`_fixed`).  Each part is built on first use
+    and read-only: ``x0`` at ``te``; ``sigma``, each moving time at ``te``
+    (n_sigma, E); ``cut``, per moving impulse
     the number of nodes before the first with sigma_i(s) >= m (n_sigma, E),
     the prefix its g rows keep (0 where sigma_i is not nondecreasing);
     ``tau_below``, tau_j < m (E, n_tau); ``impulse_count``, the number of
@@ -539,6 +554,11 @@ class _Memory(NamedTuple):
     history: _History
 
 
+def _f2_square(problem: HybridProblem) -> bool:
+    """Whether f2 is t-free and does not split: one N x N pass per table."""
+    return problem.f2_terms is None and _f2_per_time not in problem.batch_terms
+
+
 def _xi_rows(problem: HybridProblem, xi: np.ndarray, history: _History):
     """The f1 and f2 integrands of the continuous part ``xi`` as node rows.
 
@@ -552,8 +572,8 @@ def _xi_rows(problem: HybridProblem, xi: np.ndarray, history: _History):
     :func:`~.quadrature.node_cumulative` of the stacked b_r begun from
     ``history.cumulative``, else None.  A t-free f2 that does not split
     gives its row of inner integrals by one N x N kernel pass over the
-    whole grid.  A kernel that references t and does not split is left to
-    :func:`_sc_eval`.
+    whole grid.  A kernel that references t and does not split is one of
+    ``problem.batch_terms``.
     """
     grid = problem.grid
     cols = slice(history.live, history.hi)
@@ -577,7 +597,7 @@ def _xi_rows(problem: HybridProblem, xi: np.ndarray, history: _History):
                 rows += inner
             else:
                 rows.append((None, sum((row for _, row in inner[1:]), inner[0][1])))
-    elif problem.f2_terms is None and not f2.references("t"):
+    elif _f2_square(problem):
         F = f2.evaluate(
             {"t": 0.0, "s": grid.times[:, None], "s1": grid.times[None, :],
              "x": xi[:, None], "x1": xi[None, :]}
@@ -595,8 +615,8 @@ def _impulse_prefix(problem: HybridProblem, eta: np.ndarray) -> np.ndarray | Non
     """
     tau = problem.tau
     G1, G2 = problem.G1, problem.G2
-    with_g1 = tau.size and not G1.is_zero and not G1.references("t")
-    with_g2 = tau.size >= 2 and not G2.is_zero and not G2.references("t")
+    with_g1 = tau.size and not G1.is_zero and _G1_per_time not in problem.batch_terms
+    with_g2 = tau.size >= 2 and not G2.is_zero and _G2_per_time not in problem.batch_terms
     if not (with_g1 or with_g2):
         return None
     per_impulse = np.zeros(tau.size)
@@ -623,9 +643,8 @@ def _memory(
     moving impulse i of ``problem.g_row_impulses``, fixed impulse j and
     term (c, a) of ``problem.g_terms``: a(s, sigma_i(s), tau_j, xi(s),
     beta_i(s), eta_j) at the nodes, cut where sigma_i reaches the
-    membership time.  Which rows exist is read from ``f1_terms``,
-    ``f2_terms`` and ``g_terms`` here; the kernels and moving impulses left
-    out are evaluated by :func:`_sc_eval`.  The rows cover the columns of
+    membership time.  The kernels and moving impulses left out are
+    ``problem.batch_terms``.  The rows cover the columns of
     ``history`` (:class:`_History`; by default the whole grid): they are
     evaluated from its live column on and copied from it before, and their
     prefix starts from its offsets.
@@ -723,7 +742,7 @@ def _window(
     m = _read_only(np.concatenate([problem.sweep_batch[1][:grid.size][nodes], u - EPS]))
     admitted = int(np.searchsorted(problem.tau, m.max()))
     impulses = problem.g_row_impulses
-    if not (problem.f1_terms or problem.f2_terms or problem.f2_terms is None or impulses.size):
+    if not (problem.f1_terms or problem.f2_terms or _f2_square(problem) or impulses.size):
         return _History(0, 0, grid.size, admitted), (te, m)
     live = min([nodes.start] + [int(np.count_nonzero(solved[i])) for i in impulses])
     live -= live % w
@@ -759,135 +778,115 @@ def _freeze(
     return history, table
 
 
-def _sc_eval(
-    problem: HybridProblem,
-    triple: SolutionTriple,
-    eval_times: np.ndarray,
-    memb_times: np.ndarray,
-    memory: _Memory,
-    beta_at_eval: np.ndarray | None = None,
-) -> np.ndarray:
+def _sc_eval(problem: HybridProblem, triple: SolutionTriple, eval_times, memb_times,
+             memory: _Memory, beta_at_eval: np.ndarray | None = None) -> np.ndarray:
     """The operator formula at ``eval_times`` with memberships ``memb_times``.
 
     ``memory`` is :func:`_memory` of ``triple``, read once for the whole
-    batch; what no iterate changes comes from ``problem.batch``.
+    batch; what no iterate changes comes from ``problem.batch``, and each
+    term the table leaves out is one of ``problem.batch_terms``.
     ``beta_at_eval`` carries each beta_i already evaluated at the
     evaluation times (shape (n_sigma, E)), so node-aligned callers can
     supply the stored one-sided values instead of interpolating.  When
-    omitted it is computed here, by beta's left-limit convention.
-
-    What the table leaves out is evaluated here, for this batch: a memory
-    kernel that references t and does not split (weight rows of the
-    evaluation times), g rows of a moving impulse whose sigma_i is not
-    monotone (a dense mask), G1 and G2 when they reference t, and G3.
+    omitted it is computed by G3, by beta's left-limit convention.
     """
-    grid = problem.grid
     batch = problem.batch(np.asarray(eval_times, dtype=float),
                           np.asarray(memb_times, dtype=float))
-    te, m = batch.te, batch.m
-    E = te.size
-    times = grid.times
-    xi = triple.xi.values
-    eta = triple.eta
-    tau = problem.tau
-    n_sigma = problem.n_sigma
-
-    out = np.empty(E)
+    out = np.empty(batch.te.size)
     out[:] = batch.x0
     if len(memory.rows):
         out += _read_rows(problem, memory, batch)
     if memory.impulses is not None:
         # the t-free G1 and G2 terms of the fixed impulses below m
         out += memory.impulses[batch.impulse_count]
-
-    if problem.f1_terms is None:
-        # f1 references t and does not split: one row per evaluation time
-        w = problem.f1.evaluate({"t": te[:, None], "s": times[None, :], "x": xi[None, :]})
-        out += integrate_to(grid, w, te)
-
-    if problem.f2_terms is None and problem.f2.references("t"):
-        # f2 references t and does not split: one row of inner integrals
-        # per evaluation time
-        W = weight_rows(grid, te)
-        node_weights = W if np.array_equal(te, times) else weight_rows(grid, times)
-        inner = np.empty((E, times.size))
-        for r, t in enumerate(te):
-            F = problem.f2.evaluate(
-                {"t": t, "s": times[:, None], "s1": times[None, :],
-                 "x": xi[:, None], "x1": xi[None, :]}
-            )
-            inner[r] = apply_weights(node_weights, F)
-        out += apply_weights(W, inner)
-
-    if tau.size and not problem.G1.is_zero and problem.G1.references("t"):
-        vals = problem.G1.evaluate(
-            {"t": te[:, None], "tau": tau[None, :], "eta": eta[None, :]}
-        )
-        vals = np.broadcast_to(vals, (E, tau.size))
-        out += np.sum(vals * batch.tau_below, axis=1)
-
-    if tau.size >= 2 and not problem.G2.is_zero and problem.G2.references("t"):
-        ii, jj = problem.tau_pairs
-        vals = problem.G2.evaluate(
-            {
-                "t": te[:, None],
-                "taui": tau[ii][None, :],
-                "tauj": tau[jj][None, :],
-                "etai": eta[ii][None, :],
-                "etaj": eta[jj][None, :],
-            }
-        )
-        vals = np.broadcast_to(vals, (E, ii.size))
-        out += np.sum(vals * batch.tau_below[:, ii], axis=1)
-
-    # g rows the table does not hold: every moving impulse when g references
-    # t and does not split (rows per evaluation time), else those whose
-    # sigma_i is not monotone (a dense mask of the nodes with sigma_i(s) < m)
-    split = problem.g_terms is not None
-    unsplit = [
-        i for i in range(n_sigma) if not (split and problem.sigma_nondecreasing[i])
-    ]
-    if unsplit and tau.size and not problem.g.is_zero:
-        terms = problem.g_terms if split else [(None, problem.g)]
-        c_at = [None if c is None else batch.factor(c) for c, _ in terms]
-        beta_rows = triple.beta_rows()
-        for i in unsplit:
-            sig = problem.sigma_grid[i]
-            keep = gate = None
-            if problem.sigma_nondecreasing[i]:
-                keep = batch.cut[i]
-            else:
-                gate = sig[None, :] < m[:, None]
-            for j, (tau_j, eta_j) in enumerate(zip(tau, eta)):
-                nodes = {"t": te[:, None], "s": times, "sig": sig, "tau": tau_j,
-                         "x": xi, "beta": beta_rows[i], "eta": eta_j}
-                for (_, a), c in zip(terms, c_at):
-                    row = a.evaluate(nodes)
-                    if gate is not None:
-                        row = np.where(gate, row, 0.0)
-                    part = integrate_to(grid, row, te, keep)
-                    if c is not None:
-                        with np.errstate(invalid="ignore", over="ignore"):
-                            part = c * part
-                    out += part * batch.tau_below[:, j]
-
-    if n_sigma and tau.size and not problem.G3.is_zero:
-        if beta_at_eval is None:
-            beta_at_eval = _beta_at(triple, te)
-        for i in range(n_sigma):
-            vals = problem.G3.evaluate(
-                {
-                    "t": te,
-                    "sig": batch.sigma[i],
-                    "tau": tau[:, None],
-                    "beta": beta_at_eval[i],
-                    "eta": eta[:, None],
-                }
-            )
-            vals = np.broadcast_to(vals, (tau.size, E))
-            out += np.sum(vals * batch.g3_gate[i], axis=0)
-
+    for term in problem.batch_terms:
+        term(problem, batch, triple, beta_at_eval, out)
     return out
+
+
+def _f1_per_time(problem, batch, triple, beta_at, out):
+    """f1 that references t and does not split: one row per evaluation time."""
+    grid, te, xi = problem.grid, batch.te, triple.xi.values
+    w = problem.f1.evaluate({"t": te[:, None], "s": grid.times[None, :], "x": xi[None, :]})
+    out += integrate_to(grid, w, te)
+
+
+def _f2_per_time(problem, batch, triple, beta_at, out):
+    """f2 that references t and does not split: one N x N pass per time."""
+    grid, te = problem.grid, batch.te
+    times, xi = grid.times, triple.xi.values
+    W = weight_rows(grid, te)
+    node_weights = W if np.array_equal(te, times) else weight_rows(grid, times)
+    inner = np.empty((te.size, times.size))
+    for r, t in enumerate(te):
+        F = problem.f2.evaluate(
+            {"t": t, "s": times[:, None], "s1": times[None, :],
+             "x": xi[:, None], "x1": xi[None, :]}
+        )
+        inner[r] = apply_weights(node_weights, F)
+    out += apply_weights(W, inner)
+
+
+def _G1_per_time(problem, batch, triple, beta_at, out):
+    """G1 that references t, over the fixed impulses below m."""
+    tau, eta, below = problem.tau, triple.eta, batch.tau_below
+    vals = problem.G1.evaluate(
+        {"t": batch.te[:, None], "tau": tau[None, :], "eta": eta[None, :]}
+    )
+    out += np.sum(np.broadcast_to(vals, below.shape) * below, axis=1)
+
+
+def _G2_per_time(problem, batch, triple, beta_at, out):
+    """G2 that references t, over the pairs of fixed impulses below m."""
+    tau, eta = problem.tau, triple.eta
+    ii, jj = problem.tau_pairs
+    below = batch.tau_below[:, ii]
+    vals = problem.G2.evaluate(
+        {"t": batch.te[:, None], "taui": tau[ii][None, :], "tauj": tau[jj][None, :],
+         "etai": eta[ii][None, :], "etaj": eta[jj][None, :]}
+    )
+    out += np.sum(np.broadcast_to(vals, below.shape) * below, axis=1)
+
+
+def _g_per_batch(problem, batch, triple, beta_at, out):
+    """The g terms of the moving impulses whose rows the table does not
+    hold, with one weight row per evaluation time.  Each impulse's gate
+    keeps the nodes with sigma_i(s) < m: its cut when sigma_i is
+    nondecreasing, else a dense mask.  It masks the integrand, not the
+    weights, so a non-finite value outside it stays out of the sum."""
+    grid, te = problem.grid, batch.te
+    times, xi, beta_rows = grid.times, triple.xi.values, triple.beta_rows()
+    terms = problem.g_terms or [(None, problem.g)]
+    c_at = [None if c is None else batch.factor(c) for c, _ in terms]
+    W = weight_rows(grid, te)
+    for i in np.setdiff1d(np.arange(problem.n_sigma), problem.g_row_impulses):
+        sig = problem.sigma_grid[i]
+        if problem.sigma_nondecreasing[i]:
+            gate = np.arange(grid.size) < batch.cut[i][:, None]
+        else:
+            gate = sig[None, :] < batch.m[:, None]
+        for j, (tau_j, eta_j) in enumerate(zip(problem.tau, triple.eta)):
+            nodes = {"t": te[:, None], "s": times, "sig": sig, "tau": tau_j,
+                     "x": xi, "beta": beta_rows[i], "eta": eta_j}
+            for (_, a), c in zip(terms, c_at):
+                part = apply_weights(W, np.where(gate, a.evaluate(nodes), 0.0))
+                if c is not None:
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        part = c * part
+                out += part * batch.tau_below[:, j]
+
+
+def _G3(problem, batch, triple, beta_at, out):
+    """G3 over the moving and fixed impulses with sigma_i(t), tau_j < m."""
+    te, tau, eta = batch.te, problem.tau, triple.eta
+    if beta_at is None:
+        beta_at = _beta_at(triple, te)
+    for i in range(problem.n_sigma):
+        vals = problem.G3.evaluate(
+            {"t": te, "sig": batch.sigma[i], "tau": tau[:, None],
+             "beta": beta_at[i], "eta": eta[:, None]}
+        )
+        out += np.sum(np.broadcast_to(vals, (tau.size, te.size)) * batch.g3_gate[i], axis=0)
 
 
 def _beta_at(triple: SolutionTriple, te: np.ndarray, nodes: slice | None = None) -> np.ndarray:

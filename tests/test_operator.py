@@ -7,7 +7,7 @@ import pytest
 
 from conftest import exp_problem, make_problem, mixed_problem, random_triple
 from test_parity import multi_impulse_problem
-from hybrid_volterra import operator
+from hybrid_volterra import operator, quadrature
 from hybrid_volterra.contraction import contraction_bounds, find_mu
 from hybrid_volterra.expressions import KernelExpr, parse_kernel
 from hybrid_volterra.operator import (
@@ -380,9 +380,30 @@ class TestReuse:
             assert len(p._batches) <= operator._BATCH_MEMO_SIZE
 
 
+# the moving times and g kernels of TestGTermMask, each with whether sigma
+# is nondecreasing and the number of terms g splits into
+G_MASK_SIGMAS = pytest.mark.parametrize(
+    "sigma, monotone",
+    [("0.5 + 0.55*t", True), ("0.9 + 0.3*sin(4*t)", False)],
+    ids=["nondecreasing", "non-monotone"],
+)
+G_MASK_KERNELS = pytest.mark.parametrize(
+    "g, n_terms",
+    [("0.02*x + 0.01*beta*eta + 0.1*s", 1),
+     ("0.02*x*t + 0.01*beta*eta", 2),
+     ("0.02*x*exp(-t*s) + 0.01*beta*eta", None)],
+    ids=["shared", "factored", "per-time"],
+)
+
+
 class TestGTermMask:
     """The g term against its dense form: the weights of the nodes s with
     sigma_i(s) below the membership time, zeroed elsewhere."""
+
+    @staticmethod
+    def _problem(sigma, g):
+        return make_problem(2.0, tau=(0.3, 1.1), sigma=(sigma,), h=0.05,
+                            panels=16, x0="0", g=g)
 
     @staticmethod
     def _dense_g(p, triple, te, m):
@@ -406,25 +427,38 @@ class TestGTermMask:
             ref = self._dense_g(p, triple, te, m)
             assert np.max(np.abs(got - ref)) <= 1e-14
 
-    @pytest.mark.parametrize(
-        "sigma, monotone",
-        [("0.5 + 0.55*t", True), ("0.9 + 0.3*sin(4*t)", False)],
-        ids=["nondecreasing", "non-monotone"],
-    )
-    @pytest.mark.parametrize(
-        "g, n_terms",
-        [("0.02*x + 0.01*beta*eta + 0.1*s", 1),
-         ("0.02*x*t + 0.01*beta*eta", 2),
-         ("0.02*x*exp(-t*s) + 0.01*beta*eta", None)],
-        ids=["shared", "factored", "per-time"],
-    )
+    @G_MASK_SIGMAS
+    @G_MASK_KERNELS
     def test_matches_dense_mask(self, sigma, monotone, g, n_terms):
-        p = make_problem(2.0, tau=(0.3, 1.1), sigma=(sigma,), h=0.05,
-                         panels=16, x0="0", g=g)
+        p = self._problem(sigma, g)
         assert p.sigma_nondecreasing.tolist() == [monotone]
         # one t-free row, two time factors, or rows per evaluation time
         assert (None if p.g_terms is None else len(p.g_terms)) == n_terms
         self._check(p)
+
+    @G_MASK_SIGMAS
+    @G_MASK_KERNELS
+    def test_one_set_of_weight_rows_per_evaluation(self, monkeypatch, sigma, monotone, g,
+                                                   n_terms):
+        """The g terms the table does not hold share one set of weight rows
+        per evaluation, whatever the number of fixed impulses and terms;
+        the g rows of a table need none."""
+        p = self._problem(sigma, g)
+        held = monotone and n_terms is not None
+        assert (operator._g_per_batch in p.batch_terms) == (not held)
+        triple = random_triple(p, np.random.default_rng(7))
+        table = _memory(p, triple)
+        sizes = []
+
+        def counting(grid, upper):
+            sizes.append(np.size(upper))
+            return weight_rows(grid, upper)
+
+        monkeypatch.setattr(quadrature, "weight_rows", counting)
+        monkeypatch.setattr(operator, "weight_rows", counting)
+        te, m = p.sweep_batch
+        _sc_eval(p, triple, te, m, table)
+        assert sizes == ([] if held else [te.size])
 
     @pytest.mark.parametrize(
         "sigma",

@@ -653,6 +653,26 @@ class TestMarchWork:
                      (pic.beta_rows(), seg.beta_rows())]:
             assert np.max(np.abs(a - b)) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "f2, windows",
+        [("0.1*x*x1*exp(-t*s1)", [(0, 0, 34), (0, 0, 34)]),
+         ("0.1*x*x1/(1 + (s - s1)^2)", [(0, 0, 17), (15, 17, 34)])],
+        ids=["per-time", "t-free"],
+    )
+    def test_window_of_an_unsplit_f2(self, monkeypatch, f2, windows):
+        """An f2 that references t and does not split is evaluated per
+        batch: its table has no rows, so each segment takes the whole grid.
+        A t-free one is a row of the table, read over each segment's window."""
+        problem = make_problem(2.0, tau=(1.0,), h=0.5, panels=16, x0="1", f2=f2,
+                               G1="0.2*eta")
+        assert problem.f2_terms is None and problem.grid.size == 34
+        log = self._record(monkeypatch)
+        _, rep = segment_solve(problem, tol=1e-12, kmax=300)
+        assert rep.converged
+        self._check_history(problem, log)
+        got = {rec["segment"]: tuple(rec["window"][:3]) for rec in log["sweeps"]}
+        assert [got[0], got[1]] == windows
+
     def test_impulse_just_after_a_root_agrees_with_picard(self):
         """A fixed impulse within the merge tolerance after a root of sigma
         is the breakpoint, so the segment after it never admits an impulse

@@ -16,7 +16,7 @@ import pytest
 import yaml
 
 from conftest import make_problem, random_triple
-from test_parity import tdep_problem
+from test_parity import multi_impulse_problem, tdep_problem
 from hybrid_volterra import cli, operator, quadrature
 from hybrid_volterra.expressions import KernelExpr
 from hybrid_volterra.operator import ARITIES, apply_operator, jump_at
@@ -33,7 +33,11 @@ TERMS = ("f1_terms", "f2_terms", "g_terms")
 
 
 def per_time(problem):
-    """The same problem with every t-referencing memory kernel left unsplit."""
+    """The same problem with every t-referencing memory kernel left unsplit.
+
+    The path of each term is read from the splits on first use
+    (``HybridProblem.batch_terms``), so overwriting them on a fresh copy
+    forces the per-time paths."""
     forced = dataclasses.replace(problem)
     for name in TERMS:
         if getattr(problem, name[:-6]).references("t"):
@@ -89,6 +93,20 @@ class TestAgainstPerTime:
         bps = problem.schedule.breakpoints
         jumps = jump_at(problem, triple, bps) - jump_at(forced, triple, bps)
         assert np.max(np.abs(jumps)) <= 1e-12
+
+    def test_forced_problem_takes_the_per_time_paths(self, monkeypatch):
+        # the evaluators are chosen before evaluate is wrapped, and still
+        # call it: each memory kernel is evaluated with a row per time
+        forced = per_time(tdep_problem())
+        assert [t.__name__ for t in forced.batch_terms] == [
+            "_f1_per_time", "_f2_per_time", "_g_per_batch", "_G3"]
+        assert forced.g_row_impulses.size == 0
+        triple = random_triple(forced, np.random.default_rng(3))
+        shapes, rows = _record_costs(monkeypatch)
+        apply_operator(forced, triple)
+        per_row = {a for a, s in shapes if a in MEMORY_ARITIES and len(s) == 2 and s[0] > 1}
+        assert per_row == MEMORY_ARITIES
+        assert rows
 
 
 def _solve_cli(monkeypatch, tmp_path, problem, method):
@@ -173,3 +191,26 @@ def test_cost_class_of_one_application(monkeypatch, build):
                      if a in MEMORY_ARITIES and len(s) == 2 and s[0] > 1]
     assert rows_per_time == []
     assert rows == []
+
+
+# the evaluators of the terms that each problem's memory table leaves out
+BATCH_TERMS = {
+    "double_memory": [],
+    "exponential": [],
+    "fixed_impulses": [],
+    "mixed_impulses": ["_G3"],
+    "tdep": ["_G3"],
+    "multi_impulse": ["_G1_per_time", "_G3"],
+}
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [(p.stem, lambda p=p: load_problem_file(p).problem) for p in HYBRID_FILES]
+    + [("tdep", tdep_problem), ("multi_impulse", multi_impulse_problem)],
+    ids=[p.stem for p in HYBRID_FILES] + ["tdep", "multi_impulse"],
+)
+def test_batch_terms_of_each_problem(name, build):
+    """The cost class of each problem: which terms are evaluated per batch
+    beyond the one read of its memory table."""
+    assert [t.__name__ for t in build().batch_terms] == BATCH_TERMS[name]
