@@ -11,9 +11,12 @@ Subcommands::
 
 Exit codes: 0 success, 1 invalid input (including a ``--mu`` that is not
 positive and finite, a ``--tol`` that is not positive or a ``--kmax`` below
-1), 2 separation requirement failed, 3 iteration did not converge, 4 a
-kernel domain error or a non-finite value in ``solve``, ``series-solve``,
-``convergence-report`` or ``analyze --estimate``.  Output is deterministic
+1) or an ``--out``/``--report`` path that cannot be written, 2 separation
+requirement failed, 3 iteration did not converge, 4 a kernel domain error
+or a non-finite value in ``solve``, ``series-solve``,
+``convergence-report`` or ``analyze --estimate``.  A path that cannot be
+written exits 1 even where the run would have exited 2, 3 or 4, because
+the outputs it promised are not there.  Output is deterministic
 for fixed inputs; ``HV_SEED`` seeds the Lipschitz estimator behind
 ``analyze --estimate``.
 """
@@ -111,6 +114,14 @@ def _iteration_settings(settings: SolverSettings, mu, tol, kmax) -> SolverSettin
     return resolved
 
 
+def _write(writer, path, data) -> None:
+    """``writer(path, data)``; exit 1 when ``path`` cannot be written."""
+    try:
+        writer(path, data)
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror or exc}", 1)
+
+
 def _exit_unfinished(rep, kmax: int, where: str = "") -> None:
     """Exit 4 after a numerical failure, or 3 when the sweep limit was hit."""
     if rep.failed:
@@ -127,10 +138,10 @@ def _finish_run(rep, kmax: int, solution, report: dict, out, report_path, headli
     """
     out = out if solution is not None else None
     if out:
-        write_solution_csv(out, solution)
+        _write(write_solution_csv, out, solution)
         report["solution_csv"] = str(out)
     if report_path:
-        write_report(report_path, report)
+        _write(write_report, report_path, report)
 
     click.echo(headline)
     click.echo(f"iterations: {rep.iterations}")
@@ -235,11 +246,11 @@ def _jump_rows(problem: HybridProblem, triple) -> list[dict]:
     ]
     if not alphas:
         return []
+    times = np.array(alphas)
+    columns = (jump_at(problem, triple, times), triple.xi.eval(times),
+               triple.xi.eval_right(times))
     rows = []
-    for alpha, predicted in zip(alphas, jump_at(problem, triple, np.array(alphas))):
-        predicted = float(predicted)
-        left = float(triple.xi.eval(alpha))
-        right = float(triple.xi.eval_right(alpha))
+    for alpha, predicted, left, right in zip(alphas, *(c.tolist() for c in columns)):
         rows.append(
             {
                 "t": alpha,
@@ -393,7 +404,7 @@ def analyze(problem_file, mu, estimate, state_bound, report_path, require_separa
 
     click.echo(dump_report(report), nl=False)
     if report_path:
-        write_report(report_path, report)
+        _write(write_report, report_path, report)
     if require_separation and not report["separation"]["ok"]:
         _fail(f"separation requirement failed: {report['separation']['detail']}", 2)
 
@@ -463,7 +474,8 @@ def convergence_report(problem_file, resolutions, method, tol, kmax, report_path
     if len(res) == 2:
         click.echo("note: two resolutions make the ratio degenerate; use three or more")
     if report_path:
-        write_report(
+        _write(
+            write_report,
             report_path,
             {
                 "problem": str(problem_file),

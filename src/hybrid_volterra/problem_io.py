@@ -27,12 +27,16 @@ integrates over a size-nodes^n array, and is refused without it.
 
 Solutions are written as CSV with header ``t,x_left,x_right``, one row per
 distinct grid time; away from breakpoints the two value columns coincide.
-Reports are YAML mappings dumped in insertion order.
+Reports are YAML mappings dumped in insertion order.  Both outputs rewrite
+an existing file in place (:func:`_rewrite`).
 """
 
 from __future__ import annotations
 
 import csv
+import locale
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -290,8 +294,7 @@ def write_solution_csv(path, xi: PiecewiseFn) -> None:
     for k in np.flatnonzero(paired).tolist():
         right[k] = repr(float(values[rows[k] + 1]))
     lines = [f"{a},{b},{c}\r\n" for a, b, c in zip(t, left, right)]
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(["t,x_left,x_right\r\n", *lines]))
+    _rewrite(path, "".join(["t,x_left,x_right\r\n", *lines]))
 
 
 def read_solution_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -329,5 +332,42 @@ def dump_report(data: dict) -> str:
     )
 
 
+# no O_TRUNC (see _rewrite); O_BINARY, where it exists, stops the
+# descriptor translating newlines
+_REWRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
 def write_report(path, data: dict) -> None:
-    Path(path).write_text(dump_report(data))
+    text = dump_report(data)
+    # text mode wrote each newline as the platform's line separator
+    _rewrite(path, text if os.linesep == "\n" else text.replace("\n", os.linesep))
+
+
+def _rewrite(path, text: str) -> None:
+    """Write ``text`` to ``path`` over its old bytes, then cut the file there.
+
+    The bytes, the mode of a new file and the errors are those of
+    ``open(path, "w", newline="")``: the locale's preferred encoding, mode
+    0o666 less the umask.  Opening an existing file with ``O_TRUNC``
+    frees its blocks first, which on some file systems costs far more
+    than writing a few kilobytes, so the file is opened without it and
+    cut to the new length only when it was longer.  A file that is not
+    regular (``/dev/null``, a FIFO, a terminal) is never cut.
+
+    Like ``open(path, "w")`` this is not atomic and does not sync.  A
+    write stopped part way leaves the new text's first bytes followed by
+    whatever the old file held past them, its old tail included when it
+    was longer, where ``open(path, "w")`` would have left the same first
+    bytes and nothing after them.
+    """
+    data = memoryview(text.encode(locale.getpreferredencoding(False)))
+    fd = os.open(path, _REWRITE_FLAGS, 0o666)
+    try:
+        old = os.fstat(fd)
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        if stat.S_ISREG(old.st_mode) and old.st_size > done:
+            os.ftruncate(fd, done)
+    finally:
+        os.close(fd)

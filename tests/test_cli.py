@@ -637,6 +637,60 @@ class TestCheckMatrix:
         assert _run(capsys, "check-matrix", *bad)[0] == 1
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written ends in one error line, exit 1."""
+
+    @pytest.mark.parametrize(
+        "command, problem, flags",
+        [
+            ("solve", "exp", ["--out"]),
+            ("solve", "exp", ["--report"]),
+            ("series-solve", "series", ["--out"]),
+            ("series-solve", "series", ["--report"]),
+            ("analyze", "exp", ["--report"]),
+            ("convergence-report", "exp", ["--resolutions", "16,32", "--report"]),
+        ],
+        ids=["solve-out", "solve-report", "series-out", "series-report",
+             "analyze-report", "convergence-report"],
+    )
+    def test_missing_directory_exits_1(self, capsys, tmp_path, files, command,
+                                       problem, flags):
+        target = tmp_path / "missing" / "output"
+        code, _, err = _run(capsys, command, files[problem], *flags, str(target))
+        assert code == 1
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command, problem", [
+        ("solve", "exp"), ("series-solve", "series"), ("analyze", "exp"),
+        ("convergence-report", "exp"),
+    ])
+    def test_directory_as_report_exits_1(self, capsys, tmp_path, files, command,
+                                         problem):
+        code, _, err = _run(capsys, command, files[problem], "--report", str(tmp_path))
+        assert code == 1
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize(
+        "argv, code_if_written",
+        [
+            (["analyze", "crowded", "--require-separation"], 2),
+            (["series-solve", "series", "--kmax", "1"], 3),
+            (["solve", "blow_up"], 4),
+        ],
+        ids=["over-2", "over-3", "over-4"],
+    )
+    def test_exit_1_takes_precedence(self, capsys, tmp_path, files, argv,
+                                     code_if_written):
+        command, problem, *flags = argv
+        target = tmp_path / "report.yaml"
+        code, _, _ = _run(capsys, command, files[problem], *flags, "--report", str(target))
+        assert code == code_if_written
+        code, _, err = _run(capsys, command, files[problem], *flags,
+                            "--report", str(tmp_path / "missing" / "report.yaml"))
+        assert code == 1 and err.startswith("error: cannot write ")
+        assert "Traceback" not in err
+
+
 def _project_scripts():
     """The ``[project.scripts]`` table of the repository's pyproject.toml.
 

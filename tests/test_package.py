@@ -18,6 +18,8 @@ TRACED = {
     "operator": ("_sc_eval", "apply_operator", "jump_at", "residual",
                  "component_deltas", "default_init"),
     "quadrature": ("node_cumulative", "integrate_to", "cube_diagonal"),
+    "problem_io": ("load_problem_file", "write_report", "write_solution_csv",
+                   "dump_report"),
 }
 
 

@@ -3,6 +3,9 @@
 import csv
 import io
 import math
+import os
+import stat
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -361,6 +364,78 @@ class TestReports:
         assert yaml.safe_load(path.read_text()) == {
             "converged": True, "iterations": 4,
         }
+
+
+SHORT_REPORT = {"problem": "données/ü.yaml", "converged": True}
+
+
+class TestRewriteInPlace:
+    """The writers rewrite a file over its old bytes, then cut it."""
+
+    @pytest.mark.parametrize("old_size", [0, 10, 100_000])
+    def test_bytes_match_a_fresh_path(self, tmp_path, step_solution, old_size):
+        write_solution_csv(tmp_path / "fresh.csv", step_solution)
+        write_report(tmp_path / "fresh.yaml", SHORT_REPORT)
+        for name in ("old.csv", "old.yaml"):
+            (tmp_path / name).write_bytes(b"\xff" * old_size)
+        write_solution_csv(tmp_path / "old.csv", step_solution)
+        write_report(tmp_path / "old.yaml", SHORT_REPORT)
+        fresh = (tmp_path / "fresh.csv").read_bytes()
+        assert (tmp_path / "old.csv").read_bytes() == fresh == _csv_writer_bytes(step_solution)
+        assert (tmp_path / "old.yaml").read_bytes() == (tmp_path / "fresh.yaml").read_bytes()
+
+    def test_report_bytes_are_text_mode_bytes(self, tmp_path):
+        path = tmp_path / "report.yaml"
+        write_report(path, SHORT_REPORT)
+        with open(tmp_path / "text.yaml", "w") as fh:
+            fh.write(dump_report(SHORT_REPORT))
+        assert path.read_bytes() == (tmp_path / "text.yaml").read_bytes()
+        assert yaml.safe_load(path.read_text()) == SHORT_REPORT
+
+    def test_device_is_written_not_cut(self, step_solution):
+        write_solution_csv(os.devnull, step_solution)
+        write_report(os.devnull, SHORT_REPORT)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_is_written_not_cut(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        write_report(fifo, SHORT_REPORT)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [dump_report(SHORT_REPORT).encode()]
+
+    def test_new_file_mode_matches_open(self, tmp_path, step_solution):
+        old_mask = os.umask(0o027)
+        try:
+            write_solution_csv(tmp_path / "new.csv", step_solution)
+            write_report(tmp_path / "new.yaml", SHORT_REPORT)
+            with open(tmp_path / "text", "w"):
+                pass
+        finally:
+            os.umask(old_mask)
+        want = stat.S_IMODE((tmp_path / "text").stat().st_mode)
+        for name in ("new.csv", "new.yaml"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == want
+
+    def test_opens_without_truncating(self, monkeypatch, tmp_path, step_solution):
+        # O_TRUNC on a file with data costs ~15x the whole write on a file
+        # system that frees blocks eagerly; keep it from coming back
+        flags = []
+        real_open = os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        write_solution_csv(tmp_path / "x.csv", step_solution)
+        write_report(tmp_path / "r.yaml", SHORT_REPORT)
+        assert len(flags) == 2
+        assert not any(f & os.O_TRUNC for f in flags)
 
 
 def _pure_dump(data):
