@@ -42,7 +42,7 @@ from .contraction import (
     spectral_radius,
 )
 from .expressions import EvaluationError, estimate_lipschitz
-from .operator import HybridProblem, jump_at
+from .operator import HybridProblem
 from .problem_io import (
     LoadedProblem,
     ProblemFileError,
@@ -238,19 +238,26 @@ def _estimated_constants(problem: HybridProblem, bound: float, seed: int) -> Lip
     return LipschitzSet(**values)
 
 
-def _jump_rows(problem: HybridProblem, triple) -> list[dict]:
-    alphas = [
-        float(a)
-        for a in np.atleast_1d(problem.schedule.breakpoints)
-        if 0.0 < a < problem.grid.horizon
-    ]
-    if not alphas:
-        return []
-    times = np.array(alphas)
-    columns = (jump_at(problem, triple, times), triple.xi.eval(times),
-               triple.xi.eval_right(times))
+def _jump_rows(problem: HybridProblem, triple, image) -> list[dict]:
+    """One row per interior point of the partition, read from stored nodes.
+
+    ``image`` is the operator's image of ``triple``.  At a partition point
+    the last node of the segment to its left and the first node of the one
+    to its right hold the two one-sided values, so the predicted jump is
+    the difference of ``image`` there and ``left`` and ``right`` are the
+    values of ``triple``.  A breakpoint within ``MERGE_TOL`` of 0 or of
+    the horizon is no partition point: the solution has no jump there and
+    it gets no row.
+    """
+    grid = problem.grid
+    right = (grid.panels + 1) * np.arange(1, grid.num_segments)
+    left = right - 1
+    xi, image_xi = triple.xi.values, image.xi.values
+    columns = (image_xi[right] - image_xi[left], xi[left], xi[right])
     rows = []
-    for alpha, predicted, left, right in zip(alphas, *(c.tolist() for c in columns)):
+    for alpha, predicted, left, right in zip(
+        grid.partition[1:-1].tolist(), *(c.tolist() for c in columns)
+    ):
         rows.append(
             {
                 "t": alpha,
@@ -318,8 +325,8 @@ def solve(problem_file, method, out, report_path, mu, tol, kmax, require_separat
         "tolerance": float(settings.tol),
         "notes": list(rep.notes),
         "separation": sep,
-        # jump_at would meet the same failure on the last iterate
-        "jumps": [] if rep.failed else _jump_rows(problem, triple),
+        # a failed solve has no image of its last iterate
+        "jumps": [] if rep.failed else _jump_rows(problem, triple, rep.image),
         "conventions": _conventions(problem),
     }
     if problem.lipschitz is not None:
@@ -402,9 +409,10 @@ def analyze(problem_file, mu, estimate, state_bound, report_path, require_separa
         )
     report["conventions"] = _conventions(problem)
 
-    click.echo(dump_report(report), nl=False)
+    text = dump_report(report)
+    click.echo(text, nl=False)
     if report_path:
-        _write(write_report, report_path, report)
+        _write(write_report, report_path, text)
     if require_separation and not report["separation"]["ok"]:
         _fail(f"separation requirement failed: {report['separation']['detail']}", 2)
 

@@ -48,10 +48,15 @@ evaluator of the batch, chosen when the problem is built
 (:attr:`HybridProblem.batch_terms`).  What a batch needs that no iterate
 changes is built once per problem and batch (:class:`_Batch`).
 :func:`apply_operator` makes one evaluation per sweep, of the nodes, the
-fixed-impulse times and every moving trace at once; a sweep of the segment
-march makes one of its segment's nodes and the trace entries it refreshes,
-and :func:`jump_at` one of both sides of its breakpoints, all through the
-same table, batches and membership helpers.
+fixed-impulse times and every moving trace at once, and a sweep of the
+segment march makes one of its segment's nodes and the trace entries it
+refreshes, both through the same table, batches and membership helpers.
+The image of a triple holds both one-sided values of every interior
+breakpoint at its duplicated node, so the jump the formula predicts there
+is the difference of the image's two values: a solver keeps the image of
+the iterate it returns, and nothing evaluates the triple again for its
+jumps.  :func:`jump_at` evaluates both sides of given breakpoints, one
+tick right and one tick left, for a caller without an image.
 
 A table covers a window of columns with a history of what lies before it
 (:class:`_History`): each row's prefix there as an offset, taken as the
@@ -78,13 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expressions import KernelExpr, parse_kernel, time_split, zero_kernel
-from .piecewise import (
-    Grid,
-    PiecewiseFn,
-    norm_continuous,
-    norm_discrete,
-    norm_mixed,
-)
+from .piecewise import Grid, PiecewiseFn, _check_mu, interpolate
 from .quadrature import (
     _limits,
     apply_weights,
@@ -105,6 +104,9 @@ _NONE.setflags(write=False)
 # up to two per batch; a sweep uses one batch and the segment march one per
 # segment, so a full memo is cleared
 _BATCH_MEMO_SIZE = 64
+# weights of the norms a problem keeps (:meth:`HybridProblem.decay`): a solve
+# uses its mu and 0, so a full memo is cleared
+_DECAY_MEMO_SIZE = 8
 
 ARITIES: dict[str, tuple[str, ...]] = {
     "x0": ("t",),
@@ -190,9 +192,9 @@ class HybridProblem:
     ``whole_grid``, the history of a table over the whole grid, with
     nothing frozen (:class:`_History`).  On first use, from those: the
     path of each term, :attr:`g_row_impulses` and :attr:`batch_terms`;
-    :attr:`sweep_batch`, the times of one sweep; and per batch of
-    evaluation and membership times the parts no iterate changes
-    (:meth:`batch`).
+    :attr:`sweep_batch`, the times of one sweep; per batch of evaluation
+    and membership times the parts no iterate changes (:meth:`batch`); and
+    per weight mu the weights of the three norms (:meth:`decay`).
 
     The paths set the cost of a sweep in N, the number of grid nodes: O(N)
     when every memory kernel splits, O(N^2) for an f2 that does not
@@ -211,6 +213,7 @@ class HybridProblem:
     grid: Grid
     lipschitz: LipschitzSet | None = None
     _batches: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    _decays: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ARITIES:
@@ -320,6 +323,22 @@ class HybridProblem:
             self._batches[id(te), id(m)] = (te, m, found)
         return found
 
+    def decay(self, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The weights of the norms at weight ``mu``, read-only: e^{-mu t} at
+        the grid nodes, e^{-mu tau_i} at the fixed impulse times, and
+        e^{-mu sigma_i(t)} at the nodes, (n_sigma, N).  Built once per
+        value of ``mu``, which must be finite and at least 0.
+        """
+        found = self._decays.get(mu)
+        if found is None:
+            _check_mu(mu)
+            found = tuple(_read_only(np.exp(-mu * a))
+                          for a in (self.grid.times, self.tau, self.sigma_grid))
+            if len(self._decays) >= _DECAY_MEMO_SIZE:
+                self._decays.clear()
+            self._decays[mu] = found
+        return found
+
     @_lazy
     def g_row_impulses(self) -> np.ndarray:
         """The moving impulses whose g terms are rows of an iterate's memory
@@ -393,21 +412,24 @@ class SolutionTriple:
 
 
 def default_init(problem: HybridProblem) -> SolutionTriple:
-    """Zeroth iterate: the forcing term in every component."""
-    g = problem.grid
-    xi = PiecewiseFn.from_expression(g, problem.x0)
-    eta = (
-        problem.x0.evaluate({"t": problem.tau})
-        if problem.n_tau
-        else np.zeros(0)
+    """Zeroth iterate: the forcing term in every component.
+
+    It is x0 at the times of one sweep (``problem.sweep_batch``): the nodes,
+    the fixed impulse times and every sigma_i at the nodes, as the batch of
+    that sweep keeps it, so the sweeps do not evaluate it again.
+    """
+    return _triple(problem, problem.batch(*problem.sweep_batch).x0.copy())
+
+
+def _triple(problem: HybridProblem, values: np.ndarray) -> SolutionTriple:
+    """The triple whose components are ``values`` at the times of one sweep."""
+    grid = problem.grid
+    N, n_tau, n_sigma = grid.size, problem.n_tau, problem.n_sigma
+    return SolutionTriple(
+        PiecewiseFn(grid, values[:N]),
+        values[N:N + n_tau],
+        tuple(PiecewiseFn(grid, row) for row in values[N + n_tau:].reshape(n_sigma, N)),
     )
-    eta = np.broadcast_to(np.asarray(eta, dtype=float), (problem.n_tau,)).copy()
-    beta = []
-    for p in range(problem.n_sigma):
-        vals = problem.x0.evaluate({"t": problem.sigma_grid[p]})
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), g.times.shape).copy()
-        beta.append(PiecewiseFn(g, vals))
-    return SolutionTriple(xi, np.asarray(eta, dtype=float), tuple(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +448,10 @@ class _Batch:
     ``tau_below``, tau_j < m (E, n_tau); ``impulse_count``, the number of
     fixed impulses below m; ``g3_gate``, sigma_i(te) < m and tau_j < m
     (n_sigma, n_tau, E); by :meth:`g_reads`, how the g rows of a memory
-    table (:func:`_memory`) are read at ``te`` and which of them count; and
-    by :meth:`factor` each time factor at ``te``.  A part whose kernel
-    fails to evaluate is not kept, and fails again.
+    table (:func:`_memory`) are read at ``te``; by :meth:`row_weight`, what
+    each row of such a table is multiplied by there; and by :meth:`factor`
+    each time factor at ``te``.  A part whose kernel fails to evaluate is
+    not kept, and fails again.
     """
 
     def __init__(self, problem: "HybridProblem", te: np.ndarray, m: np.ndarray):
@@ -437,6 +460,7 @@ class _Batch:
         self.m = _fixed(m)
         self._factors: dict[int, np.ndarray] = {}
         self._g_reads: dict[tuple, tuple] = {}
+        self._weights: dict[int, np.ndarray | None] = {}
 
     @_lazy
     def x0(self) -> np.ndarray:
@@ -470,8 +494,7 @@ class _Batch:
 
     def g_reads(self, admitted: int, shape: tuple, first: int) -> tuple:
         """How the g rows of a table are read at ``te``: their
-        :class:`~.quadrature.Cut`, each row cut where its sigma_i reaches m,
-        and whether each row's fixed impulse lies below m, (R_g, E).
+        :class:`~.quadrature.Cut`, each row cut where its sigma_i reaches m.
 
         The table holds the g rows of the first ``admitted`` fixed impulses,
         and their prefix has ``shape`` and starts at column ``first``.
@@ -482,13 +505,41 @@ class _Batch:
             problem = self.problem
             terms = len(problem.g_terms)
             keep = np.repeat(self.cut[problem.g_row_impulses], admitted * terms, axis=0)
-            tau = np.repeat(problem.tau[:admitted], terms)
-            below = np.tile(tau[:, None] < self.m, (problem.g_row_impulses.size, 1))
-            reads = cut(problem.grid, self.te, keep, shape, first)
-            for a in (*reads, below):
+            found = cut(problem.grid, self.te, keep, shape, first)
+            for a in found:
                 a.setflags(write=False)
-            found = self._g_reads[key] = (reads, below)
+            self._g_reads[key] = found
         return found
+
+    def row_weight(self, memory: "_Memory") -> np.ndarray | None:
+        """What each row of the table ``memory`` is multiplied by at ``te``
+        before the rows are summed, (R, E), read-only: its time factor, or
+        1, and for a g row that times whether its fixed impulse lies below
+        m.  None when every row is summed as it is.
+
+        The rows of every table of a problem follow from the number of
+        fixed impulses whose g rows it holds (:class:`_Memory`), so the
+        weight is built once per batch and number.
+        """
+        admitted = memory.history.admitted
+        if admitted in self._weights:
+            return self._weights[admitted]
+        R, n_xi = memory.rows.shape[0], memory.n_xi
+        weight = None
+        if memory.factors or R > n_xi:
+            weight = np.ones((R, self.te.size))
+            for c, rows in memory.factors:
+                weight[rows] = self.factor(c)
+        if R > n_xi:
+            problem = self.problem
+            tau = np.repeat(problem.tau[:admitted], len(problem.g_terms))
+            below = np.tile(tau[:, None] < self.m, (problem.g_row_impulses.size, 1))
+            with np.errstate(invalid="ignore"):
+                weight[n_xi:] *= below
+        if weight is not None:
+            weight.setflags(write=False)
+        self._weights[admitted] = weight
+        return weight
 
     def factor(self, c: KernelExpr) -> np.ndarray:
         """The time factor ``c`` (one of the problem's terms) at ``te``."""
@@ -688,8 +739,7 @@ def _memory(
 def _read_rows(problem: HybridProblem, memory: _Memory, batch: _Batch) -> np.ndarray:
     """Every row of the table ``memory`` at the times of ``batch``, summed."""
     grid, te = problem.grid, batch.te
-    R, E = memory.rows.shape[0], te.size
-    n_xi = memory.n_xi
+    R, n_xi = memory.rows.shape[0], memory.n_xi
     first = memory.history.lo
     if R == n_xi == 1 and not memory.factors:
         # one row with nothing to scale or cut, read as a row
@@ -698,17 +748,13 @@ def _read_rows(problem: HybridProblem, memory: _Memory, batch: _Batch) -> np.nda
     if R > n_xi:
         # the g rows, each cut where its sigma_i reaches the membership time
         g_prefix = memory.prefix[n_xi:]
-        reads, below = batch.g_reads(memory.history.admitted, g_prefix.shape, first)
+        reads = batch.g_reads(memory.history.admitted, g_prefix.shape, first)
         g_parts = read_prefix(grid, g_prefix, memory.rows[n_xi:], te, reads, first)
         parts = np.concatenate([parts, g_parts])
+    weight = batch.row_weight(memory)
     with np.errstate(invalid="ignore", over="ignore"):
-        if memory.factors:
-            scale = np.ones((R, E))
-            for c, rows in memory.factors:
-                scale[rows] = batch.factor(c)
-            parts = scale * parts
-        if R > n_xi:
-            parts[n_xi:] *= below
+        if weight is not None:
+            parts *= weight
         return np.add.reduce(parts, axis=0)
 
 
@@ -889,15 +935,21 @@ def _G3(problem, batch, triple, beta_at, out):
         out += np.sum(np.broadcast_to(vals, (tau.size, te.size)) * batch.g3_gate[i], axis=0)
 
 
-def _beta_at(triple: SolutionTriple, te: np.ndarray, nodes: slice | None = None) -> np.ndarray:
+def _beta_at(triple: SolutionTriple, te: np.ndarray, nodes: slice = slice(0)) -> np.ndarray:
     """Each beta_i at the times ``te``, (n_sigma, E), by its left-limit
-    convention.  When the first times are the grid nodes ``nodes``, beta is
-    read there at its stored node values: at a duplicated breakpoint node
-    the interpolant would give the left limit for both."""
-    at = np.vstack([b.eval(te) for b in triple.beta])
-    if nodes is not None:
-        rows = triple.beta_rows()[:, nodes]
-        at[:, :rows.shape[1]] = rows
+    convention, as :meth:`~.piecewise.PiecewiseFn.eval` gives it: one
+    gather over the stacked traces at the nodes where the times fall
+    (:meth:`~.piecewise.Grid.nodes`).  When the first times are the grid
+    nodes ``nodes``, beta is read there at its stored node values: at a
+    duplicated breakpoint node the interpolant would give the left limit
+    for both."""
+    rows = triple.beta_rows()
+    stored = rows[:, nodes]
+    n = stored.shape[1]
+    node, frac = triple.xi.grid.nodes(te)
+    at = np.empty((rows.shape[0], te.size))
+    at[:, :n] = stored
+    at[:, n:] = interpolate(rows, node[n:], frac[n:])
     return at
 
 
@@ -915,16 +967,9 @@ def apply_operator(problem: HybridProblem, triple: SolutionTriple) -> SolutionTr
     three are one evaluation of one batch of times, ``problem.sweep_batch``,
     against one memory table of the triple.
     """
-    grid = problem.grid
-    N, n_tau, n_sigma = grid.size, problem.n_tau, problem.n_sigma
     te, m = problem.sweep_batch
-    beta_at = _beta_at(triple, te, slice(None)) if n_sigma else None
-    out = _sc_eval(problem, triple, te, m, _memory(problem, triple), beta_at)
-    return SolutionTriple(
-        PiecewiseFn(grid, out[:N]),
-        out[N:N + n_tau],
-        tuple(PiecewiseFn(grid, row) for row in out[N + n_tau:].reshape(n_sigma, N)),
-    )
+    beta_at = _beta_at(triple, te, slice(None)) if problem.n_sigma else None
+    return _triple(problem, _sc_eval(problem, triple, te, m, _memory(problem, triple), beta_at))
 
 
 def jump_at(problem: HybridProblem, triple: SolutionTriple, alpha):
@@ -960,12 +1005,20 @@ def component_deltas(
     problem: HybridProblem,
     mu: float,
 ) -> tuple[float, float, float]:
-    """Weighted distances between two triples, one per component."""
-    d_xi = norm_continuous(new.xi - old.xi, mu)
-    d_eta = norm_discrete(new.eta - old.eta, problem.tau, mu)
-    diffs = [PiecewiseFn(problem.grid, nb.values - ob.values)
-             for nb, ob in zip(new.beta, old.beta)]
-    d_beta = norm_mixed(diffs, problem.sigma_grid, mu) if diffs else 0.0
+    """Weighted distances between two triples, one per component.
+
+    The norms of :mod:`~.piecewise` (``norm_continuous``, ``norm_discrete``,
+    ``norm_mixed``) of the differences of their node values, with the same
+    bits, from the weights ``problem.decay(mu)``; an empty component is 0.
+    A difference that overflows gives a distance that is not finite.
+    """
+    at_nodes, at_tau, at_sigma = problem.decay(mu)
+    d_xi = float(np.max(at_nodes * np.abs(new.xi.values - old.xi.values)))
+    d_eta = d_beta = 0.0
+    if problem.n_tau:
+        d_eta = float(np.max(at_tau * np.abs(new.eta - old.eta)))
+    if problem.n_sigma:
+        d_beta = float(np.max(at_sigma * np.abs(new.beta_rows() - old.beta_rows())))
     return d_xi, d_eta, d_beta
 
 

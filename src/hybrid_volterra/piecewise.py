@@ -10,8 +10,9 @@ breakpoint are represented: the last node of the segment ending there and
 the first node of the segment starting there share the same time.
 
 Where a batch of times falls on the grid (segment, node offset, fraction
-of a panel) is computed once per grid and time set: :meth:`Grid.locate`
-and the quadrature cuts built on it are kept in a small per-grid memo
+of a panel) is computed once per grid and time set: :meth:`Grid.locate`,
+the node indices of :meth:`Grid.nodes` and the quadrature cuts built on
+them are kept in a small per-grid memo
 keyed by the times' values (or, for a read-only array that owns its data,
 by identity), so every interpolation and integral at the same times within
 a solve reuses one answer.
@@ -27,8 +28,9 @@ import numpy as np
 from .expressions import KernelExpr, parse_kernel
 
 _TIME_TOL = 1e-10
-# entries of a grid's memo of located time sets; a solve uses a few dozen
-# at most (the segment march 16), so a full memo is cleared, not evicted
+# entries of a grid's memo of located time sets; a picard solve uses 7 and
+# the segment march about 8 per segment, each segment's only within it, so
+# a full memo is cleared, not evicted
 _MEMO_SIZE = 64
 _SIDES = ("left", "right")
 
@@ -124,6 +126,20 @@ class Grid:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return self.memoized(side, t, lambda: self._locate(t, side))
 
+    def nodes(self, t, side: str = "left"):
+        """Map times to (node, fraction): the index in ``times`` of the node
+        at or below each time in its segment (by ``side`` at a breakpoint)
+        and the fraction of that node's panel, as :func:`interpolate` reads
+        them.  Shared like :meth:`locate`'s arrays.
+        """
+        _check_side(side)
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return self.memoized(f"nodes {side}", t, lambda: self._nodes(t, side))
+
+    def _nodes(self, t: np.ndarray, side: str):
+        seg, j, frac = self.locate(t, side)
+        return seg * (self.panels + 1) + j, frac
+
     def _locate(self, t: np.ndarray, side: str):
         seg = self.segment_of(t, side)
         a = self.partition[seg]
@@ -199,10 +215,7 @@ class PiecewiseFn:
         return cls(grid, vals)
 
     def _eval(self, t, side: str):
-        seg, j, frac = self.grid.locate(t, side)
-        base = seg * (self.grid.panels + 1) + j
-        v = self.values[base] + frac * (self.values[base + 1] - self.values[base])
-        return v
+        return interpolate(self.values, *self.grid.nodes(t, side))
 
     def eval(self, t):
         """Value at ``t``; at a breakpoint this is the left limit."""
@@ -221,6 +234,13 @@ class PiecewiseFn:
         if other.grid != self.grid:
             raise ValueError("grids differ")
         return PiecewiseFn(self.grid, self.values - other.values)
+
+
+def interpolate(values: np.ndarray, node: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Node ``values`` (..., N) at the times that :meth:`Grid.nodes` maps to
+    ``node`` and ``frac``: linear within each panel."""
+    at_node = values[..., node]
+    return at_node + frac * (values[..., node + 1] - at_node)
 
 
 # ---------------------------------------------------------------------------

@@ -337,8 +337,9 @@ def dump_report(data: dict) -> str:
 _REWRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
-def write_report(path, data: dict) -> None:
-    text = dump_report(data)
+def write_report(path, data: dict | str) -> None:
+    """Write the report ``data``, or the text :func:`dump_report` made of one."""
+    text = data if isinstance(data, str) else dump_report(data)
     # text mode wrote each newline as the platform's line separator
     _rewrite(path, text if os.linesep == "\n" else text.replace("\n", os.linesep))
 

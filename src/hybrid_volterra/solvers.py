@@ -24,10 +24,15 @@ Two routes to the same discrete fixed point:
   memory kernel splits.
 
 Both return the solution triple plus a :class:`SolveReport` with per-sweep
-component deltas (useful for checking contraction-rate predictions).  A
-kernel domain error or a non-finite update stops either solver: it returns
-the last finite iterate, unconverged, with ``failed`` set and a note saying
-which failure it was.
+component deltas (useful for checking contraction-rate predictions).  The
+report also keeps the image of the returned iterate, from one
+:func:`~.operator.apply_operator`: the final residual is its sup distance
+from the iterate, and its two values at each duplicated breakpoint node
+give the jump the operator predicts there, so a caller needs no second
+evaluation of the iterate.  A kernel domain error or a non-finite update
+stops either solver, in a sweep or in that image: it returns the last
+finite iterate, unconverged, with ``failed`` set and a note saying which
+failure it was.
 """
 
 from __future__ import annotations
@@ -52,14 +57,17 @@ from .operator import (
     apply_operator,
     component_deltas,
     default_init,
-    residual,
 )
 from .piecewise import NonFiniteValues, PiecewiseFn
 
 
 @dataclass
 class SolveReport:
-    """What a solver did: sweep count, per-sweep deltas, final residual."""
+    """What a solver did: sweep count, per-sweep deltas, final residual.
+
+    ``image`` is the operator's image of the returned iterate, None when the
+    solver failed before it or does not keep one.
+    """
 
     method: str
     iterations: int
@@ -69,6 +77,7 @@ class SolveReport:
     final_residual: float = math.nan
     notes: tuple[str, ...] = ()
     failed: bool = False  # stopped on a kernel error or a non-finite update
+    image: SolutionTriple | None = field(default=None, repr=False, compare=False)
 
     @property
     def max_deltas(self) -> list[float]:
@@ -93,6 +102,11 @@ _NUMERICAL_FAILURES = (EvaluationError, NonFiniteValues)
 
 def _require_finite(*arrays) -> None:
     if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise NonFiniteValues("non-finite update")
+
+
+def _require_finite_floats(*values: float) -> None:
+    if not all(map(math.isfinite, values)):
         raise NonFiniteValues("non-finite update")
 
 
@@ -129,7 +143,7 @@ def _iterate(report: SolveReport, cur, sweep, tol: float, kmax: int):
     for _ in range(kmax):
         try:
             new, deltas = sweep(cur)
-            _require_finite(deltas)
+            _require_finite_floats(*deltas)
         except _NUMERICAL_FAILURES as exc:
             _stop(report, exc)
             return cur, False
@@ -139,6 +153,21 @@ def _iterate(report: SolveReport, cur, sweep, tol: float, kmax: int):
         if max(deltas) <= tol:
             return cur, True
     return cur, False
+
+
+def _finish(problem: HybridProblem, cur: SolutionTriple, report: SolveReport) -> None:
+    """Keep the image of the returned iterate ``cur`` on ``report``, with its
+    unweighted sup distance from ``cur`` as the final residual, the bits of
+    :func:`~.operator.residual`.  A numerical failure there stops the solve
+    as one in a sweep does, and leaves the residual NaN."""
+    try:
+        image = apply_operator(problem, cur)
+        distance = max(component_deltas(image, cur, problem, 0.0))
+        _require_finite_floats(distance)
+    except _NUMERICAL_FAILURES as exc:
+        _stop(report, exc, "the residual")
+        return
+    report.image, report.final_residual = image, distance
 
 
 def picard_solve(
@@ -169,7 +198,7 @@ def picard_solve(
 
     cur, report.converged = _iterate(report, cur, sweep, tol, kmax)
     if not report.failed:
-        report.final_residual = residual(problem, cur)
+        _finish(problem, cur, report)
     return cur, report
 
 
@@ -252,7 +281,7 @@ def segment_solve(
         if not done:
             report.converged = False
             report.notes += (f"segment {l} hit the sweep limit",)
-    report.final_residual = residual(problem, cur)
+    _finish(problem, cur, report)
     return cur, report
 
 

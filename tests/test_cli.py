@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from hybrid_volterra import cli, problem_io
 from hybrid_volterra.cli import main
 from hybrid_volterra.problem_io import read_solution_csv
 
@@ -107,6 +108,16 @@ x0: "1"
 f1: "log(x)"
 """
 
+# one sweep takes x from 1 to 1 - 2t, below 0 past t = 0.5, so the image of
+# that iterate fails on log(x)
+RESIDUAL_ERROR_FILE = """\
+horizon: 1
+x0: "1"
+f1: "-3*log(x) - 2"
+quadrature: {nodes_per_segment: 16}
+solver: {kmax: 1}
+"""
+
 # sigma is 0.5 at every sample point of the schedule but 1.1 at the grid
 # node t = 1/3 (partition [0, 0.5, 1], three panels per segment)
 SIGMA_BUMP_FILE = """\
@@ -138,7 +149,7 @@ def files(tmp_path):
         ("blow_up", BLOW_UP_FILE), ("domain_error", DOMAIN_ERROR_FILE),
         ("f2_blow_up", F2_BLOW_UP_FILE), ("f2_domain_error", F2_DOMAIN_ERROR_FILE),
         ("forcing_error", FORCING_ERROR_FILE), ("series_blow_up", SERIES_BLOW_UP_FILE),
-        ("log", LOG_FILE),
+        ("log", LOG_FILE), ("residual_error", RESIDUAL_ERROR_FILE),
     ]:
         path = tmp_path / f"{name}.yaml"
         path.write_text(text)
@@ -320,6 +331,27 @@ class TestSolve:
         # there is no iterate, so no CSV
         assert not csv_path.exists() and "wrote solution" not in out
 
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_residual_error_exits_4_after_writing(self, capsys, tmp_path, files, method):
+        report_path = tmp_path / "report.yaml"
+        csv_path = tmp_path / "x.csv"
+        code, out, err = _run(
+            capsys, "solve", files["residual_error"], "--method", method,
+            "--report", str(report_path), "--out", str(csv_path),
+        )
+        note = "kernel error in the residual: log of a non-positive value"
+        assert code == 4 and "Traceback" not in err
+        assert err == f"error: iteration stopped after 1 sweeps: {note}\n"
+        assert f"note: {note}" in out and "final residual: nan" in out
+        report = yaml.safe_load(report_path.read_text())
+        assert report["iterations"] == 1 and report["converged"] is False
+        assert report["notes"][-1] == note
+        assert math.isnan(report["final_residual"]) and report["jumps"] == []
+        # the last iterate, the one the sweep produced, is written
+        t, left, right = read_solution_csv(csv_path)
+        assert report["solution_csv"] == str(csv_path)
+        assert left.tolist() == right.tolist() == pytest.approx((1 - 2 * t).tolist())
+
     def test_separation_gate(self, capsys, files):
         code, _, _ = _run(capsys, "solve", files["crowded"])
         assert code == 0  # without the flag a crowded schedule still solves
@@ -456,6 +488,24 @@ class TestAnalyze:
             capsys, "analyze", files["exp"], "--report", str(report_path)
         )
         assert yaml.safe_load(report_path.read_text()) == yaml.safe_load(out)
+
+    def test_report_dumped_once(self, capsys, tmp_path, files, monkeypatch):
+        # one dump serves stdout and the file, byte for byte
+        dumps = []
+        dump = problem_io.dump_report
+
+        def counting(data):
+            dumps.append(1)
+            return dump(data)
+
+        monkeypatch.setattr(problem_io, "dump_report", counting)
+        monkeypatch.setattr(cli, "dump_report", counting)
+        report_path = tmp_path / "analysis.yaml"
+        code, out, _ = _run(
+            capsys, "analyze", files["step"], "--report", str(report_path)
+        )
+        assert code == 0 and len(dumps) == 1
+        assert report_path.read_bytes() == out.encode()
 
 
 class TestSeriesSolve:

@@ -22,7 +22,12 @@ from hybrid_volterra.operator import (
     jump_at,
     residual,
 )
-from hybrid_volterra.piecewise import PiecewiseFn
+from hybrid_volterra.piecewise import (
+    PiecewiseFn,
+    norm_continuous,
+    norm_discrete,
+    norm_mixed,
+)
 from hybrid_volterra.quadrature import apply_weights, weight_rows
 from hybrid_volterra.schedule import ImpulseSchedule
 from hybrid_volterra.solvers import picard_solve
@@ -44,6 +49,21 @@ class TestDefaultInit:
         p = make_problem(1.0, sigma=("0.5*t",), h=0.1, x0="t")
         v = default_init(p)
         assert np.allclose(v.beta[0].values, 0.5 * p.grid.times)
+
+    def test_x0_at_the_sweep_times(self):
+        """Every component is x0 at its own times of one sweep, with the bits
+        of evaluating x0 there apart, and the sweep's batch keeps them."""
+        p = multi_impulse_problem()
+        v = default_init(p)
+        x0 = p.x0.evaluate
+        assert np.array_equal(v.xi.values, x0({"t": p.grid.times}))
+        assert np.array_equal(v.eta, x0({"t": p.tau}))
+        assert np.array_equal(v.beta_rows(), x0({"t": p.sigma_grid}))
+        batch = p.batch(*p.sweep_batch)
+        assert "x0" in vars(batch)
+        # the iterate owns its values: writing them leaves the batch as it was
+        v.xi.values[0] = 99.0
+        assert batch.x0[0] == x0({"t": p.grid.times})[0]
 
 
 class TestApplyContinuous:
@@ -258,6 +278,50 @@ class TestComponentDeltas:
                 component_deltas(apply_operator(p, v1), apply_operator(p, v2), p, mu)
             )
             assert np.all(dout <= A @ din + 1e-3)
+
+
+class TestComponentDeltasBits:
+    """``component_deltas`` reads weights built once per problem and mu, and
+    gives the bits of the three norms of :mod:`~.piecewise`."""
+
+    @staticmethod
+    def _by_norms(new, old, p, mu):
+        diffs = [PiecewiseFn(p.grid, nb.values - ob.values)
+                 for nb, ob in zip(new.beta, old.beta)]
+        return (
+            norm_continuous(new.xi - old.xi, mu),
+            norm_discrete(new.eta - old.eta, p.tau, mu),
+            norm_mixed(diffs, p.sigma_grid, mu) if diffs else 0.0,
+        )
+
+    @pytest.mark.parametrize("mu", [0.0, 0.7, 3.0, 40.0])
+    @pytest.mark.parametrize("build", [
+        mixed_problem, multi_impulse_problem, exp_problem,
+        lambda: make_problem(2.0, tau=(0.5, 1.5), h=0.4, panels=32, x0="t", G1="1"),
+        lambda: make_problem(1.0, sigma=("0.5*t",), h=0.1, panels=32, x0="t"),
+    ], ids=["mixed", "multi-impulse", "no-impulses", "fixed-only", "moving-only"])
+    def test_equals_the_norms(self, build, mu):
+        p = build()
+        rng = np.random.default_rng(11)
+        for scale in (1.0, 1e-3, 1e6):
+            new, old = random_triple(p, rng, scale), random_triple(p, rng, scale)
+            got = component_deltas(new, old, p, mu)
+            assert all(type(d) is float for d in got)
+            assert got == self._by_norms(new, old, p, mu)
+
+    def test_weights_once_per_mu(self):
+        p = mixed_problem()
+        first = p.decay(0.5)
+        assert p.decay(0.5) is first
+        assert all(not w.flags.writeable for w in first)
+        assert np.array_equal(first[2], np.exp(-0.5 * p.sigma_grid))
+
+    @pytest.mark.parametrize("mu", [-1.0, float("nan"), float("inf")])
+    def test_bad_mu_raises(self, mu):
+        p = mixed_problem(panels=16)
+        v = default_init(p)
+        with pytest.raises(ValueError, match="weight mu"):
+            component_deltas(v, v, p, mu)
 
 
 class TestOneEvaluationPerSweep:

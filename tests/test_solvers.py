@@ -21,7 +21,7 @@ from test_parity import multi_impulse_problem
 from hybrid_volterra import cli, operator, quadrature, solvers
 from hybrid_volterra.contraction import contraction_bounds, find_mu, spectral_radius
 from hybrid_volterra.expressions import KernelExpr
-from hybrid_volterra.operator import default_init, jump_at
+from hybrid_volterra.operator import apply_operator, default_init, jump_at, residual
 from hybrid_volterra.problem_io import LoadedProblem, SolverSettings, load_problem_file
 from hybrid_volterra.quadrature import weight_rows
 from hybrid_volterra.solvers import (
@@ -253,6 +253,123 @@ class TestSolveReport:
         assert rep.rows()[1]["ratio"] == 4.0
 
 
+def _image_cases():
+    """(name, problem, tol, kmax) for every hybrid problems/*.yaml file and
+    the multi-impulse parity problem."""
+    for name in sorted(SWEEPS):
+        loaded = load_problem_file(PROBLEMS / f"{name}.yaml")
+        yield name, loaded.problem, loaded.settings.tol, loaded.settings.kmax
+    yield "multi_impulse", multi_impulse_problem(), 1e-12, 300
+
+
+IMAGE_CASES = {name: case for name, *case in _image_cases()}
+
+
+def _solve(problem, method, tol, kmax):
+    if method == "picard":
+        return picard_solve(problem, tol=tol, kmax=kmax)
+    return segment_solve(problem, tol=tol, kmax=kmax)
+
+
+class TestImageOfTheIterate:
+    """Each solver keeps the image of the iterate it returns, from one
+    ``apply_operator``; the final residual and the jump rows of ``hv solve``
+    are read from it, with what ``residual`` and ``jump_at`` give."""
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    @pytest.mark.parametrize("name", sorted(IMAGE_CASES))
+    def test_image_and_residual(self, name, method):
+        problem, tol, kmax = IMAGE_CASES[name]
+        triple, rep = _solve(problem, method, tol, kmax)
+        assert rep.converged and not rep.failed
+        image = apply_operator(problem, triple)
+        assert np.array_equal(rep.image.xi.values, image.xi.values)
+        assert np.array_equal(rep.image.eta, image.eta)
+        assert np.array_equal(rep.image.beta_rows(), image.beta_rows())
+        assert rep.final_residual == residual(problem, triple)
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    @pytest.mark.parametrize("name", sorted(IMAGE_CASES))
+    def test_jump_rows_match_jump_at(self, name, method):
+        problem, tol, kmax = IMAGE_CASES[name]
+        triple, rep = _solve(problem, method, tol, kmax)
+        rows = cli._jump_rows(problem, triple, rep.image)
+        bps = np.atleast_1d(problem.schedule.breakpoints)
+        alphas = bps[(bps > 0) & (bps < problem.grid.horizon)]
+        assert [row["t"] for row in rows] == alphas.tolist()
+        if not rows:
+            return
+        column = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+        exact = dict(rtol=0, atol=1e-12)
+        np.testing.assert_allclose(column["predicted_jump"],
+                                   jump_at(problem, triple, alphas), **exact)
+        np.testing.assert_allclose(column["left"], triple.xi.eval(alphas), **exact)
+        np.testing.assert_allclose(column["right"], triple.xi.eval_right(alphas), **exact)
+        np.testing.assert_array_equal(column["realized_jump"],
+                                      column["right"] - column["left"])
+
+    def test_breakpoint_within_merge_tol_of_the_horizon_gets_no_row(self):
+        # sigma meets the diagonal 3e-11 before the horizon: a breakpoint,
+        # but no partition point, so the solution has no jump there
+        problem = make_problem(1.7, tau=(0.9,), sigma=("t + sin(3*(t - 1.7 + 3e-11))/50",),
+                               h=0.1, panels=16, x0="1", f1="0.2*x", G1="0.1", G3="0.3")
+        bps = problem.schedule.breakpoints
+        assert bps.size == 3 and 0 < 1.7 - bps[-1] < 1e-10
+        triple, rep = picard_solve(problem, tol=1e-12)
+        assert rep.converged
+        rows = cli._jump_rows(problem, triple, rep.image)
+        assert [row["t"] for row in rows] == bps[:2].tolist()
+        # jump_at sees the formula's jump at the horizon, one no node holds
+        assert abs(jump_at(problem, triple, bps[-1])) > 0.1
+
+    def test_picard_evaluates_x0_once(self, monkeypatch):
+        problem = mixed_problem(panels=32)
+        calls = []
+        evaluate = KernelExpr.evaluate
+
+        def counting(self, bindings):
+            if self is problem.x0:
+                calls.append(np.shape(bindings["t"]))
+            return evaluate(self, bindings)
+
+        monkeypatch.setattr(KernelExpr, "evaluate", counting)
+        _, rep = picard_solve(problem, tol=1e-12)
+        assert rep.converged and rep.iterations > 1
+        # the forcing term of the first iterate, at every time of a sweep
+        assert calls == [problem.sweep_batch[0].shape]
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_hv_solve_builds_one_table_per_sweep_and_one_more(
+        self, monkeypatch, tmp_path, method
+    ):
+        problem = mixed_problem(panels=32)
+        tables = []
+        memory = operator._memory
+
+        def counting(*args, **kwargs):
+            tables.append(1)
+            return memory(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("hv solve evaluates the iterate a second time")
+
+        for module in (operator, solvers):
+            monkeypatch.setattr(module, "_memory", counting)
+        for module in (operator, solvers, cli):
+            for name in ("jump_at", "residual"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        loaded = LoadedProblem("hybrid", problem, SolverSettings(tol=1e-12, kmax=300))
+        monkeypatch.setattr(cli, "_load", lambda path, want: loaded)
+        report_path = tmp_path / "report.yaml"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["solve", "mixed.yaml", "--method", method,
+                      "--report", str(report_path)])
+        assert excinfo.value.code == 0
+        report = yaml.safe_load(report_path.read_text())
+        assert len(report["jumps"]) == 3
+        assert len(tables) == report["iterations"] + 1
+
+
 # f2 of the mixed problem with a memory that does not split into products
 # of a function of (s, x) and one of (s1, x1)
 NON_SEPARABLE_F2 = "0.05*x*x1/(1 + (s - s1)^2)"
@@ -325,7 +442,8 @@ class TestSharedF2Triangle:
 
     @pytest.mark.parametrize("method", ["picard", "segment"])
     def test_hv_solve_passes(self, monkeypatch, tmp_path, method):
-        """A full ``hv solve``: the solver's passes plus one for every jump row."""
+        """A full ``hv solve``: the solver's passes and no more, because the
+        jump rows read the image that the solver kept."""
         problem = mixed_problem(panels=32, f2=NON_SEPARABLE_F2)
         passes = self._count_f2_passes(monkeypatch, problem)
         loaded = LoadedProblem("hybrid", problem, SolverSettings(tol=1e-12, kmax=300))
@@ -337,9 +455,9 @@ class TestSharedF2Triangle:
         assert excinfo.value.code == 0
         report = yaml.safe_load(report_path.read_text())
         assert len(report["jumps"]) >= 2
-        # each solver: one per sweep, and the residual
+        # each solver: one per sweep, and the image of the returned iterate
         solver_passes = report["iterations"] + 1
-        assert len(passes) == solver_passes + 1
+        assert len(passes) == solver_passes
 
 
 class TestSeparableF2:
