@@ -46,7 +46,8 @@ are one cumulative vector over the fixed impulses.  An evaluation reads
 the whole table once per batch of times; each term it leaves out is one
 evaluator of the batch, chosen when the problem is built
 (:attr:`HybridProblem.batch_terms`).  What a batch needs that no iterate
-changes is built once per problem and batch (:class:`_Batch`).
+changes, where its times fall on the grid included, is built once per
+batch (:class:`_Batch`), and whatever evaluates a batch holds it.
 :func:`apply_operator` makes one evaluation per sweep, of the nodes, the
 fixed-impulse times and every moving trace at once, and a sweep of the
 segment march makes one of its segment's nodes and the trace entries it
@@ -85,10 +86,11 @@ import numpy as np
 from .expressions import KernelExpr, parse_kernel, time_split, zero_kernel
 from .piecewise import Grid, PiecewiseFn, _check_mu, interpolate
 from .quadrature import (
-    _limits,
+    Limits,
     apply_weights,
     cut,
     integrate_to,
+    limits_of,
     node_cumulative,
     read_prefix,
     row_prefix,
@@ -100,10 +102,6 @@ from .contraction import LipschitzSet
 EPS = MERGE_TOL
 _NONE = np.zeros(0, dtype=np.intp)
 _NONE.setflags(write=False)
-# entries of the evaluation batches a problem keeps (:meth:`HybridProblem.batch`),
-# up to two per batch; a sweep uses one batch and the segment march one per
-# segment, so a full memo is cleared
-_BATCH_MEMO_SIZE = 64
 # weights of the norms a problem keeps (:meth:`HybridProblem.decay`): a solve
 # uses its mu and 0, so a full memo is cleared
 _DECAY_MEMO_SIZE = 8
@@ -125,30 +123,23 @@ F2_GROUPS = (("s", "x"), ("s1", "x1"))
 G_GROUPS = (("s", "sig", "tau", "x", "beta", "eta"),)
 
 
-def _read_only(a) -> np.ndarray:
+def _read_only(a):
+    """``a`` as an array, or each array of the tuple ``a``, made read-only."""
+    if isinstance(a, tuple):
+        for part in a:
+            part.setflags(write=False)
+        return a
     a = np.asarray(a)
     a.setflags(write=False)
     return a
 
 
-def _owned_read_only(a) -> bool:
-    """Whether no caller can change the array ``a``: read-only, owning its data."""
-    return not a.flags.writeable and a.flags.owndata
-
-
-def _fixed(a) -> np.ndarray:
-    """``a`` as a float array that no caller can change: ``a`` itself when it
-    is read-only and owns its data, else a read-only copy."""
-    if isinstance(a, np.ndarray) and a.dtype == float and _owned_read_only(a):
-        return a
-    return _read_only(np.array(a, dtype=float))
-
-
 class _lazy:
-    """An array attribute built on first use, then kept read-only in the
-    instance's ``__dict__``, whose entry shadows this descriptor.  Unlike
-    ``functools.cached_property`` on Python 3.11 it takes no lock, which
-    cost about 3 us per first use and showed on small problems."""
+    """An array attribute, or a tuple of arrays, built on first use, then
+    kept read-only in the instance's ``__dict__``, whose entry shadows this
+    descriptor.  Unlike ``functools.cached_property`` on Python 3.11 it
+    takes no lock, which cost about 3 us per first use and showed on small
+    problems."""
 
     def __init__(self, build):
         self.build = build
@@ -192,9 +183,11 @@ class HybridProblem:
     ``whole_grid``, the history of a table over the whole grid, with
     nothing frozen (:class:`_History`).  On first use, from those: the
     path of each term, :attr:`g_row_impulses` and :attr:`batch_terms`;
-    :attr:`sweep_batch`, the times of one sweep; per batch of evaluation
-    and membership times the parts no iterate changes (:meth:`batch`); and
-    per weight mu the weights of the three norms (:meth:`decay`).
+    :attr:`sweep`, the evaluation batch of one sweep; :attr:`tau_nodes`,
+    where the fixed impulse times fall on the grid; and per weight mu the
+    weights of the three norms (:meth:`decay`).  Any other batch belongs
+    to what evaluates it: each march segment (:func:`_window`) and each
+    :func:`jump_at` builds its own.
 
     The paths set the cost of a sweep in N, the number of grid nodes: O(N)
     when every memory kernel splits, O(N^2) for an f2 that does not
@@ -212,7 +205,6 @@ class HybridProblem:
     schedule: ImpulseSchedule
     grid: Grid
     lipschitz: LipschitzSet | None = None
-    _batches: dict = field(init=False, default_factory=dict, compare=False, repr=False)
     _decays: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -275,53 +267,28 @@ class HybridProblem:
         )
 
     @cached_property
-    def sweep_batch(self) -> tuple[np.ndarray, np.ndarray]:
-        """The evaluation and membership times of one sweep (read-only).
+    def sweep(self) -> "_Batch":
+        """The evaluation batch of one sweep (:class:`_Batch`).
 
-        The grid nodes, one tick left of each node except at the first node
-        of every segment, one tick right: the two stored values at a
-        duplicated breakpoint node are the one-sided limits.  Then the
-        fixed impulse times and each trace's moving times, one tick left.
+        Its evaluation times are the grid nodes, with memberships one tick
+        left of each node except at the first node of every segment, one
+        tick right: the two stored values at a duplicated breakpoint node
+        are the one-sided limits.  Then the fixed impulse times and each
+        trace's moving times, one tick left.
         """
         times = self.grid.times
         node_memb = times - EPS
         first = np.arange(self.grid.num_segments) * (self.grid.panels + 1)
         node_memb[first] = times[first] + EPS
         moving = self.sigma_grid.reshape(-1)
-        batch = (np.concatenate([times, self.tau, moving]),
-                 np.concatenate([node_memb, self.tau - EPS, moving - EPS]))
-        for a in batch:
-            a.setflags(write=False)
-        return batch
+        return _Batch(self, np.concatenate([times, self.tau, moving]),
+                      np.concatenate([node_memb, self.tau - EPS, moving - EPS]))
 
-    def batch(self, te: np.ndarray, m: np.ndarray) -> "_Batch":
-        """The parts of evaluating at ``te`` with memberships ``m`` that no
-        iterate changes (:class:`_Batch`).
-
-        Kept per values of the two arrays, so a solve builds them once per
-        batch it evaluates, whatever its sweep count.  The memo is the
-        problem's, not the grid's: two problems can share one grid.  Two
-        read-only arrays that own their data, such as :attr:`sweep_batch`
-        and the batch of a march segment (:func:`_window`), are also kept by
-        identity and found again without hashing their values; the entry
-        keeps them alive, so their ids are not reused while it lasts.
-        """
-        fixed = _owned_read_only(te) and _owned_read_only(m)
-        if fixed:
-            entry = self._batches.get((id(te), id(m)))
-            if entry is not None and entry[0] is te and entry[1] is m:
-                return entry[2]
-        key = (te.shape, te.tobytes(), m.tobytes())
-        found = self._batches.get(key)
-        if found is None:
-            found = _Batch(self, te, m)
-        # a miss adds up to two entries: the values' and the identity's
-        if len(self._batches) >= _BATCH_MEMO_SIZE - 1:
-            self._batches.clear()
-        self._batches[key] = found
-        if fixed:
-            self._batches[id(te), id(m)] = (te, m, found)
-        return found
+    @_lazy
+    def tau_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(node, fraction) of each fixed impulse time, by the left-limit
+        convention (:meth:`~.piecewise.Grid.nodes`), read-only."""
+        return self.grid.nodes(self.tau)
 
     def decay(self, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The weights of the norms at weight ``mu``, read-only: e^{-mu t} at
@@ -414,11 +381,11 @@ class SolutionTriple:
 def default_init(problem: HybridProblem) -> SolutionTriple:
     """Zeroth iterate: the forcing term in every component.
 
-    It is x0 at the times of one sweep (``problem.sweep_batch``): the nodes,
-    the fixed impulse times and every sigma_i at the nodes, as the batch of
+    It is x0 at the times of one sweep (``problem.sweep``): the nodes, the
+    fixed impulse times and every sigma_i at the nodes, as the batch of
     that sweep keeps it, so the sweeps do not evaluate it again.
     """
-    return _triple(problem, problem.batch(*problem.sweep_batch).x0.copy())
+    return _triple(problem, problem.sweep.x0.copy())
 
 
 def _triple(problem: HybridProblem, values: np.ndarray) -> SolutionTriple:
@@ -439,10 +406,16 @@ def _triple(problem: HybridProblem, values: np.ndarray) -> SolutionTriple:
 class _Batch:
     """The parts of one evaluation batch that no iterate changes.
 
-    ``te`` and ``m`` are the evaluation and membership times, copied unless
-    read-only already (:func:`_fixed`).  Each part is built on first use
-    and read-only: ``x0`` at ``te``; ``sigma``, each moving time at ``te``
-    (n_sigma, E); ``cut``, per moving impulse
+    A batch is built by what evaluates it and kept for as long as that
+    evaluates it: ``problem.sweep`` for every picard sweep and image, one
+    per march segment (:func:`_window`), one per :func:`jump_at`.  ``te``
+    and ``m`` are read-only copies of the evaluation and membership times.
+    Each part is built on first use and read-only: ``limits``, where the
+    times fall on the grid, from one :meth:`~.piecewise.Grid.locate` of
+    ``te`` (:func:`~.quadrature.limits_of`): the quadrature cut that every
+    read of a memory table at ``te`` takes, and the node and fraction that
+    every interpolation at ``te`` takes; ``x0`` at ``te``; ``sigma``, each
+    moving time at ``te`` (n_sigma, E); ``cut``, per moving impulse
     the number of nodes before the first with sigma_i(s) >= m (n_sigma, E),
     the prefix its g rows keep (0 where sigma_i is not nondecreasing);
     ``tau_below``, tau_j < m (E, n_tau); ``impulse_count``, the number of
@@ -456,11 +429,15 @@ class _Batch:
 
     def __init__(self, problem: "HybridProblem", te: np.ndarray, m: np.ndarray):
         self.problem = problem
-        self.te = _fixed(te)
-        self.m = _fixed(m)
+        self.te = _read_only(np.array(te, dtype=float))
+        self.m = _read_only(np.array(m, dtype=float))
         self._factors: dict[int, np.ndarray] = {}
         self._g_reads: dict[tuple, tuple] = {}
         self._weights: dict[int, np.ndarray | None] = {}
+
+    @_lazy
+    def limits(self) -> Limits:
+        return limits_of(self.problem.grid, self.te)
 
     @_lazy
     def x0(self) -> np.ndarray:
@@ -505,10 +482,7 @@ class _Batch:
             problem = self.problem
             terms = len(problem.g_terms)
             keep = np.repeat(self.cut[problem.g_row_impulses], admitted * terms, axis=0)
-            found = cut(problem.grid, self.te, keep, shape, first)
-            for a in found:
-                a.setflags(write=False)
-            self._g_reads[key] = found
+            found = self._g_reads[key] = _read_only(cut(self.limits, keep, shape, first))
         return found
 
     def row_weight(self, memory: "_Memory") -> np.ndarray | None:
@@ -736,20 +710,20 @@ def _memory(
     )
 
 
-def _read_rows(problem: HybridProblem, memory: _Memory, batch: _Batch) -> np.ndarray:
+def _read_rows(memory: _Memory, batch: _Batch) -> np.ndarray:
     """Every row of the table ``memory`` at the times of ``batch``, summed."""
-    grid, te = problem.grid, batch.te
+    limits = batch.limits
     R, n_xi = memory.rows.shape[0], memory.n_xi
     first = memory.history.lo
     if R == n_xi == 1 and not memory.factors:
         # one row with nothing to scale or cut, read as a row
-        return read_prefix(grid, memory.prefix[0], memory.rows[0], te, first=first)
-    parts = read_prefix(grid, memory.prefix[:n_xi], memory.rows[:n_xi], te, first=first)
+        return read_prefix(memory.prefix[0], memory.rows[0], limits, first=first)
+    parts = read_prefix(memory.prefix[:n_xi], memory.rows[:n_xi], limits, first=first)
     if R > n_xi:
         # the g rows, each cut where its sigma_i reaches the membership time
         g_prefix = memory.prefix[n_xi:]
         reads = batch.g_reads(memory.history.admitted, g_prefix.shape, first)
-        g_parts = read_prefix(grid, g_prefix, memory.rows[n_xi:], te, reads, first)
+        g_parts = read_prefix(g_prefix, memory.rows[n_xi:], limits, reads, first)
         parts = np.concatenate([parts, g_parts])
     weight = batch.row_weight(memory)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -760,17 +734,17 @@ def _read_rows(problem: HybridProblem, memory: _Memory, batch: _Batch) -> np.nda
 
 def _window(
     problem: HybridProblem, nodes: slice, fresh: tuple, solved: np.ndarray
-) -> tuple[_History, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[_History, _Batch]:
     """The columns of the tables of a march segment, as a history with
-    nothing frozen yet (:func:`_freeze` fills it in), and the evaluation and
-    membership times of each of its sweeps, read-only.
+    nothing frozen yet (:func:`_freeze` fills it in), and the batch that
+    each of its sweeps evaluates.
 
     The segment updates the continuous part on ``nodes``; ``fresh`` holds
     the trace entries it refreshes as index arrays (moving impulse, node)
     in row-major order, and ``solved`` (n_sigma, N) marks the entries that
     earlier segments consumed.  The times are the segment's nodes, with
-    their memberships in ``problem.sweep_batch``, then each fresh entry's
-    moving time sigma_p(t), one tick left.  Table rows can change from
+    their memberships in ``problem.sweep``, then each fresh entry's moving
+    time sigma_p(t), one tick left.  Table rows can change from
     ``live`` on: at the segment's nodes, and for the g rows of impulse i at
     every node whose trace entry is not yet consumed (a suffix, sigma_i
     being nondecreasing).  ``lo`` and ``hi`` bound every column that the
@@ -784,19 +758,18 @@ def _window(
     grid = problem.grid
     w = grid.panels + 1
     u = problem.sigma_grid[fresh]
-    te = _read_only(np.concatenate([grid.times[nodes], u]))
-    m = _read_only(np.concatenate([problem.sweep_batch[1][:grid.size][nodes], u - EPS]))
-    admitted = int(np.searchsorted(problem.tau, m.max()))
+    batch = _Batch(problem, np.concatenate([grid.times[nodes], u]),
+                   np.concatenate([problem.sweep.m[:grid.size][nodes], u - EPS]))
+    admitted = int(np.searchsorted(problem.tau, batch.m.max()))
     impulses = problem.g_row_impulses
     if not (problem.f1_terms or problem.f2_terms or _f2_square(problem) or impulses.size):
-        return _History(0, 0, grid.size, admitted), (te, m)
+        return _History(0, 0, grid.size, admitted), batch
     live = min([nodes.start] + [int(np.count_nonzero(solved[i])) for i in impulses])
     live -= live % w
-    base = _limits(grid, te)[0]
-    cut = problem.batch(te, m).cut
+    base, cut = batch.limits.base, batch.cut
     lo = min([live, int(base.min())] + [int(np.minimum(cut[i], base).min()) for i in impulses])
     hi = max(nodes.stop, int(base.max()) + 2)
-    return _History(lo, live, min(hi + (-hi) % w, grid.size), admitted), (te, m)
+    return _History(lo, live, min(hi + (-hi) % w, grid.size), admitted), batch
 
 
 def _freeze(
@@ -824,29 +797,28 @@ def _freeze(
     return history, table
 
 
-def _sc_eval(problem: HybridProblem, triple: SolutionTriple, eval_times, memb_times,
-             memory: _Memory, beta_at_eval: np.ndarray | None = None) -> np.ndarray:
-    """The operator formula at ``eval_times`` with memberships ``memb_times``.
+def _sc_eval(problem: HybridProblem, triple: SolutionTriple, batch: _Batch,
+             memory: _Memory, beta_at: np.ndarray | None = None) -> np.ndarray:
+    """The operator formula at the evaluation and membership times of
+    ``batch`` (:class:`_Batch`), which holds what no iterate changes.
 
     ``memory`` is :func:`_memory` of ``triple``, read once for the whole
-    batch; what no iterate changes comes from ``problem.batch``, and each
-    term the table leaves out is one of ``problem.batch_terms``.
-    ``beta_at_eval`` carries each beta_i already evaluated at the
-    evaluation times (shape (n_sigma, E)), so node-aligned callers can
-    supply the stored one-sided values instead of interpolating.  When
-    omitted it is computed by G3, by beta's left-limit convention.
+    batch, and each term the table leaves out is one of
+    ``problem.batch_terms``.  ``beta_at`` carries each beta_i already
+    evaluated at the evaluation times (shape (n_sigma, E)), so node-aligned
+    callers can supply the stored one-sided values instead of
+    interpolating.  When omitted it is computed by G3, by beta's left-limit
+    convention.
     """
-    batch = problem.batch(np.asarray(eval_times, dtype=float),
-                          np.asarray(memb_times, dtype=float))
     out = np.empty(batch.te.size)
     out[:] = batch.x0
     if len(memory.rows):
-        out += _read_rows(problem, memory, batch)
+        out += _read_rows(memory, batch)
     if memory.impulses is not None:
         # the t-free G1 and G2 terms of the fixed impulses below m
         out += memory.impulses[batch.impulse_count]
     for term in problem.batch_terms:
-        term(problem, batch, triple, beta_at_eval, out)
+        term(problem, batch, triple, beta_at, out)
     return out
 
 
@@ -926,7 +898,7 @@ def _G3(problem, batch, triple, beta_at, out):
     """G3 over the moving and fixed impulses with sigma_i(t), tau_j < m."""
     te, tau, eta = batch.te, problem.tau, triple.eta
     if beta_at is None:
-        beta_at = _beta_at(triple, te)
+        beta_at = _beta_at(triple, batch)
     for i in range(problem.n_sigma):
         vals = problem.G3.evaluate(
             {"t": te, "sig": batch.sigma[i], "tau": tau[:, None],
@@ -935,19 +907,19 @@ def _G3(problem, batch, triple, beta_at, out):
         out += np.sum(np.broadcast_to(vals, (tau.size, te.size)) * batch.g3_gate[i], axis=0)
 
 
-def _beta_at(triple: SolutionTriple, te: np.ndarray, nodes: slice = slice(0)) -> np.ndarray:
-    """Each beta_i at the times ``te``, (n_sigma, E), by its left-limit
-    convention, as :meth:`~.piecewise.PiecewiseFn.eval` gives it: one
-    gather over the stacked traces at the nodes where the times fall
-    (:meth:`~.piecewise.Grid.nodes`).  When the first times are the grid
+def _beta_at(triple: SolutionTriple, batch: _Batch, nodes: slice = slice(0)) -> np.ndarray:
+    """Each beta_i at the evaluation times of ``batch``, (n_sigma, E), by
+    its left-limit convention, as :meth:`~.piecewise.PiecewiseFn.eval`
+    gives it: one gather over the stacked traces at the nodes where the
+    times fall (``batch.limits``).  When the first times are the grid
     nodes ``nodes``, beta is read there at its stored node values: at a
     duplicated breakpoint node the interpolant would give the left limit
     for both."""
     rows = triple.beta_rows()
     stored = rows[:, nodes]
     n = stored.shape[1]
-    node, frac = triple.xi.grid.nodes(te)
-    at = np.empty((rows.shape[0], te.size))
+    node, frac = batch.limits.base, batch.limits.frac
+    at = np.empty((rows.shape[0], batch.te.size))
     at[:, :n] = stored
     at[:, n:] = interpolate(rows, node[n:], frac[n:])
     return at
@@ -964,12 +936,12 @@ def apply_operator(problem: HybridProblem, triple: SolutionTriple) -> SolutionTr
     breakpoint nodes, read with beta at its stored node values; each
     fixed-impulse value as the formula at tau_l with left memberships; each
     moving trace as the formula at sigma_p(t) with left memberships.  All
-    three are one evaluation of one batch of times, ``problem.sweep_batch``,
-    against one memory table of the triple.
+    three are one evaluation of one batch, ``problem.sweep``, against one
+    memory table of the triple.
     """
-    te, m = problem.sweep_batch
-    beta_at = _beta_at(triple, te, slice(None)) if problem.n_sigma else None
-    return _triple(problem, _sc_eval(problem, triple, te, m, _memory(problem, triple), beta_at))
+    batch = problem.sweep
+    beta_at = _beta_at(triple, batch, slice(None)) if problem.n_sigma else None
+    return _triple(problem, _sc_eval(problem, triple, batch, _memory(problem, triple), beta_at))
 
 
 def jump_at(problem: HybridProblem, triple: SolutionTriple, alpha):
@@ -981,16 +953,19 @@ def jump_at(problem: HybridProblem, triple: SolutionTriple, alpha):
     (for instance under a constant moving-time function).  ``alpha`` is one
     breakpoint (a float is returned) or an array of them (an array of the
     same shape is returned); both sides of every breakpoint are one
-    evaluation against one memory table.
+    evaluation of one batch against one memory table.  Each breakpoint
+    must be an interior point of the partition, where the grid holds a
+    node on each side: a breakpoint within ``MERGE_TOL`` of 0 or of the
+    horizon is none, and is rejected.
     """
     alpha = np.asarray(alpha, dtype=float)
     t = alpha.reshape(-1)
-    bps = np.atleast_1d(problem.schedule.breakpoints)
-    off = ~np.any(np.abs(t[:, None] - bps[None, :]) <= MERGE_TOL, axis=1)
+    points = problem.grid.partition[1:-1]
+    off = ~np.any(np.abs(t[:, None] - points[None, :]) <= MERGE_TOL, axis=1)
     if off.any():
-        raise ValueError(f"{t[off][0]} is not a breakpoint of this problem")
-    both = _sc_eval(problem, triple, np.concatenate([t, t]),
-                    np.concatenate([t + EPS, t - EPS]), _memory(problem, triple))
+        raise ValueError(f"{t[off][0]} is not a breakpoint inside the partition")
+    batch = _Batch(problem, np.concatenate([t, t]), np.concatenate([t + EPS, t - EPS]))
+    both = _sc_eval(problem, triple, batch, _memory(problem, triple))
     jumps = both[:t.size] - both[t.size:]
     return float(jumps[0]) if alpha.ndim == 0 else jumps.reshape(alpha.shape)
 

@@ -9,13 +9,10 @@ limit is stored separately.  A :class:`Grid` fixes the partition
 breakpoint are represented: the last node of the segment ending there and
 the first node of the segment starting there share the same time.
 
-Where a batch of times falls on the grid (segment, node offset, fraction
-of a panel) is computed once per grid and time set: :meth:`Grid.locate`,
-the node indices of :meth:`Grid.nodes` and the quadrature cuts built on
-them are kept in a small per-grid memo
-keyed by the times' values (or, for a read-only array that owns its data,
-by identity), so every interpolation and integral at the same times within
-a solve reuses one answer.
+:meth:`Grid.locate` maps a set of times to where they fall (segment,
+node offset, fraction of a panel) and computes that on every call; a
+caller that reads the same times many times, such as an evaluation batch
+of the operator, locates them once and keeps the answer.
 """
 
 from __future__ import annotations
@@ -28,10 +25,6 @@ import numpy as np
 from .expressions import KernelExpr, parse_kernel
 
 _TIME_TOL = 1e-10
-# entries of a grid's memo of located time sets; a picard solve uses 7 and
-# the segment march about 8 per segment, each segment's only within it, so
-# a full memo is cleared, not evicted
-_MEMO_SIZE = 64
 _SIDES = ("left", "right")
 
 
@@ -45,15 +38,17 @@ class Grid:
 
     ``weights`` holds the composite trapezoid weight of every node over its
     whole segment: half a step at both ends of a segment, a whole step
-    inside.  Two grids are equal when their partitions and panel counts
-    are; everything else, the memo included, follows from those.
+    inside.  ``half_steps`` holds half a step at every node, 0 at each
+    segment's first node.  Both are read-only.  Two grids are equal when
+    their partitions and panel counts are; everything else follows from
+    those.
     """
 
     partition: np.ndarray
     panels: int
     times: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
-    _memo: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    half_steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         part = np.asarray(self.partition, dtype=float)
@@ -77,6 +72,10 @@ class Grid:
         weights = weights.reshape(-1)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
+        half_steps = np.repeat(0.5 * step, self.panels + 1)
+        half_steps[::self.panels + 1] = 0.0
+        half_steps.setflags(write=False)
+        object.__setattr__(self, "half_steps", half_steps)
 
     def __eq__(self, other):
         if self is other:
@@ -117,30 +116,9 @@ class Grid:
         return np.clip(idx, 0, self.num_segments - 1)
 
     def locate(self, t, side: str = "left"):
-        """Map times to (segment, node offset, fraction) for interpolation.
-
-        The arrays are read-only and shared by every call with the same
-        times and ``side``.
-        """
+        """Map times to (segment, node offset, fraction) for interpolation."""
         _check_side(side)
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return self.memoized(side, t, lambda: self._locate(t, side))
-
-    def nodes(self, t, side: str = "left"):
-        """Map times to (node, fraction): the index in ``times`` of the node
-        at or below each time in its segment (by ``side`` at a breakpoint)
-        and the fraction of that node's panel, as :func:`interpolate` reads
-        them.  Shared like :meth:`locate`'s arrays.
-        """
-        _check_side(side)
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return self.memoized(f"nodes {side}", t, lambda: self._nodes(t, side))
-
-    def _nodes(self, t: np.ndarray, side: str):
-        seg, j, frac = self.locate(t, side)
-        return seg * (self.panels + 1) + j, frac
-
-    def _locate(self, t: np.ndarray, side: str):
         seg = self.segment_of(t, side)
         a = self.partition[seg]
         b = self.partition[seg + 1]
@@ -149,37 +127,14 @@ class Grid:
         frac = theta - j
         return seg, j, frac
 
-    def memoized(self, kind: str, t: np.ndarray, build):
-        """The arrays ``build()`` returns, kept per ``kind`` and values of ``t``.
-
-        The key is the shape and bytes of the float array ``t``, so a
-        caller that later changes its array gets no stale answer.  A
-        read-only ``t`` that owns its data, such as the times of an
-        evaluation batch, is also kept by identity and found again without
-        hashing its bytes; its entry keeps it alive, so its id is not reused
-        while the entry lasts.  The arrays are made read-only; a full memo
-        is cleared.
+    def nodes(self, t, side: str = "left"):
+        """Map times to (node, fraction): the index in ``times`` of the node
+        at or below each time in its segment (by ``side`` at a breakpoint)
+        and the fraction of that node's panel, as :func:`interpolate` reads
+        them.
         """
-        flags = t.flags
-        fixed = not flags.writeable and flags.owndata
-        if fixed:
-            entry = self._memo.get((kind, id(t)))
-            if entry is not None and entry[0] is t:
-                return entry[1]
-        key = (kind, t.shape, t.tobytes())
-        entry = self._memo.get(key)
-        if entry is None:
-            found = build()
-            for a in found:
-                a.setflags(write=False)
-            entry = (None, found)
-        # a miss adds up to two entries: the values' and the identity's
-        if len(self._memo) >= _MEMO_SIZE - 1:
-            self._memo.clear()
-        self._memo[key] = entry
-        if fixed:
-            self._memo[kind, id(t)] = (t, entry[1])
-        return entry[1]
+        seg, j, frac = self.locate(t, side)
+        return seg * (self.panels + 1) + j, frac
 
 
 def _check_side(side: str) -> None:

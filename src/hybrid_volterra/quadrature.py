@@ -11,20 +11,23 @@ node values.  It is the grid's vector of full-segment trapezoid weights
 inside) summed over the nodes before the last node at or below u, plus
 that node's and the next node's weights in the panels up to u, with the
 integrand linearly interpolated on the partial panel.  That cut of a set
-of limits is computed once per grid and limit set, in the grid's memo
-(:meth:`~.piecewise.Grid.memoized`), and reused by every later integral
-to the same limits.  The functions:
+of limits is :class:`Limits` (:func:`limits_of`, one
+:meth:`~.piecewise.Grid.locate` of the limits); a caller that integrates
+to the same limits many times, such as an evaluation batch of the
+operator, works it out once and passes it to :func:`read_prefix` and
+:func:`cut`.  The functions:
 
-* :func:`integrate_to` -- the one entry point.  A row shared by every
-  limit takes a prefix sum of the weighted row (:func:`row_prefix`), read
-  at each limit's node (:func:`read_prefix`): O(N + E) for E limits, and
-  O(E) once the prefix is built.  One row per limit takes weight rows:
-  O(E N);
+* :func:`integrate_to` -- the one entry point, which works out the cut of
+  its limits on every call.  A row shared by every limit takes a prefix
+  sum of the weighted row (:func:`row_prefix`), read at each limit's node
+  (:func:`read_prefix`): O(N + E) for E limits, and O(E) once the prefix
+  is built.  One row per limit takes weight rows: O(E N);
 * :func:`row_prefix` and :func:`read_prefix` -- the one running sum: the
   prefix sums of one row or of a table of R rows at once, ``(R, N)``,
-  read at every limit as ``(R, E)``, each row with its own cut (worked
-  out once for many tables by :func:`cut`).  A table may start at a later
-  column, with each row's sum before it as the first term of its sum;
+  read at every limit as ``(R, E)``, each row with its own cut of its
+  nodes (worked out once for many tables by :func:`cut`).  A table may
+  start at a later column, with each row's sum before it as the first
+  term of its sum;
 * :func:`node_cumulative` -- the integral from 0 to every grid node: that
   running sum at the node plus half a step of the node's value;
 * :func:`cube_diagonal` -- the integral over the cube [0, t]^n at every
@@ -48,19 +51,27 @@ import numpy as np
 from .piecewise import Grid
 
 
-def _limits(grid: Grid, upper: np.ndarray):
-    """Where each upper limit cuts the grid's trapezoid weights.
+class Limits(NamedTuple):
+    """Where a set of upper limits falls on the grid and cuts its trapezoid
+    weights (:func:`limits_of`).
 
-    Returns read-only ``(base, lo, hi)``, shared by every call with the
-    same limits: the integral to ``upper[e]`` is ``grid.weights`` summed
-    over the nodes before ``base[e]``, plus ``lo[e]`` times the integrand
-    at ``base[e]`` and ``hi[e]`` times it at ``base[e] + 1``.  A limit at a
-    breakpoint ends in the segment to its left.
+    ``base`` is the node at or below each limit in its segment and ``frac``
+    the fraction of that node's panel up to the limit, as
+    :func:`~.piecewise.interpolate` reads them.  The integral to limit e is
+    ``grid.weights`` summed over the nodes before ``base[e]``, plus
+    ``lo[e]`` times the integrand at ``base[e]`` and ``hi[e]`` times it at
+    ``base[e] + 1``.  A limit at a breakpoint ends in the segment to its
+    left.
     """
-    return grid.memoized("limits", upper, lambda: _cut(grid, upper))
+
+    base: np.ndarray
+    frac: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
-def _cut(grid: Grid, upper: np.ndarray):
+def limits_of(grid: Grid, upper) -> Limits:
+    """The :class:`Limits` of ``upper``, from one :meth:`~.piecewise.Grid.locate`."""
     m = grid.panels
     full = grid.weights
     seg, j, frac = grid.locate(upper, side="left")
@@ -71,7 +82,7 @@ def _cut(grid: Grid, upper: np.ndarray):
     # add the partial panel [t_base, upper] split between base and base + 1
     lo = full[base] + (-0.5 * h + 0.5 * frac * h * (2.0 - frac))
     hi = 0.5 * frac * frac * h
-    return base, lo, hi
+    return Limits(base, frac, lo, hi)
 
 
 def weight_rows(grid: Grid, upper: np.ndarray) -> np.ndarray:
@@ -80,7 +91,7 @@ def weight_rows(grid: Grid, upper: np.ndarray) -> np.ndarray:
     A limit at a breakpoint ends in the segment to its left.
     """
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    base, lo, hi = _limits(grid, upper)
+    base, _, lo, hi = limits_of(grid, upper)
     # row e keeps the grid's weights before node base_e: the window of N
     # entries of [1] * N + [0] * N that holds base_e ones, gathered as a copy
     N = grid.size
@@ -135,7 +146,7 @@ def integrate_to(
             rows = np.where(np.arange(N) < np.asarray(keep)[:, None], rows, 0.0)
         return apply_weights(weight_rows(grid, upper), rows)
     row = np.broadcast_to(rows[0], N)
-    return read_prefix(grid, row_prefix(grid, row), row, upper, keep)
+    return read_prefix(row_prefix(grid, row), row, limits_of(grid, upper), keep)
 
 
 class Cut(NamedTuple):
@@ -153,13 +164,12 @@ class Cut(NamedTuple):
     after: np.ndarray
 
 
-def cut(grid: Grid, upper: np.ndarray, keep: np.ndarray, shape: tuple, first: int = 0) -> Cut:
+def cut(limits: Limits, keep: np.ndarray, shape: tuple, first: int = 0) -> Cut:
     """The :class:`Cut` of a prefix table of ``shape`` begun at column
-    ``first``, for rows cut to their first ``keep`` nodes at the limits
-    ``upper``: what :func:`read_prefix` works out from ``keep``, for a
+    ``first``, for rows cut to their first ``keep`` nodes at the limits of
+    ``limits``: what :func:`read_prefix` works out from ``keep``, for a
     caller that reads the same cut of many tables."""
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    base = _limits(grid, upper)[0]
+    base = limits.base
     # each row's prefix entries start at a multiple of its width in the flat prefix
     start = np.arange(0, int(np.prod(shape)), shape[-1]).reshape(shape[:-1] + (1,))
     return Cut(np.minimum(keep, base) - first + start, base < keep, base + 1 < keep)
@@ -188,30 +198,29 @@ def row_prefix(
 
 
 def read_prefix(
-    grid: Grid,
     prefix: np.ndarray,
     rows: np.ndarray,
-    upper: np.ndarray,
+    limits: Limits,
     keep: np.ndarray | None = None,
     first: int = 0,
 ) -> np.ndarray:
-    """Integral of each node row of ``rows`` from 0 to each ``upper``.
+    """Integral of each node row of ``rows`` from 0 to each upper limit.
 
     ``rows`` is one row or a table of rows over the grid columns from
-    ``first`` on, and ``prefix`` is its :func:`row_prefix` begun at the
-    same column; the result has shape (E,) or (R, E) for E upper limits,
-    O(R E).  Every column a limit reads (the node at or below it and the
-    next) must lie in ``rows``.  ``keep`` cuts the integrand of row r at
-    limit e to its first ``keep[r, e]`` grid nodes, as in
-    :func:`integrate_to`; an (E,) ``keep`` cuts every row alike and a count
-    of N or more keeps the whole row.  ``keep`` may also be given as its
-    :class:`Cut` for this prefix and these limits.
+    ``first`` on, ``prefix`` is its :func:`row_prefix` begun at the same
+    column, and ``limits`` is the :class:`Limits` of the E upper limits;
+    the result has shape (E,) or (R, E), O(R E).  Every column a limit
+    reads (the node at or below it and the next) must lie in ``rows``.
+    ``keep`` cuts the integrand of row r at limit e to its first
+    ``keep[r, e]`` grid nodes, as in :func:`integrate_to`; an (E,) ``keep``
+    cuts every row alike and a count of N or more keeps the whole row.
+    ``keep`` may also be given as its :class:`Cut` for this prefix and
+    these limits.
     """
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    base, lo, hi = _limits(grid, upper)
+    base, _, lo, hi = limits
     at = base - first if first else base
     if keep is not None and not isinstance(keep, Cut):
-        keep = cut(grid, upper, keep, prefix.shape, first)
+        keep = cut(limits, keep, prefix.shape, first)
     with np.errstate(invalid="ignore", over="ignore"):
         at_base = lo * rows.take(at, axis=-1)
         after = hi * rows.take(at + 1, axis=-1)
@@ -242,18 +251,9 @@ def node_cumulative(
     width = w.shape[-1]
     if first % nodes or width % nodes or first + width > grid.size:
         raise ValueError(f"columns {first} to {first + width} are not whole segments")
-    tail = grid.memoized("half steps", grid.partition, lambda: _half_steps(grid))[0]
     prefix = row_prefix(grid, w, first, start)
     with np.errstate(invalid="ignore", over="ignore"):
-        return prefix[..., :-1] + tail[first:first + width] * w
-
-
-def _half_steps(grid: Grid):
-    """Half a step at every node, 0 at each segment's first node."""
-    nodes = grid.panels + 1
-    tail = np.repeat(0.5 * (np.diff(grid.partition) / grid.panels), nodes)
-    tail[::nodes] = 0.0
-    return (tail,)
+        return prefix[..., :-1] + grid.half_steps[first:first + width] * w
 
 
 def cube_diagonal(grid: Grid, F: np.ndarray, order: int) -> np.ndarray:

@@ -259,9 +259,10 @@ def series_solve(
     """Successive approximation from the forcing term.
 
     A kernel domain error or a non-finite update stops it as it stops
-    :func:`~hybrid_volterra.solvers.picard_solve`: the last finite iterate
-    is returned with ``failed`` set, or None when the forcing term itself
-    fails to evaluate.
+    :func:`~hybrid_volterra.solvers.picard_solve`, in a sweep or in the
+    image of the last iterate that gives the final residual: the last
+    finite iterate is returned with ``failed`` set and the residual NaN, or
+    None when the forcing term itself fails to evaluate.
     """
     if mu is None:
         mu = _default_series_mu(problem)
@@ -278,8 +279,12 @@ def series_solve(
 
     cur, report.converged = _iterate(report, cur, sweep, tol, kmax)
     if not report.failed:
-        final = apply_series_operator(problem, cur)
-        report.final_residual = float(np.max(np.abs(final.values - cur.values)))
+        try:
+            final = apply_series_operator(problem, cur)
+        except _NUMERICAL_FAILURES as exc:
+            _stop(report, exc, "the residual")
+        else:
+            report.final_residual = float(np.max(np.abs(final.values - cur.values)))
     return cur, report
 
 

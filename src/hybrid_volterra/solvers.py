@@ -58,7 +58,7 @@ from .operator import (
     component_deltas,
     default_init,
 )
-from .piecewise import NonFiniteValues, PiecewiseFn
+from .piecewise import NonFiniteValues, PiecewiseFn, interpolate
 
 
 @dataclass
@@ -206,7 +206,7 @@ def _sup(a: np.ndarray) -> float:
     return float(np.max(np.abs(a), initial=0.0))
 
 
-def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, times, state):
+def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, batch, state):
     """One inner sweep of the march over the segment ``nodes``.
 
     ``state`` is the current triple and the segment's history of the solved
@@ -214,11 +214,11 @@ def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, times, s
     (:func:`~.operator._freeze`) from a table of its triple; every later
     table of the segment covers only the columns of ``window``
     (:func:`~.operator._window`) and takes the rest from the history.  One
-    evaluation of the batch ``times`` against the table of the starting
+    evaluation of the segment's ``batch`` against the table of the starting
     iterate gives the continuous part on ``nodes`` and then the ``fresh``
     moving-trace entries, those the segment consumes first (index arrays
     of moving impulse and node).  eta is the new continuous part's left
-    limit at each fixed impulse time.
+    limit at each fixed impulse time, read at ``problem.tau_nodes``.
     """
     old, history = state
     if history is None:
@@ -227,12 +227,12 @@ def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, times, s
         memory = _memory(problem, old, history)
     grid = problem.grid
     n = nodes.stop - nodes.start
-    beta_at = _beta_at(old, times[0], nodes) if problem.n_sigma else None
-    out = _sc_eval(problem, old, *times, memory, beta_at)
+    beta_at = _beta_at(old, batch, nodes) if problem.n_sigma else None
+    out = _sc_eval(problem, old, batch, memory, beta_at)
     xi = old.xi.values.copy()
     xi[nodes] = out[:n]
     xi = PiecewiseFn(grid, xi)
-    eta = xi.eval(problem.tau)  # left limits at the fixed impulse times
+    eta = interpolate(xi.values, *problem.tau_nodes)  # left limits at the fixed impulse times
     beta, d_beta = old.beta, 0.0
     if out.size > n:
         rows = old.beta_rows().copy()
@@ -272,9 +272,9 @@ def segment_solve(
         end = float(grid.partition[l + 1])
         now = problem.sigma_grid <= end + EPS
         fresh = np.nonzero(now & ~consumed)
-        window, times = _window(problem, nodes, fresh, consumed)
+        window, batch = _window(problem, nodes, fresh, consumed)
         consumed = now
-        sweep = partial(_segment_sweep, problem, nodes, fresh, window, times)
+        sweep = partial(_segment_sweep, problem, nodes, fresh, window, batch)
         (cur, _), done = _iterate(report, (cur, None), sweep, tol, kmax)
         if report.failed:
             return cur, report

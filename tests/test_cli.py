@@ -118,6 +118,17 @@ quadrature: {nodes_per_segment: 16}
 solver: {kmax: 1}
 """
 
+# the series form of RESIDUAL_ERROR_FILE: one sweep takes y to 1 - 2t, and
+# its image fails on log(x1)
+SERIES_RESIDUAL_ERROR_FILE = """\
+kind: series
+horizon: 1
+y0: "1"
+kernels: ["-3*log(x1) - 2"]
+quadrature: {nodes_per_segment: 16}
+solver: {kmax: 1}
+"""
+
 # sigma is 0.5 at every sample point of the schedule but 1.1 at the grid
 # node t = 1/3 (partition [0, 0.5, 1], three panels per segment)
 SIGMA_BUMP_FILE = """\
@@ -150,6 +161,7 @@ def files(tmp_path):
         ("f2_blow_up", F2_BLOW_UP_FILE), ("f2_domain_error", F2_DOMAIN_ERROR_FILE),
         ("forcing_error", FORCING_ERROR_FILE), ("series_blow_up", SERIES_BLOW_UP_FILE),
         ("log", LOG_FILE), ("residual_error", RESIDUAL_ERROR_FILE),
+        ("series_residual_error", SERIES_RESIDUAL_ERROR_FILE),
     ]:
         path = tmp_path / f"{name}.yaml"
         path.write_text(text)
@@ -575,6 +587,25 @@ class TestSeriesSolve:
         # the last finite iterate is written
         _, left, right = read_solution_csv(csv_path)
         assert left.size and all(map(math.isfinite, [*left, *right]))
+
+    def test_residual_error_exits_4_after_writing(self, capsys, tmp_path, files):
+        report_path = tmp_path / "report.yaml"
+        csv_path = tmp_path / "y.csv"
+        code, out, err = _run(
+            capsys, "series-solve", files["series_residual_error"],
+            "--report", str(report_path), "--out", str(csv_path),
+        )
+        note = "kernel error in the residual: log of a non-positive value"
+        assert code == 4 and "Traceback" not in err
+        assert err == f"error: iteration stopped after 1 sweeps: {note}\n"
+        assert f"note: {note}" in out and "final residual: nan" in out
+        report = yaml.safe_load(report_path.read_text())
+        assert report["iterations"] == 1 and report["converged"] is False
+        assert report["notes"] == [note] and math.isnan(report["final_residual"])
+        # the last iterate, the one the sweep produced, is written
+        t, left, right = read_solution_csv(csv_path)
+        assert report["solution_csv"] == str(csv_path)
+        assert left.tolist() == right.tolist() == pytest.approx((1 - 2 * t).tolist())
 
 
 class TestConvergenceReport:

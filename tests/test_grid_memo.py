@@ -1,20 +1,21 @@
-"""The per-grid memo of located time sets.
+"""Where evaluation times fall on the grid, and who keeps it.
 
-``Grid.locate`` and the quadrature cuts (``quadrature._limits``) are
-computed once per grid and time set.  The memo must be invisible: cached
-arrays cannot be written, keys are the times' values (or the identity of a
-read-only array that owns its data) so a caller that changes its array gets
-a fresh answer, the memo stays within its bound, and a grid that has
-answered many calls gives the same bits as a fresh one.
+``Grid.locate`` and the quadrature cut of a set of limits
+(``quadrature.limits_of``) are worked out on every call and keep nothing,
+so a caller that changes its array gets a fresh answer and a grid that has
+answered many calls gives the same bits as a fresh one.  An evaluation
+batch of the operator (``operator._Batch``) locates its times once and
+keeps the answer read-only; a solve builds one batch per set of times it
+evaluates, whatever its sweep count.
 """
 
 import numpy as np
 import pytest
 
 from conftest import mixed_problem
-from hybrid_volterra import piecewise
+from hybrid_volterra.operator import EPS, _Batch
 from hybrid_volterra.piecewise import Grid, PiecewiseFn, uniform_grid
-from hybrid_volterra.quadrature import _limits, integrate_to, weight_rows
+from hybrid_volterra.quadrature import integrate_to, weight_rows
 from hybrid_volterra.solvers import picard_solve, segment_solve
 
 
@@ -41,15 +42,18 @@ def _uppers(grid, rng):
 
 
 def test_cached_arrays_are_read_only():
-    grid = _grid()
+    """What a batch keeps of where its times fall, and the grid's weights."""
+    problem = mixed_problem(panels=12)
+    grid = problem.grid
     upper = np.array([0.1, 0.35, 1.9])
-    for arrays in (grid.locate(upper), grid.locate(upper, side="right"),
-                   _limits(grid, upper)):
-        for a in arrays:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 0
+    limits = _Batch(problem, upper, upper - EPS).limits
+    assert limits.base.tolist() == grid.nodes(upper)[0].tolist()
+    for a in limits:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
     assert not grid.weights.flags.writeable
+    assert not grid.half_steps.flags.writeable
 
 
 def test_changing_the_callers_array_changes_the_answer():
@@ -67,36 +71,10 @@ def test_changing_the_callers_array_changes_the_answer():
     assert np.array_equal(fn.eval(upper), PiecewiseFn(fresh, row).eval(upper))
 
 
-def _count_searches(monkeypatch):
-    calls = []
-    segment_of = Grid.segment_of
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return segment_of(self, *args, **kwargs)
-
-    monkeypatch.setattr(Grid, "segment_of", counted)
-    return calls
-
-
-def test_read_only_array_found_by_identity(monkeypatch):
-    grid = _grid()
-    upper = np.array([0.1, 0.35, 1.9])
-    upper.setflags(write=False)
-    calls = _count_searches(monkeypatch)
-    first = _limits(grid, upper)
-    assert _limits(grid, upper) is first and len(calls) == 1
-    assert any(key[1] == id(upper) for key in grid._memo)
-    # an equal array, read-only or not, finds the same entry by its values
-    twin = upper.copy()
-    assert _limits(grid, twin) is first
-    twin.setflags(write=False)
-    assert _limits(grid, twin) is first and len(calls) == 1
-
-
 @pytest.mark.parametrize("read_only_view", [False, True])
 def test_array_changed_in_place_gets_no_stale_answer(read_only_view):
-    """A writeable array, or a read-only view of one, is keyed by its values."""
+    """A writeable array, or a read-only view of one, changed in place gets
+    the answer for its new values."""
     grid = _grid()
     rng = np.random.default_rng(3)
     row = rng.normal(size=grid.size)
@@ -111,15 +89,6 @@ def test_array_changed_in_place_gets_no_stale_answer(read_only_view):
     fresh = _fresh(grid)
     assert np.array_equal(integrate_to(grid, row, upper), integrate_to(fresh, row, upper))
     assert np.array_equal(fn.eval(upper), PiecewiseFn(fresh, row).eval(upper))
-
-
-def test_memo_stays_within_its_bound():
-    grid = _grid()
-    fn = PiecewiseFn(grid, np.arange(grid.size, dtype=float))
-    for k in range(1000):
-        fn.eval(np.array([k / 1000.0, 1.5]))
-        assert len(grid._memo) <= piecewise._MEMO_SIZE
-    assert grid._memo
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -144,7 +113,7 @@ def test_reused_grid_matches_fresh_grid_bit_for_bit(seed):
             f.eval_right(upper),
         ]
 
-    # fill the memo with these times and others, then ask again
+    # ask about these times and others, then ask again
     first = results(grid)
     for k in range(5):
         integrate_to(grid, row, upper[: k + 1])
@@ -177,6 +146,32 @@ def test_each_time_set_is_located_once(monkeypatch, solve, limit):
     assert counts[0] == counts[1] <= limit
 
 
+@pytest.mark.parametrize("solve", [picard_solve, segment_solve], ids=["picard", "segment"])
+def test_one_batch_per_time_set(monkeypatch, solve):
+    """A picard solve builds one batch, ``problem.sweep``, for every sweep
+    and the image; the march builds one more per segment, whatever the
+    sweep count."""
+    built = []
+    init = _Batch.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Batch, "__init__", counted)
+    counts = []
+    for tol in (1e-6, 1e-12):
+        built.clear()
+        problem = mixed_problem(64)
+        _, report = solve(problem, tol=tol)
+        assert report.converged
+        counts.append((len(built), report.iterations))
+        assert report.image is not None and "sweep" in vars(problem)
+    per_solve = 1 if solve is picard_solve else 1 + problem.grid.num_segments
+    assert counts[0][0] == counts[1][0] == per_solve
+    assert counts[0][1] < counts[1][1]
+
+
 @pytest.mark.parametrize("side", ["lft", "Left", "", None])
 def test_unknown_side_is_rejected(side):
     grid = _grid()
@@ -185,4 +180,3 @@ def test_unknown_side_is_rejected(side):
         grid.locate(t, side=side)
     with pytest.raises(ValueError, match="side"):
         grid.segment_of(t, side=side)
-    assert not grid._memo

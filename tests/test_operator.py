@@ -14,6 +14,7 @@ from hybrid_volterra.operator import (
     EPS,
     HybridProblem,
     SolutionTriple,
+    _Batch,
     _memory,
     _sc_eval,
     apply_operator,
@@ -59,7 +60,7 @@ class TestDefaultInit:
         assert np.array_equal(v.xi.values, x0({"t": p.grid.times}))
         assert np.array_equal(v.eta, x0({"t": p.tau}))
         assert np.array_equal(v.beta_rows(), x0({"t": p.sigma_grid}))
-        batch = p.batch(*p.sweep_batch)
+        batch = p.sweep
         assert "x0" in vars(batch)
         # the iterate owns its values: writing them leaves the batch as it was
         v.xi.values[0] = 99.0
@@ -397,8 +398,8 @@ class TestOneCumulativePerTable:
 
 
 class TestReuse:
-    """A triple stacks its traces once, and a problem keeps the iterate-free
-    part of each batch."""
+    """A triple stacks its traces once, and a batch keeps the iterate-free
+    part of its evaluation."""
 
     def test_beta_rows_built_once_and_read_only(self):
         triple = random_triple(mixed_problem(panels=16), np.random.default_rng(1))
@@ -412,36 +413,24 @@ class TestReuse:
         p = mixed_problem(panels=16)
         te = np.array([0.1, 0.7, 1.3])
         m = te - EPS
-        batch = p.batch(te, m)
-        assert p.batch(te.copy(), m.copy()) is batch
-        assert p.batch(te, m + 2 * EPS) is not batch
+        batch = _Batch(p, te, m)
         te[0] = 0.2  # the caller's array changes; the batch keeps its copy
-        assert batch.te[0] == 0.1 and p.batch(te, m) is not batch
-        sweep = p.batch(*p.sweep_batch)
-        assert p.batch(*p.sweep_batch) is sweep
-        # read-only arrays that own their data are kept by identity too
-        assert (id(p.sweep_batch[0]), id(p.sweep_batch[1])) in p._batches
+        assert batch.te[0] == 0.1
+        assert batch.limits.base.tolist() == p.grid.nodes([0.1, 0.7, 1.3])[0].tolist()
+        sweep = p.sweep
+        assert p.sweep is sweep
         assert np.array_equal(sweep.sigma[:, :p.grid.size], p.sigma_grid)
-        for a in (sweep.te, sweep.m, sweep.x0, sweep.sigma, sweep.cut,
-                  sweep.tau_below, sweep.impulse_count, sweep.g3_gate):
-            assert not a.flags.writeable
+        for b in (batch, sweep):
+            for a in (b.te, b.m, b.x0, b.sigma, b.cut, b.tau_below, b.impulse_count,
+                      b.g3_gate, *b.limits):
+                assert not a.flags.writeable
 
     def test_problems_sharing_a_grid_keep_their_own_batches(self):
         p = mixed_problem(panels=16)
         q = dataclasses.replace(p, x0=parse_kernel("1", ("t",)))
         assert q.grid is p.grid
-        te, m = p.sweep_batch
-        assert np.all(q.batch(te, m).x0 == 1.0)
-        assert not np.all(p.batch(te, m).x0 == 1.0)
-
-    def test_batch_memo_stays_within_its_bound(self):
-        p = mixed_problem(panels=16)
-        triple = random_triple(p, np.random.default_rng(0))
-        table = _memory(p, triple)
-        for k in range(2 * operator._BATCH_MEMO_SIZE):
-            te = np.array([0.1, 0.5 + k / 1000.0])
-            _sc_eval(p, triple, te, te - EPS, table)
-            assert len(p._batches) <= operator._BATCH_MEMO_SIZE
+        assert np.all(q.sweep.x0 == 1.0)
+        assert not np.all(p.sweep.x0 == 1.0)
 
 
 # the moving times and g kernels of TestGTermMask, each with whether sigma
@@ -487,7 +476,7 @@ class TestGTermMask:
         triple = random_triple(p, rng)
         te = np.concatenate([p.grid.times, rng.uniform(0.0, p.schedule.horizon, 20)])
         for m in (te - EPS, te + EPS):
-            got = _sc_eval(p, triple, te, m, _memory(p, triple))
+            got = _sc_eval(p, triple, _Batch(p, te, m), _memory(p, triple))
             ref = self._dense_g(p, triple, te, m)
             assert np.max(np.abs(got - ref)) <= 1e-14
 
@@ -520,9 +509,8 @@ class TestGTermMask:
 
         monkeypatch.setattr(quadrature, "weight_rows", counting)
         monkeypatch.setattr(operator, "weight_rows", counting)
-        te, m = p.sweep_batch
-        _sc_eval(p, triple, te, m, table)
-        assert sizes == ([] if held else [te.size])
+        _sc_eval(p, triple, p.sweep, table)
+        assert sizes == ([] if held else [p.sweep.te.size])
 
     @pytest.mark.parametrize(
         "sigma",

@@ -319,8 +319,9 @@ class TestImageOfTheIterate:
         assert rep.converged
         rows = cli._jump_rows(problem, triple, rep.image)
         assert [row["t"] for row in rows] == bps[:2].tolist()
-        # jump_at sees the formula's jump at the horizon, one no node holds
-        assert abs(jump_at(problem, triple, bps[-1])) > 0.1
+        # no node pair holds the formula's jump there, so jump_at refuses it
+        with pytest.raises(ValueError, match="not a breakpoint"):
+            jump_at(problem, triple, bps[-1])
 
     def test_picard_evaluates_x0_once(self, monkeypatch):
         problem = mixed_problem(panels=32)
@@ -336,7 +337,7 @@ class TestImageOfTheIterate:
         _, rep = picard_solve(problem, tol=1e-12)
         assert rep.converged and rep.iterations > 1
         # the forcing term of the first iterate, at every time of a sweep
-        assert calls == [problem.sweep_batch[0].shape]
+        assert calls == [problem.sweep.te.shape]
 
     @pytest.mark.parametrize("method", ["picard", "segment"])
     def test_hv_solve_builds_one_table_per_sweep_and_one_more(
@@ -608,12 +609,12 @@ class TestMarchWork:
         sweep, sc_eval, freeze = solvers._segment_sweep, solvers._sc_eval, solvers._freeze
         row_prefix = operator.row_prefix
 
-        def recording_sweep(problem, nodes, fresh, window, times, state):
+        def recording_sweep(problem, nodes, fresh, window, batch, state):
             current[0] = {"segment": nodes.start // (problem.grid.panels + 1),
                           "window": window, "tables": [], "freezes": 0, "evals": []}
             log["sweeps"].append(current[0])
             try:
-                return sweep(problem, nodes, fresh, window, times, state)
+                return sweep(problem, nodes, fresh, window, batch, state)
             finally:
                 current[0] = outside
 
@@ -643,11 +644,12 @@ class TestMarchWork:
         once, by moving impulse and node, one tick left of their moving
         times.  The segments share no entry and cover every one."""
         grid = problem.grid
-        node_m = problem.sweep_batch[1][:grid.size]
+        node_m = problem.sweep.m[:grid.size]
         consumed = _consumed_by_segment(problem)
         for rec in log["sweeps"]:
             assert len(rec["evals"]) == 1
-            (_, _, te, m, _, _), _ = rec["evals"][0]
+            (_, _, batch, _, _), _ = rec["evals"][0]
+            te, m = batch.te, batch.m
             nodes = grid.segment_slice(rec["segment"])
             entries = tuple(np.array(sorted(consumed[rec["segment"]]), dtype=int).T)
             u = problem.sigma_grid[entries] if entries else np.zeros(0)
@@ -694,7 +696,7 @@ class TestMarchWork:
         # times of a picard sweep
         outside = log["outside"]
         assert outside["tables"] == [(0, problem.grid.size)] and outside["freezes"] == 0
-        assert [args[2] for args, _ in outside["evals"]] == [problem.sweep_batch[0]]
+        assert [args[2] for args, _ in outside["evals"]] == [problem.sweep]
 
     @pytest.mark.parametrize(
         "case", ["mixed", "impulse-after-root", "trace-past-a-breakpoint", "multi-impulse"])
@@ -735,8 +737,8 @@ class TestMarchWork:
         self._check_batches(problem, log)
         self._check_history(problem, log)
         for rec in log["sweeps"]:
-            (_, triple, te, m, _, beta_at), got = rec["evals"][0]
-            whole = sc_eval(problem, triple, te, m, memory(problem, triple), beta_at)
+            (_, triple, batch, _, beta_at), got = rec["evals"][0]
+            whole = sc_eval(problem, triple, batch, memory(problem, triple), beta_at)
             assert got.tobytes() == whole.tobytes()
         if case == "mixed":
             # some read a window with a frozen offset
