@@ -9,16 +9,16 @@ Subcommands::
     hv roots PROBLEM               crossing times of the moving impulses
     hv check-matrix A11 .. A33     verdicts for an explicit 3x3 matrix
 
-Exit codes: 0 success, 1 invalid input (including a ``--mu`` that is not
-positive and finite, a ``--tol`` that is not positive or a ``--kmax`` below
-1) or an ``--out``/``--report`` path that cannot be written, 2 separation
-requirement failed, 3 iteration did not converge, 4 a kernel domain error
-or a non-finite value in ``solve``, ``series-solve``,
-``convergence-report`` or ``analyze --estimate``.  A path that cannot be
-written exits 1 even where the run would have exited 2, 3 or 4, because
-the outputs it promised are not there.  Output is deterministic
-for fixed inputs; ``HV_SEED`` seeds the Lipschitz estimator behind
-``analyze --estimate``.
+Exit codes: 0 success, 1 invalid input (including a ``--mu`` or
+``--state-bound`` that is not positive and finite, a ``--tol`` that is not
+positive or a ``--kmax`` below 1) or an ``--out``/``--report`` path that
+cannot be written, 2 separation requirement failed, 3 iteration did not
+converge, 4 a kernel domain error or a non-finite value in ``solve``,
+``series-solve``, ``convergence-report`` or ``analyze --estimate``.  A
+path that cannot be written exits 1 even where the run would have exited
+2, 3 or 4, because the outputs it promised are not there.  Output is
+deterministic for fixed inputs; ``HV_SEED`` seeds the Lipschitz estimator
+behind ``analyze --estimate``.
 """
 
 from __future__ import annotations
@@ -382,8 +382,8 @@ def analyze(problem_file, mu, estimate, state_bound, report_path, require_separa
 
     lip = problem.lipschitz
     if estimate:
-        if state_bound <= 0:
-            _fail("--state-bound must be positive", 1)
+        if not 0 < state_bound < math.inf:
+            _fail(f"--state-bound must be positive and finite, got {state_bound!r}", 1)
         seed = _seed()
         lip = _estimated_constants(problem, state_bound, seed)
         report["lipschitz_source"] = (

@@ -59,20 +59,20 @@ the iterate it returns, and nothing evaluates the triple again for its
 jumps.  :func:`jump_at` evaluates both sides of given breakpoints, one
 tick right and one tick left, for a caller without an image.
 
-A table covers a window of columns with a history of what lies before it
-(:class:`_History`): each row's prefix there as an offset, taken as the
-first term of the running sum, so the window's prefix has the bits of the
-whole row's.  Picard, :func:`jump_at` and the residual take the whole grid
-with zero offsets.  Strict memberships let the segment march freeze the
-history once per segment (:func:`_freeze`): before the segment's own
-nodes, and before the first trace entry of each g row that the segment
-still refreshes, nothing changes while it iterates.  Its inner sweeps then
-evaluate kernels, take cumulative sums and read prefixes only over the
-segment's window (:func:`_window`), and take the G1 and G2 prefix of the
-solved impulses from the history: O(n_l + fresh columns) per sweep for
-the n_l nodes of segment l and the trace entries it refreshes, plus a
-fixed cost, where every memory kernel splits.  A t-free f2 that does not
-split still costs one N x N pass per table.
+A table spans the grid columns 0 to the ``hi`` of its window
+(:class:`_Window`).  Picard, :func:`jump_at` and the residual build one of
+the whole grid per iterate.  Strict memberships let the segment march keep
+one table per segment (:func:`_window`): before the segment's own nodes,
+and before the first trace entry of each g row that the segment still
+refreshes, nothing changes while it iterates.  Its first sweep builds the
+table; every later sweep rewrites it in place from that first changeable
+column ``live`` on, and keeps the G1 and G2 prefix of the first sweep.
+Each running sum is taken on from the table's own value at ``live``, so
+every read has the bits of a table built whole.  A sweep of segment l
+then costs O(n_l + fresh columns), for its n_l nodes and the trace
+entries it refreshes, plus a fixed cost, where every memory kernel
+splits.  A t-free f2 that does not split still costs one N x N pass per
+table.
 """
 
 from __future__ import annotations
@@ -180,9 +180,9 @@ class HybridProblem:
     ``g_terms``, each memory kernel split into time factors c(t) times
     factors over :data:`F1_GROUPS`, :data:`F2_GROUPS` or :data:`G_GROUPS`
     (:func:`~.expressions.time_split`; None when it does not split); and
-    ``whole_grid``, the history of a table over the whole grid, with
-    nothing frozen (:class:`_History`).  On first use, from those: the
-    path of each term, :attr:`g_row_impulses` and :attr:`batch_terms`;
+    ``whole_grid``, the window of a table over the whole grid
+    (:class:`_Window`).  On first use, from those: the path of each term,
+    :attr:`g_row_impulses` and :attr:`batch_terms`;
     :attr:`sweep`, the evaluation batch of one sweep; :attr:`tau_nodes`,
     where the fixed impulse times fall on the grid; and per weight mu the
     weights of the three norms (:meth:`decay`).  Any other batch belongs
@@ -233,8 +233,7 @@ class HybridProblem:
         object.__setattr__(self, "f1_terms", time_split(self.f1, F1_GROUPS))
         object.__setattr__(self, "f2_terms", time_split(self.f2, F2_GROUPS))
         object.__setattr__(self, "g_terms", time_split(self.g, G_GROUPS))
-        # the history of a table over the whole grid: nothing frozen
-        object.__setattr__(self, "whole_grid", _History(0, 0, self.grid.size, self.tau.size))
+        object.__setattr__(self, "whole_grid", _Window(0, self.grid.size, self.tau.size))
 
     @classmethod
     def build(
@@ -416,8 +415,8 @@ class _Batch:
     read of a memory table at ``te`` takes, and the node and fraction that
     every interpolation at ``te`` takes; ``x0`` at ``te``; ``sigma``, each
     moving time at ``te`` (n_sigma, E); ``cut``, per moving impulse
-    the number of nodes before the first with sigma_i(s) >= m (n_sigma, E),
-    the prefix its g rows keep (0 where sigma_i is not nondecreasing);
+    of ``problem.g_row_impulses`` the number of nodes before the first
+    with sigma_i(s) >= m, the prefix its g rows keep;
     ``tau_below``, tau_j < m (E, n_tau); ``impulse_count``, the number of
     fixed impulses below m; ``g3_gate``, sigma_i(te) < m and tau_j < m
     (n_sigma, n_tau, E); by :meth:`g_reads`, how the g rows of a memory
@@ -451,10 +450,10 @@ class _Batch:
 
     @_lazy
     def cut(self) -> np.ndarray:
-        problem = self.problem
-        cut = np.zeros((problem.n_sigma, self.m.size), dtype=np.intp)
-        for i in np.flatnonzero(problem.sigma_nondecreasing):
-            cut[i] = np.searchsorted(problem.sigma_grid[i], self.m)
+        impulses = self.problem.g_row_impulses
+        cut = np.empty((impulses.size, self.m.size), dtype=np.intp)
+        for k, i in enumerate(impulses):
+            cut[k] = np.searchsorted(self.problem.sigma_grid[i], self.m)
         return cut
 
     @_lazy
@@ -469,20 +468,18 @@ class _Batch:
     def g3_gate(self) -> np.ndarray:
         return (self.sigma[:, None, :] < self.m) & self.tau_below.T[None, :, :]
 
-    def g_reads(self, admitted: int, shape: tuple, first: int) -> tuple:
+    def g_reads(self, admitted: int, shape: tuple) -> tuple:
         """How the g rows of a table are read at ``te``: their
         :class:`~.quadrature.Cut`, each row cut where its sigma_i reaches m.
 
         The table holds the g rows of the first ``admitted`` fixed impulses,
-        and their prefix has ``shape`` and starts at column ``first``.
+        and their prefix has ``shape``.
         """
-        key = (admitted, shape, first)
+        key = (admitted, shape)
         found = self._g_reads.get(key)
         if found is None:
-            problem = self.problem
-            terms = len(problem.g_terms)
-            keep = np.repeat(self.cut[problem.g_row_impulses], admitted * terms, axis=0)
-            found = self._g_reads[key] = _read_only(cut(self.limits, keep, shape, first))
+            keep = np.repeat(self.cut, admitted * len(self.problem.g_terms), axis=0)
+            found = self._g_reads[key] = _read_only(cut(self.limits, keep, shape))
         return found
 
     def row_weight(self, memory: "_Memory") -> np.ndarray | None:
@@ -495,7 +492,7 @@ class _Batch:
         fixed impulses whose g rows it holds (:class:`_Memory`), so the
         weight is built once per batch and number.
         """
-        admitted = memory.history.admitted
+        admitted = memory.window.admitted
         if admitted in self._weights:
             return self._weights[admitted]
         R, n_xi = memory.rows.shape[0], memory.n_xi
@@ -523,51 +520,40 @@ class _Batch:
         return found
 
 
-class _History(NamedTuple):
-    """What the tables of one march segment take from the segments before it.
+class _Window(NamedTuple):
+    """The columns of the memory table of one march segment.
 
-    A table spans the grid columns ``lo`` to ``hi``.  Its rows are rebuilt
-    from the iterate only from column ``live`` on, a segment start: before
-    it every row reads solved segments alone (the continuous part before
-    the segment, the trace entries consumed before it, the fixed-impulse
-    values its memberships admit).  ``frozen`` holds the rows from ``lo``
-    to ``live``, (R, live - lo), and ``prefix`` each row's exclusive prefix
-    at ``lo``, (R,).  ``cumulative`` holds, per f2 term, the integral of
-    its inner factor b_r from 0 to node ``live``, (K,).  ``impulses`` is
-    the t-free G1 and G2 prefix over the fixed impulses (:func:`_impulse_prefix`)
-    of the segment's first iterate, or None to build it from each
-    iterate's eta.  ``admitted`` is the number of fixed impulses that the
-    membership times of the tables' readers admit: the tables hold no g
-    row of the others, which no reader counts.  The whole grid is
-    ``_History(0, 0, N, n_tau)`` (``HybridProblem.whole_grid``): nothing
-    frozen and zero offsets.
+    The table spans the grid columns 0 to ``hi``.  Its rows change with
+    the iterate only from column ``live`` on, a segment start: before it
+    every row reads solved segments alone (the continuous part before the
+    segment, the trace entries consumed before it, the fixed-impulse
+    values its memberships admit).  ``admitted`` is the number of fixed
+    impulses that the membership times of the table's readers admit: the
+    table holds no g row of the others, which no reader counts.  The
+    whole grid is ``_Window(0, N, n_tau)`` (``HybridProblem.whole_grid``).
     """
 
-    lo: int
     live: int
     hi: int
     admitted: int
-    prefix: np.ndarray | float = 0.0
-    frozen: np.ndarray | None = None
-    cumulative: np.ndarray | float = 0.0
-    impulses: np.ndarray | None = None
 
 
 class _Memory(NamedTuple):
     """The memory of one iterate: one table of node rows and one prefix sum.
 
-    Row r of ``rows`` (R, hi - lo) holds the columns ``lo`` to ``hi`` of
-    ``history`` and is integrated to every evaluation time t by one read
-    of ``prefix``, :func:`~.quadrature.row_prefix` of the whole table from
-    the history's offsets.  The f1 and f2 rows come first, and their
-    integrals enter the operator as they are or times a time factor c(t):
-    ``factors`` holds each factor with the indices of its rows.  Then come
-    the g rows, in the order of ``problem.g_row_impulses``, the fixed
-    impulses and ``problem.g_terms``: the integrand of moving impulse i is
-    cut to the nodes s with sigma_i(s) below the membership time, and a row
-    of fixed impulse j counts when ``tau_j < m`` (:class:`_Batch`).
-    ``impulses`` is the exclusive prefix over the fixed impulses of the
-    t-free G1 and G2 values (:func:`_impulse_prefix`), or None.
+    Row r of ``rows`` (R, hi) holds the columns 0 to ``hi`` of ``window``
+    and is integrated to every evaluation time t by one read of
+    ``prefix``, :func:`~.quadrature.row_prefix` of the whole table.  The
+    f1 and f2 rows come first, and their integrals enter the operator as
+    they are or times a time factor c(t): ``factors`` holds each factor
+    with the indices of its rows.  Then come the g rows, in the order of
+    ``problem.g_row_impulses``, the fixed impulses and ``problem.g_terms``:
+    the integrand of moving impulse i is cut to the nodes s with sigma_i(s)
+    below the membership time, and a row of fixed impulse j counts when
+    ``tau_j < m`` (:class:`_Batch`).  ``impulses`` is the exclusive prefix
+    over the fixed impulses of the t-free G1 and G2 values
+    (:func:`_impulse_prefix`), or None.  A later iterate of a march segment
+    rewrites the arrays in place (:func:`_memory`).
     """
 
     n_xi: int  # the number of f1 and f2 rows, as :func:`_xi_rows`
@@ -576,7 +562,7 @@ class _Memory(NamedTuple):
     prefix: np.ndarray
     factors: tuple
     impulses: np.ndarray | None
-    history: _History
+    window: _Window
 
 
 def _f2_square(problem: HybridProblem) -> bool:
@@ -584,24 +570,22 @@ def _f2_square(problem: HybridProblem) -> bool:
     return problem.f2_terms is None and _f2_per_time not in problem.batch_terms
 
 
-def _xi_rows(problem: HybridProblem, xi: np.ndarray, history: _History):
+def _xi_rows(problem: HybridProblem, xi: np.ndarray, cols: slice, start):
     """The f1 and f2 integrands of the continuous part ``xi`` as node rows.
 
-    The rows cover the columns ``history.live`` to ``history.hi``.  One
-    ``(c, row)`` per time factor c of ``problem.f1_terms`` and
-    ``problem.f2_terms`` (the t-free terms of a kernel summed into one row
-    with c None): the f1 integral to time t is c(t) times the integral of
-    ``row`` to t, and so is the f2 double integral, whose row holds the
-    inner integrals a_r(s) * (integral of b_r to s).  Those inner
-    integrals are returned too, (K, W) for K terms, by one
-    :func:`~.quadrature.node_cumulative` of the stacked b_r begun from
-    ``history.cumulative``, else None.  A t-free f2 that does not split
-    gives its row of inner integrals by one N x N kernel pass over the
-    whole grid.  A kernel that references t and does not split is one of
+    The rows cover the columns ``cols``, whole segments.  One ``(c, row)``
+    per time factor c of ``problem.f1_terms`` and ``problem.f2_terms`` (the
+    t-free terms of a kernel summed into one row with c None): the f1
+    integral to time t is c(t) times the integral of ``row`` to t, and so
+    is the f2 double integral, whose row holds the inner integrals a_r(s)
+    * (integral of b_r to s).  Those inner integrals are returned too,
+    (K, W) for K terms, by one :func:`~.quadrature.node_cumulative` of the
+    stacked b_r begun from ``start``, each b_r's integral up to
+    ``cols.start``, else None.  A t-free f2 that does not split gives its
+    row of inner integrals by one N x N kernel pass over the whole grid.  A kernel that references t and does not split is one of
     ``problem.batch_terms``.
     """
     grid = problem.grid
-    cols = slice(history.live, history.hi)
     times, x = grid.times[cols], xi[cols]
     # each factor references one group, so one binding serves them all
     nodes = {"s": times, "x": x, "s1": times, "x1": x}
@@ -615,7 +599,7 @@ def _xi_rows(problem: HybridProblem, xi: np.ndarray, history: _History):
         for r, (c, a, b) in enumerate(problem.f2_terms):
             outer.append((c, a.evaluate(nodes)))
             B[r] = b.evaluate(nodes)
-        cumulative = node_cumulative(grid, B, history.live, history.cumulative)
+        cumulative = node_cumulative(grid, B, cols.start, start)
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite: caught by the solver
             inner = [(c, a * cum) for (c, a), cum in zip(outer, cumulative)]
             if f2.references("t"):
@@ -660,7 +644,10 @@ def _impulse_prefix(problem: HybridProblem, eta: np.ndarray) -> np.ndarray | Non
 
 
 def _memory(
-    problem: HybridProblem, triple: SolutionTriple, history: _History | None = None
+    problem: HybridProblem,
+    triple: SolutionTriple,
+    window: _Window | None = None,
+    table: _Memory | None = None,
 ) -> _Memory:
     """The memory table of ``triple``, read by every evaluation of it.
 
@@ -669,44 +656,50 @@ def _memory(
     term (c, a) of ``problem.g_terms``: a(s, sigma_i(s), tau_j, xi(s),
     beta_i(s), eta_j) at the nodes, cut where sigma_i reaches the
     membership time.  The kernels and moving impulses left out are
-    ``problem.batch_terms``.  The rows cover the columns of
-    ``history`` (:class:`_History`; by default the whole grid): they are
-    evaluated from its live column on and copied from it before, and their
-    prefix starts from its offsets.
+    ``problem.batch_terms``.  The rows cover the columns 0 to ``window.hi``
+    (:class:`_Window`; by default the whole grid).  Given ``table``, the
+    table of an earlier iterate over the same window, the table of
+    ``triple`` is that one rewritten in place from ``window.live`` on: its
+    rows, and its prefix and f2 inner integrals taken on from their own
+    values at ``live``.  It keeps the earlier iterate's G1 and G2 prefix.
     """
     xi, eta = triple.xi.values, triple.eta
-    if history is None:
-        history = problem.whole_grid
-    entries, cumulative = _xi_rows(problem, xi, history)
+    if window is None:
+        window = problem.whole_grid
+    live = 0 if table is None else window.live
+    cols = slice(live, window.hi)
+    start = 0.0 if table is None or table.cumulative is None else table.cumulative[:, live]
+    entries, cumulative = _xi_rows(problem, xi, cols, start)
     n_xi = len(entries)
-    lo, live, hi = history.lo, history.live, history.hi
     for i in problem.g_row_impulses:
-        cols = slice(live, hi)
         times, x = problem.grid.times[cols], xi[cols]
         sig, b = problem.sigma_grid[i][cols], triple.beta[i].values[cols]
-        for tau_j, eta_j in zip(problem.tau[:history.admitted], eta):
+        for tau_j, eta_j in zip(problem.tau[:window.admitted], eta):
             nodes = {"s": times, "sig": sig, "tau": tau_j, "x": x, "beta": b, "eta": eta_j}
             entries += [(c, a.evaluate(nodes)) for c, a in problem.g_terms]
-    rows = np.empty((len(entries), hi - lo))
-    if live > lo:
-        rows[:, :live - lo] = history.frozen
-    evaluated = rows[:, live - lo:] if live > lo else rows
+    if table is not None:
+        rows = table.rows
+        for r, (_, row) in enumerate(entries):
+            rows[r, cols] = row
+        if cumulative is not None:
+            table.cumulative[:, cols] = cumulative
+        prefix = row_prefix(problem.grid, rows[:, cols], live, table.prefix[:, live])
+        table.prefix[:, live:] = prefix
+        return table
+    rows = np.empty((len(entries), window.hi))
     factors = {}
     for r, (c, row) in enumerate(entries):
-        evaluated[r] = row
+        rows[r] = row
         if c is not None:
             factors.setdefault(id(c), (c, []))[1].append(r)
-    impulses = history.impulses
-    if impulses is None:
-        impulses = _impulse_prefix(problem, eta)
     return _Memory(
         n_xi=n_xi,
         cumulative=cumulative,
         rows=rows,
-        prefix=row_prefix(problem.grid, rows, lo, history.prefix),
+        prefix=row_prefix(problem.grid, rows),
         factors=tuple(factors.values()),
-        impulses=impulses,
-        history=history,
+        impulses=_impulse_prefix(problem, eta),
+        window=window,
     )
 
 
@@ -714,16 +707,15 @@ def _read_rows(memory: _Memory, batch: _Batch) -> np.ndarray:
     """Every row of the table ``memory`` at the times of ``batch``, summed."""
     limits = batch.limits
     R, n_xi = memory.rows.shape[0], memory.n_xi
-    first = memory.history.lo
     if R == n_xi == 1 and not memory.factors:
         # one row with nothing to scale or cut, read as a row
-        return read_prefix(memory.prefix[0], memory.rows[0], limits, first=first)
-    parts = read_prefix(memory.prefix[:n_xi], memory.rows[:n_xi], limits, first=first)
+        return read_prefix(memory.prefix[0], memory.rows[0], limits)
+    parts = read_prefix(memory.prefix[:n_xi], memory.rows[:n_xi], limits)
     if R > n_xi:
         # the g rows, each cut where its sigma_i reaches the membership time
         g_prefix = memory.prefix[n_xi:]
-        reads = batch.g_reads(memory.history.admitted, g_prefix.shape, first)
-        g_parts = read_prefix(g_prefix, memory.rows[n_xi:], limits, reads, first)
+        reads = batch.g_reads(memory.window.admitted, g_prefix.shape)
+        g_parts = read_prefix(g_prefix, memory.rows[n_xi:], limits, reads)
         parts = np.concatenate([parts, g_parts])
     weight = batch.row_weight(memory)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -734,10 +726,9 @@ def _read_rows(memory: _Memory, batch: _Batch) -> np.ndarray:
 
 def _window(
     problem: HybridProblem, nodes: slice, fresh: tuple, solved: np.ndarray
-) -> tuple[_History, _Batch]:
-    """The columns of the tables of a march segment, as a history with
-    nothing frozen yet (:func:`_freeze` fills it in), and the batch that
-    each of its sweeps evaluates.
+) -> tuple[_Window, _Batch]:
+    """The columns of the memory table of a march segment (:class:`_Window`),
+    and the batch that each of its sweeps evaluates.
 
     The segment updates the continuous part on ``nodes``; ``fresh`` holds
     the trace entries it refreshes as index arrays (moving impulse, node)
@@ -747,12 +738,11 @@ def _window(
     time sigma_p(t), one tick left.  Table rows can change from
     ``live`` on: at the segment's nodes, and for the g rows of impulse i at
     every node whose trace entry is not yet consumed (a suffix, sigma_i
-    being nondecreasing).  ``lo`` and ``hi`` bound every column that the
-    evaluations of the segment read: the node at or below each time and
-    the next, and for a g row its prefix up to the cut.  ``live`` and
-    ``hi`` are segment boundaries, so the f2 inner integrals run over
-    whole segments; a table without rows takes the whole grid, read
-    nowhere.  ``admitted`` counts the fixed impulses below the last
+    being nondecreasing).  ``hi`` bounds every column that the evaluations
+    of the segment read: the node at or below each time and the next.
+    ``live`` and ``hi`` are segment boundaries, so the f2 inner integrals
+    run over whole segments; a table without rows takes the whole grid,
+    read nowhere.  ``admitted`` counts the fixed impulses below the last
     membership time.
     """
     grid = problem.grid
@@ -763,38 +753,10 @@ def _window(
     admitted = int(np.searchsorted(problem.tau, batch.m.max()))
     impulses = problem.g_row_impulses
     if not (problem.f1_terms or problem.f2_terms or _f2_square(problem) or impulses.size):
-        return _History(0, 0, grid.size, admitted), batch
+        return _Window(0, grid.size, admitted), batch
     live = min([nodes.start] + [int(np.count_nonzero(solved[i])) for i in impulses])
-    live -= live % w
-    base, cut = batch.limits.base, batch.cut
-    lo = min([live, int(base.min())] + [int(np.minimum(cut[i], base).min()) for i in impulses])
-    hi = max(nodes.stop, int(base.max()) + 2)
-    return _History(lo, live, min(hi + (-hi) % w, grid.size), admitted), batch
-
-
-def _freeze(
-    problem: HybridProblem, triple: SolutionTriple, window: _History
-) -> tuple[_History, _Memory]:
-    """The history of a march segment whose first iterate is ``triple``,
-    and the table of ``triple``.
-
-    ``window`` holds the segment's columns (:func:`_window`).  The table
-    spans the columns 0 to ``window.hi`` with nothing frozen, so the
-    segment's first sweep reads it as any other; the history takes from it
-    each row's prefix at ``window.lo`` and its values up to
-    ``window.live``, each f2 term's inner integral at ``window.live`` and
-    the G1 and G2 prefix.
-    """
-    lo, live, hi, admitted = window[:4]
-    table = _memory(problem, triple, _History(0, 0, hi, admitted))
-    history = _History(
-        lo, live, hi, admitted,
-        prefix=table.prefix[:, lo].copy(),
-        frozen=table.rows[:, lo:live].copy(),
-        cumulative=0.0 if table.cumulative is None else table.cumulative[:, live],
-        impulses=table.impulses,
-    )
-    return history, table
+    hi = max(nodes.stop, int(batch.limits.base.max()) + 2)
+    return _Window(live - live % w, min(hi + (-hi) % w, grid.size), admitted), batch
 
 
 def _sc_eval(problem: HybridProblem, triple: SolutionTriple, batch: _Batch,
@@ -869,8 +831,7 @@ def _G2_per_time(problem, batch, triple, beta_at, out):
 def _g_per_batch(problem, batch, triple, beta_at, out):
     """The g terms of the moving impulses whose rows the table does not
     hold, with one weight row per evaluation time.  Each impulse's gate
-    keeps the nodes with sigma_i(s) < m: its cut when sigma_i is
-    nondecreasing, else a dense mask.  It masks the integrand, not the
+    keeps the nodes with sigma_i(s) < m.  It masks the integrand, not the
     weights, so a non-finite value outside it stays out of the sum."""
     grid, te = problem.grid, batch.te
     times, xi, beta_rows = grid.times, triple.xi.values, triple.beta_rows()
@@ -879,10 +840,7 @@ def _g_per_batch(problem, batch, triple, beta_at, out):
     W = weight_rows(grid, te)
     for i in np.setdiff1d(np.arange(problem.n_sigma), problem.g_row_impulses):
         sig = problem.sigma_grid[i]
-        if problem.sigma_nondecreasing[i]:
-            gate = np.arange(grid.size) < batch.cut[i][:, None]
-        else:
-            gate = sig[None, :] < batch.m[:, None]
+        gate = sig[None, :] < batch.m[:, None]
         for j, (tau_j, eta_j) in enumerate(zip(problem.tau, triple.eta)):
             nodes = {"t": te[:, None], "s": times, "sig": sig, "tau": tau_j,
                      "x": xi, "beta": beta_rows[i], "eta": eta_j}

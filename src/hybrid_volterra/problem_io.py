@@ -97,7 +97,10 @@ class LoadedProblem:
 def _as_real(doc: dict, key: str, default=None, positive=False):
     if key not in doc or doc[key] is None:
         return default
-    v = doc[key]
+    return _real(key, doc[key], positive)
+
+
+def _real(key: str, v, positive=False) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ProblemFileError(f"{key}: expected a number, got {v!r}")
     v = float(v)
@@ -175,6 +178,7 @@ def _load_hybrid(doc: dict) -> LoadedProblem:
     tau = doc.get("tau") or []
     if not isinstance(tau, (list, tuple)):
         raise ProblemFileError("tau: expected a list of times")
+    tau = [_real(f"tau[{k}]", t) for k, t in enumerate(tau)]
     sigma = doc.get("sigma") or []
     if not isinstance(sigma, (list, tuple)) or not all(
         isinstance(s, str) for s in sigma

@@ -25,9 +25,10 @@ operator, works it out once and passes it to :func:`read_prefix` and
 * :func:`row_prefix` and :func:`read_prefix` -- the one running sum: the
   prefix sums of one row or of a table of R rows at once, ``(R, N)``,
   read at every limit as ``(R, E)``, each row with its own cut of its
-  nodes (worked out once for many tables by :func:`cut`).  A table may
-  start at a later column, with each row's sum before it as the first
-  term of its sum;
+  nodes (worked out once for many tables by :func:`cut`).  A prefix may
+  be taken on from a later column, with each row's sum before it as the
+  first term of its sum, so a table rewritten from there keeps the bits
+  of one built whole;
 * :func:`node_cumulative` -- the integral from 0 to every grid node: that
   running sum at the node plus half a step of the node's value;
 * :func:`cube_diagonal` -- the integral over the cube [0, t]^n at every
@@ -115,17 +116,13 @@ def apply_weights(W: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", W, np.broadcast_to(w, W.shape))
 
 
-def integrate_to(
-    grid: Grid, w: np.ndarray, upper: np.ndarray, keep: np.ndarray | None = None
-) -> np.ndarray:
+def integrate_to(grid: Grid, w: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Integral of the node integrand ``w`` from 0 to each ``upper``.
 
     ``w`` is either one row shared by every upper limit (shape ``(N,)``,
     ``(1, N)`` or a scalar) or one row per upper limit (shape ``(E, N)``, or
     ``(E, 1)`` for rows constant in s), where N is grid.size and E is the
-    number of upper limits.  With ``keep`` (E node counts), the integrand
-    of limit e is cut to its first ``keep[e]`` nodes and is zero from there
-    on.
+    number of upper limits.
 
     A shared row is integrated from the exclusive prefix sums of its
     weighted nodes, O(N + E); rows per limit by :func:`weight_rows`,
@@ -142,11 +139,9 @@ def integrate_to(
             f"upper limit over {N} nodes ({E} limits)"
         )
     if rows.shape[0] != 1:
-        if keep is not None:
-            rows = np.where(np.arange(N) < np.asarray(keep)[:, None], rows, 0.0)
         return apply_weights(weight_rows(grid, upper), rows)
     row = np.broadcast_to(rows[0], N)
-    return read_prefix(row_prefix(grid, row), row, limits_of(grid, upper), keep)
+    return read_prefix(row_prefix(grid, row), row, limits_of(grid, upper))
 
 
 class Cut(NamedTuple):
@@ -164,15 +159,16 @@ class Cut(NamedTuple):
     after: np.ndarray
 
 
-def cut(limits: Limits, keep: np.ndarray, shape: tuple, first: int = 0) -> Cut:
-    """The :class:`Cut` of a prefix table of ``shape`` begun at column
-    ``first``, for rows cut to their first ``keep`` nodes at the limits of
-    ``limits``: what :func:`read_prefix` works out from ``keep``, for a
-    caller that reads the same cut of many tables."""
+def cut(limits: Limits, keep: np.ndarray, shape: tuple) -> Cut:
+    """The :class:`Cut` of a prefix table of ``shape``, for rows cut to
+    their first ``keep`` nodes at the limits of ``limits``: an (E,)
+    ``keep`` cuts every row alike, an (R, E) one each row by its own, and
+    a count of N or more keeps the whole row.  Worked out once, it serves
+    every :func:`read_prefix` of the same cut of many tables."""
     base = limits.base
     # each row's prefix entries start at a multiple of its width in the flat prefix
     start = np.arange(0, int(np.prod(shape)), shape[-1]).reshape(shape[:-1] + (1,))
-    return Cut(np.minimum(keep, base) - first + start, base < keep, base + 1 < keep)
+    return Cut(np.minimum(keep, base) + start, base < keep, base + 1 < keep)
 
 
 def row_prefix(
@@ -198,34 +194,24 @@ def row_prefix(
 
 
 def read_prefix(
-    prefix: np.ndarray,
-    rows: np.ndarray,
-    limits: Limits,
-    keep: np.ndarray | None = None,
-    first: int = 0,
+    prefix: np.ndarray, rows: np.ndarray, limits: Limits, keep: Cut | None = None
 ) -> np.ndarray:
     """Integral of each node row of ``rows`` from 0 to each upper limit.
 
-    ``rows`` is one row or a table of rows over the grid columns from
-    ``first`` on, ``prefix`` is its :func:`row_prefix` begun at the same
-    column, and ``limits`` is the :class:`Limits` of the E upper limits;
-    the result has shape (E,) or (R, E), O(R E).  Every column a limit
-    reads (the node at or below it and the next) must lie in ``rows``.
-    ``keep`` cuts the integrand of row r at limit e to its first
-    ``keep[r, e]`` grid nodes, as in :func:`integrate_to`; an (E,) ``keep``
-    cuts every row alike and a count of N or more keeps the whole row.
-    ``keep`` may also be given as its :class:`Cut` for this prefix and
-    these limits.
+    ``rows`` is one row or a table of rows over the grid columns from 0
+    on, ``prefix`` is its :func:`row_prefix`, and ``limits`` is the
+    :class:`Limits` of the E upper limits; the result has shape (E,) or
+    (R, E), O(R E).  Every column a limit reads (the node at or below it
+    and the next) must lie in ``rows``.  ``keep``, the :class:`Cut` of
+    this prefix at these limits (:func:`cut`), cuts the integrand of each
+    row at each limit to its first nodes.
     """
     base, _, lo, hi = limits
-    at = base - first if first else base
-    if keep is not None and not isinstance(keep, Cut):
-        keep = cut(limits, keep, prefix.shape, first)
     with np.errstate(invalid="ignore", over="ignore"):
-        at_base = lo * rows.take(at, axis=-1)
-        after = hi * rows.take(at + 1, axis=-1)
+        at_base = lo * rows.take(base, axis=-1)
+        after = hi * rows.take(base + 1, axis=-1)
         if keep is None:
-            return prefix.take(at, axis=-1) + at_base + after
+            return prefix.take(base, axis=-1) + at_base + after
         return (
             prefix.take(keep.index)
             + np.where(keep.at_base, at_base, 0.0)

@@ -163,8 +163,9 @@ class ImpulseSchedule:
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         tau_arr = np.asarray([float(t) for t in tau], dtype=float)
-        # each fixed time is a breakpoint of its own (build_breakpoints)
-        if tau_arr.size and (np.any(tau_arr <= MERGE_TOL) or np.any(tau_arr >= horizon)):
+        # each fixed time is a breakpoint of its own (build_breakpoints); a
+        # NaN lies inside no interval and fails
+        if not np.all((tau_arr > MERGE_TOL) & (tau_arr < horizon)):
             raise ValueError(f"fixed impulse times must lie strictly inside ({MERGE_TOL:g}, horizon)")
         if tau_arr.size > 1 and not np.all(np.diff(tau_arr) > MERGE_TOL):
             raise ValueError(f"fixed impulse times must increase by more than {MERGE_TOL:g}")

@@ -16,12 +16,11 @@ Two routes to the same discrete fixed point:
   recomputed.  Because every membership test looks
   strictly into the past, values from segments not yet solved are masked
   out of every sum and integral, so the march is well posed.  For the
-  same reason the solved history is frozen once per segment: each inner
-  sweep rebuilds its memory table only over the columns its segment can
-  change and reads, and takes the prefix of the rest as an offset.  A
-  sweep of segment l costs O(n_l + fresh columns), for its n_l nodes and
-  the trace entries it refreshes, plus a fixed cost per sweep, where every
-  memory kernel splits.
+  same reason a segment keeps one memory table: its first sweep builds
+  it, and every later sweep rewrites it in place only from the first
+  column its segment can change.  A sweep of segment l costs O(n_l +
+  fresh columns), for its n_l nodes and the trace entries it refreshes,
+  plus a fixed cost per sweep, where every memory kernel splits.
 
 Both return the solution triple plus a :class:`SolveReport` with per-sweep
 component deltas (useful for checking contraction-rate predictions).  The
@@ -50,7 +49,6 @@ from .operator import (
     HybridProblem,
     SolutionTriple,
     _beta_at,
-    _freeze,
     _memory,
     _sc_eval,
     _window,
@@ -209,22 +207,19 @@ def _sup(a: np.ndarray) -> float:
 def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, batch, state):
     """One inner sweep of the march over the segment ``nodes``.
 
-    ``state`` is the current triple and the segment's history of the solved
-    segments, None before its first sweep.  That sweep freezes the history
-    (:func:`~.operator._freeze`) from a table of its triple; every later
-    table of the segment covers only the columns of ``window``
-    (:func:`~.operator._window`) and takes the rest from the history.  One
-    evaluation of the segment's ``batch`` against the table of the starting
-    iterate gives the continuous part on ``nodes`` and then the ``fresh``
-    moving-trace entries, those the segment consumes first (index arrays
-    of moving impulse and node).  eta is the new continuous part's left
-    limit at each fixed impulse time, read at ``problem.tau_nodes``.
+    ``state`` is the current triple and the segment's memory table, None
+    before its first sweep.  That sweep builds the table over the columns
+    of ``window`` (:func:`~.operator._window`) from its triple; every later
+    sweep rewrites it in place from ``window.live`` on
+    (:func:`~.operator._memory`).  One evaluation of the segment's
+    ``batch`` against the table of the starting iterate gives the
+    continuous part on ``nodes`` and then the ``fresh`` moving-trace
+    entries, those the segment consumes first (index arrays of moving
+    impulse and node).  eta is the new continuous part's left limit at
+    each fixed impulse time, read at ``problem.tau_nodes``.
     """
-    old, history = state
-    if history is None:
-        history, memory = _freeze(problem, old, window)
-    else:
-        memory = _memory(problem, old, history)
+    old, table = state
+    memory = _memory(problem, old, window, table)
     grid = problem.grid
     n = nodes.stop - nodes.start
     beta_at = _beta_at(old, batch, nodes) if problem.n_sigma else None
@@ -240,7 +235,7 @@ def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, batch, s
         beta = tuple(PiecewiseFn(grid, row) for row in rows)
         d_beta = _sup(out[n:] - old.beta_rows()[fresh])
     deltas = (_sup(xi.values - old.xi.values), _sup(eta - old.eta), d_beta)
-    return (SolutionTriple(xi, eta, beta), history), deltas
+    return (SolutionTriple(xi, eta, beta), memory), deltas
 
 
 def segment_solve(

@@ -229,6 +229,13 @@ class TestSolve:
         assert code == 1
         assert err.startswith("error:") and "position" in err
 
+    @pytest.mark.parametrize("tau", ["[0.5]", ".nan"])
+    def test_tau_that_is_no_finite_number_exits_1(self, capsys, tmp_path, tau):
+        path = tmp_path / "tau.yaml"
+        path.write_text(f"horizon: 1.0\nx0: '1'\nf1: 'x'\nsigma: ['t/2']\ntau: [{tau}]\n")
+        code, out, err = _run(capsys, "solve", str(path), "--method", "segment")
+        assert code == 1 and err.startswith("error: tau[0]: ") and out == ""
+
     def test_sigma_above_horizon_at_a_node_exits_1(self, capsys, tmp_path):
         # a bump of width 1e-5 at the node t = 1/3, which neither the
         # schedule's 1025 sample points nor its root scan come near
@@ -418,6 +425,12 @@ class TestAnalyze:
     def test_bad_mu_exits_1(self, capsys, files, value):
         code, _, err = _run(capsys, "analyze", files["exp"], "--mu", value)
         assert code == 1 and err.startswith("error: --mu ")
+
+    @pytest.mark.parametrize("value", ["0", "nan", "inf", "-inf"])
+    def test_state_bound_must_be_positive_and_finite(self, capsys, files, value):
+        code, out, err = _run(capsys, "analyze", files["exp"], "--estimate",
+                              "--state-bound", value)
+        assert code == 1 and err.startswith("error: --state-bound ") and out == ""
 
     def test_schedule_fields(self, capsys, files):
         code, out, _ = _run(capsys, "analyze", files["moving"])

@@ -138,6 +138,11 @@ class TestLoadHybrid:
         with pytest.raises(ProblemFileError, match="tau"):
             _load(tmp_path, "horizon: 1.0\ntau: 0.5\n")
 
+    @pytest.mark.parametrize("entry", ["[0.5]", "null", "{a: 1}", "true", ".nan", ".inf"])
+    def test_tau_entries_must_be_finite_numbers(self, tmp_path, entry):
+        with pytest.raises(ProblemFileError, match=r"^tau\[0\]: "):
+            _load(tmp_path, f"horizon: 1.0\nx0: '1'\nf1: 'x'\ntau: [{entry}]\n")
+
     def test_tau_out_of_range(self, tmp_path):
         with pytest.raises(ProblemFileError):
             _load(tmp_path, "horizon: 1.0\ntau: [1.5]\n")

@@ -206,6 +206,11 @@ class TestImpulseSchedule:
         with pytest.raises(ValueError):
             ImpulseSchedule.build(1.0, tau=(1.0,))
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_tau_must_be_finite(self, tau):
+        with pytest.raises(ValueError, match="fixed impulse times"):
+            ImpulseSchedule.build(1.0, tau=(tau,), sigma=("t/2",))
+
     def test_tau_must_increase(self):
         with pytest.raises(ValueError):
             ImpulseSchedule.build(1.0, tau=(0.5, 0.5))

@@ -590,28 +590,29 @@ def _consumed_by_segment(problem):
 
 
 class TestMarchWork:
-    """Each sweep of the march builds one table, of its starting iterate,
-    over its segment's window of columns, and makes one evaluation: the
-    segment's nodes and then the trace entries the segment consumes first.
-    The first sweep of a segment freezes the solved history once.
+    """Each segment of the march keeps one table, over its window of
+    columns: the segment's first sweep builds it from its starting iterate,
+    and every later sweep rewrites it from the window's first changeable
+    column.  Each sweep makes one evaluation: the segment's nodes and then
+    the trace entries the segment consumes first.
 
-    Recorded per sweep: its segment, the memory tables it builds (one row
-    prefix each, with its first column and width), whether it froze the
-    history, and each evaluation it makes, with its arguments and result;
-    work outside every sweep (the residual) is recorded apart.
+    Recorded per sweep: its segment, the row prefixes it takes (with their
+    first column and width), and each evaluation it makes, with its
+    arguments and result; work outside every sweep (the residual) is
+    recorded apart.
     """
 
     @staticmethod
     def _record(monkeypatch):
-        outside = {"segment": None, "tables": [], "freezes": 0, "evals": []}
+        outside = {"segment": None, "tables": [], "evals": []}
         log = {"sweeps": [], "outside": outside}
         current = [outside]
-        sweep, sc_eval, freeze = solvers._segment_sweep, solvers._sc_eval, solvers._freeze
+        sweep, sc_eval = solvers._segment_sweep, solvers._sc_eval
         row_prefix = operator.row_prefix
 
         def recording_sweep(problem, nodes, fresh, window, batch, state):
             current[0] = {"segment": nodes.start // (problem.grid.panels + 1),
-                          "window": window, "tables": [], "freezes": 0, "evals": []}
+                          "window": window, "tables": [], "evals": []}
             log["sweeps"].append(current[0])
             try:
                 return sweep(problem, nodes, fresh, window, batch, state)
@@ -622,10 +623,6 @@ class TestMarchWork:
             current[0]["tables"].append((first, rows.shape[-1]))
             return row_prefix(grid, rows, first, start)
 
-        def counting_freeze(*args):
-            current[0]["freezes"] += 1
-            return freeze(*args)
-
         def recording_eval(*args):
             out = sc_eval(*args)
             current[0]["evals"].append((args, out))
@@ -634,7 +631,6 @@ class TestMarchWork:
         monkeypatch.setattr(solvers, "_segment_sweep", recording_sweep)
         monkeypatch.setattr(solvers, "_sc_eval", recording_eval)
         monkeypatch.setattr(operator, "_sc_eval", recording_eval)
-        monkeypatch.setattr(solvers, "_freeze", counting_freeze)
         monkeypatch.setattr(operator, "row_prefix", counting_prefix)
         return log
 
@@ -658,18 +654,19 @@ class TestMarchWork:
         assert sum(len(s) for s in consumed) == problem.sigma_grid.size
         assert set().union(*consumed) == set(np.ndindex(problem.sigma_grid.shape))
 
-    def _check_history(self, problem, log):
-        """Every sweep builds one table.  The first sweep of each segment
-        freezes the history from a table that starts at column 0; every
-        other table spans only the window."""
-        first_sweeps = {}
+    def _check_tables(self, problem, log):
+        """Every segment keeps one table.  Its first sweep takes one row
+        prefix over the columns 0 to ``hi``, every later sweep one from
+        ``live`` to ``hi``, and every sweep of it reads the same rows."""
+        rows_of = {}
         for rec in log["sweeps"]:
-            first = rec["segment"] not in first_sweeps
-            first_sweeps.setdefault(rec["segment"], rec)
-            assert rec["freezes"] == (1 if first else 0)
-            lo, hi = rec["window"].lo, rec["window"].hi
-            assert rec["tables"] == [(0, hi) if first else (lo, hi - lo)]
-        assert sorted(first_sweeps) == list(range(problem.grid.num_segments))
+            (_, _, _, memory, _), _ = rec["evals"][0]
+            first = rec["segment"] not in rows_of
+            rows = rows_of.setdefault(rec["segment"], memory.rows)
+            live, hi = rec["window"].live, rec["window"].hi
+            assert rec["tables"] == [(0, hi) if first else (live, hi - live)]
+            assert memory.rows is rows
+        assert sorted(rows_of) == list(range(problem.grid.num_segments))
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
     def test_mixed_problem(self, monkeypatch, tol):
@@ -682,20 +679,19 @@ class TestMarchWork:
         # every entry, segments 0 and 3 none
         assert [len(c) > 0 for c in consumed] == [False, True, True, False]
         self._check_batches(problem, log)
-        self._check_history(problem, log)
-        # 33 nodes per segment.  Segment 1 rebuilds its g rows from column 0,
-        # whose trace entry it consumes; segments 2 and 3 start two columns
-        # early, where the integral to their first node reads; none spans N
+        self._check_tables(problem, log)
+        # 33 nodes per segment.  Segment 1 rewrites its g rows from column 0,
+        # whose trace entry it consumes; segments 2 and 3 from their first node
         assert problem.grid.size == 132
-        windows = {rec["segment"]: rec["window"][:3] for rec in log["sweeps"]}
-        assert windows == {0: (0, 0, 33), 1: (0, 0, 66), 2: (64, 66, 99), 3: (97, 99, 132)}
+        windows = {rec["segment"]: tuple(rec["window"][:2]) for rec in log["sweeps"]}
+        assert windows == {0: (0, 33), 1: (0, 66), 2: (66, 99), 3: (99, 132)}
         # the fixed impulses tau = 0.4 and 1.75 that each segment admits
         assert {rec["segment"]: rec["window"].admitted for rec in log["sweeps"]} == {
             0: 0, 1: 1, 2: 1, 3: 2}
         # the residual builds one table of the whole grid and evaluates the
         # times of a picard sweep
         outside = log["outside"]
-        assert outside["tables"] == [(0, problem.grid.size)] and outside["freezes"] == 0
+        assert outside["tables"] == [(0, problem.grid.size)]
         assert [args[2] for args, _ in outside["evals"]] == [problem.sweep]
 
     @pytest.mark.parametrize(
@@ -735,14 +731,14 @@ class TestMarchWork:
         _, rep = segment_solve(problem, tol=1e-12, kmax=300)
         assert rep.converged and len(log["sweeps"]) == rep.iterations
         self._check_batches(problem, log)
-        self._check_history(problem, log)
+        self._check_tables(problem, log)
         for rec in log["sweeps"]:
             (_, triple, batch, _, beta_at), got = rec["evals"][0]
             whole = sc_eval(problem, triple, batch, memory(problem, triple), beta_at)
             assert got.tobytes() == whole.tobytes()
         if case == "mixed":
-            # some read a window with a frozen offset
-            assert max(rec["window"].lo for rec in log["sweeps"]) > 0
+            # some rewrite their table from a later column
+            assert max(rec["window"].live for rec in log["sweeps"]) > 0
 
     @pytest.mark.parametrize(
         "sigma, horizon, panels, first",
@@ -766,7 +762,7 @@ class TestMarchWork:
         log = self._record(monkeypatch)
         seg, rep_s = segment_solve(problem, tol=1e-12, kmax=300)
         self._check_batches(problem, log)
-        self._check_history(problem, log)
+        self._check_tables(problem, log)
         pic, rep_p = picard_solve(problem, tol=1e-12, kmax=300)
         assert rep_s.converged and rep_p.converged
         for a, b in [(pic.xi.values, seg.xi.values), (pic.eta, seg.eta),
@@ -775,22 +771,23 @@ class TestMarchWork:
 
     @pytest.mark.parametrize(
         "f2, windows",
-        [("0.1*x*x1*exp(-t*s1)", [(0, 0, 34), (0, 0, 34)]),
-         ("0.1*x*x1/(1 + (s - s1)^2)", [(0, 0, 17), (15, 17, 34)])],
+        [("0.1*x*x1*exp(-t*s1)", [(0, 34), (0, 34)]),
+         ("0.1*x*x1/(1 + (s - s1)^2)", [(0, 17), (17, 34)])],
         ids=["per-time", "t-free"],
     )
     def test_window_of_an_unsplit_f2(self, monkeypatch, f2, windows):
         """An f2 that references t and does not split is evaluated per
         batch: its table has no rows, so each segment takes the whole grid.
-        A t-free one is a row of the table, read over each segment's window."""
+        A t-free one is a row of the table, rewritten from each segment's
+        first node."""
         problem = make_problem(2.0, tau=(1.0,), h=0.5, panels=16, x0="1", f2=f2,
                                G1="0.2*eta")
         assert problem.f2_terms is None and problem.grid.size == 34
         log = self._record(monkeypatch)
         _, rep = segment_solve(problem, tol=1e-12, kmax=300)
         assert rep.converged
-        self._check_history(problem, log)
-        got = {rec["segment"]: tuple(rec["window"][:3]) for rec in log["sweeps"]}
+        self._check_tables(problem, log)
+        got = {rec["segment"]: tuple(rec["window"][:2]) for rec in log["sweeps"]}
         assert [got[0], got[1]] == windows
 
     def test_impulse_just_after_a_root_agrees_with_picard(self):

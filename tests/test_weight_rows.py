@@ -12,8 +12,12 @@ import pytest
 from hybrid_volterra.piecewise import uniform_grid
 from hybrid_volterra.quadrature import (
     apply_weights,
+    cut,
     integrate_to,
+    limits_of,
     node_cumulative,
+    read_prefix,
+    row_prefix,
     weight_rows,
 )
 
@@ -129,9 +133,18 @@ def test_shared_row_prefix_matches_weight_rows(seed):
     assert np.max(np.abs(got - ref)) <= TOL
 
 
+def _kept(grid, rows, upper, keep):
+    """``rows`` read at ``upper``, each cut to its first ``keep`` nodes."""
+    limits = limits_of(grid, upper)
+    prefix = row_prefix(grid, rows)
+    return read_prefix(prefix, rows, limits, cut(limits, keep, prefix.shape))
+
+
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-limit"])
 def test_kept_nodes_match_dense_mask(shared):
-    """``keep`` cuts the integrand as the dense mask of node indices does."""
+    """A :func:`cut` of ``keep`` node counts cuts the integrand as the
+    dense mask of node indices does, for one row and for a table of rows,
+    here one per limit: row e read at limit e."""
     rng = np.random.default_rng(20)
     upper = _all_uppers(GRID, rng)
     base = GRID.locate(upper, side="left")
@@ -141,7 +154,8 @@ def test_kept_nodes_match_dense_mask(shared):
                            [0, GRID.size]])
     upper = np.concatenate([upper] * 4 + [upper[:2]])
     rows = rng.normal(size=(1 if shared else upper.size, GRID.size))
-    got = integrate_to(GRID, rows[0] if shared else rows, upper, keep)
+    got = _kept(GRID, rows[0], upper, keep) if shared else np.diagonal(
+        _kept(GRID, rows, upper, keep))
     kept = np.arange(GRID.size)[None, :] < keep[:, None]
     ref = apply_weights(np.where(kept, weight_rows(GRID, upper), 0.0),
                         np.broadcast_to(rows, kept.shape))
@@ -156,5 +170,5 @@ def test_shared_row_non_finite_values_raise_no_warning():
     upper = GRID.times[[0, 3, 6, 38]]
     got = integrate_to(GRID, row, upper)
     assert np.isfinite(got[:2]).all() and not np.isfinite(got[2:]).any()
-    kept = integrate_to(GRID, row, upper, np.array([0, 4, 5, 5]))
+    kept = _kept(GRID, row, upper, np.array([0, 4, 5, 5]))
     assert np.isfinite(kept).all()
