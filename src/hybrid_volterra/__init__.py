@@ -76,7 +76,6 @@ from .problem_io import (
     ProblemFileError,
     SolverSettings,
     load_problem_file,
-    read_solution_csv,
     write_report,
     write_solution_csv,
 )
@@ -146,7 +145,6 @@ __all__ = [
     "norm_mixed",
     "parse_kernel",
     "picard_solve",
-    "read_solution_csv",
     "residual",
     "segment_solve",
     "series_contraction_coefficient",

@@ -9,8 +9,9 @@ Subcommands::
     hv roots PROBLEM               crossing times of the moving impulses
     hv check-matrix A11 .. A33     verdicts for an explicit 3x3 matrix
 
-Exit codes: 0 success, 1 invalid input (including a ``--mu`` or
-``--state-bound`` that is not positive and finite, a ``--tol`` that is not
+Exit codes: 0 success, 1 invalid input (including a ``--mu`` that is not
+positive and finite, a ``--state-bound`` that is not positive or whose box
+``[-B, B]`` is wider than the largest float, a ``--tol`` that is not
 positive or a ``--kmax`` below 1) or an ``--out``/``--report`` path that
 cannot be written, 2 separation requirement failed, 3 iteration did not
 converge, 4 a kernel domain error or a non-finite value in ``solve``,
@@ -382,8 +383,13 @@ def analyze(problem_file, mu, estimate, state_bound, report_path, require_separa
 
     lip = problem.lipschitz
     if estimate:
-        if not 0 < state_bound < math.inf:
-            _fail(f"--state-bound must be positive and finite, got {state_bound!r}", 1)
+        # the state box [-bound, bound] must have a finite width to be sampled
+        if not (state_bound > 0 and math.isfinite(2 * state_bound)):
+            _fail(
+                f"--state-bound must be positive and at most {sys.float_info.max / 2!r}"
+                f" (half the largest float), got {state_bound!r}",
+                1,
+            )
         seed = _seed()
         lip = _estimated_constants(problem, state_bound, seed)
         report["lipschitz_source"] = (

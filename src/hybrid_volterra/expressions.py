@@ -640,6 +640,8 @@ def estimate_lipschitz(
         a, b = box[v]
         if b < a:
             raise ValueError(f"empty box for {v!r}: [{a}, {b}]")
+        if not math.isfinite(b - a):
+            raise ValueError(f"box for {v!r} has no finite width: [{a}, {b}]")
 
     rng = np.random.default_rng(seed)
     others = [v for v in expr.arity if v != wrt]

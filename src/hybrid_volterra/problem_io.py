@@ -27,15 +27,17 @@ integrates over a size-nodes^n array, and is refused without it.
 
 Solutions are written as CSV with header ``t,x_left,x_right``, one row per
 distinct grid time; away from breakpoints the two value columns coincide.
-Reports are YAML mappings dumped in insertion order.  Both outputs rewrite
-an existing file in place (:func:`_rewrite`).
+Reports are YAML mappings in insertion order, written by a small block
+emitter (:func:`dump_report`) byte for byte as PyYAML's block dump writes
+them; PyYAML only parses, when a problem file is loaded.  Both outputs
+rewrite an existing file in place (:func:`_rewrite`).
 """
 
 from __future__ import annotations
 
-import csv
 import locale
 import os
+import re
 import stat
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,12 +53,9 @@ from .schedule import ImpulseSchedule
 from .series import SeriesProblem
 
 
-# libyaml's C loader and dumper when PyYAML was built with it: the same
-# documents and bytes as the pure-Python classes, several times faster
-if yaml.__with_libyaml__:
-    _Loader, _Dumper = yaml.CSafeLoader, yaml.CSafeDumper
-else:
-    _Loader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
+# libyaml's C loader when PyYAML was built with it: the same documents
+# as the pure-Python class, several times faster
+_Loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class ProblemFileError(ValueError):
@@ -286,8 +285,8 @@ def write_solution_csv(path, xi: PiecewiseFn) -> None:
     """:func:`solution_rows` under the header ``t,x_left,x_right``.
 
     Each value is written as its ``repr``, rows end in CRLF: the bytes of
-    the standard library's ``csv.writer``, which :func:`read_solution_csv`
-    reads back exactly.  A row that is not a breakpoint writes its one
+    the standard library's ``csv.writer``, which ``csv.reader`` and
+    ``float`` read back exactly.  A row that is not a breakpoint writes its one
     value's text twice, so each value is formatted once.
     """
     rows, paired = _row_nodes(xi)
@@ -301,39 +300,326 @@ def write_solution_csv(path, xi: PiecewiseFn) -> None:
     _rewrite(path, "".join(["t,x_left,x_right\r\n", *lines]))
 
 
-def read_solution_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of :func:`write_solution_csv`; returns (t, left, right)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "x_left", "x_right"]:
-            raise ProblemFileError(f"{path}: expected header t,x_left,x_right")
-        cols = ([], [], [])
-        for row in reader:
-            if len(row) != 3:
-                raise ProblemFileError(f"{path}: malformed row {row!r}")
-            for c, item in zip(cols, row):
-                c.append(float(item))
-    return tuple(np.asarray(c) for c in cols)
+# Reports are written by the block emitter below, which reproduces what
+# ``yaml.dump(report, Dumper=yaml.CSafeDumper, sort_keys=False,
+# default_flow_style=False)`` writes byte for byte: libyaml's block layout,
+# its choice among plain, single- and double-quoted strings, and its
+# folding of long scalars at width 80.  Names in comments are libyaml's.
+
+_WIDTH = 80  # best_width: a scalar folds at a space past this column
+_PLAIN, _SINGLE, _DOUBLE = 0, 1, 2
+_INF = float("inf")
+
+# a character other than a printable ASCII one or a line feed: libyaml
+# writes such a string double-quoted, with escapes (it is not in unicode mode)
+_SPECIAL = re.compile(r"[^\n -~]")
+# a leading indicator, or one that ends a plain scalar's first token
+_LEADING_INDICATOR = re.compile(r"""[ #,\[\]{}&*!|>'"%@`]|[-?:](?: |\Z)|---|\.\.\.""")
+_LINE_BREAKS = frozenset("\n\r\x85\u2028\u2029")
+# the plain scalars the loader would not read back as strings ("yes",
+# "null", "1.5", "2001-01-01", ...), by first character
+_IMPLICIT = yaml.resolver.Resolver.yaml_implicit_resolvers
+_ESCAPES = {
+    "\0": "0", "\a": "a", "\b": "b", "\t": "t", "\n": "n", "\v": "v",
+    "\f": "f", "\r": "r", "\x1b": "e", '"': '"', "\\": "\\", "\x85": "N",
+    "\xa0": "_", "\u2028": "L", "\u2029": "P",
+}
 
 
-def to_builtin(obj):
-    """Recursively convert numpy scalars/arrays so YAML can dump them."""
-    if isinstance(obj, dict):
-        return {k: to_builtin(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_builtin(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_builtin(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
+def _string_style(s: str) -> int:
+    """The style libyaml's ``yaml_emitter_select_scalar_style`` gives ``s``
+    in block context, outside a simple key."""
+    if s.isidentifier() and s.isascii():
+        # letters, digits and underscores: no indicator, no space
+        return _SINGLE if _typed(s) else _PLAIN
+    if not s:
+        return _SINGLE  # a plain empty scalar reads back as null
+    if _SPECIAL.search(s):
+        return _DOUBLE
+    if "\n" in s:
+        # a space next to a line break would not survive single quotes
+        return _DOUBLE if " \n" in s or "\n " in s else _SINGLE
+    if (
+        s[-1] in " :"
+        or ": " in s
+        or " #" in s
+        or _LEADING_INDICATOR.match(s)
+        or _typed(s)
+    ):
+        return _SINGLE
+    return _PLAIN
+
+
+def _typed(s: str) -> bool:
+    """Whether the loader reads the plain scalar ``s`` as other than a string."""
+    for _, regexp in _IMPLICIT.get(s[0], ()):
+        if regexp.match(s):
+            return True
+    return False
+
+
+def _float_text(v: float) -> str:
+    """``SafeRepresenter.represent_float``: ``repr``, and a fraction before
+    an exponent so that the text reads back as a float."""
+    if v != v:
+        return ".nan"
+    if v == _INF:
+        return ".inf"
+    if v == -_INF:
+        return "-.inf"
+    text = float.__repr__(v)
+    if "." not in text and "e" in text:
+        text = text.replace("e", ".0e", 1)
+    return text
+
+
+def _scalar(v) -> tuple[str, int]:
+    """The text and style of a scalar as the safe representer gives them."""
+    kind = type(v)
+    if kind is str:
+        return v, _string_style(v)
+    if kind is float:
+        return _float_text(v), _PLAIN
+    if kind is bool:
+        return ("true" if v else "false"), _PLAIN
+    if kind is int:
+        return int.__repr__(v), _PLAIN
+    if v is None:
+        return "null", _PLAIN
+    if isinstance(v, np.generic):
+        # numpy 2 spells repr(np.float64(2.0)) "np.float64(2.0)"
+        return _scalar(v.item())
+    raise TypeError(f"cannot write a {kind.__name__} into a report")
+
+
+class _BlockEmitter:
+    """libyaml's emitter state over one report: the text so far, the
+    column, and whether the last thing written was whitespace
+    (``whitespace``) and the line so far only indentation (``indention``).
+
+    A container's ``indent`` is the column of its keys or dashes; the
+    scalars inside it fold to that column plus two.
+    """
+
+    __slots__ = ("parts", "column", "whitespace", "indention")
+
+    def __init__(self):
+        self.parts = []
+        self.column = 0
+        self.whitespace = True
+        self.indention = True
+
+    def node(self, v, indent: int, in_mapping: bool) -> None:
+        """``v`` as a mapping value (``in_mapping``) or a sequence item of
+        the container at ``indent``, -1 for the document root."""
+        if type(v) is float:
+            text, style = _float_text(v), _PLAIN
+        elif isinstance(v, dict):
+            self.mapping(v, indent)
+            return
+        elif isinstance(v, (list, tuple, np.ndarray)):
+            self.sequence(v.tolist() if isinstance(v, np.ndarray) else v, indent, in_mapping)
+            return
+        else:
+            text, style = _scalar(v)
+        if style == _PLAIN and self.column + len(text) < _WIDTH:
+            # too short to fold: the common case of write_plain_scalar
+            if not self.whitespace:
+                text = " " + text
+            self.parts.append(text)
+            self.column += len(text)
+            self.whitespace = self.indention = False
+        else:
+            self.scalar(text, style, indent + 2, True)
+
+    def mapping(self, data: dict, indent: int) -> None:
+        if not data:
+            self.indicator("{", True, True, False)
+            self.indicator("}", False, False, False)
+            return
+        indent = indent + 2 if indent >= 0 else 0
+        for key, value in data.items():
+            self.write_indent(indent)
+            text, style = _scalar(key)
+            # a simple key (at most 128 bytes, one line) shares the line of
+            # its value and is never folded
+            if style == _PLAIN and len(text) <= 128:
+                # the common case: plain text is ASCII without line breaks
+                self.parts.append(text + ":")
+                self.column += len(text) + 1
+                self.whitespace = self.indention = False
+            elif len(text.encode()) <= 128 and _LINE_BREAKS.isdisjoint(text):
+                self.scalar(text, style, indent + 2, False)
+                self.indicator(":", False, False, False)
+            else:
+                self.indicator("?", True, False, True)
+                self.scalar(text, style, indent + 2, True)
+                self.write_indent(indent)
+                self.indicator(":", True, False, True)
+            self.node(value, indent, True)
+
+    def sequence(self, items, indent: int, in_mapping: bool) -> None:
+        if not items:
+            self.indicator("[", True, True, False)
+            self.indicator("]", False, False, False)
+            return
+        # the sequence value of a simple key has its dashes at the key's column
+        if not in_mapping or self.indention:
+            indent += 2
+        for item in items:
+            self.write_indent(indent)
+            self.indicator("-", True, False, True)
+            self.node(item, indent, False)
+
+    def write_indent(self, indent: int) -> None:
+        if (not self.indention or self.column > indent
+                or (self.column == indent and not self.whitespace)):
+            self.parts.append("\n")
+            self.column = 0
+        if self.column < indent:
+            self.parts.append(" " * (indent - self.column))
+            self.column = indent
+        self.whitespace = True
+        self.indention = True
+
+    def indicator(self, text: str, need_space: bool, is_whitespace: bool,
+                  is_indention: bool) -> None:
+        if need_space and not self.whitespace:
+            text = " " + text
+        self.parts.append(text)
+        self.column += len(text)
+        self.whitespace = is_whitespace
+        self.indention = self.indention and is_indention
+
+    def scalar(self, text: str, style: int, indent: int, allow_breaks: bool) -> None:
+        if style == _PLAIN:
+            self.plain(text, indent, allow_breaks)
+        elif style == _SINGLE:
+            self.single_quoted(text, indent, allow_breaks)
+        else:
+            self.double_quoted(text, indent, allow_breaks)
+        self.whitespace = False
+        self.indention = False
+
+    def plain(self, s: str, indent: int, allow_breaks: bool) -> None:
+        """``yaml_emitter_write_plain_scalar``, for a scalar with no line break."""
+        if not self.whitespace:
+            self.parts.append(" ")
+            self.column += 1
+        self.line(s, indent, allow_breaks, False)
+
+    def single_quoted(self, s: str, indent: int, allow_breaks: bool) -> None:
+        """``yaml_emitter_write_single_quoted_scalar``."""
+        self.indicator("'", True, False, False)
+        if "\n" not in s:
+            self.line(s, indent, allow_breaks, True)
+        else:
+            spaces = breaks = False
+            last = len(s) - 1
+            for i, ch in enumerate(s):
+                if ch == " ":
+                    if (allow_breaks and not spaces and self.column > _WIDTH
+                            and 0 < i < last and s[i + 1] != " "):
+                        self.write_indent(indent)
+                    else:
+                        self.put(ch)
+                    spaces = True
+                elif ch == "\n":
+                    # one line break reads back as a space: write two
+                    if not breaks:
+                        self.parts.append("\n")
+                    self.parts.append("\n")
+                    self.column = 0
+                    self.indention = breaks = True
+                else:
+                    if breaks:
+                        self.write_indent(indent)
+                    self.put("''" if ch == "'" else ch)
+                    self.indention = spaces = breaks = False
+            if breaks:
+                self.write_indent(indent)
+        self.indicator("'", False, False, False)
+
+    def line(self, s: str, indent: int, allow_breaks: bool, quoted: bool) -> None:
+        """Write ``s``, which holds no line break, as the plain writer
+        (``quoted`` false) or the single-quoted one does: a space past the
+        width that is neither first nor last and has no space on either
+        side becomes a line break and the indent."""
+        start, column = 0, self.column
+        if allow_breaks and column + len(s) + (s.count("'") if quoted else 0) > _WIDTH + 1:
+            last = len(s) - 1
+            i = s.find(" ", 1)
+            while 0 < i < last:
+                width = i - start + (s.count("'", start, i) if quoted else 0)
+                if column + width > _WIDTH and s[i - 1] != " " and s[i + 1] != " ":
+                    piece = s[start:i]
+                    self.parts.append(piece.replace("'", "''") if quoted else piece)
+                    self.column = column + width
+                    self.indention = False
+                    self.write_indent(indent)
+                    start, column = i + 1, self.column
+                i = s.find(" ", i + 1)
+        piece = s[start:] if start else s
+        if quoted:
+            piece = piece.replace("'", "''")
+        self.parts.append(piece)
+        self.column = column + len(piece)
+
+    def double_quoted(self, s: str, indent: int, allow_breaks: bool) -> None:
+        """``yaml_emitter_write_double_quoted_scalar`` with every character
+        outside printable ASCII escaped."""
+        self.indicator('"', True, False, False)
+        spaces = False
+        last = len(s) - 1
+        for i, ch in enumerate(s):
+            if ch == " ":
+                if allow_breaks and not spaces and self.column > _WIDTH and 0 < i < last:
+                    self.write_indent(indent)
+                    if s[i + 1] == " ":
+                        self.put("\\")
+                else:
+                    self.put(ch)
+                spaces = True
+            else:
+                if not " " < ch < "\x7f" or ch == '"' or ch == "\\":
+                    ch = "\\" + _escape(ch)
+                self.put(ch)
+                spaces = False
+        self.indicator('"', False, False, False)
+
+    def put(self, text: str) -> None:
+        self.parts.append(text)
+        self.column += len(text)
+
+
+def _escape(ch: str) -> str:
+    """The escape of ``ch`` in a double-quoted scalar, after its backslash."""
+    if ch in _ESCAPES:
+        return _ESCAPES[ch]
+    code = ord(ch)
+    if code <= 0xFF:
+        return f"x{code:02X}"
+    if code <= 0xFFFF:
+        return f"u{code:04X}"
+    return f"U{code:08X}"
 
 
 def dump_report(data: dict) -> str:
-    return yaml.dump(
-        to_builtin(data), Dumper=_Dumper, sort_keys=False, default_flow_style=False
-    )
+    """The YAML text of the report mapping ``data``, in insertion order.
+
+    Values are dicts, lists and tuples of str, int, float, bool, None,
+    numpy scalars and numpy arrays.  The text is what ``yaml.dump(data,
+    Dumper=yaml.CSafeDumper, sort_keys=False, default_flow_style=False)``
+    writes, except for a string holding a lone surrogate, which PyYAML
+    cannot encode and which is written double-quoted with a ``\\uXXXX``
+    escape.
+    """
+    if not isinstance(data, dict):
+        raise TypeError(f"a report is a mapping, not a {type(data).__name__}")
+    emitter = _BlockEmitter()
+    emitter.node(data, -1, False)
+    emitter.write_indent(0)  # the document's final line break
+    return "".join(emitter.parts)
 
 
 # no O_TRUNC (see _rewrite); O_BINARY, where it exists, stops the

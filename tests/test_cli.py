@@ -13,7 +13,7 @@ import yaml
 
 from hybrid_volterra import cli, problem_io
 from hybrid_volterra.cli import main
-from hybrid_volterra.problem_io import read_solution_csv
+from oracles import read_solution_csv
 
 EXP_FILE = """\
 horizon: 1.0
@@ -431,6 +431,18 @@ class TestAnalyze:
         code, out, err = _run(capsys, "analyze", files["exp"], "--estimate",
                               "--state-bound", value)
         assert code == 1 and err.startswith("error: --state-bound ") and out == ""
+
+    def test_state_bound_box_must_have_finite_width(self, files):
+        # [-1e308, 1e308] is wider than the largest float: exit 1 with one
+        # error line, and no numpy warning printed before it
+        cmd = [sys.executable, "-m", "hybrid_volterra.cli", "analyze", files["exp"],
+               "--estimate", "--state-bound", "1e308"]
+        run = subprocess.run(cmd, capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr.splitlines() == [
+            "error: --state-bound must be positive and at most 8.988465674311579e+307"
+            " (half the largest float), got 1e+308"
+        ]
 
     def test_schedule_fields(self, capsys, files):
         code, out, _ = _run(capsys, "analyze", files["moving"])

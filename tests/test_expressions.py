@@ -1,6 +1,7 @@
 """Kernel language: parsing, printing, evaluation, slope estimation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,22 @@ class TestEstimateLipschitz:
         k = parse_kernel("x", ("x",))
         with pytest.raises(ValueError):
             estimate_lipschitz(k, "x", {"x": (1.0, 1.0)})
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            {"x": (-1e308, 1e308), "x1": (0.0, 1.0)},  # width overflows
+            {"x": (0.0, 1.0), "x1": (-1e308, 1e308)},  # also off the wrt axis
+            {"x": (0.0, math.inf), "x1": (0.0, 1.0)},
+            {"x": (0.0, 1.0), "x1": (math.nan, 1.0)},
+        ],
+    )
+    def test_box_without_finite_width_rejected(self, box):
+        k = parse_kernel("x*x1", ("x", "x1"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite width"):
+                estimate_lipschitz(k, "x", box)
 
     def test_too_few_samples_rejected(self):
         k = parse_kernel("x", ("x",))

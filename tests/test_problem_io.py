@@ -12,6 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import step_problem
 from hybrid_volterra import cli, problem_io
@@ -19,12 +21,11 @@ from hybrid_volterra.problem_io import (
     ProblemFileError,
     dump_report,
     load_problem_file,
-    read_solution_csv,
     solution_rows,
-    to_builtin,
     write_report,
     write_solution_csv,
 )
+from oracles import pyyaml_dump, read_solution_csv, to_builtin
 from hybrid_volterra.series import series_solve
 from hybrid_volterra.solvers import picard_solve
 
@@ -491,3 +492,149 @@ class TestLibyaml:
         }
         assert max(map(len, data["notes"])) > 80
         assert dump_report(data) == _pure_dump(data)
+
+
+# strings each of which takes one branch of the style choice or the folding
+_AWKWARD = [
+    "", "yes", "No", "null", "~", "true", "OFF", "=", "<<", "1", "-3", "0x1f",
+    "1.5", "1e5", ".inf", "2001-12-14", "12:30:00", "---", "...", "--- x",
+    "-", "- x", "-x", "?", "? x", "a ?", ":", ": x", "a:", "a: b", "a:b",
+    "a #b", "a#b", "#a", "'a'", '"a"', "it's", "!a", "&a", "*a", "|", ">",
+    "%a", "@a", "`a", "[a]", "{a}", "a, b", " a", "a ", "a  b", "a\nb", "a\n",
+    "\na", "a \nb", "a\n b", "a\n\n\nb", "a\tb", "a\\b", "ü", "a\x00b",
+    "\x7f", "\x85", "\xa0", "\u2028", "\ufeff", "\U0001f600", " ü", " a\nb",
+    "0.5 + 0.55 * t",
+]
+_LINE_CHARS = list("ab09 :#'\"-?,[]{}&*!|>%@`.~=<\\\t") + ["ü"]
+_CHARS = st.sampled_from(_LINE_CHARS + ["\n", "\x85"])
+
+
+def _words(*gaps):
+    """Runs of words joined by ``gaps``, long enough to be folded."""
+    return st.lists(
+        st.text(st.sampled_from("abcxyz'ü"), min_size=1, max_size=12),
+        min_size=4, max_size=30,
+    ).flatmap(lambda words: st.lists(
+        st.sampled_from(gaps), min_size=len(words), max_size=len(words),
+    ).map(lambda gaps: "".join(w + g for w, g in zip(words, gaps))))
+
+
+_STRINGS = st.one_of(
+    st.sampled_from(_AWKWARD),
+    st.text(_CHARS, max_size=20),
+    st.text(_CHARS, min_size=60, max_size=300),
+    _words(" ", " ", " ", "  ", "   ", ": ", " #", " '"),
+    _words(" ", " ", "  ", "\n", "\n\n", "\n ", " \n"),
+    st.text(max_size=100),
+)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1e16, 1e22,
+                     float("inf"), float("-inf"), float("nan")]),
+)
+_SCALARS = st.one_of(
+    _STRINGS, _FLOATS, st.integers(), st.booleans(), st.none(),
+    _FLOATS.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_KEYS = st.one_of(
+    st.sampled_from(["mu", "notes", "final_residual", "yes", "null", "1"]),
+    _STRINGS,  # some hold line breaks
+    # a simple key is at most 128 bytes
+    st.text(st.sampled_from(_LINE_CHARS), min_size=120, max_size=140),
+    st.text(st.sampled_from("ab_"), min_size=120, max_size=140),
+    st.integers(), _FLOATS, st.booleans(), st.none(),
+)
+
+
+def _trees(depth):
+    if depth == 0:
+        return _SCALARS
+    sub = _trees(depth - 1)
+    return st.one_of(
+        _SCALARS,
+        st.lists(sub, max_size=4),
+        st.lists(sub, max_size=4).map(tuple),
+        st.lists(_FLOATS, max_size=4).map(np.array),
+        st.dictionaries(_KEYS, sub, max_size=4),
+    )
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+class TestEmitter:
+    """``dump_report`` writes libyaml's bytes without calling PyYAML."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(st.dictionaries(_KEYS, _trees(3), max_size=5))
+    def test_matches_libyaml_on_random_trees(self, tree):
+        assert dump_report(tree) == pyyaml_dump(tree)
+
+    @pytest.mark.parametrize("column", [1, 40, 70, 76, 78, 79, 80, 81, 120])
+    def test_matches_libyaml_around_the_fold_column(self, column):
+        # a key of the given length puts each string at that column; the
+        # nested copies run past the width
+        for text in _AWKWARD:
+            data = {"k" * column: text, "n": [[{"k": (text + " ") * 9 + text}]]}
+            assert dump_report(data) == pyyaml_dump(data), text
+
+    @pytest.mark.parametrize("head", ["", "'", "ü", "x\n", "ü\n"])
+    def test_matches_libyaml_with_a_space_at_each_column(self, head):
+        # plain, single-quoted, double-quoted, and either quoted style
+        # with a line break: a space, or two, at every column near the width
+        for k in range(70, 90):
+            for tail in (" y z", "  y", " 'y"):
+                data = {"k": head + "x" * k + tail, "s": [head + "x" * (k - 2) + tail]}
+                assert dump_report(data) == pyyaml_dump(data), (k, tail)
+
+    def test_lone_surrogate_is_escaped(self):
+        # the one string class not written as PyYAML writes it: PyYAML
+        # cannot encode a lone surrogate and raises; the emitter escapes it
+        data = {"note": "x\ud800y", "list": ["\udfff" * 50 + " end"]}
+        with pytest.raises(UnicodeEncodeError):
+            pyyaml_dump(data)
+        text = dump_report(data)
+        assert text.startswith('note: "x\\uD800y"\n')
+        assert yaml.safe_load(text) == data
+
+    def test_numpy_values_read_as_python_values(self):
+        data = {"a": np.float64(2.0), "b": np.array([[1.0, np.nan]]),
+                "c": (np.int64(3), np.bool_(False)), "d": np.str_("x")}
+        assert dump_report(data) == "a: 2.0\nb:\n- - 1.0\n  - .nan\nc:\n- 3\n- false\nd: x\n"
+
+    @pytest.mark.parametrize("data", [[1], "x", None])
+    def test_report_is_a_mapping(self, data):
+        with pytest.raises(TypeError, match="mapping"):
+            dump_report(data)
+
+    def test_unknown_value_type_raises(self):
+        with pytest.raises(TypeError, match="set"):
+            dump_report({"a": {1, 2}})
+
+
+def _no_yaml_dump(*args, **kwargs):
+    raise AssertionError("yaml.dump called")
+
+
+class TestNoPyYAMLDump:
+    """Every report-writing command runs with ``yaml.dump`` unavailable."""
+
+    @pytest.mark.parametrize("path", PROBLEM_FILES, ids=lambda p: p.stem)
+    def test_commands_write_reports(self, monkeypatch, tmp_path, path):
+        monkeypatch.setattr(yaml, "dump", _no_yaml_dump)
+        monkeypatch.setattr(yaml, "dump_all", _no_yaml_dump)
+        report = tmp_path / "report.yaml"
+        if path.stem.startswith("series"):
+            commands = [["series-solve", str(path)]]
+        else:
+            commands = [
+                ["solve", str(path), "--method", "picard"],
+                ["solve", str(path), "--method", "segment"],
+                ["analyze", str(path)],
+                ["convergence-report", str(path), "--resolutions", "8,16,32"],
+            ]
+        for argv in commands:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--report", str(report)])
+            assert exc.value.code == 0, argv
+            assert isinstance(yaml.safe_load(report.read_text()), dict)
+            report.unlink()
