@@ -18,20 +18,33 @@ right-associative and its exponent may carry a unary minus (``x^-2``).
 Evaluation is numpy-vectorised: bindings may mix scalars and broadcastable
 arrays.  Division by zero and ``log`` of a non-positive value raise
 :class:`EvaluationError`, as does a power whose result is non-finite for
-finite operands.
+finite operands.  Each domain check is one call on the operand: an array's
+``.any()`` or ``.all()``, a scalar's comparison.
+
+Overflow and invalid operations give inf and nan without a floating-point
+warning.  The guards that say so are functions decorated with one shared
+``np.errstate`` (:data:`quiet`, and ``all="ignore"`` for the power), not
+``with`` blocks: on numpy 2 the decorator sets and resets the error state
+per call without building an object, at about half the cost of entering a
+block, and it keeps no state on the shared instance, so a decorated
+function may call another.  A sweep of the solvers enters many of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product as _cartesian
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 Number = Union[float, np.ndarray]
+
+# the guard of every array operation whose inf or nan the caller reports:
+# decorate a function with it, never enter it as a ``with`` block
+quiet = np.errstate(over="ignore", invalid="ignore")
+_quiet_power = np.errstate(all="ignore")
 
 _FUNCTIONS = {"exp": 1, "log": 1, "sin": 1, "cos": 1, "abs": 1, "min": -2, "max": -2}
 # -2 means "two or more arguments"
@@ -281,23 +294,18 @@ def _eval_node(node, bindings: Mapping[str, Number]):
         if node.op == "*":
             return a * b
         if node.op == "/":
-            if np.any(b == 0):
+            if (b == 0).any() if isinstance(b, np.ndarray) else b == 0:
                 raise EvaluationError("division by zero")
             return a / b
-        # power: guard results that leave the reals
-        with np.errstate(all="ignore"):
-            out = np.power(a, b)
-        bad = ~np.isfinite(out) & np.isfinite(a) & np.isfinite(b)
-        if np.any(bad):
-            raise EvaluationError("power produced a non-finite value")
-        return out
+        return _power(a, b)
     if isinstance(node, _Call):
         args = [_eval_node(a, bindings) for a in node.args]
         f = node.func
         if f == "exp":
             return np.exp(args[0])
         if f == "log":
-            if np.any(np.asarray(args[0]) <= 0):
+            x = args[0]
+            if (x <= 0).any() if isinstance(x, np.ndarray) else x <= 0:
                 raise EvaluationError("log of a non-positive value")
             return np.log(args[0])
         if f == "sin":
@@ -317,6 +325,23 @@ def _eval_node(node, bindings: Mapping[str, Number]):
                 out = np.maximum(out, a)
             return out
     raise TypeError(f"unknown node {node!r}")
+
+
+# the walk under the shared guard, one object made at import
+_quiet_eval = quiet(_eval_node)
+
+
+@_quiet_power
+def _power(a, b):
+    """``a ** b``, raising where the result leaves the reals: a value that
+    is not finite for finite operands.  The mask is built only when some
+    value is not finite."""
+    out = np.power(a, b)
+    if not np.isfinite(out).all() and (
+        ~np.isfinite(out) & np.isfinite(a) & np.isfinite(b)
+    ).any():
+        raise EvaluationError("power produced a non-finite value")
+    return out
 
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
@@ -478,23 +503,21 @@ def _separate(node, groups: tuple[frozenset, ...]) -> list[list] | None:
 class KernelExpr:
     """A parsed kernel: canonical source, declared arity, and its AST.
 
-    The free variables are collected once, when the kernel is built.
+    The free variables are collected once, when the kernel is built, and
+    so is ``plain``: whether it holds only numbers, variables, negation and
+    + - * /, so that with Python numbers bound its evaluation is Python
+    float arithmetic, which never raises a floating-point warning.
     """
 
     source: str
     arity: tuple[str, ...]
     root: object
     free: frozenset = field(init=False, repr=False, compare=False)
+    plain: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "free", _free_vars(self.root))
-
-    @cached_property
-    def plain(self) -> bool:
-        """Only numbers, variables, negation and + - * /: with Python
-        numbers bound, evaluation is Python float arithmetic, which never
-        raises a floating-point warning."""
-        return _plain_arithmetic(self.root)
+        object.__setattr__(self, "plain", _plain_arithmetic(self.root))
 
     def evaluate(self, bindings: Mapping[str, Number]) -> Number:
         """Evaluate with scalar or broadcastable array bindings.
@@ -512,8 +535,7 @@ class KernelExpr:
                     break
             else:  # Python numbers only: nothing can warn
                 return _eval_node(self.root, bindings)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _eval_node(self.root, bindings)
+        return _quiet_eval(self.root, bindings)
 
     def __call__(self, **bindings: Number) -> Number:
         return self.evaluate(bindings)
@@ -611,6 +633,11 @@ def symmetrize_second_order(expr: KernelExpr) -> KernelExpr:
     return KernelExpr(_print_node(root), expr.arity, root)
 
 
+@quiet
+def _slopes(fp: np.ndarray, fm: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    return np.abs(fp - fm) / gap
+
+
 def estimate_lipschitz(
     expr: KernelExpr,
     wrt: str,
@@ -675,8 +702,7 @@ def estimate_lipschitz(
     # a kernel free of some variables evaluates to a smaller (or 0-d) array
     fm = np.broadcast_to(np.asarray(expr.evaluate(lo_b), dtype=float), x.shape)
     fp = np.broadcast_to(np.asarray(expr.evaluate(hi_b), dtype=float), x.shape)
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite: raised below
-        slopes = np.abs(fp[keep] - fm[keep]) / gap[keep]
+    slopes = _slopes(fp[keep], fm[keep], gap[keep])  # non-finite: raised below
     if slopes.size == 0:
         raise ValueError("no usable sample pairs inside the box")
     best = float(np.max(slopes))

@@ -83,7 +83,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expressions import KernelExpr, parse_kernel, time_split, zero_kernel
+from .expressions import KernelExpr, parse_kernel, quiet, time_split, zero_kernel
 from .piecewise import Grid, PiecewiseFn, _check_mu, interpolate
 from .quadrature import (
     Limits,
@@ -482,6 +482,7 @@ class _Batch:
             found = self._g_reads[key] = _read_only(cut(self.limits, keep, shape))
         return found
 
+    @quiet
     def row_weight(self, memory: "_Memory") -> np.ndarray | None:
         """What each row of the table ``memory`` is multiplied by at ``te``
         before the rows are summed, (R, E), read-only: its time factor, or
@@ -505,8 +506,7 @@ class _Batch:
             problem = self.problem
             tau = np.repeat(problem.tau[:admitted], len(problem.g_terms))
             below = np.tile(tau[:, None] < self.m, (problem.g_row_impulses.size, 1))
-            with np.errstate(invalid="ignore"):
-                weight[n_xi:] *= below
+            weight[n_xi:] *= below
         if weight is not None:
             weight.setflags(write=False)
         self._weights[admitted] = weight
@@ -570,6 +570,7 @@ def _f2_square(problem: HybridProblem) -> bool:
     return problem.f2_terms is None and _f2_per_time not in problem.batch_terms
 
 
+@quiet
 def _xi_rows(problem: HybridProblem, xi: np.ndarray, cols: slice, start):
     """The f1 and f2 integrands of the continuous part ``xi`` as node rows.
 
@@ -600,12 +601,11 @@ def _xi_rows(problem: HybridProblem, xi: np.ndarray, cols: slice, start):
             outer.append((c, a.evaluate(nodes)))
             B[r] = b.evaluate(nodes)
         cumulative = node_cumulative(grid, B, cols.start, start)
-        with np.errstate(invalid="ignore", over="ignore"):  # non-finite: caught by the solver
-            inner = [(c, a * cum) for (c, a), cum in zip(outer, cumulative)]
-            if f2.references("t"):
-                rows += inner
-            else:
-                rows.append((None, sum((row for _, row in inner[1:]), inner[0][1])))
+        inner = [(c, a * cum) for (c, a), cum in zip(outer, cumulative)]
+        if f2.references("t"):
+            rows += inner
+        else:
+            rows.append((None, sum((row for _, row in inner[1:]), inner[0][1])))
     elif _f2_square(problem):
         F = f2.evaluate(
             {"t": 0.0, "s": grid.times[:, None], "s1": grid.times[None, :],
@@ -615,6 +615,7 @@ def _xi_rows(problem: HybridProblem, xi: np.ndarray, cols: slice, start):
     return rows, cumulative
 
 
+@quiet
 def _impulse_prefix(problem: HybridProblem, eta: np.ndarray) -> np.ndarray | None:
     """Exclusive prefix over tau of the t-free G1 and G2 terms, or None.
 
@@ -629,18 +630,17 @@ def _impulse_prefix(problem: HybridProblem, eta: np.ndarray) -> np.ndarray | Non
     if not (with_g1 or with_g2):
         return None
     per_impulse = np.zeros(tau.size)
-    with np.errstate(invalid="ignore", over="ignore"):
-        if with_g1:
-            per_impulse += G1.evaluate({"tau": tau, "eta": eta})
-        if with_g2:
-            ii, jj = problem.tau_pairs
-            vals = G2.evaluate(
-                {"taui": tau[ii], "tauj": tau[jj], "etai": eta[ii], "etaj": eta[jj]}
-            )
-            per_impulse += np.bincount(
-                ii, weights=np.broadcast_to(vals, ii.shape), minlength=tau.size
-            )
-        return np.concatenate([[0.0], np.cumsum(per_impulse)])
+    if with_g1:
+        per_impulse += G1.evaluate({"tau": tau, "eta": eta})
+    if with_g2:
+        ii, jj = problem.tau_pairs
+        vals = G2.evaluate(
+            {"taui": tau[ii], "tauj": tau[jj], "etai": eta[ii], "etaj": eta[jj]}
+        )
+        per_impulse += np.bincount(
+            ii, weights=np.broadcast_to(vals, ii.shape), minlength=tau.size
+        )
+    return np.concatenate([[0.0], np.cumsum(per_impulse)])
 
 
 def _memory(
@@ -703,6 +703,7 @@ def _memory(
     )
 
 
+@quiet
 def _read_rows(memory: _Memory, batch: _Batch) -> np.ndarray:
     """Every row of the table ``memory`` at the times of ``batch``, summed."""
     limits = batch.limits
@@ -718,10 +719,9 @@ def _read_rows(memory: _Memory, batch: _Batch) -> np.ndarray:
         g_parts = read_prefix(g_prefix, memory.rows[n_xi:], limits, reads)
         parts = np.concatenate([parts, g_parts])
     weight = batch.row_weight(memory)
-    with np.errstate(invalid="ignore", over="ignore"):
-        if weight is not None:
-            parts *= weight
-        return np.add.reduce(parts, axis=0)
+    if weight is not None:
+        parts *= weight
+    return np.add.reduce(parts, axis=0)
 
 
 def _window(
@@ -813,7 +813,7 @@ def _G1_per_time(problem, batch, triple, beta_at, out):
     vals = problem.G1.evaluate(
         {"t": batch.te[:, None], "tau": tau[None, :], "eta": eta[None, :]}
     )
-    out += np.sum(np.broadcast_to(vals, below.shape) * below, axis=1)
+    out += (vals * below).sum(axis=1)
 
 
 def _G2_per_time(problem, batch, triple, beta_at, out):
@@ -825,7 +825,7 @@ def _G2_per_time(problem, batch, triple, beta_at, out):
         {"t": batch.te[:, None], "taui": tau[ii][None, :], "tauj": tau[jj][None, :],
          "etai": eta[ii][None, :], "etaj": eta[jj][None, :]}
     )
-    out += np.sum(np.broadcast_to(vals, below.shape) * below, axis=1)
+    out += (vals * below).sum(axis=1)
 
 
 def _g_per_batch(problem, batch, triple, beta_at, out):
@@ -847,9 +847,13 @@ def _g_per_batch(problem, batch, triple, beta_at, out):
             for (_, a), c in zip(terms, c_at):
                 part = apply_weights(W, np.where(gate, a.evaluate(nodes), 0.0))
                 if c is not None:
-                    with np.errstate(invalid="ignore", over="ignore"):
-                        part = c * part
+                    part = _times(c, part)
                 out += part * batch.tau_below[:, j]
+
+
+@quiet
+def _times(c: np.ndarray, part: np.ndarray) -> np.ndarray:
+    return c * part
 
 
 def _G3(problem, batch, triple, beta_at, out):
@@ -862,7 +866,7 @@ def _G3(problem, batch, triple, beta_at, out):
             {"t": te, "sig": batch.sigma[i], "tau": tau[:, None],
              "beta": beta_at[i], "eta": eta[:, None]}
         )
-        out += np.sum(np.broadcast_to(vals, (tau.size, te.size)) * batch.g3_gate[i], axis=0)
+        out += (vals * batch.g3_gate[i]).sum(axis=0)
 
 
 def _beta_at(triple: SolutionTriple, batch: _Batch, nodes: slice = slice(0)) -> np.ndarray:

@@ -156,7 +156,7 @@ class PiecewiseFn:
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.size,):
             raise ValueError(f"expected {grid.size} node values, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise NonFiniteValues("node values must be finite")
         self.grid = grid
         self.values = values

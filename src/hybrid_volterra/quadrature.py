@@ -41,6 +41,12 @@ A double integral over the triangle 0 <= s1 <= s <= t of F[s, s1] takes as
 its outer integrand the inner integrals ``integrate_to(grid, F, grid.times)``,
 one row per limit s; for ``F = a(s) b(s1)`` they are
 ``a * node_cumulative(grid, b)``.
+
+Non-finite node values give non-finite integrals and raise no
+floating-point warning: the solver reports them.  The functions that do
+the arithmetic are decorated with the shared guard
+:data:`~.expressions.quiet` rather than entering ``np.errstate`` blocks:
+a sweep calls them many times, and a decorated call builds no object.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .expressions import quiet
 from .piecewise import Grid
 
 
@@ -171,6 +178,7 @@ def cut(limits: Limits, keep: np.ndarray, shape: tuple) -> Cut:
     return Cut(np.minimum(keep, base) + start, base < keep, base + 1 < keep)
 
 
+@quiet
 def row_prefix(
     grid: Grid, rows: np.ndarray, first: int = 0, start: np.ndarray | float = 0.0
 ) -> np.ndarray:
@@ -187,12 +195,12 @@ def row_prefix(
     width = rows.shape[-1]
     prefix = np.empty(rows.shape[:-1] + (width + 1,))
     prefix[..., 0] = start
-    with np.errstate(invalid="ignore", over="ignore"):
-        np.multiply(grid.weights[first:first + width], rows, out=prefix[..., 1:])
-        np.cumsum(prefix, axis=-1, out=prefix)
+    np.multiply(grid.weights[first:first + width], rows, out=prefix[..., 1:])
+    np.cumsum(prefix, axis=-1, out=prefix)
     return prefix
 
 
+@quiet
 def read_prefix(
     prefix: np.ndarray, rows: np.ndarray, limits: Limits, keep: Cut | None = None
 ) -> np.ndarray:
@@ -207,18 +215,18 @@ def read_prefix(
     row at each limit to its first nodes.
     """
     base, _, lo, hi = limits
-    with np.errstate(invalid="ignore", over="ignore"):
-        at_base = lo * rows.take(base, axis=-1)
-        after = hi * rows.take(base + 1, axis=-1)
-        if keep is None:
-            return prefix.take(base, axis=-1) + at_base + after
-        return (
-            prefix.take(keep.index)
-            + np.where(keep.at_base, at_base, 0.0)
-            + np.where(keep.after, after, 0.0)
-        )
+    at_base = lo * rows.take(base, axis=-1)
+    after = hi * rows.take(base + 1, axis=-1)
+    if keep is None:
+        return prefix.take(base, axis=-1) + at_base + after
+    return (
+        prefix.take(keep.index)
+        + np.where(keep.at_base, at_base, 0.0)
+        + np.where(keep.after, after, 0.0)
+    )
 
 
+@quiet
 def node_cumulative(
     grid: Grid, w: np.ndarray, first: int = 0, start: np.ndarray | float = 0.0
 ) -> np.ndarray:
@@ -238,8 +246,7 @@ def node_cumulative(
     if first % nodes or width % nodes or first + width > grid.size:
         raise ValueError(f"columns {first} to {first + width} are not whole segments")
     prefix = row_prefix(grid, w, first, start)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return prefix[..., :-1] + grid.half_steps[first:first + width] * w
+    return prefix[..., :-1] + grid.half_steps[first:first + width] * w
 
 
 def cube_diagonal(grid: Grid, F: np.ndarray, order: int) -> np.ndarray:

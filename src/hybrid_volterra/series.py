@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .expressions import KernelExpr, parse_kernel, time_split, zero_kernel
+from .expressions import KernelExpr, parse_kernel, quiet, time_split, zero_kernel
 from .piecewise import Grid, PiecewiseFn, norm_continuous, uniform_grid
 from .quadrature import cube_diagonal, integrate_to, node_cumulative
-from .solvers import _NUMERICAL_FAILURES, SolveReport, _iterate, _stop
+from .solvers import _NUMERICAL_FAILURES, SolveReport, _finish, _iterate, _stop
 
 # the highest order whose kernel may build a size-N^n array unasked
 MAX_ORDER = 3
@@ -190,6 +191,7 @@ def apply_series_operator(problem: SeriesProblem, y: PiecewiseFn) -> PiecewiseFn
     return PiecewiseFn(grid, out)
 
 
+@quiet
 def _split_cube(grid: Grid, kernel_terms, values: np.ndarray) -> list:
     """Cube integral at every node of each order's kernel that splits.
 
@@ -214,14 +216,13 @@ def _split_cube(grid: Grid, kernel_terms, values: np.ndarray) -> list:
         row[:] = b.evaluate(nodes)
     cumulative = iter(node_cumulative(grid, table) if slots else ())
     totals = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for terms in kernel_terms:
-            totals.append(None if terms is None else np.zeros(times.shape))
-            for c, *bs in terms or ():
-                term = 1.0 if c is None else c.evaluate(nodes)
-                for _ in bs:
-                    term = term * next(cumulative)
-                totals[-1] += term
+    for terms in kernel_terms:
+        totals.append(None if terms is None else np.zeros(times.shape))
+        for c, *bs in terms or ():
+            term = 1.0 if c is None else c.evaluate(nodes)
+            for _ in bs:
+                term = term * next(cumulative)
+            totals[-1] += term
     return totals
 
 
@@ -279,13 +280,14 @@ def series_solve(
 
     cur, report.converged = _iterate(report, cur, sweep, tol, kmax)
     if not report.failed:
-        try:
-            final = apply_series_operator(problem, cur)
-        except _NUMERICAL_FAILURES as exc:
-            _stop(report, exc, "the residual")
-        else:
-            report.final_residual = float(np.max(np.abs(final.values - cur.values)))
+        _finish(partial(_image, problem), cur, report)
     return cur, report
+
+
+def _image(problem: SeriesProblem, cur: PiecewiseFn) -> tuple[PiecewiseFn, float]:
+    """The image of ``cur`` and its sup distance from ``cur``."""
+    image = apply_series_operator(problem, cur)
+    return image, float(np.max(np.abs(image.values - cur.values)))
 
 
 def nested_equals_cube(

@@ -63,8 +63,10 @@ from .piecewise import NonFiniteValues, PiecewiseFn, interpolate
 class SolveReport:
     """What a solver did: sweep count, per-sweep deltas, final residual.
 
-    ``image`` is the operator's image of the returned iterate, None when the
-    solver failed before it or does not keep one.
+    ``image`` is the operator's image of the returned iterate (a
+    :class:`~.operator.SolutionTriple`, or the
+    :class:`~.piecewise.PiecewiseFn` of a series solve), None when the
+    solver failed before it.
     """
 
     method: str
@@ -75,7 +77,7 @@ class SolveReport:
     final_residual: float = math.nan
     notes: tuple[str, ...] = ()
     failed: bool = False  # stopped on a kernel error or a non-finite update
-    image: SolutionTriple | None = field(default=None, repr=False, compare=False)
+    image: SolutionTriple | PiecewiseFn | None = field(default=None, repr=False, compare=False)
 
     @property
     def max_deltas(self) -> list[float]:
@@ -99,7 +101,7 @@ _NUMERICAL_FAILURES = (EvaluationError, NonFiniteValues)
 
 
 def _require_finite(*arrays) -> None:
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise NonFiniteValues("non-finite update")
 
 
@@ -153,19 +155,25 @@ def _iterate(report: SolveReport, cur, sweep, tol: float, kmax: int):
     return cur, False
 
 
-def _finish(problem: HybridProblem, cur: SolutionTriple, report: SolveReport) -> None:
+def _finish(image_of, cur, report: SolveReport) -> None:
     """Keep the image of the returned iterate ``cur`` on ``report``, with its
-    unweighted sup distance from ``cur`` as the final residual, the bits of
-    :func:`~.operator.residual`.  A numerical failure there stops the solve
-    as one in a sweep does, and leaves the residual NaN."""
+    unweighted sup distance from ``cur`` as the final residual: both are
+    ``image_of(cur)``.  A numerical failure there stops the solve as one in
+    a sweep does, and leaves the residual NaN."""
     try:
-        image = apply_operator(problem, cur)
-        distance = max(component_deltas(image, cur, problem, 0.0))
+        image, distance = image_of(cur)
         _require_finite_floats(distance)
     except _NUMERICAL_FAILURES as exc:
         _stop(report, exc, "the residual")
         return
     report.image, report.final_residual = image, distance
+
+
+def _image(problem: HybridProblem, cur: SolutionTriple) -> tuple[SolutionTriple, float]:
+    """The image of ``cur`` and its unweighted sup distance from ``cur``, the
+    bits of :func:`~.operator.residual`."""
+    image = apply_operator(problem, cur)
+    return image, max(component_deltas(image, cur, problem, 0.0))
 
 
 def picard_solve(
@@ -196,12 +204,12 @@ def picard_solve(
 
     cur, report.converged = _iterate(report, cur, sweep, tol, kmax)
     if not report.failed:
-        _finish(problem, cur, report)
+        _finish(partial(_image, problem), cur, report)
     return cur, report
 
 
 def _sup(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a), initial=0.0))
+    return float(np.abs(a).max(initial=0.0))
 
 
 def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, batch, state):
@@ -276,7 +284,7 @@ def segment_solve(
         if not done:
             report.converged = False
             report.notes += (f"segment {l} hit the sweep limit",)
-    _finish(problem, cur, report)
+    _finish(partial(_image, problem), cur, report)
     return cur, report
 
 
