@@ -122,23 +122,32 @@ def char_invariants(m) -> tuple[float, float, float]:
 
     The characteristic polynomial is lambda^3 - Tr lambda^2 + S2 lambda - D.
     """
-    a = _as_matrix(m)
-    tr = a[0, 0] + a[1, 1] + a[2, 2]
+    return _invariants(_as_matrix(m).tolist())
+
+
+def _invariants(rows) -> tuple[float, float, float]:
+    """:func:`char_invariants` of a 3x3 matrix given as rows of floats."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+    tr = a00 + a11 + a22
     s2 = (
-        a[0, 0] * a[1, 1] + a[1, 1] * a[2, 2] + a[2, 2] * a[0, 0]
-        - a[0, 2] * a[2, 0] - a[1, 2] * a[2, 1] - a[0, 1] * a[1, 0]
+        a00 * a11 + a11 * a22 + a22 * a00
+        - a02 * a20 - a12 * a21 - a01 * a10
     )
     d = (
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+        a00 * (a11 * a22 - a12 * a21)
+        - a01 * (a10 * a22 - a12 * a20)
+        + a02 * (a10 * a21 - a11 * a20)
     )
     return float(tr), float(s2), float(d)
 
 
 def criterion_quantities(m) -> tuple[float, float, float, float]:
     """The four quantities whose joint positivity means radius < 1."""
-    tr, s2, d = char_invariants(m)
+    return _quantities(*char_invariants(m))
+
+
+def _quantities(tr: float, s2: float, d: float) -> tuple[float, float, float, float]:
+    """:func:`criterion_quantities` from the invariants Tr, S2 and D."""
     p0 = 1.0 - tr + s2 - d
     p1 = 3.0 - tr - s2 + 3.0 * d
     p3 = 1.0 + tr + s2 + d
@@ -215,6 +224,14 @@ def contraction_bounds(
     as mu -> infinity the six entries outside (1,2), (1,3), (3,2) vanish
     while those three stay bounded (a12, a32 -> C2 and a13 is constant).
     """
+    entries = np.array(_entries(lip, mu, horizon, h, n_tau, n_sigma))
+    return ContractionMatrix(entries, float(mu), float(horizon), float(h))
+
+
+def _entries(
+    lip: LipschitzSet, mu: float, horizon: float, h: float, n_tau: int, n_sigma: int
+) -> list[list[float]]:
+    """The entries of :func:`contraction_bounds`, as rows of Python floats."""
     if not (mu > 0 and math.isfinite(mu)):
         raise ValueError(f"mu must be positive and finite, got {mu}")
     if not (horizon > 0):
@@ -230,14 +247,11 @@ def contraction_bounds(
     c1 = lip.L1 + 2.0 * lip.l2 * T + lip.lg * n_sigma * n_tau
     c2 = lip.LG1 + 2.0 * n_tau * lip.lg2 + lip.lg * n_sigma * T + lip.lg3 * n_sigma
     b = (lip.lg * n_sigma * T + lip.lg3 * n_sigma) * n_tau
-    entries = np.array(
-        [
-            [c1 * k, c2 * r, b],
-            [c1 * k, c2 * q * r, b * q],
-            [c1 * k, c2 * r, lip.lg * n_sigma * n_tau * T * k + lip.lg3 * n_sigma * n_tau * q * r],
-        ]
-    )
-    return ContractionMatrix(entries, float(mu), T, float(h))
+    return [
+        [c1 * k, c2 * r, b],
+        [c1 * k, c2 * q * r, b * q],
+        [c1 * k, c2 * r, lip.lg * n_sigma * n_tau * T * k + lip.lg3 * n_sigma * n_tau * q * r],
+    ]
 
 
 def bounds_limits(
@@ -264,15 +278,16 @@ def find_mu(
 
     Doubling search from ``mu_min``; once a contractive weight is found the
     transition is bisected downward.  Raises :class:`NoContractiveWeight`
-    if nothing at or below ``mu_max`` works.
+    if nothing at or below ``mu_max`` works.  Each weight is tested as
+    :func:`is_contractive_criterion` tests :func:`contraction_bounds`, on
+    Python floats, with no matrix built.
     """
     if not (0 < mu_min <= mu_max):
         raise ValueError(f"need 0 < mu_min <= mu_max, got [{mu_min}, {mu_max}]")
 
     def ok(mu: float) -> bool:
-        return is_contractive_criterion(
-            contraction_bounds(lip, mu, horizon, h, n_tau, n_sigma)
-        )
+        rows = _entries(lip, mu, horizon, h, n_tau, n_sigma)
+        return all(q > 0.0 for q in _quantities(*_invariants(rows)))
 
     if ok(mu_min):
         return mu_min

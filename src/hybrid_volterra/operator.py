@@ -48,15 +48,19 @@ evaluator of the batch, chosen when the problem is built
 (:attr:`HybridProblem.batch_terms`).  What a batch needs that no iterate
 changes, where its times fall on the grid included, is built once per
 batch (:class:`_Batch`), and whatever evaluates a batch holds it.
-:func:`apply_operator` makes one evaluation per sweep, of the nodes, the
-fixed-impulse times and every moving trace at once, and a sweep of the
-segment march makes one of its segment's nodes and the trace entries it
-refreshes, both through the same table, batches and membership helpers.
-The image of a triple holds both one-sided values of every interior
-breakpoint at its duplicated node, so the jump the formula predicts there
-is the difference of the image's two values: a solver keeps the image of
-the iterate it returns, and nothing evaluates the triple again for its
-jumps.  :func:`jump_at` evaluates both sides of given breakpoints, one
+:func:`apply_operator` makes one evaluation per sweep of the batch
+``problem.sweep``: the nodes, the fixed-impulse times and every moving
+trace at once.  A sweep of the segment march makes one of its segment's
+nodes and the trace entries it refreshes, an index view of that batch
+(:class:`_Subset`), through the same table and membership helpers, so a
+problem locates and evaluates its times once however it is solved.  The
+solvers iterate one array laid out as those times, read through a
+triple-shaped view (:class:`_View`), and build a :class:`SolutionTriple`
+only for what they return.  The image of a triple holds both one-sided
+values of every interior breakpoint at its duplicated node, so the jump
+the formula predicts there is the difference of the image's two values:
+a solver keeps the image of the iterate it returns, and nothing evaluates
+the triple again for its jumps.  :func:`jump_at` evaluates both sides of given breakpoints, one
 tick right and one tick left, for a caller without an image.
 
 A table spans the grid columns 0 to the ``hi`` of its window
@@ -143,8 +147,10 @@ class _lazy:
 
     def __init__(self, build):
         self.build = build
-        self.name = build.__name__
         self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, instance, owner=None):
         if instance is None:
@@ -185,9 +191,10 @@ class HybridProblem:
     :attr:`g_row_impulses` and :attr:`batch_terms`;
     :attr:`sweep`, the evaluation batch of one sweep; :attr:`tau_nodes`,
     where the fixed impulse times fall on the grid; and per weight mu the
-    weights of the three norms (:meth:`decay`).  Any other batch belongs
-    to what evaluates it: each march segment (:func:`_window`) and each
-    :func:`jump_at` builds its own.
+    weights of the three norms (:meth:`decay`).  Each sweep and image of
+    either solver evaluates :attr:`sweep` or, in the march, an index view
+    of it (:class:`_Subset`), so a solve locates and evaluates its times
+    once; only :func:`jump_at` builds a batch of its own.
 
     The paths set the cost of a sweep in N, the number of grid nodes: O(N)
     when every memory kernel splits, O(N^2) for an f2 that does not
@@ -389,13 +396,46 @@ def default_init(problem: HybridProblem) -> SolutionTriple:
 
 def _triple(problem: HybridProblem, values: np.ndarray) -> SolutionTriple:
     """The triple whose components are ``values`` at the times of one sweep."""
+    view = _View.of(problem, values)
     grid = problem.grid
-    N, n_tau, n_sigma = grid.size, problem.n_tau, problem.n_sigma
-    return SolutionTriple(
-        PiecewiseFn(grid, values[:N]),
-        values[N:N + n_tau],
-        tuple(PiecewiseFn(grid, row) for row in values[N + n_tau:].reshape(n_sigma, N)),
-    )
+    return SolutionTriple(PiecewiseFn(grid, view.xi.values), view.eta,
+                          tuple(PiecewiseFn(grid, row) for row in view.rows))
+
+
+def _values(triple: SolutionTriple) -> np.ndarray:
+    """The components of ``triple`` as one new array laid out as the times
+    of one sweep: the inverse of :func:`_triple`."""
+    return np.concatenate([triple.xi.values, triple.eta, triple.beta_rows().reshape(-1)])
+
+
+class _Nodes(NamedTuple):
+    """The node values of a continuous part, as :class:`_View` holds them."""
+
+    values: np.ndarray
+
+
+class _View(NamedTuple):
+    """A triple-shaped view of values laid out as the times of one sweep
+    (``problem.sweep``): xi at the N nodes, then eta, then the beta rows.
+
+    It reads as a :class:`SolutionTriple` does where the operator reads
+    one (``xi.values``, ``eta`` and :meth:`beta_rows`), with no copy made
+    and no :class:`~.piecewise.PiecewiseFn` built, so a solver iterates one
+    array and builds a triple only for what it returns.
+    """
+
+    xi: _Nodes
+    eta: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, problem: HybridProblem, values: np.ndarray) -> "_View":
+        N, n_tau = problem.grid.size, problem.n_tau
+        return cls(_Nodes(values[:N]), values[N:N + n_tau],
+                   values[N + n_tau:].reshape(problem.n_sigma, N))
+
+    def beta_rows(self) -> np.ndarray:
+        return self.rows
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +446,10 @@ class _Batch:
     """The parts of one evaluation batch that no iterate changes.
 
     A batch is built by what evaluates it and kept for as long as that
-    evaluates it: ``problem.sweep`` for every picard sweep and image, one
-    per march segment (:func:`_window`), one per :func:`jump_at`.  ``te``
+    evaluates it: the problem keeps ``problem.sweep`` for every sweep and
+    image of either solver, and each :func:`jump_at` builds its own.  A
+    march segment evaluates an index view of ``problem.sweep``
+    (:class:`_Subset`), which builds no part the sweep batch holds.  ``te``
     and ``m`` are read-only copies of the evaluation and membership times.
     Each part is built on first use and read-only: ``limits``, where the
     times fall on the grid, from one :meth:`~.piecewise.Grid.locate` of
@@ -506,7 +548,7 @@ class _Batch:
             problem = self.problem
             tau = np.repeat(problem.tau[:admitted], len(problem.g_terms))
             below = np.tile(tau[:, None] < self.m, (problem.g_row_impulses.size, 1))
-            weight[n_xi:] *= below
+            weight[n_xi:] = np.where(below, weight[n_xi:], 0.0)
         if weight is not None:
             weight.setflags(write=False)
         self._weights[admitted] = weight
@@ -517,6 +559,46 @@ class _Batch:
         found = self._factors.get(id(c))
         if found is None:
             found = self._factors[id(c)] = _read_only(c.evaluate({"t": self.te}))
+        return found
+
+
+class _Subset(_Batch):
+    """The times ``index`` (an index array) of the batch ``parent``, a
+    batch of their own: a march segment evaluates its nodes and fresh trace
+    entries as such an index view of ``problem.sweep``.
+
+    ``te``, ``m`` and every part that does not depend on a memory table
+    (``limits``, ``x0``, ``sigma``, ``cut``, ``tau_below``,
+    ``impulse_count``, ``g3_gate`` and each time factor) are the parent's
+    arrays at ``index``, each indexed on first use, so the parent locates
+    and evaluates its times once for all of its subsets and its own
+    evaluations.  :meth:`g_reads` and :meth:`row_weight` follow the table
+    read, and a subset builds them as any batch does.
+    """
+
+    def __init__(self, parent: _Batch, index: np.ndarray):
+        self.problem = parent.problem
+        self.parent, self.index = parent, index
+        self.te = _read_only(parent.te[index])
+        self.m = _read_only(parent.m[index])
+        self._factors = {}
+        self._g_reads = {}
+        self._weights = {}
+
+    limits = _lazy(lambda self: Limits._make(a[self.index] for a in self.parent.limits))
+    x0 = _lazy(lambda self: self.parent.x0[self.index])
+    sigma = _lazy(lambda self: self.parent.sigma[:, self.index])
+    cut = _lazy(lambda self: self.parent.cut[:, self.index])
+    tau_below = _lazy(lambda self: self.parent.tau_below[self.index])
+    impulse_count = _lazy(lambda self: self.parent.impulse_count[self.index])
+    g3_gate = _lazy(lambda self: self.parent.g3_gate[..., self.index])
+
+    def factor(self, c: KernelExpr) -> np.ndarray:
+        found = self._factors.get(id(c))
+        if found is None:
+            whole = self.parent.factor(c)
+            found = whole if whole.ndim == 0 else _read_only(whole[self.index])
+            self._factors[id(c)] = found
         return found
 
 
@@ -583,7 +665,8 @@ def _xi_rows(problem: HybridProblem, xi: np.ndarray, cols: slice, start):
     (K, W) for K terms, by one :func:`~.quadrature.node_cumulative` of the
     stacked b_r begun from ``start``, each b_r's integral up to
     ``cols.start``, else None.  A t-free f2 that does not split gives its
-    row of inner integrals by one N x N kernel pass over the whole grid.  A kernel that references t and does not split is one of
+    row of inner integrals by one N x N kernel pass over the whole grid.
+    A kernel that references t and does not split is one of
     ``problem.batch_terms``.
     """
     grid = problem.grid
@@ -673,7 +756,7 @@ def _memory(
     n_xi = len(entries)
     for i in problem.g_row_impulses:
         times, x = problem.grid.times[cols], xi[cols]
-        sig, b = problem.sigma_grid[i][cols], triple.beta[i].values[cols]
+        sig, b = problem.sigma_grid[i][cols], triple.beta_rows()[i, cols]
         for tau_j, eta_j in zip(problem.tau[:window.admitted], eta):
             nodes = {"s": times, "sig": sig, "tau": tau_j, "x": x, "beta": b, "eta": eta_j}
             entries += [(c, a.evaluate(nodes)) for c, a in problem.g_terms]
@@ -725,17 +808,15 @@ def _read_rows(memory: _Memory, batch: _Batch) -> np.ndarray:
 
 
 def _window(
-    problem: HybridProblem, nodes: slice, fresh: tuple, solved: np.ndarray
-) -> tuple[_Window, _Batch]:
-    """The columns of the memory table of a march segment (:class:`_Window`),
-    and the batch that each of its sweeps evaluates.
+    problem: HybridProblem, nodes: slice, batch: _Batch, solved: np.ndarray
+) -> _Window:
+    """The columns of the memory table of a march segment (:class:`_Window`).
 
-    The segment updates the continuous part on ``nodes``; ``fresh`` holds
-    the trace entries it refreshes as index arrays (moving impulse, node)
-    in row-major order, and ``solved`` (n_sigma, N) marks the entries that
-    earlier segments consumed.  The times are the segment's nodes, with
-    their memberships in ``problem.sweep``, then each fresh entry's moving
-    time sigma_p(t), one tick left.  Table rows can change from
+    The segment updates the continuous part on ``nodes`` and the trace
+    entries it refreshes; ``batch``, the one that each of its sweeps
+    evaluates, holds the segment's nodes and then each fresh entry's moving
+    time sigma_p(t), one tick left, and ``solved`` (n_sigma, N) marks the
+    entries that earlier segments consumed.  Table rows can change from
     ``live`` on: at the segment's nodes, and for the g rows of impulse i at
     every node whose trace entry is not yet consumed (a suffix, sigma_i
     being nondecreasing).  ``hi`` bounds every column that the evaluations
@@ -747,16 +828,13 @@ def _window(
     """
     grid = problem.grid
     w = grid.panels + 1
-    u = problem.sigma_grid[fresh]
-    batch = _Batch(problem, np.concatenate([grid.times[nodes], u]),
-                   np.concatenate([problem.sweep.m[:grid.size][nodes], u - EPS]))
     admitted = int(np.searchsorted(problem.tau, batch.m.max()))
     impulses = problem.g_row_impulses
     if not (problem.f1_terms or problem.f2_terms or _f2_square(problem) or impulses.size):
-        return _Window(0, grid.size, admitted), batch
+        return _Window(0, grid.size, admitted)
     live = min([nodes.start] + [int(np.count_nonzero(solved[i])) for i in impulses])
     hi = max(nodes.stop, int(batch.limits.base.max()) + 2)
-    return _Window(live - live % w, min(hi + (-hi) % w, grid.size), admitted), batch
+    return _Window(live - live % w, min(hi + (-hi) % w, grid.size), admitted)
 
 
 def _sc_eval(problem: HybridProblem, triple: SolutionTriple, batch: _Batch,
@@ -764,8 +842,9 @@ def _sc_eval(problem: HybridProblem, triple: SolutionTriple, batch: _Batch,
     """The operator formula at the evaluation and membership times of
     ``batch`` (:class:`_Batch`), which holds what no iterate changes.
 
-    ``memory`` is :func:`_memory` of ``triple``, read once for the whole
-    batch, and each term the table leaves out is one of
+    ``triple`` is a :class:`SolutionTriple` or a :class:`_View`, which
+    reads as one.  ``memory`` is :func:`_memory` of ``triple``, read once
+    for the whole batch, and each term the table leaves out is one of
     ``problem.batch_terms``.  ``beta_at`` carries each beta_i already
     evaluated at the evaluation times (shape (n_sigma, E)), so node-aligned
     callers can supply the stored one-sided values instead of
@@ -813,7 +892,7 @@ def _G1_per_time(problem, batch, triple, beta_at, out):
     vals = problem.G1.evaluate(
         {"t": batch.te[:, None], "tau": tau[None, :], "eta": eta[None, :]}
     )
-    out += (vals * below).sum(axis=1)
+    out += np.where(below, vals, 0.0).sum(axis=1)
 
 
 def _G2_per_time(problem, batch, triple, beta_at, out):
@@ -825,7 +904,7 @@ def _G2_per_time(problem, batch, triple, beta_at, out):
         {"t": batch.te[:, None], "taui": tau[ii][None, :], "tauj": tau[jj][None, :],
          "etai": eta[ii][None, :], "etaj": eta[jj][None, :]}
     )
-    out += (vals * below).sum(axis=1)
+    out += np.where(below, vals, 0.0).sum(axis=1)
 
 
 def _g_per_batch(problem, batch, triple, beta_at, out):
@@ -848,7 +927,7 @@ def _g_per_batch(problem, batch, triple, beta_at, out):
                 part = apply_weights(W, np.where(gate, a.evaluate(nodes), 0.0))
                 if c is not None:
                     part = _times(c, part)
-                out += part * batch.tau_below[:, j]
+                out += np.where(batch.tau_below[:, j], part, 0.0)
 
 
 @quiet
@@ -866,7 +945,7 @@ def _G3(problem, batch, triple, beta_at, out):
             {"t": te, "sig": batch.sigma[i], "tau": tau[:, None],
              "beta": beta_at[i], "eta": eta[:, None]}
         )
-        out += (vals * batch.g3_gate[i]).sum(axis=0)
+        out += np.where(batch.g3_gate[i], vals, 0.0).sum(axis=0)
 
 
 def _beta_at(triple: SolutionTriple, batch: _Batch, nodes: slice = slice(0)) -> np.ndarray:
@@ -899,11 +978,19 @@ def apply_operator(problem: HybridProblem, triple: SolutionTriple) -> SolutionTr
     fixed-impulse value as the formula at tau_l with left memberships; each
     moving trace as the formula at sigma_p(t) with left memberships.  All
     three are one evaluation of one batch, ``problem.sweep``, against one
-    memory table of the triple.
+    memory table of the triple (:func:`_sweep_values`).
     """
+    return _triple(problem, _sweep_values(problem, triple))
+
+
+def _sweep_values(problem: HybridProblem, triple) -> np.ndarray:
+    """The image of ``triple`` (a :class:`SolutionTriple` or a
+    :class:`_View`) at the times of ``problem.sweep``, laid out as they
+    are: one evaluation of that batch against one memory table of the
+    whole grid, with beta read at its stored node values."""
     batch = problem.sweep
     beta_at = _beta_at(triple, batch, slice(None)) if problem.n_sigma else None
-    return _triple(problem, _sc_eval(problem, triple, batch, _memory(problem, triple), beta_at))
+    return _sc_eval(problem, triple, batch, _memory(problem, triple), beta_at)
 
 
 def jump_at(problem: HybridProblem, triple: SolutionTriple, alpha):

@@ -22,9 +22,22 @@ Two routes to the same discrete fixed point:
   fresh columns), for its n_l nodes and the trace entries it refreshes,
   plus a fixed cost per sweep, where every memory kernel splits.
 
+Both iterate one array laid out as the times of ``problem.sweep`` (xi at
+the N nodes, then eta, then the beta rows), which the operator reads
+through a triple-shaped view (:class:`~.operator._View`).  A picard sweep
+is one evaluation of ``problem.sweep`` on it, and its deltas are the
+maxima over each component of one weighted ``|new - old|``.  The batch of
+a march segment is an index view of ``problem.sweep`` at the segment's
+nodes and fresh trace entries (:class:`~.operator._Subset`), and its sweep
+writes its evaluation into a copy of the array at those indices.  So a
+solve locates and evaluates its times once, and every sweep checks its
+update for finiteness once.
+
 Both return the solution triple plus a :class:`SolveReport` with per-sweep
-component deltas (useful for checking contraction-rate predictions).  The
-report also keeps the image of the returned iterate, from one
+component deltas (useful for checking contraction-rate predictions); the
+triple, and the image below, are the only :class:`~.operator.SolutionTriple`
+a solve builds.  The report also keeps the image of the returned iterate,
+from one more evaluation of ``problem.sweep``, with the bits of
 :func:`~.operator.apply_operator`: the final residual is its sup distance
 from the iterate, and its two values at each duplicated breakpoint node
 give the jump the operator predicts there, so a caller needs no second
@@ -51,10 +64,12 @@ from .operator import (
     _beta_at,
     _memory,
     _sc_eval,
+    _Subset,
+    _sweep_values,
+    _triple,
+    _values,
+    _View,
     _window,
-    apply_operator,
-    component_deltas,
-    default_init,
 )
 from .piecewise import NonFiniteValues, PiecewiseFn, interpolate
 
@@ -100,11 +115,6 @@ def _default_mu(problem: HybridProblem) -> tuple[float, tuple[str, ...]]:
 _NUMERICAL_FAILURES = (EvaluationError, NonFiniteValues)
 
 
-def _require_finite(*arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise NonFiniteValues("non-finite update")
-
-
 def _require_finite_floats(*values: float) -> None:
     if not all(map(math.isfinite, values)):
         raise NonFiniteValues("non-finite update")
@@ -122,15 +132,20 @@ def _stop(report: SolveReport, exc: Exception, where: str | None = None) -> None
     report.notes += (note,)
 
 
-def _start(problem: HybridProblem, init, report: SolveReport) -> SolutionTriple | None:
-    """The first iterate: ``init``, else the forcing term; None if that fails."""
+def _start(problem: HybridProblem, init, report: SolveReport) -> np.ndarray | None:
+    """The first iterate as a new array laid out as the times of one sweep
+    (:class:`~.operator._View`): ``init``, else the forcing term x0 at
+    those times, as ``problem.sweep`` keeps it; None if that fails."""
     if init is not None:
-        return init
+        return _values(init)
     try:
-        return default_init(problem)
+        x0 = problem.sweep.x0
+        if not np.isfinite(x0).all():
+            raise NonFiniteValues("non-finite forcing term")
     except _NUMERICAL_FAILURES as exc:
         _stop(report, exc, "the forcing term x0")
         return None
+    return x0.copy()
 
 
 def _iterate(report: SolveReport, cur, sweep, tol: float, kmax: int):
@@ -169,11 +184,22 @@ def _finish(image_of, cur, report: SolveReport) -> None:
     report.image, report.final_residual = image, distance
 
 
-def _image(problem: HybridProblem, cur: SolutionTriple) -> tuple[SolutionTriple, float]:
-    """The image of ``cur`` and its unweighted sup distance from ``cur``, the
-    bits of :func:`~.operator.residual`."""
-    image = apply_operator(problem, cur)
-    return image, max(component_deltas(image, cur, problem, 0.0))
+def _swept(problem: HybridProblem, cur: np.ndarray) -> np.ndarray:
+    """The image of the iterate ``cur``, laid out as it is: one evaluation
+    of ``problem.sweep`` on a view of it (:func:`~.operator._sweep_values`).
+    Raises :class:`~.piecewise.NonFiniteValues` unless every value is
+    finite."""
+    new = _sweep_values(problem, _View.of(problem, cur))
+    if not np.isfinite(new).all():
+        raise NonFiniteValues("non-finite update")
+    return new
+
+
+def _image(problem: HybridProblem, cur: np.ndarray) -> tuple[SolutionTriple, float]:
+    """The image of the iterate ``cur`` as a triple and its unweighted sup
+    distance from ``cur``, the bits of :func:`~.operator.residual`."""
+    image = _swept(problem, cur)
+    return _triple(problem, image), float(np.abs(image - cur).max())
 
 
 def picard_solve(
@@ -187,7 +213,9 @@ def picard_solve(
 
     Stops when all three weighted component deltas fall to ``tol``, or on
     a numerical failure.  The returned triple is None only when the forcing
-    term itself fails to evaluate.
+    term itself fails to evaluate.  The deltas are those of
+    :func:`~.operator.component_deltas`, with the same bits: the maxima
+    over each component of one weighted ``|new - old|`` of the iterate.
     """
     notes: tuple[str, ...] = ()
     if mu is None:
@@ -196,16 +224,19 @@ def picard_solve(
     cur = _start(problem, init, report)
     if cur is None:
         return None, report
+    weights = np.concatenate([a.reshape(-1) for a in problem.decay(mu)])
+    N = problem.grid.size
+    components = (slice(0, N), slice(N, N + problem.n_tau), slice(N + problem.n_tau, None))
 
-    def sweep(cur: SolutionTriple):
-        new = apply_operator(problem, cur)
-        _require_finite(new.eta)
-        return new, component_deltas(new, cur, problem, mu)
+    def sweep(cur: np.ndarray):
+        new = _swept(problem, cur)
+        distance = weights * np.abs(new - cur)
+        return new, tuple(float(distance[c].max(initial=0.0)) for c in components)
 
     cur, report.converged = _iterate(report, cur, sweep, tol, kmax)
     if not report.failed:
         _finish(partial(_image, problem), cur, report)
-    return cur, report
+    return _triple(problem, cur), report
 
 
 def _sup(a: np.ndarray) -> float:
@@ -215,35 +246,34 @@ def _sup(a: np.ndarray) -> float:
 def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, batch, state):
     """One inner sweep of the march over the segment ``nodes``.
 
-    ``state`` is the current triple and the segment's memory table, None
-    before its first sweep.  That sweep builds the table over the columns
-    of ``window`` (:func:`~.operator._window`) from its triple; every later
-    sweep rewrites it in place from ``window.live`` on
+    ``state`` is the current iterate, an array laid out as the times of
+    one sweep (:class:`~.operator._View`), and the segment's memory table,
+    None before its first sweep.  That sweep builds the table over the
+    columns of ``window`` (:func:`~.operator._window`) from its iterate;
+    every later sweep rewrites it in place from ``window.live`` on
     (:func:`~.operator._memory`).  One evaluation of the segment's
-    ``batch`` against the table of the starting iterate gives the
-    continuous part on ``nodes`` and then the ``fresh`` moving-trace
-    entries, those the segment consumes first (index arrays of moving
-    impulse and node).  eta is the new continuous part's left limit at
-    each fixed impulse time, read at ``problem.tau_nodes``.
+    ``batch``, the index view of ``problem.sweep`` at ``batch.index``,
+    against the table of the starting iterate gives the continuous part on
+    ``nodes`` and then the ``fresh`` moving-trace entries, those the
+    segment consumes first (their indices in the iterate).  The new
+    iterate is a copy of the old one with those written in; eta is the new
+    continuous part's left limit at each fixed impulse time, read at
+    ``problem.tau_nodes``.
     """
     old, table = state
-    memory = _memory(problem, old, window, table)
-    grid = problem.grid
-    n = nodes.stop - nodes.start
-    beta_at = _beta_at(old, batch, nodes) if problem.n_sigma else None
-    out = _sc_eval(problem, old, batch, memory, beta_at)
-    xi = old.xi.values.copy()
-    xi[nodes] = out[:n]
-    xi = PiecewiseFn(grid, xi)
-    eta = interpolate(xi.values, *problem.tau_nodes)  # left limits at the fixed impulse times
-    beta, d_beta = old.beta, 0.0
-    if out.size > n:
-        rows = old.beta_rows().copy()
-        rows[fresh] = out[n:]
-        beta = tuple(PiecewiseFn(grid, row) for row in rows)
-        d_beta = _sup(out[n:] - old.beta_rows()[fresh])
-    deltas = (_sup(xi.values - old.xi.values), _sup(eta - old.eta), d_beta)
-    return (SolutionTriple(xi, eta, beta), memory), deltas
+    view = _View.of(problem, old)
+    memory = _memory(problem, view, window, table)
+    beta_at = _beta_at(view, batch, nodes) if problem.n_sigma else None
+    out = _sc_eval(problem, view, batch, memory, beta_at)
+    if not np.isfinite(out).all():
+        raise NonFiniteValues("non-finite update")
+    new = old.copy()
+    new[batch.index] = out
+    N, n = problem.grid.size, nodes.stop - nodes.start
+    eta = slice(N, N + problem.n_tau)
+    new[eta] = interpolate(new[:N], *problem.tau_nodes)  # left limits at the fixed impulse times
+    deltas = (_sup(out[:n] - old[nodes]), _sup(new[eta] - old[eta]), _sup(out[n:] - old[fresh]))
+    return (new, memory), deltas
 
 
 def segment_solve(
@@ -269,23 +299,25 @@ def segment_solve(
     cur = _start(problem, init, report)
     if cur is None:
         return None, report
+    traces = grid.size + problem.n_tau  # where the beta rows start in the iterate
     consumed = np.zeros(problem.sigma_grid.shape, dtype=bool)
     for l in range(grid.num_segments):
         nodes = grid.segment_slice(l)
         end = float(grid.partition[l + 1])
         now = problem.sigma_grid <= end + EPS
-        fresh = np.nonzero(now & ~consumed)
-        window, batch = _window(problem, nodes, fresh, consumed)
+        fresh = traces + np.flatnonzero(now & ~consumed)
+        batch = _Subset(problem.sweep, np.concatenate([np.arange(nodes.start, nodes.stop), fresh]))
+        window = _window(problem, nodes, batch, consumed)
         consumed = now
         sweep = partial(_segment_sweep, problem, nodes, fresh, window, batch)
         (cur, _), done = _iterate(report, (cur, None), sweep, tol, kmax)
         if report.failed:
-            return cur, report
+            return _triple(problem, cur), report
         if not done:
             report.converged = False
             report.notes += (f"segment {l} hit the sweep limit",)
     _finish(partial(_image, problem), cur, report)
-    return cur, report
+    return _triple(problem, cur), report
 
 
 # ---------------------------------------------------------------------------

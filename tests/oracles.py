@@ -6,11 +6,13 @@ computes what it computes in the plainest way.
 """
 
 import csv
+import math
 from typing import Mapping
 
 import numpy as np
 import yaml
 
+from hybrid_volterra.contraction import cubic_roots
 from hybrid_volterra.expressions import (
     EvaluationError,
     Number,
@@ -123,3 +125,99 @@ def evaluate(root, bindings: Mapping[str, Number]):
     ``np.errstate`` block."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _eval_node(root, bindings)
+
+
+# ---------------------------------------------------------------------------
+# The contraction analysis as written with one numpy bound matrix per weight:
+# what ``find_mu`` and the contraction block of ``hv analyze`` must still give
+
+
+def bounds_matrix(lip, mu, horizon, h, n_tau, n_sigma) -> np.ndarray:
+    """The entries of ``contraction.contraction_bounds``, as a numpy matrix."""
+    T = float(horizon)
+    k = -math.expm1(-mu * T) / mu
+    q = math.exp(-mu * h)
+    r = 1.0 / -math.expm1(-mu * h)
+    c1 = lip.L1 + 2.0 * lip.l2 * T + lip.lg * n_sigma * n_tau
+    c2 = lip.LG1 + 2.0 * n_tau * lip.lg2 + lip.lg * n_sigma * T + lip.lg3 * n_sigma
+    b = (lip.lg * n_sigma * T + lip.lg3 * n_sigma) * n_tau
+    return np.array(
+        [
+            [c1 * k, c2 * r, b],
+            [c1 * k, c2 * q * r, b * q],
+            [c1 * k, c2 * r, lip.lg * n_sigma * n_tau * T * k + lip.lg3 * n_sigma * n_tau * q * r],
+        ]
+    )
+
+
+def char_invariants(a: np.ndarray) -> tuple[float, float, float]:
+    """Trace, second invariant and determinant, read entry by entry."""
+    tr = a[0, 0] + a[1, 1] + a[2, 2]
+    s2 = (
+        a[0, 0] * a[1, 1] + a[1, 1] * a[2, 2] + a[2, 2] * a[0, 0]
+        - a[0, 2] * a[2, 0] - a[1, 2] * a[2, 1] - a[0, 1] * a[1, 0]
+    )
+    d = (
+        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+    )
+    return float(tr), float(s2), float(d)
+
+
+def criterion_quantities(a: np.ndarray) -> tuple[float, float, float, float]:
+    tr, s2, d = char_invariants(a)
+    p0 = 1.0 - tr + s2 - d
+    p1 = 3.0 - tr - s2 + 3.0 * d
+    p3 = 1.0 + tr + s2 + d
+    q4 = 8.0 - 8.0 * s2 + 8.0 * d * tr - 8.0 * d * d
+    return p0, p1, p3, q4
+
+
+def find_mu(lip, horizon, h, n_tau, n_sigma, mu_min=0.01, mu_max=1e6, rel_width=0.01):
+    """The smallest contractive weight by doubling and bisection, or None."""
+
+    def ok(mu):
+        return all(q > 0.0 for q in criterion_quantities(
+            bounds_matrix(lip, mu, horizon, h, n_tau, n_sigma)))
+
+    if ok(mu_min):
+        return mu_min
+    lo = mu = mu_min
+    hi = None
+    while mu < mu_max:
+        mu = min(mu * 2.0, mu_max)
+        if ok(mu):
+            hi = mu
+            break
+        lo = mu
+    if hi is None:
+        return None
+    while (hi - lo) / hi > rel_width:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def contraction_numbers(lip, horizon, h, n_tau, n_sigma, mu=None) -> dict:
+    """Every number of the contraction block of ``hv analyze``: the weight
+    (``find_mu``'s unless given), the bound matrix, its invariants, the
+    criterion quantities and the spectral radius; only the weight, None,
+    when no weight is contractive."""
+    if mu is None:
+        mu = find_mu(lip, horizon, h, n_tau, n_sigma)
+        if mu is None:
+            return {"mu": None}
+    a = bounds_matrix(lip, mu, horizon, h, n_tau, n_sigma)
+    invariants = char_invariants(a)
+    roots = cubic_roots(*invariants)
+    return {
+        "mu": float(mu),
+        "matrix": a.tolist(),
+        "invariants": list(invariants),
+        "criterion_quantities": list(criterion_quantities(a)),
+        "spectral_radius": max(abs(r) for r in roots),
+    }

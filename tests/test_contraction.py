@@ -1,12 +1,16 @@
 """Contraction analysis: invariants, disk criterion, bound matrix, mu search."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from hybrid_volterra import cli
 from hybrid_volterra.contraction import (
     ContractionMatrix,
     LipschitzSet,
@@ -22,6 +26,7 @@ from hybrid_volterra.contraction import (
     is_contractive_eigen,
     spectral_radius,
 )
+from hybrid_volterra.problem_io import load_problem_file
 
 HALF = np.diag([0.5, 0.5, 0.5])
 COMPANION = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.9, 0.0, 0.0]])
@@ -332,3 +337,76 @@ class TestFindMuVanishing:
         lip = LipschitzSet(LG1=4.0)
         with pytest.raises(NoContractiveWeight):
             find_mu_vanishing(lip, 1.0, 1e-12, 1, 0, mu_max=1e6)
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def _declared_constants():
+    """(name, constants, horizon, h, n_tau, n_sigma) of every problems/*.yaml
+    file that declares Lipschitz constants, as ``hv analyze`` reads them."""
+    for path in sorted(PROBLEMS.glob("*.yaml")):
+        loaded = load_problem_file(path)
+        problem = loaded.problem
+        if loaded.kind == "hybrid" and problem.lipschitz is not None:
+            yield (path.stem, problem.lipschitz, problem.grid.horizon, problem.schedule.h,
+                   problem.n_tau, problem.n_sigma)
+
+
+def _random_constants(count=200, seed=0):
+    rng = np.random.default_rng(seed)
+    names = [f.name for f in dataclasses.fields(LipschitzSet)]
+    for k in range(count):
+        # log-uniform constants, about a third of them 0
+        values = np.where(rng.random(len(names)) < 0.3, 0.0,
+                          10.0 ** rng.uniform(-3, 1, len(names)))
+        lip = LipschitzSet(**dict(zip(names, values.tolist())))
+        yield (f"random-{k}", lip, float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.01, 1.0)),
+               int(rng.integers(0, 5)), int(rng.integers(0, 4)))
+
+
+class TestAgainstAMatrixPerWeight:
+    """``find_mu`` and every number of the contraction block of ``hv
+    analyze`` have the bits of the code that built a numpy bound matrix
+    for each weight it tested (``tests/oracles.py``)."""
+
+    @staticmethod
+    def _block_numbers(lip, horizon, h, n_tau, n_sigma, mu=None):
+        block = cli._contraction_block(lip, horizon, h, n_tau, n_sigma, mu)
+        mu = block["mu"] if mu is not None else block["mu_star"]
+        if mu is None:
+            return {"mu": None}
+        invariants = block["invariants"]
+        return {
+            "mu": mu,
+            "matrix": block["matrix"],
+            "invariants": [invariants[k] for k in ("trace", "pair_sum", "det")],
+            "criterion_quantities": block["criterion_quantities"],
+            "spectral_radius": block["spectral_radius"],
+        }
+
+    def _check(self, cases):
+        found = 0
+        for name, lip, horizon, h, n_tau, n_sigma in cases:
+            args = (lip, horizon, h, n_tau, n_sigma)
+            want = oracles.find_mu(*args)
+            try:
+                got = find_mu(*args)
+            except NoContractiveWeight:
+                got = None
+            assert repr(got) == repr(want), name
+            found += want is not None
+            for mu in (None, 2.5):
+                assert repr(self._block_numbers(*args, mu)) == repr(
+                    oracles.contraction_numbers(*args, mu)), (name, mu)
+        return found
+
+    def test_every_problem_file(self):
+        cases = list(_declared_constants())
+        assert len(cases) >= 3
+        assert self._check(cases) == len(cases)
+
+    def test_random_constants(self):
+        found = self._check(_random_constants())
+        # both outcomes of the search are covered
+        assert 0 < found < 200

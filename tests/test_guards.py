@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import make_problem
 from hybrid_volterra.expressions import (
     EvaluationError,
     KernelExpr,
@@ -205,6 +206,21 @@ class TestNoWarningEscapes:
         bindings = {"x": kind(1e308), "y": kind(np.inf), "z": kind(np.nan)}
         out = parse_kernel(source, _NAMES).evaluate(bindings)
         assert not np.isfinite(out).all()
+
+
+@pytest.mark.usefixtures("strict")
+def test_a_value_outside_its_gate_stays_out():
+    """G3 overflows at every time before its fixed impulse, where no
+    membership admits it: a gate selects the value, so the inf never meets
+    the 0 of a closed gate and gives no nan."""
+    problem = make_problem(2.0, tau=(1.5,), sigma=("0.5*t",), h=0.1, panels=16,
+                           x0="1", f1="0.1*x", G3="exp(500*(tau - t))*beta")
+    picard, rep_p = picard_solve(problem, tol=1e-12)
+    march, rep_s = segment_solve(problem, tol=1e-12)
+    assert rep_p.converged and rep_s.converged
+    for a, b in [(picard.xi.values, march.xi.values), (picard.eta, march.eta),
+                 (picard.beta_rows(), march.beta_rows())]:
+        assert np.max(np.abs(a - b)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

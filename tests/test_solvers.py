@@ -21,7 +21,14 @@ from test_parity import multi_impulse_problem
 from hybrid_volterra import cli, operator, quadrature, solvers
 from hybrid_volterra.contraction import contraction_bounds, find_mu, spectral_radius
 from hybrid_volterra.expressions import KernelExpr
-from hybrid_volterra.operator import apply_operator, default_init, jump_at, residual
+from hybrid_volterra.operator import (
+    SolutionTriple,
+    apply_operator,
+    default_init,
+    jump_at,
+    residual,
+)
+from hybrid_volterra.piecewise import PiecewiseFn
 from hybrid_volterra.problem_io import LoadedProblem, SolverSettings, load_problem_file
 from hybrid_volterra.quadrature import weight_rows
 from hybrid_volterra.solvers import (
@@ -371,6 +378,92 @@ class TestImageOfTheIterate:
         assert len(tables) == report["iterations"] + 1
 
 
+def _arrays(triple):
+    """Every array a triple exposes."""
+    return [triple.xi.values, triple.eta, triple.beta_rows(), *(b.values for b in triple.beta)]
+
+
+class TestOneIterateArray:
+    """Both solvers iterate one array laid out as the times of a sweep and
+    build a :class:`SolutionTriple` only for the iterate they return and
+    for its image."""
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_no_triple_built_per_sweep(self, monkeypatch, method):
+        built = {"triples": 0, "functions": 0}
+        post_init, init = SolutionTriple.__post_init__, PiecewiseFn.__init__
+
+        def counting_triple(self):
+            built["triples"] += 1
+            post_init(self)
+
+        def counting_function(self, *args, **kwargs):
+            built["functions"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SolutionTriple, "__post_init__", counting_triple)
+        monkeypatch.setattr(PiecewiseFn, "__init__", counting_function)
+        counts = []
+        for tol in (1e-6, 1e-12):
+            problem = mixed_problem(panels=32)
+            built.update(triples=0, functions=0)
+            _, rep = _solve(problem, method, tol, 300)
+            assert rep.converged
+            counts.append((dict(built), rep.iterations))
+        assert counts[0][1] < counts[1][1]
+        # the returned iterate and its image: xi and one trace each
+        assert counts[0][0] == counts[1][0] == {"triples": 2, "functions": 4}
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_results_share_no_memory(self, monkeypatch, method):
+        """The returned triple and the image share no memory with each
+        other, with any memory table a sweep rewrites, or with what a later
+        solve of the same problem returns, and that solve leaves them as
+        they were."""
+        tables = []
+        memory = operator._memory
+
+        def recording(*args, **kwargs):
+            table = memory(*args, **kwargs)
+            tables.extend(a for a in (table.rows, table.prefix, table.cumulative,
+                                      table.impulses) if a is not None)
+            return table
+
+        for module in (operator, solvers):
+            monkeypatch.setattr(module, "_memory", recording)
+        problem = mixed_problem(panels=32)
+        solve = picard_solve if method == "picard" else segment_solve
+        triple, rep = solve(problem, tol=1e-12, kmax=300)
+        assert rep.converged
+        first = _arrays(triple) + _arrays(rep.image)
+        kept = [a.copy() for a in first]
+        again, rep2 = solve(problem, init=triple, tol=1e-12, kmax=300)
+        assert rep2.converged
+        later = _arrays(again) + _arrays(rep2.image)
+        for a in _arrays(triple):
+            for b in _arrays(rep.image) + tables + later:
+                assert not np.shares_memory(a, b)
+        for a in _arrays(rep.image):
+            for b in tables + later:
+                assert not np.shares_memory(a, b)
+        for a, b in zip(first, kept):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_blow_up_returns_the_last_counted_iterate(self, method):
+        """A non-finite update stops the solve; the iterate it returns is,
+        bit for bit, the one a solve stopped after as many sweeps returns."""
+        problem = make_problem(3.0, panels=64, x0="1", f1="exp(t)*exp(x)")
+        solve = picard_solve if method == "picard" else segment_solve
+        triple, rep = solve(problem, tol=1e-12)
+        assert rep.failed and rep.notes[-1].startswith("diverged:")
+        assert rep.iterations > 0 and rep.image is None
+        cut_short, rep2 = solve(problem, tol=1e-12, kmax=rep.iterations)
+        assert rep2.iterations == rep.iterations and rep2.deltas == rep.deltas
+        for a, b in zip(_arrays(triple), _arrays(cut_short)):
+            assert a.tobytes() == b.tobytes()
+
+
 # f2 of the mixed problem with a memory that does not split into products
 # of a function of (s, x) and one of (s1, x1)
 NON_SEPARABLE_F2 = "0.05*x*x1/(1 + (s - s1)^2)"
@@ -694,21 +787,17 @@ class TestMarchWork:
         assert outside["tables"] == [(0, problem.grid.size)]
         assert [args[2] for args, _ in outside["evals"]] == [problem.sweep]
 
-    @pytest.mark.parametrize(
+    CASES = pytest.mark.parametrize(
         "case", ["mixed", "impulse-after-root", "trace-past-a-breakpoint", "multi-impulse"])
-    def test_window_reads_match_whole_grid(self, monkeypatch, case):
-        """The one evaluation of each sweep, through its segment's table,
-        gives the bits that an evaluation against a table of the whole grid
-        gives for the same triple.
 
-        In the second case the root t = 1 of sigma merges into the fixed
+    @staticmethod
+    def _case(case):
+        """In the second case the root t = 1 of sigma merges into the fixed
         impulse at 1 + 5e-11, which stays a breakpoint.  In the third, sigma
         lies 5e-11 above the breakpoint 0.5 at the node t = 1: segment 1
         consumes that entry, whose time falls in segment 2, so its window
         reaches into segment 2.  The fourth has two moving and three fixed
-        impulses, and each sweep still builds one table and makes one
-        evaluation.
-        """
+        impulses."""
         if case == "mixed":
             problem = mixed_problem(panels=32)
         elif case == "impulse-after-root":
@@ -726,6 +815,16 @@ class TestMarchWork:
         else:
             problem = multi_impulse_problem()
             assert problem.n_sigma == 2 and problem.n_tau == 3
+        return problem
+
+    @CASES
+    def test_window_reads_match_whole_grid(self, monkeypatch, case):
+        """The one evaluation of each sweep, through its segment's table,
+        gives the bits that an evaluation against a table of the whole grid
+        gives for the same triple (:meth:`_case`).  In the fourth case each
+        sweep still builds one table and makes one evaluation.
+        """
+        problem = self._case(case)
         sc_eval, memory = operator._sc_eval, operator._memory
         log = self._record(monkeypatch)
         _, rep = segment_solve(problem, tol=1e-12, kmax=300)
@@ -739,6 +838,48 @@ class TestMarchWork:
         if case == "mixed":
             # some rewrite their table from a later column
             assert max(rec["window"].live for rec in log["sweeps"]) > 0
+
+    @CASES
+    def test_batches_are_index_views_of_the_sweep(self, monkeypatch, case):
+        """Each segment's batch is ``problem.sweep`` at the indices of its
+        nodes and fresh trace entries: every part an evaluation reads has
+        the bits of the sweep's part there, and of a batch built afresh at
+        those times (:meth:`_case`)."""
+        problem = self._case(case)
+        log = self._record(monkeypatch)
+        _, rep = segment_solve(problem, tol=1e-12, kmax=300)
+        assert rep.converged
+        sweep = problem.sweep
+        factors = [term[0] for terms in (problem.f1_terms, problem.f2_terms, problem.g_terms)
+                   for term in terms or () if term[0] is not None]
+        batches = {id(args[2]): args[2] for rec in log["sweeps"]
+                   for args, _ in rec["evals"]}.values()
+        assert len(batches) == problem.grid.num_segments
+        covered = []
+        for batch in batches:
+            assert isinstance(batch, operator._Subset) and batch.parent is sweep
+            index = batch.index
+            covered += index.tolist()
+            fresh = operator._Batch(problem, batch.te, batch.m)
+            for name, take in [("te", lambda a: a[index]), ("m", lambda a: a[index]),
+                               ("x0", lambda a: a[index]), ("sigma", lambda a: a[:, index]),
+                               ("cut", lambda a: a[:, index]),
+                               ("tau_below", lambda a: a[index]),
+                               ("impulse_count", lambda a: a[index]),
+                               ("g3_gate", lambda a: a[..., index])]:
+                got = getattr(batch, name)
+                assert got.tobytes() == take(getattr(sweep, name)).tobytes(), name
+                assert got.tobytes() == getattr(fresh, name).tobytes(), name
+            for got, whole, built in zip(batch.limits, sweep.limits, fresh.limits):
+                assert got.tobytes() == whole[index].tobytes() == built.tobytes()
+            for c in factors:
+                whole = sweep.factor(c)
+                want = whole if whole.ndim == 0 else whole[index]
+                assert batch.factor(c).tobytes() == want.tobytes()
+                assert batch.factor(c).tobytes() == fresh.factor(c).tobytes()
+        # the segments share no time, and leave out only the fixed impulse times
+        N, n_tau = problem.grid.size, problem.n_tau
+        assert sorted(covered) == [k for k in range(sweep.te.size) if not N <= k < N + n_tau]
 
     @pytest.mark.parametrize(
         "sigma, horizon, panels, first",
