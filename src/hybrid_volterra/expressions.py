@@ -15,6 +15,14 @@ variable names (the arity), e.g. ``"0.3 * x + sin(t - s)"`` with arity
 Precedence, tightest first: power, unary minus, ``* /``, ``+ -``.  Power is
 right-associative and its exponent may carry a unary minus (``x^-2``).
 
+A source is read in one pass.  The tokenizer emits plain ``(kind, text,
+pos)`` tuples, and the parser reads that list by index, with one loop that
+climbs the binary precedences.  A number that ``float`` cannot read (a
+digit such as ``²``, which ``str.isdigit`` accepts) or reads as infinity is
+an :class:`ExpressionError` at its position.  The canonical source of a
+kernel is printed in one visit per node.  An absent kernel is
+:func:`zero_kernel`, built without a parse.
+
 Evaluation is numpy-vectorised: bindings may mix scalars and broadcastable
 arrays.  Division by zero and ``log`` of a non-positive value raise
 :class:`EvaluationError`, as does a power whose result is non-finite for
@@ -102,23 +110,45 @@ class _Call:
 # Tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num", "name", "op", "lparen", "rparen", "comma", "end"
-    text: str
-    pos: int
+# the one-character tokens, with their kinds
+_PUNCTUATION = {
+    "+": "op", "-": "op", "*": "op", "/": "op", "^": "op",
+    "(": "lparen", ")": "rparen", ",": "comma",
+}
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``source``, each ``(kind, text, pos)``: kind one of
+    "num", "name", "op", "lparen", "rparen", "comma" and a last "end".
+
+    ``**`` is the op ``^``.  A number is a run of digits (``str.isdigit``)
+    with at most one dot, then an exponent if digits follow the ``e``; it
+    may begin with a dot before a digit.  A name is a letter or ``_``, then
+    letters, digits and ``_`` (``str.isalnum``).
+    """
+    tokens = []
+    append = tokens.append
     i = 0
     n = len(source)
     while i < n:
         c = source[i]
-        if c.isspace():
+        kind = _PUNCTUATION.get(c)
+        if kind is not None:
+            if c == "*" and source[i + 1:i + 2] == "*":
+                append(("op", "^", i))
+                i += 2
+            else:
+                append((kind, c, i))
+                i += 1
+        elif c.isspace():
             i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+        elif c.isalpha() or c == "_":
+            j = i + 1
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            append(("name", source[i:j], i))
+            i = j
+        elif c.isdigit() or (c == "." and source[i + 1:i + 2].isdigit()):
             j = i
             seen_dot = False
             while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
@@ -133,141 +163,115 @@ def _tokenize(source: str) -> list[_Token]:
                     while k < n and source[k].isdigit():
                         k += 1
                     j = k
-            tokens.append(_Token("num", source[i:j], i))
+            append(("num", source[i:j], i))
             i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", source[i:j], i))
-            i = j
-            continue
-        if c == "*" and i + 1 < n and source[i + 1] == "*":
-            tokens.append(_Token("op", "^", i))
-            i += 2
-            continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("rparen", c, i))
-            i += 1
-            continue
-        if c == ",":
-            tokens.append(_Token("comma", c, i))
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+        else:
+            raise ExpressionError(f"unexpected character {c!r}", i)
+    append(("end", "", n))
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent)
+# Parser (precedence climbing)
+
+# the left-associative binary operators, by how tightly they bind
+_BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 class _Parser:
+    """One pass over the token list, read by index.
+
+    The grammar, loosest first: sums, products (left-associative, one loop
+    climbing the precedences of :data:`_BINARY`, as in Pratt's top-down
+    operator precedence), unary minus and plus, power, and an atom.
+    Power right-associates and its exponent is a unary operand (``x^-2``).
+    """
+
     def __init__(self, source: str, arity: Sequence[str]):
-        self.source = source
         self.arity = tuple(arity)
         self.tokens = _tokenize(source)
         self.index = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExpressionError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.advance()
-
     def parse(self):
-        node = self.additive()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionError(f"unexpected {tok.text!r}", tok.pos)
+        node = self.binary(1)
+        kind, text, pos = self.tokens[self.index]
+        if kind != "end":
+            raise ExpressionError(f"unexpected {text!r}", pos)
         return node
 
-    def additive(self):
-        node = self.multiplicative()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = _BinOp(op, node, self.multiplicative())
-        return node
-
-    def multiplicative(self):
+    def binary(self, floor: int):
+        """Operands joined by binary operators that bind at least ``floor``."""
         node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = _BinOp(op, node, self.unary())
-        return node
+        tokens = self.tokens
+        while True:
+            op = tokens[self.index][1]
+            prec = _BINARY.get(op)
+            if prec is None or prec < floor:
+                return node
+            self.index += 1
+            node = _BinOp(op, node, self.binary(prec + 1))
 
     def unary(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
+        text = self.tokens[self.index][1]
+        if text == "-":
+            self.index += 1
             return _Neg(self.unary())
-        if tok.kind == "op" and tok.text == "+":
-            self.advance()
+        if text == "+":
+            self.index += 1
             return self.unary()
-        return self.power()
-
-    def power(self):
-        node = self.primary()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            # exponent at unary level: x^-2 parses, power right-associates
+        node = self.atom()
+        if self.tokens[self.index][1] == "^":
+            self.index += 1
             node = _BinOp("^", node, self.unary())
         return node
 
-    def primary(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return _Num(float(tok.text))
-        if tok.kind == "name":
-            self.advance()
-            if self.peek().kind == "lparen":
-                if tok.text not in _FUNCTIONS:
-                    raise ExpressionError(f"unknown function {tok.text!r}", tok.pos)
-                self.advance()
-                args = [self.additive()]
-                while self.peek().kind == "comma":
-                    self.advance()
-                    args.append(self.additive())
-                self.expect("rparen", "')'")
-                want = _FUNCTIONS[tok.text]
-                if want >= 0 and len(args) != want:
-                    raise ExpressionError(
-                        f"{tok.text} takes {want} argument(s), got {len(args)}", tok.pos
-                    )
-                if want == -2 and len(args) < 2:
-                    raise ExpressionError(f"{tok.text} takes at least 2 arguments", tok.pos)
-                return _Call(tok.text, tuple(args))
-            if tok.text in _FUNCTIONS:
-                raise ExpressionError(f"function {tok.text!r} requires arguments", tok.pos)
-            if tok.text not in self.arity:
-                raise ExpressionError(f"unknown variable {tok.text!r}", tok.pos)
-            return _Var(tok.text)
-        if tok.kind == "lparen":
-            self.advance()
-            node = self.additive()
-            self.expect("rparen", "')'")
+    def atom(self):
+        kind, text, pos = self.tokens[self.index]
+        self.index += 1
+        if kind == "num":
+            try:
+                value = float(text)
+            except ValueError:  # a digit of str.isdigit that float rejects: '²'
+                value = math.inf
+            if value == math.inf:  # or too large to print back: '1e999'
+                raise ExpressionError(f"invalid number {text!r}", pos)
+            return _Num(value)
+        if kind == "name":
+            if self.tokens[self.index][0] == "lparen":
+                return self.call(text, pos)
+            if text in _FUNCTIONS:
+                raise ExpressionError(f"function {text!r} requires arguments", pos)
+            if text not in self.arity:
+                raise ExpressionError(f"unknown variable {text!r}", pos)
+            return _Var(text)
+        if kind == "lparen":
+            node = self.binary(1)
+            self.close()
             return node
-        raise ExpressionError(f"expected a value, found {tok.text or 'end of input'!r}", tok.pos)
+        raise ExpressionError(f"expected a value, found {text or 'end of input'!r}", pos)
+
+    def call(self, func: str, pos: int):
+        """The arguments of ``func``, from its '('."""
+        if func not in _FUNCTIONS:
+            raise ExpressionError(f"unknown function {func!r}", pos)
+        self.index += 1
+        args = [self.binary(1)]
+        while self.tokens[self.index][0] == "comma":
+            self.index += 1
+            args.append(self.binary(1))
+        self.close()
+        want = _FUNCTIONS[func]
+        if want >= 0 and len(args) != want:
+            raise ExpressionError(f"{func} takes {want} argument(s), got {len(args)}", pos)
+        if want == -2 and len(args) < 2:
+            raise ExpressionError(f"{func} takes at least 2 arguments", pos)
+        return _Call(func, tuple(args))
+
+    def close(self):
+        kind, text, pos = self.tokens[self.index]
+        if kind != "rparen":
+            raise ExpressionError(f"expected ')', found {text or 'end of input'!r}", pos)
+        self.index += 1
 
 
 # ---------------------------------------------------------------------------
@@ -346,52 +350,51 @@ def _power(a, b):
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
-
-def _prec(node) -> int:
-    if isinstance(node, (_Num, _Var, _Call)):
-        return _PREC_ATOM
-    if isinstance(node, _Neg):
-        return _PREC_UNARY
-    if node.op in "+-":
-        return _PREC_ADD
-    if node.op in "*/":
-        return _PREC_MUL
-    return _PREC_POW
-
-
-def _wrap(node, minimum: int) -> str:
-    s = _print_node(node)
-    return f"({s})" if _prec(node) < minimum else s
+# per binary operator: its precedence and the least precedence its left and
+# right operands print without parentheses.  Right operands always require
+# strictly tighter precedence, even for + and *: floating-point addition is
+# not associative, so dropping the parentheses in ``a + (b + c)`` would
+# change evaluation in the last bit.  Power right-associates, and its left
+# operand must bind tighter than power.
+_LAYOUT = {
+    "+": (_PREC_ADD, _PREC_ADD, _PREC_ADD + 1),
+    "-": (_PREC_ADD, _PREC_ADD, _PREC_ADD + 1),
+    "*": (_PREC_MUL, _PREC_MUL, _PREC_MUL + 1),
+    "/": (_PREC_MUL, _PREC_MUL, _PREC_MUL + 1),
+    "^": (_PREC_POW, _PREC_ATOM, _PREC_UNARY),
+}
 
 
 def _print_node(node) -> str:
-    if isinstance(node, _Num):
+    """The canonical source of ``node``."""
+    return _printed(node)[0]
+
+
+def _printed(node) -> tuple[str, int]:
+    """The canonical source of ``node`` and the precedence of its top
+    operator, one visit per node."""
+    kind = type(node)
+    if kind is _BinOp:
+        op = node.op
+        prec, need_left, need_right = _LAYOUT[op]
+        left, p = _printed(node.left)
+        if p < need_left:
+            left = f"({left})"
+        right, p = _printed(node.right)
+        if p < need_right:
+            right = f"({right})"
+        return (f"{left}^{right}" if op == "^" else f"{left} {op} {right}"), prec
+    if kind is _Num:
         v = node.value
         if v == int(v) and abs(v) < 1e16:
-            return str(int(v))
-        return repr(v)
-    if isinstance(node, _Var):
-        return node.name
-    if isinstance(node, _Neg):
-        return "-" + _wrap(node.child, _PREC_UNARY)
-    if isinstance(node, _Call):
-        return f"{node.func}({', '.join(_print_node(a) for a in node.args)})"
-    op = node.op
-    # Right operands always require strictly tighter precedence, even for
-    # + and *: floating-point addition is not associative, so dropping the
-    # parentheses in ``a + (b + c)`` would change evaluation in the last bit.
-    if op in "+-":
-        left = _wrap(node.left, _PREC_ADD)
-        right = _wrap(node.right, _PREC_ADD + 1)
-        return f"{left} {op} {right}"
-    if op in "*/":
-        left = _wrap(node.left, _PREC_MUL)
-        right = _wrap(node.right, _PREC_MUL + 1)
-        return f"{left} {op} {right}"
-    # power: right-associative, left operand must bind tighter than power
-    left = _wrap(node.left, _PREC_ATOM)
-    right = _wrap(node.right, _PREC_UNARY)
-    return f"{left}^{right}"
+            return str(int(v)), _PREC_ATOM
+        return repr(v), _PREC_ATOM
+    if kind is _Var:
+        return node.name, _PREC_ATOM
+    if kind is _Neg:
+        child, p = _printed(node.child)
+        return ("-(" + child + ")" if p < _PREC_UNARY else "-" + child), _PREC_UNARY
+    return f"{node.func}({', '.join(_print_node(a) for a in node.args)})", _PREC_ATOM
 
 
 def _plain_arithmetic(node) -> bool:
@@ -408,15 +411,23 @@ def _plain_arithmetic(node) -> bool:
 
 
 def _free_vars(node) -> frozenset:
-    if isinstance(node, _Num):
-        return frozenset()
-    if isinstance(node, _Var):
-        return frozenset((node.name,))
-    if isinstance(node, _Neg):
-        return _free_vars(node.child)
-    if isinstance(node, _BinOp):
-        return _free_vars(node.left) | _free_vars(node.right)
-    return frozenset().union(*(_free_vars(a) for a in node.args)) if node.args else frozenset()
+    names = set()
+    _collect_names(node, names)
+    return frozenset(names)
+
+
+def _collect_names(node, names: set) -> None:
+    kind = type(node)
+    if kind is _BinOp:
+        _collect_names(node.left, names)
+        _collect_names(node.right, names)
+    elif kind is _Var:
+        names.add(node.name)
+    elif kind is _Neg:
+        _collect_names(node.child, names)
+    elif kind is _Call:
+        for arg in node.args:
+            _collect_names(arg, names)
 
 
 def _rename(node, mapping: Mapping[str, str]):
@@ -557,18 +568,25 @@ class KernelExpr:
 def parse_kernel(source: str, arity: Sequence[str]) -> KernelExpr:
     """Parse ``source`` over the variables in ``arity``.
 
-    Raises :class:`ExpressionError` (with a position) on syntax errors and
-    on names outside the declared arity.
+    Raises :class:`ExpressionError` (with a position) on syntax errors, on
+    names outside the declared arity and on numbers ``float`` cannot read
+    or reads as infinity.
     """
-    names = tuple(arity)
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate variable names in arity {names}")
+    names = _names(arity)
     root = _Parser(source, names).parse()
     return KernelExpr(_print_node(root), names, root)
 
 
 def zero_kernel(arity: Sequence[str]) -> KernelExpr:
-    return parse_kernel("0", arity)
+    """The kernel ``0`` over ``arity``, built without a parse."""
+    return KernelExpr("0", _names(arity), _Num(0.0))
+
+
+def _names(arity: Sequence[str]) -> tuple[str, ...]:
+    names = tuple(arity)
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names in arity {names}")
+    return names
 
 
 def factor(expr: KernelExpr, groups) -> list[tuple[KernelExpr, ...]] | None:

@@ -42,9 +42,10 @@ term when f2 splits into products c_r(t) a_r(s, x) b_r(s1, x1); one N x N
 kernel pass for a t-free f2 that does not split), and one g row per moving
 impulse i with a nondecreasing sigma_i, fixed impulse j and term, each
 with its time factor, its cut and its tau_j.  The t-free G1 and G2 terms
-are one cumulative vector over the fixed impulses.  An evaluation reads
-the whole table once per batch of times; each term it leaves out is one
-evaluator of the batch, chosen when the problem is built
+are one cumulative vector over the fixed impulses, built once per problem
+when neither reads eta (:attr:`HybridProblem.impulse_prefix`).  An
+evaluation reads the whole table once per batch of times; each term it
+leaves out is one evaluator of the batch, chosen when the problem is built
 (:attr:`HybridProblem.batch_terms`).  What a batch needs that no iterate
 changes, where its times fall on the grid included, is built once per
 batch (:class:`_Batch`), and whatever evaluates a batch holds it.
@@ -128,7 +129,10 @@ G_GROUPS = (("s", "sig", "tau", "x", "beta", "eta"),)
 
 
 def _read_only(a):
-    """``a`` as an array, or each array of the tuple ``a``, made read-only."""
+    """``a`` as an array, or each array of the tuple ``a``, made read-only;
+    None stays None."""
+    if a is None:
+        return a
     if isinstance(a, tuple):
         for part in a:
             part.setflags(write=False)
@@ -190,7 +194,8 @@ class HybridProblem:
     (:class:`_Window`).  On first use, from those: the path of each term,
     :attr:`g_row_impulses` and :attr:`batch_terms`;
     :attr:`sweep`, the evaluation batch of one sweep; :attr:`tau_nodes`,
-    where the fixed impulse times fall on the grid; and per weight mu the
+    where the fixed impulse times fall on the grid; :attr:`impulse_prefix`,
+    the G1 and G2 sums when they read no eta; and per weight mu the
     weights of the three norms (:meth:`decay`).  Each sweep and image of
     either solver evaluates :attr:`sweep` or, in the march, an index view
     of it (:class:`_Subset`), so a solve locates and evaluates its times
@@ -345,6 +350,29 @@ class HybridProblem:
              and self.g_row_impulses.size < n_sigma),
             (_G3, n_sigma and n_tau and not self.G3.is_zero),
         ) if used)
+
+    @cached_property
+    def impulse_kernels(self) -> tuple[KernelExpr | None, KernelExpr | None]:
+        """G1 and G2 where :func:`_impulse_prefix` sums them over the fixed
+        impulses: each when it is nonzero, t-free and has impulses (pairs,
+        for G2) to sum over, else None."""
+        n_tau, terms = self.tau.size, self.batch_terms
+        G1, G2 = self.G1, self.G2
+        return (G1 if n_tau and not G1.is_zero and _G1_per_time not in terms else None,
+                G2 if n_tau >= 2 and not G2.is_zero and _G2_per_time not in terms else None)
+
+    @_lazy
+    def impulse_prefix(self) -> np.ndarray | None:
+        """:func:`_impulse_prefix` when neither of :attr:`impulse_kernels`
+        reads eta: the same for every iterate, so it is built once per
+        problem, read-only, and every memory table holds it (each picard
+        sweep, the image, :func:`jump_at` and the march).  None when there
+        is no prefix or it reads eta.  A kernel error is not kept, and
+        raises again in the next table build."""
+        if any(k is not None and not k.free.isdisjoint(("eta", "etai", "etaj"))
+               for k in self.impulse_kernels):
+            return None
+        return _impulse_prefix(self, None)
 
     @property
     def n_tau(self) -> int:
@@ -634,7 +662,8 @@ class _Memory(NamedTuple):
     below the membership time, and a row of fixed impulse j counts when
     ``tau_j < m`` (:class:`_Batch`).  ``impulses`` is the exclusive prefix
     over the fixed impulses of the t-free G1 and G2 values
-    (:func:`_impulse_prefix`), or None.  A later iterate of a march segment
+    (:func:`_impulse_prefix`), or None; every table of a problem holds the
+    same one when they read no eta.  A later iterate of a march segment
     rewrites the arrays in place (:func:`_memory`).
     """
 
@@ -699,27 +728,28 @@ def _xi_rows(problem: HybridProblem, xi: np.ndarray, cols: slice, start):
 
 
 @quiet
-def _impulse_prefix(problem: HybridProblem, eta: np.ndarray) -> np.ndarray | None:
+def _impulse_prefix(problem: HybridProblem, eta: np.ndarray | None) -> np.ndarray | None:
     """Exclusive prefix over tau of the t-free G1 and G2 terms, or None.
 
     Entry k sums G1(tau_i, eta_i) and G2(tau_i, tau_j, eta_i, eta_j), j < i,
     over the impulses i < k: the terms of every time whose membership
-    admits the first k fixed impulses.
+    admits the first k fixed impulses.  The kernels are
+    ``problem.impulse_kernels``; ``eta`` is None when neither reads it
+    (``problem.impulse_prefix``).
     """
-    tau = problem.tau
-    G1, G2 = problem.G1, problem.G2
-    with_g1 = tau.size and not G1.is_zero and _G1_per_time not in problem.batch_terms
-    with_g2 = tau.size >= 2 and not G2.is_zero and _G2_per_time not in problem.batch_terms
-    if not (with_g1 or with_g2):
+    G1, G2 = problem.impulse_kernels
+    if G1 is None and G2 is None:
         return None
+    tau = problem.tau
     per_impulse = np.zeros(tau.size)
-    if with_g1:
-        per_impulse += G1.evaluate({"tau": tau, "eta": eta})
-    if with_g2:
+    if G1 is not None:
+        per_impulse += G1.evaluate({"tau": tau} if eta is None else {"tau": tau, "eta": eta})
+    if G2 is not None:
         ii, jj = problem.tau_pairs
-        vals = G2.evaluate(
-            {"taui": tau[ii], "tauj": tau[jj], "etai": eta[ii], "etaj": eta[jj]}
-        )
+        pairs = {"taui": tau[ii], "tauj": tau[jj]}
+        if eta is not None:
+            pairs.update(etai=eta[ii], etaj=eta[jj])
+        vals = G2.evaluate(pairs)
         per_impulse += np.bincount(
             ii, weights=np.broadcast_to(vals, ii.shape), minlength=tau.size
         )
@@ -769,6 +799,9 @@ def _memory(
         prefix = row_prefix(problem.grid, rows[:, cols], live, table.prefix[:, live])
         table.prefix[:, live:] = prefix
         return table
+    impulses = problem.impulse_prefix
+    if impulses is None:
+        impulses = _impulse_prefix(problem, eta)
     rows = np.empty((len(entries), window.hi))
     factors = {}
     for r, (c, row) in enumerate(entries):
@@ -781,7 +814,7 @@ def _memory(
         rows=rows,
         prefix=row_prefix(problem.grid, rows),
         factors=tuple(factors.values()),
-        impulses=_impulse_prefix(problem, eta),
+        impulses=impulses,
         window=window,
     )
 

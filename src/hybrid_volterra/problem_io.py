@@ -46,11 +46,11 @@ import numpy as np
 import yaml
 
 from .contraction import LipschitzSet
-from .expressions import ExpressionError
-from .operator import HybridProblem
+from .expressions import ExpressionError, KernelExpr, parse_kernel, zero_kernel
+from .operator import ARITIES, HybridProblem
 from .piecewise import PiecewiseFn
 from .schedule import ImpulseSchedule
-from .series import SeriesProblem
+from .series import SeriesProblem, series_arity
 
 
 # libyaml's C loader when PyYAML was built with it: the same documents
@@ -121,6 +121,17 @@ def _as_source(doc: dict, key: str):
     return v
 
 
+def _kernel(key: str, source: str | None, arity) -> KernelExpr | None:
+    """``source`` parsed over ``arity``, None for None; a syntax error is
+    named by its ``key`` in the file."""
+    if source is None:
+        return None
+    try:
+        return parse_kernel(source, arity)
+    except ExpressionError as exc:
+        raise ProblemFileError(f"{key}: {exc}") from None
+
+
 def _check_keys(doc: dict, allowed: frozenset, what: str) -> None:
     unknown = sorted(set(doc) - allowed)
     if unknown:
@@ -185,13 +196,16 @@ def _load_hybrid(doc: dict) -> LoadedProblem:
         raise ProblemFileError("sigma: expected a list of expression strings")
     h = _as_real(doc, "h", None, positive=True)
     try:
+        sigma = [_kernel(f"sigma[{k}]", s, ("t",)) for k, s in enumerate(sigma)]
         schedule = ImpulseSchedule.build(horizon, tau=tau, sigma=sigma, h=h)
+        panels, lipschitz = _panels(doc), _lipschitz_map(doc)
+        sources = {key: _as_source(doc, key) for key in _KERNEL_KEYS if key != "x0"}
+        sources["x0"] = _as_source(doc, "x0") or None  # absent or empty: zero
         problem = HybridProblem.build(
             schedule=schedule,
-            panels=_panels(doc),
-            lipschitz=_lipschitz_map(doc),
-            **{key: _as_source(doc, key) for key in _KERNEL_KEYS if key != "x0"},
-            x0=_as_source(doc, "x0") or "0",
+            panels=panels,
+            lipschitz=lipschitz,
+            **{key: _kernel(key, sources[key], ARITIES[key]) for key in _KERNEL_KEYS},
         )
     except (ExpressionError, ValueError) as exc:
         raise ProblemFileError(str(exc)) from None
@@ -219,11 +233,14 @@ def _load_series(doc: dict) -> LoadedProblem:
     if not isinstance(allow, bool):
         raise ProblemFileError("allow_high_order: expected true or false")
     try:
+        y0, panels = _as_source(doc, "y0"), _panels(doc)
+        kernels = [_kernel(f"kernels[{k}]", src, series_arity(k + 1))
+                   for k, src in enumerate(kernels)]
         problem = SeriesProblem.build(
             horizon=horizon,
-            y0=_as_source(doc, "y0") or "0",
+            y0=_kernel("y0", y0, ("t",)) if y0 else zero_kernel(("t",)),
             kernels=kernels,
-            panels=_panels(doc),
+            panels=panels,
             lipschitz=lipschitz,
             allow_high_order=allow,
         )

@@ -93,6 +93,27 @@ def mixed_problem(panels=128, f2="0.05*x*x1/(1 + s1^2)"):
     )
 
 
+# The benchmark's time-dependent problem at its first variant: f1 and f2
+# reference t, G1 is a constant over one fixed impulse, G2, G3 and g are
+# absent.  x0 is manufactured so that the solution is exp(t) plus a jump of
+# G1 at tau.
+TDEP_X0 = (
+    "exp(t) - 0.4*t*(exp(t) - 1 + 0.3*max(t - 0.5, 0))"
+    " - 0.3*t*(exp(t) - 1 - t + 0.5*0.3*max(t - 0.5, 0)^2)"
+)
+TDEP_FILE = f"""\
+horizon: 1.0
+x0: "{TDEP_X0}"
+f1: "0.4*t*x"
+f2: "0.3*t*x1"
+G1: "0.3"
+tau: [0.5]
+h: 0.4
+lipschitz: {{L1: 0.4, L22: 0.3}}
+quadrature: {{nodes_per_segment: 64}}
+"""
+
+
 def random_triple(problem, rng, scale=1.0) -> SolutionTriple:
     """A conforming triple with node values uniform in [-scale, scale]."""
     grid = problem.grid

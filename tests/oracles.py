@@ -7,14 +7,17 @@ computes what it computes in the plainest way.
 
 import csv
 import math
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 import yaml
 
 from hybrid_volterra.contraction import cubic_roots
 from hybrid_volterra.expressions import (
+    _FUNCTIONS,
     EvaluationError,
+    ExpressionError,
     Number,
     _BinOp,
     _Call,
@@ -125,6 +128,230 @@ def evaluate(root, bindings: Mapping[str, Number]):
     ``np.errstate`` block."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _eval_node(root, bindings)
+
+
+# ---------------------------------------------------------------------------
+# The kernel front end as first written: one frozen token object per token,
+# a recursive descent with one method per precedence level, and a printer
+# that visits each node twice.  The parser and printer of ``expressions``
+# must give the same trees, canonical sources and errors, except that a
+# number ``float`` cannot read, or reads as infinity, which this parser
+# lets escape as a bare ``ValueError`` and this printer as an
+# ``OverflowError``.
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # "num", "name", "op", "lparen", "rparen", "comma", "end"
+    text: str
+    pos: int
+
+
+def tokenize(source: str) -> list[Token]:
+    tokens: list[Token] = []
+    i = 0
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+            j = i
+            seen_dot = False
+            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
+                if source[j] == ".":
+                    seen_dot = True
+                j += 1
+            if j < n and source[j] in "eE":
+                k = j + 1
+                if k < n and source[k] in "+-":
+                    k += 1
+                if k < n and source[k].isdigit():
+                    while k < n and source[k].isdigit():
+                        k += 1
+                    j = k
+            tokens.append(Token("num", source[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(Token("name", source[i:j], i))
+            i = j
+            continue
+        if c == "*" and i + 1 < n and source[i + 1] == "*":
+            tokens.append(Token("op", "^", i))
+            i += 2
+            continue
+        if c in "+-*/^":
+            tokens.append(Token("op", c, i))
+            i += 1
+            continue
+        if c == "(":
+            tokens.append(Token("lparen", c, i))
+            i += 1
+            continue
+        if c == ")":
+            tokens.append(Token("rparen", c, i))
+            i += 1
+            continue
+        if c == ",":
+            tokens.append(Token("comma", c, i))
+            i += 1
+            continue
+        raise ExpressionError(f"unexpected character {c!r}", i)
+    tokens.append(Token("end", "", n))
+    return tokens
+
+
+class Parser:
+    def __init__(self, source: str, arity: Sequence[str]):
+        self.source = source
+        self.arity = tuple(arity)
+        self.tokens = tokenize(source)
+        self.index = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.index]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ExpressionError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.pos)
+        return self.advance()
+
+    def parse(self):
+        node = self.additive()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ExpressionError(f"unexpected {tok.text!r}", tok.pos)
+        return node
+
+    def additive(self):
+        node = self.multiplicative()
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            op = self.advance().text
+            node = _BinOp(op, node, self.multiplicative())
+        return node
+
+    def multiplicative(self):
+        node = self.unary()
+        while self.peek().kind == "op" and self.peek().text in "*/":
+            op = self.advance().text
+            node = _BinOp(op, node, self.unary())
+        return node
+
+    def unary(self):
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "-":
+            self.advance()
+            return _Neg(self.unary())
+        if tok.kind == "op" and tok.text == "+":
+            self.advance()
+            return self.unary()
+        return self.power()
+
+    def power(self):
+        node = self.primary()
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "^":
+            self.advance()
+            # exponent at unary level: x^-2 parses, power right-associates
+            node = _BinOp("^", node, self.unary())
+        return node
+
+    def primary(self):
+        tok = self.peek()
+        if tok.kind == "num":
+            self.advance()
+            return _Num(float(tok.text))
+        if tok.kind == "name":
+            self.advance()
+            if self.peek().kind == "lparen":
+                if tok.text not in _FUNCTIONS:
+                    raise ExpressionError(f"unknown function {tok.text!r}", tok.pos)
+                self.advance()
+                args = [self.additive()]
+                while self.peek().kind == "comma":
+                    self.advance()
+                    args.append(self.additive())
+                self.expect("rparen", "')'")
+                want = _FUNCTIONS[tok.text]
+                if want >= 0 and len(args) != want:
+                    raise ExpressionError(
+                        f"{tok.text} takes {want} argument(s), got {len(args)}", tok.pos
+                    )
+                if want == -2 and len(args) < 2:
+                    raise ExpressionError(f"{tok.text} takes at least 2 arguments", tok.pos)
+                return _Call(tok.text, tuple(args))
+            if tok.text in _FUNCTIONS:
+                raise ExpressionError(f"function {tok.text!r} requires arguments", tok.pos)
+            if tok.text not in self.arity:
+                raise ExpressionError(f"unknown variable {tok.text!r}", tok.pos)
+            return _Var(tok.text)
+        if tok.kind == "lparen":
+            self.advance()
+            node = self.additive()
+            self.expect("rparen", "')'")
+            return node
+        raise ExpressionError(f"expected a value, found {tok.text or 'end of input'!r}", tok.pos)
+
+
+_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+
+def _prec(node) -> int:
+    if isinstance(node, (_Num, _Var, _Call)):
+        return _PREC_ATOM
+    if isinstance(node, _Neg):
+        return _PREC_UNARY
+    if node.op in "+-":
+        return _PREC_ADD
+    if node.op in "*/":
+        return _PREC_MUL
+    return _PREC_POW
+
+
+def _wrap(node, minimum: int) -> str:
+    s = print_node(node)
+    return f"({s})" if _prec(node) < minimum else s
+
+
+def print_node(node) -> str:
+    if isinstance(node, _Num):
+        v = node.value
+        if v == int(v) and abs(v) < 1e16:
+            return str(int(v))
+        return repr(v)
+    if isinstance(node, _Var):
+        return node.name
+    if isinstance(node, _Neg):
+        return "-" + _wrap(node.child, _PREC_UNARY)
+    if isinstance(node, _Call):
+        return f"{node.func}({', '.join(print_node(a) for a in node.args)})"
+    op = node.op
+    # Right operands always require strictly tighter precedence, even for
+    # + and *: floating-point addition is not associative, so dropping the
+    # parentheses in ``a + (b + c)`` would change evaluation in the last bit.
+    if op in "+-":
+        left = _wrap(node.left, _PREC_ADD)
+        right = _wrap(node.right, _PREC_ADD + 1)
+        return f"{left} {op} {right}"
+    if op in "*/":
+        left = _wrap(node.left, _PREC_MUL)
+        right = _wrap(node.right, _PREC_MUL + 1)
+        return f"{left} {op} {right}"
+    # power: right-associative, left operand must bind tighter than power
+    left = _wrap(node.left, _PREC_ATOM)
+    right = _wrap(node.right, _PREC_UNARY)
+    return f"{left}^{right}"
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,17 @@ class TestSolve:
         assert code == 1
         assert err.startswith("error:") and "position" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("horizon: 1.0\nx0: '1'\nf1: 'x + q'\n", "f1: unknown variable 'q' (position 4)"),
+        ("horizon: 1.0\nx0: '2²'\n", "x0: invalid number '2²' (position 0)"),
+        ("horizon: 1.0\nx0: '1'\nf1: 'x*1e999'\n", "f1: invalid number '1e999' (position 2)"),
+    ], ids=["unknown-variable", "number", "infinite-number"])
+    def test_bad_expression_names_its_kernel(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = _run(capsys, "solve", str(path))
+        assert code == 1 and out == "" and err == f"error: {message}\n"
+
     @pytest.mark.parametrize("tau", ["[0.5]", ".nan"])
     def test_tau_that_is_no_finite_number_exits_1(self, capsys, tmp_path, tau):
         path = tmp_path / "tau.yaml"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hybrid_volterra.expressions import (
     EvaluationError,
     ExpressionError,
@@ -96,6 +97,27 @@ class TestParseAndEval:
         assert z(t=3.0, s=4.0) == 0.0
         assert not parse_kernel("0 + t", ("t",)).is_zero
 
+    def test_zero_kernel_is_the_parsed_zero(self):
+        assert zero_kernel(("t", "s")) == parse_kernel("0", ("t", "s"))
+        assert zero_kernel(("t", "s")).to_source() == "0"
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            zero_kernel(("t", "t"))
+
+    @pytest.mark.parametrize("source, text, position", [
+        ("2²", "2²", 0), ("x + 1e²", "1e²", 4), ("①", "①", 0), ("3.5³*x", "3.5³", 0),
+        ("x*1e999", "1e999", 2),
+    ])
+    def test_number_float_cannot_read(self, source, text, position):
+        # str.isdigit accepts superscripts and circled digits, float does
+        # not; 1e999 reads as infinity, which no canonical source prints
+        with pytest.raises(ExpressionError) as info:
+            parse_kernel(source, ("x",))
+        assert str(info.value) == f"invalid number {text!r} (position {position})"
+        assert info.value.position == position
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        assert parse_kernel("٣ + x", ("x",)).to_source() == "3 + x"
+
     def test_free_variables_and_references(self):
         k = parse_kernel("t + sin(s)", ("t", "s", "x"))
         assert k.free_variables() == frozenset({"t", "s"})
@@ -145,6 +167,86 @@ class TestPrinterRoundTrip:
         k = parse_kernel("-(t + 2) * sin(s)^2", ("t", "s"))
         printed = k.to_source()
         assert parse_kernel(printed, ("t", "s")).to_source() == printed
+
+
+def _parsed(parse, source, arity):
+    """What ``parse`` makes of ``source``: the tree, or the error's type,
+    text and position."""
+    try:
+        return ("tree", parse(source, arity))
+    except ValueError as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "position", None))
+
+
+class _FirstParser(oracles.Parser):
+    """The first parser with the one change made since: a number that
+    ``float`` cannot read, or reads as infinity, is an
+    :class:`ExpressionError` at its token, where the first parser let a
+    bare ``ValueError`` escape or printed nothing (``OverflowError``)."""
+
+    def primary(self):
+        tok = self.peek()
+        if tok.kind == "num":
+            try:
+                finite = float(tok.text) != math.inf
+            except ValueError:
+                finite = False
+            if not finite:
+                raise ExpressionError(f"invalid number {tok.text!r}", tok.pos)
+        return super().primary()
+
+
+_ARITY = ("t", "s", "x", "x1", "eta", "_e")
+
+# well-formed sources with every operator, spaced or not, each operation in
+# parentheses or not: the precedence and associativity of the grammar
+_EXPRESSIONS = st.recursive(
+    _leaf(),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "^", "**"]), inner,
+                  st.sampled_from(["", " "]), st.booleans()).map(
+            lambda p: ("({})" if p[4] else "{}").format(p[3].join(p[:3]))
+        ),
+        st.tuples(st.sampled_from(["-", "+", "- -"]), inner).map("".join),
+        st.tuples(st.sampled_from(["sin", "exp", "abs"]), inner).map(
+            lambda p: f"{p[0]}({p[1]})"
+        ),
+        st.lists(inner, min_size=2, max_size=3).map(lambda a: f"max({', '.join(a)})"),
+    ),
+    max_leaves=12,
+)
+
+# single characters of every class the tokenizer tells apart, "**", and
+# whole names, so that calls and variables come up as often as typos
+_PIECES = st.sampled_from(
+    list("0123456789") + list("tsxaqe_E") + list(".eE+-*/^(),") + [" ", "  ", "\t"]
+    + ["**", "²", "٣", "é", "①"]
+    + ["x1", "eta", "exp", "log", "min", "max", "sin", "abs", "1.5", "2e-3", "1e400"]
+)
+
+
+class TestParserMatchesTheFirstParser:
+    """The one-pass tokenizer and precedence-climbing parser against the
+    first front end (``oracles.Parser``): the same tree, or the same error
+    type, message and position."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_PIECES, max_size=24).map("".join))
+    def test_random_strings(self, source):
+        new = _parsed(parse_kernel, source, _ARITY)
+        old = _parsed(lambda s, a: _FirstParser(s, a).parse(), source, _ARITY)
+        if old[0] == "tree":
+            assert new == ("tree", KernelExpr(oracles.print_node(old[1]), _ARITY, old[1]))
+        else:
+            assert new == old
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_EXPRESSIONS)
+    def test_well_formed_sources(self, source):
+        new = parse_kernel(source, _NAMES)
+        old = oracles.Parser(source, _NAMES).parse()
+        assert new.root == old
+        assert new.source == oracles.print_node(old)
 
 
 _S2_ARITY = ("t", "s1", "s2", "x1", "x2")

@@ -15,8 +15,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import step_problem
-from hybrid_volterra import cli, problem_io
+from conftest import TDEP_FILE, TDEP_X0, step_problem
+from hybrid_volterra import cli, expressions, problem_io
+from hybrid_volterra.expressions import zero_kernel
 from hybrid_volterra.problem_io import (
     ProblemFileError,
     dump_report,
@@ -127,6 +128,24 @@ class TestLoadHybrid:
         with pytest.raises(ProblemFileError, match="position"):
             _load(tmp_path, "horizon: 1.0\nx0: '1 +* t'\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("horizon: 1.0\nx0: '1'\nf1: 'x + q'\n", "f1: unknown variable 'q' (position 4)"),
+        ("horizon: 1.0\nx0: '1 +* t'\n", "x0: expected a value, found '*' (position 3)"),
+        ("horizon: 1.0\nx0: '2²'\n", "x0: invalid number '2²' (position 0)"),
+        ("horizon: 1.0\ntau: [0.3, 0.6]\nG2: 'etai*eta'\n",
+         "G2: unknown variable 'eta' (position 5)"),
+        ("horizon: 1.0\nsigma: ['t/2', 't +']\n",
+         "sigma[1]: expected a value, found 'end of input' (position 3)"),
+        ("kind: series\nhorizon: 0.5\nkernels: ['x1', 'x1*x3']\n",
+         "kernels[1]: unknown variable 'x3' (position 3)"),
+        ("kind: series\nhorizon: 0.5\ny0: 'sin()'\nkernels: ['x1']\n",
+         "y0: expected a value, found ')' (position 4)"),
+    ], ids=["f1", "x0", "number", "G2", "sigma", "series-kernel", "y0"])
+    def test_bad_expression_names_its_key(self, tmp_path, text, message):
+        with pytest.raises(ProblemFileError) as info:
+            _load(tmp_path, text)
+        assert str(info.value) == message
+
     def test_kernel_with_wrong_variable(self, tmp_path):
         with pytest.raises(ProblemFileError):
             _load(tmp_path, "horizon: 1.0\nx0: 'x'\n")
@@ -171,6 +190,34 @@ class TestLoadHybrid:
     def test_quadrature_nodes_validated(self, tmp_path):
         with pytest.raises(ProblemFileError, match="nodes_per_segment"):
             _load(tmp_path, "horizon: 1.0\nquadrature: {nodes_per_segment: 1}\n")
+
+
+class TestLoadWork:
+    @pytest.fixture
+    def tokenized(self, monkeypatch):
+        """The sources the kernel parser tokenizes, in order."""
+        seen = []
+        tokenize = expressions._tokenize
+
+        def recording(source):
+            seen.append(source)
+            return tokenize(source)
+
+        monkeypatch.setattr(expressions, "_tokenize", recording)
+        return seen
+
+    def test_each_kernel_source_is_tokenized_once(self, tmp_path, tokenized):
+        """The tdep file's four kernels are tokenized once each; its absent
+        G2, G3 and g are zero kernels built without a parse."""
+        p = _load(tmp_path, TDEP_FILE).problem
+        assert tokenized == [TDEP_X0, "0.4*t*x", "0.3*t*x1", "0.3"]
+        assert p.G2.is_zero and p.G3.is_zero and p.g.is_zero
+
+    @pytest.mark.parametrize("text", ["horizon: 1.0\n", "horizon: 1.0\nx0: ''\n"],
+                             ids=["absent", "empty"])
+    def test_absent_or_empty_x0_is_zero_without_a_parse(self, tmp_path, tokenized, text):
+        assert _load(tmp_path, text).problem.x0 == zero_kernel(("t",))
+        assert tokenized == []
 
 
 class TestLoadSeries:

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from conftest import (
+    TDEP_FILE,
     cosh_problem,
     exp_problem,
     g2_problem,
@@ -462,6 +463,87 @@ class TestOneIterateArray:
         assert rep2.iterations == rep.iterations and rep2.deltas == rep.deltas
         for a, b in zip(_arrays(triple), _arrays(cut_short)):
             assert a.tobytes() == b.tobytes()
+
+
+class TestImpulsePrefix:
+    """The prefix of the t-free G1 and G2 terms over the fixed impulses is
+    built once per problem when neither kernel reads eta, and once per
+    memory table when one does."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        prefix = operator._impulse_prefix
+
+        def counting(problem, eta):
+            calls.append(eta is None)
+            return prefix(problem, eta)
+
+        monkeypatch.setattr(operator, "_impulse_prefix", counting)
+        return calls
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_eta_free_prefix_is_built_once(self, tmp_path, monkeypatch, method):
+        path = tmp_path / "tdep.yaml"
+        path.write_text(TDEP_FILE)
+        problem = load_problem_file(path).problem
+        calls = self._counting(monkeypatch)
+        g1_calls = []
+        evaluate = KernelExpr.evaluate
+
+        def counting_evaluate(self, bindings):
+            if self is problem.G1:
+                g1_calls.append(bindings)
+            return evaluate(self, bindings)
+
+        monkeypatch.setattr(KernelExpr, "evaluate", counting_evaluate)
+        _, rep = _solve(problem, method, 1e-12, 300)
+        assert rep.converged and rep.iterations > 2
+        assert calls == [True] and len(g1_calls) == 1
+
+    def test_prefix_that_reads_eta_is_built_per_sweep(self, monkeypatch):
+        problem = mixed_problem(panels=32)
+        calls = self._counting(monkeypatch)
+        _, rep = picard_solve(problem, tol=1e-12, kmax=300)
+        assert rep.converged
+        assert problem.impulse_prefix is None
+        # each sweep and the image of the returned iterate
+        assert calls == [False] * (rep.iterations + 1)
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_prefix_is_read_only_and_shared_by_no_result(self, monkeypatch, method):
+        problem = make_problem(2.0, tau=(0.4, 1.5), sigma=("0.5 + 0.5*t",), h=0.1,
+                               panels=32, x0="1", f1="0.2*x", G1="0.1*tau + 0.2",
+                               G2="0.05*taui*tauj", G3="0.1*beta")
+        tables = []
+        memory = operator._memory
+
+        def recording(*args, **kwargs):
+            table = memory(*args, **kwargs)
+            tables.append(table.impulses)
+            return table
+
+        for module in (operator, solvers):
+            monkeypatch.setattr(module, "_memory", recording)
+        triple, rep = _solve(problem, method, 1e-12, 300)
+        assert rep.converged
+        jump_at(problem, triple, problem.schedule.breakpoints)
+        prefix = problem.impulse_prefix
+        assert not prefix.flags.writeable
+        assert len(tables) > 2 and all(table is prefix for table in tables)
+        for a in _arrays(triple) + _arrays(rep.image):
+            assert not np.shares_memory(a, prefix)
+        g1 = [0.1 * 0.4 + 0.2, 0.1 * 1.5 + 0.2]
+        assert prefix == pytest.approx([0.0, g1[0], g1[0] + g1[1] + 0.05 * 1.5 * 0.4])
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_kernel_error_surfaces_in_the_first_sweep(self, method):
+        problem = make_problem(1.0, tau=(0.3,), h=0.2, panels=16, x0="1", f1="x",
+                               G1="log(tau - 0.5)")
+        for _ in range(2):  # a failed build is not kept
+            _, rep = _solve(problem, method, 1e-12, 300)
+            assert rep.failed and rep.iterations == 0
+            assert rep.notes[-1] == "kernel error in sweep 1: log of a non-positive value"
 
 
 # f2 of the mixed problem with a memory that does not split into products
