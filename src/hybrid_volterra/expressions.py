@@ -35,7 +35,9 @@ warning.  The guards that say so are functions decorated with one shared
 ``with`` blocks: on numpy 2 the decorator sets and resets the error state
 per call without building an object, at about half the cost of entering a
 block, and it keeps no state on the shared instance, so a decorated
-function may call another.  A sweep of the solvers enters many of them.
+function may call another.  :meth:`KernelExpr.evaluate` enters one per
+call; a sweep of the solvers enters one for the whole sweep and walks its
+kernels with ``_eval_node`` under it, so only a power enters another.
 """
 
 from __future__ import annotations

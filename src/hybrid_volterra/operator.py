@@ -48,7 +48,9 @@ evaluation reads the whole table once per batch of times; each term it
 leaves out is one evaluator of the batch, chosen when the problem is built
 (:attr:`HybridProblem.batch_terms`).  What a batch needs that no iterate
 changes, where its times fall on the grid included, is built once per
-batch (:class:`_Batch`), and whatever evaluates a batch holds it.
+batch (:class:`_Batch`), and whatever evaluates a batch holds it; so is
+the one cut that reads every row of a table at once, each g row cut where
+its sigma_i reaches m and empty unless its tau_j is below m.
 :func:`apply_operator` makes one evaluation per sweep of the batch
 ``problem.sweep``: the nodes, the fixed-impulse times and every moving
 trace at once.  A sweep of the segment march makes one of its segment's
@@ -61,8 +63,12 @@ only for what they return.  The image of a triple holds both one-sided
 values of every interior breakpoint at its duplicated node, so the jump
 the formula predicts there is the difference of the image's two values:
 a solver keeps the image of the iterate it returns, and nothing evaluates
-the triple again for its jumps.  :func:`jump_at` evaluates both sides of given breakpoints, one
-tick right and one tick left, for a caller without an image.
+the triple again for its jumps.  :func:`jump_at` evaluates both sides of
+given breakpoints, one tick right and one tick left, for a caller without
+an image.  Each evaluation enters one floating-point guard, held by
+:func:`_sweep_values`, :func:`jump_at` or the march's sweep: the helpers
+under it call the unguarded quadrature cores and walk their kernels
+directly (:func:`_walk`), so only a power enters a guard of its own.
 
 A table spans the grid columns 0 to the ``hi`` of its window
 (:class:`_Window`).  Picard, :func:`jump_at` and the residual build one of
@@ -77,7 +83,10 @@ every read has the bits of a table built whole.  A sweep of segment l
 then costs O(n_l + fresh columns), for its n_l nodes and the trace
 entries it refreshes, plus a fixed cost, where every memory kernel
 splits.  A t-free f2 that does not split still costs one N x N pass per
-table.
+table.  The last segment's table spans the grid and holds the g rows of
+every fixed impulse that a membership of a sweep admits, so the march's
+image of its returned iterate is that table rewritten from its ``live``
+column once more.
 """
 
 from __future__ import annotations
@@ -88,17 +97,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expressions import KernelExpr, parse_kernel, quiet, time_split, zero_kernel
+from .expressions import KernelExpr, _eval_node, parse_kernel, quiet, time_split, zero_kernel
 from .piecewise import Grid, PiecewiseFn, _check_mu, interpolate
 from .quadrature import (
+    Cut,
     Limits,
+    _integrate_to,
+    _node_cumulative,
+    _read_prefix,
+    _row_prefix,
     apply_weights,
     cut,
-    integrate_to,
     limits_of,
-    node_cumulative,
-    read_prefix,
-    row_prefix,
     weight_rows,
 )
 from .schedule import MERGE_TOL, ImpulseSchedule
@@ -362,13 +372,16 @@ class HybridProblem:
                 G2 if n_tau >= 2 and not G2.is_zero and _G2_per_time not in terms else None)
 
     @_lazy
+    @quiet
     def impulse_prefix(self) -> np.ndarray | None:
         """:func:`_impulse_prefix` when neither of :attr:`impulse_kernels`
         reads eta: the same for every iterate, so it is built once per
         problem, read-only, and every memory table holds it (each picard
         sweep, the image, :func:`jump_at` and the march).  None when there
         is no prefix or it reads eta.  A kernel error is not kept, and
-        raises again in the next table build."""
+        raises again in the next table build.  The build holds its own
+        guard, once per problem: a caller outside a sweep may read it
+        first."""
         if any(k is not None and not k.free.isdisjoint(("eta", "etai", "etaj"))
                for k in self.impulse_kernels):
             return None
@@ -470,6 +483,16 @@ class _View(NamedTuple):
 # Core evaluation
 
 
+def _walk(kernel: KernelExpr, bindings):
+    """``kernel`` at ``bindings``, the value :meth:`~.expressions.KernelExpr.evaluate`
+    gives, without its floating-point guard: every kernel of a sweep is
+    walked under the one guard the sweep holds (:func:`_sweep_values`,
+    :func:`jump_at` and the march's sweep).  A domain error raises as
+    there; only a power enters a guard of its own.  It is the one place a
+    sweep evaluates a kernel, so a test can watch every evaluation."""
+    return _eval_node(kernel.root, bindings)
+
+
 class _Batch:
     """The parts of one evaluation batch that no iterate changes.
 
@@ -489,11 +512,12 @@ class _Batch:
     with sigma_i(s) >= m, the prefix its g rows keep;
     ``tau_below``, tau_j < m (E, n_tau); ``impulse_count``, the number of
     fixed impulses below m; ``g3_gate``, sigma_i(te) < m and tau_j < m
-    (n_sigma, n_tau, E); by :meth:`g_reads`, how the g rows of a memory
-    table (:func:`_memory`) are read at ``te``; by :meth:`row_weight`, what
-    each row of such a table is multiplied by there; and by :meth:`factor`
-    each time factor at ``te``.  A part whose kernel fails to evaluate is
-    not kept, and fails again.
+    (n_sigma, n_tau, E); by :meth:`reads`, how every row of a memory table
+    (:func:`_memory`) is read at ``te``, each g row cut where its sigma_i
+    reaches m and left out where its fixed impulse is not below m; by
+    :meth:`row_weight`, the time factor each row of such a table is
+    multiplied by there; and by :meth:`factor` each time factor at ``te``.
+    A part whose kernel fails to evaluate is not kept, and fails again.
     """
 
     def __init__(self, problem: "HybridProblem", te: np.ndarray, m: np.ndarray):
@@ -501,7 +525,7 @@ class _Batch:
         self.te = _read_only(np.array(te, dtype=float))
         self.m = _read_only(np.array(m, dtype=float))
         self._factors: dict[int, np.ndarray] = {}
-        self._g_reads: dict[tuple, tuple] = {}
+        self._reads: dict[tuple, Cut | None] = {}
         self._weights: dict[int, np.ndarray | None] = {}
 
     @_lazy
@@ -538,49 +562,56 @@ class _Batch:
     def g3_gate(self) -> np.ndarray:
         return (self.sigma[:, None, :] < self.m) & self.tau_below.T[None, :, :]
 
-    def g_reads(self, admitted: int, shape: tuple) -> tuple:
-        """How the g rows of a table are read at ``te``: their
-        :class:`~.quadrature.Cut`, each row cut where its sigma_i reaches m.
+    def reads(self, memory: "_Memory") -> Cut | None:
+        """How the table ``memory`` is read at ``te``: one
+        :class:`~.quadrature.Cut` over every row, or None when the table
+        holds no g row and every row is read whole.
 
-        The table holds the g rows of the first ``admitted`` fixed impulses,
-        and their prefix has ``shape``.
+        The f1 and f2 rows are read whole.  The g row of moving impulse i
+        and fixed impulse j is cut where sigma_i reaches m, and is empty
+        (read as 0) unless tau_j < m: a value outside that gate never
+        enters the sum, even an inf.  The rows of every table of a
+        problem follow from the number of fixed impulses whose g rows it
+        holds (:class:`_Memory`), so the cut is built once per batch,
+        number and table width.
         """
-        key = (admitted, shape)
-        found = self._g_reads.get(key)
+        R, n_xi = memory.rows.shape[0], memory.n_xi
+        if R == n_xi:
+            return None
+        admitted = memory.window.admitted
+        key = (admitted, memory.prefix.shape)
+        found = self._reads.get(key)
         if found is None:
-            keep = np.repeat(self.cut, admitted * len(self.problem.g_terms), axis=0)
-            found = self._g_reads[key] = _read_only(cut(self.limits, keep, shape))
+            problem = self.problem
+            E = self.m.size
+            keep = np.empty((R, E), dtype=np.intp)
+            keep[:n_xi] = problem.grid.size
+            # the g rows by moving impulse i, fixed impulse j < admitted and
+            # term: cut_i where tau_j < m, else nothing
+            below = self.tau_below.T[:admitted, None, :]
+            keep[n_xi:].reshape(-1, admitted, len(problem.g_terms), E)[:] = np.where(
+                below, self.cut[:, None, None, :], 0)
+            found = self._reads[key] = _read_only(cut(self.limits, keep, memory.prefix.shape))
         return found
 
-    @quiet
     def row_weight(self, memory: "_Memory") -> np.ndarray | None:
-        """What each row of the table ``memory`` is multiplied by at ``te``
-        before the rows are summed, (R, E), read-only: its time factor, or
-        1, and for a g row that times whether its fixed impulse lies below
-        m.  None when every row is summed as it is.
+        """The time factor each row of the table ``memory`` is multiplied
+        by at ``te`` before the rows are summed, (R, E), read-only: c(t),
+        or 1 for a row of t-free terms.  None when no row has a factor.
 
-        The rows of every table of a problem follow from the number of
-        fixed impulses whose g rows it holds (:class:`_Memory`), so the
-        weight is built once per batch and number.
+        Built once per batch and number of fixed impulses whose g rows the
+        table holds, as :meth:`reads`.
         """
+        if not memory.factors:
+            return None
         admitted = memory.window.admitted
-        if admitted in self._weights:
-            return self._weights[admitted]
-        R, n_xi = memory.rows.shape[0], memory.n_xi
-        weight = None
-        if memory.factors or R > n_xi:
-            weight = np.ones((R, self.te.size))
+        found = self._weights.get(admitted)
+        if found is None:
+            found = np.ones((memory.rows.shape[0], self.te.size))
             for c, rows in memory.factors:
-                weight[rows] = self.factor(c)
-        if R > n_xi:
-            problem = self.problem
-            tau = np.repeat(problem.tau[:admitted], len(problem.g_terms))
-            below = np.tile(tau[:, None] < self.m, (problem.g_row_impulses.size, 1))
-            weight[n_xi:] = np.where(below, weight[n_xi:], 0.0)
-        if weight is not None:
-            weight.setflags(write=False)
-        self._weights[admitted] = weight
-        return weight
+                found[rows] = self.factor(c)
+            found = self._weights[admitted] = _read_only(found)
+        return found
 
     def factor(self, c: KernelExpr) -> np.ndarray:
         """The time factor ``c`` (one of the problem's terms) at ``te``."""
@@ -600,7 +631,7 @@ class _Subset(_Batch):
     ``impulse_count``, ``g3_gate`` and each time factor) are the parent's
     arrays at ``index``, each indexed on first use, so the parent locates
     and evaluates its times once for all of its subsets and its own
-    evaluations.  :meth:`g_reads` and :meth:`row_weight` follow the table
+    evaluations.  :meth:`reads` and :meth:`row_weight` follow the table
     read, and a subset builds them as any batch does.
     """
 
@@ -610,7 +641,7 @@ class _Subset(_Batch):
         self.te = _read_only(parent.te[index])
         self.m = _read_only(parent.m[index])
         self._factors = {}
-        self._g_reads = {}
+        self._reads = {}
         self._weights = {}
 
     limits = _lazy(lambda self: Limits._make(a[self.index] for a in self.parent.limits))
@@ -660,8 +691,10 @@ class _Memory(NamedTuple):
     ``problem.g_row_impulses``, the fixed impulses and ``problem.g_terms``:
     the integrand of moving impulse i is cut to the nodes s with sigma_i(s)
     below the membership time, and a row of fixed impulse j counts when
-    ``tau_j < m`` (:class:`_Batch`).  ``impulses`` is the exclusive prefix
-    over the fixed impulses of the t-free G1 and G2 values
+    ``tau_j < m``.  A batch reads the table with one cut of every row
+    (:meth:`_Batch.reads`) and multiplies the rows by their time factors
+    (:meth:`_Batch.row_weight`).  ``impulses`` is the exclusive prefix over
+    the fixed impulses of the t-free G1 and G2 values
     (:func:`_impulse_prefix`), or None; every table of a problem holds the
     same one when they read no eta.  A later iterate of a march segment
     rewrites the arrays in place (:func:`_memory`).
@@ -681,7 +714,6 @@ def _f2_square(problem: HybridProblem) -> bool:
     return problem.f2_terms is None and _f2_per_time not in problem.batch_terms
 
 
-@quiet
 def _xi_rows(problem: HybridProblem, xi: np.ndarray, cols: slice, start):
     """The f1 and f2 integrands of the continuous part ``xi`` as node rows.
 
@@ -704,30 +736,27 @@ def _xi_rows(problem: HybridProblem, xi: np.ndarray, cols: slice, start):
     nodes = {"s": times, "x": x, "s1": times, "x1": x}
     rows = []
     for c, a in problem.f1_terms or ():
-        rows.append((c, a.evaluate(nodes)))
+        rows.append((c, _walk(a, nodes)))
     cumulative = None
     f2 = problem.f2
     if problem.f2_terms:
         outer, B = [], np.empty((len(problem.f2_terms), times.size))
         for r, (c, a, b) in enumerate(problem.f2_terms):
-            outer.append((c, a.evaluate(nodes)))
-            B[r] = b.evaluate(nodes)
-        cumulative = node_cumulative(grid, B, cols.start, start)
+            outer.append((c, _walk(a, nodes)))
+            B[r] = _walk(b, nodes)
+        cumulative = _node_cumulative(grid, B, cols.start, start)
         inner = [(c, a * cum) for (c, a), cum in zip(outer, cumulative)]
         if f2.references("t"):
             rows += inner
         else:
             rows.append((None, sum((row for _, row in inner[1:]), inner[0][1])))
     elif _f2_square(problem):
-        F = f2.evaluate(
-            {"t": 0.0, "s": grid.times[:, None], "s1": grid.times[None, :],
-             "x": xi[:, None], "x1": xi[None, :]}
-        )
-        rows.append((None, integrate_to(grid, F, grid.times)[cols]))
+        F = _walk(f2, {"t": 0.0, "s": grid.times[:, None], "s1": grid.times[None, :],
+                       "x": xi[:, None], "x1": xi[None, :]})
+        rows.append((None, _integrate_to(grid, F, grid.times)[cols]))
     return rows, cumulative
 
 
-@quiet
 def _impulse_prefix(problem: HybridProblem, eta: np.ndarray | None) -> np.ndarray | None:
     """Exclusive prefix over tau of the t-free G1 and G2 terms, or None.
 
@@ -743,13 +772,13 @@ def _impulse_prefix(problem: HybridProblem, eta: np.ndarray | None) -> np.ndarra
     tau = problem.tau
     per_impulse = np.zeros(tau.size)
     if G1 is not None:
-        per_impulse += G1.evaluate({"tau": tau} if eta is None else {"tau": tau, "eta": eta})
+        per_impulse += _walk(G1, {"tau": tau} if eta is None else {"tau": tau, "eta": eta})
     if G2 is not None:
         ii, jj = problem.tau_pairs
         pairs = {"taui": tau[ii], "tauj": tau[jj]}
         if eta is not None:
             pairs.update(etai=eta[ii], etaj=eta[jj])
-        vals = G2.evaluate(pairs)
+        vals = _walk(G2, pairs)
         per_impulse += np.bincount(
             ii, weights=np.broadcast_to(vals, ii.shape), minlength=tau.size
         )
@@ -789,14 +818,14 @@ def _memory(
         sig, b = problem.sigma_grid[i][cols], triple.beta_rows()[i, cols]
         for tau_j, eta_j in zip(problem.tau[:window.admitted], eta):
             nodes = {"s": times, "sig": sig, "tau": tau_j, "x": x, "beta": b, "eta": eta_j}
-            entries += [(c, a.evaluate(nodes)) for c, a in problem.g_terms]
+            entries += [(c, _walk(a, nodes)) for c, a in problem.g_terms]
     if table is not None:
         rows = table.rows
         for r, (_, row) in enumerate(entries):
             rows[r, cols] = row
         if cumulative is not None:
             table.cumulative[:, cols] = cumulative
-        prefix = row_prefix(problem.grid, rows[:, cols], live, table.prefix[:, live])
+        prefix = _row_prefix(problem.grid, rows[:, cols], live, table.prefix[:, live])
         table.prefix[:, live:] = prefix
         return table
     impulses = problem.impulse_prefix
@@ -812,28 +841,25 @@ def _memory(
         n_xi=n_xi,
         cumulative=cumulative,
         rows=rows,
-        prefix=row_prefix(problem.grid, rows),
+        prefix=_row_prefix(problem.grid, rows),
         factors=tuple(factors.values()),
         impulses=impulses,
         window=window,
     )
 
 
-@quiet
 def _read_rows(memory: _Memory, batch: _Batch) -> np.ndarray:
-    """Every row of the table ``memory`` at the times of ``batch``, summed."""
+    """Every row of the table ``memory`` at the times of ``batch``, summed:
+    one read of the table's prefix through the cut of every row
+    (:meth:`_Batch.reads`), times the rows' time factors when any has one
+    (:meth:`_Batch.row_weight`), and one sum over the rows.  A g row whose
+    fixed impulse is not below m is read as 0, whatever it holds.  The
+    caller holds the floating-point guard."""
     limits = batch.limits
-    R, n_xi = memory.rows.shape[0], memory.n_xi
-    if R == n_xi == 1 and not memory.factors:
+    if memory.rows.shape[0] == memory.n_xi == 1 and not memory.factors:
         # one row with nothing to scale or cut, read as a row
-        return read_prefix(memory.prefix[0], memory.rows[0], limits)
-    parts = read_prefix(memory.prefix[:n_xi], memory.rows[:n_xi], limits)
-    if R > n_xi:
-        # the g rows, each cut where its sigma_i reaches the membership time
-        g_prefix = memory.prefix[n_xi:]
-        reads = batch.g_reads(memory.window.admitted, g_prefix.shape)
-        g_parts = read_prefix(g_prefix, memory.rows[n_xi:], limits, reads)
-        parts = np.concatenate([parts, g_parts])
+        return _read_prefix(memory.prefix[0], memory.rows[0], limits)
+    parts = _read_prefix(memory.prefix, memory.rows, limits, batch.reads(memory))
     weight = batch.row_weight(memory)
     if weight is not None:
         parts *= weight
@@ -899,8 +925,8 @@ def _sc_eval(problem: HybridProblem, triple: SolutionTriple, batch: _Batch,
 def _f1_per_time(problem, batch, triple, beta_at, out):
     """f1 that references t and does not split: one row per evaluation time."""
     grid, te, xi = problem.grid, batch.te, triple.xi.values
-    w = problem.f1.evaluate({"t": te[:, None], "s": grid.times[None, :], "x": xi[None, :]})
-    out += integrate_to(grid, w, te)
+    w = _walk(problem.f1, {"t": te[:, None], "s": grid.times[None, :], "x": xi[None, :]})
+    out += _integrate_to(grid, w, te)
 
 
 def _f2_per_time(problem, batch, triple, beta_at, out):
@@ -911,10 +937,8 @@ def _f2_per_time(problem, batch, triple, beta_at, out):
     node_weights = W if np.array_equal(te, times) else weight_rows(grid, times)
     inner = np.empty((te.size, times.size))
     for r, t in enumerate(te):
-        F = problem.f2.evaluate(
-            {"t": t, "s": times[:, None], "s1": times[None, :],
-             "x": xi[:, None], "x1": xi[None, :]}
-        )
+        F = _walk(problem.f2, {"t": t, "s": times[:, None], "s1": times[None, :],
+                               "x": xi[:, None], "x1": xi[None, :]})
         inner[r] = apply_weights(node_weights, F)
     out += apply_weights(W, inner)
 
@@ -922,9 +946,7 @@ def _f2_per_time(problem, batch, triple, beta_at, out):
 def _G1_per_time(problem, batch, triple, beta_at, out):
     """G1 that references t, over the fixed impulses below m."""
     tau, eta, below = problem.tau, triple.eta, batch.tau_below
-    vals = problem.G1.evaluate(
-        {"t": batch.te[:, None], "tau": tau[None, :], "eta": eta[None, :]}
-    )
+    vals = _walk(problem.G1, {"t": batch.te[:, None], "tau": tau[None, :], "eta": eta[None, :]})
     out += np.where(below, vals, 0.0).sum(axis=1)
 
 
@@ -933,10 +955,9 @@ def _G2_per_time(problem, batch, triple, beta_at, out):
     tau, eta = problem.tau, triple.eta
     ii, jj = problem.tau_pairs
     below = batch.tau_below[:, ii]
-    vals = problem.G2.evaluate(
-        {"t": batch.te[:, None], "taui": tau[ii][None, :], "tauj": tau[jj][None, :],
-         "etai": eta[ii][None, :], "etaj": eta[jj][None, :]}
-    )
+    vals = _walk(problem.G2, {"t": batch.te[:, None], "taui": tau[ii][None, :],
+                              "tauj": tau[jj][None, :], "etai": eta[ii][None, :],
+                              "etaj": eta[jj][None, :]})
     out += np.where(below, vals, 0.0).sum(axis=1)
 
 
@@ -957,15 +978,10 @@ def _g_per_batch(problem, batch, triple, beta_at, out):
             nodes = {"t": te[:, None], "s": times, "sig": sig, "tau": tau_j,
                      "x": xi, "beta": beta_rows[i], "eta": eta_j}
             for (_, a), c in zip(terms, c_at):
-                part = apply_weights(W, np.where(gate, a.evaluate(nodes), 0.0))
+                part = apply_weights(W, np.where(gate, _walk(a, nodes), 0.0))
                 if c is not None:
-                    part = _times(c, part)
+                    part = c * part
                 out += np.where(batch.tau_below[:, j], part, 0.0)
-
-
-@quiet
-def _times(c: np.ndarray, part: np.ndarray) -> np.ndarray:
-    return c * part
 
 
 def _G3(problem, batch, triple, beta_at, out):
@@ -974,10 +990,8 @@ def _G3(problem, batch, triple, beta_at, out):
     if beta_at is None:
         beta_at = _beta_at(triple, batch)
     for i in range(problem.n_sigma):
-        vals = problem.G3.evaluate(
-            {"t": te, "sig": batch.sigma[i], "tau": tau[:, None],
-             "beta": beta_at[i], "eta": eta[:, None]}
-        )
+        vals = _walk(problem.G3, {"t": te, "sig": batch.sigma[i], "tau": tau[:, None],
+                                  "beta": beta_at[i], "eta": eta[:, None]})
         out += np.where(batch.g3_gate[i], vals, 0.0).sum(axis=0)
 
 
@@ -1016,16 +1030,23 @@ def apply_operator(problem: HybridProblem, triple: SolutionTriple) -> SolutionTr
     return _triple(problem, _sweep_values(problem, triple))
 
 
-def _sweep_values(problem: HybridProblem, triple) -> np.ndarray:
+@quiet
+def _sweep_values(problem: HybridProblem, triple, window: _Window | None = None,
+                  table: _Memory | None = None) -> np.ndarray:
     """The image of ``triple`` (a :class:`SolutionTriple` or a
     :class:`_View`) at the times of ``problem.sweep``, laid out as they
     are: one evaluation of that batch against one memory table of the
-    whole grid, with beta read at its stored node values."""
+    whole grid, with beta read at its stored node values.  The table is
+    built afresh, or is ``table``, an earlier iterate's over ``window``,
+    rewritten from ``window.live`` on (:func:`_memory`); either way it has
+    the same bits.  This is the sweep's one floating-point guard:
+    everything it calls runs unguarded under it."""
     batch = problem.sweep
     beta_at = _beta_at(triple, batch, slice(None)) if problem.n_sigma else None
-    return _sc_eval(problem, triple, batch, _memory(problem, triple), beta_at)
+    return _sc_eval(problem, triple, batch, _memory(problem, triple, window, table), beta_at)
 
 
+@quiet
 def jump_at(problem: HybridProblem, triple: SolutionTriple, alpha):
     """Predicted jump of the continuous part at breakpoint ``alpha``.
 

@@ -43,10 +43,13 @@ one row per limit s; for ``F = a(s) b(s1)`` they are
 ``a * node_cumulative(grid, b)``.
 
 Non-finite node values give non-finite integrals and raise no
-floating-point warning: the solver reports them.  The functions that do
-the arithmetic are decorated with the shared guard
-:data:`~.expressions.quiet` rather than entering ``np.errstate`` blocks:
-a sweep calls them many times, and a decorated call builds no object.
+floating-point warning: the solver reports them.  Each public function
+that does the arithmetic is its private core (``_integrate_to``,
+``_row_prefix``, ``_read_prefix``, ``_node_cumulative``) under the shared
+guard :data:`~.expressions.quiet`, a decorated call rather than an
+``np.errstate`` block.  A sweep of the operator holds that guard itself
+and calls the cores, so it sets the error state once, not once per
+quadrature call.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ def apply_weights(W: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", W, np.broadcast_to(w, W.shape))
 
 
-def integrate_to(grid: Grid, w: np.ndarray, upper: np.ndarray) -> np.ndarray:
+def _integrate_to(grid: Grid, w: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Integral of the node integrand ``w`` from 0 to each ``upper``.
 
     ``w`` is either one row shared by every upper limit (shape ``(N,)``,
@@ -148,7 +151,10 @@ def integrate_to(grid: Grid, w: np.ndarray, upper: np.ndarray) -> np.ndarray:
     if rows.shape[0] != 1:
         return apply_weights(weight_rows(grid, upper), rows)
     row = np.broadcast_to(rows[0], N)
-    return read_prefix(row_prefix(grid, row), row, limits_of(grid, upper))
+    return _read_prefix(_row_prefix(grid, row), row, limits_of(grid, upper))
+
+
+integrate_to = quiet(_integrate_to)
 
 
 class Cut(NamedTuple):
@@ -178,8 +184,7 @@ def cut(limits: Limits, keep: np.ndarray, shape: tuple) -> Cut:
     return Cut(np.minimum(keep, base) + start, base < keep, base + 1 < keep)
 
 
-@quiet
-def row_prefix(
+def _row_prefix(
     grid: Grid, rows: np.ndarray, first: int = 0, start: np.ndarray | float = 0.0
 ) -> np.ndarray:
     """Exclusive prefix sums of the trapezoid-weighted node rows ``rows``.
@@ -200,8 +205,10 @@ def row_prefix(
     return prefix
 
 
-@quiet
-def read_prefix(
+row_prefix = quiet(_row_prefix)
+
+
+def _read_prefix(
     prefix: np.ndarray, rows: np.ndarray, limits: Limits, keep: Cut | None = None
 ) -> np.ndarray:
     """Integral of each node row of ``rows`` from 0 to each upper limit.
@@ -226,8 +233,10 @@ def read_prefix(
     )
 
 
-@quiet
-def node_cumulative(
+read_prefix = quiet(_read_prefix)
+
+
+def _node_cumulative(
     grid: Grid, w: np.ndarray, first: int = 0, start: np.ndarray | float = 0.0
 ) -> np.ndarray:
     """Cumulative integral from 0 to every grid node, along the last axis.
@@ -245,8 +254,11 @@ def node_cumulative(
     width = w.shape[-1]
     if first % nodes or width % nodes or first + width > grid.size:
         raise ValueError(f"columns {first} to {first + width} are not whole segments")
-    prefix = row_prefix(grid, w, first, start)
+    prefix = _row_prefix(grid, w, first, start)
     return prefix[..., :-1] + grid.half_steps[first:first + width] * w
+
+
+node_cumulative = quiet(_node_cumulative)
 
 
 def cube_diagonal(grid: Grid, F: np.ndarray, order: int) -> np.ndarray:

@@ -31,14 +31,18 @@ a march segment is an index view of ``problem.sweep`` at the segment's
 nodes and fresh trace entries (:class:`~.operator._Subset`), and its sweep
 writes its evaluation into a copy of the array at those indices.  So a
 solve locates and evaluates its times once, and every sweep checks its
-update for finiteness once.
+update for finiteness once.  Each sweep enters one floating-point guard,
+its own (:func:`~.operator._sweep_values`, :func:`_segment_sweep`), and
+everything it calls runs under it.
 
 Both return the solution triple plus a :class:`SolveReport` with per-sweep
 component deltas (useful for checking contraction-rate predictions); the
 triple, and the image below, are the only :class:`~.operator.SolutionTriple`
 a solve builds.  The report also keeps the image of the returned iterate,
 from one more evaluation of ``problem.sweep``, with the bits of
-:func:`~.operator.apply_operator`: the final residual is its sup distance
+:func:`~.operator.apply_operator`; the march takes it against its last
+segment's table, which spans the grid, rewritten from that segment's
+first changeable column.  The final residual is the image's sup distance
 from the iterate, and its two values at each duplicated breakpoint node
 give the jump the operator predicts there, so a caller needs no second
 evaluation of the iterate.  A kernel domain error or a non-finite update
@@ -56,7 +60,7 @@ from functools import partial
 import numpy as np
 
 from .contraction import NoContractiveWeight, find_mu
-from .expressions import EvaluationError
+from .expressions import EvaluationError, quiet
 from .operator import (
     EPS,
     HybridProblem,
@@ -184,21 +188,24 @@ def _finish(image_of, cur, report: SolveReport) -> None:
     report.image, report.final_residual = image, distance
 
 
-def _swept(problem: HybridProblem, cur: np.ndarray) -> np.ndarray:
+def _swept(problem: HybridProblem, cur: np.ndarray, window=None, table=None) -> np.ndarray:
     """The image of the iterate ``cur``, laid out as it is: one evaluation
-    of ``problem.sweep`` on a view of it (:func:`~.operator._sweep_values`).
-    Raises :class:`~.piecewise.NonFiniteValues` unless every value is
-    finite."""
-    new = _sweep_values(problem, _View.of(problem, cur))
+    of ``problem.sweep`` on a view of it (:func:`~.operator._sweep_values`),
+    against a new table of the whole grid or ``table`` over ``window``
+    rewritten.  Raises :class:`~.piecewise.NonFiniteValues` unless every
+    value is finite."""
+    new = _sweep_values(problem, _View.of(problem, cur), window, table)
     if not np.isfinite(new).all():
         raise NonFiniteValues("non-finite update")
     return new
 
 
-def _image(problem: HybridProblem, cur: np.ndarray) -> tuple[SolutionTriple, float]:
+def _image(problem: HybridProblem, cur: np.ndarray, window=None,
+           table=None) -> tuple[SolutionTriple, float]:
     """The image of the iterate ``cur`` as a triple and its unweighted sup
-    distance from ``cur``, the bits of :func:`~.operator.residual`."""
-    image = _swept(problem, cur)
+    distance from ``cur``, the bits of :func:`~.operator.residual`; the
+    table is as in :func:`_swept`."""
+    image = _swept(problem, cur, window, table)
     return _triple(problem, image), float(np.abs(image - cur).max())
 
 
@@ -243,8 +250,10 @@ def _sup(a: np.ndarray) -> float:
     return float(np.abs(a).max(initial=0.0))
 
 
+@quiet
 def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, batch, state):
-    """One inner sweep of the march over the segment ``nodes``.
+    """One inner sweep of the march over the segment ``nodes``, under the
+    sweep's one floating-point guard.
 
     ``state`` is the current iterate, an array laid out as the times of
     one sweep (:class:`~.operator._View`), and the segment's memory table,
@@ -310,13 +319,16 @@ def segment_solve(
         window = _window(problem, nodes, batch, consumed)
         consumed = now
         sweep = partial(_segment_sweep, problem, nodes, fresh, window, batch)
-        (cur, _), done = _iterate(report, (cur, None), sweep, tol, kmax)
+        (cur, table), done = _iterate(report, (cur, None), sweep, tol, kmax)
         if report.failed:
             return _triple(problem, cur), report
         if not done:
             report.converged = False
             report.notes += (f"segment {l} hit the sweep limit",)
-    _finish(partial(_image, problem), cur, report)
+    # the last segment's table spans the grid and admits every fixed impulse
+    # that a membership of a sweep admits: the image rewrites it from its
+    # live column with the returned iterate
+    _finish(partial(_image, problem, window=window, table=table), cur, report)
     return _triple(problem, cur), report
 
 

@@ -7,7 +7,9 @@ tests and the acceptance suite share them so cross-module oracles line up.
 import numpy as np
 import pytest
 
+from hybrid_volterra import operator
 from hybrid_volterra.contraction import LipschitzSet
+from hybrid_volterra.expressions import KernelExpr
 from hybrid_volterra.operator import HybridProblem, SolutionTriple, default_init
 from hybrid_volterra.piecewise import PiecewiseFn
 from hybrid_volterra.schedule import ImpulseSchedule
@@ -112,6 +114,19 @@ h: 0.4
 lipschitz: {{L1: 0.4, L22: 0.3}}
 quadrature: {{nodes_per_segment: 64}}
 """
+
+
+def on_kernel_calls(monkeypatch, record):
+    """Call ``record(kernel, bindings, out)`` after every kernel evaluation
+    that returns: each public ``KernelExpr.evaluate`` and each walk that a
+    sweep makes under its own guard (``operator._walk``)."""
+    for owner, name in ((KernelExpr, "evaluate"), (operator, "_walk")):
+        def watched(kernel, bindings, original=getattr(owner, name)):
+            out = original(kernel, bindings)
+            record(kernel, bindings, out)
+            return out
+
+        monkeypatch.setattr(owner, name, watched)
 
 
 def random_triple(problem, rng, scale=1.0) -> SolutionTriple:

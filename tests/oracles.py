@@ -26,6 +26,7 @@ from hybrid_volterra.expressions import (
     _Var,
 )
 from hybrid_volterra.problem_io import ProblemFileError
+from hybrid_volterra.quadrature import cut, read_prefix
 
 
 def read_solution_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -448,3 +449,57 @@ def contraction_numbers(lip, horizon, h, n_tau, n_sigma, mu=None) -> dict:
         "criterion_quantities": list(criterion_quantities(a)),
         "spectral_radius": max(abs(r) for r in roots),
     }
+
+
+# ---------------------------------------------------------------------------
+# The read of a memory table in two passes, as the operator first made it:
+# the f1 and f2 rows whole, then the g rows each cut where its sigma_i
+# reaches m, and then every row times a weight that holds its time factor
+# and, for a g row, whether its fixed impulse lies below m.  A g row whose
+# impulse is not admitted enters as its value times 0, so an inf there
+# gives nan.
+
+
+def g_reads(batch, admitted: int, shape: tuple):
+    """The cut of the g rows of a table that holds the g rows of the first
+    ``admitted`` fixed impulses, whose prefix has ``shape``."""
+    keep = np.repeat(batch.cut, admitted * len(batch.problem.g_terms), axis=0)
+    return cut(batch.limits, keep, shape)
+
+
+def row_weight(batch, memory):
+    """What each row of ``memory`` is multiplied by at the batch's times,
+    (R, E): its time factor or 1, and 0 for a g row whose fixed impulse is
+    not below m.  None when every row is summed as it is."""
+    admitted = memory.window.admitted
+    R, n_xi = memory.rows.shape[0], memory.n_xi
+    weight = None
+    if memory.factors or R > n_xi:
+        weight = np.ones((R, batch.te.size))
+        for c, rows in memory.factors:
+            weight[rows] = batch.factor(c)
+    if R > n_xi:
+        problem = batch.problem
+        tau = np.repeat(problem.tau[:admitted], len(problem.g_terms))
+        below = np.tile(tau[:, None] < batch.m, (problem.g_row_impulses.size, 1))
+        weight[n_xi:] = np.where(below, weight[n_xi:], 0.0)
+    return weight
+
+
+def read_rows(memory, batch) -> np.ndarray:
+    """Every row of the table ``memory`` at the times of ``batch``, summed."""
+    limits = batch.limits
+    R, n_xi = memory.rows.shape[0], memory.n_xi
+    if R == n_xi == 1 and not memory.factors:
+        return read_prefix(memory.prefix[0], memory.rows[0], limits)
+    parts = read_prefix(memory.prefix[:n_xi], memory.rows[:n_xi], limits)
+    if R > n_xi:
+        g_prefix = memory.prefix[n_xi:]
+        reads = g_reads(batch, memory.window.admitted, g_prefix.shape)
+        g_parts = read_prefix(g_prefix, memory.rows[n_xi:], limits, reads)
+        parts = np.concatenate([parts, g_parts])
+    weight = row_weight(batch, memory)
+    if weight is not None:
+        with np.errstate(invalid="ignore"):
+            parts *= weight
+    return np.add.reduce(parts, axis=0)

@@ -1,15 +1,20 @@
 """Operator evaluation: the three components, jumps, and the residual."""
 
 import dataclasses
+import functools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import exp_problem, make_problem, mixed_problem, random_triple
+import oracles
+from conftest import exp_problem, make_problem, mixed_problem, on_kernel_calls, random_triple
 from test_parity import multi_impulse_problem
 from hybrid_volterra import operator, quadrature
 from hybrid_volterra.contraction import contraction_bounds, find_mu
-from hybrid_volterra.expressions import KernelExpr, parse_kernel
+from hybrid_volterra.expressions import parse_kernel, quiet
 from hybrid_volterra.operator import (
     EPS,
     HybridProblem,
@@ -334,19 +339,17 @@ class TestOneEvaluationPerSweep:
     def _count(monkeypatch, problem):
         calls = {"sc_eval": 0, "g_rows": 0}
         sc_eval = operator._sc_eval
-        evaluate = KernelExpr.evaluate
         g_factors = {id(a) for _, a in problem.g_terms}
 
         def counting_sc_eval(*args, **kwargs):
             calls["sc_eval"] += 1
             return sc_eval(*args, **kwargs)
 
-        def counting_evaluate(self, bindings):
-            calls["g_rows"] += id(self) in g_factors
-            return evaluate(self, bindings)
+        def counting_evaluations(kernel, bindings, out):
+            calls["g_rows"] += id(kernel) in g_factors
 
         monkeypatch.setattr(operator, "_sc_eval", counting_sc_eval)
-        monkeypatch.setattr(KernelExpr, "evaluate", counting_evaluate)
+        on_kernel_calls(monkeypatch, counting_evaluations)
         return calls
 
     @pytest.mark.parametrize("build", [mixed_problem, multi_impulse_problem],
@@ -386,13 +389,13 @@ class TestOneCumulativePerTable:
         assert len(problem.f2_terms) == 2
         triple = random_triple(problem, np.random.default_rng(7))
         calls = []
-        cumulative = operator.node_cumulative
+        cumulative = operator._node_cumulative
 
         def counting(*args, **kwargs):
             calls.append(1)
             return cumulative(*args, **kwargs)
 
-        monkeypatch.setattr(operator, "node_cumulative", counting)
+        monkeypatch.setattr(operator, "_node_cumulative", counting)
         _memory(problem, triple)
         assert len(calls) == 1
 
@@ -523,3 +526,81 @@ class TestGTermMask:
                          panels=16, x0="0", g="0.05*t*x + 0.02*beta*eta + 0.1*s*tau")
         assert len(p.g_terms) == 3 and p.n_sigma == 2 and p.n_tau == 3
         self._check(p, seed=11)
+
+
+# ---------------------------------------------------------------------------
+# One read per memory table
+
+
+@functools.lru_cache(maxsize=None)
+def _read_problem(n_sigma, n_tau, factored, xi_rows):
+    """A problem whose tables hold g rows of ``n_sigma`` moving and
+    ``n_tau`` fixed impulses, split into time factors or not, with or
+    without f1 and f2 rows.  sigma(0) > 0 and sigma(2) < 2: a membership
+    time near 0 cuts every g row to nothing, one near 2 keeps it whole."""
+    kernels = {"g": "exp(-t)*x*beta + 0.1*eta" if factored else "0.02*x + 0.01*beta*eta"}
+    if xi_rows:
+        kernels.update(f1="exp(-t)*x + 0.3*x" if factored else "0.3*x", f2="0.1*x*x1")
+    return make_problem(2.0, tau=(0.5, 1.0, 1.5)[:n_tau],
+                        sigma=("0.3 + 0.5*t", "0.2 + 0.7*t")[:n_sigma], h=0.05,
+                        panels=8, x0="1", **kernels)
+
+
+def _same_read(got, want):
+    """The same sums, bit for bit, except that an exact zero may differ in
+    sign: a g row whose fixed impulse is not admitted now enters as +0,
+    where it entered as its value times 0."""
+    assert np.array_equal(got, want), (got, want)
+    nonzero = want != 0
+    assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+
+class TestOneReadPerTable:
+    """Every row of a memory table is read at a batch's times by one cut of
+    the table's prefix (``_Batch.reads``), against the read in two passes
+    with a weight that gates each g row (``oracles.read_rows``)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n_sigma=st.integers(1, 2), n_tau=st.integers(1, 3), factored=st.booleans(),
+           xi_rows=st.booleans(), admitted=st.integers(1, 3), E=st.integers(1, 6),
+           scale=st.sampled_from([1e-3, 1.0, 1e150]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_read_in_two_passes(self, n_sigma, n_tau, factored, xi_rows,
+                                            admitted, E, scale, seed):
+        problem = _read_problem(n_sigma, n_tau, factored, xi_rows)
+        assert problem.g_row_impulses.size == n_sigma
+        rng = np.random.default_rng(seed)
+        window = operator._Window(0, problem.grid.size, min(admitted, n_tau))
+        memory = _memory(problem, random_triple(problem, rng), window)
+        rows = rng.uniform(-scale, scale, memory.rows.shape)
+        memory = memory._replace(rows=rows, prefix=quadrature.row_prefix(problem.grid, rows))
+        # the ends of the horizon as evaluation and membership times: every
+        # g row cut to nothing, and every g row whole with every impulse admitted
+        te = np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, E)])
+        m = np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, E)])
+        batch = _Batch(problem, te, m)
+        assert batch.cut.min() == 0 and batch.cut.max() == problem.grid.size
+        got = quiet(operator._read_rows)(memory, batch)
+        _same_read(got, oracles.read_rows(memory, batch))
+        assert (batch.row_weight(memory) is None) == (not factored)
+
+    def test_an_inf_outside_its_gate_stays_out(self):
+        """A g row that holds inf, read at times before its fixed impulse
+        is admitted, adds 0: the sum is the read of the other rows, where
+        the read in two passes gave inf times 0, nan."""
+        problem = _read_problem(1, 1, False, True)
+        memory = _memory(problem, random_triple(problem, np.random.default_rng(3)))
+        n_xi = memory.n_xi
+        rows = memory.rows.copy()
+        rows[n_xi:] = np.inf
+        inf_table = memory._replace(rows=rows, prefix=quadrature.row_prefix(problem.grid, rows))
+        te = np.array([0.35, 0.4, 0.45, 0.5])
+        batch = _Batch(problem, te, te - EPS)  # tau = 0.5 is below none of them
+        assert batch.cut.min() > 0  # sigma = 0.3 + 0.5 s keeps some nodes of the row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = quiet(operator._read_rows)(inf_table, batch)
+        assert np.isfinite(got).all()
+        rows[n_xi:] = 0.0
+        zero_table = memory._replace(rows=rows, prefix=quadrature.row_prefix(problem.grid, rows))
+        assert got.tobytes() == oracles.read_rows(zero_table, batch).tobytes()
+        assert np.isnan(oracles.read_rows(inf_table, batch)).all()

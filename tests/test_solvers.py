@@ -15,6 +15,7 @@ from conftest import (
     make_problem,
     mixed_problem,
     moving_problem,
+    on_kernel_calls,
     random_triple,
     step_problem,
 )
@@ -489,14 +490,12 @@ class TestImpulsePrefix:
         problem = load_problem_file(path).problem
         calls = self._counting(monkeypatch)
         g1_calls = []
-        evaluate = KernelExpr.evaluate
 
-        def counting_evaluate(self, bindings):
-            if self is problem.G1:
+        def counting_evaluations(kernel, bindings, out):
+            if kernel is problem.G1:
                 g1_calls.append(bindings)
-            return evaluate(self, bindings)
 
-        monkeypatch.setattr(KernelExpr, "evaluate", counting_evaluate)
+        on_kernel_calls(monkeypatch, counting_evaluations)
         _, rep = _solve(problem, method, 1e-12, 300)
         assert rep.converged and rep.iterations > 2
         assert calls == [True] and len(g1_calls) == 1
@@ -555,23 +554,21 @@ class TestSharedF2Triangle:
     """A t-independent, non-separable f2 triangle is built once per operator
     application.
 
-    Counted by wrapping ``KernelExpr.evaluate`` and keeping the f2 calls whose
-    bindings broadcast over the N x N node grid.
+    Counted by watching every kernel evaluation (``on_kernel_calls``) and
+    keeping the f2 calls whose bindings broadcast over the N x N node grid.
     """
 
     @staticmethod
     def _count_f2_passes(monkeypatch, problem):
         n = problem.grid.size
         passes = []
-        evaluate = KernelExpr.evaluate
 
-        def counting(self, bindings):
+        def counting(kernel, bindings, out):
             shape = np.broadcast(*(np.asarray(v) for v in bindings.values())).shape
-            if self is problem.f2 and shape == (n, n):
+            if kernel is problem.f2 and shape == (n, n):
                 passes.append(shape)
-            return evaluate(self, bindings)
 
-        monkeypatch.setattr(KernelExpr, "evaluate", counting)
+        on_kernel_calls(monkeypatch, counting)
         return passes
 
     def test_picard_one_pass_per_apply_operator(self, monkeypatch):
@@ -644,15 +641,12 @@ class TestSeparableF2:
     def _count_square_evaluations(monkeypatch, problem):
         n = problem.grid.size
         squares = []
-        evaluate = KernelExpr.evaluate
 
-        def counting(self, bindings):
-            out = evaluate(self, bindings)
+        def counting(kernel, bindings, out):
             if np.shape(out) == (n, n):
-                squares.append(self.source)
-            return out
+                squares.append(kernel.source)
 
-        monkeypatch.setattr(KernelExpr, "evaluate", counting)
+        on_kernel_calls(monkeypatch, counting)
         return squares
 
     @staticmethod
@@ -783,7 +777,7 @@ class TestMarchWork:
         log = {"sweeps": [], "outside": outside}
         current = [outside]
         sweep, sc_eval = solvers._segment_sweep, solvers._sc_eval
-        row_prefix = operator.row_prefix
+        row_prefix = operator._row_prefix
 
         def recording_sweep(problem, nodes, fresh, window, batch, state):
             current[0] = {"segment": nodes.start // (problem.grid.panels + 1),
@@ -806,7 +800,7 @@ class TestMarchWork:
         monkeypatch.setattr(solvers, "_segment_sweep", recording_sweep)
         monkeypatch.setattr(solvers, "_sc_eval", recording_eval)
         monkeypatch.setattr(operator, "_sc_eval", recording_eval)
-        monkeypatch.setattr(operator, "row_prefix", counting_prefix)
+        monkeypatch.setattr(operator, "_row_prefix", counting_prefix)
         return log
 
     def _check_batches(self, problem, log):
@@ -863,11 +857,51 @@ class TestMarchWork:
         # the fixed impulses tau = 0.4 and 1.75 that each segment admits
         assert {rec["segment"]: rec["window"].admitted for rec in log["sweeps"]} == {
             0: 0, 1: 1, 2: 1, 3: 2}
-        # the residual builds one table of the whole grid and evaluates the
-        # times of a picard sweep
+        # the image rewrites the last segment's table from column 99 and
+        # evaluates the times of a picard sweep
         outside = log["outside"]
-        assert outside["tables"] == [(0, problem.grid.size)]
+        assert outside["tables"] == [(99, 33)]
         assert [args[2] for args, _ in outside["evals"]] == [problem.sweep]
+
+    @pytest.mark.parametrize("name", sorted(IMAGE_CASES))
+    def test_image_rewrites_the_last_table(self, monkeypatch, name):
+        """The image of the returned iterate is the last segment's table,
+        whose window spans the grid and admits every fixed impulse,
+        rewritten from its live column: one row prefix over the columns
+        ``live`` to N, none from column 0, and the bits of
+        ``apply_operator`` and ``residual`` on the returned triple."""
+        problem, tol, kmax = IMAGE_CASES[name]
+        log = self._record(monkeypatch)
+        triple, rep = segment_solve(problem, tol=tol, kmax=kmax)
+        assert rep.converged
+        last = log["sweeps"][-1]["window"]
+        N = problem.grid.size
+        assert (last.hi, last.admitted) == (N, problem.n_tau)
+        assert log["outside"]["tables"] == [(last.live, N - last.live)]
+        image = apply_operator(problem, triple)
+        for a, b in zip(_arrays(rep.image), _arrays(image)):
+            assert a.tobytes() == b.tobytes()
+        assert rep.final_residual == residual(problem, triple)
+
+    def test_image_of_an_impulse_at_the_horizon(self, monkeypatch):
+        """A fixed impulse 5e-11 before the horizon merges into it: no
+        membership of the last segment admits it, so its table holds no g
+        row of it.  No membership of a sweep admits it either, so the image
+        rewrites that table as it does any other, with the same bits."""
+        problem = make_problem(2.0, tau=(0.5, 2.0 - 5e-11), sigma=("0.3 + 0.5*t",), panels=8,
+                               x0="1", f1="0.3*x", G1="0.4*eta", g="0.1*x*eta",
+                               G3="0.2*beta*eta")
+        assert problem.grid.partition[-1] == 2.0 and problem.grid.partition[-2] < 2.0 - 1e-3
+        log = self._record(monkeypatch)
+        triple, rep = segment_solve(problem, tol=1e-12)
+        assert rep.converged
+        last = log["sweeps"][-1]["window"]
+        assert (last.hi, last.admitted) == (problem.grid.size, 1)
+        assert log["outside"]["tables"] == [(last.live, problem.grid.size - last.live)]
+        image = apply_operator(problem, triple)
+        for a, b in zip(_arrays(rep.image), _arrays(image)):
+            assert a.tobytes() == b.tobytes()
+        assert rep.final_residual == residual(problem, triple)
 
     CASES = pytest.mark.parametrize(
         "case", ["mixed", "impulse-after-root", "trace-past-a-breakpoint", "multi-impulse"])

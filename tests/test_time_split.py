@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import make_problem, random_triple
+from conftest import make_problem, on_kernel_calls, random_triple
 from test_parity import multi_impulse_problem, tdep_problem
 from hybrid_volterra import cli, operator, quadrature
-from hybrid_volterra.expressions import KernelExpr
 from hybrid_volterra.operator import ARITIES, apply_operator, jump_at
 from hybrid_volterra.problem_io import LoadedProblem, SolverSettings, load_problem_file
 from hybrid_volterra.quadrature import weight_rows
@@ -148,18 +147,15 @@ class TestFailures:
 def _record_costs(monkeypatch):
     """Shapes of every kernel evaluation and sizes of every weight-row build."""
     shapes, rows = [], []
-    evaluate = KernelExpr.evaluate
 
-    def counting(self, bindings):
-        out = evaluate(self, bindings)
-        shapes.append((self.arity, np.shape(out)))
-        return out
+    def counting(kernel, bindings, out):
+        shapes.append((kernel.arity, np.shape(out)))
 
     def counting_rows(grid, upper):
         rows.append(np.size(upper))
         return weight_rows(grid, upper)
 
-    monkeypatch.setattr(KernelExpr, "evaluate", counting)
+    on_kernel_calls(monkeypatch, counting)
     monkeypatch.setattr(quadrature, "weight_rows", counting_rows)
     monkeypatch.setattr(operator, "weight_rows", counting_rows)
     return shapes, rows
