@@ -49,6 +49,11 @@ evaluation of the iterate.  A kernel domain error or a non-finite update
 stops either solver, in a sweep or in that image: it returns the last
 finite iterate, unconverged, with ``failed`` set and a note saying which
 failure it was.
+
+Each solver is its iteration (:func:`_picard`, :func:`_march`), which
+returns the last iterate as an array, and then that image and triple
+(:func:`_solved`).  :func:`convergence_table` runs the iteration alone,
+because it reads only the node values.
 """
 
 from __future__ import annotations
@@ -85,7 +90,8 @@ class SolveReport:
     ``image`` is the operator's image of the returned iterate (a
     :class:`~.operator.SolutionTriple`, or the
     :class:`~.piecewise.PiecewiseFn` of a series solve), None when the
-    solver failed before it.
+    solver failed before it or took none (a level of
+    :func:`convergence_table`).
     """
 
     method: str
@@ -209,6 +215,42 @@ def _image(problem: HybridProblem, cur: np.ndarray, window=None,
     return _triple(problem, image), float(np.abs(image - cur).max())
 
 
+def _solved(problem: HybridProblem, cur: np.ndarray | None, report: SolveReport,
+            image_of) -> tuple[SolutionTriple | None, SolveReport]:
+    """What a solver returns after its iteration: the triple of the iterate
+    ``cur`` (None when there is none), with :func:`_finish` keeping
+    ``image_of(cur)`` on ``report`` unless the iteration failed."""
+    if cur is None:
+        return None, report
+    if not report.failed:
+        _finish(image_of, cur, report)
+    return _triple(problem, cur), report
+
+
+def _picard(problem: HybridProblem, init, mu: float, notes: tuple[str, ...],
+            tol: float, kmax: int):
+    """The iteration of :func:`picard_solve` at the weight ``mu``: the last
+    iterate as an array laid out as the times of one sweep (None when the
+    forcing term fails), its report, and how to take its image."""
+    report = SolveReport("picard", 0, float(mu), False, notes=notes)
+    cur = _start(problem, init, report)
+    if cur is None:
+        return None, report, None
+    weights = np.concatenate([a.reshape(-1) for a in problem.decay(mu)])
+    N, n_tau = problem.grid.size, problem.n_tau
+    # each component's slice of the iterate; an empty one reads 0
+    components = tuple(c if c.stop > c.start else None for c in (
+        slice(0, N), slice(N, N + n_tau), slice(N + n_tau, cur.size)))
+
+    def sweep(cur: np.ndarray):
+        new = _swept(problem, cur)
+        distance = weights * np.abs(new - cur)
+        return new, tuple(float(distance[c].max()) if c else 0.0 for c in components)
+
+    cur, report.converged = _iterate(report, cur, sweep, tol, kmax)
+    return cur, report, partial(_image, problem)
+
+
 def picard_solve(
     problem: HybridProblem,
     init: SolutionTriple | None = None,
@@ -227,23 +269,7 @@ def picard_solve(
     notes: tuple[str, ...] = ()
     if mu is None:
         mu, notes = _default_mu(problem)
-    report = SolveReport("picard", 0, float(mu), False, notes=notes)
-    cur = _start(problem, init, report)
-    if cur is None:
-        return None, report
-    weights = np.concatenate([a.reshape(-1) for a in problem.decay(mu)])
-    N = problem.grid.size
-    components = (slice(0, N), slice(N, N + problem.n_tau), slice(N + problem.n_tau, None))
-
-    def sweep(cur: np.ndarray):
-        new = _swept(problem, cur)
-        distance = weights * np.abs(new - cur)
-        return new, tuple(float(distance[c].max(initial=0.0)) for c in components)
-
-    cur, report.converged = _iterate(report, cur, sweep, tol, kmax)
-    if not report.failed:
-        _finish(partial(_image, problem), cur, report)
-    return _triple(problem, cur), report
+    return _solved(problem, *_picard(problem, init, mu, notes, tol, kmax))
 
 
 def _sup(a: np.ndarray) -> float:
@@ -285,6 +311,38 @@ def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, batch, s
     return (new, memory), deltas
 
 
+def _march(problem: HybridProblem, init, tol: float, kmax: int):
+    """The iteration of :func:`segment_solve`: the last iterate as an array
+    laid out as the times of one sweep (None when the forcing term fails),
+    its report, and how to take its image."""
+    grid = problem.grid
+    report = SolveReport("segment", 0, 0.0, True)
+    cur = _start(problem, init, report)
+    if cur is None:
+        return None, report, None
+    traces = grid.size + problem.n_tau  # where the beta rows start in the iterate
+    consumed = np.zeros(problem.sigma_grid.shape, dtype=bool)
+    for l in range(grid.num_segments):
+        nodes = grid.segment_slice(l)
+        end = float(grid.partition[l + 1])
+        now = problem.sigma_grid <= end + EPS
+        fresh = traces + np.flatnonzero(now & ~consumed)
+        batch = _Subset(problem.sweep, np.concatenate([np.arange(nodes.start, nodes.stop), fresh]))
+        window = _window(problem, nodes, batch, consumed)
+        consumed = now
+        sweep = partial(_segment_sweep, problem, nodes, fresh, window, batch)
+        (cur, table), done = _iterate(report, (cur, None), sweep, tol, kmax)
+        if report.failed:
+            return cur, report, None
+        if not done:
+            report.converged = False
+            report.notes += (f"segment {l} hit the sweep limit",)
+    # the last segment's table spans the grid and admits every fixed impulse
+    # that a membership of a sweep admits: the image rewrites it from its
+    # live column with the returned iterate
+    return cur, report, partial(_image, problem, window=window, table=table)
+
+
 def segment_solve(
     problem: HybridProblem,
     init: SolutionTriple | None = None,
@@ -303,33 +361,7 @@ def segment_solve(
     unconsumed.  Deltas are plain suprema (no weight): each segment is
     short, so no damping is needed for a sound stop rule.
     """
-    grid = problem.grid
-    report = SolveReport("segment", 0, 0.0, True)
-    cur = _start(problem, init, report)
-    if cur is None:
-        return None, report
-    traces = grid.size + problem.n_tau  # where the beta rows start in the iterate
-    consumed = np.zeros(problem.sigma_grid.shape, dtype=bool)
-    for l in range(grid.num_segments):
-        nodes = grid.segment_slice(l)
-        end = float(grid.partition[l + 1])
-        now = problem.sigma_grid <= end + EPS
-        fresh = traces + np.flatnonzero(now & ~consumed)
-        batch = _Subset(problem.sweep, np.concatenate([np.arange(nodes.start, nodes.stop), fresh]))
-        window = _window(problem, nodes, batch, consumed)
-        consumed = now
-        sweep = partial(_segment_sweep, problem, nodes, fresh, window, batch)
-        (cur, table), done = _iterate(report, (cur, None), sweep, tol, kmax)
-        if report.failed:
-            return _triple(problem, cur), report
-        if not done:
-            report.converged = False
-            report.notes += (f"segment {l} hit the sweep limit",)
-    # the last segment's table spans the grid and admits every fixed impulse
-    # that a membership of a sweep admits: the image rewrites it from its
-    # live column with the returned iterate
-    _finish(partial(_image, problem, window=window, table=table), cur, report)
-    return _triple(problem, cur), report
+    return _solved(problem, *_march(problem, init, tol, kmax))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +423,17 @@ def convergence_table(
     The reference is the Richardson extrapolant (4 x_fine - x_half) / 3 of
     the two finest runs; errors are suprema over the coarsest grid's nodes,
     which are exact nodes of every finer grid because resolutions double.
-    A second-order scheme shows ratios near 4.  A run that does not converge
-    raises :class:`UnconvergedRun`.
+    A second-order scheme shows ratios near 4, and the last ratio is 4
+    whatever the order, because of that reference.  A run that does not
+    converge raises :class:`UnconvergedRun`.
+
+    The study finds picard's weight once (:func:`_default_mu`): it depends
+    on the declared constants, the horizon, ``h`` and the impulse counts,
+    which every resolution shares.  Each level runs the solver's iteration
+    alone, for its node values, so it takes no image: a level whose
+    converged iterate has an image that fails to evaluate does not stop the
+    study, and the report of :class:`UnconvergedRun` carries no
+    ``final_residual`` (NaN) and no ``image``.
     """
     res = tuple(int(r) for r in resolutions)
     if len(res) < 2:
@@ -400,30 +441,27 @@ def convergence_table(
     for a, b in zip(res, res[1:]):
         if b != 2 * a:
             raise ValueError(f"resolutions must double: {a} -> {b}")
-
-    def solve(panels: int) -> np.ndarray:
-        p = at_resolution(problem, panels)
-        if method == "picard":
-            triple, rep = picard_solve(p, tol=tol, kmax=kmax)
-        elif method == "segment":
-            triple, rep = segment_solve(p, tol=tol, kmax=kmax)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        if not rep.converged:
-            raise UnconvergedRun(panels, rep)
-        return triple.xi.values
+    if method == "picard":
+        mu, notes = _default_mu(problem)
+        run = partial(_picard, init=None, mu=mu, notes=notes)
+    elif method == "segment":
+        run = partial(_march, init=None)
+    else:
+        raise ValueError(f"unknown method {method!r}")
 
     base = res[0]
     nseg = problem.grid.num_segments
     sols = []
     for r in res:
-        v = solve(r)
+        cur, rep, _ = run(at_resolution(problem, r), tol=tol, kmax=kmax)
+        if not rep.converged:
+            raise UnconvergedRun(r, rep)
         stride = r // base
         w = r + 1
         keep = np.concatenate(
             [l * w + stride * np.arange(base + 1) for l in range(nseg)]
         )
-        sols.append(v[keep])
+        sols.append(cur[keep])  # xi at the coarsest nodes: the iterate begins with them
     ref = (4.0 * sols[-1] - sols[-2]) / 3.0
     errors = tuple(float(np.max(np.abs(s - ref))) for s in sols)
     ratios = tuple(

@@ -6,6 +6,7 @@ tests and the acceptance suite share them so cross-module oracles line up.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hybrid_volterra import operator
 from hybrid_volterra.contraction import LipschitzSet
@@ -13,6 +14,11 @@ from hybrid_volterra.expressions import KernelExpr
 from hybrid_volterra.operator import HybridProblem, SolutionTriple, default_init
 from hybrid_volterra.piecewise import PiecewiseFn
 from hybrid_volterra.schedule import ImpulseSchedule
+
+# Every hypothesis test draws the same examples on every run, one without
+# an @settings of its own too: a run of the suite can be repeated.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def make_problem(horizon, *, tau=(), sigma=(), h=None, panels=256,

@@ -27,6 +27,7 @@ from hybrid_volterra.expressions import (
 )
 from hybrid_volterra.problem_io import ProblemFileError
 from hybrid_volterra.quadrature import cut, read_prefix
+from hybrid_volterra.solvers import UnconvergedRun, at_resolution, picard_solve, segment_solve
 
 
 def read_solution_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -503,3 +504,45 @@ def read_rows(memory, batch) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             parts *= weight
     return np.add.reduce(parts, axis=0)
+
+
+# ---------------------------------------------------------------------------
+# The resolution study as first written: each level a full public solve,
+# with its weight found again and its image taken.  ``convergence_table``
+# must give the same errors and ratios, bit for bit.
+
+
+def convergence_table(problem, resolutions, method="picard", tol=1e-12, kmax=200):
+    """(errors, ratios) against the Richardson reference of the two finest runs."""
+    res = tuple(int(r) for r in resolutions)
+
+    def solve(panels: int) -> np.ndarray:
+        p = at_resolution(problem, panels)
+        if method == "picard":
+            triple, rep = picard_solve(p, tol=tol, kmax=kmax)
+        elif method == "segment":
+            triple, rep = segment_solve(p, tol=tol, kmax=kmax)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        if not rep.converged:
+            raise UnconvergedRun(panels, rep)
+        return triple.xi.values
+
+    base = res[0]
+    nseg = problem.grid.num_segments
+    sols = []
+    for r in res:
+        v = solve(r)
+        stride = r // base
+        w = r + 1
+        keep = np.concatenate(
+            [l * w + stride * np.arange(base + 1) for l in range(nseg)]
+        )
+        sols.append(v[keep])
+    ref = (4.0 * sols[-1] - sols[-2]) / 3.0
+    errors = tuple(float(np.max(np.abs(s - ref))) for s in sols)
+    ratios = tuple(
+        errors[i] / errors[i + 1] if errors[i + 1] > 0 else math.inf
+        for i in range(len(errors) - 1)
+    )
+    return errors, ratios

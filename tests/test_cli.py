@@ -140,6 +140,17 @@ sigma: ["0.5 + 0.6*exp(-((t - 1/3)*100000)^2)"]
 quadrature: {nodes_per_segment: 3}
 """
 
+# f2 splits into x1 * (1/(s1 - 0.8)), and the second factor fails at the node
+# at 0.8: the march converges on the first segment and stops in the second
+LATER_SEGMENT_ERROR_FILE = """\
+horizon: 1.0
+x0: "1"
+f2: "x1/(s1 - 0.8)"
+tau: [0.2]
+G1: "0.1"
+quadrature: {nodes_per_segment: 4}
+"""
+
 HALF = ["0.5", "0", "0", "0", "0.5", "0", "0", "0", "0.5"]
 
 
@@ -162,6 +173,7 @@ def files(tmp_path):
         ("forcing_error", FORCING_ERROR_FILE), ("series_blow_up", SERIES_BLOW_UP_FILE),
         ("log", LOG_FILE), ("residual_error", RESIDUAL_ERROR_FILE),
         ("series_residual_error", SERIES_RESIDUAL_ERROR_FILE),
+        ("later_segment_error", LATER_SEGMENT_ERROR_FILE),
     ]:
         path = tmp_path / f"{name}.yaml"
         path.write_text(text)
@@ -701,6 +713,17 @@ class TestConvergenceReport:
             "--kmax", "1",
         )
         assert code == 3 and "did not converge within 1 iterations at 16 panels" in err
+
+    def test_numerical_failure_in_a_later_segment_exits_4(self, capsys, files):
+        code, out, err = _run(
+            capsys, "convergence-report", files["later_segment_error"],
+            "--method", "segment", "--resolutions", "4,8",
+        )
+        assert code == 4 and out == ""
+        assert err == (
+            "error: iteration stopped after 6 sweeps at 4 panels: "
+            "kernel error in sweep 7: division by zero\n"
+        )
 
     def test_report_file_rows(self, capsys, tmp_path, files):
         report_path = tmp_path / "table.yaml"

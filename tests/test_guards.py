@@ -239,7 +239,8 @@ def _mixed():
 
 class TestErrorStateRestored:
     def test_nested_guarded_call(self):
-        # _read_rows and the read_prefix it calls are both guarded
+        # the table read runs unguarded; the kernel's evaluate holds a guard,
+        # and each power in it a guard of its own nested in that one
         problem, triple = _mixed()
         before = np.geterr()
         _read_rows(_memory(problem, triple), problem.sweep)

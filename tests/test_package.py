@@ -2,6 +2,8 @@
 
 import importlib
 
+import hypothesis
+
 import hybrid_volterra
 from hybrid_volterra import operator, quadrature
 
@@ -52,3 +54,9 @@ def test_operator_calls_quadrature_through_its_globals():
     for name in ("weight_rows", "_integrate_to", "_node_cumulative", "_row_prefix",
                  "_read_prefix"):
         assert getattr(operator, name) is getattr(quadrature, name)
+
+
+def test_hypothesis_is_derandomized():
+    # tests/conftest.py loads a derandomized profile, so a @given test with
+    # no @settings of its own draws the same examples on every run
+    assert hypothesis.settings().derandomize

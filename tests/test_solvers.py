@@ -20,6 +20,7 @@ from conftest import (
     step_problem,
 )
 from test_parity import multi_impulse_problem
+import oracles
 from hybrid_volterra import cli, operator, quadrature, solvers
 from hybrid_volterra.contraction import contraction_bounds, find_mu, spectral_radius
 from hybrid_volterra.expressions import KernelExpr
@@ -232,6 +233,56 @@ class TestConvergenceTable:
     def test_non_convergence_raises(self):
         with pytest.raises(RuntimeError):
             convergence_table(exp_problem(), (16, 32), kmax=1)
+
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_matches_the_study_of_full_solves(self, name, method):
+        """The same errors and ratios, bit for bit, as a study whose levels
+        are each a full public solve (``oracles.convergence_table``)."""
+        problem = load_problem_file(PROBLEMS / f"{name}.yaml").problem
+        table = convergence_table(problem, (8, 16, 32), method=method)
+        errors, ratios = oracles.convergence_table(problem, (8, 16, 32), method=method)
+        assert [e.hex() for e in table.errors] == [e.hex() for e in errors]
+        assert [r.hex() for r in table.ratios] == [r.hex() for r in ratios]
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_one_evaluation_per_sweep(self, monkeypatch, method):
+        """A level takes no image of its iterate: the study evaluates the
+        operator once for each sweep its levels count, and no more."""
+        problem, res = mixed_problem(), (8, 16, 32)
+        solve = picard_solve if method == "picard" else segment_solve
+        sweeps = sum(solve(at_resolution(problem, r), tol=1e-12)[1].iterations for r in res)
+        calls = dict.fromkeys(("_sweep_values", "_segment_sweep"), 0)
+        for name in calls:
+            def counted(*args, name=name, original=getattr(solvers, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(solvers, name, counted)
+        convergence_table(problem, res, method=method)
+        by_picard = method == "picard"
+        assert calls == {"_sweep_values": sweeps if by_picard else 0,
+                         "_segment_sweep": 0 if by_picard else sweeps}
+
+    @pytest.mark.parametrize("method, searches", [("picard", 1), ("segment", 0)])
+    def test_one_weight_per_study(self, monkeypatch, method, searches):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return find_mu(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "find_mu", counted)
+        convergence_table(mixed_problem(), (8, 16, 32), method=method)
+        assert len(calls) == searches
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_unconverged_level_keeps_no_image(self, method):
+        with pytest.raises(solvers.UnconvergedRun) as excinfo:
+            convergence_table(exp_problem(), (16, 32), method=method, kmax=1)
+        rep = excinfo.value.report
+        assert excinfo.value.panels == 16 and rep.iterations == 1 and not rep.failed
+        assert rep.image is None and math.isnan(rep.final_residual)
 
     def test_at_resolution_preserves_problem(self):
         p = mixed_problem(panels=64)
