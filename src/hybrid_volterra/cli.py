@@ -10,14 +10,15 @@ Subcommands::
     hv check-matrix A11 .. A33     verdicts for an explicit 3x3 matrix
 
 Exit codes: 0 success, 1 invalid input (including a ``--mu`` that is not
-positive and finite, a ``--state-bound`` that is not positive or whose box
-``[-B, B]`` is wider than the largest float, a ``--tol`` that is not
-positive or a ``--kmax`` below 1) or an ``--out``/``--report`` path that
-cannot be written, 2 separation requirement failed, 3 iteration did not
-converge, 4 a kernel domain error or a non-finite value in ``solve``,
-``series-solve``, ``convergence-report`` or ``analyze --estimate``.  A
-path that cannot be written exits 1 even where the run would have exited
-2, 3 or 4, because the outputs it promised are not there.  Output is
+positive and finite or that is given to ``solve --method segment``, a
+``--state-bound`` that is not positive or whose box ``[-B, B]`` is wider
+than the largest float, a ``--tol`` that is not positive or a ``--kmax``
+below 1) or an ``--out``/``--report`` path that cannot be written, 2
+separation requirement failed, 3 iteration did not converge, 4 a kernel
+domain error or a non-finite value in ``solve``, ``series-solve``,
+``convergence-report`` or ``analyze --estimate``.  A path that cannot be
+written exits 1 even where the run would have exited 2, 3 or 4, because
+the outputs it promised are not there.  Output is
 deterministic for fixed inputs; ``HV_SEED`` seeds the Lipschitz estimator
 behind ``analyze --estimate``.
 """
@@ -303,6 +304,9 @@ def solve(problem_file, method, out, report_path, mu, tol, kmax, require_separat
     """Solve the integral equation in PROBLEM_FILE."""
     loaded = _load(problem_file, "hybrid")
     problem = loaded.problem
+    if method == "segment" and mu is not None:
+        # the march stops on plain sups; a mu in the file serves picard
+        _fail("--mu applies to --method picard only", 1)
     settings = _iteration_settings(loaded.settings, mu, tol, kmax)
 
     sep = _separation_block(problem)

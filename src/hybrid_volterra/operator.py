@@ -75,18 +75,26 @@ A table spans the grid columns 0 to the ``hi`` of its window
 the whole grid per iterate.  Strict memberships let the segment march keep
 one table per segment (:func:`_window`): before the segment's own nodes,
 and before the first trace entry of each g row that the segment still
-refreshes, nothing changes while it iterates.  Its first sweep builds the
-table; every later sweep rewrites it in place from that first changeable
-column ``live`` on, and keeps the G1 and G2 prefix of the first sweep.
-Each running sum is taken on from the table's own value at ``live``, so
-every read has the bits of a table built whole.  A sweep of segment l
-then costs O(n_l + fresh columns), for its n_l nodes and the trace
-entries it refreshes, plus a fixed cost, where every memory kernel
-splits.  A t-free f2 that does not split still costs one N x N pass per
-table.  The last segment's table spans the grid and holds the g rows of
-every fixed impulse that a membership of a sweep admits, so the march's
-image of its returned iterate is that table rewritten from its ``live``
-column once more.
+refreshes, nothing changes while it iterates.  When the march carries the
+unsolved remainder after a segment, every later node and trace entry, in
+the segment's sweeps, its table spans the whole grid.  Its first sweep
+builds the table; every later sweep rewrites it in place from that first
+changeable column ``live`` on.  Each running sum is taken on from the
+table's own value at ``live``, so every read has the bits of a table built
+whole.  The table admits every fixed impulse that a later time admits,
+and the eta of one after the segment's start changes while the segment
+iterates: a g row that reads it is rewritten from column 0, and a G1 and
+G2 prefix that reads eta is built again in every sweep.  A sweep of
+segment l then costs O(N - start_l), for the times from its first node
+on, plus a fixed cost, where every memory kernel splits; alone, it costs
+O(n_l + fresh columns), for its n_l nodes and the trace entries it
+refreshes.  A t-free f2 that does not split still costs one N x N pass
+per table.  The last segment's table holds the g rows of every fixed
+impulse that a membership of a sweep admits, so the march's image of its
+returned iterate is that table rewritten from its ``live`` column once
+more.  A batch keeps the two arrays that its table reads work in
+(:meth:`_Batch.work`), so that a sweep over tens of thousands of times and
+rows makes no array of that size.
 """
 
 from __future__ import annotations
@@ -518,6 +526,8 @@ class _Batch:
     :meth:`row_weight`, the time factor each row of such a table is
     multiplied by there; and by :meth:`factor` each time factor at ``te``.
     A part whose kernel fails to evaluate is not kept, and fails again.
+    :meth:`work` is not a part: it holds the arrays that every table read
+    at ``te`` writes into.
     """
 
     def __init__(self, problem: "HybridProblem", te: np.ndarray, m: np.ndarray):
@@ -527,6 +537,7 @@ class _Batch:
         self._factors: dict[int, np.ndarray] = {}
         self._reads: dict[tuple, Cut | None] = {}
         self._weights: dict[int, np.ndarray | None] = {}
+        self._work: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @_lazy
     def limits(self) -> Limits:
@@ -613,6 +624,24 @@ class _Batch:
             found = self._weights[admitted] = _read_only(found)
         return found
 
+    def work(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Two float arrays of shape (R, E) that every read at ``te`` of a
+        table whose rows have ``shape`` (R, W) works in (:func:`_read_rows`),
+        made once per batch and shape.  A sweep then makes no array of its
+        table read's size: at tens of thousands of entries, such arrays
+        took fresh pages from the allocator in every sweep.  Making them
+        checks once that every column that a read at ``te`` takes, the
+        node at or below each time and the next, lies in the table, since
+        such a read does not check its indices again."""
+        found = self._work.get(shape)
+        if found is None:
+            if self.te.size and int(self.limits.base.max()) + 1 >= shape[-1]:
+                raise IndexError(f"a read at these times reaches past the {shape[-1]} "
+                                 "columns of the table")
+            E = self.te.size
+            found = self._work[shape] = (np.empty((shape[0], E)), np.empty((shape[0], E)))
+        return found
+
     def factor(self, c: KernelExpr) -> np.ndarray:
         """The time factor ``c`` (one of the problem's terms) at ``te``."""
         found = self._factors.get(id(c))
@@ -643,6 +672,7 @@ class _Subset(_Batch):
         self._factors = {}
         self._reads = {}
         self._weights = {}
+        self._work = {}
 
     limits = _lazy(lambda self: Limits._make(a[self.index] for a in self.parent.limits))
     x0 = _lazy(lambda self: self.parent.x0[self.index])
@@ -668,15 +698,20 @@ class _Window(NamedTuple):
     the iterate only from column ``live`` on, a segment start: before it
     every row reads solved segments alone (the continuous part before the
     segment, the trace entries consumed before it, the fixed-impulse
-    values its memberships admit).  ``admitted`` is the number of fixed
+    values of the settled impulses).  ``admitted`` is the number of fixed
     impulses that the membership times of the table's readers admit: the
     table holds no g row of the others, which no reader counts.  The
-    whole grid is ``_Window(0, N, n_tau)`` (``HybridProblem.whole_grid``).
+    first ``settled`` fixed impulses lie at or before the segment's first
+    node, so no sweep of the segment changes their eta; a table that
+    admits more reads an eta that its sweeps change.  The whole grid is
+    ``_Window(0, N, n_tau)`` (``HybridProblem.whole_grid``), which settles
+    no impulse.
     """
 
     live: int
     hi: int
     admitted: int
+    settled: int = 0
 
 
 class _Memory(NamedTuple):
@@ -803,7 +838,10 @@ def _memory(
     table of an earlier iterate over the same window, the table of
     ``triple`` is that one rewritten in place from ``window.live`` on: its
     rows, and its prefix and f2 inner integrals taken on from their own
-    values at ``live``.  It keeps the earlier iterate's G1 and G2 prefix.
+    values at ``live``.  Its G1 and G2 prefix is built again from the eta
+    of ``triple`` when it reads eta and the window admits an impulse that
+    is not settled; otherwise it is the earlier iterate's, whose entries
+    every reader of the table shares with ``triple``.
     """
     xi, eta = triple.xi.values, triple.eta
     if window is None:
@@ -827,6 +865,8 @@ def _memory(
             table.cumulative[:, cols] = cumulative
         prefix = _row_prefix(problem.grid, rows[:, cols], live, table.prefix[:, live])
         table.prefix[:, live:] = prefix
+        if window.admitted > window.settled and problem.impulse_prefix is None:
+            table = table._replace(impulses=_impulse_prefix(problem, eta))
         return table
     impulses = problem.impulse_prefix
     if impulses is None:
@@ -859,7 +899,8 @@ def _read_rows(memory: _Memory, batch: _Batch) -> np.ndarray:
     if memory.rows.shape[0] == memory.n_xi == 1 and not memory.factors:
         # one row with nothing to scale or cut, read as a row
         return _read_prefix(memory.prefix[0], memory.rows[0], limits)
-    parts = _read_prefix(memory.prefix, memory.rows, limits, batch.reads(memory))
+    parts = _read_prefix(memory.prefix, memory.rows, limits, batch.reads(memory),
+                         batch.work(memory.rows.shape))
     weight = batch.row_weight(memory)
     if weight is not None:
         parts *= weight
@@ -873,27 +914,35 @@ def _window(
 
     The segment updates the continuous part on ``nodes`` and the trace
     entries it refreshes; ``batch``, the one that each of its sweeps
-    evaluates, holds the segment's nodes and then each fresh entry's moving
-    time sigma_p(t), one tick left, and ``solved`` (n_sigma, N) marks the
-    entries that earlier segments consumed.  Table rows can change from
-    ``live`` on: at the segment's nodes, and for the g rows of impulse i at
-    every node whose trace entry is not yet consumed (a suffix, sigma_i
-    being nondecreasing).  ``hi`` bounds every column that the evaluations
-    of the segment read: the node at or below each time and the next.
+    evaluates, holds the segment's nodes, then each fresh entry's moving
+    time sigma_p(t), one tick left, then, while the march evaluates the
+    unsolved remainder, every later node and every later entry; ``solved``
+    (n_sigma, N) marks the entries that earlier segments consumed.  Table
+    rows can change from ``live`` on: from the segment's first node, and
+    for the g rows of impulse i at every node whose trace entry is not yet
+    consumed (a suffix, sigma_i being nondecreasing).  A g row that reads
+    the eta of an admitted impulse that is not settled changes at every
+    column, so such a table has ``live`` 0.  ``hi`` bounds every column
+    that the evaluations of the segment read: the node at or below each
+    time and the next, so a batch with later nodes reads the whole grid.
     ``live`` and ``hi`` are segment boundaries, so the f2 inner integrals
     run over whole segments; a table without rows takes the whole grid,
     read nowhere.  ``admitted`` counts the fixed impulses below the last
-    membership time.
+    membership time, and ``settled`` those at or before the segment's
+    first node.
     """
     grid = problem.grid
     w = grid.panels + 1
     admitted = int(np.searchsorted(problem.tau, batch.m.max()))
+    settled = int(np.searchsorted(problem.tau, grid.times[nodes.start] + EPS, side="right"))
     impulses = problem.g_row_impulses
     if not (problem.f1_terms or problem.f2_terms or _f2_square(problem) or impulses.size):
-        return _Window(0, grid.size, admitted)
+        return _Window(0, grid.size, admitted, settled)
     live = min([nodes.start] + [int(np.count_nonzero(solved[i])) for i in impulses])
+    if impulses.size and admitted > settled and problem.g.references("eta"):
+        live = 0
     hi = max(nodes.stop, int(batch.limits.base.max()) + 2)
-    return _Window(live - live % w, min(hi + (-hi) % w, grid.size), admitted)
+    return _Window(live - live % w, min(hi + (-hi) % w, grid.size), admitted, settled)
 
 
 def _sc_eval(problem: HybridProblem, triple: SolutionTriple, batch: _Batch,
@@ -995,14 +1044,16 @@ def _G3(problem, batch, triple, beta_at, out):
         out += np.where(batch.g3_gate[i], vals, 0.0).sum(axis=0)
 
 
-def _beta_at(triple: SolutionTriple, batch: _Batch, nodes: slice = slice(0)) -> np.ndarray:
+def _beta_at(triple: SolutionTriple, batch: _Batch, nodes: slice = slice(0),
+             later: slice = slice(0), first: int = 0) -> np.ndarray:
     """Each beta_i at the evaluation times of ``batch``, (n_sigma, E), by
     its left-limit convention, as :meth:`~.piecewise.PiecewiseFn.eval`
     gives it: one gather over the stacked traces at the nodes where the
     times fall (``batch.limits``).  When the first times are the grid
     nodes ``nodes``, beta is read there at its stored node values: at a
     duplicated breakpoint node the interpolant would give the left limit
-    for both."""
+    for both.  So it is at the times from position ``first`` on, when they
+    are the grid nodes ``later``."""
     rows = triple.beta_rows()
     stored = rows[:, nodes]
     n = stored.shape[1]
@@ -1010,6 +1061,8 @@ def _beta_at(triple: SolutionTriple, batch: _Batch, nodes: slice = slice(0)) -> 
     at = np.empty((rows.shape[0], batch.te.size))
     at[:, :n] = stored
     at[:, n:] = interpolate(rows, node[n:], frac[n:])
+    stored = rows[:, later]
+    at[:, first:first + stored.shape[1]] = stored
     return at
 
 

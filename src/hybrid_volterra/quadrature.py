@@ -209,7 +209,8 @@ row_prefix = quiet(_row_prefix)
 
 
 def _read_prefix(
-    prefix: np.ndarray, rows: np.ndarray, limits: Limits, keep: Cut | None = None
+    prefix: np.ndarray, rows: np.ndarray, limits: Limits, keep: Cut | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Integral of each node row of ``rows`` from 0 to each upper limit.
 
@@ -219,18 +220,34 @@ def _read_prefix(
     (R, E), O(R E).  Every column a limit reads (the node at or below it
     and the next) must lie in ``rows``.  ``keep``, the :class:`Cut` of
     this prefix at these limits (:func:`cut`), cuts the integrand of each
-    row at each limit to its first nodes.
+    row at each limit to its first nodes.  ``work``, two float arrays of
+    the result's shape, holds the read, and the result is the first of
+    them; by default the read makes both.  A caller that reads tables of
+    one shape at the same limits again and again keeps them, so that no
+    read makes an array of the table read's size.  Such a read clips its
+    indices instead of checking them, so its caller checks once, when it
+    makes ``work``, that every column read lies in ``rows``; a read into
+    new arrays checks them itself.
     """
     base, _, lo, hi = limits
-    at_base = lo * rows.take(base, axis=-1)
-    after = hi * rows.take(base + 1, axis=-1)
+    mode = "raise" if work is None else "clip"
+    if work is None:
+        shape = rows.shape[:-1] + base.shape
+        work = (np.empty(shape), np.empty(shape))
+    out, term = work
     if keep is None:
-        return prefix.take(base, axis=-1) + at_base + after
-    return (
-        prefix.take(keep.index)
-        + np.where(keep.at_base, at_base, 0.0)
-        + np.where(keep.after, after, 0.0)
-    )
+        prefix.take(base, axis=-1, out=out, mode=mode)
+    else:
+        prefix.take(keep.index, out=out, mode=mode)
+    # the panel's part at base, then at base + 1, each added only where the
+    # cut keeps its node, so a value past the cut never enters the sum
+    rows.take(base, axis=-1, out=term, mode=mode)
+    term *= lo
+    np.add(out, term, out=out, where=True if keep is None else keep.at_base)
+    rows.take(base + 1, axis=-1, out=term, mode=mode)
+    term *= hi
+    np.add(out, term, out=out, where=True if keep is None else keep.after)
+    return out
 
 
 read_prefix = quiet(_read_prefix)

@@ -5,22 +5,36 @@ Two routes to the same discrete fixed point:
 * :func:`picard_solve` - global successive approximation: all three
   components are re-evaluated over the whole horizon each sweep, and
   progress is measured in the exponentially weighted norms at weight mu.
-* :func:`segment_solve` - marches segment by segment through the partition.
-  Within a segment only the continuous nodes of that segment iterate,
-  together with the moving-trace entries beta_p(t) that the segment
+* :func:`segment_solve` - marches segment by segment through the partition
+  and accepts the segments left to right.  Segment l stops on its own
+  deltas: its continuous nodes, the moving-trace entries beta_p(t) that it
   consumes first (sigma_p(t) in the segment, past the end of the one
-  before): each sweep evaluates both from its starting iterate, in one
-  batch against one memory table, as a picard sweep does, and then takes
-  the impulse values eta from the new continuous part.  An entry consumed
-  by an earlier segment reads only solved segments, so it is not
-  recomputed.  Because every membership test looks
-  strictly into the past, values from segments not yet solved are masked
-  out of every sum and integral, so the march is well posed.  For the
-  same reason a segment keeps one memory table: its first sweep builds
-  it, and every later sweep rewrites it in place only from the first
-  column its segment can change.  A sweep of segment l costs O(n_l +
-  fresh columns), for its n_l nodes and the trace entries it refreshes,
-  plus a fixed cost per sweep, where every memory kernel splits.
+  before) and the impulse values eta at tau <= end_l.  Each of its sweeps
+  evaluates those and, on a grid that is not large (below), also every
+  later node and every entry that a later segment consumes, the unsolved
+  remainder, from its starting iterate, in
+  one batch against one memory table of the whole grid, as a picard sweep
+  does, and then takes eta from the new continuous part.  So a later
+  segment starts from values that earlier sweeps have iterated, not from
+  the forcing term, and needs fewer sweeps.  An entry consumed by an earlier
+  segment reads only solved segments, so it is not recomputed.  Because
+  every membership test looks strictly into the past, values from
+  segments not yet solved are masked out of every sum and integral of
+  the segment's own values, so the march is well posed, and those values
+  have the bits of an evaluation of the segment alone.  For the same
+  reason a segment keeps one memory table: its first sweep builds it, and
+  every later sweep rewrites it in place only from the first column that
+  its batch can change.  A sweep of segment l costs O(N - start_l), for
+  the times from its first node on, plus a fixed cost per sweep, where
+  every memory kernel splits; alone it costs O(n_l + fresh columns), for
+  its n_l nodes and the entries it refreshes.  The saved sweeps pay for
+  the larger ones only while the fixed cost dominates, so the march
+  carries the remainder only over at most ``_AHEAD_TIMES`` times, and
+  takes each segment alone over more.  When a sweep that carries the
+  remainder fails, on a kernel error or a non-finite value, in any
+  segment, the march starts again from its first iterate and takes each
+  segment alone, so an input whose march fails in a sweep fails as a
+  march of the segments alone does, with the same bytes.
 
 Both iterate one array laid out as the times of ``problem.sweep`` (xi at
 the N nodes, then eta, then the beta rows), which the operator reads
@@ -28,8 +42,9 @@ through a triple-shaped view (:class:`~.operator._View`).  A picard sweep
 is one evaluation of ``problem.sweep`` on it, and its deltas are the
 maxima over each component of one weighted ``|new - old|``.  The batch of
 a march segment is an index view of ``problem.sweep`` at the segment's
-nodes and fresh trace entries (:class:`~.operator._Subset`), and its sweep
-writes its evaluation into a copy of the array at those indices.  So a
+nodes and fresh trace entries, then at the remainder
+(:class:`~.operator._Subset`), and its sweep writes its evaluation into a
+copy of the array at those indices.  So a
 solve locates and evaluates its times once, and every sweep checks its
 update for finiteness once.  Each sweep enters one floating-point guard,
 its own (:func:`~.operator._sweep_values`, :func:`_segment_sweep`), and
@@ -67,6 +82,7 @@ import numpy as np
 from .contraction import NoContractiveWeight, find_mu
 from .expressions import EvaluationError, quiet
 from .operator import (
+    _NONE,
     EPS,
     HybridProblem,
     SolutionTriple,
@@ -277,7 +293,8 @@ def _sup(a: np.ndarray) -> float:
 
 
 @quiet
-def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, batch, state):
+def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, eta: slice, later: slice,
+                   window, batch, state):
     """One inner sweep of the march over the segment ``nodes``, under the
     sweep's one floating-point guard.
 
@@ -286,51 +303,122 @@ def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, window, batch, s
     None before its first sweep.  That sweep builds the table over the
     columns of ``window`` (:func:`~.operator._window`) from its iterate;
     every later sweep rewrites it in place from ``window.live`` on
-    (:func:`~.operator._memory`).  One evaluation of the segment's
-    ``batch``, the index view of ``problem.sweep`` at ``batch.index``,
-    against the table of the starting iterate gives the continuous part on
-    ``nodes`` and then the ``fresh`` moving-trace entries, those the
-    segment consumes first (their indices in the iterate).  The new
-    iterate is a copy of the old one with those written in; eta is the new
-    continuous part's left limit at each fixed impulse time, read at
-    ``problem.tau_nodes``.
+    (:func:`~.operator._memory`).  One evaluation of ``batch``, the index
+    view of ``problem.sweep`` at ``batch.index``, against the table of the
+    starting iterate gives the continuous part on ``nodes``, then the
+    ``fresh`` moving-trace entries, those the segment consumes first
+    (their indices in the iterate), then the ``later`` nodes and every
+    entry consumed later, none when the batch is the segment alone.  Beta
+    is read at its stored values at every node of the batch.  The new
+    iterate is a copy of the old one with the evaluation written in; eta
+    is the new continuous part's left limit at each fixed impulse time,
+    read at ``problem.tau_nodes``.  The deltas cover the segment's own
+    values alone: its nodes, its fresh entries and ``eta``, the fixed
+    impulses at or before its end.
     """
     old, table = state
     view = _View.of(problem, old)
     memory = _memory(problem, view, window, table)
-    beta_at = _beta_at(view, batch, nodes) if problem.n_sigma else None
+    n = nodes.stop - nodes.start
+    own = n + fresh.size
+    beta_at = _beta_at(view, batch, nodes, later, own) if problem.n_sigma else None
     out = _sc_eval(problem, view, batch, memory, beta_at)
     if not np.isfinite(out).all():
         raise NonFiniteValues("non-finite update")
     new = old.copy()
     new[batch.index] = out
-    N, n = problem.grid.size, nodes.stop - nodes.start
-    eta = slice(N, N + problem.n_tau)
-    new[eta] = interpolate(new[:N], *problem.tau_nodes)  # left limits at the fixed impulse times
-    deltas = (_sup(out[:n] - old[nodes]), _sup(new[eta] - old[eta]), _sup(out[n:] - old[fresh]))
+    N = problem.grid.size
+    # left limits at the fixed impulse times
+    new[N:N + problem.n_tau] = interpolate(new[:N], *problem.tau_nodes)
+    deltas = (_sup(out[:n] - old[nodes]), _sup(new[eta] - old[eta]), _sup(out[n:own] - old[fresh]))
     return (new, memory), deltas
+
+
+# The most times (N nodes, the fixed-impulse times and every trace entry)
+# at which the march carries the unsolved remainder.  A sweep that carries
+# it costs O(N - start_l) besides its fixed cost, and the first segment's
+# sweeps carry the whole grid, so the sweeps that later segments save pay
+# only while the fixed cost dominates.  In process (2 vCPUs), carrying it
+# took 0.7-0.8x the time of a march of the segments alone on the mixed
+# problem at N = 516 and 1028 (1034 and 2058 times) and 0.66-1.02x on six
+# segments at N = 1014 (3045); 1.0x on the mixed problem at N = 1540
+# (3082), 1.1x on six and fourteen segments at N of about 2000 (6069 and
+# 4072 times) and up to 1.4x at N of about 4000.
+_AHEAD_TIMES = 3072
+
+
+class _RemainderFailed(Exception):
+    """A sweep that carried the unsolved remainder failed numerically."""
+
+
+def _carrying(sweep):
+    """``sweep``, whose numerical failures end the march that carries the
+    remainder (:class:`_RemainderFailed`) instead of the solve."""
+    def step(state):
+        try:
+            return sweep(state)
+        except _NUMERICAL_FAILURES as exc:
+            raise _RemainderFailed from exc
+    return step
 
 
 def _march(problem: HybridProblem, init, tol: float, kmax: int):
     """The iteration of :func:`segment_solve`: the last iterate as an array
     laid out as the times of one sweep (None when the forcing term fails),
-    its report, and how to take its image."""
-    grid = problem.grid
+    its report, and how to take its image.
+
+    A march of more than one segment over at most ``_AHEAD_TIMES`` times
+    carries the unsolved remainder in its sweeps (:func:`_segments`).  When
+    one of its sweeps fails, on a kernel error or a non-finite value, in
+    any segment, the march starts again from the first iterate and takes
+    each segment alone, with a new report: so an input whose march fails
+    in a sweep ends as a march of the segments alone does, with the same
+    iterate, sweep count and notes.
+    """
     report = SolveReport("segment", 0, 0.0, True)
     cur = _start(problem, init, report)
     if cur is None:
         return None, report, None
-    traces = grid.size + problem.n_tau  # where the beta rows start in the iterate
+    if problem.grid.num_segments > 1 and problem.sweep.te.size <= _AHEAD_TIMES:
+        try:
+            return _segments(problem, cur, report, tol, kmax, ahead=True)
+        except _RemainderFailed:
+            report = SolveReport("segment", 0, 0.0, True)
+    return _segments(problem, cur, report, tol, kmax, ahead=False)
+
+
+def _segments(problem: HybridProblem, cur: np.ndarray, report: SolveReport, tol: float,
+              kmax: int, ahead: bool):
+    """The march from the iterate ``cur``, segment by segment, as
+    :func:`_march` returns it.
+
+    When ``ahead`` is set, each sweep of segment l evaluates the segment's
+    own times and then the unsolved remainder after them, every later node
+    and every entry that a later segment consumes, so that a later segment
+    starts from values that the earlier sweeps have iterated, and any
+    numerical failure raises :class:`_RemainderFailed`.  Otherwise each
+    segment iterates alone.
+    """
+    grid = problem.grid
+    N = grid.size
+    traces = N + problem.n_tau  # where the beta rows start in the iterate
     consumed = np.zeros(problem.sigma_grid.shape, dtype=bool)
     for l in range(grid.num_segments):
         nodes = grid.segment_slice(l)
-        end = float(grid.partition[l + 1])
-        now = problem.sigma_grid <= end + EPS
+        end = float(grid.partition[l + 1]) + EPS
+        now = problem.sigma_grid <= end
         fresh = traces + np.flatnonzero(now & ~consumed)
-        batch = _Subset(problem.sweep, np.concatenate([np.arange(nodes.start, nodes.stop), fresh]))
-        window = _window(problem, nodes, batch, consumed)
+        eta = slice(N, N + int(np.searchsorted(problem.tau, end, side="right")))
+        own = np.concatenate([np.arange(nodes.start, nodes.stop), fresh])
+        later = (np.concatenate([np.arange(nodes.stop, N), traces + np.flatnonzero(~now)])
+                 if ahead else _NONE)
+        batch = _Subset(problem.sweep, np.concatenate([own, later]))
+        later_nodes = slice(nodes.stop, nodes.stop + int(np.count_nonzero(later < N)))
+        sweep = partial(_segment_sweep, problem, nodes, fresh, eta, later_nodes,
+                        _window(problem, nodes, batch, consumed), batch)
+        if ahead:
+            sweep = _carrying(sweep)
         consumed = now
-        sweep = partial(_segment_sweep, problem, nodes, fresh, window, batch)
         (cur, table), done = _iterate(report, (cur, None), sweep, tol, kmax)
         if report.failed:
             return cur, report, None
@@ -340,7 +428,7 @@ def _march(problem: HybridProblem, init, tol: float, kmax: int):
     # the last segment's table spans the grid and admits every fixed impulse
     # that a membership of a sweep admits: the image rewrites it from its
     # live column with the returned iterate
-    return cur, report, partial(_image, problem, window=window, table=table)
+    return cur, report, partial(_image, problem, window=table.window, table=table)
 
 
 def segment_solve(

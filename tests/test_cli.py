@@ -151,6 +151,26 @@ G1: "0.1"
 quadrature: {nodes_per_segment: 4}
 """
 
+# x = 1 + int_0^t x^2 ds, plus 0.1 after tau = 0.5, blows up after t = 1:
+# the march converges on the first segment and diverges in the second
+LATER_BLOW_UP_FILE = """\
+horizon: 2.0
+x0: "1"
+f1: "x*x"
+tau: [0.5]
+G1: "0.1"
+quadrature: {nodes_per_segment: 16}
+solver: {tol: 1.0e-10, kmax: 200}
+"""
+
+# The same blow-up with more impulses: a march that carries the unsolved
+# remainder first fails in segment 1 of 4.
+LATER_REMAINDER_BLOW_UP_FILE = LATER_BLOW_UP_FILE.replace("[0.5]", "[0.25, 0.5, 0.75]")
+
+# The same blow-up past an impulse at 0.2: it first fails in the last of
+# the two segments, which carries no remainder.
+LAST_SEGMENT_BLOW_UP_FILE = LATER_BLOW_UP_FILE.replace("[0.5]", "[0.2]")
+
 HALF = ["0.5", "0", "0", "0", "0.5", "0", "0", "0", "0.5"]
 
 
@@ -174,6 +194,9 @@ def files(tmp_path):
         ("log", LOG_FILE), ("residual_error", RESIDUAL_ERROR_FILE),
         ("series_residual_error", SERIES_RESIDUAL_ERROR_FILE),
         ("later_segment_error", LATER_SEGMENT_ERROR_FILE),
+        ("later_blow_up", LATER_BLOW_UP_FILE),
+        ("later_remainder_blow_up", LATER_REMAINDER_BLOW_UP_FILE),
+        ("last_segment_blow_up", LAST_SEGMENT_BLOW_UP_FILE),
     ]:
         path = tmp_path / f"{name}.yaml"
         path.write_text(text)
@@ -233,6 +256,32 @@ class TestSolve:
     def test_explicit_mu_echoed(self, capsys, files):
         code, out, _ = _run(capsys, "solve", files["exp"], "--mu", "5.0")
         assert code == 0 and "mu: 5.0" in out
+
+    def test_explicit_mu_with_the_march_exits_1(self, capsys, tmp_path, files):
+        """The march stops on plain sups and takes no weight; a ``mu`` in
+        the file's solver block serves picard and is allowed."""
+        code, out, err = _run(capsys, "solve", files["exp"], "--method", "segment",
+                              "--mu", "5.0")
+        assert code == 1 and out == ""
+        assert err == "error: --mu applies to --method picard only\n"
+        path = tmp_path / "mu.yaml"
+        path.write_text(EXP_FILE + "solver: {mu: 5.0}\n")
+        code, out, _ = _run(capsys, "solve", str(path), "--method", "segment")
+        assert code == 0 and "method: segment" in out
+
+    @pytest.mark.parametrize("name, sweeps", [
+        ("later_blow_up", 27), ("later_remainder_blow_up", 54), ("last_segment_blow_up", 21),
+    ])
+    def test_march_failure_after_the_first_segment(self, capsys, files, name, sweeps):
+        """The failure bytes of a march of the segments alone, on solutions
+        that blow up after their first segment, wherever a march that
+        carries the remainder first fails."""
+        code, out, err = _run(capsys, "solve", files[name], "--method", "segment")
+        note = f"diverged: non-finite update in sweep {sweeps + 1}"
+        assert code == 4
+        assert out == (f"method: segment\niterations: {sweeps}\nconverged: false\n"
+                       f"final residual: nan\nnote: {note}\n")
+        assert err == f"error: iteration stopped after {sweeps} sweeps: {note}\n"
 
     def test_bad_expression_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -604,3 +604,17 @@ class TestOneReadPerTable:
         zero_table = memory._replace(rows=rows, prefix=quadrature.row_prefix(problem.grid, rows))
         assert got.tobytes() == oracles.read_rows(zero_table, batch).tobytes()
         assert np.isnan(oracles.read_rows(inf_table, batch)).all()
+
+    def test_a_table_narrower_than_its_reads_raises(self):
+        """A read into a batch's kept arrays clips its indices, so a batch
+        whose times reach past a table's columns raises when it first
+        reads that table, instead of reading the last column again."""
+        problem = _read_problem(1, 1, False, True)
+        memory = _memory(problem, random_triple(problem, np.random.default_rng(3)))
+        w = problem.grid.panels + 1  # the first segment's columns
+        narrow = memory._replace(rows=memory.rows[:, :w], prefix=memory.prefix[:, :w + 1])
+        te = np.array([0.1, 1.9])
+        batch = _Batch(problem, te, te)
+        with pytest.raises(IndexError, match="past the 9 columns"):
+            quiet(operator._read_rows)(narrow, batch)
+        assert np.isfinite(quiet(operator._read_rows)(memory, batch)).all()

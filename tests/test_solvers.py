@@ -1,6 +1,7 @@
 """Solvers: global iteration, segment marching, and the resolution study."""
 
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from conftest import (
     random_triple,
     step_problem,
 )
-from test_parity import multi_impulse_problem
+from test_parity import multi_impulse_problem, tdep_problem
 import oracles
 from hybrid_volterra import cli, operator, quadrature, solvers
 from hybrid_volterra.contraction import contraction_bounds, find_mu, spectral_radius
@@ -31,7 +32,7 @@ from hybrid_volterra.operator import (
     jump_at,
     residual,
 )
-from hybrid_volterra.piecewise import PiecewiseFn
+from hybrid_volterra.piecewise import NonFiniteValues, PiecewiseFn, interpolate
 from hybrid_volterra.problem_io import LoadedProblem, SolverSettings, load_problem_file
 from hybrid_volterra.quadrature import weight_rows
 from hybrid_volterra.solvers import (
@@ -50,8 +51,8 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 SWEEPS = {
     "double_memory": {"picard": 7, "segment": 7},
     "exponential": {"picard": 14, "segment": 14},
-    "fixed_impulses": {"picard": 4, "segment": 7},
-    "mixed_impulses": {"picard": 10, "segment": 33},
+    "fixed_impulses": {"picard": 4, "segment": 4},
+    "mixed_impulses": {"picard": 10, "segment": 12},
 }
 
 
@@ -774,7 +775,7 @@ class TestNonMonotoneSigma:
                    (1.1089270301356993, 1.1432227787715472, 1.1692650797905955,
                     1.1576085826360223, 1.0997942160309992, 1.0719542360426995,
                     1.1756812681548012)),
-        "segment": (21, (1.0, 1.0151130648945281, 1.0304545345195582, 1.0576449868970341,
+        "segment": (9, (1.0, 1.0151130648945281, 1.0304545345195582, 1.0576449868970341,
                          1.0864653228940138, 1.2068859712917381, 1.3082615760206155),
                     1.0304545345195582,
                     (1.1089270301357015, 1.1432227787715628, 1.1692650797906445,
@@ -811,10 +812,11 @@ def _consumed_by_segment(problem):
 
 class TestMarchWork:
     """Each segment of the march keeps one table, over its window of
-    columns: the segment's first sweep builds it from its starting iterate,
-    and every later sweep rewrites it from the window's first changeable
-    column.  Each sweep makes one evaluation: the segment's nodes and then
-    the trace entries the segment consumes first.
+    columns, the whole grid: the segment's first sweep builds it from its
+    starting iterate, and every later sweep rewrites it from the window's
+    first changeable column.  Each sweep makes one evaluation: the
+    segment's nodes and the trace entries the segment consumes first, then
+    every later node and every entry that a later segment consumes.
 
     Recorded per sweep: its segment, the row prefixes it takes (with their
     first column and width), and each evaluation it makes, with its
@@ -830,12 +832,13 @@ class TestMarchWork:
         sweep, sc_eval = solvers._segment_sweep, solvers._sc_eval
         row_prefix = operator._row_prefix
 
-        def recording_sweep(problem, nodes, fresh, window, batch, state):
+        def recording_sweep(problem, nodes, *args):
+            window = args[-3]
             current[0] = {"segment": nodes.start // (problem.grid.panels + 1),
                           "window": window, "tables": [], "evals": []}
             log["sweeps"].append(current[0])
             try:
-                return sweep(problem, nodes, fresh, window, batch, state)
+                return sweep(problem, nodes, *args)
             finally:
                 current[0] = outside
 
@@ -858,32 +861,43 @@ class TestMarchWork:
         """Every sweep of segment l makes one evaluation: the segment's nodes
         with their sweep memberships, then the entries l consumes first, each
         once, by moving impulse and node, one tick left of their moving
-        times.  The segments share no entry and cover every one."""
+        times; then every later node and every entry that a later segment
+        consumes, in the same way.  The segments share no entry and cover
+        every one."""
         grid = problem.grid
         node_m = problem.sweep.m[:grid.size]
         consumed = _consumed_by_segment(problem)
+
+        def moving(entries):
+            index = tuple(np.array(sorted(entries), dtype=int).T)
+            return (problem.sigma_grid[index] if index else np.zeros(0)).tolist()
+
         for rec in log["sweeps"]:
             assert len(rec["evals"]) == 1
             (_, _, batch, _, _), _ = rec["evals"][0]
-            te, m = batch.te, batch.m
-            nodes = grid.segment_slice(rec["segment"])
-            entries = tuple(np.array(sorted(consumed[rec["segment"]]), dtype=int).T)
-            u = problem.sigma_grid[entries] if entries else np.zeros(0)
-            assert te.tolist() == grid.times[nodes].tolist() + u.tolist()
-            assert m.tolist() == node_m[nodes].tolist() + (u - operator.EPS).tolist()
+            te, m = batch.te.tolist(), batch.m.tolist()
+            l = rec["segment"]
+            nodes = grid.segment_slice(l)
+            later = slice(nodes.stop, grid.size)
+            u, v = moving(consumed[l]), moving(set().union(*consumed[l + 1:]))
+            assert te == grid.times[nodes].tolist() + u + grid.times[later].tolist() + v
+            assert m == (node_m[nodes].tolist() + [x - operator.EPS for x in u]
+                         + node_m[later].tolist() + [x - operator.EPS for x in v])
         assert sum(len(s) for s in consumed) == problem.sigma_grid.size
         assert set().union(*consumed) == set(np.ndindex(problem.sigma_grid.shape))
 
     def _check_tables(self, problem, log):
-        """Every segment keeps one table.  Its first sweep takes one row
-        prefix over the columns 0 to ``hi``, every later sweep one from
-        ``live`` to ``hi``, and every sweep of it reads the same rows."""
+        """Every segment keeps one table, over the whole grid.  Its first
+        sweep takes one row prefix over the columns 0 to ``hi``, every later
+        sweep one from ``live`` to ``hi``, and every sweep of it reads the
+        same rows."""
         rows_of = {}
         for rec in log["sweeps"]:
             (_, _, _, memory, _), _ = rec["evals"][0]
             first = rec["segment"] not in rows_of
             rows = rows_of.setdefault(rec["segment"], memory.rows)
             live, hi = rec["window"].live, rec["window"].hi
+            assert hi == problem.grid.size
             assert rec["tables"] == [(0, hi) if first else (live, hi - live)]
             assert memory.rows is rows
         assert sorted(rows_of) == list(range(problem.grid.num_segments))
@@ -901,13 +915,16 @@ class TestMarchWork:
         self._check_batches(problem, log)
         self._check_tables(problem, log)
         # 33 nodes per segment.  Segment 1 rewrites its g rows from column 0,
-        # whose trace entry it consumes; segments 2 and 3 from their first node
+        # whose trace entry it consumes.  Segment 2 admits tau = 1.75, its
+        # own end, whose eta its sweeps change, and g reads eta: it rewrites
+        # from column 0 too.  Segment 3 rewrites from its first node
         assert problem.grid.size == 132
         windows = {rec["segment"]: tuple(rec["window"][:2]) for rec in log["sweeps"]}
-        assert windows == {0: (0, 33), 1: (0, 66), 2: (66, 99), 3: (99, 132)}
-        # the fixed impulses tau = 0.4 and 1.75 that each segment admits
-        assert {rec["segment"]: rec["window"].admitted for rec in log["sweeps"]} == {
-            0: 0, 1: 1, 2: 1, 3: 2}
+        assert windows == {0: (0, 132), 1: (0, 132), 2: (0, 132), 3: (99, 132)}
+        # every table admits the fixed impulses tau = 0.4 and 1.75, which
+        # later nodes admit; those at or before each segment's start are settled
+        assert {rec["segment"]: rec["window"][2:] for rec in log["sweeps"]} == {
+            0: (2, 0), 1: (2, 1), 2: (2, 1), 3: (2, 2)}
         # the image rewrites the last segment's table from column 99 and
         # evaluates the times of a picard sweep
         outside = log["outside"]
@@ -988,8 +1005,9 @@ class TestMarchWork:
     def test_window_reads_match_whole_grid(self, monkeypatch, case):
         """The one evaluation of each sweep, through its segment's table,
         gives the bits that an evaluation against a table of the whole grid
-        gives for the same triple (:meth:`_case`).  In the fourth case each
-        sweep still builds one table and makes one evaluation.
+        gives for the same triple, and a picard sweep (:meth:`_case`).  In
+        the fourth case each sweep still builds one table and makes one
+        evaluation.
         """
         problem = self._case(case)
         sc_eval, memory = operator._sc_eval, operator._memory
@@ -1002,6 +1020,10 @@ class TestMarchWork:
             (_, triple, batch, _, beta_at), got = rec["evals"][0]
             whole = sc_eval(problem, triple, batch, memory(problem, triple), beta_at)
             assert got.tobytes() == whole.tobytes()
+            # and those of a picard sweep of the same iterate at those times,
+            # beta read at its stored values at every node
+            swept = operator._sweep_values(problem, triple)
+            assert got.tobytes() == swept[batch.index].tobytes()
         if case == "mixed":
             # some rewrite their table from a later column
             assert max(rec["window"].live for rec in log["sweeps"]) > 0
@@ -1009,9 +1031,9 @@ class TestMarchWork:
     @CASES
     def test_batches_are_index_views_of_the_sweep(self, monkeypatch, case):
         """Each segment's batch is ``problem.sweep`` at the indices of its
-        nodes and fresh trace entries: every part an evaluation reads has
-        the bits of the sweep's part there, and of a batch built afresh at
-        those times (:meth:`_case`)."""
+        nodes and fresh trace entries, then of every later node and entry:
+        every part an evaluation reads has the bits of the sweep's part
+        there, and of a batch built afresh at those times (:meth:`_case`)."""
         problem = self._case(case)
         log = self._record(monkeypatch)
         _, rep = segment_solve(problem, tol=1e-12, kmax=300)
@@ -1022,11 +1044,18 @@ class TestMarchWork:
         batches = {id(args[2]): args[2] for rec in log["sweeps"]
                    for args, _ in rec["evals"]}.values()
         assert len(batches) == problem.grid.num_segments
+        consumed = _consumed_by_segment(problem)
+        N, n_tau = problem.grid.size, problem.n_tau
         covered = []
-        for batch in batches:
+        for l, batch in enumerate(batches):
             assert isinstance(batch, operator._Subset) and batch.parent is sweep
             index = batch.index
-            covered += index.tolist()
+            # the segment's own times lead, then every later one that is unsolved
+            nodes = problem.grid.segment_slice(l)
+            covered += index[:nodes.stop - nodes.start + len(consumed[l])].tolist()
+            unsolved = set().union(*consumed[l:])
+            assert sorted(index.tolist()) == list(range(nodes.start, N)) + sorted(
+                N + n_tau + p * N + k for p, k in unsolved)
             fresh = operator._Batch(problem, batch.te, batch.m)
             for name, take in [("te", lambda a: a[index]), ("m", lambda a: a[index]),
                                ("x0", lambda a: a[index]), ("sigma", lambda a: a[:, index]),
@@ -1044,8 +1073,8 @@ class TestMarchWork:
                 want = whole if whole.ndim == 0 else whole[index]
                 assert batch.factor(c).tobytes() == want.tobytes()
                 assert batch.factor(c).tobytes() == fresh.factor(c).tobytes()
-        # the segments share no time, and leave out only the fixed impulse times
-        N, n_tau = problem.grid.size, problem.n_tau
+        # the segments' own times share no time, and leave out only the fixed
+        # impulse times
         assert sorted(covered) == [k for k in range(sweep.te.size) if not N <= k < N + n_tau]
 
     @pytest.mark.parametrize(
@@ -1080,14 +1109,14 @@ class TestMarchWork:
     @pytest.mark.parametrize(
         "f2, windows",
         [("0.1*x*x1*exp(-t*s1)", [(0, 34), (0, 34)]),
-         ("0.1*x*x1/(1 + (s - s1)^2)", [(0, 17), (17, 34)])],
+         ("0.1*x*x1/(1 + (s - s1)^2)", [(0, 34), (17, 34)])],
         ids=["per-time", "t-free"],
     )
     def test_window_of_an_unsplit_f2(self, monkeypatch, f2, windows):
         """An f2 that references t and does not split is evaluated per
         batch: its table has no rows, so each segment takes the whole grid.
-        A t-free one is a row of the table, rewritten from each segment's
-        first node."""
+        A t-free one is a row of the table, which spans the grid and is
+        rewritten from each segment's first node."""
         problem = make_problem(2.0, tau=(1.0,), h=0.5, panels=16, x0="1", f2=f2,
                                G1="0.2*eta")
         assert problem.f2_terms is None and problem.grid.size == 34
@@ -1112,3 +1141,185 @@ class TestMarchWork:
         for a, b in [(pic.xi.values, seg.xi.values), (pic.eta, seg.eta),
                      (pic.beta_rows(), seg.beta_rows())]:
             assert np.max(np.abs(a - b)) <= 1e-9
+
+
+# x = 1 + int_0^t x^2 ds, plus 0.1 after tau = 0.5, blows up after t = 1:
+# the remainder of segment 0 fails before segment 0 converges
+BLOW_UP_AFTER_SEGMENT_0 = dict(tau=(0.5,), panels=16, x0="1", f1="x*x", G1="0.1")
+
+
+def _remainder_case(name):
+    """(problem, tol, kmax) of the march's remainder checks."""
+    if name == "mixed_impulses":
+        loaded = load_problem_file(PROBLEMS / "mixed_impulses.yaml")
+        return loaded.problem, loaded.settings.tol, loaded.settings.kmax
+    if name == "multi_impulse":
+        return multi_impulse_problem(), 1e-12, 200
+    if name == "tdep":
+        return tdep_problem(), 1e-12, 200
+    return nonmonotone_sigma_problem(), 1e-10, 200
+
+
+def _segment_plans(problem):
+    """Per segment, as the march builds them: the segment's nodes, fresh
+    entries and eta (the first arguments of ``solvers._segment_sweep``
+    after the problem), the indices of the segment's own times and of the
+    unsolved times after them, and the entries that earlier segments
+    consumed."""
+    grid = problem.grid
+    N, traces = grid.size, grid.size + problem.n_tau
+    consumed = _consumed_by_segment(problem)
+
+    def entries(pairs):
+        return traces + np.array(sorted(p * N + k for p, k in pairs), dtype=int)
+
+    for l in range(grid.num_segments):
+        nodes = grid.segment_slice(l)
+        end = grid.partition[l + 1] + operator.EPS
+        eta = slice(N, N + int(np.count_nonzero(problem.tau <= end)))
+        fresh = entries(consumed[l])
+        own = np.concatenate([np.arange(nodes.start, nodes.stop), fresh])
+        later = np.concatenate([np.arange(nodes.stop, N), entries(set().union(*consumed[l + 1:]))])
+        solved = np.zeros(problem.sigma_grid.shape, dtype=bool)
+        for p, k in set().union(*consumed[:l]):
+            solved[p, k] = True
+        yield (nodes, fresh, eta), own, later, solved
+
+
+class TestRemainder:
+    """Each sweep of a march segment also evaluates every unsolved time
+    after the segment, so a later segment starts from values that earlier
+    sweeps iterated.  The segment's own values keep the bits of an
+    evaluation of the segment alone, and a failed remainder falls back to
+    the segment alone."""
+
+    SPLITS = {"mixed_impulses": [7, 2, 2, 1], "multi_impulse": [7, 1, 3, 1, 3, 1]}
+
+    @pytest.mark.parametrize("name", sorted(SPLITS))
+    def test_sweeps_per_segment(self, monkeypatch, name):
+        """A later segment that starts from values iterated against a stale
+        table shows here first, by segment."""
+        problem, tol, kmax = _remainder_case(name)
+        segments = []
+        sweep = solvers._segment_sweep
+
+        def counted(problem, nodes, *args):
+            segments.append(nodes.start // (problem.grid.panels + 1))
+            return sweep(problem, nodes, *args)
+
+        monkeypatch.setattr(solvers, "_segment_sweep", counted)
+        _, rep = segment_solve(problem, tol=tol, kmax=kmax)
+        assert rep.converged and len(segments) == rep.iterations
+        assert [segments.count(l) for l in range(problem.grid.num_segments)] == self.SPLITS[name]
+
+    @pytest.mark.parametrize("name", ["mixed_impulses", "multi_impulse", "tdep", "non_monotone"])
+    def test_own_values_match_the_segment_alone(self, name):
+        """Two sweeps of every segment from a random iterate, one with the
+        remainder and one alone, each with its own table (built, then
+        rewritten): the segment's nodes, fresh entries and eta, and the
+        deltas, have the same bits.  The iterate's eta are the left limits
+        of its continuous part, as in every iterate after a sweep."""
+        problem, _, _ = _remainder_case(name)
+        N = problem.grid.size
+        start = operator._values(random_triple(problem, np.random.default_rng(5)))
+        start[N:N + problem.n_tau] = interpolate(start[:N], *problem.tau_nodes)
+        for (nodes, fresh, eta), own, later, solved in _segment_plans(problem):
+            sweeps = {}
+            for mode, index, later_nodes in [
+                    ("remainder", np.concatenate([own, later]), slice(nodes.stop, N)),
+                    ("alone", own, slice(nodes.stop, nodes.stop))]:
+                batch = operator._Subset(problem.sweep, index)
+                window = operator._window(problem, nodes, batch, solved)
+                sweeps[mode] = partial(solvers._segment_sweep, problem, nodes, fresh, eta,
+                                       later_nodes, window, batch)
+            # each builds its table from the random iterate, then rewrites it
+            # from the remainder's next iterate
+            (with_r, table_r), deltas_r = sweeps["remainder"]((start, None))
+            (alone, table_a), deltas_a = sweeps["alone"]((start, None))
+            assert table_r.window.hi == N
+            (with_r2, _), deltas_r2 = sweeps["remainder"]((with_r, table_r))
+            (alone2, _), deltas_a2 = sweeps["alone"]((with_r, table_a))
+            for x, y in [(with_r, alone), (with_r2, alone2)]:
+                assert [v.hex() for v in x[own]] == [v.hex() for v in y[own]]
+                assert [v.hex() for v in x[eta]] == [v.hex() for v in y[eta]]
+            assert ([v.hex() for v in deltas_r + deltas_r2]
+                    == [v.hex() for v in deltas_a + deltas_a2])
+
+    def test_a_failed_remainder_restarts_the_march_alone(self, monkeypatch):
+        """The remainder blows up while segment 0 iterates.  The march
+        starts again from x0, with a new table, and takes every segment
+        alone: it stops where a march of the segments alone stops."""
+        problem = make_problem(2.0, **BLOW_UP_AFTER_SEGMENT_0)
+        calls = []
+        sweep = solvers._segment_sweep
+
+        def recorded(problem, nodes, fresh, eta, later, window, batch, state):
+            calls.append((batch.index.size, state[0].copy(), state[1]))
+            return sweep(problem, nodes, fresh, eta, later, window, batch, state)
+
+        monkeypatch.setattr(solvers, "_segment_sweep", recorded)
+        _, rep = segment_solve(problem, tol=1e-10, kmax=200)
+        assert rep.failed and rep.iterations == 27
+        assert rep.notes == ("diverged: non-finite update in sweep 28",)
+        ahead = [size > problem.grid.panels + 1 for size, _, _ in calls]
+        restart = ahead.index(False)
+        assert 0 < restart and not any(ahead[restart:])
+        _, first, table = calls[restart]
+        assert table is None and np.all(first == 1.0)  # x0 at every time
+        assert len(calls) - restart == rep.iterations + 1
+
+    # (f1, tau, the segment whose sweep first fails while the remainder is
+    # carried; the last segment carries none)
+    FAILURES = [
+        ("x*x", (0.5,), 0), ("x*x", (0.2,), 1), ("x*x", (0.25, 0.5, 0.75), 1),
+        ("x*x", (0.1, 0.2, 0.3, 0.4, 0.6, 0.8), 2), ("0.5*x*x", (0.25, 0.5, 0.75), 3),
+        ("0.5*x*x", (0.1, 0.2, 0.3, 0.4, 0.6, 0.8), 5),
+    ]
+
+    @pytest.mark.parametrize("f1, tau, first", FAILURES)
+    def test_a_failed_march_is_the_march_of_the_segments_alone(self, monkeypatch, f1, tau,
+                                                                first):
+        """Wherever the march that carries the remainder first fails, the
+        solve ends as a march that never carries it: same sweep count,
+        notes, deltas and last iterate, bit for bit."""
+        problem = make_problem(2.0, tau=tau, panels=16, x0="1", f1=f1, G1="0.1")
+        failed = []
+        sweep = solvers._segment_sweep
+
+        def recorded(problem, nodes, *args):
+            try:
+                return sweep(problem, nodes, *args)
+            except NonFiniteValues:
+                failed.append(nodes.start // (problem.grid.panels + 1))
+                raise
+
+        monkeypatch.setattr(solvers, "_segment_sweep", recorded)
+        carried, rep = segment_solve(problem, tol=1e-10, kmax=200)
+        assert failed[0] == first and rep.failed
+        monkeypatch.setattr(solvers, "_AHEAD_TIMES", 0)
+        alone, rep_alone = segment_solve(problem, tol=1e-10, kmax=200)
+        assert (rep.iterations, rep.notes) == (rep_alone.iterations, rep_alone.notes)
+        assert ([d.hex() for d in np.ravel(rep.deltas)]
+                == [d.hex() for d in np.ravel(rep_alone.deltas)])
+        assert operator._values(carried).tobytes() == operator._values(alone).tobytes()
+
+    def test_the_remainder_is_carried_up_to_a_number_of_times(self, monkeypatch):
+        """A march over more times than ``_AHEAD_TIMES`` takes each segment
+        alone, as the march did before it carried the remainder."""
+        problem, tol, kmax = _remainder_case("mixed_impulses")
+        size = problem.sweep.te.size
+        assert size <= solvers._AHEAD_TIMES
+        segments = []
+        sweep = solvers._segment_sweep
+
+        def counted(problem, nodes, *args):
+            segments.append(nodes.start // (problem.grid.panels + 1))
+            return sweep(problem, nodes, *args)
+
+        monkeypatch.setattr(solvers, "_segment_sweep", counted)
+        for limit, split in [(size, [7, 2, 2, 1]), (size - 1, [7, 9, 10, 7])]:
+            monkeypatch.setattr(solvers, "_AHEAD_TIMES", limit)
+            segments.clear()
+            _, rep = segment_solve(problem, tol=tol, kmax=kmax)
+            assert rep.converged
+            assert [segments.count(l) for l in range(problem.grid.num_segments)] == split
