@@ -9,7 +9,7 @@ and impulse sums.  The pieces:
   of factors in disjoint variable groups;
 - :mod:`.schedule` -- impulse times, crossing roots, and separation checks;
 - :mod:`.piecewise` -- grids with two-sided breakpoint nodes, piecewise
-  functions, and the weighted norms;
+  functions, and the weighted norm of the continuous part;
 - :mod:`.quadrature` -- trapezoid rules on those grids by one running
   sum, the prefix of a row or table of rows: read at E upper limits in
   O(N + E), at every node for cumulative integrals, and nested for cube
@@ -61,14 +61,11 @@ from .operator import (
     component_deltas,
     default_init,
     jump_at,
-    residual,
 )
 from .piecewise import (
     Grid,
     PiecewiseFn,
     norm_continuous,
-    norm_discrete,
-    norm_mixed,
     uniform_grid,
 )
 from .problem_io import (
@@ -141,11 +138,8 @@ __all__ = [
     "load_problem_file",
     "nested_equals_cube",
     "norm_continuous",
-    "norm_discrete",
-    "norm_mixed",
     "parse_kernel",
     "picard_solve",
-    "residual",
     "segment_solve",
     "series_contraction_coefficient",
     "series_solve",

@@ -16,11 +16,12 @@ than the largest float, a ``--tol`` that is not positive or a ``--kmax``
 below 1) or an ``--out``/``--report`` path that cannot be written, 2
 separation requirement failed, 3 iteration did not converge, 4 a kernel
 domain error or a non-finite value in ``solve``, ``series-solve``,
-``convergence-report`` or ``analyze --estimate``.  A path that cannot be
-written exits 1 even where the run would have exited 2, 3 or 4, because
-the outputs it promised are not there.  Output is
-deterministic for fixed inputs; ``HV_SEED`` seeds the Lipschitz estimator
-behind ``analyze --estimate``.
+``convergence-report`` or ``analyze --estimate``, or finite
+``check-matrix`` entries whose invariants overflow (an entry that is not
+finite exits 1).  A path that cannot be written exits 1 even where the
+run would have exited 2, 3 or 4, because the outputs it promised are not
+there.  Output is deterministic for fixed inputs; ``HV_SEED`` seeds the
+Lipschitz estimator behind ``analyze --estimate``.
 """
 
 from __future__ import annotations
@@ -523,15 +524,28 @@ def roots(problem_file):
 @click.argument("entries", nargs=9, type=float)
 def check_matrix(entries):
     """Verdicts for the 3x3 matrix given row by row as nine numbers."""
+    for value in entries:
+        if not math.isfinite(value):
+            _fail(f"matrix entries must be finite, got {value!r}", 1)
     m = np.asarray(entries, dtype=float).reshape(3, 3)
     tr, s2, d = char_invariants(m)
     p0, p1, p3, q4 = criterion_quantities(m)
+    try:
+        radius = spectral_radius(m)
+    except OverflowError:
+        radius = math.inf
+    named = {"trace": tr, "pair_sum": s2, "det": d, "p0": p0, "p1": p1, "p3": p3,
+             "q4": q4, "spectral radius": radius}
+    bad = ", ".join(f"{name} {value!r}" for name, value in named.items()
+                    if not math.isfinite(value))
+    if bad:
+        _fail(f"the matrix's invariants overflow: {bad}", 4)
     click.echo(f"trace: {tr!r}")
     click.echo(f"pair_sum: {s2!r}")
     click.echo(f"det: {d!r}")
     click.echo(f"criterion quantities: {p0!r}, {p1!r}, {p3!r}, {q4!r}")
     click.echo(f"contractive by criterion: {str(is_contractive_criterion(m)).lower()}")
-    click.echo(f"spectral radius: {spectral_radius(m)!r}")
+    click.echo(f"spectral radius: {radius!r}")
     click.echo(f"contractive by eigenvalues: {str(is_contractive_eigen(m)).lower()}")
 
 

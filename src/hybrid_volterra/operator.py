@@ -35,7 +35,7 @@ by every evaluation time: prefix sums, O(1) per time once built.  The g
 rows are cut where sigma_i reaches the membership time, a prefix of the
 nodes when sigma_i is nondecreasing on the grid (checked once per problem).
 
-One thing is built per iterate: :func:`_memory`, a table of node rows
+One thing is filled per iterate: :func:`_memory`, a table of node rows
 with one row-wise prefix sum.  Its rows are each f1 term a_r(s, xi(s)),
 each f2 row of inner integrals a_r(s) * (integral of b_r to s) (O(N) per
 term when f2 splits into products c_r(t) a_r(s, x) b_r(s1, x1); one N x N
@@ -57,42 +57,50 @@ trace at once.  A sweep of the segment march makes one of its segment's
 nodes and the trace entries it refreshes, an index view of that batch
 (:class:`_Subset`), through the same table and membership helpers, so a
 problem locates and evaluates its times once however it is solved.  The
-solvers iterate one array laid out as those times, read through a
-triple-shaped view (:class:`_View`), and build a :class:`SolutionTriple`
-only for what they return.  The image of a triple holds both one-sided
-values of every interior breakpoint at its duplicated node, so the jump
-the formula predicts there is the difference of the image's two values:
-a solver keeps the image of the iterate it returns, and nothing evaluates
-the triple again for its jumps.  :func:`jump_at` evaluates both sides of
-given breakpoints, one tick right and one tick left, for a caller without
-an image.  Each evaluation enters one floating-point guard, held by
+one state the operator reads is an array laid out as those times, by
+component through :class:`_View`: the solvers iterate it, and
+:func:`apply_operator`, :func:`jump_at` and :func:`component_deltas` lay
+out the triples they are given so once (:func:`_values`).  A
+:class:`SolutionTriple` is built only for what is returned.  The weighted
+deltas of a picard sweep and of :func:`component_deltas` are one
+function of that layout (:func:`_deltas`).  The image of a triple holds
+both one-sided values of every interior breakpoint at its duplicated
+node, so the jump the formula predicts there is the difference of the
+image's two values: a solver keeps the image of the iterate it returns,
+and nothing evaluates the triple again for its jumps.  :func:`jump_at`
+evaluates both sides of given breakpoints, one tick right and one tick
+left, for a caller without an image.  Each evaluation enters one floating-point guard, held by
 :func:`_sweep_values`, :func:`jump_at` or the march's sweep: the helpers
 under it call the unguarded quadrature cores and walk their kernels
 directly (:func:`_walk`), so only a power enters a guard of its own.
 
 A table spans the grid columns 0 to the ``hi`` of its window
-(:class:`_Window`).  Picard, :func:`jump_at` and the residual build one of
-the whole grid per iterate.  Strict memberships let the segment march keep
-one table per segment (:func:`_window`): before the segment's own nodes,
-and before the first trace entry of each g row that the segment still
-refreshes, nothing changes while it iterates.  When the march carries the
-unsolved remainder after a segment, every later node and trace entry, in
-the segment's sweeps, its table spans the whole grid.  Its first sweep
-builds the table; every later sweep rewrites it in place from that first
-changeable column ``live`` on.  Each running sum is taken on from the
-table's own value at ``live``, so every read has the bits of a table built
-whole.  The table admits every fixed impulse that a later time admits,
-and the eta of one after the segment's start changes while the segment
-iterates: a g row that reads it is rewritten from column 0, and a G1 and
-G2 prefix that reads eta is built again in every sweep.  A sweep of
+(:class:`_Window`), and one routine fills it (:func:`_memory`).  Its first
+call makes the table's arrays; every call writes the rows, the f2 inner
+integrals and the prefix from the window's first changeable column
+``live`` on, each running sum taken on from the table's own value at
+``live`` and begun at 0.0 at column 0, so every read has the bits of a
+table filled from column 0.  A new table is filled from column 0.  Picard
+keeps one table of the whole grid, whose ``live`` is 0, for its sweeps and
+its image; :func:`apply_operator` and :func:`jump_at` fill a new one.
+Strict memberships let the segment march keep one table per segment
+(:func:`_window`): before the segment's own nodes, and before the first
+trace entry of each g row that the segment still refreshes, nothing
+changes while it iterates, so each later sweep fills it from ``live``.
+When the march carries the unsolved remainder after a segment, every
+later node and trace entry, in the segment's sweeps, its table spans the
+whole grid.  The table admits every fixed impulse that a later time
+admits, and the eta of one after the segment's start changes while the
+segment iterates: a g row that reads it is filled from column 0, and a G1
+and G2 prefix that reads eta is built again in every sweep.  A sweep of
 segment l then costs O(N - start_l), for the times from its first node
 on, plus a fixed cost, where every memory kernel splits; alone, it costs
 O(n_l + fresh columns), for its n_l nodes and the trace entries it
 refreshes.  A t-free f2 that does not split still costs one N x N pass
 per table.  The last segment's table holds the g rows of every fixed
 impulse that a membership of a sweep admits, so the march's image of its
-returned iterate is that table rewritten from its ``live`` column once
-more.  A batch keeps the two arrays that its table reads work in
+returned iterate is that table filled from its ``live`` column once more.
+A batch keeps the two arrays that its table reads work in
 (:meth:`_Batch.work`), so that a sweep over tens of thousands of times and
 rows makes no array of that size.
 """
@@ -319,17 +327,18 @@ class HybridProblem:
         convention (:meth:`~.piecewise.Grid.nodes`), read-only."""
         return self.grid.nodes(self.tau)
 
-    def decay(self, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The weights of the norms at weight ``mu``, read-only: e^{-mu t} at
-        the grid nodes, e^{-mu tau_i} at the fixed impulse times, and
+    def decay(self, mu: float) -> "_View":
+        """The weights of the norms at weight ``mu``, read-only and laid out
+        by component as the times of one sweep (:class:`_View`): e^{-mu t}
+        at the grid nodes, e^{-mu tau_i} at the fixed impulse times, and
         e^{-mu sigma_i(t)} at the nodes, (n_sigma, N).  Built once per
         value of ``mu``, which must be finite and at least 0.
         """
         found = self._decays.get(mu)
         if found is None:
             _check_mu(mu)
-            found = tuple(_read_only(np.exp(-mu * a))
-                          for a in (self.grid.times, self.tau, self.sigma_grid))
+            found = _View._make(_read_only(np.exp(-mu * a))
+                                for a in (self.grid.times, self.tau, self.sigma_grid))
             if len(self._decays) >= _DECAY_MEMO_SIZE:
                 self._decays.clear()
             self._decays[mu] = found
@@ -347,7 +356,7 @@ class HybridProblem:
     @cached_property
     def batch_terms(self) -> tuple:
         """The evaluators of the terms that no memory table holds, in the
-        order :func:`_sc_eval` runs them; ``term(problem, batch, triple,
+        order :func:`_sc_eval` runs them; ``term(problem, batch, view,
         beta_at, out)`` adds its term at the times of ``batch`` into ``out``.
 
         * :func:`_f1_per_time`: an f1 that references t and does not split,
@@ -447,8 +456,8 @@ def _triple(problem: HybridProblem, values: np.ndarray) -> SolutionTriple:
     """The triple whose components are ``values`` at the times of one sweep."""
     view = _View.of(problem, values)
     grid = problem.grid
-    return SolutionTriple(PiecewiseFn(grid, view.xi.values), view.eta,
-                          tuple(PiecewiseFn(grid, row) for row in view.rows))
+    return SolutionTriple(PiecewiseFn(grid, view.xi), view.eta,
+                          tuple(PiecewiseFn(grid, row) for row in view.beta))
 
 
 def _values(triple: SolutionTriple) -> np.ndarray:
@@ -457,34 +466,27 @@ def _values(triple: SolutionTriple) -> np.ndarray:
     return np.concatenate([triple.xi.values, triple.eta, triple.beta_rows().reshape(-1)])
 
 
-class _Nodes(NamedTuple):
-    """The node values of a continuous part, as :class:`_View` holds them."""
-
-    values: np.ndarray
-
-
 class _View(NamedTuple):
-    """A triple-shaped view of values laid out as the times of one sweep
-    (``problem.sweep``): xi at the N nodes, then eta, then the beta rows.
+    """The state the operator reads: values laid out as the times of one
+    sweep (``problem.sweep``), by component.  ``xi`` holds the N node
+    values of the continuous part, ``eta`` one value per fixed impulse and
+    ``beta`` the traces, one row per moving impulse, (n_sigma, N).
 
-    It reads as a :class:`SolutionTriple` does where the operator reads
-    one (``xi.values``, ``eta`` and :meth:`beta_rows`), with no copy made
-    and no :class:`~.piecewise.PiecewiseFn` built, so a solver iterates one
-    array and builds a triple only for what it returns.
+    :meth:`of` views one array so, with no copy made: a solver iterates
+    one array and builds a :class:`SolutionTriple` only for what it
+    returns, and a public function that takes a triple reads it through
+    :func:`_values` once.
     """
 
-    xi: _Nodes
+    xi: np.ndarray
     eta: np.ndarray
-    rows: np.ndarray
+    beta: np.ndarray
 
     @classmethod
     def of(cls, problem: HybridProblem, values: np.ndarray) -> "_View":
         N, n_tau = problem.grid.size, problem.n_tau
-        return cls(_Nodes(values[:N]), values[N:N + n_tau],
+        return cls(values[:N], values[N:N + n_tau],
                    values[N + n_tau:].reshape(problem.n_sigma, N))
-
-    def beta_rows(self) -> np.ndarray:
-        return self.rows
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +733,9 @@ class _Memory(NamedTuple):
     (:meth:`_Batch.row_weight`).  ``impulses`` is the exclusive prefix over
     the fixed impulses of the t-free G1 and G2 values
     (:func:`_impulse_prefix`), or None; every table of a problem holds the
-    same one when they read no eta.  A later iterate of a march segment
-    rewrites the arrays in place (:func:`_memory`).
+    same one when they read no eta.  A later iterate fills the same arrays
+    again (:func:`_memory`): picard keeps one table for its sweeps and its
+    image, and a march segment one for its sweeps.
     """
 
     n_xi: int  # the number of f1 and f2 rows, as :func:`_xi_rows`
@@ -820,72 +823,70 @@ def _impulse_prefix(problem: HybridProblem, eta: np.ndarray | None) -> np.ndarra
     return np.concatenate([[0.0], np.cumsum(per_impulse)])
 
 
-def _memory(
-    problem: HybridProblem,
-    triple: SolutionTriple,
-    window: _Window | None = None,
-    table: _Memory | None = None,
-) -> _Memory:
-    """The memory table of ``triple``, read by every evaluation of it.
+def _memory(problem: HybridProblem, view: _View, table: _Memory | None = None,
+            window: _Window | None = None) -> _Memory:
+    """The memory table of ``view``, read by every evaluation of it.
 
     Its rows are the f1 and f2 rows of :func:`_xi_rows`, then one g row per
     moving impulse i of ``problem.g_row_impulses``, fixed impulse j and
     term (c, a) of ``problem.g_terms``: a(s, sigma_i(s), tau_j, xi(s),
     beta_i(s), eta_j) at the nodes, cut where sigma_i reaches the
     membership time.  The kernels and moving impulses left out are
-    ``problem.batch_terms``.  The rows cover the columns 0 to ``window.hi``
-    (:class:`_Window`; by default the whole grid).  Given ``table``, the
-    table of an earlier iterate over the same window, the table of
-    ``triple`` is that one rewritten in place from ``window.live`` on: its
-    rows, and its prefix and f2 inner integrals taken on from their own
-    values at ``live``.  Its G1 and G2 prefix is built again from the eta
-    of ``triple`` when it reads eta and the window admits an impulse that
-    is not settled; otherwise it is the earlier iterate's, whose entries
-    every reader of the table shares with ``triple``.
+    ``problem.batch_terms``.  The rows cover the columns 0 to ``hi`` of
+    the table's window (:class:`_Window`): ``window``, by default the whole
+    grid, for a new table.
+
+    One routine fills every table.  A new table's arrays are made on the
+    first call and filled from column 0; ``table``, an earlier iterate's,
+    is filled again in its own arrays from its window's ``live`` column
+    on.  The rows, the f2 inner integrals and the prefix are written from
+    that column on, and each running sum is taken on from the table's own
+    value at ``live``, or begun at 0.0 at column 0, so every read has the
+    bits of a table filled from column 0.  The G1 and G2 prefix is built
+    again from the eta of ``view`` when it reads eta and the fill begins
+    at column 0 or the window admits an impulse that is not settled;
+    otherwise it is the earlier iterate's, whose entries every reader of
+    the table shares with ``view``.
     """
-    xi, eta = triple.xi.values, triple.eta
-    if window is None:
-        window = problem.whole_grid
-    live = 0 if table is None else window.live
+    if table is None:
+        window, live = window or problem.whole_grid, 0
+    else:
+        window, live = table.window, table.window.live
     cols = slice(live, window.hi)
-    start = 0.0 if table is None or table.cumulative is None else table.cumulative[:, live]
-    entries, cumulative = _xi_rows(problem, xi, cols, start)
+    start = table.cumulative[:, live] if live and table.cumulative is not None else 0.0
+    entries, cumulative = _xi_rows(problem, view.xi, cols, start)
     n_xi = len(entries)
     for i in problem.g_row_impulses:
-        times, x = problem.grid.times[cols], xi[cols]
-        sig, b = problem.sigma_grid[i][cols], triple.beta_rows()[i, cols]
-        for tau_j, eta_j in zip(problem.tau[:window.admitted], eta):
+        times, x = problem.grid.times[cols], view.xi[cols]
+        sig, b = problem.sigma_grid[i][cols], view.beta[i, cols]
+        for tau_j, eta_j in zip(problem.tau[:window.admitted], view.eta):
             nodes = {"s": times, "sig": sig, "tau": tau_j, "x": x, "beta": b, "eta": eta_j}
             entries += [(c, _walk(a, nodes)) for c, a in problem.g_terms]
-    if table is not None:
-        rows = table.rows
-        for r, (_, row) in enumerate(entries):
-            rows[r, cols] = row
-        if cumulative is not None:
-            table.cumulative[:, cols] = cumulative
-        prefix = _row_prefix(problem.grid, rows[:, cols], live, table.prefix[:, live])
-        table.prefix[:, live:] = prefix
-        if window.admitted > window.settled and problem.impulse_prefix is None:
-            table = table._replace(impulses=_impulse_prefix(problem, eta))
-        return table
-    impulses = problem.impulse_prefix
-    if impulses is None:
-        impulses = _impulse_prefix(problem, eta)
-    rows = np.empty((len(entries), window.hi))
-    factors = {}
-    for r, (c, row) in enumerate(entries):
-        rows[r] = row
-        if c is not None:
-            factors.setdefault(id(c), (c, []))[1].append(r)
-    return _Memory(
-        n_xi=n_xi,
-        cumulative=cumulative,
-        rows=rows,
-        prefix=_row_prefix(problem.grid, rows),
-        factors=tuple(factors.values()),
-        impulses=impulses,
-        window=window,
-    )
+    if table is None:
+        factors = {}
+        for r, (c, _) in enumerate(entries):
+            if c is not None:
+                factors.setdefault(id(c), (c, []))[1].append(r)
+        R, hi = len(entries), window.hi
+        table = _Memory(
+            n_xi=n_xi,
+            cumulative=None if cumulative is None else np.empty((len(cumulative), hi)),
+            rows=np.empty((R, hi)),
+            prefix=np.empty((R, hi + 1)),
+            factors=tuple(factors.values()),
+            impulses=problem.impulse_prefix,
+            window=window,
+        )
+    rows = table.rows
+    for r, (_, row) in enumerate(entries):
+        rows[r, cols] = row
+    if cumulative is not None:
+        table.cumulative[:, cols] = cumulative
+    _row_prefix(problem.grid, rows[:, cols], live, table.prefix[:, live] if live else 0.0,
+                out=table.prefix[:, live:])
+    if problem.impulse_prefix is None and (not live or window.admitted > window.settled):
+        table = table._replace(impulses=_impulse_prefix(problem, view.eta))
+    return table
 
 
 def _read_rows(memory: _Memory, batch: _Batch) -> np.ndarray:
@@ -945,15 +946,14 @@ def _window(
     return _Window(live - live % w, min(hi + (-hi) % w, grid.size), admitted, settled)
 
 
-def _sc_eval(problem: HybridProblem, triple: SolutionTriple, batch: _Batch,
+def _sc_eval(problem: HybridProblem, view: _View, batch: _Batch,
              memory: _Memory, beta_at: np.ndarray | None = None) -> np.ndarray:
     """The operator formula at the evaluation and membership times of
     ``batch`` (:class:`_Batch`), which holds what no iterate changes.
 
-    ``triple`` is a :class:`SolutionTriple` or a :class:`_View`, which
-    reads as one.  ``memory`` is :func:`_memory` of ``triple``, read once
-    for the whole batch, and each term the table leaves out is one of
-    ``problem.batch_terms``.  ``beta_at`` carries each beta_i already
+    ``view`` is the state (:class:`_View`).  ``memory`` is :func:`_memory`
+    of ``view``, read once for the whole batch, and each term the table
+    leaves out is one of ``problem.batch_terms``.  ``beta_at`` carries each beta_i already
     evaluated at the evaluation times (shape (n_sigma, E)), so node-aligned
     callers can supply the stored one-sided values instead of
     interpolating.  When omitted it is computed by G3, by beta's left-limit
@@ -967,21 +967,21 @@ def _sc_eval(problem: HybridProblem, triple: SolutionTriple, batch: _Batch,
         # the t-free G1 and G2 terms of the fixed impulses below m
         out += memory.impulses[batch.impulse_count]
     for term in problem.batch_terms:
-        term(problem, batch, triple, beta_at, out)
+        term(problem, batch, view, beta_at, out)
     return out
 
 
-def _f1_per_time(problem, batch, triple, beta_at, out):
+def _f1_per_time(problem, batch, view, beta_at, out):
     """f1 that references t and does not split: one row per evaluation time."""
-    grid, te, xi = problem.grid, batch.te, triple.xi.values
+    grid, te, xi = problem.grid, batch.te, view.xi
     w = _walk(problem.f1, {"t": te[:, None], "s": grid.times[None, :], "x": xi[None, :]})
     out += _integrate_to(grid, w, te)
 
 
-def _f2_per_time(problem, batch, triple, beta_at, out):
+def _f2_per_time(problem, batch, view, beta_at, out):
     """f2 that references t and does not split: one N x N pass per time."""
     grid, te = problem.grid, batch.te
-    times, xi = grid.times, triple.xi.values
+    times, xi = grid.times, view.xi
     W = weight_rows(grid, te)
     node_weights = W if np.array_equal(te, times) else weight_rows(grid, times)
     inner = np.empty((te.size, times.size))
@@ -992,16 +992,16 @@ def _f2_per_time(problem, batch, triple, beta_at, out):
     out += apply_weights(W, inner)
 
 
-def _G1_per_time(problem, batch, triple, beta_at, out):
+def _G1_per_time(problem, batch, view, beta_at, out):
     """G1 that references t, over the fixed impulses below m."""
-    tau, eta, below = problem.tau, triple.eta, batch.tau_below
+    tau, eta, below = problem.tau, view.eta, batch.tau_below
     vals = _walk(problem.G1, {"t": batch.te[:, None], "tau": tau[None, :], "eta": eta[None, :]})
     out += np.where(below, vals, 0.0).sum(axis=1)
 
 
-def _G2_per_time(problem, batch, triple, beta_at, out):
+def _G2_per_time(problem, batch, view, beta_at, out):
     """G2 that references t, over the pairs of fixed impulses below m."""
-    tau, eta = problem.tau, triple.eta
+    tau, eta = problem.tau, view.eta
     ii, jj = problem.tau_pairs
     below = batch.tau_below[:, ii]
     vals = _walk(problem.G2, {"t": batch.te[:, None], "taui": tau[ii][None, :],
@@ -1010,20 +1010,20 @@ def _G2_per_time(problem, batch, triple, beta_at, out):
     out += np.where(below, vals, 0.0).sum(axis=1)
 
 
-def _g_per_batch(problem, batch, triple, beta_at, out):
+def _g_per_batch(problem, batch, view, beta_at, out):
     """The g terms of the moving impulses whose rows the table does not
     hold, with one weight row per evaluation time.  Each impulse's gate
     keeps the nodes with sigma_i(s) < m.  It masks the integrand, not the
     weights, so a non-finite value outside it stays out of the sum."""
     grid, te = problem.grid, batch.te
-    times, xi, beta_rows = grid.times, triple.xi.values, triple.beta_rows()
+    times, xi, beta_rows = grid.times, view.xi, view.beta
     terms = problem.g_terms or [(None, problem.g)]
     c_at = [None if c is None else batch.factor(c) for c, _ in terms]
     W = weight_rows(grid, te)
     for i in np.setdiff1d(np.arange(problem.n_sigma), problem.g_row_impulses):
         sig = problem.sigma_grid[i]
         gate = sig[None, :] < batch.m[:, None]
-        for j, (tau_j, eta_j) in enumerate(zip(problem.tau, triple.eta)):
+        for j, (tau_j, eta_j) in enumerate(zip(problem.tau, view.eta)):
             nodes = {"t": te[:, None], "s": times, "sig": sig, "tau": tau_j,
                      "x": xi, "beta": beta_rows[i], "eta": eta_j}
             for (_, a), c in zip(terms, c_at):
@@ -1033,18 +1033,18 @@ def _g_per_batch(problem, batch, triple, beta_at, out):
                 out += np.where(batch.tau_below[:, j], part, 0.0)
 
 
-def _G3(problem, batch, triple, beta_at, out):
+def _G3(problem, batch, view, beta_at, out):
     """G3 over the moving and fixed impulses with sigma_i(t), tau_j < m."""
-    te, tau, eta = batch.te, problem.tau, triple.eta
+    te, tau, eta = batch.te, problem.tau, view.eta
     if beta_at is None:
-        beta_at = _beta_at(triple, batch)
+        beta_at = _beta_at(view, batch)
     for i in range(problem.n_sigma):
         vals = _walk(problem.G3, {"t": te, "sig": batch.sigma[i], "tau": tau[:, None],
                                   "beta": beta_at[i], "eta": eta[:, None]})
         out += np.where(batch.g3_gate[i], vals, 0.0).sum(axis=0)
 
 
-def _beta_at(triple: SolutionTriple, batch: _Batch, nodes: slice = slice(0),
+def _beta_at(view: _View, batch: _Batch, nodes: slice = slice(0),
              later: slice = slice(0), first: int = 0) -> np.ndarray:
     """Each beta_i at the evaluation times of ``batch``, (n_sigma, E), by
     its left-limit convention, as :meth:`~.piecewise.PiecewiseFn.eval`
@@ -1054,7 +1054,7 @@ def _beta_at(triple: SolutionTriple, batch: _Batch, nodes: slice = slice(0),
     duplicated breakpoint node the interpolant would give the left limit
     for both.  So it is at the times from position ``first`` on, when they
     are the grid nodes ``later``."""
-    rows = triple.beta_rows()
+    rows = view.beta
     stored = rows[:, nodes]
     n = stored.shape[1]
     node, frac = batch.limits.base, batch.limits.frac
@@ -1078,25 +1078,25 @@ def apply_operator(problem: HybridProblem, triple: SolutionTriple) -> SolutionTr
     fixed-impulse value as the formula at tau_l with left memberships; each
     moving trace as the formula at sigma_p(t) with left memberships.  All
     three are one evaluation of one batch, ``problem.sweep``, against one
-    memory table of the triple (:func:`_sweep_values`).
+    new memory table of the triple (:func:`_sweep_values`).
     """
-    return _triple(problem, _sweep_values(problem, triple))
+    values, _ = _sweep_values(problem, _View.of(problem, _values(triple)))
+    return _triple(problem, values)
 
 
 @quiet
-def _sweep_values(problem: HybridProblem, triple, window: _Window | None = None,
-                  table: _Memory | None = None) -> np.ndarray:
-    """The image of ``triple`` (a :class:`SolutionTriple` or a
-    :class:`_View`) at the times of ``problem.sweep``, laid out as they
-    are: one evaluation of that batch against one memory table of the
-    whole grid, with beta read at its stored node values.  The table is
-    built afresh, or is ``table``, an earlier iterate's over ``window``,
-    rewritten from ``window.live`` on (:func:`_memory`); either way it has
-    the same bits.  This is the sweep's one floating-point guard:
+def _sweep_values(problem: HybridProblem, view: _View,
+                  table: _Memory | None = None) -> tuple[np.ndarray, _Memory]:
+    """The image of ``view`` at the times of ``problem.sweep``, laid out as
+    they are, and the memory table it was read through: one evaluation of
+    that batch, with beta read at its stored node values, against
+    ``table`` filled with ``view``, or a new table of the whole grid
+    (:func:`_memory`).  This is the sweep's one floating-point guard:
     everything it calls runs unguarded under it."""
     batch = problem.sweep
-    beta_at = _beta_at(triple, batch, slice(None)) if problem.n_sigma else None
-    return _sc_eval(problem, triple, batch, _memory(problem, triple, window, table), beta_at)
+    beta_at = _beta_at(view, batch, slice(None)) if problem.n_sigma else None
+    memory = _memory(problem, view, table)
+    return _sc_eval(problem, view, batch, memory, beta_at), memory
 
 
 @quiet
@@ -1109,7 +1109,7 @@ def jump_at(problem: HybridProblem, triple: SolutionTriple, alpha):
     (for instance under a constant moving-time function).  ``alpha`` is one
     breakpoint (a float is returned) or an array of them (an array of the
     same shape is returned); both sides of every breakpoint are one
-    evaluation of one batch against one memory table.  Each breakpoint
+    evaluation of one batch against one new memory table.  Each breakpoint
     must be an interior point of the partition, where the grid holds a
     node on each side: a breakpoint within ``MERGE_TOL`` of 0 or of the
     horizon is none, and is rejected.
@@ -1120,14 +1120,27 @@ def jump_at(problem: HybridProblem, triple: SolutionTriple, alpha):
     off = ~np.any(np.abs(t[:, None] - points[None, :]) <= MERGE_TOL, axis=1)
     if off.any():
         raise ValueError(f"{t[off][0]} is not a breakpoint inside the partition")
+    view = _View.of(problem, _values(triple))
     batch = _Batch(problem, np.concatenate([t, t]), np.concatenate([t + EPS, t - EPS]))
-    both = _sc_eval(problem, triple, batch, _memory(problem, triple))
+    both = _sc_eval(problem, view, batch, _memory(problem, view))
     jumps = both[:t.size] - both[t.size:]
     return float(jumps[0]) if alpha.ndim == 0 else jumps.reshape(alpha.shape)
 
 
 # ---------------------------------------------------------------------------
 # Distances
+
+
+def _deltas(problem: HybridProblem, weights: _View, new: np.ndarray,
+            old: np.ndarray) -> tuple[float, float, float]:
+    """The weighted distance of each component between ``new`` and ``old``,
+    two arrays laid out as the times of one sweep: the maximum over the
+    component of ``weights`` (``problem.decay(mu)``) times ``|new - old|``,
+    0 for an empty component.  A difference that overflows gives a distance
+    that is not finite.  Every sweep of picard and :func:`component_deltas`
+    take their deltas here."""
+    distance = _View.of(problem, np.abs(new - old))
+    return tuple(float((w * d).max()) if d.size else 0.0 for w, d in zip(weights, distance))
 
 
 def component_deltas(
@@ -1138,22 +1151,8 @@ def component_deltas(
 ) -> tuple[float, float, float]:
     """Weighted distances between two triples, one per component.
 
-    The norms of :mod:`~.piecewise` (``norm_continuous``, ``norm_discrete``,
-    ``norm_mixed``) of the differences of their node values, with the same
-    bits, from the weights ``problem.decay(mu)``; an empty component is 0.
-    A difference that overflows gives a distance that is not finite.
+    The exponentially weighted suprema of the differences of their node
+    values, at weight ``mu`` (:meth:`HybridProblem.decay`), as a picard
+    sweep takes its deltas (:func:`_deltas`); an empty component is 0.
     """
-    at_nodes, at_tau, at_sigma = problem.decay(mu)
-    d_xi = float(np.max(at_nodes * np.abs(new.xi.values - old.xi.values)))
-    d_eta = d_beta = 0.0
-    if problem.n_tau:
-        d_eta = float(np.max(at_tau * np.abs(new.eta - old.eta)))
-    if problem.n_sigma:
-        d_beta = float(np.max(at_sigma * np.abs(new.beta_rows() - old.beta_rows())))
-    return d_xi, d_eta, d_beta
-
-
-def residual(problem: HybridProblem, triple: SolutionTriple) -> float:
-    """Unweighted sup distance between the triple and its image."""
-    image = apply_operator(problem, triple)
-    return max(component_deltas(image, triple, problem, mu=0.0))
+    return _deltas(problem, problem.decay(mu), _values(new), _values(old))

@@ -1,4 +1,4 @@
-"""Piecewise-continuous functions on a segmented grid, with weighted norms.
+"""Piecewise-continuous functions on a segmented grid, with a weighted norm.
 
 Solutions live in the space of functions on [0, T] that are continuous on
 each open segment between breakpoints and have one-sided limits at the
@@ -199,46 +199,15 @@ def interpolate(values: np.ndarray, node: np.ndarray, frac: np.ndarray) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# Weighted norms.  All three are exponentially weighted suprema, evaluated
-# as maxima over stored nodes (both one-sided values at breakpoints are
-# nodes, so they participate).
+# Weighted norm.  An exponentially weighted supremum, evaluated as a maximum
+# over stored nodes (both one-sided values at breakpoints are nodes, so they
+# participate).
 
 
 def norm_continuous(fn: PiecewiseFn, mu: float) -> float:
     """max over nodes of e^{-mu t} |f(t)|."""
     _check_mu(mu)
     return float(np.max(np.exp(-mu * fn.grid.times) * np.abs(fn.values)))
-
-
-def norm_discrete(eta: np.ndarray, tau: np.ndarray, mu: float) -> float:
-    """max over fixed impulse times of e^{-mu tau_i} |eta_i| (0 if empty)."""
-    _check_mu(mu)
-    eta = np.asarray(eta, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if eta.shape != tau.shape:
-        raise ValueError(f"eta has shape {eta.shape} but tau has shape {tau.shape}")
-    if eta.size == 0:
-        return 0.0
-    return float(np.max(np.exp(-mu * tau) * np.abs(eta)))
-
-
-def norm_mixed(betas: Sequence[PiecewiseFn], sigma_values: np.ndarray, mu: float) -> float:
-    """max over i and nodes of e^{-mu sigma_i(t)} |beta_i(t)| (0 if empty).
-
-    ``sigma_values`` holds sigma_i evaluated on the grid nodes, one row per
-    moving impulse; the weight uses the *moving* time, not the node time.
-    """
-    _check_mu(mu)
-    betas = list(betas)
-    if not betas:
-        return 0.0
-    sigma_values = np.asarray(sigma_values, dtype=float)
-    if sigma_values.shape != (len(betas), betas[0].grid.size):
-        raise ValueError("sigma_values must be one row of node values per beta")
-    best = 0.0
-    for i, b in enumerate(betas):
-        best = max(best, float(np.max(np.exp(-mu * sigma_values[i]) * np.abs(b.values))))
-    return best
 
 
 def _check_mu(mu: float) -> None:

@@ -27,8 +27,9 @@ operator, works it out once and passes it to :func:`read_prefix` and
   read at every limit as ``(R, E)``, each row with its own cut of its
   nodes (worked out once for many tables by :func:`cut`).  A prefix may
   be taken on from a later column, with each row's sum before it as the
-  first term of its sum, so a table rewritten from there keeps the bits
-  of one built whole;
+  first term of its sum, and written into a table's own prefix, so a
+  table filled again from there keeps the bits of one filled from
+  column 0;
 * :func:`node_cumulative` -- the integral from 0 to every grid node: that
   running sum at the node plus half a step of the node's value;
 * :func:`cube_diagonal` -- the integral over the cube [0, t]^n at every
@@ -185,7 +186,8 @@ def cut(limits: Limits, keep: np.ndarray, shape: tuple) -> Cut:
 
 
 def _row_prefix(
-    grid: Grid, rows: np.ndarray, first: int = 0, start: np.ndarray | float = 0.0
+    grid: Grid, rows: np.ndarray, first: int = 0, start: np.ndarray | float = 0.0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exclusive prefix sums of the trapezoid-weighted node rows ``rows``.
 
@@ -194,11 +196,13 @@ def _row_prefix(
     row: entry k sums the weighted nodes before column ``first + k``.
     ``start`` is each row's sum over the columns before ``first``, zero by
     default; it enters the running sum first, so a prefix begun at a later
-    column matches the one over the whole row bit for bit.  Built once per
-    table, it serves every later :func:`read_prefix` of it.
+    column matches the one over the whole row bit for bit.  The prefix is
+    written into ``out``, an array of its shape such as the columns of a
+    table's prefix from ``first`` on, or into a new array, and returned.
+    Built once per table, it serves every later :func:`read_prefix` of it.
     """
     width = rows.shape[-1]
-    prefix = np.empty(rows.shape[:-1] + (width + 1,))
+    prefix = np.empty(rows.shape[:-1] + (width + 1,)) if out is None else out
     prefix[..., 0] = start
     np.multiply(grid.weights[first:first + width], rows, out=prefix[..., 1:])
     np.cumsum(prefix, axis=-1, out=prefix)

@@ -22,12 +22,12 @@ Two routes to the same discrete fixed point:
   segments not yet solved are masked out of every sum and integral of
   the segment's own values, so the march is well posed, and those values
   have the bits of an evaluation of the segment alone.  For the same
-  reason a segment keeps one memory table: its first sweep builds it, and
-  every later sweep rewrites it in place only from the first column that
-  its batch can change.  A sweep of segment l costs O(N - start_l), for
-  the times from its first node on, plus a fixed cost per sweep, where
-  every memory kernel splits; alone it costs O(n_l + fresh columns), for
-  its n_l nodes and the entries it refreshes.  The saved sweeps pay for
+  reason a segment keeps one memory table: its first sweep fills it from
+  column 0, and every later sweep fills it again only from the first
+  column that its batch can change.  A sweep of segment l costs
+  O(N - start_l), for the times from its first node on, plus a fixed cost
+  per sweep, where every memory kernel splits; alone it costs
+  O(n_l + fresh columns), for its n_l nodes and the entries it refreshes.  The saved sweeps pay for
   the larger ones only while the fixed cost dominates, so the march
   carries the remainder only over at most ``_AHEAD_TIMES`` times, and
   takes each segment alone over more.  When a sweep that carries the
@@ -37,16 +37,17 @@ Two routes to the same discrete fixed point:
   march of the segments alone does, with the same bytes.
 
 Both iterate one array laid out as the times of ``problem.sweep`` (xi at
-the N nodes, then eta, then the beta rows), which the operator reads
-through a triple-shaped view (:class:`~.operator._View`).  A picard sweep
-is one evaluation of ``problem.sweep`` on it, and its deltas are the
-maxima over each component of one weighted ``|new - old|``.  The batch of
-a march segment is an index view of ``problem.sweep`` at the segment's
-nodes and fresh trace entries, then at the remainder
-(:class:`~.operator._Subset`), and its sweep writes its evaluation into a
-copy of the array at those indices.  So a
-solve locates and evaluates its times once, and every sweep checks its
-update for finiteness once.  Each sweep enters one floating-point guard,
+the N nodes, then eta, then the beta rows), the one state the operator
+reads, by component through :class:`~.operator._View`.  A picard sweep is
+one evaluation of ``problem.sweep`` on it, against the one memory table
+of the whole grid that picard keeps and fills in every sweep and in its
+image, and its deltas are those of :func:`~.operator.component_deltas`
+(:func:`~.operator._deltas`).  The batch of a march segment is an index
+view of ``problem.sweep`` at the segment's nodes and fresh trace entries,
+then at the remainder (:class:`~.operator._Subset`), and its sweep writes
+its evaluation into a copy of the array at those indices.  So a solve
+locates and evaluates its times once, and every sweep checks its update
+for finiteness once.  Each sweep enters one floating-point guard,
 its own (:func:`~.operator._sweep_values`, :func:`_segment_sweep`), and
 everything it calls runs under it.
 
@@ -55,15 +56,15 @@ component deltas (useful for checking contraction-rate predictions); the
 triple, and the image below, are the only :class:`~.operator.SolutionTriple`
 a solve builds.  The report also keeps the image of the returned iterate,
 from one more evaluation of ``problem.sweep``, with the bits of
-:func:`~.operator.apply_operator`; the march takes it against its last
-segment's table, which spans the grid, rewritten from that segment's
-first changeable column.  The final residual is the image's sup distance
-from the iterate, and its two values at each duplicated breakpoint node
-give the jump the operator predicts there, so a caller needs no second
-evaluation of the iterate.  A kernel domain error or a non-finite update
-stops either solver, in a sweep or in that image: it returns the last
-finite iterate, unconverged, with ``failed`` set and a note saying which
-failure it was.
+:func:`~.operator.apply_operator`, against the solver's own table:
+picard's, filled once more, or the march's last segment's, which spans
+the grid, filled from that segment's first changeable column.  The final
+residual is the image's sup distance from the iterate, and its two values
+at each duplicated breakpoint node give the jump the operator predicts
+there, so a caller needs no second evaluation of the iterate.  A kernel
+domain error or a non-finite update stops either solver, in a sweep or in
+that image: it returns the last finite iterate, unconverged, with
+``failed`` set and a note saying which failure it was.
 
 Each solver is its iteration (:func:`_picard`, :func:`_march`), which
 returns the last iterate as an array, and then that image and triple
@@ -87,6 +88,7 @@ from .operator import (
     HybridProblem,
     SolutionTriple,
     _beta_at,
+    _deltas,
     _memory,
     _sc_eval,
     _Subset,
@@ -210,24 +212,23 @@ def _finish(image_of, cur, report: SolveReport) -> None:
     report.image, report.final_residual = image, distance
 
 
-def _swept(problem: HybridProblem, cur: np.ndarray, window=None, table=None) -> np.ndarray:
-    """The image of the iterate ``cur``, laid out as it is: one evaluation
-    of ``problem.sweep`` on a view of it (:func:`~.operator._sweep_values`),
-    against a new table of the whole grid or ``table`` over ``window``
-    rewritten.  Raises :class:`~.piecewise.NonFiniteValues` unless every
-    value is finite."""
-    new = _sweep_values(problem, _View.of(problem, cur), window, table)
+def _swept(problem: HybridProblem, cur: np.ndarray, table=None):
+    """The image of the iterate ``cur``, laid out as it is, and the memory
+    table it was read through: one evaluation of ``problem.sweep`` on a
+    view of ``cur`` (:func:`~.operator._sweep_values`), against ``table``
+    filled again or a new table of the whole grid.  Raises
+    :class:`~.piecewise.NonFiniteValues` unless every value is finite."""
+    new, table = _sweep_values(problem, _View.of(problem, cur), table)
     if not np.isfinite(new).all():
         raise NonFiniteValues("non-finite update")
-    return new
+    return new, table
 
 
-def _image(problem: HybridProblem, cur: np.ndarray, window=None,
-           table=None) -> tuple[SolutionTriple, float]:
+def _image(problem: HybridProblem, cur: np.ndarray, table=None) -> tuple[SolutionTriple, float]:
     """The image of the iterate ``cur`` as a triple and its unweighted sup
-    distance from ``cur``, the bits of :func:`~.operator.residual`; the
-    table is as in :func:`_swept`."""
-    image = _swept(problem, cur, window, table)
+    distance from ``cur``, through ``table`` as in :func:`_swept`: the
+    solver's own table, filled once more."""
+    image, _ = _swept(problem, cur, table)
     return _triple(problem, image), float(np.abs(image - cur).max())
 
 
@@ -252,19 +253,16 @@ def _picard(problem: HybridProblem, init, mu: float, notes: tuple[str, ...],
     cur = _start(problem, init, report)
     if cur is None:
         return None, report, None
-    weights = np.concatenate([a.reshape(-1) for a in problem.decay(mu)])
-    N, n_tau = problem.grid.size, problem.n_tau
-    # each component's slice of the iterate; an empty one reads 0
-    components = tuple(c if c.stop > c.start else None for c in (
-        slice(0, N), slice(N, N + n_tau), slice(N + n_tau, cur.size)))
+    weights = problem.decay(mu)
 
-    def sweep(cur: np.ndarray):
-        new = _swept(problem, cur)
-        distance = weights * np.abs(new - cur)
-        return new, tuple(float(distance[c].max()) if c else 0.0 for c in components)
+    def sweep(state):
+        cur, table = state
+        new, table = _swept(problem, cur, table)
+        return (new, table), _deltas(problem, weights, new, cur)
 
-    cur, report.converged = _iterate(report, cur, sweep, tol, kmax)
-    return cur, report, partial(_image, problem)
+    # one table of the whole grid, filled by every sweep and by the image
+    (cur, table), report.converged = _iterate(report, (cur, None), sweep, tol, kmax)
+    return cur, report, partial(_image, problem, table=table)
 
 
 def picard_solve(
@@ -279,8 +277,8 @@ def picard_solve(
     Stops when all three weighted component deltas fall to ``tol``, or on
     a numerical failure.  The returned triple is None only when the forcing
     term itself fails to evaluate.  The deltas are those of
-    :func:`~.operator.component_deltas`, with the same bits: the maxima
-    over each component of one weighted ``|new - old|`` of the iterate.
+    :func:`~.operator.component_deltas` of the two iterates of each sweep:
+    both take them from :func:`~.operator._deltas`.
     """
     notes: tuple[str, ...] = ()
     if mu is None:
@@ -300,9 +298,9 @@ def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, eta: slice, late
 
     ``state`` is the current iterate, an array laid out as the times of
     one sweep (:class:`~.operator._View`), and the segment's memory table,
-    None before its first sweep.  That sweep builds the table over the
-    columns of ``window`` (:func:`~.operator._window`) from its iterate;
-    every later sweep rewrites it in place from ``window.live`` on
+    None before its first sweep.  That sweep makes the table over the
+    columns of ``window`` (:func:`~.operator._window`) and fills it from
+    column 0; every later sweep fills it again from ``window.live`` on
     (:func:`~.operator._memory`).  One evaluation of ``batch``, the index
     view of ``problem.sweep`` at ``batch.index``, against the table of the
     starting iterate gives the continuous part on ``nodes``, then the
@@ -318,7 +316,7 @@ def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, eta: slice, late
     """
     old, table = state
     view = _View.of(problem, old)
-    memory = _memory(problem, view, window, table)
+    memory = _memory(problem, view, table, window)
     n = nodes.stop - nodes.start
     own = n + fresh.size
     beta_at = _beta_at(view, batch, nodes, later, own) if problem.n_sigma else None
@@ -426,9 +424,9 @@ def _segments(problem: HybridProblem, cur: np.ndarray, report: SolveReport, tol:
             report.converged = False
             report.notes += (f"segment {l} hit the sweep limit",)
     # the last segment's table spans the grid and admits every fixed impulse
-    # that a membership of a sweep admits: the image rewrites it from its
+    # that a membership of a sweep admits: the image fills it again from its
     # live column with the returned iterate
-    return cur, report, partial(_image, problem, window=table.window, table=table)
+    return cur, report, partial(_image, problem, table=table)
 
 
 def segment_solve(

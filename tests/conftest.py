@@ -147,6 +147,13 @@ def random_triple(problem, rng, scale=1.0) -> SolutionTriple:
     return SolutionTriple(xi, eta, beta)
 
 
+def view_of(problem, triple):
+    """``triple`` as the operator's private functions read it
+    (``operator._View``): laid out as the times of one sweep, in a new
+    array."""
+    return operator._View.of(problem, operator._values(triple))
+
+
 @pytest.fixture(scope="session")
 def mixed_solved():
     """Converged Picard solution of the mixed problem, shared across tests."""

@@ -25,6 +25,8 @@ from hybrid_volterra.expressions import (
     _Num,
     _Var,
 )
+from hybrid_volterra.operator import apply_operator, component_deltas
+from hybrid_volterra.piecewise import _check_mu
 from hybrid_volterra.problem_io import ProblemFileError
 from hybrid_volterra.quadrature import cut, read_prefix
 from hybrid_volterra.solvers import UnconvergedRun, at_resolution, picard_solve, segment_solve
@@ -546,3 +548,46 @@ def convergence_table(problem, resolutions, method="picard", tol=1e-12, kmax=200
         for i in range(len(errors) - 1)
     )
     return errors, ratios
+
+
+# ---------------------------------------------------------------------------
+# The residual and the weighted norms of the fixed-impulse values and the
+# moving traces, as the package first defined them: ``component_deltas``
+# and the image a solver keeps give the same numbers.
+
+
+def residual(problem, triple) -> float:
+    """Unweighted sup distance between the triple and its image."""
+    image = apply_operator(problem, triple)
+    return max(component_deltas(image, triple, problem, mu=0.0))
+
+
+def norm_discrete(eta: np.ndarray, tau: np.ndarray, mu: float) -> float:
+    """max over fixed impulse times of e^{-mu tau_i} |eta_i| (0 if empty)."""
+    _check_mu(mu)
+    eta = np.asarray(eta, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    if eta.shape != tau.shape:
+        raise ValueError(f"eta has shape {eta.shape} but tau has shape {tau.shape}")
+    if eta.size == 0:
+        return 0.0
+    return float(np.max(np.exp(-mu * tau) * np.abs(eta)))
+
+
+def norm_mixed(betas, sigma_values: np.ndarray, mu: float) -> float:
+    """max over i and nodes of e^{-mu sigma_i(t)} |beta_i(t)| (0 if empty).
+
+    ``sigma_values`` holds sigma_i evaluated on the grid nodes, one row per
+    moving impulse; the weight uses the *moving* time, not the node time.
+    """
+    _check_mu(mu)
+    betas = list(betas)
+    if not betas:
+        return 0.0
+    sigma_values = np.asarray(sigma_values, dtype=float)
+    if sigma_values.shape != (len(betas), betas[0].grid.size):
+        raise ValueError("sigma_values must be one row of node values per beta")
+    best = 0.0
+    for i, b in enumerate(betas):
+        best = max(best, float(np.max(np.exp(-mu * sigma_values[i]) * np.abs(b.values))))
+    return best

@@ -1,12 +1,16 @@
 """Write a manifest of what ``hv`` prints and writes, to diff two checkouts.
 
-For one checkout's code, run ``hv solve`` (picard and segment, with a CSV
-and a report) and ``hv convergence-report`` (picard and segment, with a
-report) on every input: each ``problems/*.yaml`` file and each problem file
-that ``tests/test_cli.py`` and ``tests/conftest.py`` define (their
-module-level ``*_FILE`` strings).  The manifest holds, per run, the exit
-code and the sha256 of stdout, stderr, the CSV and the report (null when
-the run wrote none), as sorted JSON with one entry per line::
+For one checkout's code, run every subcommand on the inputs: each
+``problems/*.yaml`` file and each problem file that ``tests/test_cli.py``
+and ``tests/conftest.py`` define (their module-level ``*_FILE`` strings).
+On every input, ``hv solve`` (picard and segment, with a CSV and a report)
+and ``hv convergence-report`` (picard and segment, with a report); on
+every hybrid input, ``hv analyze`` with and without ``--estimate`` and
+``hv roots``; on every series input, ``hv series-solve`` (with a CSV and a
+report); and ``hv check-matrix`` on one fixed matrix and on one with a
+``nan`` entry.  The manifest holds, per run, the exit code and the sha256
+of stdout, stderr, the CSV and the report (null when the run wrote none),
+as sorted JSON with one entry per line::
 
     python tests/output_manifest.py --code PARENT -o parent.json
     python tests/output_manifest.py -o change.json
@@ -16,7 +20,8 @@ the run wrote none), as sorted JSON with one entry per line::
 inputs always come from this checkout, so both manifests cover the same
 runs.  Each run goes in process through ``hybrid_volterra.cli.main``, in a
 fresh working directory, with relative paths, so paths in the outputs do
-not depend on where either checkout lies.  ``--keep DIR`` keeps the
+not depend on where either checkout lies, and with ``HV_SEED`` unset, so
+``analyze --estimate`` samples with its default seed.  ``--keep DIR`` keeps the
 outputs there, for a comparison of values where bytes differ.  Not a test
 module: pytest does not collect it.
 """
@@ -33,9 +38,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import yaml
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 METHODS = ("picard", "segment")
+MATRICES = {
+    "fixed": ["0.2", "0.1", "0", "0.05", "0.3", "0.1", "0", "0.2", "0.4"],
+    "nan": ["nan", "0", "0", "0", "0.5", "0", "0", "0", "0.5"],
+}
 
 
 def _inputs() -> dict[str, str]:
@@ -51,11 +62,23 @@ def _inputs() -> dict[str, str]:
     return inputs
 
 
-def _digest(path: Path) -> str | None:
-    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+def _kind(text: str) -> str | None:
+    """The ``kind`` a problem file declares, ``hybrid`` by default; None for
+    text that is not a YAML mapping, such as a template of test_cli.py."""
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError:
+        return None
+    return data.get("kind", "hybrid") if isinstance(data, dict) else None
 
 
-def _run(main, argv: list[str], csv: str | None, report: str) -> dict:
+def _digest(path: str | None) -> str | None:
+    if path is None or not Path(path).exists():
+        return None
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _run(main, argv: list[str], csv: str | None = None, report: str | None = None) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -67,8 +90,8 @@ def _run(main, argv: list[str], csv: str | None, report: str) -> dict:
         "exit": code,
         "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
         "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
-        "csv": None if csv is None else _digest(Path(csv)),
-        "report": _digest(Path(report)),
+        "csv": _digest(csv),
+        "report": _digest(report),
     }
 
 
@@ -79,6 +102,7 @@ def manifest(code: Path, work: Path) -> dict:
     from hybrid_volterra.cli import main
 
     inputs = _inputs()
+    os.environ.pop("HV_SEED", None)  # analyze --estimate samples with seed 0
     os.chdir(work)
     Path("inputs").mkdir()
     Path("out").mkdir()
@@ -95,6 +119,18 @@ def manifest(code: Path, work: Path) -> dict:
             runs[f"{name} convergence-report {method}"] = _run(
                 main, ["convergence-report", problem, "--method", method,
                        "--report", f"{stem}.yaml"], None, f"{stem}.yaml")
+        kind = _kind(text)
+        if kind == "series":
+            stem = f"out/{name}.series-solve"
+            runs[f"{name} series-solve"] = _run(
+                main, ["series-solve", problem, "--out", f"{stem}.csv",
+                       "--report", f"{stem}.yaml"], f"{stem}.csv", f"{stem}.yaml")
+        elif kind == "hybrid":
+            runs[f"{name} analyze"] = _run(main, ["analyze", problem])
+            runs[f"{name} analyze --estimate"] = _run(main, ["analyze", problem, "--estimate"])
+            runs[f"{name} roots"] = _run(main, ["roots", problem])
+    for label, entries in MATRICES.items():
+        runs[f"check-matrix {label}"] = _run(main, ["check-matrix", *entries])
     return runs
 
 

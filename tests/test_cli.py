@@ -825,6 +825,25 @@ class TestCheckMatrix:
         bad = ["x"] + ["0"] * 8
         assert _run(capsys, "check-matrix", *bad)[0] == 1
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_entry_exits_1(self, capsys, entry):
+        code, out, err = _run(capsys, "check-matrix", entry, *["0"] * 8)
+        assert (code, out) == (1, "")
+        assert err == f"error: matrix entries must be finite, got {float(entry)!r}\n"
+
+    def test_invariants_that_overflow_exit_4(self, capsys):
+        """Finite entries whose invariants are not finite give no verdict."""
+        code, out, err = _run(capsys, "check-matrix", *["1e308"] * 9)
+        assert (code, out) == (4, "")
+        assert err == ("error: the matrix's invariants overflow: trace inf, pair_sum nan, "
+                       "det nan, p0 nan, p1 nan, p3 nan, q4 nan, spectral radius nan\n")
+
+    def test_radius_that_overflows_exits_4(self, capsys):
+        # the invariants are finite; the closed-form cubic cubes the trace
+        code, out, err = _run(capsys, "check-matrix", "1e200", *["0"] * 8)
+        assert (code, out) == (4, "")
+        assert err == "error: the matrix's invariants overflow: spectral radius inf\n"
+
 
 class TestUnwritableOutput:
     """An output path that cannot be written ends in one error line, exit 1."""

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import TDEP_FILE, make_problem
+from conftest import TDEP_FILE, make_problem, view_of
 from hybrid_volterra import operator, solvers
 from hybrid_volterra.expressions import (
     EvaluationError,
@@ -243,7 +243,7 @@ class TestErrorStateRestored:
         # and each power in it a guard of its own nested in that one
         problem, triple = _mixed()
         before = np.geterr()
-        _read_rows(_memory(problem, triple), problem.sweep)
+        _read_rows(_memory(problem, view_of(problem, triple)), problem.sweep)
         assert np.geterr() == before
         parse_kernel("exp(x) ^ 2 + x ^ y", _NAMES).evaluate(
             {"x": np.array([1.0, 2.0]), "y": np.array([0.5, 3.0])})

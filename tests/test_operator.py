@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import exp_problem, make_problem, mixed_problem, on_kernel_calls, random_triple
+from oracles import norm_discrete, norm_mixed, residual
+from conftest import (exp_problem, make_problem, mixed_problem, on_kernel_calls,
+                      random_triple, view_of)
 from test_parity import multi_impulse_problem
 from hybrid_volterra import operator, quadrature
 from hybrid_volterra.contraction import contraction_bounds, find_mu
@@ -26,14 +28,8 @@ from hybrid_volterra.operator import (
     component_deltas,
     default_init,
     jump_at,
-    residual,
 )
-from hybrid_volterra.piecewise import (
-    PiecewiseFn,
-    norm_continuous,
-    norm_discrete,
-    norm_mixed,
-)
+from hybrid_volterra.piecewise import PiecewiseFn, norm_continuous
 from hybrid_volterra.quadrature import apply_weights, weight_rows
 from hybrid_volterra.schedule import ImpulseSchedule
 from hybrid_volterra.solvers import picard_solve
@@ -396,8 +392,46 @@ class TestOneCumulativePerTable:
             return cumulative(*args, **kwargs)
 
         monkeypatch.setattr(operator, "_node_cumulative", counting)
-        _memory(problem, triple)
+        _memory(problem, view_of(problem, triple))
         assert len(calls) == 1
+
+
+def _hex(a):
+    return None if a is None else [float(v).hex() for v in np.ravel(a)]
+
+
+class TestOneFillRoutine:
+    """``_memory`` fills every table, new or kept, from its ``live``
+    column on; a table of the whole grid is filled from column 0, where
+    every running sum begins at 0.0, whatever its arrays held before."""
+
+    @pytest.mark.parametrize("build", [
+        mixed_problem, multi_impulse_problem,
+        lambda: mixed_problem(panels=16, f2="0.05*sin(x*x1)"),
+        lambda: mixed_problem(panels=16, f2="0.05*exp(-t)*x*x1 + 0.02*t*s*x1^2"),
+    ], ids=["mixed", "multi-impulse", "f2-square", "f2-t-factored"])
+    def test_a_used_table_fills_as_a_new_one(self, build):
+        problem = build()
+        rng = np.random.default_rng(5)
+        first, second = (view_of(problem, random_triple(problem, rng)) for _ in range(2))
+        table = _memory(problem, first)
+        kept = [a for a in (table.rows, table.prefix, table.cumulative) if a is not None]
+        for a in kept:
+            a[...] = np.nan
+            a[..., ::3] = np.inf
+            a[..., 1::3] = -np.inf
+        filled = _memory(problem, second, table)
+        new = _memory(problem, second)
+        assert all(a is b for a, b in zip(kept, (filled.rows, filled.prefix, filled.cumulative)))
+        assert (filled.prefix[:, 0] == 0.0).all()
+        for a, b in [(filled.rows, new.rows), (filled.prefix, new.prefix),
+                     (filled.cumulative, new.cumulative), (filled.impulses, new.impulses)]:
+            assert _hex(a) == _hex(b)
+        read = quiet(operator._read_rows)
+        assert _hex(read(filled, problem.sweep)) == _hex(read(new, problem.sweep))
+        sweep = quiet(_sc_eval)
+        assert _hex(sweep(problem, second, problem.sweep, filled)) == _hex(
+            sweep(problem, second, problem.sweep, new))
 
 
 class TestReuse:
@@ -477,9 +511,10 @@ class TestGTermMask:
     def _check(self, p, seed=7):
         rng = np.random.default_rng(seed)
         triple = random_triple(p, rng)
+        view = view_of(p, triple)
         te = np.concatenate([p.grid.times, rng.uniform(0.0, p.schedule.horizon, 20)])
         for m in (te - EPS, te + EPS):
-            got = _sc_eval(p, triple, _Batch(p, te, m), _memory(p, triple))
+            got = _sc_eval(p, view, _Batch(p, te, m), _memory(p, view))
             ref = self._dense_g(p, triple, te, m)
             assert np.max(np.abs(got - ref)) <= 1e-14
 
@@ -502,8 +537,8 @@ class TestGTermMask:
         p = self._problem(sigma, g)
         held = monotone and n_terms is not None
         assert (operator._g_per_batch in p.batch_terms) == (not held)
-        triple = random_triple(p, np.random.default_rng(7))
-        table = _memory(p, triple)
+        view = view_of(p, random_triple(p, np.random.default_rng(7)))
+        table = _memory(p, view)
         sizes = []
 
         def counting(grid, upper):
@@ -512,7 +547,7 @@ class TestGTermMask:
 
         monkeypatch.setattr(quadrature, "weight_rows", counting)
         monkeypatch.setattr(operator, "weight_rows", counting)
-        _sc_eval(p, triple, p.sweep, table)
+        _sc_eval(p, view, p.sweep, table)
         assert sizes == ([] if held else [p.sweep.te.size])
 
     @pytest.mark.parametrize(
@@ -570,7 +605,7 @@ class TestOneReadPerTable:
         assert problem.g_row_impulses.size == n_sigma
         rng = np.random.default_rng(seed)
         window = operator._Window(0, problem.grid.size, min(admitted, n_tau))
-        memory = _memory(problem, random_triple(problem, rng), window)
+        memory = _memory(problem, view_of(problem, random_triple(problem, rng)), window=window)
         rows = rng.uniform(-scale, scale, memory.rows.shape)
         memory = memory._replace(rows=rows, prefix=quadrature.row_prefix(problem.grid, rows))
         # the ends of the horizon as evaluation and membership times: every
@@ -588,7 +623,8 @@ class TestOneReadPerTable:
         is admitted, adds 0: the sum is the read of the other rows, where
         the read in two passes gave inf times 0, nan."""
         problem = _read_problem(1, 1, False, True)
-        memory = _memory(problem, random_triple(problem, np.random.default_rng(3)))
+        triple = random_triple(problem, np.random.default_rng(3))
+        memory = _memory(problem, view_of(problem, triple))
         n_xi = memory.n_xi
         rows = memory.rows.copy()
         rows[n_xi:] = np.inf
@@ -610,7 +646,8 @@ class TestOneReadPerTable:
         whose times reach past a table's columns raises when it first
         reads that table, instead of reading the last column again."""
         problem = _read_problem(1, 1, False, True)
-        memory = _memory(problem, random_triple(problem, np.random.default_rng(3)))
+        triple = random_triple(problem, np.random.default_rng(3))
+        memory = _memory(problem, view_of(problem, triple))
         w = problem.grid.panels + 1  # the first segment's columns
         narrow = memory._replace(rows=memory.rows[:, :w], prefix=memory.prefix[:, :w + 1])
         te = np.array([0.1, 1.9])

@@ -18,8 +18,8 @@ def test_all_names_resolve_once():
 # the names that perfbench/tracing.py wraps and that exist; it skips a
 # missing name without a word, so a rename would leave its rows at zero
 TRACED = {
-    "operator": ("_sc_eval", "apply_operator", "jump_at", "residual",
-                 "component_deltas", "default_init"),
+    "operator": ("_sc_eval", "apply_operator", "jump_at", "component_deltas",
+                 "default_init"),
     "quadrature": ("node_cumulative", "integrate_to", "cube_diagonal"),
     "solvers": ("picard_solve", "segment_solve", "convergence_table"),
     "expressions": ("KernelExpr.evaluate", "parse_kernel", "estimate_lipschitz"),
@@ -27,8 +27,7 @@ TRACED = {
     "contraction": ("find_mu", "contraction_bounds"),
     "problem_io": ("load_problem_file", "write_report", "write_solution_csv",
                    "dump_report"),
-    "piecewise": ("PiecewiseFn.eval", "norm_continuous", "norm_discrete",
-                  "norm_mixed"),
+    "piecewise": ("PiecewiseFn.eval", "norm_continuous"),
     "series": ("series_solve", "apply_series_operator"),
     "cli": ("main",),
 }

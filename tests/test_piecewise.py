@@ -9,10 +9,9 @@ from hybrid_volterra.piecewise import (
     Grid,
     PiecewiseFn,
     norm_continuous,
-    norm_discrete,
-    norm_mixed,
     uniform_grid,
 )
+from oracles import norm_discrete, norm_mixed
 
 
 def _step_1_then_2():

@@ -22,6 +22,7 @@ from conftest import (
 )
 from test_parity import multi_impulse_problem, tdep_problem
 import oracles
+from oracles import residual
 from hybrid_volterra import cli, operator, quadrature, solvers
 from hybrid_volterra.contraction import contraction_bounds, find_mu, spectral_radius
 from hybrid_volterra.expressions import KernelExpr
@@ -30,7 +31,6 @@ from hybrid_volterra.operator import (
     apply_operator,
     default_init,
     jump_at,
-    residual,
 )
 from hybrid_volterra.piecewise import NonFiniteValues, PiecewiseFn, interpolate
 from hybrid_volterra.problem_io import LoadedProblem, SolverSettings, load_problem_file
@@ -518,6 +518,55 @@ class TestOneIterateArray:
             assert a.tobytes() == b.tobytes()
 
 
+class TestPicardTable:
+    """Picard keeps one memory table of the whole grid: every sweep and the
+    image fill the same arrays.  Its deltas are those that
+    ``component_deltas`` gives for the two iterates of each sweep."""
+
+    def test_one_table_for_every_sweep_and_the_image(self, monkeypatch):
+        problem = load_problem_file(PROBLEMS / "mixed_impulses.yaml").problem
+        tables = []
+        memory = operator._memory
+
+        def recording(*args, **kwargs):
+            tables.append(memory(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(operator, "_memory", recording)
+        _, rep = picard_solve(problem, tol=1e-11, kmax=300)
+        assert rep.converged and rep.image is not None
+        assert len(tables) == rep.iterations + 1
+        first = tables[0]
+        assert first.window == problem.whole_grid and first.cumulative is not None
+        for table in tables:
+            assert table.rows is first.rows and table.prefix is first.prefix
+            assert table.cumulative is first.cumulative
+
+    @pytest.mark.parametrize("name", ["mixed_impulses", "multi-impulse"])
+    def test_deltas_are_component_deltas(self, monkeypatch, name):
+        if name == "multi-impulse":
+            problem = multi_impulse_problem()
+        else:
+            problem = load_problem_file(PROBLEMS / f"{name}.yaml").problem
+        pairs = []
+        swept = solvers._swept
+
+        def recording(problem, cur, table=None):
+            new, table = swept(problem, cur, table)
+            pairs.append((cur.copy(), new.copy()))
+            return new, table
+
+        monkeypatch.setattr(solvers, "_swept", recording)
+        _, rep = picard_solve(problem, tol=1e-12, kmax=300)
+        assert rep.converged
+        # each sweep, then the image
+        assert len(pairs) == rep.iterations + 1 == len(rep.deltas) + 1
+        for deltas, (old, new) in zip(rep.deltas, pairs):
+            want = operator.component_deltas(operator._triple(problem, new),
+                                              operator._triple(problem, old), problem, rep.mu)
+            assert [d.hex() for d in deltas] == [d.hex() for d in want]
+
+
 class TestImpulsePrefix:
     """The prefix of the t-free G1 and G2 terms over the fixed impulses is
     built once per problem when neither kernel reads eta, and once per
@@ -842,9 +891,9 @@ class TestMarchWork:
             finally:
                 current[0] = outside
 
-        def counting_prefix(grid, rows, first=0, start=0.0):
+        def counting_prefix(grid, rows, first=0, start=0.0, out=None):
             current[0]["tables"].append((first, rows.shape[-1]))
-            return row_prefix(grid, rows, first, start)
+            return row_prefix(grid, rows, first, start, out)
 
         def recording_eval(*args):
             out = sc_eval(*args)
@@ -1022,7 +1071,7 @@ class TestMarchWork:
             assert got.tobytes() == whole.tobytes()
             # and those of a picard sweep of the same iterate at those times,
             # beta read at its stored values at every node
-            swept = operator._sweep_values(problem, triple)
+            swept, _ = operator._sweep_values(problem, triple)
             assert got.tobytes() == swept[batch.index].tobytes()
         if case == "mixed":
             # some rewrite their table from a later column
