@@ -16,9 +16,11 @@ than the largest float, a ``--tol`` that is not positive or a ``--kmax``
 below 1) or an ``--out``/``--report`` path that cannot be written, 2
 separation requirement failed, 3 iteration did not converge, 4 a kernel
 domain error or a non-finite value in ``solve``, ``series-solve``,
-``convergence-report`` or ``analyze --estimate``, or finite
-``check-matrix`` entries whose invariants overflow (an entry that is not
-finite exits 1).  A path that cannot be written exits 1 even where the
+``convergence-report`` or ``analyze --estimate``, or a matrix whose
+invariants or spectral radius overflow: finite ``check-matrix`` entries
+(an entry that is not finite exits 1), or the bound matrix of ``analyze``,
+which still prints its report (``solve`` notes it in its report and keeps
+its own exit code).  A path that cannot be written exits 1 even where the
 run would have exited 2, 3 or 4, because the outputs it promised are not
 there.  Output is deterministic for fixed inputs; ``HV_SEED`` seeds the
 Lipschitz estimator behind ``analyze --estimate``.
@@ -185,14 +187,23 @@ def _conventions(problem: HybridProblem) -> list[str]:
     return notes
 
 
-def _contraction_block(
-    lip: LipschitzSet,
-    horizon: float,
-    h: float,
-    n_tau: int,
-    n_sigma: int,
-    mu: float | None,
-) -> dict:
+def _matrix_numbers(m) -> tuple[dict[str, float], str | None]:
+    """The invariants, criterion quantities and spectral radius of the 3x3
+    matrix ``m``, by name, and why no verdict is given when one of them is
+    not finite, else None."""
+    tr, s2, d = char_invariants(m)
+    p0, p1, p3, q4 = criterion_quantities(m)
+    numbers = {"trace": tr, "pair_sum": s2, "det": d, "p0": p0, "p1": p1, "p3": p3,
+               "q4": q4, "spectral radius": spectral_radius(m)}
+    bad = ", ".join(f"{k} {v!r}" for k, v in numbers.items() if not math.isfinite(v))
+    return numbers, f"the matrix's invariants overflow: {bad}" if bad else None
+
+
+def _contraction_block(lip: LipschitzSet, horizon: float, h: float, n_tau: int, n_sigma: int,
+                       mu: float | None) -> tuple[dict, str | None]:
+    """The report's contraction block, and why it holds no verdicts, when
+    its bound matrix overflows (:func:`_matrix_numbers`), else None: then
+    its ``note`` says so in their place."""
     block = {"constants": {k: getattr(lip, k) for k, _, _ in _ESTIMATE_PLAN}}
     if mu is None:
         try:
@@ -201,23 +212,21 @@ def _contraction_block(
         except NoContractiveWeight as exc:
             block["mu_star"] = None
             block["note"] = str(exc)
-            return block
+            return block, None
     else:
         block["mu"] = float(mu)
     matrix = contraction_bounds(lip, mu, horizon, h, n_tau, n_sigma)
-    tr, s2, d = char_invariants(matrix)
-    quantities = criterion_quantities(matrix)
-    block.update(
-        {
-            "matrix": [[float(v) for v in row] for row in matrix.entries],
-            "invariants": {"trace": tr, "pair_sum": s2, "det": d},
-            "criterion_quantities": [float(q) for q in quantities],
-            "contractive_criterion": bool(is_contractive_criterion(matrix)),
-            "spectral_radius": float(spectral_radius(matrix)),
-            "contractive_eigen": bool(is_contractive_eigen(matrix)),
-        }
-    )
-    return block
+    numbers, overflow = _matrix_numbers(matrix)
+    block["matrix"] = [[float(v) for v in row] for row in matrix.entries]
+    block["invariants"] = {k: numbers[k] for k in ("trace", "pair_sum", "det")}
+    if overflow:
+        block["note"] = overflow
+        return block, overflow
+    block["criterion_quantities"] = [numbers[k] for k in ("p0", "p1", "p3", "q4")]
+    block["contractive_criterion"] = bool(is_contractive_criterion(matrix))
+    block["spectral_radius"] = numbers["spectral radius"]
+    block["contractive_eigen"] = bool(is_contractive_eigen(matrix))
+    return block, None
 
 
 def _estimated_constants(problem: HybridProblem, bound: float, seed: int) -> LipschitzSet:
@@ -336,14 +345,10 @@ def solve(problem_file, method, out, report_path, mu, tol, kmax, require_separat
         "conventions": _conventions(problem),
     }
     if problem.lipschitz is not None:
-        report["contraction"] = _contraction_block(
-            problem.lipschitz,
-            problem.grid.horizon,
-            problem.schedule.h,
-            problem.n_tau,
-            problem.n_sigma,
-            report["mu"],
-        )
+        # a bound matrix that overflows leaves a note; the exit is the solve's
+        report["contraction"], _ = _contraction_block(
+            problem.lipschitz, problem.grid.horizon, problem.schedule.h, problem.n_tau,
+            problem.n_sigma, report["mu"])
     # no iterate to write when the forcing term itself fails
     xi = None if triple is None else triple.xi
     _finish_run(rep, settings.kmax, xi, report, out, report_path, f"method: {rep.method}")
@@ -404,15 +409,10 @@ def analyze(problem_file, mu, estimate, state_bound, report_path, require_separa
     elif lip is not None:
         report["lipschitz_source"] = "declared in problem file"
 
+    overflow = None
     if lip is not None:
-        report["contraction"] = _contraction_block(
-            lip,
-            problem.grid.horizon,
-            schedule.h,
-            problem.n_tau,
-            problem.n_sigma,
-            mu,
-        )
+        report["contraction"], overflow = _contraction_block(
+            lip, problem.grid.horizon, schedule.h, problem.n_tau, problem.n_sigma, mu)
     else:
         report["contraction"] = None
         report["note"] = (
@@ -426,6 +426,8 @@ def analyze(problem_file, mu, estimate, state_bound, report_path, require_separa
         _write(write_report, report_path, text)
     if require_separation and not report["separation"]["ok"]:
         _fail(f"separation requirement failed: {report['separation']['detail']}", 2)
+    if overflow:
+        _fail(overflow, 4)
 
 
 @cli.command("series-solve")
@@ -520,7 +522,8 @@ def roots(problem_file):
     click.echo(f"breakpoints: [{bps}]")
 
 
-@cli.command("check-matrix")
+# an entry such as -0.5 is a number, not an option
+@cli.command("check-matrix", context_settings={"ignore_unknown_options": True})
 @click.argument("entries", nargs=9, type=float)
 def check_matrix(entries):
     """Verdicts for the 3x3 matrix given row by row as nine numbers."""
@@ -528,24 +531,16 @@ def check_matrix(entries):
         if not math.isfinite(value):
             _fail(f"matrix entries must be finite, got {value!r}", 1)
     m = np.asarray(entries, dtype=float).reshape(3, 3)
-    tr, s2, d = char_invariants(m)
-    p0, p1, p3, q4 = criterion_quantities(m)
-    try:
-        radius = spectral_radius(m)
-    except OverflowError:
-        radius = math.inf
-    named = {"trace": tr, "pair_sum": s2, "det": d, "p0": p0, "p1": p1, "p3": p3,
-             "q4": q4, "spectral radius": radius}
-    bad = ", ".join(f"{name} {value!r}" for name, value in named.items()
-                    if not math.isfinite(value))
-    if bad:
-        _fail(f"the matrix's invariants overflow: {bad}", 4)
-    click.echo(f"trace: {tr!r}")
-    click.echo(f"pair_sum: {s2!r}")
-    click.echo(f"det: {d!r}")
-    click.echo(f"criterion quantities: {p0!r}, {p1!r}, {p3!r}, {q4!r}")
+    numbers, overflow = _matrix_numbers(m)
+    if overflow:
+        _fail(overflow, 4)
+    click.echo(f"trace: {numbers['trace']!r}")
+    click.echo(f"pair_sum: {numbers['pair_sum']!r}")
+    click.echo(f"det: {numbers['det']!r}")
+    quantities = ", ".join(repr(numbers[k]) for k in ("p0", "p1", "p3", "q4"))
+    click.echo(f"criterion quantities: {quantities}")
     click.echo(f"contractive by criterion: {str(is_contractive_criterion(m)).lower()}")
-    click.echo(f"spectral radius: {radius!r}")
+    click.echo(f"spectral radius: {numbers['spectral radius']!r}")
     click.echo(f"contractive by eigenvalues: {str(is_contractive_eigen(m)).lower()}")
 
 

@@ -161,12 +161,22 @@ def is_contractive_criterion(m) -> bool:
 
 
 def cubic_roots(tr: float, s2: float, d: float) -> tuple[complex, complex, complex]:
-    """Roots of lambda^3 - tr lambda^2 + s2 lambda - d, in closed form."""
+    """Roots of lambda^3 - tr lambda^2 + s2 lambda - d, in closed form.
+
+    Where the closed form overflows, no root is a finite float: each is
+    inf, or nan when an invariant is nan.  Nothing raises.
+    """
     a = float(tr)
     p = s2 - a * a / 3.0
-    q = -2.0 * a ** 3 / 27.0 + a * s2 / 3.0 - d
     shift = a / 3.0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    try:
+        q = -2.0 * a ** 3 / 27.0 + a * s2 / 3.0 - d
+        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    except OverflowError:  # a power of a finite float passes the largest one
+        disc = math.inf
+    if not math.isfinite(disc):
+        root = complex(math.nan if math.isnan(a + s2 + d) else math.inf, 0.0)
+        return (root, root, root)
     if abs(disc) < DISC_TOL:
         if abs(p) < DISC_TOL and abs(q) < DISC_TOL:
             y = (0.0, 0.0, 0.0)
@@ -228,6 +238,14 @@ def contraction_bounds(
     return ContractionMatrix(entries, float(mu), float(horizon), float(h))
 
 
+def _bounded(lip: LipschitzSet, T: float, n_tau: int, n_sigma: int) -> tuple[float, float]:
+    """The factors c2 and b of the entries that stay bounded as mu grows
+    (:func:`_entries`): a12 = c2 r, a32 = c2 r and a13 = b, with r -> 1."""
+    c2 = lip.LG1 + 2.0 * n_tau * lip.lg2 + lip.lg * n_sigma * T + lip.lg3 * n_sigma
+    b = (lip.lg * n_sigma * T + lip.lg3 * n_sigma) * n_tau
+    return c2, b
+
+
 def _entries(
     lip: LipschitzSet, mu: float, horizon: float, h: float, n_tau: int, n_sigma: int
 ) -> list[list[float]]:
@@ -245,8 +263,7 @@ def _entries(
     q = math.exp(-mu * h)
     r = 1.0 / -math.expm1(-mu * h)
     c1 = lip.L1 + 2.0 * lip.l2 * T + lip.lg * n_sigma * n_tau
-    c2 = lip.LG1 + 2.0 * n_tau * lip.lg2 + lip.lg * n_sigma * T + lip.lg3 * n_sigma
-    b = (lip.lg * n_sigma * T + lip.lg3 * n_sigma) * n_tau
+    c2, b = _bounded(lip, T, n_tau, n_sigma)
     return [
         [c1 * k, c2 * r, b],
         [c1 * k, c2 * q * r, b * q],
@@ -258,9 +275,7 @@ def bounds_limits(
     lip: LipschitzSet, horizon: float, h: float, n_tau: int, n_sigma: int
 ) -> dict[str, float]:
     """mu -> infinity limits of the three entries that stay bounded."""
-    T = float(horizon)
-    c2 = lip.LG1 + 2.0 * n_tau * lip.lg2 + lip.lg * n_sigma * T + lip.lg3 * n_sigma
-    b = (lip.lg * n_sigma * T + lip.lg3 * n_sigma) * n_tau
+    c2, b = _bounded(lip, float(horizon), n_tau, n_sigma)
     return {"a12": c2, "a13": b, "a32": c2}
 
 

@@ -54,9 +54,11 @@ its sigma_i reaches m and empty unless its tau_j is below m.
 :func:`apply_operator` makes one evaluation per sweep of the batch
 ``problem.sweep``: the nodes, the fixed-impulse times and every moving
 trace at once.  A sweep of the segment march makes one of its segment's
-nodes and the trace entries it refreshes, an index view of that batch
-(:class:`_Subset`), through the same table and membership helpers, so a
-problem locates and evaluates its times once however it is solved.  The
+nodes (and every later node when it carries the unsolved remainder), then
+the trace entries it refreshes (and every later one), an index view of
+that batch (:class:`_Subset`), through the same table and membership
+helpers, so a problem locates and evaluates its times once however it is
+solved.  The
 one state the operator reads is an array laid out as those times, by
 component through :class:`_View`: the solvers iterate it, and
 :func:`apply_operator`, :func:`jump_at` and :func:`component_deltas` lay
@@ -69,10 +71,15 @@ node, so the jump the formula predicts there is the difference of the
 image's two values: a solver keeps the image of the iterate it returns,
 and nothing evaluates the triple again for its jumps.  :func:`jump_at`
 evaluates both sides of given breakpoints, one tick right and one tick
-left, for a caller without an image.  Each evaluation enters one floating-point guard, held by
-:func:`_sweep_values`, :func:`jump_at` or the march's sweep: the helpers
-under it call the unguarded quadrature cores and walk their kernels
-directly (:func:`_walk`), so only a power enters a guard of its own.
+left, for a caller without an image.  A batch knows which of its times
+are grid nodes (``_Batch.nodes``), where beta is read at its stored
+values, so every evaluation has one shape: fill the table
+(:func:`_memory`), then :func:`_sc_eval`.  Each runs under the one
+floating-point guard of the function that makes it
+(:func:`apply_operator`, :func:`jump_at`, or a solver's sweep or image),
+which also takes its deltas or its distance there: the helpers under it
+call the unguarded quadrature cores and walk their kernels directly
+(:func:`_walk`), so only a power enters a guard of its own.
 
 A table spans the grid columns 0 to the ``hi`` of its window
 (:class:`_Window`), and one routine fills it (:func:`_memory`).  Its first
@@ -107,7 +114,7 @@ rows makes no array of that size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -133,9 +140,6 @@ from .contraction import LipschitzSet
 EPS = MERGE_TOL
 _NONE = np.zeros(0, dtype=np.intp)
 _NONE.setflags(write=False)
-# weights of the norms a problem keeps (:meth:`HybridProblem.decay`): a solve
-# uses its mu and 0, so a full memo is cleared
-_DECAY_MEMO_SIZE = 8
 
 ARITIES: dict[str, tuple[str, ...]] = {
     "x0": ("t",),
@@ -220,9 +224,9 @@ class HybridProblem:
     (:class:`_Window`).  On first use, from those: the path of each term,
     :attr:`g_row_impulses` and :attr:`batch_terms`;
     :attr:`sweep`, the evaluation batch of one sweep; :attr:`tau_nodes`,
-    where the fixed impulse times fall on the grid; :attr:`impulse_prefix`,
-    the G1 and G2 sums when they read no eta; and per weight mu the
-    weights of the three norms (:meth:`decay`).  Each sweep and image of
+    where the fixed impulse times fall on the grid; and
+    :attr:`impulse_prefix`, the G1 and G2 sums when they read no eta.
+    Each sweep and image of
     either solver evaluates :attr:`sweep` or, in the march, an index view
     of it (:class:`_Subset`), so a solve locates and evaluates its times
     once; only :func:`jump_at` builds a batch of its own.
@@ -243,7 +247,6 @@ class HybridProblem:
     schedule: ImpulseSchedule
     grid: Grid
     lipschitz: LipschitzSet | None = None
-    _decays: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ARITIES:
@@ -311,7 +314,8 @@ class HybridProblem:
         left of each node except at the first node of every segment, one
         tick right: the two stored values at a duplicated breakpoint node
         are the one-sided limits.  Then the fixed impulse times and each
-        trace's moving times, one tick left.
+        trace's moving times, one tick left.  Its first N times are the
+        grid nodes.
         """
         times = self.grid.times
         node_memb = times - EPS
@@ -319,7 +323,8 @@ class HybridProblem:
         node_memb[first] = times[first] + EPS
         moving = self.sigma_grid.reshape(-1)
         return _Batch(self, np.concatenate([times, self.tau, moving]),
-                      np.concatenate([node_memb, self.tau - EPS, moving - EPS]))
+                      np.concatenate([node_memb, self.tau - EPS, moving - EPS]),
+                      slice(0, times.size))
 
     @_lazy
     def tau_nodes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -331,18 +336,12 @@ class HybridProblem:
         """The weights of the norms at weight ``mu``, read-only and laid out
         by component as the times of one sweep (:class:`_View`): e^{-mu t}
         at the grid nodes, e^{-mu tau_i} at the fixed impulse times, and
-        e^{-mu sigma_i(t)} at the nodes, (n_sigma, N).  Built once per
-        value of ``mu``, which must be finite and at least 0.
+        e^{-mu sigma_i(t)} at the nodes, (n_sigma, N).  ``mu`` must be
+        finite and at least 0.  A picard solve builds them once.
         """
-        found = self._decays.get(mu)
-        if found is None:
-            _check_mu(mu)
-            found = _View._make(_read_only(np.exp(-mu * a))
-                                for a in (self.grid.times, self.tau, self.sigma_grid))
-            if len(self._decays) >= _DECAY_MEMO_SIZE:
-                self._decays.clear()
-            self._decays[mu] = found
-        return found
+        _check_mu(mu)
+        return _View._make(_read_only(np.exp(-mu * a))
+                           for a in (self.grid.times, self.tau, self.sigma_grid))
 
     @_lazy
     def g_row_impulses(self) -> np.ndarray:
@@ -356,8 +355,8 @@ class HybridProblem:
     @cached_property
     def batch_terms(self) -> tuple:
         """The evaluators of the terms that no memory table holds, in the
-        order :func:`_sc_eval` runs them; ``term(problem, batch, view,
-        beta_at, out)`` adds its term at the times of ``batch`` into ``out``.
+        order :func:`_sc_eval` runs them; ``term(problem, batch, view, out)``
+        adds its term at the times of ``batch`` into ``out``.
 
         * :func:`_f1_per_time`: an f1 that references t and does not split,
           one row per evaluation time, O(E N) for E times;
@@ -496,10 +495,10 @@ class _View(NamedTuple):
 def _walk(kernel: KernelExpr, bindings):
     """``kernel`` at ``bindings``, the value :meth:`~.expressions.KernelExpr.evaluate`
     gives, without its floating-point guard: every kernel of a sweep is
-    walked under the one guard the sweep holds (:func:`_sweep_values`,
-    :func:`jump_at` and the march's sweep).  A domain error raises as
-    there; only a power enters a guard of its own.  It is the one place a
-    sweep evaluates a kernel, so a test can watch every evaluation."""
+    walked under the one guard the sweep holds (:func:`apply_operator`,
+    :func:`jump_at` and the solvers' sweeps and images).  A domain error
+    raises as there; only a power enters a guard of its own.  It is the one
+    place a sweep evaluates a kernel, so a test can watch every evaluation."""
     return _eval_node(kernel.root, bindings)
 
 
@@ -511,7 +510,10 @@ class _Batch:
     image of either solver, and each :func:`jump_at` builds its own.  A
     march segment evaluates an index view of ``problem.sweep``
     (:class:`_Subset`), which builds no part the sweep batch holds.  ``te``
-    and ``m`` are read-only copies of the evaluation and membership times.
+    and ``m`` are read-only copies of the evaluation and membership times,
+    and the first ``nodes.stop - nodes.start`` times are the grid nodes
+    ``nodes``, at which beta is read at its stored values (:func:`_beta_at`):
+    all N nodes for ``problem.sweep``, none for :func:`jump_at`.
     Each part is built on first use and read-only: ``limits``, where the
     times fall on the grid, from one :meth:`~.piecewise.Grid.locate` of
     ``te`` (:func:`~.quadrature.limits_of`): the quadrature cut that every
@@ -532,10 +534,12 @@ class _Batch:
     at ``te`` writes into.
     """
 
-    def __init__(self, problem: "HybridProblem", te: np.ndarray, m: np.ndarray):
+    def __init__(self, problem: "HybridProblem", te: np.ndarray, m: np.ndarray,
+                 nodes: slice = slice(0, 0)):
         self.problem = problem
         self.te = _read_only(np.array(te, dtype=float))
         self.m = _read_only(np.array(m, dtype=float))
+        self.nodes = nodes
         self._factors: dict[int, np.ndarray] = {}
         self._reads: dict[tuple, Cut | None] = {}
         self._weights: dict[int, np.ndarray | None] = {}
@@ -655,7 +659,8 @@ class _Batch:
 class _Subset(_Batch):
     """The times ``index`` (an index array) of the batch ``parent``, a
     batch of their own: a march segment evaluates its nodes and fresh trace
-    entries as such an index view of ``problem.sweep``.
+    entries as such an index view of ``problem.sweep``.  Its first times are
+    the grid nodes ``nodes``, as in any batch.
 
     ``te``, ``m`` and every part that does not depend on a memory table
     (``limits``, ``x0``, ``sigma``, ``cut``, ``tau_below``,
@@ -666,15 +671,12 @@ class _Subset(_Batch):
     read, and a subset builds them as any batch does.
     """
 
-    def __init__(self, parent: _Batch, index: np.ndarray):
-        self.problem = parent.problem
-        self.parent, self.index = parent, index
+    def __init__(self, parent: _Batch, index: np.ndarray, nodes: slice):
+        self.problem, self.parent, self.index = parent.problem, parent, index
         self.te = _read_only(parent.te[index])
         self.m = _read_only(parent.m[index])
-        self._factors = {}
-        self._reads = {}
-        self._weights = {}
-        self._work = {}
+        self.nodes = nodes
+        self._factors, self._reads, self._weights, self._work = {}, {}, {}, {}
 
     limits = _lazy(lambda self: Limits._make(a[self.index] for a in self.parent.limits))
     x0 = _lazy(lambda self: self.parent.x0[self.index])
@@ -915,9 +917,9 @@ def _window(
 
     The segment updates the continuous part on ``nodes`` and the trace
     entries it refreshes; ``batch``, the one that each of its sweeps
-    evaluates, holds the segment's nodes, then each fresh entry's moving
-    time sigma_p(t), one tick left, then, while the march evaluates the
-    unsolved remainder, every later node and every later entry; ``solved``
+    evaluates, holds the segment's nodes, then, while the march evaluates
+    the unsolved remainder, every later node, then each fresh entry's
+    moving time sigma_p(t), one tick left, then every later entry; ``solved``
     (n_sigma, N) marks the entries that earlier segments consumed.  Table
     rows can change from ``live`` on: from the segment's first node, and
     for the g rows of impulse i at every node whose trace entry is not yet
@@ -947,17 +949,15 @@ def _window(
 
 
 def _sc_eval(problem: HybridProblem, view: _View, batch: _Batch,
-             memory: _Memory, beta_at: np.ndarray | None = None) -> np.ndarray:
+             memory: _Memory) -> np.ndarray:
     """The operator formula at the evaluation and membership times of
     ``batch`` (:class:`_Batch`), which holds what no iterate changes.
 
     ``view`` is the state (:class:`_View`).  ``memory`` is :func:`_memory`
     of ``view``, read once for the whole batch, and each term the table
-    leaves out is one of ``problem.batch_terms``.  ``beta_at`` carries each beta_i already
-    evaluated at the evaluation times (shape (n_sigma, E)), so node-aligned
-    callers can supply the stored one-sided values instead of
-    interpolating.  When omitted it is computed by G3, by beta's left-limit
-    convention.
+    leaves out is one of ``problem.batch_terms``.  Every value is computed
+    per evaluation time, so no value depends on where its time sits in the
+    batch.  The caller holds the floating-point guard.
     """
     out = np.empty(batch.te.size)
     out[:] = batch.x0
@@ -967,18 +967,18 @@ def _sc_eval(problem: HybridProblem, view: _View, batch: _Batch,
         # the t-free G1 and G2 terms of the fixed impulses below m
         out += memory.impulses[batch.impulse_count]
     for term in problem.batch_terms:
-        term(problem, batch, view, beta_at, out)
+        term(problem, batch, view, out)
     return out
 
 
-def _f1_per_time(problem, batch, view, beta_at, out):
+def _f1_per_time(problem, batch, view, out):
     """f1 that references t and does not split: one row per evaluation time."""
     grid, te, xi = problem.grid, batch.te, view.xi
     w = _walk(problem.f1, {"t": te[:, None], "s": grid.times[None, :], "x": xi[None, :]})
     out += _integrate_to(grid, w, te)
 
 
-def _f2_per_time(problem, batch, view, beta_at, out):
+def _f2_per_time(problem, batch, view, out):
     """f2 that references t and does not split: one N x N pass per time."""
     grid, te = problem.grid, batch.te
     times, xi = grid.times, view.xi
@@ -992,14 +992,14 @@ def _f2_per_time(problem, batch, view, beta_at, out):
     out += apply_weights(W, inner)
 
 
-def _G1_per_time(problem, batch, view, beta_at, out):
+def _G1_per_time(problem, batch, view, out):
     """G1 that references t, over the fixed impulses below m."""
     tau, eta, below = problem.tau, view.eta, batch.tau_below
     vals = _walk(problem.G1, {"t": batch.te[:, None], "tau": tau[None, :], "eta": eta[None, :]})
     out += np.where(below, vals, 0.0).sum(axis=1)
 
 
-def _G2_per_time(problem, batch, view, beta_at, out):
+def _G2_per_time(problem, batch, view, out):
     """G2 that references t, over the pairs of fixed impulses below m."""
     tau, eta = problem.tau, view.eta
     ii, jj = problem.tau_pairs
@@ -1010,7 +1010,7 @@ def _G2_per_time(problem, batch, view, beta_at, out):
     out += np.where(below, vals, 0.0).sum(axis=1)
 
 
-def _g_per_batch(problem, batch, view, beta_at, out):
+def _g_per_batch(problem, batch, view, out):
     """The g terms of the moving impulses whose rows the table does not
     hold, with one weight row per evaluation time.  Each impulse's gate
     keeps the nodes with sigma_i(s) < m.  It masks the integrand, not the
@@ -1033,36 +1033,31 @@ def _g_per_batch(problem, batch, view, beta_at, out):
                 out += np.where(batch.tau_below[:, j], part, 0.0)
 
 
-def _G3(problem, batch, view, beta_at, out):
+def _G3(problem, batch, view, out):
     """G3 over the moving and fixed impulses with sigma_i(t), tau_j < m."""
     te, tau, eta = batch.te, problem.tau, view.eta
-    if beta_at is None:
-        beta_at = _beta_at(view, batch)
+    beta_at = _beta_at(view, batch)
     for i in range(problem.n_sigma):
         vals = _walk(problem.G3, {"t": te, "sig": batch.sigma[i], "tau": tau[:, None],
                                   "beta": beta_at[i], "eta": eta[:, None]})
         out += np.where(batch.g3_gate[i], vals, 0.0).sum(axis=0)
 
 
-def _beta_at(view: _View, batch: _Batch, nodes: slice = slice(0),
-             later: slice = slice(0), first: int = 0) -> np.ndarray:
-    """Each beta_i at the evaluation times of ``batch``, (n_sigma, E), by
-    its left-limit convention, as :meth:`~.piecewise.PiecewiseFn.eval`
-    gives it: one gather over the stacked traces at the nodes where the
-    times fall (``batch.limits``).  When the first times are the grid
-    nodes ``nodes``, beta is read there at its stored node values: at a
-    duplicated breakpoint node the interpolant would give the left limit
-    for both.  So it is at the times from position ``first`` on, when they
-    are the grid nodes ``later``."""
+def _beta_at(view: _View, batch: _Batch) -> np.ndarray:
+    """Each beta_i at the evaluation times of ``batch``, (n_sigma, E).  At
+    its first times, the grid nodes ``batch.nodes``, beta is read at its
+    stored node values: at a duplicated breakpoint node the interpolant
+    would give the left limit for both.  At the others it is read by its
+    left-limit convention, as :meth:`~.piecewise.PiecewiseFn.eval` gives
+    it: one gather over the stacked traces at the nodes where the times
+    fall (``batch.limits``)."""
     rows = view.beta
-    stored = rows[:, nodes]
+    stored = rows[:, batch.nodes]
     n = stored.shape[1]
     node, frac = batch.limits.base, batch.limits.frac
     at = np.empty((rows.shape[0], batch.te.size))
     at[:, :n] = stored
     at[:, n:] = interpolate(rows, node[n:], frac[n:])
-    stored = rows[:, later]
-    at[:, first:first + stored.shape[1]] = stored
     return at
 
 
@@ -1070,6 +1065,7 @@ def _beta_at(view: _View, batch: _Batch, nodes: slice = slice(0),
 # Membership conventions
 
 
+@quiet
 def apply_operator(problem: HybridProblem, triple: SolutionTriple) -> SolutionTriple:
     """One full sweep of all three components (simultaneous update).
 
@@ -1078,25 +1074,11 @@ def apply_operator(problem: HybridProblem, triple: SolutionTriple) -> SolutionTr
     fixed-impulse value as the formula at tau_l with left memberships; each
     moving trace as the formula at sigma_p(t) with left memberships.  All
     three are one evaluation of one batch, ``problem.sweep``, against one
-    new memory table of the triple (:func:`_sweep_values`).
+    new memory table of the triple (:func:`_memory`), under one
+    floating-point guard.
     """
-    values, _ = _sweep_values(problem, _View.of(problem, _values(triple)))
-    return _triple(problem, values)
-
-
-@quiet
-def _sweep_values(problem: HybridProblem, view: _View,
-                  table: _Memory | None = None) -> tuple[np.ndarray, _Memory]:
-    """The image of ``view`` at the times of ``problem.sweep``, laid out as
-    they are, and the memory table it was read through: one evaluation of
-    that batch, with beta read at its stored node values, against
-    ``table`` filled with ``view``, or a new table of the whole grid
-    (:func:`_memory`).  This is the sweep's one floating-point guard:
-    everything it calls runs unguarded under it."""
-    batch = problem.sweep
-    beta_at = _beta_at(view, batch, slice(None)) if problem.n_sigma else None
-    memory = _memory(problem, view, table)
-    return _sc_eval(problem, view, batch, memory, beta_at), memory
+    view = _View.of(problem, _values(triple))
+    return _triple(problem, _sc_eval(problem, view, problem.sweep, _memory(problem, view)))
 
 
 @quiet
@@ -1137,12 +1119,13 @@ def _deltas(problem: HybridProblem, weights: _View, new: np.ndarray,
     two arrays laid out as the times of one sweep: the maximum over the
     component of ``weights`` (``problem.decay(mu)``) times ``|new - old|``,
     0 for an empty component.  A difference that overflows gives a distance
-    that is not finite.  Every sweep of picard and :func:`component_deltas`
-    take their deltas here."""
+    that is not finite; the caller holds the floating-point guard.  Every
+    sweep of picard and :func:`component_deltas` take their deltas here."""
     distance = _View.of(problem, np.abs(new - old))
     return tuple(float((w * d).max()) if d.size else 0.0 for w, d in zip(weights, distance))
 
 
+@quiet
 def component_deltas(
     new: SolutionTriple,
     old: SolutionTriple,
@@ -1153,6 +1136,7 @@ def component_deltas(
 
     The exponentially weighted suprema of the differences of their node
     values, at weight ``mu`` (:meth:`HybridProblem.decay`), as a picard
-    sweep takes its deltas (:func:`_deltas`); an empty component is 0.
+    sweep takes its deltas (:func:`_deltas`); an empty component is 0.  A
+    difference that overflows gives a distance that is not finite.
     """
     return _deltas(problem, problem.decay(mu), _values(new), _values(old))

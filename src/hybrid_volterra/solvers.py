@@ -43,13 +43,14 @@ one evaluation of ``problem.sweep`` on it, against the one memory table
 of the whole grid that picard keeps and fills in every sweep and in its
 image, and its deltas are those of :func:`~.operator.component_deltas`
 (:func:`~.operator._deltas`).  The batch of a march segment is an index
-view of ``problem.sweep`` at the segment's nodes and fresh trace entries,
-then at the remainder (:class:`~.operator._Subset`), and its sweep writes
-its evaluation into a copy of the array at those indices.  So a solve
-locates and evaluates its times once, and every sweep checks its update
-for finiteness once.  Each sweep enters one floating-point guard,
-its own (:func:`~.operator._sweep_values`, :func:`_segment_sweep`), and
-everything it calls runs under it.
+view of ``problem.sweep`` (:class:`~.operator._Subset`): the segment's
+nodes, and every later node when it carries the remainder, then its fresh
+trace entries and the later ones.  Its sweep writes its evaluation into a
+copy of the array at those indices.  So a solve locates and evaluates its
+times once.  A sweep or an image is one function under one floating-point
+guard (:func:`_picard_sweep`, :func:`_segment_sweep`, :func:`_image`): it
+fills its table, evaluates, checks the update for finiteness and takes
+its deltas or its distance.
 
 Both return the solution triple plus a :class:`SolveReport` with per-sweep
 component deltas (useful for checking contraction-rate predictions); the
@@ -87,12 +88,10 @@ from .operator import (
     EPS,
     HybridProblem,
     SolutionTriple,
-    _beta_at,
     _deltas,
     _memory,
     _sc_eval,
     _Subset,
-    _sweep_values,
     _triple,
     _values,
     _View,
@@ -145,6 +144,11 @@ _NUMERICAL_FAILURES = (EvaluationError, NonFiniteValues)
 
 def _require_finite_floats(*values: float) -> None:
     if not all(map(math.isfinite, values)):
+        raise NonFiniteValues("non-finite update")
+
+
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
         raise NonFiniteValues("non-finite update")
 
 
@@ -212,23 +216,15 @@ def _finish(image_of, cur, report: SolveReport) -> None:
     report.image, report.final_residual = image, distance
 
 
-def _swept(problem: HybridProblem, cur: np.ndarray, table=None):
-    """The image of the iterate ``cur``, laid out as it is, and the memory
-    table it was read through: one evaluation of ``problem.sweep`` on a
-    view of ``cur`` (:func:`~.operator._sweep_values`), against ``table``
-    filled again or a new table of the whole grid.  Raises
-    :class:`~.piecewise.NonFiniteValues` unless every value is finite."""
-    new, table = _sweep_values(problem, _View.of(problem, cur), table)
-    if not np.isfinite(new).all():
-        raise NonFiniteValues("non-finite update")
-    return new, table
-
-
+@quiet
 def _image(problem: HybridProblem, cur: np.ndarray, table=None) -> tuple[SolutionTriple, float]:
     """The image of the iterate ``cur`` as a triple and its unweighted sup
-    distance from ``cur``, through ``table`` as in :func:`_swept`: the
-    solver's own table, filled once more."""
-    image, _ = _swept(problem, cur, table)
+    distance from ``cur``, under one floating-point guard: one evaluation
+    of ``problem.sweep`` against ``table``, the solver's own, filled once
+    more (:func:`~.operator._memory`).  It must be finite."""
+    view = _View.of(problem, cur)
+    image = _sc_eval(problem, view, problem.sweep, _memory(problem, view, table))
+    _require_finite(image)
     return _triple(problem, image), float(np.abs(image - cur).max())
 
 
@@ -253,16 +249,26 @@ def _picard(problem: HybridProblem, init, mu: float, notes: tuple[str, ...],
     cur = _start(problem, init, report)
     if cur is None:
         return None, report, None
-    weights = problem.decay(mu)
-
-    def sweep(state):
-        cur, table = state
-        new, table = _swept(problem, cur, table)
-        return (new, table), _deltas(problem, weights, new, cur)
-
+    sweep = partial(_picard_sweep, problem, problem.decay(mu))
     # one table of the whole grid, filled by every sweep and by the image
     (cur, table), report.converged = _iterate(report, (cur, None), sweep, tol, kmax)
     return cur, report, partial(_image, problem, table=table)
+
+
+@quiet
+def _picard_sweep(problem: HybridProblem, weights, state):
+    """One picard sweep, under its one floating-point guard: ``state`` is
+    the iterate, laid out as the times of one sweep, and picard's table,
+    None before the first sweep makes it.  The new iterate is one
+    evaluation of ``problem.sweep`` against that table filled with the
+    iterate, and must be finite; its deltas are taken at ``weights``
+    (``problem.decay(mu)``, :func:`~.operator._deltas`)."""
+    cur, table = state
+    view = _View.of(problem, cur)
+    table = _memory(problem, view, table)
+    new = _sc_eval(problem, view, problem.sweep, table)
+    _require_finite(new)
+    return (new, table), _deltas(problem, weights, new, cur)
 
 
 def picard_solve(
@@ -291,8 +297,8 @@ def _sup(a: np.ndarray) -> float:
 
 
 @quiet
-def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, eta: slice, later: slice,
-                   window, batch, state):
+def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, eta: slice, window, batch,
+                   state):
     """One inner sweep of the march over the segment ``nodes``, under the
     sweep's one floating-point guard.
 
@@ -303,32 +309,27 @@ def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, eta: slice, late
     column 0; every later sweep fills it again from ``window.live`` on
     (:func:`~.operator._memory`).  One evaluation of ``batch``, the index
     view of ``problem.sweep`` at ``batch.index``, against the table of the
-    starting iterate gives the continuous part on ``nodes``, then the
-    ``fresh`` moving-trace entries, those the segment consumes first
-    (their indices in the iterate), then the ``later`` nodes and every
-    entry consumed later, none when the batch is the segment alone.  Beta
-    is read at its stored values at every node of the batch.  The new
-    iterate is a copy of the old one with the evaluation written in; eta
-    is the new continuous part's left limit at each fixed impulse time,
-    read at ``problem.tau_nodes``.  The deltas cover the segment's own
-    values alone: its nodes, its fresh entries and ``eta``, the fixed
-    impulses at or before its end.
+    starting iterate gives the values at those indices: the continuous
+    part on ``nodes`` and, when the batch carries the unsolved remainder,
+    on every later node, then the ``fresh`` moving-trace entries, those
+    the segment consumes first (their indices in the iterate), and every
+    entry consumed later.  The new iterate is a copy of the old one with
+    the evaluation written in; eta is the new continuous part's left
+    limit at each fixed impulse time, read at ``problem.tau_nodes``.  The
+    deltas cover the segment's own values alone: its nodes, its fresh
+    entries and ``eta``, the fixed impulses at or before its end.
     """
     old, table = state
     view = _View.of(problem, old)
     memory = _memory(problem, view, table, window)
-    n = nodes.stop - nodes.start
-    own = n + fresh.size
-    beta_at = _beta_at(view, batch, nodes, later, own) if problem.n_sigma else None
-    out = _sc_eval(problem, view, batch, memory, beta_at)
-    if not np.isfinite(out).all():
-        raise NonFiniteValues("non-finite update")
+    out = _sc_eval(problem, view, batch, memory)
+    _require_finite(out)
     new = old.copy()
     new[batch.index] = out
     N = problem.grid.size
     # left limits at the fixed impulse times
     new[N:N + problem.n_tau] = interpolate(new[:N], *problem.tau_nodes)
-    deltas = (_sup(out[:n] - old[nodes]), _sup(new[eta] - old[eta]), _sup(out[n:own] - old[fresh]))
+    deltas = tuple(_sup(new[own] - old[own]) for own in (nodes, eta, fresh))
     return (new, memory), deltas
 
 
@@ -407,12 +408,13 @@ def _segments(problem: HybridProblem, cur: np.ndarray, report: SolveReport, tol:
         now = problem.sigma_grid <= end
         fresh = traces + np.flatnonzero(now & ~consumed)
         eta = slice(N, N + int(np.searchsorted(problem.tau, end, side="right")))
-        own = np.concatenate([np.arange(nodes.start, nodes.stop), fresh])
-        later = (np.concatenate([np.arange(nodes.stop, N), traces + np.flatnonzero(~now)])
-                 if ahead else _NONE)
-        batch = _Subset(problem.sweep, np.concatenate([own, later]))
-        later_nodes = slice(nodes.stop, nodes.stop + int(np.count_nonzero(later < N)))
-        sweep = partial(_segment_sweep, problem, nodes, fresh, eta, later_nodes,
+        # the batch's nodes, the segment's and every later one when it
+        # carries the remainder, then its fresh entries and every later one
+        span = slice(nodes.start, N if ahead else nodes.stop)
+        later = traces + np.flatnonzero(~now) if ahead else _NONE
+        batch = _Subset(problem.sweep, np.concatenate([np.arange(span.start, span.stop),
+                                                       fresh, later]), span)
+        sweep = partial(_segment_sweep, problem, nodes, fresh, eta,
                         _window(problem, nodes, batch, consumed), batch)
         if ahead:
             sweep = _carrying(sweep)

@@ -7,10 +7,14 @@ On every input, ``hv solve`` (picard and segment, with a CSV and a report)
 and ``hv convergence-report`` (picard and segment, with a report); on
 every hybrid input, ``hv analyze`` with and without ``--estimate`` and
 ``hv roots``; on every series input, ``hv series-solve`` (with a CSV and a
-report); and ``hv check-matrix`` on one fixed matrix and on one with a
-``nan`` entry.  The manifest holds, per run, the exit code and the sha256
-of stdout, stderr, the CSV and the report (null when the run wrote none),
-as sorted JSON with one entry per line::
+report); ``hv check-matrix`` on one fixed matrix, on one with a ``nan``
+entry and on one with a negative entry; and ``hv solve --mu 1e-3`` (with
+a CSV and a report) and ``hv analyze --mu 1e-3`` (with a report) on
+``tests/test_cli.py``'s ``BOUND_OVERFLOW_TEXT``, whose bound matrix at
+that weight overflows.  The manifest holds, per run, the exit code and
+the sha256 of stdout, stderr, the CSV and the report (null when the run
+wrote none), as sorted JSON with one entry per line; a run that ends in
+an uncaught exception has the exception's type name as its exit code::
 
     python tests/output_manifest.py --code PARENT -o parent.json
     python tests/output_manifest.py -o change.json
@@ -46,6 +50,7 @@ METHODS = ("picard", "segment")
 MATRICES = {
     "fixed": ["0.2", "0.1", "0", "0.05", "0.3", "0.1", "0", "0.2", "0.4"],
     "nan": ["nan", "0", "0", "0", "0.5", "0", "0", "0", "0.5"],
+    "negative": ["-0.5", "0", "0", "0", "0.5", "0", "0", "0", "0.5"],
 }
 
 
@@ -86,6 +91,8 @@ def _run(main, argv: list[str], csv: str | None = None, report: str | None = Non
             code = 0
         except SystemExit as exc:
             code = 0 if exc.code is None else exc.code
+        except Exception as exc:  # noqa: BLE001 - a traceback is an outcome too
+            code = type(exc).__name__
     return {
         "exit": code,
         "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
@@ -131,6 +138,16 @@ def manifest(code: Path, work: Path) -> dict:
             runs[f"{name} roots"] = _run(main, ["roots", problem])
     for label, entries in MATRICES.items():
         runs[f"check-matrix {label}"] = _run(main, ["check-matrix", *entries])
+    import test_cli
+
+    problem, stem = "inputs/bound_overflow.yaml", "out/bound_overflow"
+    Path(problem).write_text(test_cli.BOUND_OVERFLOW_TEXT)
+    runs["bound_overflow solve --mu 1e-3"] = _run(
+        main, ["solve", problem, "--mu", "1e-3", "--out", f"{stem}.solve.csv",
+               "--report", f"{stem}.solve.yaml"], f"{stem}.solve.csv", f"{stem}.solve.yaml")
+    runs["bound_overflow analyze --mu 1e-3"] = _run(
+        main, ["analyze", problem, "--mu", "1e-3", "--report", f"{stem}.analyze.yaml"],
+        None, f"{stem}.analyze.yaml")
     return runs
 
 

@@ -173,6 +173,17 @@ LAST_SEGMENT_BLOW_UP_FILE = LATER_BLOW_UP_FILE.replace("[0.5]", "[0.2]")
 
 HALF = ["0.5", "0", "0", "0", "0.5", "0", "0", "0", "0.5"]
 
+# A declared constant so large that the bound matrix at a given weight has
+# a finite trace whose cube is not a float.  Not a *_FILE: a run without
+# --mu takes another path, and tests/output_manifest.py runs this file
+# only with --mu.
+BOUND_OVERFLOW_TEXT = """\
+horizon: 1.0
+x0: "1"
+f1: "x"
+lipschitz: {L1: 1.0e+200}
+"""
+
 
 def _run(capsys, *argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -197,6 +208,7 @@ def files(tmp_path):
         ("later_blow_up", LATER_BLOW_UP_FILE),
         ("later_remainder_blow_up", LATER_REMAINDER_BLOW_UP_FILE),
         ("last_segment_blow_up", LAST_SEGMENT_BLOW_UP_FILE),
+        ("bound_overflow", BOUND_OVERFLOW_TEXT),
     ]:
         path = tmp_path / f"{name}.yaml"
         path.write_text(text)
@@ -838,11 +850,63 @@ class TestCheckMatrix:
         assert err == ("error: the matrix's invariants overflow: trace inf, pair_sum nan, "
                        "det nan, p0 nan, p1 nan, p3 nan, q4 nan, spectral radius nan\n")
 
+    def test_negative_entry_is_a_number(self, capsys):
+        code, out, _ = _run(capsys, "check-matrix", "-1e-3", *HALF[1:])
+        assert code == 0
+        assert "trace: 0.999" in out and "spectral radius: 0.5\n" in out
+        code, out, _ = _run(capsys, "check-matrix", "-0.5", *HALF[1:])
+        assert code == 0 and "spectral radius: 0.5000000000000001\n" in out
+
+    def test_a_name_is_still_no_number(self, capsys):
+        code, out, err = _run(capsys, "check-matrix", "-x", *HALF[1:])
+        assert (code, out) == (1, "") and "'-x' is not a valid float" in err
+
     def test_radius_that_overflows_exits_4(self, capsys):
         # the invariants are finite; the closed-form cubic cubes the trace
         code, out, err = _run(capsys, "check-matrix", "1e200", *["0"] * 8)
         assert (code, out) == (4, "")
         assert err == "error: the matrix's invariants overflow: spectral radius inf\n"
+
+
+class TestBoundMatrixOverflow:
+    """At ``--mu 1e-3`` the bound matrix of ``BOUND_OVERFLOW_TEXT`` has the
+    finite trace 9.995e199, whose spectral radius overflows: the report
+    notes it in place of the verdicts."""
+
+    NOTE = "the matrix's invariants overflow: spectral radius inf"
+
+    def _block(self, report_path):
+        block = yaml.safe_load(Path(report_path).read_text())["contraction"]
+        assert block["note"] == self.NOTE and block["mu"] == 1e-3
+        assert block["invariants"]["trace"] == pytest.approx(9.995e199, rel=1e-4)
+        for verdict in ("criterion_quantities", "contractive_criterion", "spectral_radius",
+                        "contractive_eigen"):
+            assert verdict not in block
+        return block
+
+    @pytest.mark.parametrize("kmax, code", [("3", 3), ("200", 0)])
+    def test_solve_keeps_its_exit_and_writes_its_outputs(self, capsys, tmp_path, files,
+                                                         kmax, code):
+        csv, report = tmp_path / "x.csv", tmp_path / "r.yaml"
+        got, out, _ = _run(capsys, "solve", files["bound_overflow"], "--mu", "1e-3",
+                           "--kmax", kmax, "--out", str(csv), "--report", str(report))
+        assert got == code
+        assert f"wrote solution: {csv}" in out and f"wrote report: {report}" in out
+        assert len(read_solution_csv(str(csv))[0]) > 0
+        self._block(report)
+
+    def test_analyze_prints_its_report_and_exits_4(self, capsys, tmp_path, files):
+        report = tmp_path / "r.yaml"
+        code, out, err = _run(capsys, "analyze", files["bound_overflow"], "--mu", "1e-3",
+                              "--report", str(report))
+        assert code == 4 and err == f"error: {self.NOTE}\n"
+        assert report.read_text() == out
+        self._block(report)
+
+    def test_analyze_without_mu_finds_no_weight(self, capsys, files):
+        code, out, _ = _run(capsys, "analyze", files["bound_overflow"])
+        block = yaml.safe_load(out)["contraction"]
+        assert code == 0 and block["mu_star"] is None and "matrix" not in block
 
 
 class TestUnwritableOutput:

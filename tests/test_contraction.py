@@ -126,6 +126,18 @@ class TestEigenOracle:
         mods = sorted(abs(r) for r in roots)
         assert np.allclose(mods, [0.0, 1.0, 1.0], atol=1e-12)
 
+    def test_a_closed_form_that_overflows_gives_inf(self):
+        """The trace 1e200 is finite, but its cube is not a float: the
+        roots are inf, where cubing a Python float raised OverflowError."""
+        assert cubic_roots(1e200, 0.0, 0.0) == (complex(math.inf, 0.0),) * 3
+        m = np.diag([1e200, 0.0, 0.0])
+        assert spectral_radius(m) == math.inf
+        assert not is_contractive_eigen(m)
+
+    def test_a_nan_invariant_gives_nan(self):
+        assert all(math.isnan(r.real) for r in cubic_roots(0.0, 1.0, math.nan))
+        assert math.isnan(spectral_radius(np.full((3, 3), 1e308)))
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(0, 2**31 - 1))
     def test_roots_against_numpy(self, seed):
@@ -219,6 +231,15 @@ class TestContractionBounds:
         assert lims["a12"] == pytest.approx(c2)
         assert lims["a32"] == pytest.approx(c2)
         assert lims["a13"] == pytest.approx((0.2 * 2 * 2.0 + 0.3 * 2) * 3)
+
+    def test_bounds_limits_are_the_entries_factors(self):
+        """Where e^{-mu h} underflows the bounded entries are their limits,
+        bit for bit: both take c2 and b from one place."""
+        lip = LipschitzSet(LG1=0.4, LG21=0.1, LG31=0.3, Lg1=0.2, L1=0.5)
+        geom = dict(horizon=2.0, h=0.1, n_tau=3, n_sigma=2)
+        lims = bounds_limits(lip, **geom)
+        e = _bounds(lip, 1e5, **geom).entries
+        assert (e[0, 1], e[0, 2], e[2, 1]) == (lims["a12"], lims["a13"], lims["a32"])
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -372,7 +393,8 @@ class TestAgainstAMatrixPerWeight:
 
     @staticmethod
     def _block_numbers(lip, horizon, h, n_tau, n_sigma, mu=None):
-        block = cli._contraction_block(lip, horizon, h, n_tau, n_sigma, mu)
+        block, overflow = cli._contraction_block(lip, horizon, h, n_tau, n_sigma, mu)
+        assert overflow is None
         mu = block["mu"] if mu is not None else block["mu_star"]
         if mu is None:
             return {"mu": None}

@@ -214,6 +214,30 @@ class TestNoWarningEscapes:
 
 
 @pytest.mark.usefixtures("strict")
+class TestDeltasThatOverflow:
+    """Two iterates at +1e308 and -1e308: every difference overflows, and
+    every distance is inf, with no warning."""
+
+    def test_component_deltas(self):
+        problem = load_problem_file(MIXED).problem
+        size = problem.sweep.te.size
+        new, old = (operator._triple(problem, np.full(size, v)) for v in (1e308, -1e308))
+        assert operator.component_deltas(new, old, problem, 0.5) == (np.inf,) * 3
+
+    def test_picard_deltas(self):
+        """The image of any iterate is x0 = -1e308: the first sweep from
+        +1e308 has infinite deltas, and picard stops on them."""
+        problem = make_problem(2.0, tau=(0.5,), sigma=("0.5*t",), h=0.1, panels=8,
+                               x0="-1e308")
+        start = np.full(problem.sweep.te.size, 1e308)
+        (new, _), deltas = solvers._picard_sweep(problem, problem.decay(1.0), (start, None))
+        assert (new == -1e308).all() and deltas == (np.inf,) * 3
+        _, rep = picard_solve(problem, init=operator._triple(problem, start))
+        assert rep.failed and rep.iterations == 0
+        assert rep.notes == ("diverged: non-finite update in sweep 1",)
+
+
+@pytest.mark.usefixtures("strict")
 def test_a_value_outside_its_gate_stays_out():
     """G3 overflows at every time before its fixed impulse, where no
     membership admits it: a gate selects the value, so the inf never meets
@@ -353,14 +377,25 @@ class TestOneGuardPerSweep:
     entered 18 (picard) and 14.3 on average (march), and one of tdep 7."""
 
     def test_picard_sweep(self, solved):
+        """The sweep that makes picard's table, and one that fills it again."""
         problem, triple, powers = solved
-        entered = _guards(solvers._swept, problem, _values(triple))
-        assert entered == collections.Counter(_sweep_values=1, _power=powers)
+        weights = problem.decay(1.0)
+        state = (_values(triple), None)
+        for _ in range(2):
+            out = []
+            entered = _guards(lambda: out.append(solvers._picard_sweep(problem, weights, state)))
+            assert entered == collections.Counter(_picard_sweep=1, _power=powers)
+            state = out[0][0]
+
+    def test_image(self, solved):
+        problem, triple, powers = solved
+        entered = _guards(solvers._image, problem, _values(triple))
+        assert entered == collections.Counter(_image=1, _power=powers)
 
     def test_apply_operator(self, solved):
         problem, triple, powers = solved
         entered = _guards(apply_operator, problem, triple)
-        assert entered == collections.Counter(_sweep_values=1, _power=powers)
+        assert entered == collections.Counter(apply_operator=1, _power=powers)
 
     def test_march_sweep(self, monkeypatch, solved):
         problem, _, powers = solved

@@ -14,7 +14,7 @@ from oracles import norm_discrete, norm_mixed, residual
 from conftest import (exp_problem, make_problem, mixed_problem, on_kernel_calls,
                       random_triple, view_of)
 from test_parity import multi_impulse_problem
-from hybrid_volterra import operator, quadrature
+from hybrid_volterra import operator, quadrature, solvers
 from hybrid_volterra.contraction import contraction_bounds, find_mu
 from hybrid_volterra.expressions import parse_kernel, quiet
 from hybrid_volterra.operator import (
@@ -311,10 +311,20 @@ class TestComponentDeltasBits:
             assert all(type(d) is float for d in got)
             assert got == self._by_norms(new, old, p, mu)
 
-    def test_weights_once_per_mu(self):
+    def test_weights_once_per_mu(self, monkeypatch):
+        """A picard solve builds the weights of its mu once, read-only."""
         p = mixed_problem()
-        first = p.decay(0.5)
-        assert p.decay(0.5) is first
+        built = []
+        decay = HybridProblem.decay
+
+        def counting(problem, mu):
+            built.append(decay(problem, mu))
+            return built[-1]
+
+        monkeypatch.setattr(HybridProblem, "decay", counting)
+        _, rep = picard_solve(p, mu=0.5, tol=1e-12)
+        assert rep.converged and rep.iterations > 1 and len(built) == 1
+        first = built[0]
         assert all(not w.flags.writeable for w in first)
         assert np.array_equal(first[2], np.exp(-0.5 * p.sigma_grid))
 
@@ -340,6 +350,8 @@ class TestOneEvaluationPerSweep:
         def counting_sc_eval(*args, **kwargs):
             calls["sc_eval"] += 1
             return sc_eval(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_sc_eval", counting_sc_eval)
 
         def counting_evaluations(kernel, bindings, out):
             calls["g_rows"] += id(kernel) in g_factors

@@ -253,7 +253,7 @@ class TestConvergenceTable:
         problem, res = mixed_problem(), (8, 16, 32)
         solve = picard_solve if method == "picard" else segment_solve
         sweeps = sum(solve(at_resolution(problem, r), tol=1e-12)[1].iterations for r in res)
-        calls = dict.fromkeys(("_sweep_values", "_segment_sweep"), 0)
+        calls = dict.fromkeys(("_picard_sweep", "_segment_sweep"), 0)
         for name in calls:
             def counted(*args, name=name, original=getattr(solvers, name)):
                 calls[name] += 1
@@ -262,7 +262,7 @@ class TestConvergenceTable:
             monkeypatch.setattr(solvers, name, counted)
         convergence_table(problem, res, method=method)
         by_picard = method == "picard"
-        assert calls == {"_sweep_values": sweeps if by_picard else 0,
+        assert calls == {"_picard_sweep": sweeps if by_picard else 0,
                          "_segment_sweep": 0 if by_picard else sweeps}
 
     @pytest.mark.parametrize("method, searches", [("picard", 1), ("segment", 0)])
@@ -532,7 +532,7 @@ class TestPicardTable:
             tables.append(memory(*args, **kwargs))
             return tables[-1]
 
-        monkeypatch.setattr(operator, "_memory", recording)
+        monkeypatch.setattr(solvers, "_memory", recording)
         _, rep = picard_solve(problem, tol=1e-11, kmax=300)
         assert rep.converged and rep.image is not None
         assert len(tables) == rep.iterations + 1
@@ -549,18 +549,17 @@ class TestPicardTable:
         else:
             problem = load_problem_file(PROBLEMS / f"{name}.yaml").problem
         pairs = []
-        swept = solvers._swept
+        sweep = solvers._picard_sweep
 
-        def recording(problem, cur, table=None):
-            new, table = swept(problem, cur, table)
-            pairs.append((cur.copy(), new.copy()))
-            return new, table
+        def recording(problem, weights, state):
+            (new, table), deltas = sweep(problem, weights, state)
+            pairs.append((state[0].copy(), new.copy()))
+            return (new, table), deltas
 
-        monkeypatch.setattr(solvers, "_swept", recording)
+        monkeypatch.setattr(solvers, "_picard_sweep", recording)
         _, rep = picard_solve(problem, tol=1e-12, kmax=300)
         assert rep.converged
-        # each sweep, then the image
-        assert len(pairs) == rep.iterations + 1 == len(rep.deltas) + 1
+        assert len(pairs) == rep.iterations == len(rep.deltas)
         for deltas, (old, new) in zip(rep.deltas, pairs):
             want = operator.component_deltas(operator._triple(problem, new),
                                               operator._triple(problem, old), problem, rep.mu)
@@ -864,8 +863,8 @@ class TestMarchWork:
     columns, the whole grid: the segment's first sweep builds it from its
     starting iterate, and every later sweep rewrites it from the window's
     first changeable column.  Each sweep makes one evaluation: the
-    segment's nodes and the trace entries the segment consumes first, then
-    every later node and every entry that a later segment consumes.
+    segment's nodes and every later node, then the trace entries the
+    segment consumes first and every entry that a later segment consumes.
 
     Recorded per sweep: its segment, the row prefixes it takes (with their
     first column and width), and each evaluation it makes, with its
@@ -908,11 +907,11 @@ class TestMarchWork:
 
     def _check_batches(self, problem, log):
         """Every sweep of segment l makes one evaluation: the segment's nodes
-        with their sweep memberships, then the entries l consumes first, each
-        once, by moving impulse and node, one tick left of their moving
-        times; then every later node and every entry that a later segment
-        consumes, in the same way.  The segments share no entry and cover
-        every one."""
+        and every later node, with their sweep memberships, which are the
+        batch's nodes; then the entries l consumes first, each once, by
+        moving impulse and node, one tick left of their moving times, and
+        every entry that a later segment consumes, in the same way.  The
+        segments share no entry and cover every one."""
         grid = problem.grid
         node_m = problem.sweep.m[:grid.size]
         consumed = _consumed_by_segment(problem)
@@ -923,15 +922,14 @@ class TestMarchWork:
 
         for rec in log["sweeps"]:
             assert len(rec["evals"]) == 1
-            (_, _, batch, _, _), _ = rec["evals"][0]
+            (_, _, batch, _), _ = rec["evals"][0]
             te, m = batch.te.tolist(), batch.m.tolist()
             l = rec["segment"]
-            nodes = grid.segment_slice(l)
-            later = slice(nodes.stop, grid.size)
+            nodes = slice(grid.segment_slice(l).start, grid.size)
+            assert batch.nodes == nodes
             u, v = moving(consumed[l]), moving(set().union(*consumed[l + 1:]))
-            assert te == grid.times[nodes].tolist() + u + grid.times[later].tolist() + v
-            assert m == (node_m[nodes].tolist() + [x - operator.EPS for x in u]
-                         + node_m[later].tolist() + [x - operator.EPS for x in v])
+            assert te == grid.times[nodes].tolist() + u + v
+            assert m == node_m[nodes].tolist() + [x - operator.EPS for x in u + v]
         assert sum(len(s) for s in consumed) == problem.sigma_grid.size
         assert set().union(*consumed) == set(np.ndindex(problem.sigma_grid.shape))
 
@@ -942,7 +940,7 @@ class TestMarchWork:
         same rows."""
         rows_of = {}
         for rec in log["sweeps"]:
-            (_, _, _, memory, _), _ = rec["evals"][0]
+            (_, _, _, memory), _ = rec["evals"][0]
             first = rec["segment"] not in rows_of
             rows = rows_of.setdefault(rec["segment"], memory.rows)
             live, hi = rec["window"].live, rec["window"].hi
@@ -1066,12 +1064,13 @@ class TestMarchWork:
         self._check_batches(problem, log)
         self._check_tables(problem, log)
         for rec in log["sweeps"]:
-            (_, triple, batch, _, beta_at), got = rec["evals"][0]
-            whole = sc_eval(problem, triple, batch, memory(problem, triple), beta_at)
+            (_, triple, batch, _), got = rec["evals"][0]
+            whole = sc_eval(problem, triple, batch, memory(problem, triple))
             assert got.tobytes() == whole.tobytes()
             # and those of a picard sweep of the same iterate at those times,
             # beta read at its stored values at every node
-            swept, _ = operator._sweep_values(problem, triple)
+            values = np.concatenate([triple.xi, triple.eta, triple.beta.reshape(-1)])
+            (swept, _), _ = solvers._picard_sweep(problem, problem.decay(1.0), (values, None))
             assert got.tobytes() == swept[batch.index].tobytes()
         if case == "mixed":
             # some rewrite their table from a later column
@@ -1080,7 +1079,7 @@ class TestMarchWork:
     @CASES
     def test_batches_are_index_views_of_the_sweep(self, monkeypatch, case):
         """Each segment's batch is ``problem.sweep`` at the indices of its
-        nodes and fresh trace entries, then of every later node and entry:
+        nodes and every later node, then of its fresh and every later entry:
         every part an evaluation reads has the bits of the sweep's part
         there, and of a batch built afresh at those times (:meth:`_case`)."""
         problem = self._case(case)
@@ -1099,9 +1098,12 @@ class TestMarchWork:
         for l, batch in enumerate(batches):
             assert isinstance(batch, operator._Subset) and batch.parent is sweep
             index = batch.index
-            # the segment's own times lead, then every later one that is unsolved
+            # the segment's nodes lead, then every later node, then the
+            # entries it consumes first, then every later one that is unsolved
             nodes = problem.grid.segment_slice(l)
-            covered += index[:nodes.stop - nodes.start + len(consumed[l])].tolist()
+            own = nodes.stop - nodes.start
+            fresh = index[N - nodes.start:N - nodes.start + len(consumed[l])]
+            covered += index[:own].tolist() + fresh.tolist()
             unsolved = set().union(*consumed[l:])
             assert sorted(index.tolist()) == list(range(nodes.start, N)) + sorted(
                 N + n_tau + p * N + k for p, k in unsolved)
@@ -1212,9 +1214,10 @@ def _remainder_case(name):
 def _segment_plans(problem):
     """Per segment, as the march builds them: the segment's nodes, fresh
     entries and eta (the first arguments of ``solvers._segment_sweep``
-    after the problem), the indices of the segment's own times and of the
-    unsolved times after them, and the entries that earlier segments
-    consumed."""
+    after the problem), the indices of the segment's own times, those of
+    the segment carrying the unsolved times after them (its nodes, every
+    later node, its fresh entries, every later entry), and the entries
+    that earlier segments consumed."""
     grid = problem.grid
     N, traces = grid.size, grid.size + problem.n_tau
     consumed = _consumed_by_segment(problem)
@@ -1228,11 +1231,12 @@ def _segment_plans(problem):
         eta = slice(N, N + int(np.count_nonzero(problem.tau <= end)))
         fresh = entries(consumed[l])
         own = np.concatenate([np.arange(nodes.start, nodes.stop), fresh])
-        later = np.concatenate([np.arange(nodes.stop, N), entries(set().union(*consumed[l + 1:]))])
+        ahead = np.concatenate([np.arange(nodes.start, N), fresh,
+                                entries(set().union(*consumed[l + 1:]))])
         solved = np.zeros(problem.sigma_grid.shape, dtype=bool)
         for p, k in set().union(*consumed[:l]):
             solved[p, k] = True
-        yield (nodes, fresh, eta), own, later, solved
+        yield (nodes, fresh, eta), own, ahead, solved
 
 
 class TestRemainder:
@@ -1272,15 +1276,14 @@ class TestRemainder:
         N = problem.grid.size
         start = operator._values(random_triple(problem, np.random.default_rng(5)))
         start[N:N + problem.n_tau] = interpolate(start[:N], *problem.tau_nodes)
-        for (nodes, fresh, eta), own, later, solved in _segment_plans(problem):
+        for (nodes, fresh, eta), own, ahead, solved in _segment_plans(problem):
             sweeps = {}
-            for mode, index, later_nodes in [
-                    ("remainder", np.concatenate([own, later]), slice(nodes.stop, N)),
-                    ("alone", own, slice(nodes.stop, nodes.stop))]:
-                batch = operator._Subset(problem.sweep, index)
+            for mode, index, span in [("remainder", ahead, slice(nodes.start, N)),
+                                      ("alone", own, nodes)]:
+                batch = operator._Subset(problem.sweep, index, span)
                 window = operator._window(problem, nodes, batch, solved)
                 sweeps[mode] = partial(solvers._segment_sweep, problem, nodes, fresh, eta,
-                                       later_nodes, window, batch)
+                                       window, batch)
             # each builds its table from the random iterate, then rewrites it
             # from the remainder's next iterate
             (with_r, table_r), deltas_r = sweeps["remainder"]((start, None))
@@ -1302,9 +1305,9 @@ class TestRemainder:
         calls = []
         sweep = solvers._segment_sweep
 
-        def recorded(problem, nodes, fresh, eta, later, window, batch, state):
+        def recorded(problem, nodes, fresh, eta, window, batch, state):
             calls.append((batch.index.size, state[0].copy(), state[1]))
-            return sweep(problem, nodes, fresh, eta, later, window, batch, state)
+            return sweep(problem, nodes, fresh, eta, window, batch, state)
 
         monkeypatch.setattr(solvers, "_segment_sweep", recorded)
         _, rep = segment_solve(problem, tol=1e-10, kmax=200)
@@ -1372,3 +1375,76 @@ class TestRemainder:
             _, rep = segment_solve(problem, tol=tol, kmax=kmax)
             assert rep.converged
             assert [segments.count(l) for l in range(problem.grid.num_segments)] == split
+
+
+class TestBatchNodes:
+    """A batch knows which of its times are grid nodes (``batch.nodes``):
+    its first times are exactly ``grid.times[batch.nodes]``, with the
+    memberships those nodes have in a sweep, and beta is read there at its
+    stored values.  The march orders a segment's batch so that its nodes
+    are one slice of the grid."""
+
+    NAMES = pytest.mark.parametrize("name", ["mixed_impulses", "multi_impulse"])
+
+    @staticmethod
+    def _check(problem, batch):
+        grid = problem.grid
+        node_m = grid.times - operator.EPS
+        first = np.arange(grid.num_segments) * (grid.panels + 1)
+        node_m[first] = grid.times[first] + operator.EPS
+        n = batch.nodes.stop - batch.nodes.start
+        assert batch.te[:n].tobytes() == grid.times[batch.nodes].tobytes()
+        assert batch.m[:n].tobytes() == node_m[batch.nodes].tobytes()
+        view = operator._View.of(problem, operator._values(
+            random_triple(problem, np.random.default_rng(3))))
+        beta = operator._beta_at(view, batch)
+        assert beta[:, :n].tobytes() == view.beta[:, batch.nodes].tobytes()
+        return n
+
+    @NAMES
+    def test_the_sweep(self, name):
+        problem, _, _ = _remainder_case(name)
+        assert problem.sweep.nodes == slice(0, problem.grid.size)
+        assert self._check(problem, problem.sweep) == problem.grid.size
+
+    @NAMES
+    @pytest.mark.parametrize("ahead", [True, False], ids=["remainder", "alone"])
+    def test_march_segments(self, monkeypatch, name, ahead):
+        """A segment that carries the remainder holds its nodes and every
+        later one; a segment marched alone, its own."""
+        problem, tol, kmax = _remainder_case(name)
+        grid = problem.grid
+        batches = {}
+        sweep = solvers._segment_sweep
+
+        def recorded(problem, nodes, fresh, eta, window, batch, state):
+            batches[nodes.start // (grid.panels + 1)] = batch
+            return sweep(problem, nodes, fresh, eta, window, batch, state)
+
+        monkeypatch.setattr(solvers, "_segment_sweep", recorded)
+        if not ahead:
+            monkeypatch.setattr(solvers, "_AHEAD_TIMES", 0)
+        _, rep = segment_solve(problem, tol=tol, kmax=kmax)
+        assert rep.converged and sorted(batches) == list(range(grid.num_segments))
+        for l, batch in batches.items():
+            nodes = grid.segment_slice(l)
+            assert batch.nodes == slice(nodes.start, grid.size if ahead else nodes.stop)
+            assert self._check(problem, batch) > 0
+
+    @NAMES
+    def test_jump_at(self, monkeypatch, name):
+        """Both sides of a breakpoint are off the grid's stored values."""
+        problem, _, _ = _remainder_case(name)
+        batches = []
+        sc_eval = operator._sc_eval
+
+        def recorded(problem, view, batch, memory):
+            batches.append(batch)
+            return sc_eval(problem, view, batch, memory)
+
+        monkeypatch.setattr(operator, "_sc_eval", recorded)
+        bps = problem.grid.partition[1:-1]
+        jump_at(problem, random_triple(problem, np.random.default_rng(4)), bps)
+        (batch,) = batches
+        assert batch.te.size == 2 * bps.size
+        assert self._check(problem, batch) == 0
