@@ -16,7 +16,8 @@ Two independent routes decide the radius condition:
   p0, p1, p3 and p1*p2 - p0*p3 = 8 - 8*S2 + 8*D*Tr - 8*D^2 are all
   positive.
 * :func:`is_contractive_eigen` - the spectral radius from the closed-form
-  cubic roots (trigonometric/Cardano with a discriminant branch).
+  cubic roots (trigonometric/Cardano with a discriminant branch), of the
+  matrix scaled by a power of two where that closed form overflows.
 
 Both are strict: a radius of exactly 1 is not contractive.
 
@@ -205,9 +206,26 @@ def cubic_roots(tr: float, s2: float, d: float) -> tuple[complex, complex, compl
 
 
 def spectral_radius(m) -> float:
-    """Spectral radius via the closed-form cubic."""
-    roots = cubic_roots(*char_invariants(m))
-    return max(abs(r) for r in roots)
+    """Spectral radius via the closed-form cubic.
+
+    Where the closed form overflows for a matrix of finite entries, the
+    radius is that of the matrix scaled by a power of two, which is exact,
+    scaled back: inf only when the radius itself passes the largest float.
+    """
+    a = _as_matrix(m)
+    radius = _radius(a)
+    if not math.isfinite(radius) and np.isfinite(a).all():
+        k = math.frexp(float(np.abs(a).max()))[1]
+        # two factors: 2.0 ** k alone overflows at k = 1024
+        radius = _radius(np.ldexp(a, -k)) * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
+    return radius
+
+
+def _radius(a: np.ndarray) -> float:
+    """The largest modulus of the closed-form roots of the 3x3 matrix ``a``:
+    inf for a root whose modulus passes the largest float, where ``abs`` of
+    the complex root raises."""
+    return max(math.hypot(r.real, r.imag) for r in cubic_roots(*char_invariants(a)))
 
 
 def is_contractive_eigen(m) -> bool:

@@ -48,9 +48,12 @@ evaluation reads the whole table once per batch of times; each term it
 leaves out is one evaluator of the batch, chosen when the problem is built
 (:attr:`HybridProblem.batch_terms`).  What a batch needs that no iterate
 changes, where its times fall on the grid included, is built once per
-batch (:class:`_Batch`), and whatever evaluates a batch holds it; so is
-the one cut that reads every row of a table at once, each g row cut where
-its sigma_i reaches m and empty unless its tau_j is below m.
+batch (:class:`_Batch`), and whatever evaluates a batch holds it.  So is
+the one reader of each table layout (:meth:`_Batch.reader`,
+:class:`_Reader`): the cut of every row, each g row cut where its sigma_i
+reaches m and empty unless its tau_j is below m, the rows' time factors
+and the arrays the read works in, so that a sweep over tens of thousands
+of times and rows makes no array of that size.
 :func:`apply_operator` makes one evaluation per sweep of the batch
 ``problem.sweep``: the nodes, the fixed-impulse times and every moving
 trace at once.  A sweep of the segment march makes one of its segment's
@@ -107,9 +110,6 @@ refreshes.  A t-free f2 that does not split still costs one N x N pass
 per table.  The last segment's table holds the g rows of every fixed
 impulse that a membership of a sweep admits, so the march's image of its
 returned iterate is that table filled from its ``live`` column once more.
-A batch keeps the two arrays that its table reads work in
-(:meth:`_Batch.work`), so that a sweep over tens of thousands of times and
-rows makes no array of that size.
 """
 
 from __future__ import annotations
@@ -519,19 +519,14 @@ class _Batch:
     ``te`` (:func:`~.quadrature.limits_of`): the quadrature cut that every
     read of a memory table at ``te`` takes, and the node and fraction that
     every interpolation at ``te`` takes; ``x0`` at ``te``; ``sigma``, each
-    moving time at ``te`` (n_sigma, E); ``cut``, per moving impulse
-    of ``problem.g_row_impulses`` the number of nodes before the first
-    with sigma_i(s) >= m, the prefix its g rows keep;
-    ``tau_below``, tau_j < m (E, n_tau); ``impulse_count``, the number of
-    fixed impulses below m; ``g3_gate``, sigma_i(te) < m and tau_j < m
-    (n_sigma, n_tau, E); by :meth:`reads`, how every row of a memory table
-    (:func:`_memory`) is read at ``te``, each g row cut where its sigma_i
-    reaches m and left out where its fixed impulse is not below m; by
-    :meth:`row_weight`, the time factor each row of such a table is
-    multiplied by there; and by :meth:`factor` each time factor at ``te``.
-    A part whose kernel fails to evaluate is not kept, and fails again.
-    :meth:`work` is not a part: it holds the arrays that every table read
-    at ``te`` writes into.
+    moving time at ``te`` (n_sigma, E); ``tau_below``, tau_j < m
+    (E, n_tau); ``impulse_count``, the number of fixed impulses below m;
+    ``g3_gate``, sigma_i(te) < m and tau_j < m (n_sigma, n_tau, E); and by
+    :meth:`factor` each time factor at ``te``.  One object reads a memory
+    table (:func:`_memory`) at ``te``: :meth:`reader`, built once per
+    table layout, holds the cut of every row, the rows' time factors and
+    the arrays the read works in (:class:`_Reader`).  A part whose kernel
+    fails to evaluate is not kept, and fails again.
     """
 
     def __init__(self, problem: "HybridProblem", te: np.ndarray, m: np.ndarray,
@@ -541,9 +536,7 @@ class _Batch:
         self.m = _read_only(np.array(m, dtype=float))
         self.nodes = nodes
         self._factors: dict[int, np.ndarray] = {}
-        self._reads: dict[tuple, Cut | None] = {}
-        self._weights: dict[int, np.ndarray | None] = {}
-        self._work: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._readers: dict[tuple[int, int], _Reader] = {}
 
     @_lazy
     def limits(self) -> Limits:
@@ -560,14 +553,6 @@ class _Batch:
         return self.problem.schedule.sigma_values(self.te)
 
     @_lazy
-    def cut(self) -> np.ndarray:
-        impulses = self.problem.g_row_impulses
-        cut = np.empty((impulses.size, self.m.size), dtype=np.intp)
-        for k, i in enumerate(impulses):
-            cut[k] = np.searchsorted(self.problem.sigma_grid[i], self.m)
-        return cut
-
-    @_lazy
     def tau_below(self) -> np.ndarray:
         return self.problem.tau[None, :] < self.m[:, None]
 
@@ -579,73 +564,47 @@ class _Batch:
     def g3_gate(self) -> np.ndarray:
         return (self.sigma[:, None, :] < self.m) & self.tau_below.T[None, :, :]
 
-    def reads(self, memory: "_Memory") -> Cut | None:
-        """How the table ``memory`` is read at ``te``: one
-        :class:`~.quadrature.Cut` over every row, or None when the table
-        holds no g row and every row is read whole.
+    def reader(self, memory: "_Memory") -> "_Reader":
+        """How every row of the table ``memory`` is read at ``te``
+        (:class:`_Reader`), built once per batch and table layout: the
+        rows of every table of a problem follow from the number of fixed
+        impulses whose g rows it holds (:class:`_Memory`), so the layout is
+        that number and the table's width.
 
         The f1 and f2 rows are read whole.  The g row of moving impulse i
-        and fixed impulse j is cut where sigma_i reaches m, and is empty
-        (read as 0) unless tau_j < m: a value outside that gate never
-        enters the sum, even an inf.  The rows of every table of a
-        problem follow from the number of fixed impulses whose g rows it
-        holds (:class:`_Memory`), so the cut is built once per batch,
-        number and table width.
+        and fixed impulse j keeps the nodes before the first with
+        sigma_i(s) >= m, and none (read as 0) unless tau_j < m: a value
+        outside that gate never enters the sum, even an inf.  Building it
+        checks once that every column a read at ``te`` takes, the node at
+        or below each time and the next, lies in the table, since such a
+        read does not check its indices again.
         """
-        R, n_xi = memory.rows.shape[0], memory.n_xi
-        if R == n_xi:
-            return None
-        admitted = memory.window.admitted
-        key = (admitted, memory.prefix.shape)
-        found = self._reads.get(key)
-        if found is None:
-            problem = self.problem
-            E = self.m.size
-            keep = np.empty((R, E), dtype=np.intp)
-            keep[:n_xi] = problem.grid.size
-            # the g rows by moving impulse i, fixed impulse j < admitted and
-            # term: cut_i where tau_j < m, else nothing
+        admitted, width = memory.window.admitted, memory.rows.shape[1]
+        found = self._readers.get((admitted, width))
+        if found is not None:
+            return found
+        problem, m = self.problem, self.m
+        R, n_xi, E = memory.rows.shape[0], memory.n_xi, m.size
+        if E and int(self.limits.base.max()) + 1 >= width:
+            raise IndexError(f"a read at these times reaches past the {width} "
+                             "columns of the table")
+        keep = weight = None
+        if R > n_xi:
+            counts = np.empty((R, E), dtype=np.intp)
+            counts[:n_xi] = problem.grid.size
+            # the g rows by moving impulse i, fixed impulse j < admitted and term
+            g = counts[n_xi:].reshape(-1, admitted, len(problem.g_terms), E)
             below = self.tau_below.T[:admitted, None, :]
-            keep[n_xi:].reshape(-1, admitted, len(problem.g_terms), E)[:] = np.where(
-                below, self.cut[:, None, None, :], 0)
-            found = self._reads[key] = _read_only(cut(self.limits, keep, memory.prefix.shape))
-        return found
-
-    def row_weight(self, memory: "_Memory") -> np.ndarray | None:
-        """The time factor each row of the table ``memory`` is multiplied
-        by at ``te`` before the rows are summed, (R, E), read-only: c(t),
-        or 1 for a row of t-free terms.  None when no row has a factor.
-
-        Built once per batch and number of fixed impulses whose g rows the
-        table holds, as :meth:`reads`.
-        """
-        if not memory.factors:
-            return None
-        admitted = memory.window.admitted
-        found = self._weights.get(admitted)
-        if found is None:
-            found = np.ones((memory.rows.shape[0], self.te.size))
+            for k, i in enumerate(problem.g_row_impulses):
+                g[k] = np.where(below, np.searchsorted(problem.sigma_grid[i], m), 0)
+            keep = _read_only(cut(self.limits, counts, memory.prefix.shape))
+        if memory.factors:
+            weight = np.ones((R, E))
             for c, rows in memory.factors:
-                found[rows] = self.factor(c)
-            found = self._weights[admitted] = _read_only(found)
-        return found
-
-    def work(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """Two float arrays of shape (R, E) that every read at ``te`` of a
-        table whose rows have ``shape`` (R, W) works in (:func:`_read_rows`),
-        made once per batch and shape.  A sweep then makes no array of its
-        table read's size: at tens of thousands of entries, such arrays
-        took fresh pages from the allocator in every sweep.  Making them
-        checks once that every column that a read at ``te`` takes, the
-        node at or below each time and the next, lies in the table, since
-        such a read does not check its indices again."""
-        found = self._work.get(shape)
-        if found is None:
-            if self.te.size and int(self.limits.base.max()) + 1 >= shape[-1]:
-                raise IndexError(f"a read at these times reaches past the {shape[-1]} "
-                                 "columns of the table")
-            E = self.te.size
-            found = self._work[shape] = (np.empty((shape[0], E)), np.empty((shape[0], E)))
+                weight[rows] = self.factor(c)
+            weight = _read_only(weight)
+        found = self._readers[admitted, width] = _Reader(
+            keep, weight, (np.empty((R, E)), np.empty((R, E))))
         return found
 
     def factor(self, c: KernelExpr) -> np.ndarray:
@@ -663,12 +622,12 @@ class _Subset(_Batch):
     the grid nodes ``nodes``, as in any batch.
 
     ``te``, ``m`` and every part that does not depend on a memory table
-    (``limits``, ``x0``, ``sigma``, ``cut``, ``tau_below``,
-    ``impulse_count``, ``g3_gate`` and each time factor) are the parent's
-    arrays at ``index``, each indexed on first use, so the parent locates
-    and evaluates its times once for all of its subsets and its own
-    evaluations.  :meth:`reads` and :meth:`row_weight` follow the table
-    read, and a subset builds them as any batch does.
+    (``limits``, ``x0``, ``sigma``, ``tau_below``, ``impulse_count``,
+    ``g3_gate`` and each time factor) are the parent's arrays at ``index``,
+    each indexed on first use, so the parent locates and evaluates its
+    times once for all of its subsets and its own evaluations.  A subset
+    builds its :meth:`reader` of a table as any batch does, from those
+    parts.
     """
 
     def __init__(self, parent: _Batch, index: np.ndarray, nodes: slice):
@@ -676,12 +635,11 @@ class _Subset(_Batch):
         self.te = _read_only(parent.te[index])
         self.m = _read_only(parent.m[index])
         self.nodes = nodes
-        self._factors, self._reads, self._weights, self._work = {}, {}, {}, {}
+        self._factors, self._readers = {}, {}
 
     limits = _lazy(lambda self: Limits._make(a[self.index] for a in self.parent.limits))
     x0 = _lazy(lambda self: self.parent.x0[self.index])
     sigma = _lazy(lambda self: self.parent.sigma[:, self.index])
-    cut = _lazy(lambda self: self.parent.cut[:, self.index])
     tau_below = _lazy(lambda self: self.parent.tau_below[self.index])
     impulse_count = _lazy(lambda self: self.parent.impulse_count[self.index])
     g3_gate = _lazy(lambda self: self.parent.g3_gate[..., self.index])
@@ -693,6 +651,25 @@ class _Subset(_Batch):
             found = whole if whole.ndim == 0 else _read_only(whole[self.index])
             self._factors[id(c)] = found
         return found
+
+
+class _Reader(NamedTuple):
+    """How a batch reads every row of one table layout (:meth:`_Batch.reader`).
+
+    ``keep`` is the :class:`~.quadrature.Cut` of every row, each g row cut
+    where its sigma_i reaches m and empty unless its fixed impulse is below
+    m, or None when the table holds no g row and every row is read whole.
+    ``weight`` (R, E) holds the time factor that each row is multiplied by
+    at the batch's times, c(t) or 1 for a row of t-free terms, or is None
+    when no row has a factor.  Both are read-only.  ``work`` holds two
+    float arrays (R, E) that every read works in, so that a sweep over tens
+    of thousands of times and rows makes no array of that size: such arrays
+    took fresh pages from the allocator in every sweep.
+    """
+
+    keep: Cut | None
+    weight: np.ndarray | None
+    work: tuple[np.ndarray, np.ndarray]
 
 
 class _Window(NamedTuple):
@@ -730,10 +707,10 @@ class _Memory(NamedTuple):
     ``problem.g_row_impulses``, the fixed impulses and ``problem.g_terms``:
     the integrand of moving impulse i is cut to the nodes s with sigma_i(s)
     below the membership time, and a row of fixed impulse j counts when
-    ``tau_j < m``.  A batch reads the table with one cut of every row
-    (:meth:`_Batch.reads`) and multiplies the rows by their time factors
-    (:meth:`_Batch.row_weight`).  ``impulses`` is the exclusive prefix over
-    the fixed impulses of the t-free G1 and G2 values
+    ``tau_j < m``.  A batch reads the table through its one reader of the
+    table's layout (:meth:`_Batch.reader`), which cuts every row and
+    multiplies the rows by their time factors.  ``impulses`` is the
+    exclusive prefix over the fixed impulses of the t-free G1 and G2 values
     (:func:`_impulse_prefix`), or None; every table of a problem holds the
     same one when they read no eta.  A later iterate fills the same arrays
     again (:func:`_memory`): picard keeps one table for its sweeps and its
@@ -893,18 +870,13 @@ def _memory(problem: HybridProblem, view: _View, table: _Memory | None = None,
 
 def _read_rows(memory: _Memory, batch: _Batch) -> np.ndarray:
     """Every row of the table ``memory`` at the times of ``batch``, summed:
-    one read of the table's prefix through the cut of every row
-    (:meth:`_Batch.reads`), times the rows' time factors when any has one
-    (:meth:`_Batch.row_weight`), and one sum over the rows.  A g row whose
-    fixed impulse is not below m is read as 0, whatever it holds.  The
-    caller holds the floating-point guard."""
-    limits = batch.limits
-    if memory.rows.shape[0] == memory.n_xi == 1 and not memory.factors:
-        # one row with nothing to scale or cut, read as a row
-        return _read_prefix(memory.prefix[0], memory.rows[0], limits)
-    parts = _read_prefix(memory.prefix, memory.rows, limits, batch.reads(memory),
-                         batch.work(memory.rows.shape))
-    weight = batch.row_weight(memory)
+    one read of the table's prefix through the batch's reader of it
+    (:meth:`_Batch.reader`), times the rows' time factors when any has one,
+    and one sum over the rows.  A g row whose fixed impulse is not below m
+    is read as 0, whatever it holds.  The caller holds the floating-point
+    guard."""
+    keep, weight, work = batch.reader(memory)
+    parts = _read_prefix(memory.prefix, memory.rows, batch.limits, keep, work)
     if weight is not None:
         parts *= weight
     return np.add.reduce(parts, axis=0)

@@ -34,7 +34,8 @@ Two routes to the same discrete fixed point:
   remainder fails, on a kernel error or a non-finite value, in any
   segment, the march starts again from its first iterate and takes each
   segment alone, so an input whose march fails in a sweep fails as a
-  march of the segments alone does, with the same bytes.
+  march of the segments alone does, with the same bytes, and an input
+  whose carrying march fails can still converge alone.
 
 Both iterate one array laid out as the times of ``problem.sweep`` (xi at
 the N nodes, then eta, then the beta rows), the one state the operator
@@ -346,21 +347,6 @@ def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, eta: slice, wind
 _AHEAD_TIMES = 3072
 
 
-class _RemainderFailed(Exception):
-    """A sweep that carried the unsolved remainder failed numerically."""
-
-
-def _carrying(sweep):
-    """``sweep``, whose numerical failures end the march that carries the
-    remainder (:class:`_RemainderFailed`) instead of the solve."""
-    def step(state):
-        try:
-            return sweep(state)
-        except _NUMERICAL_FAILURES as exc:
-            raise _RemainderFailed from exc
-    return step
-
-
 def _march(problem: HybridProblem, init, tol: float, kmax: int):
     """The iteration of :func:`segment_solve`: the last iterate as an array
     laid out as the times of one sweep (None when the forcing term fails),
@@ -369,20 +355,22 @@ def _march(problem: HybridProblem, init, tol: float, kmax: int):
     A march of more than one segment over at most ``_AHEAD_TIMES`` times
     carries the unsolved remainder in its sweeps (:func:`_segments`).  When
     one of its sweeps fails, on a kernel error or a non-finite value, in
-    any segment, the march starts again from the first iterate and takes
-    each segment alone, with a new report: so an input whose march fails
-    in a sweep ends as a march of the segments alone does, with the same
-    iterate, sweep count and notes.
+    any segment, the march starts again from the same first iterate, which
+    no sweep writes in place, and takes each segment alone, with a new
+    report: so an input whose march fails in a sweep ends as a march of
+    the segments alone does, with the same iterate, sweep count and notes,
+    and the march of the segments alone can converge where the carrying
+    march fails.
     """
     report = SolveReport("segment", 0, 0.0, True)
     cur = _start(problem, init, report)
     if cur is None:
         return None, report, None
     if problem.grid.num_segments > 1 and problem.sweep.te.size <= _AHEAD_TIMES:
-        try:
-            return _segments(problem, cur, report, tol, kmax, ahead=True)
-        except _RemainderFailed:
-            report = SolveReport("segment", 0, 0.0, True)
+        carried = _segments(problem, cur, report, tol, kmax, ahead=True)
+        if not report.failed:
+            return carried
+        report = SolveReport("segment", 0, 0.0, True)
     return _segments(problem, cur, report, tol, kmax, ahead=False)
 
 
@@ -394,9 +382,9 @@ def _segments(problem: HybridProblem, cur: np.ndarray, report: SolveReport, tol:
     When ``ahead`` is set, each sweep of segment l evaluates the segment's
     own times and then the unsolved remainder after them, every later node
     and every entry that a later segment consumes, so that a later segment
-    starts from values that the earlier sweeps have iterated, and any
-    numerical failure raises :class:`_RemainderFailed`.  Otherwise each
-    segment iterates alone.
+    starts from values that the earlier sweeps have iterated.  Otherwise
+    each segment iterates alone.  A numerical failure in a sweep ends the
+    march with ``report.failed`` set.
     """
     grid = problem.grid
     N = grid.size
@@ -416,8 +404,6 @@ def _segments(problem: HybridProblem, cur: np.ndarray, report: SolveReport, tol:
                                                        fresh, later]), span)
         sweep = partial(_segment_sweep, problem, nodes, fresh, eta,
                         _window(problem, nodes, batch, consumed), batch)
-        if ahead:
-            sweep = _carrying(sweep)
         consumed = now
         (cur, table), done = _iterate(report, (cur, None), sweep, tol, kmax)
         if report.failed:

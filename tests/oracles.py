@@ -465,8 +465,12 @@ def contraction_numbers(lip, horizon, h, n_tau, n_sigma, mu=None) -> dict:
 
 def g_reads(batch, admitted: int, shape: tuple):
     """The cut of the g rows of a table that holds the g rows of the first
-    ``admitted`` fixed impulses, whose prefix has ``shape``."""
-    keep = np.repeat(batch.cut, admitted * len(batch.problem.g_terms), axis=0)
+    ``admitted`` fixed impulses, whose prefix has ``shape``: each keeps the
+    nodes before the first with sigma_i(s) >= m."""
+    problem = batch.problem
+    counts = np.array([np.searchsorted(problem.sigma_grid[i], batch.m)
+                       for i in problem.g_row_impulses])
+    keep = np.repeat(counts, admitted * len(problem.g_terms), axis=0)
     return cut(batch.limits, keep, shape)
 
 

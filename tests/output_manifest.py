@@ -8,7 +8,8 @@ and ``hv convergence-report`` (picard and segment, with a report); on
 every hybrid input, ``hv analyze`` with and without ``--estimate`` and
 ``hv roots``; on every series input, ``hv series-solve`` (with a CSV and a
 report); ``hv check-matrix`` on one fixed matrix, on one with a ``nan``
-entry and on one with a negative entry; and ``hv solve --mu 1e-3`` (with
+entry, on one with a negative entry and on one whose closed-form roots
+overflow while its invariants do not; and ``hv solve --mu 1e-3`` (with
 a CSV and a report) and ``hv analyze --mu 1e-3`` (with a report) on
 ``tests/test_cli.py``'s ``BOUND_OVERFLOW_TEXT``, whose bound matrix at
 that weight overflows.  The manifest holds, per run, the exit code and
@@ -51,6 +52,7 @@ MATRICES = {
     "fixed": ["0.2", "0.1", "0", "0.05", "0.3", "0.1", "0", "0.2", "0.4"],
     "nan": ["nan", "0", "0", "0", "0.5", "0", "0", "0", "0.5"],
     "negative": ["-0.5", "0", "0", "0", "0.5", "0", "0", "0", "0.5"],
+    "trace-cube-overflow": ["1e200", "0", "0", "0", "0", "0", "0", "0", "0"],
 }
 
 

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from hybrid_volterra import cli, problem_io
+from hybrid_volterra import cli, problem_io, solvers
 from hybrid_volterra.cli import main
+from hybrid_volterra.expressions import EvaluationError
 from oracles import read_solution_csv
 
 EXP_FILE = """\
@@ -171,19 +172,54 @@ LATER_REMAINDER_BLOW_UP_FILE = LATER_BLOW_UP_FILE.replace("[0.5]", "[0.25, 0.5, 
 # the two segments, which carries no remainder.
 LAST_SEGMENT_BLOW_UP_FILE = LATER_BLOW_UP_FILE.replace("[0.5]", "[0.2]")
 
+# x = 1 + int_0^t (-x + 0.001 log x) ds, near e^-t, past 19 impulse
+# times that only cut the horizon into 20 segments.  The march that
+# carries the unsolved remainder fails in the first segment: its first
+# sweep takes x to 1 - t, and its second fails on the log of the values
+# past t = 1.  The march of the segments alone converges.  Picard fails as
+# the carrying march does.
+RESCUED_BY_RESTART_FILE = """\
+horizon: 2.0
+x0: "1"
+f1: "-x + 0.001*log(x)"
+tau: [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7,
+      1.8, 1.9]
+h: 0.1
+quadrature: {nodes_per_segment: 16}
+"""
+
 HALF = ["0.5", "0", "0", "0", "0.5", "0", "0", "0", "0.5"]
 
 # A declared constant so large that the bound matrix at a given weight has
-# a finite trace whose cube is not a float.  Not a *_FILE: a run without
-# --mu takes another path, and tests/output_manifest.py runs this file
-# only with --mu.
+# an entry that is not a float.  Not a *_FILE: a run without --mu takes
+# another path, and tests/output_manifest.py runs this file only with --mu.
 BOUND_OVERFLOW_TEXT = """\
+horizon: 2.0
+x0: "1"
+f1: "x"
+lipschitz: {L1: 1.0e+308}
+"""
+
+# Declared constants whose bound matrix at a given weight has finite
+# entries, whose pair sum and determinant are not floats, and whose
+# closed-form roots have a modulus past the largest float.
+BOUND_PAIR_SUM_TEXT = """\
+horizon: 1.0
+x0: "1"
+f1: "x"
+tau: [0.5]
+G1: "eta"
+lipschitz: {L1: 1.0e+200, LG1: 1.0e+200}
+"""
+
+# One such constant: the bound matrix at a given weight has the finite trace
+# 9.995e199, whose cube is not a float, and finite other invariants.
+BOUND_TRACE_CUBE_TEXT = """\
 horizon: 1.0
 x0: "1"
 f1: "x"
 lipschitz: {L1: 1.0e+200}
 """
-
 
 def _run(capsys, *argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -208,7 +244,9 @@ def files(tmp_path):
         ("later_blow_up", LATER_BLOW_UP_FILE),
         ("later_remainder_blow_up", LATER_REMAINDER_BLOW_UP_FILE),
         ("last_segment_blow_up", LAST_SEGMENT_BLOW_UP_FILE),
-        ("bound_overflow", BOUND_OVERFLOW_TEXT),
+        ("rescued_by_restart", RESCUED_BY_RESTART_FILE),
+        ("bound_overflow", BOUND_OVERFLOW_TEXT), ("bound_pair_sum", BOUND_PAIR_SUM_TEXT),
+        ("bound_trace_cube", BOUND_TRACE_CUBE_TEXT),
     ]:
         path = tmp_path / f"{name}.yaml"
         path.write_text(text)
@@ -294,6 +332,37 @@ class TestSolve:
         assert out == (f"method: segment\niterations: {sweeps}\nconverged: false\n"
                        f"final residual: nan\nnote: {note}\n")
         assert err == f"error: iteration stopped after {sweeps} sweeps: {note}\n"
+
+    def test_march_alone_converges_where_the_carrying_march_fails(
+            self, capsys, monkeypatch, tmp_path, files):
+        """The restart is not only for failing runs: the march that carries
+        the remainder fails here, and the march of the segments alone that
+        starts again converges near e^-2, while picard stops as the carrying
+        march did."""
+        failures = []
+        sweep = solvers._segment_sweep
+
+        def recorded(problem, nodes, fresh, eta, window, batch, state):
+            try:
+                return sweep(problem, nodes, fresh, eta, window, batch, state)
+            except EvaluationError as exc:
+                failures.append((batch.nodes.stop == problem.grid.size, str(exc)))
+                raise
+
+        monkeypatch.setattr(solvers, "_segment_sweep", recorded)
+        out_csv = str(tmp_path / "x.csv")
+        code, out, err = _run(capsys, "solve", files["rescued_by_restart"], "--method",
+                              "segment", "--out", out_csv)
+        assert code == 0 and err == ""
+        assert out.startswith("method: segment\niterations: 159\nconverged: true\n")
+        assert failures == [(True, "log of a non-positive value")]
+        t, left, _ = read_solution_csv(out_csv)
+        assert (t[-1], left[-1]) == (2.0, 0.13419623813917914)
+        assert left[-1] == pytest.approx(math.exp(-2.0), rel=0.01)
+        code, out, err = _run(capsys, "solve", files["rescued_by_restart"])
+        note = "kernel error in sweep 2: log of a non-positive value"
+        assert code == 4 and f"note: {note}\n" in out
+        assert err == f"error: iteration stopped after 1 sweeps: {note}\n"
 
     def test_bad_expression_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -848,7 +917,7 @@ class TestCheckMatrix:
         code, out, err = _run(capsys, "check-matrix", *["1e308"] * 9)
         assert (code, out) == (4, "")
         assert err == ("error: the matrix's invariants overflow: trace inf, pair_sum nan, "
-                       "det nan, p0 nan, p1 nan, p3 nan, q4 nan, spectral radius nan\n")
+                       "det nan, p0 nan, p1 nan, p3 nan, q4 nan, spectral radius inf\n")
 
     def test_negative_entry_is_a_number(self, capsys):
         code, out, _ = _run(capsys, "check-matrix", "-1e-3", *HALF[1:])
@@ -862,23 +931,42 @@ class TestCheckMatrix:
         assert (code, out) == (1, "") and "'-x' is not a valid float" in err
 
     def test_radius_that_overflows_exits_4(self, capsys):
-        # the invariants are finite; the closed-form cubic cubes the trace
-        code, out, err = _run(capsys, "check-matrix", "1e200", *["0"] * 8)
+        # the radius 2e308 is no float, and the trace with it
+        code, out, err = _run(capsys, "check-matrix", "1e308", "1e308", "0", "1e308", "1e308",
+                              *["0"] * 4)
         assert (code, out) == (4, "")
-        assert err == "error: the matrix's invariants overflow: spectral radius inf\n"
+        assert err == ("error: the matrix's invariants overflow: trace inf, pair_sum nan, "
+                       "p0 nan, p1 nan, p3 nan, q4 nan, spectral radius inf\n")
+
+    def test_radius_past_the_closed_form_is_found(self, capsys):
+        """The invariants are finite, but the closed-form cubic cubes the
+        trace: the radius is that of the matrix scaled by a power of two,
+        scaled back, and the verdicts are printed."""
+        code, out, err = _run(capsys, "check-matrix", "1e200", *["0"] * 8)
+        assert (code, err) == (0, "")
+        radius = float(out.split("spectral radius: ")[1].split("\n")[0])
+        assert radius == pytest.approx(1e200, rel=1e-15)
+        assert "contractive by eigenvalues: false\n" in out
+        # a radius found so leaves out only what overflows of its own
+        identity = ["1e100", "0", "0", "0", "1e100", "0", "0", "0", "1e100"]
+        code, out, err = _run(capsys, "check-matrix", *identity)
+        assert (code, out) == (4, "")
+        assert err == "error: the matrix's invariants overflow: q4 nan\n"
 
 
 class TestBoundMatrixOverflow:
-    """At ``--mu 1e-3`` the bound matrix of ``BOUND_OVERFLOW_TEXT`` has the
-    finite trace 9.995e199, whose spectral radius overflows: the report
-    notes it in place of the verdicts."""
+    """At ``--mu 1e-3`` the bound matrix of ``BOUND_OVERFLOW_TEXT`` has an
+    entry, and so a trace, that is not a float, and that of
+    ``BOUND_PAIR_SUM_TEXT`` the finite trace 1.0005e203, whose pair sum and
+    determinant overflow: the report notes it in place of the verdicts."""
 
-    NOTE = "the matrix's invariants overflow: spectral radius inf"
+    NOTE = ("the matrix's invariants overflow: trace inf, pair_sum nan, det nan, p0 nan, "
+            "p1 nan, p3 nan, q4 nan, spectral radius nan")
 
-    def _block(self, report_path):
+    def _block(self, report_path, note=NOTE, trace=math.inf):
         block = yaml.safe_load(Path(report_path).read_text())["contraction"]
-        assert block["note"] == self.NOTE and block["mu"] == 1e-3
-        assert block["invariants"]["trace"] == pytest.approx(9.995e199, rel=1e-4)
+        assert block["note"] == note and block["mu"] == 1e-3
+        assert block["invariants"]["trace"] == pytest.approx(trace, rel=1e-4)
         for verdict in ("criterion_quantities", "contractive_criterion", "spectral_radius",
                         "contractive_eigen"):
             assert verdict not in block
@@ -902,6 +990,35 @@ class TestBoundMatrixOverflow:
         assert code == 4 and err == f"error: {self.NOTE}\n"
         assert report.read_text() == out
         self._block(report)
+
+    def test_a_radius_past_the_closed_form_is_no_overflow(self, capsys, tmp_path, files):
+        """The closed-form roots of the bound matrix of
+        ``BOUND_PAIR_SUM_TEXT`` have a modulus past the largest float, where
+        ``abs`` raised, but its radius is a float: the note names only the
+        invariants that overflow."""
+        report = tmp_path / "r.yaml"
+        code, out, err = _run(capsys, "analyze", files["bound_pair_sum"], "--mu", "1e-3",
+                              "--report", str(report))
+        note = ("the matrix's invariants overflow: pair_sum nan, det nan, p0 nan, p1 nan, "
+                "p3 nan, q4 nan")
+        assert code == 4 and err == f"error: {note}\n"
+        assert report.read_text() == out
+        self._block(report, note, 1.0005e203)
+
+    def test_a_trace_whose_cube_overflows_gets_verdicts(self, capsys, tmp_path, files):
+        """The bound matrix of ``BOUND_TRACE_CUBE_TEXT`` has finite
+        invariants and the radius 9.995e199, its trace, which the closed
+        form alone gave as inf: the report holds every verdict."""
+        report = tmp_path / "r.yaml"
+        code, out, err = _run(capsys, "analyze", files["bound_trace_cube"], "--mu", "1e-3",
+                              "--report", str(report))
+        assert (code, err) == (0, "") and report.read_text() == out
+        block = yaml.safe_load(out)["contraction"]
+        assert "note" not in block
+        trace = block["invariants"]["trace"]
+        assert trace == pytest.approx(9.995e199, rel=1e-4)
+        assert block["spectral_radius"] == pytest.approx(trace, rel=1e-15)
+        assert block["contractive_eigen"] is False and block["contractive_criterion"] is False
 
     def test_analyze_without_mu_finds_no_weight(self, capsys, files):
         code, out, _ = _run(capsys, "analyze", files["bound_overflow"])

@@ -128,15 +128,55 @@ class TestEigenOracle:
 
     def test_a_closed_form_that_overflows_gives_inf(self):
         """The trace 1e200 is finite, but its cube is not a float: the
-        roots are inf, where cubing a Python float raised OverflowError."""
+        roots are inf, where cubing a Python float raised OverflowError.
+        The radius of the matrix is found from the matrix scaled by a power
+        of two."""
         assert cubic_roots(1e200, 0.0, 0.0) == (complex(math.inf, 0.0),) * 3
         m = np.diag([1e200, 0.0, 0.0])
-        assert spectral_radius(m) == math.inf
+        assert spectral_radius(m) == pytest.approx(1e200, rel=1e-15)
         assert not is_contractive_eigen(m)
 
     def test_a_nan_invariant_gives_nan(self):
         assert all(math.isnan(r.real) for r in cubic_roots(0.0, 1.0, math.nan))
-        assert math.isnan(spectral_radius(np.full((3, 3), 1e308)))
+        assert math.isnan(spectral_radius(np.diag([math.nan, 0.0, 0.0])))
+
+    @pytest.mark.parametrize("m, radius", [
+        (np.diag([1e200, 0.0, 0.0]), 1e200),
+        (np.diag([-1e200, 0.0, 0.0]), 1e200),
+        (np.diag([1e100] * 3), 1e100),
+        (np.array([[0.0, 1e200, 0.0], [1e200, 0.0, 0.0], [0.0, 0.0, 0.5]]), 1e200),
+        (np.array([[0.0, -1e200, 0.0], [1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]), 1e200),
+        (np.diag([1.7e308, 0.0, 0.0]), 1.7e308),
+        (np.full((3, 3), 1e308), math.inf),
+        (np.array([[0.8e308, -1.7e308, 0.0], [1.7e308, 0.8e308, 0.0], [0.0, 0.0, 0.0]]),
+         math.inf),
+    ], ids=["1e200", "-1e200", "1e100-identity", "swap", "rotation", "near-max",
+            "3e308", "modulus-past-max"])
+    def test_a_finite_matrix_whose_closed_form_overflows_is_scaled(self, m, radius):
+        """A matrix of finite entries whose closed form gives no finite root
+        has the radius of the matrix scaled by a power of two, scaled back:
+        inf only where the radius passes the largest float, and nothing
+        raises, not even a complex root whose modulus is no float."""
+        assert not all(math.isfinite(abs(r)) for r in cubic_roots(*char_invariants(m)))
+        got = spectral_radius(m)
+        assert got == radius if math.isinf(radius) else got == pytest.approx(radius, rel=1e-15)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**31 - 1), st.integers(-300, 300))
+    def test_every_finite_closed_form_keeps_its_radius(self, seed, exponent):
+        """Where the closed form gives finite roots, the radius is the
+        largest of their moduli, bit for bit; where it does not (from
+        entries of about 1e52 on, whose p^3 overflows), it is the radius of
+        the matrix at entries of order 1, scaled."""
+        unit = np.random.default_rng(seed).uniform(-2, 2, (3, 3))
+        a = unit * 10.0 ** exponent
+        roots = cubic_roots(*char_invariants(a))
+        moduli = [math.hypot(r.real, r.imag) for r in roots]
+        if all(map(math.isfinite, moduli)):
+            assert spectral_radius(a) == max(abs(r) for r in roots)
+        else:
+            want = spectral_radius(unit) * 10.0 ** exponent
+            assert spectral_radius(a) == pytest.approx(want, rel=1e-9)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(0, 2**31 - 1))

@@ -470,9 +470,29 @@ class TestReuse:
         assert p.sweep is sweep
         assert np.array_equal(sweep.sigma[:, :p.grid.size], p.sigma_grid)
         for b in (batch, sweep):
-            for a in (b.te, b.m, b.x0, b.sigma, b.cut, b.tau_below, b.impulse_count,
+            for a in (b.te, b.m, b.x0, b.sigma, b.tau_below, b.impulse_count,
                       b.g3_gate, *b.limits):
                 assert not a.flags.writeable
+
+    def test_one_reader_per_table_layout(self):
+        """A batch keeps one reader per table layout, the number of fixed
+        impulses whose g rows a table holds and its width: a later table of
+        the same layout reuses it.  Its cut and weights are read-only; its
+        work arrays are the read's output, and are written."""
+        p = _read_problem(2, 3, True, True)
+        rng = np.random.default_rng(2)
+        batch = _Batch(p, np.array([0.1, 0.7, 1.3]), np.array([0.1, 0.7, 1.3]) - EPS)
+        tables = [_memory(p, view_of(p, random_triple(p, rng))) for _ in range(2)]
+        reader = batch.reader(tables[0])
+        assert batch.reader(tables[1]) is reader
+        for a in (*reader.keep, reader.weight):
+            assert not a.flags.writeable
+        R, E = tables[0].rows.shape[0], batch.te.size
+        assert reader.weight.shape == reader.keep.index.shape == (R, E)
+        assert all(a.shape == (R, E) and a.flags.writeable for a in reader.work)
+        window = operator._Window(0, p.grid.size, 1)
+        fewer = batch.reader(_memory(p, view_of(p, random_triple(p, rng)), window=window))
+        assert fewer is not reader and fewer.weight.shape[0] < R
 
     def test_problems_sharing_a_grid_keep_their_own_batches(self):
         p = mixed_problem(panels=16)
@@ -604,8 +624,9 @@ def _same_read(got, want):
 
 class TestOneReadPerTable:
     """Every row of a memory table is read at a batch's times by one cut of
-    the table's prefix (``_Batch.reads``), against the read in two passes
-    with a weight that gates each g row (``oracles.read_rows``)."""
+    the table's prefix, held by the batch's reader of the table
+    (``_Batch.reader``), against the read in two passes with a weight that
+    gates each g row (``oracles.read_rows``)."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(n_sigma=st.integers(1, 2), n_tau=st.integers(1, 3), factored=st.booleans(),
@@ -625,10 +646,12 @@ class TestOneReadPerTable:
         te = np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, E)])
         m = np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, E)])
         batch = _Batch(problem, te, m)
-        assert batch.cut.min() == 0 and batch.cut.max() == problem.grid.size
         got = quiet(operator._read_rows)(memory, batch)
         _same_read(got, oracles.read_rows(memory, batch))
-        assert (batch.row_weight(memory) is None) == (not factored)
+        keep, weight, _ = batch.reader(memory)
+        g_rows = slice(memory.n_xi, None)
+        assert not keep.at_base[g_rows, 0].any() and keep.after[g_rows, 1].all()
+        assert (weight is None) == (not factored)
 
     def test_an_inf_outside_its_gate_stays_out(self):
         """A g row that holds inf, read at times before its fixed impulse
@@ -643,7 +666,8 @@ class TestOneReadPerTable:
         inf_table = memory._replace(rows=rows, prefix=quadrature.row_prefix(problem.grid, rows))
         te = np.array([0.35, 0.4, 0.45, 0.5])
         batch = _Batch(problem, te, te - EPS)  # tau = 0.5 is below none of them
-        assert batch.cut.min() > 0  # sigma = 0.3 + 0.5 s keeps some nodes of the row
+        # sigma = 0.3 + 0.5 s keeps some nodes of the row
+        assert np.searchsorted(problem.sigma_grid[0], batch.m).min() > 0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = quiet(operator._read_rows)(inf_table, batch)

@@ -566,6 +566,33 @@ class TestPicardTable:
             assert [d.hex() for d in deltas] == [d.hex() for d in want]
 
 
+class TestReaders:
+    """A batch builds one reader per table layout (``_Batch.reader``).  A
+    picard solve builds one, for every sweep and its image, which share
+    the batch ``problem.sweep`` and the table.  The march builds one per
+    segment, whose batch and table are its own, and one for the image,
+    which evaluates ``problem.sweep``."""
+
+    @pytest.mark.parametrize("method", ["picard", "segment"])
+    def test_readers_per_solve(self, monkeypatch, method):
+        loaded = load_problem_file(PROBLEMS / "mixed_impulses.yaml")
+        problem, tol, kmax = loaded.problem, loaded.settings.tol, loaded.settings.kmax
+        built = []
+        reader = operator._Reader
+
+        def counting(*args):
+            built.append(reader(*args))
+            return built[-1]
+
+        monkeypatch.setattr(operator, "_Reader", counting)
+        solve = picard_solve if method == "picard" else segment_solve
+        _, rep = solve(problem, tol=tol, kmax=kmax)
+        assert rep.converged and rep.image is not None and rep.iterations > 1
+        segments = problem.grid.num_segments
+        assert segments == 4
+        assert len(built) == (1 if method == "picard" else segments + 1)
+
+
 class TestImpulsePrefix:
     """The prefix of the t-free G1 and G2 terms over the fixed impulses is
     built once per problem when neither kernel reads eta, and once per
@@ -858,6 +885,12 @@ def _consumed_by_segment(problem):
     return [set(zip(*np.nonzero((sigma > lo) & (sigma <= hi)))) for lo, hi in zip(below, ends)]
 
 
+def _reader_parts(reader) -> list:
+    """The arrays of a batch's reader of a table that depend on its times:
+    the cut of every row and the rows' weights, where it has them."""
+    return [*(reader.keep or ()), *(() if reader.weight is None else (reader.weight,))]
+
+
 class TestMarchWork:
     """Each segment of the march keeps one table, over its window of
     columns, the whole grid: the segment's first sweep builds it from its
@@ -1080,8 +1113,9 @@ class TestMarchWork:
     def test_batches_are_index_views_of_the_sweep(self, monkeypatch, case):
         """Each segment's batch is ``problem.sweep`` at the indices of its
         nodes and every later node, then of its fresh and every later entry:
-        every part an evaluation reads has the bits of the sweep's part
-        there, and of a batch built afresh at those times (:meth:`_case`)."""
+        every part an evaluation reads, its reader of the segment's table
+        included, has the bits of the sweep's part there, and of a batch
+        built afresh at those times (:meth:`_case`)."""
         problem = self._case(case)
         log = self._record(monkeypatch)
         _, rep = segment_solve(problem, tol=1e-12, kmax=300)
@@ -1091,6 +1125,7 @@ class TestMarchWork:
                    for term in terms or () if term[0] is not None]
         batches = {id(args[2]): args[2] for rec in log["sweeps"]
                    for args, _ in rec["evals"]}.values()
+        tables = {id(args[2]): args[3] for rec in log["sweeps"] for args, _ in rec["evals"]}
         assert len(batches) == problem.grid.num_segments
         consumed = _consumed_by_segment(problem)
         N, n_tau = problem.grid.size, problem.n_tau
@@ -1110,7 +1145,6 @@ class TestMarchWork:
             fresh = operator._Batch(problem, batch.te, batch.m)
             for name, take in [("te", lambda a: a[index]), ("m", lambda a: a[index]),
                                ("x0", lambda a: a[index]), ("sigma", lambda a: a[:, index]),
-                               ("cut", lambda a: a[:, index]),
                                ("tau_below", lambda a: a[index]),
                                ("impulse_count", lambda a: a[index]),
                                ("g3_gate", lambda a: a[..., index])]:
@@ -1119,6 +1153,13 @@ class TestMarchWork:
                 assert got.tobytes() == getattr(fresh, name).tobytes(), name
             for got, whole, built in zip(batch.limits, sweep.limits, fresh.limits):
                 assert got.tobytes() == whole[index].tobytes() == built.tobytes()
+            # the segment's table spans the grid, so the sweep reads one of
+            # its layout at the same columns
+            memory = tables[id(batch)]
+            parts = [_reader_parts(b.reader(memory)) for b in (batch, sweep, fresh)]
+            assert len(parts[0]) == len(parts[1]) == len(parts[2]) > 0
+            for got, whole, built in zip(*parts):
+                assert got.tobytes() == whole[:, index].tobytes() == built.tobytes()
             for c in factors:
                 whole = sweep.factor(c)
                 want = whole if whole.ndim == 0 else whole[index]
