@@ -17,7 +17,8 @@ Two independent routes decide the radius condition:
   positive.
 * :func:`is_contractive_eigen` - the spectral radius from the closed-form
   cubic roots (trigonometric/Cardano with a discriminant branch), of the
-  matrix scaled by a power of two where that closed form overflows.
+  matrix scaled by a power of two, with exact invariants, where that closed
+  form overflows.
 
 Both are strict: a radius of exactly 1 is not contractive.
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
 
 import numpy as np
 
@@ -126,8 +128,9 @@ def char_invariants(m) -> tuple[float, float, float]:
     return _invariants(_as_matrix(m).tolist())
 
 
-def _invariants(rows) -> tuple[float, float, float]:
-    """:func:`char_invariants` of a 3x3 matrix given as rows of floats."""
+def _invariants(rows):
+    """:func:`char_invariants` of a 3x3 matrix given as rows of floats, or
+    of fractions for the invariants exactly."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
     tr = a00 + a11 + a22
     s2 = (
@@ -139,7 +142,7 @@ def _invariants(rows) -> tuple[float, float, float]:
         - a01 * (a10 * a22 - a12 * a20)
         + a02 * (a10 * a21 - a11 * a20)
     )
-    return float(tr), float(s2), float(d)
+    return tr, s2, d
 
 
 def criterion_quantities(m) -> tuple[float, float, float, float]:
@@ -209,23 +212,40 @@ def spectral_radius(m) -> float:
     """Spectral radius via the closed-form cubic.
 
     Where the closed form overflows for a matrix of finite entries, the
-    radius is that of the matrix scaled by a power of two, which is exact,
-    scaled back: inf only when the radius itself passes the largest float.
+    radius is :func:`_scaled_radius`: inf only when the radius itself passes
+    the largest float.
     """
     a = _as_matrix(m)
-    radius = _radius(a)
+    radius = _radius(*char_invariants(a))
     if not math.isfinite(radius) and np.isfinite(a).all():
-        k = math.frexp(float(np.abs(a).max()))[1]
-        # two factors: 2.0 ** k alone overflows at k = 1024
-        radius = _radius(np.ldexp(a, -k)) * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
+        radius = _scaled_radius(a)
     return radius
 
 
-def _radius(a: np.ndarray) -> float:
-    """The largest modulus of the closed-form roots of the 3x3 matrix ``a``:
-    inf for a root whose modulus passes the largest float, where ``abs`` of
-    the complex root raises."""
-    return max(math.hypot(r.real, r.imag) for r in cubic_roots(*char_invariants(a)))
+def _scaled_radius(a: np.ndarray) -> float:
+    """The radius of the matrix ``a`` scaled by 2^-j, scaled back.
+
+    The invariants are taken exactly in fractions and scaled by 2^-j,
+    2^-2j and 2^-3j, with j the least integer for which 2^j passes |Tr|,
+    |S2|^(1/2) and |D|^(1/3).  The scaled roots then have moduli between
+    1/24 and 2, so no product underflows to lose a term, and the closed
+    form's absolute tolerance is one relative to the radius.
+    """
+    exact = _invariants([[Fraction(x) for x in row] for row in a.tolist()])
+    # 2^(e-1) <= |x| < 2^(e+1) for e the bit length of the numerator less that of the denominator
+    j = max((-(-(x.numerator.bit_length() - x.denominator.bit_length() + 1) // p)
+             for p, x in enumerate(exact, 1) if x), default=0)
+    scale = Fraction(2) ** j
+    radius = _radius(*(float(x / scale ** p) for p, x in enumerate(exact, 1)))
+    # two factors: 2.0 ** j alone overflows at j = 1024
+    return radius * 2.0 ** (j // 2) * 2.0 ** (j - j // 2)
+
+
+def _radius(tr: float, s2: float, d: float) -> float:
+    """The largest modulus of the closed-form roots of the invariants: inf
+    for a root whose modulus passes the largest float, where ``abs`` of the
+    complex root raises."""
+    return max(math.hypot(r.real, r.imag) for r in cubic_roots(tr, s2, d))
 
 
 def is_contractive_eigen(m) -> bool:

@@ -486,11 +486,16 @@ def row_weight(batch, memory):
         for c, rows in memory.factors:
             weight[rows] = batch.factor(c)
     if R > n_xi:
-        problem = batch.problem
-        tau = np.repeat(problem.tau[:admitted], len(problem.g_terms))
-        below = np.tile(tau[:, None] < batch.m, (problem.g_row_impulses.size, 1))
-        weight[n_xi:] = np.where(below, weight[n_xi:], 0.0)
+        weight[n_xi:] = np.where(g_gate(batch, admitted), weight[n_xi:], 0.0)
     return weight
+
+
+def g_gate(batch, admitted: int) -> np.ndarray:
+    """(g rows, E): whether each g row of a table that holds the g rows of
+    the first ``admitted`` fixed impulses has its fixed impulse below m."""
+    problem = batch.problem
+    tau = np.repeat(problem.tau[:admitted], len(problem.g_terms))
+    return np.tile(tau[:, None] < batch.m, (problem.g_row_impulses.size, 1))
 
 
 def read_rows(memory, batch) -> np.ndarray:

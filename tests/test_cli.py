@@ -953,6 +953,18 @@ class TestCheckMatrix:
         assert (code, out) == (4, "")
         assert err == "error: the matrix's invariants overflow: q4 nan\n"
 
+    def test_a_radius_past_the_closed_form_keeps_its_small_entry(self, capsys):
+        """Scaled to entries of order 1 this matrix loses its entry 1e-146,
+        and with it the radius, to underflow: the radius 1e52 comes from
+        the invariants taken exactly, and both verdicts agree."""
+        code, out, err = _run(capsys, "check-matrix", "0", "1e250", "0", "1e-146",
+                              *["0"] * 5)
+        assert (code, err) == (0, "")
+        radius = float(out.split("spectral radius: ")[1].split("\n")[0])
+        assert radius == pytest.approx(1e52, rel=1e-15)
+        assert "contractive by criterion: false\n" in out
+        assert "contractive by eigenvalues: false\n" in out
+
 
 class TestBoundMatrixOverflow:
     """At ``--mu 1e-3`` the bound matrix of ``BOUND_OVERFLOW_TEXT`` has an

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,24 @@ class TestCriterion:
         assert not is_contractive_criterion(m)
 
 
+def _radius_log2_bounds(m) -> tuple[float, float]:
+    """log2 of Vieta's lower bound max(|Tr|/3, sqrt(|S2|/3), |D|^(1/3)) and
+    of Fujiwara's upper bound 2 max(|Tr|, sqrt|S2|, |D/2|^(1/3)) on the
+    spectral radius, from the invariants taken exactly in rationals."""
+    (a, b, c), (d, e, f), (g, h, i) = [[Fraction(x) for x in row] for row in np.asarray(m)]
+    tr = a + e + i
+    s2 = a * e + e * i + i * a - c * g - f * h - b * d
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+    def log2(x):
+        x = abs(x)
+        return math.log2(x.numerator) - math.log2(x.denominator) if x else -math.inf
+
+    low = max(log2(tr) - math.log2(3), (log2(s2) - math.log2(3)) / 2, log2(det) / 3)
+    high = 1 + max(log2(tr), log2(s2) / 2, (log2(det) - 1) / 3)
+    return low, high
+
+
 class TestEigenOracle:
     def test_diagonal_half(self):
         assert spectral_radius(HALF) == pytest.approx(0.5, abs=1e-12)
@@ -150,13 +169,24 @@ class TestEigenOracle:
         (np.full((3, 3), 1e308), math.inf),
         (np.array([[0.8e308, -1.7e308, 0.0], [1.7e308, 0.8e308, 0.0], [0.0, 0.0, 0.0]]),
          math.inf),
+        (np.array([[0.0, 1e250, 0.0], [1e-146, 0.0, 0.0], [0.0, 0.0, 0.0]]), 1e52),
+        (np.array([[0.0, 1e250, 0.0], [1e-60, 0.0, 0.0], [0.0, 0.0, 0.0]]), 1e95),
+        (np.array([[0.0, 2.0 ** 1020, 0.0], [0.0, 0.0, 2.0 ** 330], [2.0 ** 330, 0.0, 0.0]]),
+         2.0 ** 560),
+        (np.array([[0.0, 2.0 ** 1000, 0.0], [2.0 ** 940, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+         2.0 ** 970),
     ], ids=["1e200", "-1e200", "1e100-identity", "swap", "rotation", "near-max",
-            "3e308", "modulus-past-max"])
+            "3e308", "modulus-past-max", "entry-underflows", "entry-subnormal",
+            "det-underflows", "small-next-to-max"])
     def test_a_finite_matrix_whose_closed_form_overflows_is_scaled(self, m, radius):
         """A matrix of finite entries whose closed form gives no finite root
         has the radius of the matrix scaled by a power of two, scaled back:
         inf only where the radius passes the largest float, and nothing
-        raises, not even a complex root whose modulus is no float."""
+        raises, not even a complex root whose modulus is no float.  The
+        last four lose a term when the matrix is scaled to entries of order
+        1 (an entry or a product to underflow, or a radius far below the
+        largest entry to the closed form's absolute tolerance), which gave
+        the radius 0; the exact invariants keep it."""
         assert not all(math.isfinite(abs(r)) for r in cubic_roots(*char_invariants(m)))
         got = spectral_radius(m)
         assert got == radius if math.isinf(radius) else got == pytest.approx(radius, rel=1e-15)
@@ -177,6 +207,27 @@ class TestEigenOracle:
         else:
             want = spectral_radius(unit) * 10.0 ** exponent
             assert spectral_radius(a) == pytest.approx(want, rel=1e-9)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**31 - 1))
+    def test_a_radius_past_the_closed_form_keeps_the_vieta_bounds(self, seed):
+        """Entries spread over the whole float range, some zero: where the
+        closed form overflows, the radius is inf or lies within the bounds
+        that the exact invariants put on it, never a false small radius
+        from terms lost to underflow."""
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-2, 2, (3, 3)) * 10.0 ** rng.integers(-320, 308, (3, 3))
+        a[rng.random((3, 3)) < 0.4] = 0.0
+        roots = cubic_roots(*char_invariants(a))
+        if all(math.isfinite(math.hypot(r.real, r.imag)) for r in roots):
+            return
+        low, high = _radius_log2_bounds(a)
+        got = spectral_radius(a)
+        if low > 1024.0:
+            assert got == math.inf
+        elif got != math.inf or high < 1023.99:
+            assert 0.0 < got < math.inf
+            assert low - 1e-9 <= math.log2(got) <= high + 1e-9
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(0, 2**31 - 1))

@@ -648,9 +648,19 @@ class TestOneReadPerTable:
         batch = _Batch(problem, te, m)
         got = quiet(operator._read_rows)(memory, batch)
         _same_read(got, oracles.read_rows(memory, batch))
+        # the reader's cut of each g row is the oracle's sigma cut where its
+        # fixed impulse is below m, and empty elsewhere
         keep, weight, _ = batch.reader(memory)
-        g_rows = slice(memory.n_xi, None)
-        assert not keep.at_base[g_rows, 0].any() and keep.after[g_rows, 1].all()
+        n_xi, width = memory.n_xi, memory.prefix.shape[1]
+        g_rows = slice(n_xi, None)
+        want = oracles.g_reads(batch, window.admitted, memory.prefix[g_rows].shape)
+        gate = oracles.g_gate(batch, window.admitted)
+        start = np.arange(gate.shape[0])[:, None] * width
+        assert np.array_equal(keep.index[g_rows] - n_xi * width,
+                              np.where(gate, want.index, start))
+        assert np.array_equal(keep.at_base[g_rows], gate & want.at_base)
+        assert np.array_equal(keep.after[g_rows], gate & want.after)
+        assert keep.after[g_rows, 1].all()
         assert (weight is None) == (not factored)
 
     def test_an_inf_outside_its_gate_stays_out(self):

@@ -1361,6 +1361,34 @@ class TestRemainder:
         assert table is None and np.all(first == 1.0)  # x0 at every time
         assert len(calls) - restart == rep.iterations + 1
 
+    def test_a_non_finite_delta_restarts_the_march_alone(self, monkeypatch):
+        """A carrying sweep whose values are finite but whose delta is not,
+        as two finite iterates near -1e308 and 1e308 give, fails as a sweep
+        with a kernel error does: the march starts again from x0 and takes
+        every segment alone, and ends as that march does, here converged."""
+        problem = make_problem(2.0, tau=(0.5,), panels=16, x0="1", f1="-x", G1="0.1")
+        sweep = solvers._segment_sweep
+        calls = []
+
+        def overflowing(problem, nodes, fresh, eta, window, batch, state):
+            calls.append((batch.index.size > problem.grid.panels + 1, state))
+            new, deltas = sweep(problem, nodes, fresh, eta, window, batch, state)
+            return new, (math.inf, *deltas[1:]) if len(calls) == 2 else deltas
+
+        monkeypatch.setattr(solvers, "_segment_sweep", overflowing)
+        got, rep = segment_solve(problem, tol=1e-10, kmax=200)
+        assert not rep.failed and rep.converged
+        (carried, _), (restart, (first, table)) = calls[0], calls[2]
+        assert carried and not restart and table is None and np.all(first == 1.0)
+        assert not any(ahead for ahead, _ in calls[2:])
+        monkeypatch.setattr(solvers, "_segment_sweep", sweep)
+        monkeypatch.setattr(solvers, "_AHEAD_TIMES", 0)
+        alone, rep_alone = segment_solve(problem, tol=1e-10, kmax=200)
+        assert (rep.iterations, rep.notes) == (rep_alone.iterations, rep_alone.notes)
+        assert ([d.hex() for d in np.ravel(rep.deltas)]
+                == [d.hex() for d in np.ravel(rep_alone.deltas)])
+        assert operator._values(got).tobytes() == operator._values(alone).tobytes()
+
     # (f1, tau, the segment whose sweep first fails while the remainder is
     # carried; the last segment carries none)
     FAILURES = [
