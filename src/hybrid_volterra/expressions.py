@@ -399,19 +399,6 @@ def _printed(node) -> tuple[str, int]:
     return f"{node.func}({', '.join(_print_node(a) for a in node.args)})", _PREC_ATOM
 
 
-def _plain_arithmetic(node) -> bool:
-    if isinstance(node, (_Num, _Var)):
-        return True
-    if isinstance(node, _Neg):
-        return _plain_arithmetic(node.child)
-    return (
-        isinstance(node, _BinOp)
-        and node.op in "+-*/"
-        and _plain_arithmetic(node.left)
-        and _plain_arithmetic(node.right)
-    )
-
-
 def _free_vars(node) -> frozenset:
     names = set()
     _collect_names(node, names)
@@ -516,21 +503,16 @@ def _separate(node, groups: tuple[frozenset, ...]) -> list[list] | None:
 class KernelExpr:
     """A parsed kernel: canonical source, declared arity, and its AST.
 
-    The free variables are collected once, when the kernel is built, and
-    so is ``plain``: whether it holds only numbers, variables, negation and
-    + - * /, so that with Python numbers bound its evaluation is Python
-    float arithmetic, which never raises a floating-point warning.
+    The free variables are collected once, when the kernel is built.
     """
 
     source: str
     arity: tuple[str, ...]
     root: object
     free: frozenset = field(init=False, repr=False, compare=False)
-    plain: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "free", _free_vars(self.root))
-        object.__setattr__(self, "plain", _plain_arithmetic(self.root))
 
     def evaluate(self, bindings: Mapping[str, Number]) -> Number:
         """Evaluate with scalar or broadcastable array bindings.
@@ -542,19 +524,10 @@ class KernelExpr:
         """
         if isinstance(self.root, (_Num, _Var)):
             return _eval_node(self.root, bindings)  # no arithmetic to warn
-        if self.plain:
-            for name in self.free:
-                if type(bindings.get(name)) not in (float, int):
-                    break
-            else:  # Python numbers only: nothing can warn
-                return _eval_node(self.root, bindings)
         return _quiet_eval(self.root, bindings)
 
     def __call__(self, **bindings: Number) -> Number:
         return self.evaluate(bindings)
-
-    def free_variables(self) -> frozenset:
-        return self.free
 
     def references(self, name: str) -> bool:
         return name in self.free

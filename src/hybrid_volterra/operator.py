@@ -57,12 +57,12 @@ of times and rows makes no array of that size.
 :func:`apply_operator` makes one evaluation per sweep of the batch
 ``problem.sweep``: the nodes, the fixed-impulse times and every moving
 trace at once.  A sweep of the segment march makes one of its segment's
-nodes (and every later node when it carries the unsolved remainder), then
-the trace entries it refreshes (and every later one), an index view of
-that batch (:class:`_Subset`), through the same table and membership
-helpers, so a problem locates and evaluates its times once however it is
-solved.  The
-one state the operator reads is an array laid out as those times, by
+nodes, the fixed-impulse times it owns and the trace entries it
+refreshes (each followed by every later one when it carries the unsolved
+remainder), an index view of that batch (:class:`_Subset`), through the
+same table and membership helpers, so a problem locates and evaluates its
+times once however it is solved, and every eta_l is the formula at tau_l.
+The one state the operator reads is an array laid out as those times, by
 component through :class:`_View`: the solvers iterate it, and
 :func:`apply_operator`, :func:`jump_at` and :func:`component_deltas` lay
 out the triples they are given so once (:func:`_values`).  A
@@ -79,7 +79,7 @@ are grid nodes (``_Batch.nodes``), where beta is read at its stored
 values, so every evaluation has one shape: fill the table
 (:func:`_memory`), then :func:`_sc_eval`.  Each runs under the one
 floating-point guard of the function that makes it
-(:func:`apply_operator`, :func:`jump_at`, or a solver's sweep or image),
+(:func:`apply_operator`, :func:`jump_at` or :func:`~.solvers._sweep`),
 which also takes its deltas or its distance there: the helpers under it
 call the unguarded quadrature cores and walk their kernels directly
 (:func:`_walk`), so only a power enters a guard of its own.
@@ -223,8 +223,7 @@ class HybridProblem:
     ``whole_grid``, the window of a table over the whole grid
     (:class:`_Window`).  On first use, from those: the path of each term,
     :attr:`g_row_impulses` and :attr:`batch_terms`;
-    :attr:`sweep`, the evaluation batch of one sweep; :attr:`tau_nodes`,
-    where the fixed impulse times fall on the grid; and
+    :attr:`sweep`, the evaluation batch of one sweep; and
     :attr:`impulse_prefix`, the G1 and G2 sums when they read no eta.
     Each sweep and image of
     either solver evaluates :attr:`sweep` or, in the march, an index view
@@ -325,12 +324,6 @@ class HybridProblem:
         return _Batch(self, np.concatenate([times, self.tau, moving]),
                       np.concatenate([node_memb, self.tau - EPS, moving - EPS]),
                       slice(0, times.size))
-
-    @_lazy
-    def tau_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(node, fraction) of each fixed impulse time, by the left-limit
-        convention (:meth:`~.piecewise.Grid.nodes`), read-only."""
-        return self.grid.nodes(self.tau)
 
     def decay(self, mu: float) -> "_View":
         """The weights of the norms at weight ``mu``, read-only and laid out
@@ -617,9 +610,10 @@ class _Batch:
 
 class _Subset(_Batch):
     """The times ``index`` (an index array) of the batch ``parent``, a
-    batch of their own: a march segment evaluates its nodes and fresh trace
-    entries as such an index view of ``problem.sweep``.  Its first times are
-    the grid nodes ``nodes``, as in any batch.
+    batch of their own: a march segment evaluates its nodes, fixed-impulse
+    times and fresh trace entries as such an index view of
+    ``problem.sweep``.  Its first times are the grid nodes ``nodes``, as in
+    any batch.
 
     ``te``, ``m`` and every part that does not depend on a memory table
     (``limits``, ``x0``, ``sigma``, ``tau_below``, ``impulse_count``,
@@ -887,15 +881,16 @@ def _window(
 ) -> _Window:
     """The columns of the memory table of a march segment (:class:`_Window`).
 
-    The segment updates the continuous part on ``nodes`` and the trace
-    entries it refreshes; ``batch``, the one that each of its sweeps
-    evaluates, holds the segment's nodes, then, while the march evaluates
-    the unsolved remainder, every later node, then each fresh entry's
-    moving time sigma_p(t), one tick left, then every later entry; ``solved``
-    (n_sigma, N) marks the entries that earlier segments consumed.  Table
-    rows can change from ``live`` on: from the segment's first node, and
-    for the g rows of impulse i at every node whose trace entry is not yet
-    consumed (a suffix, sigma_i being nondecreasing).  A g row that reads
+    The segment updates the continuous part on ``nodes``, the fixed
+    impulses it owns and the trace entries it refreshes; ``batch``, the one
+    that each of its sweeps evaluates, holds the segment's nodes, its
+    fixed-impulse times and each fresh entry's moving time sigma_p(t), the
+    last two one tick left, each followed by the later ones while the
+    march evaluates the unsolved remainder; ``solved`` (n_sigma, N) marks
+    the entries that earlier segments consumed.  Table rows can change
+    from ``live`` on: from the segment's first node, and for the g rows of
+    impulse i at every node whose trace entry is not yet consumed (a
+    suffix, sigma_i being nondecreasing).  A g row that reads
     the eta of an admitted impulse that is not settled changes at every
     column, so such a table has ``live`` 0.  ``hi`` bounds every column
     that the evaluations of the segment read: the node at or below each

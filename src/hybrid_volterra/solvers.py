@@ -7,34 +7,32 @@ Two routes to the same discrete fixed point:
   progress is measured in the exponentially weighted norms at weight mu.
 * :func:`segment_solve` - marches segment by segment through the partition
   and accepts the segments left to right.  Segment l stops on its own
-  deltas: its continuous nodes, the moving-trace entries beta_p(t) that it
-  consumes first (sigma_p(t) in the segment, past the end of the one
-  before) and the impulse values eta at tau <= end_l.  Each of its sweeps
-  evaluates those and, on a grid that is not large (below), also every
-  later node and every entry that a later segment consumes, the unsolved
-  remainder, from its starting iterate, in
-  one batch against one memory table of the whole grid, as a picard sweep
-  does, and then takes eta from the new continuous part.  So a later
-  segment starts from values that earlier sweeps have iterated, not from
-  the forcing term, and needs fewer sweeps.  An entry consumed by an earlier
-  segment reads only solved segments, so it is not recomputed.  Because
-  every membership test looks strictly into the past, values from
-  segments not yet solved are masked out of every sum and integral of
-  the segment's own values, so the march is well posed, and those values
-  have the bits of an evaluation of the segment alone.  For the same
-  reason a segment keeps one memory table: its first sweep fills it from
-  column 0, and every later sweep fills it again only from the first
-  column that its batch can change.  A sweep of segment l costs
-  O(N - start_l), for the times from its first node on, plus a fixed cost
-  per sweep, where every memory kernel splits; alone it costs
-  O(n_l + fresh columns), for its n_l nodes and the entries it refreshes.  The saved sweeps pay for
-  the larger ones only while the fixed cost dominates, so the march
-  carries the remainder only over at most ``_AHEAD_TIMES`` times, and
-  takes each segment alone over more.  When a sweep that carries the
-  remainder fails, on a kernel error or a non-finite value, in any
-  segment, the march starts again from its first iterate and takes each
-  segment alone, so an input whose march fails in a sweep fails as a
-  march of the segments alone does, with the same bytes, and an input
+  deltas: its continuous nodes, the fixed-impulse values eta_j it owns
+  (tau_j at its end) and the moving-trace entries beta_p(t) that it consumes
+  first (sigma_p(t) in the segment, past the end of the one before).  Each
+  of its sweeps evaluates those and, on a grid that is not large (below),
+  also every later node, fixed-impulse time and entry, the unsolved
+  remainder, from its starting iterate, in one batch against one memory
+  table of the whole grid, as a picard sweep does.  So a later segment
+  starts from values that earlier sweeps have iterated, not from the forcing
+  term, and needs fewer sweeps.  An entry consumed by an earlier segment
+  reads only solved segments, so it is not recomputed.  Because every
+  membership test looks strictly into the past, values from segments not yet
+  solved are masked out of every sum and integral of the segment's own
+  values, so the march is well posed, and those values have the bits of an
+  evaluation of the segment alone.  For the same reason a segment keeps one
+  memory table: its first sweep fills it from column 0, and every later
+  sweep fills it again only from the first column that its batch can change.
+  A sweep of segment l costs O(N - start_l), for the times from its first
+  node on, plus a fixed cost per sweep, where every memory kernel splits;
+  alone it costs O(n_l + fresh columns), for its n_l nodes and the entries
+  it refreshes.  The saved sweeps pay for the larger ones only while the
+  fixed cost dominates, so the march carries the remainder only over at most
+  ``_AHEAD_TIMES`` times, and takes each segment alone over more.  When a
+  sweep that carries the remainder fails, on a kernel error or a non-finite
+  value, in any segment, the march starts again from its first iterate and
+  takes each segment alone, so an input whose march fails in a sweep fails
+  as a march of the segments alone does, with the same bytes, and an input
   whose carrying march fails can still converge alone.
 
 Both iterate one array laid out as the times of ``problem.sweep`` (xi at
@@ -45,13 +43,14 @@ of the whole grid that picard keeps and fills in every sweep and in its
 image, and its deltas are those of :func:`~.operator.component_deltas`
 (:func:`~.operator._deltas`).  The batch of a march segment is an index
 view of ``problem.sweep`` (:class:`~.operator._Subset`): the segment's
-nodes, and every later node when it carries the remainder, then its fresh
-trace entries and the later ones.  Its sweep writes its evaluation into a
-copy of the array at those indices.  So a solve locates and evaluates its
-times once.  A sweep or an image is one function under one floating-point
-guard (:func:`_picard_sweep`, :func:`_segment_sweep`, :func:`_image`): it
-fills its table, evaluates, checks the update for finiteness and takes
-its deltas or its distance.
+nodes, its fixed-impulse times, then its fresh trace entries, each
+followed by the later ones when it carries the remainder.  So eta_j is
+the operator formula at tau_j in both solvers, and a march sweep is a
+picard sweep restricted to those indices: it writes its evaluation into
+a copy of the array there.  A solve locates and evaluates its times once.
+A sweep of either solver and an image are one function under one
+floating-point guard (:func:`_sweep`): it fills its table, evaluates,
+checks the update for finiteness and takes its deltas or its distance.
 
 Both return the solution triple plus a :class:`SolveReport` with per-sweep
 component deltas (useful for checking contraction-rate predictions); the
@@ -98,7 +97,7 @@ from .operator import (
     _View,
     _window,
 )
-from .piecewise import NonFiniteValues, PiecewiseFn, interpolate
+from .piecewise import NonFiniteValues, PiecewiseFn
 
 
 @dataclass
@@ -217,16 +216,12 @@ def _finish(image_of, cur, report: SolveReport) -> None:
     report.image, report.final_residual = image, distance
 
 
-@quiet
 def _image(problem: HybridProblem, cur: np.ndarray, table=None) -> tuple[SolutionTriple, float]:
     """The image of the iterate ``cur`` as a triple and its unweighted sup
-    distance from ``cur``, under one floating-point guard: one evaluation
-    of ``problem.sweep`` against ``table``, the solver's own, filled once
-    more (:func:`~.operator._memory`).  It must be finite."""
-    view = _View.of(problem, cur)
-    image = _sc_eval(problem, view, problem.sweep, _memory(problem, view, table))
-    _require_finite(image)
-    return _triple(problem, image), float(np.abs(image - cur).max())
+    distance from ``cur``: one :func:`_sweep` of ``problem.sweep`` against
+    ``table``, the solver's own, filled once more."""
+    (image, _), distance = _sweep(problem, problem.sweep, None, _distance, (cur, table))
+    return _triple(problem, image), distance
 
 
 def _solved(problem: HybridProblem, cur: np.ndarray | None, report: SolveReport,
@@ -250,26 +245,11 @@ def _picard(problem: HybridProblem, init, mu: float, notes: tuple[str, ...],
     cur = _start(problem, init, report)
     if cur is None:
         return None, report, None
-    sweep = partial(_picard_sweep, problem, problem.decay(mu))
+    sweep = partial(_sweep, problem, problem.sweep, None,
+                    partial(_deltas, problem, problem.decay(mu)))
     # one table of the whole grid, filled by every sweep and by the image
     (cur, table), report.converged = _iterate(report, (cur, None), sweep, tol, kmax)
     return cur, report, partial(_image, problem, table=table)
-
-
-@quiet
-def _picard_sweep(problem: HybridProblem, weights, state):
-    """One picard sweep, under its one floating-point guard: ``state`` is
-    the iterate, laid out as the times of one sweep, and picard's table,
-    None before the first sweep makes it.  The new iterate is one
-    evaluation of ``problem.sweep`` against that table filled with the
-    iterate, and must be finite; its deltas are taken at ``weights``
-    (``problem.decay(mu)``, :func:`~.operator._deltas`)."""
-    cur, table = state
-    view = _View.of(problem, cur)
-    table = _memory(problem, view, table)
-    new = _sc_eval(problem, view, problem.sweep, table)
-    _require_finite(new)
-    return (new, table), _deltas(problem, weights, new, cur)
 
 
 def picard_solve(
@@ -297,41 +277,48 @@ def _sup(a: np.ndarray) -> float:
     return float(np.abs(a).max(initial=0.0))
 
 
-@quiet
-def _segment_sweep(problem: HybridProblem, nodes: slice, fresh, eta: slice, window, batch,
-                   state):
-    """One inner sweep of the march over the segment ``nodes``, under the
-    sweep's one floating-point guard.
+def _distance(new: np.ndarray, old: np.ndarray) -> float:
+    """The unweighted sup distance between two iterates: an image's."""
+    return _sup(new - old)
 
-    ``state`` is the current iterate, an array laid out as the times of
-    one sweep (:class:`~.operator._View`), and the segment's memory table,
-    None before its first sweep.  That sweep makes the table over the
-    columns of ``window`` (:func:`~.operator._window`) and fills it from
-    column 0; every later sweep fills it again from ``window.live`` on
-    (:func:`~.operator._memory`).  One evaluation of ``batch``, the index
-    view of ``problem.sweep`` at ``batch.index``, against the table of the
-    starting iterate gives the values at those indices: the continuous
-    part on ``nodes`` and, when the batch carries the unsolved remainder,
-    on every later node, then the ``fresh`` moving-trace entries, those
-    the segment consumes first (their indices in the iterate), and every
-    entry consumed later.  The new iterate is a copy of the old one with
-    the evaluation written in; eta is the new continuous part's left
-    limit at each fixed impulse time, read at ``problem.tau_nodes``.  The
-    deltas cover the segment's own values alone: its nodes, its fresh
-    entries and ``eta``, the fixed impulses at or before its end.
+
+def _sups(owned: tuple, new: np.ndarray, old: np.ndarray) -> tuple[float, float, float]:
+    """The plain sup of ``new - old`` over each index of ``owned``: the
+    deltas of a march segment, over its nodes, its fixed-impulse times and
+    its fresh trace entries."""
+    return tuple(_sup(new[own] - old[own]) for own in owned)
+
+
+@quiet
+def _sweep(problem: HybridProblem, batch, window, deltas, state):
+    """One sweep of either solver, or the image of an iterate, under its
+    one floating-point guard.
+
+    ``state`` is the iterate, an array laid out as the times of one sweep
+    (:class:`~.operator._View`), and the solver's memory table, None before
+    the first sweep makes it over the columns of ``window``
+    (:func:`~.operator._window`; the whole grid when None).  The table is
+    filled with the iterate (:func:`~.operator._memory`), ``batch`` is
+    evaluated against it, and the values must be finite.  The new iterate
+    is that evaluation when ``batch`` is ``problem.sweep``, and otherwise,
+    for a march segment's index view of it (:class:`~.operator._Subset`),
+    a copy of the iterate with the evaluation written in at
+    ``batch.index``.  Returns the new state and ``deltas(new, old)``:
+    picard's weighted deltas (:func:`~.operator._deltas`), a segment's
+    plain sups over the values it owns (:func:`_sups`), or an image's
+    distance (:func:`_distance`).
     """
     old, table = state
     view = _View.of(problem, old)
-    memory = _memory(problem, view, table, window)
-    out = _sc_eval(problem, view, batch, memory)
+    table = _memory(problem, view, table, window)
+    out = _sc_eval(problem, view, batch, table)
     _require_finite(out)
-    new = old.copy()
-    new[batch.index] = out
-    N = problem.grid.size
-    # left limits at the fixed impulse times
-    new[N:N + problem.n_tau] = interpolate(new[:N], *problem.tau_nodes)
-    deltas = tuple(_sup(new[own] - old[own]) for own in (nodes, eta, fresh))
-    return (new, memory), deltas
+    if batch is problem.sweep:
+        new = out
+    else:
+        new = old.copy()
+        new[batch.index] = out
+    return (new, table), deltas(new, old)
 
 
 # The most times (N nodes, the fixed-impulse times and every trace entry)
@@ -380,9 +367,9 @@ def _segments(problem: HybridProblem, cur: np.ndarray, report: SolveReport, tol:
     :func:`_march` returns it.
 
     When ``ahead`` is set, each sweep of segment l evaluates the segment's
-    own times and then the unsolved remainder after them, every later node
-    and every entry that a later segment consumes, so that a later segment
-    starts from values that the earlier sweeps have iterated.  Otherwise
+    own times and then the unsolved remainder after them, every later node,
+    fixed-impulse time and trace entry, so that a later segment starts
+    from values that the earlier sweeps have iterated.  Otherwise
     each segment iterates alone.  A numerical failure in a sweep ends the
     march with ``report.failed`` set.
     """
@@ -390,20 +377,25 @@ def _segments(problem: HybridProblem, cur: np.ndarray, report: SolveReport, tol:
     N = grid.size
     traces = N + problem.n_tau  # where the beta rows start in the iterate
     consumed = np.zeros(problem.sigma_grid.shape, dtype=bool)
+    eta = slice(N, N)
     for l in range(grid.num_segments):
         nodes = grid.segment_slice(l)
         end = float(grid.partition[l + 1]) + EPS
         now = problem.sigma_grid <= end
         fresh = traces + np.flatnonzero(now & ~consumed)
-        eta = slice(N, N + int(np.searchsorted(problem.tau, end, side="right")))
+        # the fixed impulses the segment owns: at or before its end, after
+        # the last segment's
+        eta = slice(eta.stop, N + int(np.searchsorted(problem.tau, end, side="right")))
         # the batch's nodes, the segment's and every later one when it
-        # carries the remainder, then its fresh entries and every later one
+        # carries the remainder, then in the same way its fixed-impulse
+        # times, then its fresh entries and every later one
         span = slice(nodes.start, N if ahead else nodes.stop)
-        later = traces + np.flatnonzero(~now) if ahead else _NONE
-        batch = _Subset(problem.sweep, np.concatenate([np.arange(span.start, span.stop),
-                                                       fresh, later]), span)
-        sweep = partial(_segment_sweep, problem, nodes, fresh, eta,
-                        _window(problem, nodes, batch, consumed), batch)
+        times = [np.arange(span.start, span.stop),
+                 np.arange(eta.start, traces if ahead else eta.stop), fresh,
+                 traces + np.flatnonzero(~now) if ahead else _NONE]
+        batch = _Subset(problem.sweep, np.concatenate(times), span)
+        sweep = partial(_sweep, problem, batch, _window(problem, nodes, batch, consumed),
+                        partial(_sups, (nodes, eta, fresh)))
         consumed = now
         (cur, table), done = _iterate(report, (cur, None), sweep, tol, kmax)
         if report.failed:
@@ -427,12 +419,12 @@ def segment_solve(
 
     The first node of a segment carries the right limit at its breakpoint
     and is fully determined by earlier segments.  Segment l refreshes the
-    moving-trace entries it consumes first, those with sigma_p in
-    (end_{l-1}, end_l] (closed below for the first segment), in each sweep
-    from the sweep's starting iterate, as it updates its nodes: an entry
-    consumed earlier reads only segments already solved.  Every sigma_p
-    lies in [0, T] at the nodes, so the last segment leaves no entry
-    unconsumed.  Deltas are plain suprema (no weight): each segment is
+    fixed-impulse values and the moving-trace entries it owns, those with
+    tau_j or sigma_p in (end_{l-1}, end_l] (closed below for the first
+    segment), in each sweep from the sweep's starting iterate, as it
+    updates its nodes: an entry consumed earlier reads only segments
+    already solved.  Every sigma_p lies in [0, T] at the nodes, so the
+    last segment leaves no entry unconsumed.  Deltas are plain suprema (no weight): each segment is
     short, so no damping is needed for a sound stop rule.
     """
     return _solved(problem, *_march(problem, init, tol, kmax))

@@ -340,16 +340,16 @@ class TestSolve:
         starts again converges near e^-2, while picard stops as the carrying
         march did."""
         failures = []
-        sweep = solvers._segment_sweep
+        sweep = solvers._sweep
 
-        def recorded(problem, nodes, fresh, eta, window, batch, state):
+        def recorded(problem, batch, window, deltas, state):
             try:
-                return sweep(problem, nodes, fresh, eta, window, batch, state)
+                return sweep(problem, batch, window, deltas, state)
             except EvaluationError as exc:
                 failures.append((batch.nodes.stop == problem.grid.size, str(exc)))
                 raise
 
-        monkeypatch.setattr(solvers, "_segment_sweep", recorded)
+        monkeypatch.setattr(solvers, "_sweep", recorded)
         out_csv = str(tmp_path / "x.csv")
         code, out, err = _run(capsys, "solve", files["rescued_by_restart"], "--method",
                               "segment", "--out", out_csv)

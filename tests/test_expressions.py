@@ -120,7 +120,7 @@ class TestParseAndEval:
 
     def test_free_variables_and_references(self):
         k = parse_kernel("t + sin(s)", ("t", "s", "x"))
-        assert k.free_variables() == frozenset({"t", "s"})
+        assert k.free == frozenset({"t", "s"})
         assert k.references("t") and not k.references("x")
 
 
@@ -454,4 +454,4 @@ class TestFactor:
     def test_free_variables_collected_once(self):
         k = parse_kernel("x*sin(t)", ("t", "s", "x"))
         assert k.free == frozenset({"t", "x"})
-        assert k.free_variables() is k.free
+        assert vars(k)["free"] is k.free  # a field, not a walk per read

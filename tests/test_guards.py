@@ -4,6 +4,7 @@ guard per sweep."""
 
 import collections
 import sys
+from functools import partial
 import warnings
 from pathlib import Path
 
@@ -230,7 +231,7 @@ class TestDeltasThatOverflow:
         problem = make_problem(2.0, tau=(0.5,), sigma=("0.5*t",), h=0.1, panels=8,
                                x0="-1e308")
         start = np.full(problem.sweep.te.size, 1e308)
-        (new, _), deltas = solvers._picard_sweep(problem, problem.decay(1.0), (start, None))
+        (new, _), deltas = _picard_sweep(problem, problem.decay(1.0), (start, None))
         assert (new == -1e308).all() and deltas == (np.inf,) * 3
         _, rep = picard_solve(problem, init=operator._triple(problem, start))
         assert rep.failed and rep.iterations == 0
@@ -336,17 +337,25 @@ def _guards(call, *args):
     return entered
 
 
+def _picard_sweep(problem, weights, state):
+    """One picard sweep of ``state`` with its deltas at ``weights``."""
+    deltas = partial(operator._deltas, problem, weights)
+    return solvers._sweep(problem, problem.sweep, None, deltas, state)
+
+
 def _march_guards(monkeypatch, problem):
     """The guards of every sweep of a march, one counter per sweep."""
     sweeps = []
-    sweep = solvers._segment_sweep
+    sweep = solvers._sweep
 
-    def counted(*args):
+    def counted(problem, batch, *args):
+        if batch is problem.sweep:  # the image
+            return sweep(problem, batch, *args)
         out = []
-        sweeps.append(_guards(lambda: out.append(sweep(*args))))
+        sweeps.append(_guards(lambda: out.append(sweep(problem, batch, *args))))
         return out[0]
 
-    monkeypatch.setattr(solvers, "_segment_sweep", counted)
+    monkeypatch.setattr(solvers, "_sweep", counted)
     _, report = segment_solve(problem)
     assert report.converged and len(sweeps) == report.iterations
     return sweeps
@@ -383,14 +392,14 @@ class TestOneGuardPerSweep:
         state = (_values(triple), None)
         for _ in range(2):
             out = []
-            entered = _guards(lambda: out.append(solvers._picard_sweep(problem, weights, state)))
-            assert entered == collections.Counter(_picard_sweep=1, _power=powers)
+            entered = _guards(lambda: out.append(_picard_sweep(problem, weights, state)))
+            assert entered == collections.Counter(_sweep=1, _power=powers)
             state = out[0][0]
 
     def test_image(self, solved):
         problem, triple, powers = solved
         entered = _guards(solvers._image, problem, _values(triple))
-        assert entered == collections.Counter(_image=1, _power=powers)
+        assert entered == collections.Counter(_sweep=1, _power=powers)
 
     def test_apply_operator(self, solved):
         problem, triple, powers = solved
@@ -400,7 +409,7 @@ class TestOneGuardPerSweep:
     def test_march_sweep(self, monkeypatch, solved):
         problem, _, powers = solved
         for entered in _march_guards(monkeypatch, problem):
-            assert entered == collections.Counter(_segment_sweep=1, _power=powers)
+            assert entered == collections.Counter(_sweep=1, _power=powers)
 
     def test_jump_at(self, solved):
         """``jump_at`` builds a batch of its own: x0 and each time factor

@@ -32,7 +32,7 @@ from hybrid_volterra.operator import (
     default_init,
     jump_at,
 )
-from hybrid_volterra.piecewise import NonFiniteValues, PiecewiseFn, interpolate
+from hybrid_volterra.piecewise import NonFiniteValues, PiecewiseFn
 from hybrid_volterra.problem_io import LoadedProblem, SolverSettings, load_problem_file
 from hybrid_volterra.quadrature import weight_rows
 from hybrid_volterra.solvers import (
@@ -253,17 +253,19 @@ class TestConvergenceTable:
         problem, res = mixed_problem(), (8, 16, 32)
         solve = picard_solve if method == "picard" else segment_solve
         sweeps = sum(solve(at_resolution(problem, r), tol=1e-12)[1].iterations for r in res)
-        calls = dict.fromkeys(("_picard_sweep", "_segment_sweep"), 0)
-        for name in calls:
-            def counted(*args, name=name, original=getattr(solvers, name)):
-                calls[name] += 1
-                return original(*args)
+        calls = {"picard": 0, "segment": 0}
+        sweep = solvers._sweep
 
-            monkeypatch.setattr(solvers, name, counted)
+        def counted(problem, batch, *args):
+            # a picard sweep evaluates the sweep batch, a march sweep an index view
+            calls["picard" if batch is problem.sweep else "segment"] += 1
+            return sweep(problem, batch, *args)
+
+        monkeypatch.setattr(solvers, "_sweep", counted)
         convergence_table(problem, res, method=method)
         by_picard = method == "picard"
-        assert calls == {"_picard_sweep": sweeps if by_picard else 0,
-                         "_segment_sweep": 0 if by_picard else sweeps}
+        assert calls == {"picard": sweeps if by_picard else 0,
+                         "segment": 0 if by_picard else sweeps}
 
     @pytest.mark.parametrize("method, searches", [("picard", 1), ("segment", 0)])
     def test_one_weight_per_study(self, monkeypatch, method, searches):
@@ -549,16 +551,17 @@ class TestPicardTable:
         else:
             problem = load_problem_file(PROBLEMS / f"{name}.yaml").problem
         pairs = []
-        sweep = solvers._picard_sweep
+        sweep = solvers._sweep
 
-        def recording(problem, weights, state):
-            (new, table), deltas = sweep(problem, weights, state)
-            pairs.append((state[0].copy(), new.copy()))
-            return (new, table), deltas
+        def recording(problem, batch, window, deltas, state):
+            (new, table), got = sweep(problem, batch, window, deltas, state)
+            if deltas is not solvers._distance:  # not the image
+                pairs.append((state[0].copy(), new.copy()))
+            return (new, table), got
 
-        monkeypatch.setattr(solvers, "_picard_sweep", recording)
+        monkeypatch.setattr(solvers, "_sweep", recording)
         _, rep = picard_solve(problem, tol=1e-12, kmax=300)
-        assert rep.converged
+        assert rep.converged and rep.image is not None
         assert len(pairs) == rep.iterations == len(rep.deltas)
         for deltas, (old, new) in zip(rep.deltas, pairs):
             want = operator.component_deltas(operator._triple(problem, new),
@@ -885,6 +888,22 @@ def _consumed_by_segment(problem):
     return [set(zip(*np.nonzero((sigma > lo) & (sigma <= hi)))) for lo, hi in zip(below, ends)]
 
 
+def _owned_by_segment(problem):
+    """Per segment, the fixed impulses whose values it computes: those with
+    tau_j in (end_{l-1}, end_l], closed below for the first segment."""
+    ends = problem.grid.partition[1:] + operator.EPS
+    below = np.concatenate([[-np.inf], ends[:-1]])
+    tau = problem.tau
+    return [np.flatnonzero((tau > lo) & (tau <= hi)) for lo, hi in zip(below, ends)]
+
+
+def _carries(problem, batch) -> bool:
+    """Whether a march batch carries the unsolved remainder: its nodes run
+    to the end of the grid from a segment before the last."""
+    w = problem.grid.panels + 1
+    return batch.nodes.stop == problem.grid.size and batch.nodes.stop - batch.nodes.start > w
+
+
 def _reader_parts(reader) -> list:
     """The arrays of a batch's reader of a table that depend on its times:
     the cut of every row and the rows' weights, where it has them."""
@@ -896,13 +915,14 @@ class TestMarchWork:
     columns, the whole grid: the segment's first sweep builds it from its
     starting iterate, and every later sweep rewrites it from the window's
     first changeable column.  Each sweep makes one evaluation: the
-    segment's nodes and every later node, then the trace entries the
-    segment consumes first and every entry that a later segment consumes.
+    segment's nodes and every later node, then the fixed-impulse times the
+    segment owns and every later one, then the trace entries the segment
+    consumes first and every entry that a later segment consumes.
 
     Recorded per sweep: its segment, the row prefixes it takes (with their
     first column and width), and each evaluation it makes, with its
-    arguments and result; work outside every sweep (the residual) is
-    recorded apart.
+    arguments and result; work outside every march sweep (the image, an
+    evaluation of ``problem.sweep``) is recorded apart.
     """
 
     @staticmethod
@@ -910,16 +930,17 @@ class TestMarchWork:
         outside = {"segment": None, "tables": [], "evals": []}
         log = {"sweeps": [], "outside": outside}
         current = [outside]
-        sweep, sc_eval = solvers._segment_sweep, solvers._sc_eval
+        sweep, sc_eval = solvers._sweep, solvers._sc_eval
         row_prefix = operator._row_prefix
 
-        def recording_sweep(problem, nodes, *args):
-            window = args[-3]
-            current[0] = {"segment": nodes.start // (problem.grid.panels + 1),
+        def recording_sweep(problem, batch, window, *args):
+            if batch is problem.sweep:  # the image
+                return sweep(problem, batch, window, *args)
+            current[0] = {"segment": batch.nodes.start // (problem.grid.panels + 1),
                           "window": window, "tables": [], "evals": []}
             log["sweeps"].append(current[0])
             try:
-                return sweep(problem, nodes, *args)
+                return sweep(problem, batch, window, *args)
             finally:
                 current[0] = outside
 
@@ -932,7 +953,7 @@ class TestMarchWork:
             current[0]["evals"].append((args, out))
             return out
 
-        monkeypatch.setattr(solvers, "_segment_sweep", recording_sweep)
+        monkeypatch.setattr(solvers, "_sweep", recording_sweep)
         monkeypatch.setattr(solvers, "_sc_eval", recording_eval)
         monkeypatch.setattr(operator, "_sc_eval", recording_eval)
         monkeypatch.setattr(operator, "_row_prefix", counting_prefix)
@@ -941,13 +962,15 @@ class TestMarchWork:
     def _check_batches(self, problem, log):
         """Every sweep of segment l makes one evaluation: the segment's nodes
         and every later node, with their sweep memberships, which are the
-        batch's nodes; then the entries l consumes first, each once, by
+        batch's nodes; then the fixed-impulse times l owns and every later
+        one, one tick left; then the entries l consumes first, each once, by
         moving impulse and node, one tick left of their moving times, and
         every entry that a later segment consumes, in the same way.  The
         segments share no entry and cover every one."""
         grid = problem.grid
         node_m = problem.sweep.m[:grid.size]
         consumed = _consumed_by_segment(problem)
+        owned = _owned_by_segment(problem)
 
         def moving(entries):
             index = tuple(np.array(sorted(entries), dtype=int).T)
@@ -961,8 +984,9 @@ class TestMarchWork:
             nodes = slice(grid.segment_slice(l).start, grid.size)
             assert batch.nodes == nodes
             u, v = moving(consumed[l]), moving(set().union(*consumed[l + 1:]))
-            assert te == grid.times[nodes].tolist() + u + v
-            assert m == node_m[nodes].tolist() + [x - operator.EPS for x in u + v]
+            tau = problem.tau[np.concatenate(owned[l:])].tolist()
+            assert te == grid.times[nodes].tolist() + tau + u + v
+            assert m == node_m[nodes].tolist() + [x - operator.EPS for x in tau + u + v]
         assert sum(len(s) for s in consumed) == problem.sigma_grid.size
         assert set().union(*consumed) == set(np.ndindex(problem.sigma_grid.shape))
 
@@ -1103,7 +1127,9 @@ class TestMarchWork:
             # and those of a picard sweep of the same iterate at those times,
             # beta read at its stored values at every node
             values = np.concatenate([triple.xi, triple.eta, triple.beta.reshape(-1)])
-            (swept, _), _ = solvers._picard_sweep(problem, problem.decay(1.0), (values, None))
+            (swept, _), _ = solvers._sweep(problem, problem.sweep, None,
+                                           partial(operator._deltas, problem, problem.decay(1.0)),
+                                           (values, None))
             assert got.tobytes() == swept[batch.index].tobytes()
         if case == "mixed":
             # some rewrite their table from a later column
@@ -1112,7 +1138,8 @@ class TestMarchWork:
     @CASES
     def test_batches_are_index_views_of_the_sweep(self, monkeypatch, case):
         """Each segment's batch is ``problem.sweep`` at the indices of its
-        nodes and every later node, then of its fresh and every later entry:
+        nodes and every later node, then of its own and every later
+        fixed-impulse time, then of its fresh and every later entry:
         every part an evaluation reads, its reader of the segment's table
         included, has the bits of the sweep's part there, and of a batch
         built afresh at those times (:meth:`_case`)."""
@@ -1128,19 +1155,24 @@ class TestMarchWork:
         tables = {id(args[2]): args[3] for rec in log["sweeps"] for args, _ in rec["evals"]}
         assert len(batches) == problem.grid.num_segments
         consumed = _consumed_by_segment(problem)
+        owned = _owned_by_segment(problem)
         N, n_tau = problem.grid.size, problem.n_tau
         covered = []
         for l, batch in enumerate(batches):
             assert isinstance(batch, operator._Subset) and batch.parent is sweep
             index = batch.index
             # the segment's nodes lead, then every later node, then the
-            # entries it consumes first, then every later one that is unsolved
+            # fixed impulses it owns and every later one, then the entries
+            # it consumes first, then every later one that is unsolved
             nodes = problem.grid.segment_slice(l)
             own = nodes.stop - nodes.start
-            fresh = index[N - nodes.start:N - nodes.start + len(consumed[l])]
-            covered += index[:own].tolist() + fresh.tolist()
+            taus = index[N - nodes.start:N - nodes.start + len(owned[l])]
+            start = N - nodes.start + sum(map(len, owned[l:]))
+            fresh = index[start:start + len(consumed[l])]
+            covered += index[:own].tolist() + taus.tolist() + fresh.tolist()
             unsolved = set().union(*consumed[l:])
-            assert sorted(index.tolist()) == list(range(nodes.start, N)) + sorted(
+            assert sorted(index.tolist()) == list(range(nodes.start, N)) + [
+                N + j for j in np.concatenate(owned[l:])] + sorted(
                 N + n_tau + p * N + k for p, k in unsolved)
             fresh = operator._Batch(problem, batch.te, batch.m)
             for name, take in [("te", lambda a: a[index]), ("m", lambda a: a[index]),
@@ -1165,9 +1197,8 @@ class TestMarchWork:
                 want = whole if whole.ndim == 0 else whole[index]
                 assert batch.factor(c).tobytes() == want.tobytes()
                 assert batch.factor(c).tobytes() == fresh.factor(c).tobytes()
-        # the segments' own times share no time, and leave out only the fixed
-        # impulse times
-        assert sorted(covered) == [k for k in range(sweep.te.size) if not N <= k < N + n_tau]
+        # the segments' own times share no time and cover every time of a sweep
+        assert sorted(covered) == list(range(sweep.te.size))
 
     @pytest.mark.parametrize(
         "sigma, horizon, panels, first",
@@ -1253,31 +1284,48 @@ def _remainder_case(name):
 
 
 def _segment_plans(problem):
-    """Per segment, as the march builds them: the segment's nodes, fresh
-    entries and eta (the first arguments of ``solvers._segment_sweep``
-    after the problem), the indices of the segment's own times, those of
-    the segment carrying the unsolved times after them (its nodes, every
-    later node, its fresh entries, every later entry), and the entries
-    that earlier segments consumed."""
+    """Per segment, as the march builds them: the segment's nodes, owned
+    fixed impulses and fresh entries, whose plain sups are its deltas
+    (``solvers._sups``), the indices of the segment's own times (its
+    nodes, fixed-impulse times and fresh entries), those of the segment
+    carrying the unsolved times after them (its nodes and every later
+    node, its fixed-impulse times and every later one, its fresh entries
+    and every later entry), and the entries that earlier segments
+    consumed."""
     grid = problem.grid
     N, traces = grid.size, grid.size + problem.n_tau
     consumed = _consumed_by_segment(problem)
+    owned = _owned_by_segment(problem)
 
     def entries(pairs):
         return traces + np.array(sorted(p * N + k for p, k in pairs), dtype=int)
 
     for l in range(grid.num_segments):
         nodes = grid.segment_slice(l)
-        end = grid.partition[l + 1] + operator.EPS
-        eta = slice(N, N + int(np.count_nonzero(problem.tau <= end)))
+        eta = N + owned[l]
         fresh = entries(consumed[l])
-        own = np.concatenate([np.arange(nodes.start, nodes.stop), fresh])
-        ahead = np.concatenate([np.arange(nodes.start, N), fresh,
+        own = np.concatenate([np.arange(nodes.start, nodes.stop), eta, fresh])
+        ahead = np.concatenate([np.arange(nodes.start, N), N + np.concatenate(owned[l:]), fresh,
                                 entries(set().union(*consumed[l + 1:]))])
         solved = np.zeros(problem.sigma_grid.shape, dtype=bool)
         for p, k in set().union(*consumed[:l]):
             solved[p, k] = True
-        yield (nodes, fresh, eta), own, ahead, solved
+        yield (nodes, eta, fresh), own, ahead, solved
+
+
+def _segments_swept(monkeypatch) -> list:
+    """The segment of every march sweep from now on, in order, recorded
+    from the batch each one evaluates."""
+    segments = []
+    sweep = solvers._sweep
+
+    def counted(problem, batch, *args):
+        if batch is not problem.sweep:  # not the image
+            segments.append(batch.nodes.start // (problem.grid.panels + 1))
+        return sweep(problem, batch, *args)
+
+    monkeypatch.setattr(solvers, "_sweep", counted)
+    return segments
 
 
 class TestRemainder:
@@ -1294,14 +1342,7 @@ class TestRemainder:
         """A later segment that starts from values iterated against a stale
         table shows here first, by segment."""
         problem, tol, kmax = _remainder_case(name)
-        segments = []
-        sweep = solvers._segment_sweep
-
-        def counted(problem, nodes, *args):
-            segments.append(nodes.start // (problem.grid.panels + 1))
-            return sweep(problem, nodes, *args)
-
-        monkeypatch.setattr(solvers, "_segment_sweep", counted)
+        segments = _segments_swept(monkeypatch)
         _, rep = segment_solve(problem, tol=tol, kmax=kmax)
         assert rep.converged and len(segments) == rep.iterations
         assert [segments.count(l) for l in range(problem.grid.num_segments)] == self.SPLITS[name]
@@ -1310,21 +1351,20 @@ class TestRemainder:
     def test_own_values_match_the_segment_alone(self, name):
         """Two sweeps of every segment from a random iterate, one with the
         remainder and one alone, each with its own table (built, then
-        rewritten): the segment's nodes, fresh entries and eta, and the
-        deltas, have the same bits.  The iterate's eta are the left limits
-        of its continuous part, as in every iterate after a sweep."""
+        rewritten): the segment's nodes, fixed impulses and fresh entries,
+        and the deltas, have the same bits."""
         problem, _, _ = _remainder_case(name)
         N = problem.grid.size
         start = operator._values(random_triple(problem, np.random.default_rng(5)))
-        start[N:N + problem.n_tau] = interpolate(start[:N], *problem.tau_nodes)
-        for (nodes, fresh, eta), own, ahead, solved in _segment_plans(problem):
+        for owned, own, ahead, solved in _segment_plans(problem):
+            nodes = owned[0]
             sweeps = {}
             for mode, index, span in [("remainder", ahead, slice(nodes.start, N)),
                                       ("alone", own, nodes)]:
                 batch = operator._Subset(problem.sweep, index, span)
                 window = operator._window(problem, nodes, batch, solved)
-                sweeps[mode] = partial(solvers._segment_sweep, problem, nodes, fresh, eta,
-                                       window, batch)
+                sweeps[mode] = partial(solvers._sweep, problem, batch, window,
+                                       partial(solvers._sups, owned))
             # each builds its table from the random iterate, then rewrites it
             # from the remainder's next iterate
             (with_r, table_r), deltas_r = sweeps["remainder"]((start, None))
@@ -1334,7 +1374,6 @@ class TestRemainder:
             (alone2, _), deltas_a2 = sweeps["alone"]((with_r, table_a))
             for x, y in [(with_r, alone), (with_r2, alone2)]:
                 assert [v.hex() for v in x[own]] == [v.hex() for v in y[own]]
-                assert [v.hex() for v in x[eta]] == [v.hex() for v in y[eta]]
             assert ([v.hex() for v in deltas_r + deltas_r2]
                     == [v.hex() for v in deltas_a + deltas_a2])
 
@@ -1344,17 +1383,17 @@ class TestRemainder:
         alone: it stops where a march of the segments alone stops."""
         problem = make_problem(2.0, **BLOW_UP_AFTER_SEGMENT_0)
         calls = []
-        sweep = solvers._segment_sweep
+        sweep = solvers._sweep
 
-        def recorded(problem, nodes, fresh, eta, window, batch, state):
-            calls.append((batch.index.size, state[0].copy(), state[1]))
-            return sweep(problem, nodes, fresh, eta, window, batch, state)
+        def recorded(problem, batch, window, deltas, state):
+            calls.append((_carries(problem, batch), state[0].copy(), state[1]))
+            return sweep(problem, batch, window, deltas, state)
 
-        monkeypatch.setattr(solvers, "_segment_sweep", recorded)
+        monkeypatch.setattr(solvers, "_sweep", recorded)
         _, rep = segment_solve(problem, tol=1e-10, kmax=200)
         assert rep.failed and rep.iterations == 27
         assert rep.notes == ("diverged: non-finite update in sweep 28",)
-        ahead = [size > problem.grid.panels + 1 for size, _, _ in calls]
+        ahead = [carried for carried, _, _ in calls]
         restart = ahead.index(False)
         assert 0 < restart and not any(ahead[restart:])
         _, first, table = calls[restart]
@@ -1367,21 +1406,23 @@ class TestRemainder:
         with a kernel error does: the march starts again from x0 and takes
         every segment alone, and ends as that march does, here converged."""
         problem = make_problem(2.0, tau=(0.5,), panels=16, x0="1", f1="-x", G1="0.1")
-        sweep = solvers._segment_sweep
+        sweep = solvers._sweep
         calls = []
 
-        def overflowing(problem, nodes, fresh, eta, window, batch, state):
-            calls.append((batch.index.size > problem.grid.panels + 1, state))
-            new, deltas = sweep(problem, nodes, fresh, eta, window, batch, state)
-            return new, (math.inf, *deltas[1:]) if len(calls) == 2 else deltas
+        def overflowing(problem, batch, window, deltas, state):
+            if batch is problem.sweep:  # the image
+                return sweep(problem, batch, window, deltas, state)
+            calls.append((_carries(problem, batch), state))
+            new, got = sweep(problem, batch, window, deltas, state)
+            return new, (math.inf, *got[1:]) if len(calls) == 2 else got
 
-        monkeypatch.setattr(solvers, "_segment_sweep", overflowing)
+        monkeypatch.setattr(solvers, "_sweep", overflowing)
         got, rep = segment_solve(problem, tol=1e-10, kmax=200)
         assert not rep.failed and rep.converged
         (carried, _), (restart, (first, table)) = calls[0], calls[2]
         assert carried and not restart and table is None and np.all(first == 1.0)
         assert not any(ahead for ahead, _ in calls[2:])
-        monkeypatch.setattr(solvers, "_segment_sweep", sweep)
+        monkeypatch.setattr(solvers, "_sweep", sweep)
         monkeypatch.setattr(solvers, "_AHEAD_TIMES", 0)
         alone, rep_alone = segment_solve(problem, tol=1e-10, kmax=200)
         assert (rep.iterations, rep.notes) == (rep_alone.iterations, rep_alone.notes)
@@ -1405,16 +1446,16 @@ class TestRemainder:
         notes, deltas and last iterate, bit for bit."""
         problem = make_problem(2.0, tau=tau, panels=16, x0="1", f1=f1, G1="0.1")
         failed = []
-        sweep = solvers._segment_sweep
+        sweep = solvers._sweep
 
-        def recorded(problem, nodes, *args):
+        def recorded(problem, batch, *args):
             try:
-                return sweep(problem, nodes, *args)
+                return sweep(problem, batch, *args)
             except NonFiniteValues:
-                failed.append(nodes.start // (problem.grid.panels + 1))
+                failed.append(batch.nodes.start // (problem.grid.panels + 1))
                 raise
 
-        monkeypatch.setattr(solvers, "_segment_sweep", recorded)
+        monkeypatch.setattr(solvers, "_sweep", recorded)
         carried, rep = segment_solve(problem, tol=1e-10, kmax=200)
         assert failed[0] == first and rep.failed
         monkeypatch.setattr(solvers, "_AHEAD_TIMES", 0)
@@ -1430,14 +1471,7 @@ class TestRemainder:
         problem, tol, kmax = _remainder_case("mixed_impulses")
         size = problem.sweep.te.size
         assert size <= solvers._AHEAD_TIMES
-        segments = []
-        sweep = solvers._segment_sweep
-
-        def counted(problem, nodes, *args):
-            segments.append(nodes.start // (problem.grid.panels + 1))
-            return sweep(problem, nodes, *args)
-
-        monkeypatch.setattr(solvers, "_segment_sweep", counted)
+        segments = _segments_swept(monkeypatch)
         for limit, split in [(size, [7, 2, 2, 1]), (size - 1, [7, 9, 10, 7])]:
             monkeypatch.setattr(solvers, "_AHEAD_TIMES", limit)
             segments.clear()
@@ -1484,21 +1518,31 @@ class TestBatchNodes:
         problem, tol, kmax = _remainder_case(name)
         grid = problem.grid
         batches = {}
-        sweep = solvers._segment_sweep
+        sweep = solvers._sweep
 
-        def recorded(problem, nodes, fresh, eta, window, batch, state):
-            batches[nodes.start // (grid.panels + 1)] = batch
-            return sweep(problem, nodes, fresh, eta, window, batch, state)
+        def recorded(problem, batch, window, deltas, state):
+            if batch is not problem.sweep:  # not the image
+                batches[batch.nodes.start // (grid.panels + 1)] = batch
+            return sweep(problem, batch, window, deltas, state)
 
-        monkeypatch.setattr(solvers, "_segment_sweep", recorded)
+        monkeypatch.setattr(solvers, "_sweep", recorded)
         if not ahead:
             monkeypatch.setattr(solvers, "_AHEAD_TIMES", 0)
         _, rep = segment_solve(problem, tol=tol, kmax=kmax)
         assert rep.converged and sorted(batches) == list(range(grid.num_segments))
+        owned = _owned_by_segment(problem)
+        assert sorted(np.concatenate(owned).tolist()) == list(range(problem.n_tau))
         for l, batch in batches.items():
             nodes = grid.segment_slice(l)
             assert batch.nodes == slice(nodes.start, grid.size if ahead else nodes.stop)
-            assert self._check(problem, batch) > 0
+            n = self._check(problem, batch)
+            assert n > 0
+            # then the fixed-impulse times the segment owns, and every later
+            # one when it carries the remainder
+            taus = np.concatenate(owned[l:] if ahead else owned[l:l + 1])
+            k = grid.size + problem.n_tau
+            assert batch.index[n:][batch.index[n:] < k].tolist() == (grid.size + taus).tolist()
+            assert batch.te[n:n + taus.size].tobytes() == problem.tau[taus].tobytes()
 
     @NAMES
     def test_jump_at(self, monkeypatch, name):
