@@ -17,10 +17,11 @@ below 1) or an ``--out``/``--report`` path that cannot be written, 2
 separation requirement failed, 3 iteration did not converge, 4 a kernel
 domain error or a non-finite value in ``solve``, ``series-solve``,
 ``convergence-report`` or ``analyze --estimate``, or a matrix whose
-invariants or spectral radius overflow: finite ``check-matrix`` entries
-(an entry that is not finite exits 1), or the bound matrix of ``analyze``,
-which still prints its report (``solve`` notes it in its report and keeps
-its own exit code).  A path that cannot be written exits 1 even where the
+invariants, criterion quantities or spectral radius overflow: finite
+``check-matrix`` entries (an entry that is not finite exits 1), which
+still print the invariants, the radius and its verdict where those are
+finite, or the bound matrix of ``analyze``, which still prints its report
+(``solve`` notes it in its report and keeps its own exit code).  A path that cannot be written exits 1 even where the
 run would have exited 2, 3 or 4, because the outputs it promised are not
 there.  Output is deterministic for fixed inputs; ``HV_SEED`` seeds the
 Lipschitz estimator behind ``analyze --estimate``.
@@ -532,16 +533,22 @@ def check_matrix(entries):
             _fail(f"matrix entries must be finite, got {value!r}", 1)
     m = np.asarray(entries, dtype=float).reshape(3, 3)
     numbers, overflow = _matrix_numbers(m)
-    if overflow:
+    # a finite radius decides by eigenvalues where only a criterion
+    # quantity overflows: that verdict alone is withheld
+    if overflow and not all(math.isfinite(numbers[k]) for k in
+                            ("trace", "pair_sum", "det", "spectral radius")):
         _fail(overflow, 4)
     click.echo(f"trace: {numbers['trace']!r}")
     click.echo(f"pair_sum: {numbers['pair_sum']!r}")
     click.echo(f"det: {numbers['det']!r}")
-    quantities = ", ".join(repr(numbers[k]) for k in ("p0", "p1", "p3", "q4"))
-    click.echo(f"criterion quantities: {quantities}")
-    click.echo(f"contractive by criterion: {str(is_contractive_criterion(m)).lower()}")
+    if not overflow:
+        quantities = ", ".join(repr(numbers[k]) for k in ("p0", "p1", "p3", "q4"))
+        click.echo(f"criterion quantities: {quantities}")
+        click.echo(f"contractive by criterion: {str(is_contractive_criterion(m)).lower()}")
     click.echo(f"spectral radius: {numbers['spectral radius']!r}")
     click.echo(f"contractive by eigenvalues: {str(is_contractive_eigen(m)).lower()}")
+    if overflow:
+        _fail(overflow, 4)
 
 
 def main(argv=None):

@@ -947,10 +947,14 @@ class TestCheckMatrix:
         radius = float(out.split("spectral radius: ")[1].split("\n")[0])
         assert radius == pytest.approx(1e200, rel=1e-15)
         assert "contractive by eigenvalues: false\n" in out
-        # a radius found so leaves out only what overflows of its own
+        # a radius found so leaves out only what overflows of its own: the
+        # criterion quantity q4 is inf minus inf, so its verdict alone is
+        # withheld, while the finite radius decides by eigenvalues
         identity = ["1e100", "0", "0", "0", "1e100", "0", "0", "0", "1e100"]
         code, out, err = _run(capsys, "check-matrix", *identity)
-        assert (code, out) == (4, "")
+        assert code == 4
+        assert out == ("trace: 3.0000000000000002e+100\npair_sum: 3e+200\ndet: 1e+300\n"
+                       "spectral radius: 1e+100\ncontractive by eigenvalues: false\n")
         assert err == "error: the matrix's invariants overflow: q4 nan\n"
 
     def test_a_radius_past_the_closed_form_keeps_its_small_entry(self, capsys):
