@@ -56,10 +56,10 @@ and the arrays the read works in, so that a sweep over tens of thousands
 of times and rows makes no array of that size.
 :func:`apply_operator` makes one evaluation per sweep of the batch
 ``problem.sweep``: the nodes, the fixed-impulse times and every moving
-trace at once.  A sweep of the segment march makes one of its segment's
-nodes, the fixed-impulse times it owns and the trace entries it
-refreshes (each followed by every later one when it carries the unsolved
-remainder), an index view of that batch (:class:`_Subset`), through the
+trace at once, and so does a sweep of the segment march that carries the
+unsolved remainder.  A sweep of a segment marched alone makes one of its
+segment's nodes, the fixed-impulse times it owns and the trace entries it
+refreshes, an index view of that batch (:class:`_Subset`), through the
 same table and membership helpers, so a problem locates and evaluates its
 times once however it is solved, and every eta_l is the formula at tau_l.
 The one state the operator reads is an array laid out as those times, by
@@ -92,24 +92,18 @@ integrals and the prefix from the window's first changeable column
 ``live`` and begun at 0.0 at column 0, so every read has the bits of a
 table filled from column 0.  A new table is filled from column 0.  Picard
 keeps one table of the whole grid, whose ``live`` is 0, for its sweeps and
-its image; :func:`apply_operator` and :func:`jump_at` fill a new one.
-Strict memberships let the segment march keep one table per segment
-(:func:`_window`): before the segment's own nodes, and before the first
-trace entry of each g row that the segment still refreshes, nothing
-changes while it iterates, so each later sweep fills it from ``live``.
-When the march carries the unsolved remainder after a segment, every
-later node and trace entry, in the segment's sweeps, its table spans the
-whole grid.  The table admits every fixed impulse that a later time
-admits, and the eta of one after the segment's start changes while the
-segment iterates: a g row that reads it is filled from column 0, and a G1
-and G2 prefix that reads eta is built again in every sweep.  A sweep of
-segment l then costs O(N - start_l), for the times from its first node
-on, plus a fixed cost, where every memory kernel splits; alone, it costs
-O(n_l + fresh columns), for its n_l nodes and the trace entries it
-refreshes.  A t-free f2 that does not split still costs one N x N pass
-per table.  The last segment's table holds the g rows of every fixed
-impulse that a membership of a sweep admits, so the march's image of its
-returned iterate is that table filled from its ``live`` column once more.
+its image, and so does the march that carries the remainder;
+:func:`apply_operator` and :func:`jump_at` fill a new one.  Strict
+memberships let the march of the segments alone keep one table per
+segment (:func:`_window`): before the segment's own nodes, and before the
+first trace entry of each g row that the segment still refreshes, nothing
+changes while it iterates, so each later sweep fills it from ``live``,
+and a sweep of segment l costs O(n_l + fresh columns), for its n_l nodes
+and the trace entries it refreshes, where every memory kernel splits.  A
+t-free f2 that does not split still costs one N x N pass per table.  The
+last segment's table holds the g rows of every fixed impulse that a
+membership of a sweep admits, so the image of the iterate that march
+returns is that table filled from its ``live`` column once more.
 """
 
 from __future__ import annotations
@@ -225,10 +219,10 @@ class HybridProblem:
     :attr:`g_row_impulses` and :attr:`batch_terms`;
     :attr:`sweep`, the evaluation batch of one sweep; and
     :attr:`impulse_prefix`, the G1 and G2 sums when they read no eta.
-    Each sweep and image of
-    either solver evaluates :attr:`sweep` or, in the march, an index view
-    of it (:class:`_Subset`), so a solve locates and evaluates its times
-    once; only :func:`jump_at` builds a batch of its own.
+    Each sweep and image of either solver evaluates :attr:`sweep` or, in
+    the march of the segments alone, an index view of it
+    (:class:`_Subset`), so a solve locates and evaluates its times once;
+    only :func:`jump_at` builds a batch of its own.
 
     The paths set the cost of a sweep in N, the number of grid nodes: O(N)
     when every memory kernel splits, O(N^2) for an f2 that does not
@@ -501,8 +495,9 @@ class _Batch:
     A batch is built by what evaluates it and kept for as long as that
     evaluates it: the problem keeps ``problem.sweep`` for every sweep and
     image of either solver, and each :func:`jump_at` builds its own.  A
-    march segment evaluates an index view of ``problem.sweep``
-    (:class:`_Subset`), which builds no part the sweep batch holds.  ``te``
+    segment of the march alone evaluates an index view of
+    ``problem.sweep`` (:class:`_Subset`), which builds no part the sweep
+    batch holds.  ``te``
     and ``m`` are read-only copies of the evaluation and membership times,
     and the first ``nodes.stop - nodes.start`` times are the grid nodes
     ``nodes``, at which beta is read at its stored values (:func:`_beta_at`):
@@ -610,8 +605,8 @@ class _Batch:
 
 class _Subset(_Batch):
     """The times ``index`` (an index array) of the batch ``parent``, a
-    batch of their own: a march segment evaluates its nodes, fixed-impulse
-    times and fresh trace entries as such an index view of
+    batch of their own: a segment of the march alone evaluates its nodes,
+    fixed-impulse times and fresh trace entries as such an index view of
     ``problem.sweep``.  Its first times are the grid nodes ``nodes``, as in
     any batch.
 
@@ -667,26 +662,22 @@ class _Reader(NamedTuple):
 
 
 class _Window(NamedTuple):
-    """The columns of the memory table of one march segment.
+    """The columns of the memory table of one segment of the march alone.
 
     The table spans the grid columns 0 to ``hi``.  Its rows change with
     the iterate only from column ``live`` on, a segment start: before it
     every row reads solved segments alone (the continuous part before the
     segment, the trace entries consumed before it, the fixed-impulse
-    values of the settled impulses).  ``admitted`` is the number of fixed
-    impulses that the membership times of the table's readers admit: the
-    table holds no g row of the others, which no reader counts.  The
-    first ``settled`` fixed impulses lie at or before the segment's first
-    node, so no sweep of the segment changes their eta; a table that
-    admits more reads an eta that its sweeps change.  The whole grid is
-    ``_Window(0, N, n_tau)`` (``HybridProblem.whole_grid``), which settles
-    no impulse.
+    values it admits).  ``admitted`` is the number of fixed impulses that
+    the membership times of the table's readers admit: the table holds no
+    g row of the others, which no reader counts.  The whole grid is
+    ``_Window(0, N, n_tau)`` (``HybridProblem.whole_grid``), the table of
+    picard and of the march that carries the remainder.
     """
 
     live: int
     hi: int
     admitted: int
-    settled: int = 0
 
 
 class _Memory(NamedTuple):
@@ -707,8 +698,9 @@ class _Memory(NamedTuple):
     exclusive prefix over the fixed impulses of the t-free G1 and G2 values
     (:func:`_impulse_prefix`), or None; every table of a problem holds the
     same one when they read no eta.  A later iterate fills the same arrays
-    again (:func:`_memory`): picard keeps one table for its sweeps and its
-    image, and a march segment one for its sweeps.
+    again (:func:`_memory`): picard and the march that carries the
+    remainder keep one table for their sweeps and their image, and a
+    segment marched alone one for its sweeps.
     """
 
     n_xi: int  # the number of f1 and f2 rows, as :func:`_xi_rows`
@@ -817,9 +809,9 @@ def _memory(problem: HybridProblem, view: _View, table: _Memory | None = None,
     value at ``live``, or begun at 0.0 at column 0, so every read has the
     bits of a table filled from column 0.  The G1 and G2 prefix is built
     again from the eta of ``view`` when it reads eta and the fill begins
-    at column 0 or the window admits an impulse that is not settled;
-    otherwise it is the earlier iterate's, whose entries every reader of
-    the table shares with ``view``.
+    at column 0; otherwise it is the earlier iterate's, whose entries every
+    reader of the table shares with ``view``, since a window that admits
+    an eta its segment changes begins at column 0 (:func:`_window`).
     """
     if table is None:
         window, live = window or problem.whole_grid, 0
@@ -857,7 +849,7 @@ def _memory(problem: HybridProblem, view: _View, table: _Memory | None = None,
         table.cumulative[:, cols] = cumulative
     _row_prefix(problem.grid, rows[:, cols], live, table.prefix[:, live] if live else 0.0,
                 out=table.prefix[:, live:])
-    if problem.impulse_prefix is None and (not live or window.admitted > window.settled):
+    if problem.impulse_prefix is None and not live:
         table = table._replace(impulses=_impulse_prefix(problem, view.eta))
     return table
 
@@ -879,40 +871,40 @@ def _read_rows(memory: _Memory, batch: _Batch) -> np.ndarray:
 def _window(
     problem: HybridProblem, nodes: slice, batch: _Batch, solved: np.ndarray
 ) -> _Window:
-    """The columns of the memory table of a march segment (:class:`_Window`).
+    """The columns of the memory table of a segment marched alone
+    (:class:`_Window`).
 
     The segment updates the continuous part on ``nodes``, the fixed
     impulses it owns and the trace entries it refreshes; ``batch``, the one
     that each of its sweeps evaluates, holds the segment's nodes, its
     fixed-impulse times and each fresh entry's moving time sigma_p(t), the
-    last two one tick left, each followed by the later ones while the
-    march evaluates the unsolved remainder; ``solved`` (n_sigma, N) marks
-    the entries that earlier segments consumed.  Table rows can change
-    from ``live`` on: from the segment's first node, and for the g rows of
-    impulse i at every node whose trace entry is not yet consumed (a
-    suffix, sigma_i being nondecreasing).  A g row that reads
-    the eta of an admitted impulse that is not settled changes at every
-    column, so such a table has ``live`` 0.  ``hi`` bounds every column
-    that the evaluations of the segment read: the node at or below each
-    time and the next, so a batch with later nodes reads the whole grid.
-    ``live`` and ``hi`` are segment boundaries, so the f2 inner integrals
-    run over whole segments; a table without rows takes the whole grid,
-    read nowhere.  ``admitted`` counts the fixed impulses below the last
-    membership time, and ``settled`` those at or before the segment's
-    first node.
+    last two one tick left; ``solved`` (n_sigma, N) marks the entries that
+    earlier segments consumed.  Table rows can change from ``live`` on:
+    from the segment's first node, and for the g rows of impulse i at
+    every node whose trace entry is not yet consumed (a suffix, sigma_i
+    being nondecreasing).  ``admitted`` counts the fixed impulses below the
+    last membership time.  Those at or before the segment's first node are
+    solved.  A trace entry up to EPS past the segment's end can admit one
+    after it, such as a fixed impulse merged into the horizon, whose eta
+    changes while the segment iterates: such a table has ``live`` 0, so
+    its g rows and its G1 and G2 prefix are filled from column 0.  ``hi`` bounds every
+    column that the evaluations of the segment read: the node at or below
+    each time and the next, past the segment's end for an entry consumed
+    up to EPS past it.  ``live`` and ``hi`` are segment boundaries, so the
+    f2 inner integrals run over whole segments; a table without rows takes
+    the whole grid, read nowhere.
     """
     grid = problem.grid
     w = grid.panels + 1
     admitted = int(np.searchsorted(problem.tau, batch.m.max()))
-    settled = int(np.searchsorted(problem.tau, grid.times[nodes.start] + EPS, side="right"))
     impulses = problem.g_row_impulses
     if not (problem.f1_terms or problem.f2_terms or _f2_square(problem) or impulses.size):
-        return _Window(0, grid.size, admitted, settled)
+        return _Window(0, grid.size, admitted)
     live = min([nodes.start] + [int(np.count_nonzero(solved[i])) for i in impulses])
-    if impulses.size and admitted > settled and problem.g.references("eta"):
+    if admitted > np.searchsorted(problem.tau, grid.times[nodes.start] + EPS, side="right"):
         live = 0
     hi = max(nodes.stop, int(batch.limits.base.max()) + 2)
-    return _Window(live - live % w, min(hi + (-hi) % w, grid.size), admitted, settled)
+    return _Window(live - live % w, min(hi + (-hi) % w, grid.size), admitted)
 
 
 def _sc_eval(problem: HybridProblem, view: _View, batch: _Batch,

@@ -9,31 +9,37 @@ Two routes to the same discrete fixed point:
   and accepts the segments left to right.  Segment l stops on its own
   deltas: its continuous nodes, the fixed-impulse values eta_j it owns
   (tau_j at its end) and the moving-trace entries beta_p(t) that it consumes
-  first (sigma_p(t) in the segment, past the end of the one before).  Each
-  of its sweeps evaluates those and, on a grid that is not large (below),
-  also every later node, fixed-impulse time and entry, the unsolved
-  remainder, from its starting iterate, in one batch against one memory
-  table of the whole grid, as a picard sweep does.  So a later segment
-  starts from values that earlier sweeps have iterated, not from the forcing
-  term, and needs fewer sweeps.  An entry consumed by an earlier segment
-  reads only solved segments, so it is not recomputed.  Because every
-  membership test looks strictly into the past, values from segments not yet
-  solved are masked out of every sum and integral of the segment's own
-  values, so the march is well posed, and those values have the bits of an
-  evaluation of the segment alone.  For the same reason a segment keeps one
-  memory table: its first sweep fills it from column 0, and every later
-  sweep fills it again only from the first column that its batch can change.
-  A sweep of segment l costs O(N - start_l), for the times from its first
-  node on, plus a fixed cost per sweep, where every memory kernel splits;
-  alone it costs O(n_l + fresh columns), for its n_l nodes and the entries
-  it refreshes.  The saved sweeps pay for the larger ones only while the
-  fixed cost dominates, so the march carries the remainder only over at most
-  ``_AHEAD_TIMES`` times, and takes each segment alone over more.  When a
-  sweep that carries the remainder fails, on a kernel error or a non-finite
-  value, in any segment, the march starts again from its first iterate and
-  takes each segment alone, so an input whose march fails in a sweep fails
-  as a march of the segments alone does, with the same bytes, and an input
-  whose carrying march fails can still converge alone.
+  first (sigma_p(t) in the segment, past the end of the one before).  On a
+  grid that is not large (below), each of its sweeps carries the unsolved
+  remainder: it is a picard sweep that keeps what earlier segments solved.
+  It evaluates every time of ``problem.sweep`` against the one memory table
+  of the whole grid that the march keeps across its segments, and writes
+  the new iterate everywhere except at the nodes, fixed-impulse values and
+  trace entries that earlier segments solved, which keep their bits.  So a
+  later segment starts from values that earlier sweeps have iterated, not
+  from the forcing term, and needs fewer sweeps.  Because every membership
+  test looks strictly into the past, values not yet solved are masked out
+  of every sum and integral of the segment's own values, so the march is
+  well posed, and those values have the bits of an evaluation of the
+  segment alone.  For the same reason the march of the segments alone
+  evaluates only each segment's own times, an index view of
+  ``problem.sweep`` (:class:`~.operator._Subset`), against one memory
+  table per segment (:func:`~.operator._window`): its first sweep fills it
+  from column 0, and every later sweep only from the first column that the
+  segment can change.  A carrying sweep costs what a picard sweep costs,
+  O(N) plus a fixed cost per sweep where every memory kernel splits; a
+  sweep of segment l alone costs O(n_l + fresh columns), for its n_l nodes
+  and the entries it refreshes.  The saved sweeps pay for the larger ones
+  only while the fixed cost dominates, so the march carries the remainder
+  only over at most ``_AHEAD_TIMES`` times, and takes each segment alone
+  over more.  When a carrying sweep fails, on a kernel error or a
+  non-finite value, in any segment, the march starts again from its first
+  iterate and takes each segment alone, so an input whose march fails in a
+  sweep fails as a march of the segments alone does, with the same bytes,
+  and an input whose carrying march fails can still converge alone.  A
+  carrying sweep walks its kernels at solved times too, so a kernel error
+  there restarts the march; a value that is not finite there is not kept,
+  and fails nothing.
 
 Both iterate one array laid out as the times of ``problem.sweep`` (xi at
 the N nodes, then eta, then the beta rows), the one state the operator
@@ -41,13 +47,14 @@ reads, by component through :class:`~.operator._View`.  A picard sweep is
 one evaluation of ``problem.sweep`` on it, against the one memory table
 of the whole grid that picard keeps and fills in every sweep and in its
 image, and its deltas are those of :func:`~.operator.component_deltas`
-(:func:`~.operator._deltas`).  The batch of a march segment is an index
-view of ``problem.sweep`` (:class:`~.operator._Subset`): the segment's
-nodes, its fixed-impulse times, then its fresh trace entries, each
-followed by the later ones when it carries the remainder.  So eta_j is
-the operator formula at tau_j in both solvers, and a march sweep is a
-picard sweep restricted to those indices: it writes its evaluation into
-a copy of the array there.  A solve locates and evaluates its times once.
+(:func:`~.operator._deltas`).  A carrying march sweep is the same
+evaluation, which keeps the solved values.  The batch of a segment
+marched alone is an index view of ``problem.sweep``: the segment's nodes,
+its fixed-impulse times, then its fresh trace entries, and the sweep
+writes its evaluation into a copy of the array there.  So eta_j is the
+operator formula at tau_j in both solvers, and a march sweep is a picard
+sweep restricted to the values it writes.  A solve locates and evaluates
+its times once.
 A sweep of either solver and an image are one function under one
 floating-point guard (:func:`_sweep`): it fills its table, evaluates,
 checks the update for finiteness and takes its deltas or its distance.
@@ -58,8 +65,9 @@ triple, and the image below, are the only :class:`~.operator.SolutionTriple`
 a solve builds.  The report also keeps the image of the returned iterate,
 from one more evaluation of ``problem.sweep``, with the bits of
 :func:`~.operator.apply_operator`, against the solver's own table:
-picard's, filled once more, or the march's last segment's, which spans
-the grid, filled from that segment's first changeable column.  The final
+picard's or the carrying march's, filled once more, or the last
+segment's of a march alone, which spans the grid, filled from that
+segment's first changeable column.  The final
 residual is the image's sup distance from the iterate, and its two values
 at each duplicated breakpoint node give the jump the operator predicts
 there, so a caller needs no second evaluation of the iterate.  A kernel
@@ -84,7 +92,6 @@ import numpy as np
 from .contraction import NoContractiveWeight, find_mu
 from .expressions import EvaluationError, quiet
 from .operator import (
-    _NONE,
     EPS,
     HybridProblem,
     SolutionTriple,
@@ -290,7 +297,7 @@ def _sups(owned: tuple, new: np.ndarray, old: np.ndarray) -> tuple[float, float,
 
 
 @quiet
-def _sweep(problem: HybridProblem, batch, window, deltas, state):
+def _sweep(problem: HybridProblem, batch, window, deltas, state, solved=None):
     """One sweep of either solver, or the image of an iterate, under its
     one floating-point guard.
 
@@ -298,25 +305,27 @@ def _sweep(problem: HybridProblem, batch, window, deltas, state):
     (:class:`~.operator._View`), and the solver's memory table, None before
     the first sweep makes it over the columns of ``window``
     (:func:`~.operator._window`; the whole grid when None).  The table is
-    filled with the iterate (:func:`~.operator._memory`), ``batch`` is
-    evaluated against it, and the values must be finite.  The new iterate
-    is that evaluation when ``batch`` is ``problem.sweep``, and otherwise,
-    for a march segment's index view of it (:class:`~.operator._Subset`),
-    a copy of the iterate with the evaluation written in at
-    ``batch.index``.  Returns the new state and ``deltas(new, old)``:
-    picard's weighted deltas (:func:`~.operator._deltas`), a segment's
-    plain sups over the values it owns (:func:`_sups`), or an image's
-    distance (:func:`_distance`).
+    filled with the iterate (:func:`~.operator._memory`) and ``batch`` is
+    evaluated against it.  The new iterate is that evaluation when
+    ``batch`` is ``problem.sweep``, with the iterate's own values kept at
+    the indices ``solved`` when given (the values that earlier march
+    segments solved), and otherwise, for a march segment's index view of
+    it (:class:`~.operator._Subset`), a copy of the iterate with the
+    evaluation written in at ``batch.index``.  The values it takes from
+    the evaluation must be finite.  Returns the new state and
+    ``deltas(new, old)``: picard's weighted deltas
+    (:func:`~.operator._deltas`), a segment's plain sups over the values
+    it owns (:func:`_sups`), or an image's distance (:func:`_distance`).
     """
     old, table = state
     view = _View.of(problem, old)
     table = _memory(problem, view, table, window)
-    out = _sc_eval(problem, view, batch, table)
-    _require_finite(out)
-    if batch is problem.sweep:
-        new = out
-    else:
-        new = old.copy()
+    new = _sc_eval(problem, view, batch, table)
+    if solved is not None:
+        new[solved] = old[solved]
+    _require_finite(new)
+    if batch is not problem.sweep:
+        new, out = old.copy(), new
         new[batch.index] = out
     return (new, table), deltas(new, old)
 
@@ -342,7 +351,7 @@ def _march(problem: HybridProblem, init, tol: float, kmax: int):
     A march of more than one segment over at most ``_AHEAD_TIMES`` times
     carries the unsolved remainder in its sweeps (:func:`_segments`).  When
     one of its sweeps fails, on a kernel error or a non-finite value, in
-    any segment, the march starts again from the same first iterate, which
+    any segment, at a solved time too, the march starts again from the same first iterate, which
     no sweep writes in place, and takes each segment alone, with a new
     report: so an input whose march fails in a sweep ends as a march of
     the segments alone does, with the same iterate, sweep count and notes,
@@ -366,18 +375,19 @@ def _segments(problem: HybridProblem, cur: np.ndarray, report: SolveReport, tol:
     """The march from the iterate ``cur``, segment by segment, as
     :func:`_march` returns it.
 
-    When ``ahead`` is set, each sweep of segment l evaluates the segment's
-    own times and then the unsolved remainder after them, every later node,
-    fixed-impulse time and trace entry, so that a later segment starts
-    from values that the earlier sweeps have iterated.  Otherwise
-    each segment iterates alone.  A numerical failure in a sweep ends the
-    march with ``report.failed`` set.
+    When ``ahead`` is set, each sweep of segment l is a picard sweep that
+    keeps the values earlier segments solved, against one table of the
+    whole grid for every segment and the image, so that a later segment
+    starts from values that the earlier sweeps have iterated.  Otherwise
+    each segment iterates alone, on its own times and table.  A numerical
+    failure in a sweep ends the march with ``report.failed`` set.
     """
     grid = problem.grid
     N = grid.size
     traces = N + problem.n_tau  # where the beta rows start in the iterate
     consumed = np.zeros(problem.sigma_grid.shape, dtype=bool)
     eta = slice(N, N)
+    table = None
     for l in range(grid.num_segments):
         nodes = grid.segment_slice(l)
         end = float(grid.partition[l + 1]) + EPS
@@ -386,26 +396,33 @@ def _segments(problem: HybridProblem, cur: np.ndarray, report: SolveReport, tol:
         # the fixed impulses the segment owns: at or before its end, after
         # the last segment's
         eta = slice(eta.stop, N + int(np.searchsorted(problem.tau, end, side="right")))
-        # the batch's nodes, the segment's and every later one when it
-        # carries the remainder, then in the same way its fixed-impulse
-        # times, then its fresh entries and every later one
-        span = slice(nodes.start, N if ahead else nodes.stop)
-        times = [np.arange(span.start, span.stop),
-                 np.arange(eta.start, traces if ahead else eta.stop), fresh,
-                 traces + np.flatnonzero(~now) if ahead else _NONE]
-        batch = _Subset(problem.sweep, np.concatenate(times), span)
-        sweep = partial(_sweep, problem, batch, _window(problem, nodes, batch, consumed),
-                        partial(_sups, (nodes, eta, fresh)))
+        sups = partial(_sups, (nodes, eta, fresh))
+        if ahead:
+            # a picard sweep that keeps what earlier segments solved: their
+            # nodes, fixed impulses and consumed entries
+            solved = np.concatenate([np.arange(nodes.start), np.arange(N, eta.start),
+                                     traces + np.flatnonzero(consumed)])
+            sweep = partial(_sweep, problem, problem.sweep, None, sups, solved=solved)
+        else:
+            # the segment's nodes, fixed-impulse times and fresh entries, with
+            # a table of its own
+            index = np.concatenate([np.arange(nodes.start, nodes.stop),
+                                    np.arange(eta.start, eta.stop), fresh])
+            batch = _Subset(problem.sweep, index, nodes)
+            sweep = partial(_sweep, problem, batch, _window(problem, nodes, batch, consumed),
+                            sups)
+            table = None
         consumed = now
-        (cur, table), done = _iterate(report, (cur, None), sweep, tol, kmax)
+        (cur, table), done = _iterate(report, (cur, table), sweep, tol, kmax)
         if report.failed:
             return cur, report, None
         if not done:
             report.converged = False
             report.notes += (f"segment {l} hit the sweep limit",)
-    # the last segment's table spans the grid and admits every fixed impulse
-    # that a membership of a sweep admits: the image fills it again from its
-    # live column with the returned iterate
+    # the carrying march's table is picard's, of the whole grid; the last
+    # segment's alone spans the grid and admits every fixed impulse that a
+    # membership of a sweep admits: the image fills it again with the
+    # returned iterate
     return cur, report, partial(_image, problem, table=table)
 
 

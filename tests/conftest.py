@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hybrid_volterra import operator
+from hybrid_volterra import operator, solvers
 from hybrid_volterra.contraction import LipschitzSet
 from hybrid_volterra.expressions import KernelExpr
 from hybrid_volterra.operator import HybridProblem, SolutionTriple, default_init
@@ -133,6 +133,16 @@ def on_kernel_calls(monkeypatch, record):
             return out
 
         monkeypatch.setattr(owner, name, watched)
+
+
+def march_segment(problem, deltas):
+    """The segment of a march sweep, read from the deltas it takes: the
+    plain sups over the segment's nodes, fixed impulses and fresh entries
+    (``solvers._sups`` with those indices, nodes first).  None for a picard
+    sweep or an image."""
+    if getattr(deltas, "func", None) is not solvers._sups:
+        return None
+    return deltas.args[0][0].start // (problem.grid.panels + 1)
 
 
 def random_triple(problem, rng, scale=1.0) -> SolutionTriple:

@@ -348,11 +348,12 @@ def _march_guards(monkeypatch, problem):
     sweeps = []
     sweep = solvers._sweep
 
-    def counted(problem, batch, *args):
-        if batch is problem.sweep:  # the image
-            return sweep(problem, batch, *args)
+    def counted(problem, batch, window, deltas, *args, **kwargs):
+        call = partial(sweep, problem, batch, window, deltas, *args, **kwargs)
+        if deltas is solvers._distance:  # the image
+            return call()
         out = []
-        sweeps.append(_guards(lambda: out.append(sweep(problem, batch, *args))))
+        sweeps.append(_guards(lambda: out.append(call())))
         return out[0]
 
     monkeypatch.setattr(solvers, "_sweep", counted)
@@ -407,7 +408,15 @@ class TestOneGuardPerSweep:
         assert entered == collections.Counter(apply_operator=1, _power=powers)
 
     def test_march_sweep(self, monkeypatch, solved):
+        """Every sweep of the march that carries the remainder."""
         problem, _, powers = solved
+        for entered in _march_guards(monkeypatch, problem):
+            assert entered == collections.Counter(_sweep=1, _power=powers)
+
+    def test_march_sweep_alone(self, monkeypatch, solved):
+        """Every sweep of the march of the segments alone."""
+        problem, _, powers = solved
+        monkeypatch.setattr(solvers, "_AHEAD_TIMES", 0)
         for entered in _march_guards(monkeypatch, problem):
             assert entered == collections.Counter(_sweep=1, _power=powers)
 

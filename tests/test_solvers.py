@@ -14,6 +14,7 @@ from conftest import (
     exp_problem,
     g2_problem,
     make_problem,
+    march_segment,
     mixed_problem,
     moving_problem,
     on_kernel_calls,
@@ -25,7 +26,7 @@ import oracles
 from oracles import residual
 from hybrid_volterra import cli, operator, quadrature, solvers
 from hybrid_volterra.contraction import contraction_bounds, find_mu, spectral_radius
-from hybrid_volterra.expressions import KernelExpr
+from hybrid_volterra.expressions import EvaluationError, KernelExpr
 from hybrid_volterra.operator import (
     SolutionTriple,
     apply_operator,
@@ -256,10 +257,11 @@ class TestConvergenceTable:
         calls = {"picard": 0, "segment": 0}
         sweep = solvers._sweep
 
-        def counted(problem, batch, *args):
-            # a picard sweep evaluates the sweep batch, a march sweep an index view
-            calls["picard" if batch is problem.sweep else "segment"] += 1
-            return sweep(problem, batch, *args)
+        def counted(problem, batch, window, deltas, *args, **kwargs):
+            # a march sweep takes its segment's plain sups, a picard sweep
+            # weighted deltas
+            calls["picard" if march_segment(problem, deltas) is None else "segment"] += 1
+            return sweep(problem, batch, window, deltas, *args, **kwargs)
 
         monkeypatch.setattr(solvers, "_sweep", counted)
         convergence_table(problem, res, method=method)
@@ -572,11 +574,12 @@ class TestPicardTable:
 class TestReaders:
     """A batch builds one reader per table layout (``_Batch.reader``).  A
     picard solve builds one, for every sweep and its image, which share
-    the batch ``problem.sweep`` and the table.  The march builds one per
+    the batch ``problem.sweep`` and the table, and so does the march that
+    carries the remainder.  The march of the segments alone builds one per
     segment, whose batch and table are its own, and one for the image,
     which evaluates ``problem.sweep``."""
 
-    @pytest.mark.parametrize("method", ["picard", "segment"])
+    @pytest.mark.parametrize("method", ["picard", "segment", "segment-alone"])
     def test_readers_per_solve(self, monkeypatch, method):
         loaded = load_problem_file(PROBLEMS / "mixed_impulses.yaml")
         problem, tol, kmax = loaded.problem, loaded.settings.tol, loaded.settings.kmax
@@ -588,12 +591,14 @@ class TestReaders:
             return built[-1]
 
         monkeypatch.setattr(operator, "_Reader", counting)
+        if method == "segment-alone":
+            monkeypatch.setattr(solvers, "_AHEAD_TIMES", 0)
         solve = picard_solve if method == "picard" else segment_solve
         _, rep = solve(problem, tol=tol, kmax=kmax)
         assert rep.converged and rep.image is not None and rep.iterations > 1
         segments = problem.grid.num_segments
         assert segments == 4
-        assert len(built) == (1 if method == "picard" else segments + 1)
+        assert len(built) == (segments + 1 if method == "segment-alone" else 1)
 
 
 class TestImpulsePrefix:
@@ -897,13 +902,6 @@ def _owned_by_segment(problem):
     return [np.flatnonzero((tau > lo) & (tau <= hi)) for lo, hi in zip(below, ends)]
 
 
-def _carries(problem, batch) -> bool:
-    """Whether a march batch carries the unsolved remainder: its nodes run
-    to the end of the grid from a segment before the last."""
-    w = problem.grid.panels + 1
-    return batch.nodes.stop == problem.grid.size and batch.nodes.stop - batch.nodes.start > w
-
-
 def _reader_parts(reader) -> list:
     """The arrays of a batch's reader of a table that depend on its times:
     the cut of every row and the rows' weights, where it has them."""
@@ -911,36 +909,37 @@ def _reader_parts(reader) -> list:
 
 
 class TestMarchWork:
-    """Each segment of the march keeps one table, over its window of
-    columns, the whole grid: the segment's first sweep builds it from its
-    starting iterate, and every later sweep rewrites it from the window's
-    first changeable column.  Each sweep makes one evaluation: the
-    segment's nodes and every later node, then the fixed-impulse times the
-    segment owns and every later one, then the trace entries the segment
-    consumes first and every entry that a later segment consumes.
+    """In the march of the segments alone (``_AHEAD_TIMES`` 0), each
+    segment keeps one table, over its window of columns: the segment's
+    first sweep builds it from its starting iterate, and every later sweep
+    rewrites it from the window's first changeable column.  Each sweep
+    makes one evaluation: the segment's nodes, then the fixed-impulse
+    times it owns, then the trace entries it consumes first.
 
-    Recorded per sweep: its segment, the row prefixes it takes (with their
-    first column and width), and each evaluation it makes, with its
-    arguments and result; work outside every march sweep (the image, an
-    evaluation of ``problem.sweep``) is recorded apart.
+    Recorded per sweep: its segment, read from its deltas, the row
+    prefixes it takes (with their first column and width), and each
+    evaluation it makes, with its arguments and result; work outside
+    every march sweep (the image, an evaluation of ``problem.sweep``) is
+    recorded apart.
     """
 
     @staticmethod
     def _record(monkeypatch):
+        monkeypatch.setattr(solvers, "_AHEAD_TIMES", 0)
         outside = {"segment": None, "tables": [], "evals": []}
         log = {"sweeps": [], "outside": outside}
         current = [outside]
         sweep, sc_eval = solvers._sweep, solvers._sc_eval
         row_prefix = operator._row_prefix
 
-        def recording_sweep(problem, batch, window, *args):
-            if batch is problem.sweep:  # the image
-                return sweep(problem, batch, window, *args)
-            current[0] = {"segment": batch.nodes.start // (problem.grid.panels + 1),
-                          "window": window, "tables": [], "evals": []}
+        def recording_sweep(problem, batch, window, deltas, *args, **kwargs):
+            segment = march_segment(problem, deltas)
+            if segment is None:  # the image
+                return sweep(problem, batch, window, deltas, *args, **kwargs)
+            current[0] = {"segment": segment, "window": window, "tables": [], "evals": []}
             log["sweeps"].append(current[0])
             try:
-                return sweep(problem, batch, window, *args)
+                return sweep(problem, batch, window, deltas, *args, **kwargs)
             finally:
                 current[0] = outside
 
@@ -960,13 +959,12 @@ class TestMarchWork:
         return log
 
     def _check_batches(self, problem, log):
-        """Every sweep of segment l makes one evaluation: the segment's nodes
-        and every later node, with their sweep memberships, which are the
-        batch's nodes; then the fixed-impulse times l owns and every later
-        one, one tick left; then the entries l consumes first, each once, by
-        moving impulse and node, one tick left of their moving times, and
-        every entry that a later segment consumes, in the same way.  The
-        segments share no entry and cover every one."""
+        """Every sweep of segment l makes one evaluation: the segment's
+        nodes, with their sweep memberships, which are the batch's nodes;
+        then the fixed-impulse times l owns, one tick left; then the
+        entries l consumes first, each once, by moving impulse and node,
+        one tick left of their moving times.  The segments share no entry
+        and cover every one."""
         grid = problem.grid
         node_m = problem.sweep.m[:grid.size]
         consumed = _consumed_by_segment(problem)
@@ -981,30 +979,32 @@ class TestMarchWork:
             (_, _, batch, _), _ = rec["evals"][0]
             te, m = batch.te.tolist(), batch.m.tolist()
             l = rec["segment"]
-            nodes = slice(grid.segment_slice(l).start, grid.size)
+            nodes = grid.segment_slice(l)
             assert batch.nodes == nodes
-            u, v = moving(consumed[l]), moving(set().union(*consumed[l + 1:]))
-            tau = problem.tau[np.concatenate(owned[l:])].tolist()
-            assert te == grid.times[nodes].tolist() + tau + u + v
-            assert m == node_m[nodes].tolist() + [x - operator.EPS for x in tau + u + v]
+            u, tau = moving(consumed[l]), problem.tau[owned[l]].tolist()
+            assert te == grid.times[nodes].tolist() + tau + u
+            assert m == node_m[nodes].tolist() + [x - operator.EPS for x in tau + u]
         assert sum(len(s) for s in consumed) == problem.sigma_grid.size
         assert set().union(*consumed) == set(np.ndindex(problem.sigma_grid.shape))
 
     def _check_tables(self, problem, log):
-        """Every segment keeps one table, over the whole grid.  Its first
-        sweep takes one row prefix over the columns 0 to ``hi``, every later
-        sweep one from ``live`` to ``hi``, and every sweep of it reads the
-        same rows."""
+        """Every segment keeps one table, over the columns 0 to ``hi`` of
+        its window, a segment boundary at or after the segment's end.  Its
+        first sweep takes one row prefix over the columns 0 to ``hi``,
+        every later sweep one from ``live`` to ``hi``, and every sweep of
+        it reads the same rows."""
+        grid = problem.grid
         rows_of = {}
         for rec in log["sweeps"]:
             (_, _, _, memory), _ = rec["evals"][0]
             first = rec["segment"] not in rows_of
             rows = rows_of.setdefault(rec["segment"], memory.rows)
             live, hi = rec["window"].live, rec["window"].hi
-            assert hi == problem.grid.size
+            assert grid.segment_slice(rec["segment"]).stop <= hi <= grid.size
+            assert hi % (grid.panels + 1) == 0 and memory.rows.shape[1] == hi
             assert rec["tables"] == [(0, hi) if first else (live, hi - live)]
             assert memory.rows is rows
-        assert sorted(rows_of) == list(range(problem.grid.num_segments))
+        assert sorted(rows_of) == list(range(grid.num_segments))
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
     def test_mixed_problem(self, monkeypatch, tol):
@@ -1019,16 +1019,18 @@ class TestMarchWork:
         self._check_batches(problem, log)
         self._check_tables(problem, log)
         # 33 nodes per segment.  Segment 1 rewrites its g rows from column 0,
-        # whose trace entry it consumes.  Segment 2 admits tau = 1.75, its
-        # own end, whose eta its sweeps change, and g reads eta: it rewrites
-        # from column 0 too.  Segment 3 rewrites from its first node
+        # whose trace entry it consumes.  Segment 1 consumes the entries of
+        # every node up to its end, so segment 2 rewrites from its first
+        # node, and so does segment 3.  Each table ends at its segment's end
         assert problem.grid.size == 132
         windows = {rec["segment"]: tuple(rec["window"][:2]) for rec in log["sweeps"]}
-        assert windows == {0: (0, 132), 1: (0, 132), 2: (0, 132), 3: (99, 132)}
-        # every table admits the fixed impulses tau = 0.4 and 1.75, which
-        # later nodes admit; those at or before each segment's start are settled
-        assert {rec["segment"]: rec["window"][2:] for rec in log["sweeps"]} == {
-            0: (2, 0), 1: (2, 1), 2: (2, 1), 3: (2, 2)}
+        assert windows == {0: (0, 33), 1: (0, 66), 2: (66, 99), 3: (99, 132)}
+        # each table admits the fixed impulses tau = 0.4 and 1.75 at or
+        # before its segment's first node, whose eta no sweep of it changes
+        admitted = {rec["segment"]: rec["window"].admitted for rec in log["sweeps"]}
+        assert admitted == {0: 0, 1: 1, 2: 1, 3: 2}
+        starts = problem.grid.partition[:-1] + operator.EPS
+        assert list(admitted.values()) == np.searchsorted(problem.tau, starts, "right").tolist()
         # the image rewrites the last segment's table from column 99 and
         # evaluates the times of a picard sweep
         outside = log["outside"]
@@ -1075,6 +1077,29 @@ class TestMarchWork:
             assert a.tobytes() == b.tobytes()
         assert rep.final_residual == residual(problem, triple)
 
+    def test_an_impulse_at_the_horizon_admitted_by_a_trace_entry(self, monkeypatch):
+        """A trace entry up to the merge tolerance past the horizon admits a
+        fixed impulse that merges into the horizon, whose eta the last
+        segment owns and changes: so that segment's table, whose g rows
+        and impulse prefix read eta, is rewritten from column 0 in every
+        sweep, and the march agrees with picard.  Kept from its first
+        sweep, the table gave an answer 2.6 away from picard's."""
+        problem = make_problem(2.0, tau=(1.0, 2.0 - 5e-11), sigma=("t + 8e-11",), h=0.2,
+                               panels=8, x0="1", f1="0.3*x", G1="0.4*eta",
+                               G2="0.1*etai*etaj", G3="0.5*beta*eta",
+                               g="0.2*beta*eta + 0.1*x")
+        assert problem.grid.partition.tolist() == [0.0, 1.0, 2.0]
+        assert problem.sigma_grid.max() > problem.tau[-1] + operator.EPS
+        log = self._record(monkeypatch)
+        seg, rep_s = segment_solve(problem, tol=1e-12, kmax=300)
+        assert rep_s.converged
+        last = {rec["segment"]: rec["window"] for rec in log["sweeps"]}[1]
+        assert (last.live, last.admitted) == (0, 2)
+        assert {rec["tables"][0][0] for rec in log["sweeps"]} == {0}
+        pic, rep_p = picard_solve(problem, tol=1e-12, kmax=300)
+        assert rep_p.converged
+        assert np.max(np.abs(operator._values(seg) - operator._values(pic))) <= 1e-9
+
     CASES = pytest.mark.parametrize(
         "case", ["mixed", "impulse-after-root", "trace-past-a-breakpoint", "multi-impulse"])
 
@@ -1111,7 +1136,7 @@ class TestMarchWork:
         gives the bits that an evaluation against a table of the whole grid
         gives for the same triple, and a picard sweep (:meth:`_case`).  In
         the fourth case each sweep still builds one table and makes one
-        evaluation.
+        evaluation.  In the third, a window reaches past its segment's end.
         """
         problem = self._case(case)
         sc_eval, memory = operator._sc_eval, operator._memory
@@ -1134,15 +1159,20 @@ class TestMarchWork:
         if case == "mixed":
             # some rewrite their table from a later column
             assert max(rec["window"].live for rec in log["sweeps"]) > 0
+        if case == "trace-past-a-breakpoint":
+            ends = {rec["segment"]: (rec["window"].hi, problem.grid.segment_slice(rec["segment"]))
+                    for rec in log["sweeps"]}
+            assert any(hi > nodes.stop for hi, nodes in ends.values())
 
     @CASES
     def test_batches_are_index_views_of_the_sweep(self, monkeypatch, case):
         """Each segment's batch is ``problem.sweep`` at the indices of its
-        nodes and every later node, then of its own and every later
-        fixed-impulse time, then of its fresh and every later entry:
-        every part an evaluation reads, its reader of the segment's table
-        included, has the bits of the sweep's part there, and of a batch
-        built afresh at those times (:meth:`_case`)."""
+        nodes, then of the fixed-impulse times it owns, then of its fresh
+        entries: every part an evaluation reads, its reader of the
+        segment's table included, has the bits of a batch built afresh at
+        those times (:meth:`_case`), and each part, its reader of a table
+        of the whole grid with the same rows included, has the bits of the
+        sweep's part there."""
         problem = self._case(case)
         log = self._record(monkeypatch)
         _, rep = segment_solve(problem, tol=1e-12, kmax=300)
@@ -1152,28 +1182,21 @@ class TestMarchWork:
                    for term in terms or () if term[0] is not None]
         batches = {id(args[2]): args[2] for rec in log["sweeps"]
                    for args, _ in rec["evals"]}.values()
-        tables = {id(args[2]): args[3] for rec in log["sweeps"] for args, _ in rec["evals"]}
+        evals = {id(args[2]): args for rec in log["sweeps"] for args, _ in rec["evals"]}
         assert len(batches) == problem.grid.num_segments
         consumed = _consumed_by_segment(problem)
         owned = _owned_by_segment(problem)
         N, n_tau = problem.grid.size, problem.n_tau
-        covered = []
+        covered, read = [], 0
         for l, batch in enumerate(batches):
             assert isinstance(batch, operator._Subset) and batch.parent is sweep
             index = batch.index
-            # the segment's nodes lead, then every later node, then the
-            # fixed impulses it owns and every later one, then the entries
-            # it consumes first, then every later one that is unsolved
+            # the segment's nodes lead, then the fixed impulses it owns, then
+            # the entries it consumes first
             nodes = problem.grid.segment_slice(l)
-            own = nodes.stop - nodes.start
-            taus = index[N - nodes.start:N - nodes.start + len(owned[l])]
-            start = N - nodes.start + sum(map(len, owned[l:]))
-            fresh = index[start:start + len(consumed[l])]
-            covered += index[:own].tolist() + taus.tolist() + fresh.tolist()
-            unsolved = set().union(*consumed[l:])
-            assert sorted(index.tolist()) == list(range(nodes.start, N)) + [
-                N + j for j in np.concatenate(owned[l:])] + sorted(
-                N + n_tau + p * N + k for p, k in unsolved)
+            assert index.tolist() == list(range(nodes.start, nodes.stop)) + [
+                N + j for j in owned[l]] + sorted(N + n_tau + p * N + k for p, k in consumed[l])
+            covered += index.tolist()
             fresh = operator._Batch(problem, batch.te, batch.m)
             for name, take in [("te", lambda a: a[index]), ("m", lambda a: a[index]),
                                ("x0", lambda a: a[index]), ("sigma", lambda a: a[:, index]),
@@ -1185,20 +1208,29 @@ class TestMarchWork:
                 assert got.tobytes() == getattr(fresh, name).tobytes(), name
             for got, whole, built in zip(batch.limits, sweep.limits, fresh.limits):
                 assert got.tobytes() == whole[index].tobytes() == built.tobytes()
-            # the segment's table spans the grid, so the sweep reads one of
-            # its layout at the same columns
-            memory = tables[id(batch)]
-            parts = [_reader_parts(b.reader(memory)) for b in (batch, sweep, fresh)]
-            assert len(parts[0]) == len(parts[1]) == len(parts[2]) > 0
-            for got, whole, built in zip(*parts):
-                assert got.tobytes() == whole[:, index].tobytes() == built.tobytes()
+            # the segment's table, read by the batch and by one built afresh
+            _, view, _, memory = evals[id(batch)]
+            parts = [_reader_parts(b.reader(memory)) for b in (batch, fresh)]
+            assert len(parts[0]) == len(parts[1])
+            read += len(parts[0])
+            for got, built in zip(*parts):
+                assert got.tobytes() == built.tobytes()
+            # a table of the whole grid with the same rows, read by the
+            # batch and by the sweep at the batch's indices
+            whole_grid = operator._memory(
+                problem, view, None, operator._Window(0, N, memory.window.admitted))
+            parts = [_reader_parts(b.reader(whole_grid)) for b in (batch, sweep)]
+            assert len(parts[0]) == len(parts[1])
+            for got, whole in zip(*parts):
+                assert got.tobytes() == whole[:, index].tobytes()
             for c in factors:
                 whole = sweep.factor(c)
                 want = whole if whole.ndim == 0 else whole[index]
                 assert batch.factor(c).tobytes() == want.tobytes()
                 assert batch.factor(c).tobytes() == fresh.factor(c).tobytes()
-        # the segments' own times share no time and cover every time of a sweep
-        assert sorted(covered) == list(range(sweep.te.size))
+        # the segments' times share no time and cover every time of a sweep,
+        # and some segment's reader has parts that depend on its times
+        assert sorted(covered) == list(range(sweep.te.size)) and read > 0
 
     @pytest.mark.parametrize(
         "sigma, horizon, panels, first",
@@ -1232,14 +1264,14 @@ class TestMarchWork:
     @pytest.mark.parametrize(
         "f2, windows",
         [("0.1*x*x1*exp(-t*s1)", [(0, 34), (0, 34)]),
-         ("0.1*x*x1/(1 + (s - s1)^2)", [(0, 34), (17, 34)])],
+         ("0.1*x*x1/(1 + (s - s1)^2)", [(0, 17), (17, 34)])],
         ids=["per-time", "t-free"],
     )
     def test_window_of_an_unsplit_f2(self, monkeypatch, f2, windows):
         """An f2 that references t and does not split is evaluated per
         batch: its table has no rows, so each segment takes the whole grid.
-        A t-free one is a row of the table, which spans the grid and is
-        rewritten from each segment's first node."""
+        A t-free one is a row of the table, which each segment rewrites
+        from its first node to its end."""
         problem = make_problem(2.0, tau=(1.0,), h=0.5, panels=16, x0="1", f2=f2,
                                G1="0.2*eta")
         assert problem.f2_terms is None and problem.grid.size == 34
@@ -1287,11 +1319,10 @@ def _segment_plans(problem):
     """Per segment, as the march builds them: the segment's nodes, owned
     fixed impulses and fresh entries, whose plain sups are its deltas
     (``solvers._sups``), the indices of the segment's own times (its
-    nodes, fixed-impulse times and fresh entries), those of the segment
-    carrying the unsolved times after them (its nodes and every later
-    node, its fixed-impulse times and every later one, its fresh entries
-    and every later entry), and the entries that earlier segments
-    consumed."""
+    nodes, fixed-impulse times and fresh entries), the sorted indices of
+    the values that earlier segments solved (their nodes, the fixed
+    impulses they own and the entries they consumed), which a carrying
+    sweep keeps, and the entries that earlier segments consumed."""
     grid = problem.grid
     N, traces = grid.size, grid.size + problem.n_tau
     consumed = _consumed_by_segment(problem)
@@ -1305,24 +1336,25 @@ def _segment_plans(problem):
         eta = N + owned[l]
         fresh = entries(consumed[l])
         own = np.concatenate([np.arange(nodes.start, nodes.stop), eta, fresh])
-        ahead = np.concatenate([np.arange(nodes.start, N), N + np.concatenate(owned[l:]), fresh,
-                                entries(set().union(*consumed[l + 1:]))])
+        kept = np.concatenate([np.arange(nodes.start), N + np.concatenate(owned[:l] or [[]]),
+                               entries(set().union(*consumed[:l]))]).astype(int)
         solved = np.zeros(problem.sigma_grid.shape, dtype=bool)
         for p, k in set().union(*consumed[:l]):
             solved[p, k] = True
-        yield (nodes, eta, fresh), own, ahead, solved
+        yield (nodes, eta, fresh), own, kept, solved
 
 
 def _segments_swept(monkeypatch) -> list:
-    """The segment of every march sweep from now on, in order, recorded
-    from the batch each one evaluates."""
+    """The segment of every march sweep from now on, in order, read from
+    the deltas each one takes."""
     segments = []
     sweep = solvers._sweep
 
-    def counted(problem, batch, *args):
-        if batch is not problem.sweep:  # not the image
-            segments.append(batch.nodes.start // (problem.grid.panels + 1))
-        return sweep(problem, batch, *args)
+    def counted(problem, batch, window, deltas, *args, **kwargs):
+        segment = march_segment(problem, deltas)
+        if segment is not None:  # not the image
+            segments.append(segment)
+        return sweep(problem, batch, window, deltas, *args, **kwargs)
 
     monkeypatch.setattr(solvers, "_sweep", counted)
     return segments
@@ -1331,9 +1363,10 @@ def _segments_swept(monkeypatch) -> list:
 class TestRemainder:
     """Each sweep of a march segment also evaluates every unsolved time
     after the segment, so a later segment starts from values that earlier
-    sweeps iterated.  The segment's own values keep the bits of an
-    evaluation of the segment alone, and a failed remainder falls back to
-    the segment alone."""
+    sweeps iterated: it is a picard sweep that keeps what earlier segments
+    solved.  The segment's own values keep the bits of an evaluation of the
+    segment alone, and a failed remainder falls back to the segments
+    alone."""
 
     SPLITS = {"mixed_impulses": [7, 2, 2, 1], "multi_impulse": [7, 1, 3, 1, 3, 1]}
 
@@ -1349,33 +1382,37 @@ class TestRemainder:
 
     @pytest.mark.parametrize("name", ["mixed_impulses", "multi_impulse", "tdep", "non_monotone"])
     def test_own_values_match_the_segment_alone(self, name):
-        """Two sweeps of every segment from a random iterate, one with the
-        remainder and one alone, each with its own table (built, then
-        rewritten): the segment's nodes, fixed impulses and fresh entries,
-        and the deltas, have the same bits."""
+        """Two sweeps of every segment from a random iterate, one carrying
+        the remainder (``problem.sweep``, keeping what earlier segments
+        solved) and one alone (the segment's ``_Subset``), each with its
+        own table (built, then rewritten): the segment's nodes, fixed
+        impulses and fresh entries, and the deltas, have the same bits, and
+        the carrying sweep keeps the solved values' bits."""
         problem, _, _ = _remainder_case(name)
-        N = problem.grid.size
         start = operator._values(random_triple(problem, np.random.default_rng(5)))
-        for owned, own, ahead, solved in _segment_plans(problem):
+        for owned, own, kept, solved in _segment_plans(problem):
             nodes = owned[0]
-            sweeps = {}
-            for mode, index, span in [("remainder", ahead, slice(nodes.start, N)),
-                                      ("alone", own, nodes)]:
-                batch = operator._Subset(problem.sweep, index, span)
-                window = operator._window(problem, nodes, batch, solved)
-                sweeps[mode] = partial(solvers._sweep, problem, batch, window,
-                                       partial(solvers._sups, owned))
+            sups = partial(solvers._sups, owned)
+            batch = operator._Subset(problem.sweep, own, nodes)
+            sweeps = {
+                "remainder": partial(solvers._sweep, problem, problem.sweep, None, sups,
+                                     solved=kept),
+                "alone": partial(solvers._sweep, problem, batch,
+                                 operator._window(problem, nodes, batch, solved), sups),
+            }
             # each builds its table from the random iterate, then rewrites it
             # from the remainder's next iterate
             (with_r, table_r), deltas_r = sweeps["remainder"]((start, None))
             (alone, table_a), deltas_a = sweeps["alone"]((start, None))
-            assert table_r.window.hi == N
+            assert table_r.window == problem.whole_grid
             (with_r2, _), deltas_r2 = sweeps["remainder"]((with_r, table_r))
             (alone2, _), deltas_a2 = sweeps["alone"]((with_r, table_a))
             for x, y in [(with_r, alone), (with_r2, alone2)]:
                 assert [v.hex() for v in x[own]] == [v.hex() for v in y[own]]
             assert ([v.hex() for v in deltas_r + deltas_r2]
                     == [v.hex() for v in deltas_a + deltas_a2])
+            assert with_r[kept].tobytes() == start[kept].tobytes()
+            assert with_r2[kept].tobytes() == start[kept].tobytes()
 
     def test_a_failed_remainder_restarts_the_march_alone(self, monkeypatch):
         """The remainder blows up while segment 0 iterates.  The march
@@ -1385,9 +1422,10 @@ class TestRemainder:
         calls = []
         sweep = solvers._sweep
 
-        def recorded(problem, batch, window, deltas, state):
-            calls.append((_carries(problem, batch), state[0].copy(), state[1]))
-            return sweep(problem, batch, window, deltas, state)
+        def recorded(problem, batch, window, deltas, state, solved=None):
+            # a carrying sweep keeps what earlier segments solved
+            calls.append((solved is not None, state[0].copy(), state[1]))
+            return sweep(problem, batch, window, deltas, state, solved=solved)
 
         monkeypatch.setattr(solvers, "_sweep", recorded)
         _, rep = segment_solve(problem, tol=1e-10, kmax=200)
@@ -1409,11 +1447,11 @@ class TestRemainder:
         sweep = solvers._sweep
         calls = []
 
-        def overflowing(problem, batch, window, deltas, state):
-            if batch is problem.sweep:  # the image
+        def overflowing(problem, batch, window, deltas, state, solved=None):
+            if deltas is solvers._distance:  # the image
                 return sweep(problem, batch, window, deltas, state)
-            calls.append((_carries(problem, batch), state))
-            new, got = sweep(problem, batch, window, deltas, state)
+            calls.append((solved is not None, state))
+            new, got = sweep(problem, batch, window, deltas, state, solved=solved)
             return new, (math.inf, *got[1:]) if len(calls) == 2 else got
 
         monkeypatch.setattr(solvers, "_sweep", overflowing)
@@ -1448,11 +1486,11 @@ class TestRemainder:
         failed = []
         sweep = solvers._sweep
 
-        def recorded(problem, batch, *args):
+        def recorded(problem, batch, window, deltas, *args, **kwargs):
             try:
-                return sweep(problem, batch, *args)
+                return sweep(problem, batch, window, deltas, *args, **kwargs)
             except NonFiniteValues:
-                failed.append(batch.nodes.start // (problem.grid.panels + 1))
+                failed.append(march_segment(problem, deltas))
                 raise
 
         monkeypatch.setattr(solvers, "_sweep", recorded)
@@ -1478,6 +1516,171 @@ class TestRemainder:
             _, rep = segment_solve(problem, tol=tol, kmax=kmax)
             assert rep.converged
             assert [segments.count(l) for l in range(problem.grid.num_segments)] == split
+
+
+class TestCarryingMarch:
+    """The march that carries the remainder sweeps as picard does: every
+    sweep of segment l evaluates ``problem.sweep`` against one table of the
+    whole grid, which the march keeps across its segments and fills from
+    column 0 in every sweep, and keeps the values that earlier segments
+    solved (their nodes, the fixed impulses they own and the entries they
+    consumed) at the bits of the sweep's starting iterate.  The image
+    reads the same table.
+
+    Recorded per carrying sweep: its segment and owned indices, read from
+    its deltas, the indices it keeps, its two iterates, its table and its
+    deltas; and the state of the image.
+    """
+
+    @staticmethod
+    def _record(monkeypatch):
+        log = {"sweeps": [], "images": []}
+        sweep = solvers._sweep
+
+        def recording(problem, batch, window, deltas, state, solved=None):
+            (new, table), got = sweep(problem, batch, window, deltas, state, solved=solved)
+            segment = march_segment(problem, deltas)
+            if segment is None:
+                log["images"].append((batch, state))
+            else:
+                assert batch is problem.sweep and window is None and solved is not None
+                log["sweeps"].append({"segment": segment, "owned": deltas.args[0],
+                                      "solved": solved, "old": state[0], "new": new,
+                                      "tables": (state[1], table), "deltas": got})
+            return (new, table), got
+
+        monkeypatch.setattr(solvers, "_sweep", recording)
+        return log
+
+    @TestMarchWork.CASES
+    def test_owned_values_match_the_segment_alone(self, monkeypatch, case):
+        """In every carrying sweep, each value the segment owns (its nodes,
+        fixed impulses and fresh entries) has the bits of the same sweep of
+        the segment's index view of ``problem.sweep`` (``_Subset``), with
+        its own table, from the same iterate, and so have its deltas; every
+        value that earlier segments solved keeps the previous iterate's
+        bits; and every other value has the bits of a picard sweep of that
+        iterate."""
+        problem = TestMarchWork._case(case)
+        log = self._record(monkeypatch)
+        _, rep = segment_solve(problem, tol=1e-12, kmax=300)
+        assert rep.converged and len(log["sweeps"]) == rep.iterations
+        monkeypatch.undo()
+        plans = list(_segment_plans(problem))
+        weights = partial(operator._deltas, problem, problem.decay(1.0))
+        for rec in log["sweeps"]:
+            owned, own, kept, solved = plans[rec["segment"]]
+            got, old, new = rec["owned"], rec["old"], rec["new"]
+            assert got[0] == owned[0] and got[2].tolist() == owned[2].tolist()
+            assert list(range(got[1].start, got[1].stop)) == owned[1].tolist()
+            assert sorted(rec["solved"].tolist()) == kept.tolist()
+            assert new[kept].tobytes() == old[kept].tobytes()
+            nodes = owned[0]
+            batch = operator._Subset(problem.sweep, own, nodes)
+            (alone, _), deltas = solvers._sweep(
+                problem, batch, operator._window(problem, nodes, batch, solved),
+                partial(solvers._sups, got), (old, None))
+            assert new[own].tobytes() == alone[own].tobytes()
+            assert [d.hex() for d in rec["deltas"]] == [d.hex() for d in deltas]
+            (swept, _), _ = solvers._sweep(problem, problem.sweep, None, weights, (old, None))
+            rest = np.setdiff1d(np.arange(old.size), kept)
+            assert new[rest].tobytes() == swept[rest].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, (problem, _, _) in IMAGE_CASES.items() if problem.grid.num_segments > 1))
+    def test_one_table_for_every_sweep_and_the_image(self, monkeypatch, name):
+        """Every carrying sweep, and the image, fill one table of the whole
+        grid from column 0, as picard's do: one row prefix over the whole
+        grid each.  The image has the bits of ``apply_operator`` and
+        ``residual`` on the returned triple."""
+        problem, tol, kmax = IMAGE_CASES[name]
+        log = self._record(monkeypatch)
+        prefixes = []
+        row_prefix = operator._row_prefix
+
+        def counting_prefix(grid, rows, first=0, start=0.0, out=None):
+            prefixes.append((first, rows.shape[-1]))
+            return row_prefix(grid, rows, first, start, out)
+
+        monkeypatch.setattr(operator, "_row_prefix", counting_prefix)
+        triple, rep = segment_solve(problem, tol=tol, kmax=kmax)
+        assert rep.converged and len(log["sweeps"]) == rep.iterations
+        N = problem.grid.size
+        first = log["sweeps"][0]["tables"][1]
+        assert log["sweeps"][0]["tables"][0] is None and first.window == problem.whole_grid
+        for rec in log["sweeps"]:
+            assert rec["tables"][1].rows is first.rows
+            assert rec["tables"][1].prefix is first.prefix
+        ((batch, (_, table)),) = log["images"]
+        assert batch is problem.sweep and table.rows is first.rows
+        assert prefixes == [(0, N)] * (rep.iterations + 1)
+        image = apply_operator(problem, triple)
+        for a, b in zip(_arrays(rep.image), _arrays(image)):
+            assert a.tobytes() == b.tobytes()
+        assert rep.final_residual == residual(problem, triple)
+
+    def test_a_value_not_finite_at_a_solved_time_does_not_fail_a_sweep(self, monkeypatch):
+        """A carrying sweep keeps what earlier segments solved before it
+        checks its values: an evaluation that is inf or nan there, and
+        finite everywhere else, ends in the bits of a march whose
+        evaluations are finite."""
+        problem, tol, kmax = _remainder_case("mixed_impulses")
+        want, rep_want = segment_solve(problem, tol=tol, kmax=kmax)
+        sweep, sc_eval = solvers._sweep, solvers._sc_eval
+        current, spoiled = [None], []
+
+        def keeping(problem, batch, window, deltas, state, solved=None):
+            current[0] = solved
+            return sweep(problem, batch, window, deltas, state, solved=solved)
+
+        def spoiling(problem, view, batch, memory):
+            out = sc_eval(problem, view, batch, memory)
+            solved = current[0]
+            if solved is not None and solved.size:
+                out[solved[::2]], out[solved[1::2]] = math.inf, math.nan
+                spoiled.append(solved.size)
+            return out
+
+        monkeypatch.setattr(solvers, "_sweep", keeping)
+        monkeypatch.setattr(solvers, "_sc_eval", spoiling)
+        got, rep = segment_solve(problem, tol=tol, kmax=kmax)
+        assert rep.converged and not rep.failed and len(spoiled) > 1
+        assert (rep.iterations, rep.notes) == (rep_want.iterations, rep_want.notes)
+        assert ([d.hex() for d in np.ravel(rep.deltas)]
+                == [d.hex() for d in np.ravel(rep_want.deltas)])
+        assert operator._values(got).tobytes() == operator._values(want).tobytes()
+
+    def test_a_kernel_error_at_a_solved_time_restarts_the_march_alone(self, monkeypatch):
+        """A carrying sweep walks its kernels at solved times too: a kernel
+        error there, here in the first sweep of segment 1, ends the
+        carrying march, and the march starts again and takes the segments
+        alone, with their bits."""
+        problem, tol, kmax = _remainder_case("mixed_impulses")
+        sweep, sc_eval = solvers._sweep, solvers._sc_eval
+        current, raised = [None], []
+
+        def keeping(problem, batch, window, deltas, state, solved=None):
+            current[0] = solved
+            return sweep(problem, batch, window, deltas, state, solved=solved)
+
+        def failing(problem, view, batch, memory):
+            solved = current[0]
+            if solved is not None and solved.size and not raised:
+                raised.append(solved.size)
+                raise EvaluationError("log of a non-positive value")
+            return sc_eval(problem, view, batch, memory)
+
+        monkeypatch.setattr(solvers, "_sweep", keeping)
+        monkeypatch.setattr(solvers, "_sc_eval", failing)
+        got, rep = segment_solve(problem, tol=tol, kmax=kmax)
+        assert raised and rep.converged and not rep.failed
+        monkeypatch.undo()
+        monkeypatch.setattr(solvers, "_AHEAD_TIMES", 0)
+        alone, rep_alone = segment_solve(problem, tol=tol, kmax=kmax)
+        assert (rep.iterations, rep.notes) == (rep_alone.iterations, rep_alone.notes)
+        assert ([d.hex() for d in np.ravel(rep.deltas)]
+                == [d.hex() for d in np.ravel(rep_alone.deltas)])
+        assert operator._values(got).tobytes() == operator._values(alone).tobytes()
 
 
 class TestBatchNodes:
@@ -1513,17 +1716,20 @@ class TestBatchNodes:
     @NAMES
     @pytest.mark.parametrize("ahead", [True, False], ids=["remainder", "alone"])
     def test_march_segments(self, monkeypatch, name, ahead):
-        """A segment that carries the remainder holds its nodes and every
-        later one; a segment marched alone, its own."""
+        """A segment that carries the remainder evaluates the sweep batch,
+        every node; a segment marched alone, its own nodes.  Each owns the
+        fixed-impulse times at or before its end, after the last segment's,
+        and its batch holds them after its nodes."""
         problem, tol, kmax = _remainder_case(name)
         grid = problem.grid
         batches = {}
         sweep = solvers._sweep
 
-        def recorded(problem, batch, window, deltas, state):
-            if batch is not problem.sweep:  # not the image
-                batches[batch.nodes.start // (grid.panels + 1)] = batch
-            return sweep(problem, batch, window, deltas, state)
+        def recorded(problem, batch, window, deltas, state, **kwargs):
+            segment = march_segment(problem, deltas)
+            if segment is not None:  # not the image
+                batches[segment] = (batch, deltas.args[0])
+            return sweep(problem, batch, window, deltas, state, **kwargs)
 
         monkeypatch.setattr(solvers, "_sweep", recorded)
         if not ahead:
@@ -1532,17 +1738,22 @@ class TestBatchNodes:
         assert rep.converged and sorted(batches) == list(range(grid.num_segments))
         owned = _owned_by_segment(problem)
         assert sorted(np.concatenate(owned).tolist()) == list(range(problem.n_tau))
-        for l, batch in batches.items():
-            nodes = grid.segment_slice(l)
-            assert batch.nodes == slice(nodes.start, grid.size if ahead else nodes.stop)
+        for l, (batch, (nodes, eta, _)) in batches.items():
+            assert nodes == grid.segment_slice(l)
+            assert (batch is problem.sweep) == ahead
+            assert batch.nodes == (slice(0, grid.size) if ahead else nodes)
             n = self._check(problem, batch)
             assert n > 0
-            # then the fixed-impulse times the segment owns, and every later
-            # one when it carries the remainder
-            taus = np.concatenate(owned[l:] if ahead else owned[l:l + 1])
+            # the fixed-impulse times the segment owns, whose deltas it takes
+            taus = owned[l]
+            assert list(range(eta.start, eta.stop)) == (grid.size + taus).tolist()
+            # in the batch right after its nodes: the sweep holds every one
             k = grid.size + problem.n_tau
-            assert batch.index[n:][batch.index[n:] < k].tolist() == (grid.size + taus).tolist()
-            assert batch.te[n:n + taus.size].tobytes() == problem.tau[taus].tobytes()
+            index = np.arange(batch.te.size) if ahead else batch.index
+            at = (index[n:][index[n:] < k] - grid.size).tolist()
+            assert at == (list(range(problem.n_tau)) if ahead else taus.tolist())
+            first = n + (taus[0] if ahead and taus.size else 0)
+            assert batch.te[first:first + taus.size].tobytes() == problem.tau[taus].tobytes()
 
     @NAMES
     def test_jump_at(self, monkeypatch, name):
