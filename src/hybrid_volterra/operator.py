@@ -213,9 +213,10 @@ class HybridProblem:
     fixed-impulse pairs G2 sums over; ``f1_terms``, ``f2_terms`` and
     ``g_terms``, each memory kernel split into time factors c(t) times
     factors over :data:`F1_GROUPS`, :data:`F2_GROUPS` or :data:`G_GROUPS`
-    (:func:`~.expressions.time_split`; None when it does not split); and
-    ``whole_grid``, the window of a table over the whole grid
-    (:class:`_Window`).  On first use, from those: the path of each term,
+    (:func:`~.expressions.time_split`; None when it does not split);
+    ``f1_free``, whether f1 is t-free, so that one row of a memory table
+    holds it and a t-free f2 (:func:`_xi_rows`); and ``whole_grid``, the
+    window of a table over the whole grid (:class:`_Window`).  On first use, from those: the path of each term,
     :attr:`g_row_impulses` and :attr:`batch_terms`;
     :attr:`sweep`, the evaluation batch of one sweep; and
     :attr:`impulse_prefix`, the G1 and G2 sums when they read no eta.
@@ -267,6 +268,8 @@ class HybridProblem:
         object.__setattr__(self, "f1_terms", time_split(self.f1, F1_GROUPS))
         object.__setattr__(self, "f2_terms", time_split(self.f2, F2_GROUPS))
         object.__setattr__(self, "g_terms", time_split(self.g, G_GROUPS))
+        # f1 is one t-free row of the memory table, which a t-free f2 joins
+        object.__setattr__(self, "f1_free", bool(self.f1_terms) and self.f1_terms[0][0] is None)
         object.__setattr__(self, "whole_grid", _Window(0, self.grid.size, self.tau.size))
 
     @classmethod
@@ -722,7 +725,8 @@ def _xi_rows(problem: HybridProblem, xi: np.ndarray, cols: slice, start):
 
     The rows cover the columns ``cols``, whole segments.  One ``(c, row)``
     per time factor c of ``problem.f1_terms`` and ``problem.f2_terms`` (the
-    t-free terms of a kernel summed into one row with c None): the f1
+    t-free terms of both kernels summed into one row with c None, the f1
+    row first when ``problem.f1_free``): the f1
     integral to time t is c(t) times the integral of ``row`` to t, and so
     is the f2 double integral, whose row holds the inner integrals a_r(s)
     * (integral of b_r to s).  Those inner integrals are returned too,
@@ -737,10 +741,8 @@ def _xi_rows(problem: HybridProblem, xi: np.ndarray, cols: slice, start):
     times, x = grid.times[cols], xi[cols]
     # each factor references one group, so one binding serves them all
     nodes = {"s": times, "x": x, "s1": times, "x1": x}
-    rows = []
-    for c, a in problem.f1_terms or ():
-        rows.append((c, _walk(a, nodes)))
-    cumulative = None
+    rows = [(c, _walk(a, nodes)) for c, a in problem.f1_terms or ()]
+    cumulative = free = None  # free: the row of the t-free f2 terms
     f2 = problem.f2
     if problem.f2_terms:
         outer, B = [], np.empty((len(problem.f2_terms), times.size))
@@ -752,12 +754,16 @@ def _xi_rows(problem: HybridProblem, xi: np.ndarray, cols: slice, start):
         if f2.references("t"):
             rows += inner
         else:
-            rows.append((None, sum((row for _, row in inner[1:]), inner[0][1])))
+            free = sum((row for _, row in inner[1:]), inner[0][1])
     elif _f2_square(problem):
         F = _walk(f2, {"t": 0.0, "s": grid.times[:, None], "s1": grid.times[None, :],
                        "x": xi[:, None], "x1": xi[None, :]})
-        rows.append((None, _integrate_to(grid, F, grid.times)[cols]))
-    return rows, cumulative
+        free = _integrate_to(grid, F, grid.times)[cols]
+    if free is None:
+        return rows, cumulative
+    if problem.f1_free:
+        return [(None, rows[0][1] + free)], cumulative
+    return rows + [(None, free)], cumulative
 
 
 def _impulse_prefix(problem: HybridProblem, eta: np.ndarray | None) -> np.ndarray | None:

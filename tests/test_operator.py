@@ -408,6 +408,44 @@ class TestOneCumulativePerTable:
         assert len(calls) == 1
 
 
+class TestOneTimeFreeRow:
+    """A memory table holds the t-free terms of f1 and f2 in one row, the
+    f1 row plus the row of f2's inner integrals, when f1 is t-free
+    (``HybridProblem.f1_free``, decided when the problem is built).  An f1
+    that references t keeps its own rows, and a t-free f2 its row after
+    them; the g rows follow."""
+
+    KW = dict(tau=(0.5,), sigma=("0.3 + 0.5*t",), panels=8, x0="1", G1="0.4*eta",
+              g="0.1*x*eta")
+
+    @pytest.mark.parametrize("f1, f2, free, n_xi", [
+        ("0.2*sin(x) + 0.05*s", "0.05*x*x1/(1 + s1^2)", True, 1),
+        ("0.2*sin(x) + 0.05*s", "0.05*sin(x*x1)", True, 1),
+        ("0.2*t*x", "0.05*x*x1/(1 + s1^2)", False, 2),
+        ("0.2*sin(x)", "0.05*t*x*x1", True, 2),
+    ], ids=["split-f2", "f2-square", "f1-references-t", "f2-references-t"])
+    def test_rows(self, f1, f2, free, n_xi):
+        problem = make_problem(2.0, f1=f1, f2=f2, **self.KW)
+        assert problem.f1_free is free
+        view = view_of(problem, random_triple(problem, np.random.default_rng(3)))
+        table = _memory(problem, view)
+        assert table.n_xi == n_xi
+        f1_only, f2_only = (_memory(make_problem(2.0, **kernel, **self.KW), view)
+                            for kernel in ({"f1": f1}, {"f2": f2}))
+        if free and n_xi == 1:
+            want = f1_only.rows[0] + f2_only.rows[0]
+        else:
+            want = np.vstack([f1_only.rows[:f1_only.n_xi], f2_only.rows[:f2_only.n_xi]])
+        assert _hex(table.rows[:n_xi]) == _hex(want)
+        assert _hex(table.rows[n_xi:]) == _hex(f1_only.rows[f1_only.n_xi:])
+
+    def test_the_mixed_problem_reads_three_rows(self):
+        problem = mixed_problem()
+        assert problem.f1_free and problem.g_row_impulses.size == 1 and problem.n_tau == 2
+        table = _memory(problem, view_of(problem, random_triple(problem, np.random.default_rng(4))))
+        assert (table.n_xi, table.rows.shape[0], table.prefix.shape[0]) == (1, 3, 3)
+
+
 def _hex(a):
     return None if a is None else [float(v).hex() for v in np.ravel(a)]
 
