@@ -331,16 +331,16 @@ def _sweep(problem: HybridProblem, batch, window, deltas, state, solved=None):
 
 
 # The most times (N nodes, the fixed-impulse times and every trace entry)
-# at which the march carries the unsolved remainder.  A sweep that carries
-# it costs O(N - start_l) besides its fixed cost, and the first segment's
-# sweeps carry the whole grid, so the sweeps that later segments save pay
-# only while the fixed cost dominates.  In process (2 vCPUs), carrying it
-# took 0.7-0.8x the time of a march of the segments alone on the mixed
-# problem at N = 516 and 1028 (1034 and 2058 times) and 0.66-1.02x on six
-# segments at N = 1014 (3045); 1.0x on the mixed problem at N = 1540
-# (3082), 1.1x on six and fourteen segments at N of about 2000 (6069 and
-# 4072 times) and up to 1.4x at N of about 4000.
-_AHEAD_TIMES = 3072
+# at which the march carries the unsolved remainder.  A carrying sweep
+# costs a picard sweep, O(N) besides its fixed cost, and a sweep alone
+# O(n_l + fresh columns), so the sweeps that carrying saves pay only while
+# the fixed cost dominates, and the more segments, the sooner they stop
+# paying.  In process (2 vCPUs), on the mixed problem (4 segments) carrying
+# took 0.59x the time of the march of the segments alone at 2058 times,
+# 0.68-0.90x at 4106 to 16394 and 1.07x at 32778; with 13 more fixed
+# impulses (15 segments) 0.75x at 1963 times, 0.87-0.96x at 3883 to 4843,
+# 1.09x at 5803 and 1.29x at 8683.
+_AHEAD_TIMES = 5120
 
 
 def _march(problem: HybridProblem, init, tol: float, kmax: int):
