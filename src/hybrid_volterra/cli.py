@@ -21,10 +21,11 @@ invariants, criterion quantities or spectral radius overflow: finite
 ``check-matrix`` entries (an entry that is not finite exits 1), which
 still print the invariants, the radius and its verdict where those are
 finite, or the bound matrix of ``analyze``, which still prints its report
-(``solve`` notes it in its report and keeps its own exit code).  A path that cannot be written exits 1 even where the
-run would have exited 2, 3 or 4, because the outputs it promised are not
-there.  Output is deterministic for fixed inputs; ``HV_SEED`` seeds the
-Lipschitz estimator behind ``analyze --estimate``.
+(``solve`` notes it in its report and keeps its own exit code).  A path
+that cannot be written exits 1 even where the run would have exited 2, 3
+or 4, because the outputs it promised are not there.  Output is
+deterministic for fixed inputs; ``HV_SEED`` seeds the Lipschitz estimator
+behind ``analyze --estimate``.
 """
 
 from __future__ import annotations

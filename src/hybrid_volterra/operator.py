@@ -216,10 +216,10 @@ class HybridProblem:
     (:func:`~.expressions.time_split`; None when it does not split);
     ``f1_free``, whether f1 is t-free, so that one row of a memory table
     holds it and a t-free f2 (:func:`_xi_rows`); and ``whole_grid``, the
-    window of a table over the whole grid (:class:`_Window`).  On first use, from those: the path of each term,
-    :attr:`g_row_impulses` and :attr:`batch_terms`;
-    :attr:`sweep`, the evaluation batch of one sweep; and
-    :attr:`impulse_prefix`, the G1 and G2 sums when they read no eta.
+    window of a table over the whole grid (:class:`_Window`).  On first
+    use, from those: the path of each term, :attr:`g_row_impulses` and
+    :attr:`batch_terms`; :attr:`sweep`, the evaluation batch of one sweep;
+    and :attr:`impulse_prefix`, the G1 and G2 sums when they read no eta.
     Each sweep and image of either solver evaluates :attr:`sweep` or, in
     the march of the segments alone, an index view of it
     (:class:`_Subset`), so a solve locates and evaluates its times once;
@@ -498,26 +498,26 @@ class _Batch:
     A batch is built by what evaluates it and kept for as long as that
     evaluates it: the problem keeps ``problem.sweep`` for every sweep and
     image of either solver, and each :func:`jump_at` builds its own.  A
-    segment of the march alone evaluates an index view of
-    ``problem.sweep`` (:class:`_Subset`), which builds no part the sweep
-    batch holds.  ``te``
+    segment of the march alone evaluates an index view of ``problem.sweep``
+    (:class:`_Subset`), which builds no part the sweep batch holds.  ``te``
     and ``m`` are read-only copies of the evaluation and membership times,
     and the first ``nodes.stop - nodes.start`` times are the grid nodes
-    ``nodes``, at which beta is read at its stored values (:func:`_beta_at`):
-    all N nodes for ``problem.sweep``, none for :func:`jump_at`.
-    Each part is built on first use and read-only: ``limits``, where the
-    times fall on the grid, from one :meth:`~.piecewise.Grid.locate` of
-    ``te`` (:func:`~.quadrature.limits_of`): the quadrature cut that every
-    read of a memory table at ``te`` takes, and the node and fraction that
-    every interpolation at ``te`` takes; ``x0`` at ``te``; ``sigma``, each
-    moving time at ``te`` (n_sigma, E); ``tau_below``, tau_j < m
-    (E, n_tau); ``impulse_count``, the number of fixed impulses below m;
-    ``g3_gate``, sigma_i(te) < m and tau_j < m (n_sigma, n_tau, E); and by
+    ``nodes``, at which beta is read at its stored values
+    (:func:`_beta_at`): all N nodes for ``problem.sweep``, none for
+    :func:`jump_at`.  Each part is built on first use and read-only:
+    ``limits``, where the times fall on the grid, from one
+    :meth:`~.piecewise.Grid.locate` of ``te``
+    (:func:`~.quadrature.limits_of`): the quadrature cut that every read of
+    a memory table at ``te`` takes, and the node and fraction that every
+    interpolation at ``te`` takes; ``x0`` at ``te``; ``sigma``, each moving
+    time at ``te`` (n_sigma, E); ``tau_below``, tau_j < m (E, n_tau);
+    ``impulse_count``, the number of fixed impulses below m; ``g3_gate``,
+    sigma_i(te) < m and tau_j < m (n_sigma, n_tau, E); and by
     :meth:`factor` each time factor at ``te``.  One object reads a memory
-    table (:func:`_memory`) at ``te``: :meth:`reader`, built once per
-    table layout, holds the cut of every row, the rows' time factors and
-    the arrays the read works in (:class:`_Reader`).  A part whose kernel
-    fails to evaluate is not kept, and fails again.
+    table (:func:`_memory`) at ``te``: :meth:`reader`, built once per table
+    layout, holds the cut of every row, the rows' time factors and the
+    arrays the read works in (:class:`_Reader`).  A part whose kernel fails
+    to evaluate is not kept, and fails again.
     """
 
     def __init__(self, problem: "HybridProblem", te: np.ndarray, m: np.ndarray,
@@ -726,10 +726,9 @@ def _xi_rows(problem: HybridProblem, xi: np.ndarray, cols: slice, start):
     The rows cover the columns ``cols``, whole segments.  One ``(c, row)``
     per time factor c of ``problem.f1_terms`` and ``problem.f2_terms`` (the
     t-free terms of both kernels summed into one row with c None, the f1
-    row first when ``problem.f1_free``): the f1
-    integral to time t is c(t) times the integral of ``row`` to t, and so
-    is the f2 double integral, whose row holds the inner integrals a_r(s)
-    * (integral of b_r to s).  Those inner integrals are returned too,
+    row first when ``problem.f1_free``): the f1 integral to time t is c(t)
+    times the integral of ``row`` to t, and so is the f2 double integral,
+    whose row holds the inner integrals a_r(s) * (integral of b_r to s).  Those inner integrals are returned too,
     (K, W) for K terms, by one :func:`~.quadrature.node_cumulative` of the
     stacked b_r begun from ``start``, each b_r's integral up to
     ``cols.start``, else None.  A t-free f2 that does not split gives its
@@ -877,8 +876,7 @@ def _read_rows(memory: _Memory, batch: _Batch) -> np.ndarray:
 def _window(
     problem: HybridProblem, nodes: slice, batch: _Batch, solved: np.ndarray
 ) -> _Window:
-    """The columns of the memory table of a segment marched alone
-    (:class:`_Window`).
+    """The columns of the table of a segment marched alone (:class:`_Window`).
 
     The segment updates the continuous part on ``nodes``, the fixed
     impulses it owns and the trace entries it refreshes; ``batch``, the one
@@ -889,16 +887,15 @@ def _window(
     from the segment's first node, and for the g rows of impulse i at
     every node whose trace entry is not yet consumed (a suffix, sigma_i
     being nondecreasing).  ``admitted`` counts the fixed impulses below the
-    last membership time.  Those at or before the segment's first node are
-    solved.  A trace entry up to EPS past the segment's end can admit one
-    after it, such as a fixed impulse merged into the horizon, whose eta
-    changes while the segment iterates: such a table has ``live`` 0, so
-    its g rows and its G1 and G2 prefix are filled from column 0.  ``hi`` bounds every
-    column that the evaluations of the segment read: the node at or below
-    each time and the next, past the segment's end for an entry consumed
-    up to EPS past it.  ``live`` and ``hi`` are segment boundaries, so the
-    f2 inner integrals run over whole segments; a table without rows takes
-    the whole grid, read nowhere.
+    last membership time.  A trace entry up to EPS past the segment's end
+    can admit one after its first node, such as a fixed impulse merged
+    into the horizon, whose eta the segment changes: then ``live`` is 0,
+    and the g rows and the G1 and G2 prefix are filled from column 0.
+    ``hi`` bounds every column that the evaluations of the segment read:
+    the node at or below each time and the next, past the segment's end
+    for an entry consumed up to EPS past it.  ``live`` and ``hi`` are
+    segment boundaries, so the f2 inner integrals run over whole segments;
+    a table without rows takes the whole grid, read nowhere.
     """
     grid = problem.grid
     w = grid.panels + 1

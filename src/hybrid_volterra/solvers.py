@@ -10,36 +10,22 @@ Two routes to the same discrete fixed point:
   deltas: its continuous nodes, the fixed-impulse values eta_j it owns
   (tau_j at its end) and the moving-trace entries beta_p(t) that it consumes
   first (sigma_p(t) in the segment, past the end of the one before).  On a
-  grid that is not large (below), each of its sweeps carries the unsolved
-  remainder: it is a picard sweep that keeps what earlier segments solved.
-  It evaluates every time of ``problem.sweep`` against the one memory table
-  of the whole grid that the march keeps across its segments, and writes
-  the new iterate everywhere except at the nodes, fixed-impulse values and
-  trace entries that earlier segments solved, which keep their bits.  So a
-  later segment starts from values that earlier sweeps have iterated, not
-  from the forcing term, and needs fewer sweeps.  Because every membership
-  test looks strictly into the past, values not yet solved are masked out
-  of every sum and integral of the segment's own values, so the march is
-  well posed, and those values have the bits of an evaluation of the
-  segment alone.  For the same reason the march of the segments alone
-  evaluates only each segment's own times, an index view of
-  ``problem.sweep`` (:class:`~.operator._Subset`), against one memory
-  table per segment (:func:`~.operator._window`): its first sweep fills it
-  from column 0, and every later sweep only from the first column that the
-  segment can change.  A carrying sweep costs what a picard sweep costs,
-  O(N) plus a fixed cost per sweep where every memory kernel splits; a
-  sweep of segment l alone costs O(n_l + fresh columns), for its n_l nodes
-  and the entries it refreshes.  The saved sweeps pay for the larger ones
-  only while the fixed cost dominates, so the march carries the remainder
-  only over at most ``_AHEAD_TIMES`` times, and takes each segment alone
-  over more.  When a carrying sweep fails, on a kernel error or a
+  grid of at most ``_AHEAD_TIMES`` times, each of its sweeps carries the
+  unsolved remainder: it is a picard sweep, against one table of the whole
+  grid that the march keeps across its segments, that keeps the nodes,
+  fixed-impulse values and trace entries that earlier segments solved at
+  their bits.  So a later segment starts from values that earlier sweeps
+  have iterated, not from the forcing term, and needs fewer sweeps.  Every
+  membership test looks strictly into the past, so the march is well posed
+  and the segment's own values have the bits of an evaluation of the
+  segment alone.  On a larger grid, where the sweeps saved no longer pay
+  for a picard sweep each, each segment iterates alone: an index view of
+  ``problem.sweep`` (:class:`~.operator._Subset`) of its own times, against
+  a table of its own columns (:func:`~.operator._window`).  When a
+  carrying sweep fails, on a kernel error (at a solved time too) or a
   non-finite value, in any segment, the march starts again from its first
-  iterate and takes each segment alone, so an input whose march fails in a
-  sweep fails as a march of the segments alone does, with the same bytes,
-  and an input whose carrying march fails can still converge alone.  A
-  carrying sweep walks its kernels at solved times too, so a kernel error
-  there restarts the march; a value that is not finite there is not kept,
-  and fails nothing.
+  iterate and takes each segment alone: it ends with the bytes of a march
+  of the segments alone, which can converge where the carrying march fails.
 
 Both iterate one array laid out as the times of ``problem.sweep`` (xi at
 the N nodes, then eta, then the beta rows), the one state the operator
@@ -306,16 +292,14 @@ def _sweep(problem: HybridProblem, batch, window, deltas, state, solved=None):
     the first sweep makes it over the columns of ``window``
     (:func:`~.operator._window`; the whole grid when None).  The table is
     filled with the iterate (:func:`~.operator._memory`) and ``batch`` is
-    evaluated against it.  The new iterate is that evaluation when
-    ``batch`` is ``problem.sweep``, with the iterate's own values kept at
-    the indices ``solved`` when given (the values that earlier march
-    segments solved), and otherwise, for a march segment's index view of
-    it (:class:`~.operator._Subset`), a copy of the iterate with the
-    evaluation written in at ``batch.index``.  The values it takes from
-    the evaluation must be finite.  Returns the new state and
-    ``deltas(new, old)``: picard's weighted deltas
-    (:func:`~.operator._deltas`), a segment's plain sups over the values
-    it owns (:func:`_sups`), or an image's distance (:func:`_distance`).
+    evaluated against it.  The new iterate is that evaluation, with the
+    iterate's own values kept at the indices ``solved`` when given (what
+    earlier march segments solved), or, for a segment's index view of
+    ``problem.sweep`` (:class:`~.operator._Subset`), a copy of the iterate
+    with the evaluation written in at ``batch.index``; it must be finite.
+    Returns the new state and ``deltas(new, old)``: picard's weighted
+    deltas (:func:`~.operator._deltas`), a segment's plain sups over the
+    values it owns (:func:`_sups`), or an image's distance (:func:`_distance`).
     """
     old, table = state
     view = _View.of(problem, old)
@@ -397,15 +381,11 @@ def _segments(problem: HybridProblem, cur: np.ndarray, report: SolveReport, tol:
         # the last segment's
         eta = slice(eta.stop, N + int(np.searchsorted(problem.tau, end, side="right")))
         sups = partial(_sups, (nodes, eta, fresh))
-        if ahead:
-            # a picard sweep that keeps what earlier segments solved: their
-            # nodes, fixed impulses and consumed entries
+        if ahead:  # keep what earlier segments solved
             solved = np.concatenate([np.arange(nodes.start), np.arange(N, eta.start),
                                      traces + np.flatnonzero(consumed)])
             sweep = partial(_sweep, problem, problem.sweep, None, sups, solved=solved)
         else:
-            # the segment's nodes, fixed-impulse times and fresh entries, with
-            # a table of its own
             index = np.concatenate([np.arange(nodes.start, nodes.stop),
                                     np.arange(eta.start, eta.stop), fresh])
             batch = _Subset(problem.sweep, index, nodes)
@@ -419,10 +399,9 @@ def _segments(problem: HybridProblem, cur: np.ndarray, report: SolveReport, tol:
         if not done:
             report.converged = False
             report.notes += (f"segment {l} hit the sweep limit",)
-    # the carrying march's table is picard's, of the whole grid; the last
-    # segment's alone spans the grid and admits every fixed impulse that a
-    # membership of a sweep admits: the image fills it again with the
-    # returned iterate
+    # the carrying march's table spans the grid, and so does the last
+    # segment's alone, which admits every fixed impulse that a membership
+    # of a sweep admits: the image fills it again with the returned iterate
     return cur, report, partial(_image, problem, table=table)
 
 
