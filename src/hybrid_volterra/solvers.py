@@ -321,7 +321,7 @@ def _sweep(problem: HybridProblem, batch, window, deltas, state, solved=None):
 # the fixed cost dominates, and the more segments, the sooner they stop
 # paying.  In process (2 vCPUs), on the mixed problem (4 segments) carrying
 # took 0.59x the time of the march of the segments alone at 2058 times,
-# 0.68-0.90x at 4106 to 16394 and 1.07x at 32778; with 13 more fixed
+# 0.68-0.90x at 4106 to 16394 and 1.07x at 32778; with 13 fixed
 # impulses (15 segments) 0.75x at 1963 times, 0.87-0.96x at 3883 to 4843,
 # 1.09x at 5803 and 1.29x at 8683.
 _AHEAD_TIMES = 5120
